@@ -21,7 +21,9 @@ from .errors import (
 )
 from .symbolic import (
     Expr,
+    Program,
     SampleDomain,
+    compile_block,
     differentiate,
     equiv,
     evaluate,

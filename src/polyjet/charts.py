@@ -29,16 +29,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, SingularJacobian
-from .linalg import checked_inverse, eval_matrix, sym_inverse
+from .linalg import checked_inverse, sym_inverse
 from .symbolic import (
     Expr,
+    Program,
     SampleDomain,
     Var,
     add,
     as_expr,
+    compile_block,
     differentiate,
     equiv,
-    evaluate,
     mul,
     substitute,
     variables,
@@ -221,6 +222,11 @@ class TransitionMap:
     def inverted(self) -> "TransitionMap":
         if not self.has_inverse:
             raise ConfigError("transition map carries no inverse expressions")
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "TransitionMap":
+        # cached, so the inverse map's derivatives and programs are built once
         return TransitionMap(self.m, self.n,
                              t_forward=self.t_inverse, x_forward=self.x_inverse,
                              t_inverse=self.t_forward, x_inverse=self.x_forward)
@@ -279,45 +285,93 @@ class TransitionMap:
                            for a in range(self.m))
                      for i in range(self.n))
 
-    # -- numeric maps --------------------------------------------------------
+    # -- numeric maps ---------------------------------------------------------
 
-    def t_jacobian_at(self, assignment) -> np.ndarray:
-        return eval_matrix(self.t_jacobian, assignment)
+    @cached_property
+    def _t_program(self) -> Program:
+        """ttilde, then its Jacobian row by row; reads t only."""
+        return compile_block([*self.t_forward, *(e for row in self.t_jacobian for e in row)])
 
-    def x_jacobian_at(self, assignment) -> np.ndarray:
-        return eval_matrix(self.x_jacobian, assignment)
+    @cached_property
+    def _x_program(self) -> Program:
+        """xtilde, then its Jacobian row by row; reads x only."""
+        return compile_block([*self.x_forward, *(e for row in self.x_jacobian for e in row)])
 
-    def jacobians_at(self, assignment):
-        """(Jt, Jx, Kt, Kx) at a point, with invertibility enforced."""
-        jt = self.t_jacobian_at(assignment)
-        jx = self.x_jacobian_at(assignment)
+    @cached_property
+    def _momentum_program(self) -> Program:
+        """d ptilde / dt, then d ptilde / dx, in index order."""
+        return compile_block(
+            [e for table in (self.momentum_forward_dt, self.momentum_forward_dx)
+             for rows in table for row in rows for e in row])
+
+    def _t_values(self, points):
+        """Images of t (P, m) and Jt (P, m, m)."""
+        m = self.m
+        vals = self._t_program.run(points)
+        return vals[:, :m], vals[:, m:].reshape(-1, m, m)
+
+    def _x_values(self, points):
+        """Images of x (P, n) and Jx (P, n, n)."""
+        n = self.n
+        vals = self._x_program.run(points)
+        return vals[:, :n], vals[:, n:].reshape(-1, n, n)
+
+    def momentum_derivatives(self, points):
+        """d ptilde_i^a / d t^b (P, n, m, m) and d ptilde_i^a / d x^j
+        (P, n, m, n) at each source assignment, exact."""
+        m, n = self.m, self.n
+        vals = self._momentum_program.run(points)
+        k = n * m * m
+        return vals[:, :k].reshape(-1, n, m, m), vals[:, k:].reshape(-1, n, m, n)
+
+    @staticmethod
+    def _frame(jt, jx, assignment):
         kt = checked_inverse(jt, SingularJacobian, "temporal jacobian", assignment)
         kx = checked_inverse(jx, SingularJacobian, "spatial jacobian", assignment)
         return jt, jx, kt, kx
 
+    def frames(self, points) -> list:
+        """(Jt, Jx, Kt, Kx) at each source assignment, with invertibility
+        enforced in point order."""
+        _, jt = self._t_values(points)
+        _, jx = self._x_values(points)
+        return [self._frame(jt[k], jx[k], asg) for k, asg in enumerate(points)]
+
+    def map_points(self, points):
+        """Image JetPoints and frames (Jt, Jx, Kt, Kx) of source assignments."""
+        chart = self.chart
+        t_img, jt = self._t_values(points)
+        x_img, jx = self._x_values(points)
+        images, frames = [], []
+        for k, asg in enumerate(points):
+            frame = self._frame(jt[k], jx[k], asg)
+            p_img = frame[3].T @ chart.point(asg).p @ frame[0].T
+            images.append(JetPoint(t_img[k], x_img[k], p_img))
+            frames.append(frame)
+        return images, frames
+
+    def t_jacobian_at(self, assignment) -> np.ndarray:
+        return self._t_values([assignment])[1][0]
+
+    def x_jacobian_at(self, assignment) -> np.ndarray:
+        return self._x_values([assignment])[1][0]
+
+    def jacobians_at(self, assignment):
+        """(Jt, Jx, Kt, Kx) at a point, with invertibility enforced."""
+        return self.frames([assignment])[0]
+
     def map_point(self, q: JetPoint) -> JetPoint:
-        asg = self.chart.assignment(q)
-        t_img = np.array([evaluate(f, asg) for f in self.t_forward])
-        x_img = np.array([evaluate(f, asg) for f in self.x_forward])
-        jt, _, _, kx = self.jacobians_at(asg)
-        p_img = kx.T @ q.p @ jt.T
-        return JetPoint(t_img, x_img, p_img)
+        return self.map_points([self.chart.assignment(q)])[0][0]
 
     def map_velocity(self, vq: JetVelocityPoint) -> JetVelocityPoint:
         asg = {nm: float(v) for nm, v in zip(self.chart.t_names, vq.t)}
         asg.update({nm: float(v) for nm, v in zip(self.chart.x_names, vq.x)})
-        jt = self.t_jacobian_at(asg)
-        jx = self.x_jacobian_at(asg)
+        (t_img,), (jt,) = self._t_values([asg])
+        (x_img,), (jx,) = self._x_values([asg])
         kt = checked_inverse(jt, SingularJacobian, "temporal jacobian", asg)
-        t_img = np.array([evaluate(f, asg) for f in self.t_forward])
-        x_img = np.array([evaluate(f, asg) for f in self.x_forward])
-        v_img = jx @ vq.v @ kt
-        return JetVelocityPoint(t_img, x_img, v_img)
+        return JetVelocityPoint(t_img, x_img, jx @ vq.v @ kt)
 
     # -- frame and coframe ----------------------------------------------------
-
-    def _p_slot(self, i: int, a: int) -> int:
-        return self.m + self.n + i * self.m + a
 
     def frame_matrix(self, q: JetPoint) -> np.ndarray:
         """Rows: source frame (d/dt^a, d/dx^i, d/dp_i^a) expressed on the
@@ -325,47 +379,42 @@ class TransitionMap:
         m, n = self.m, self.n
         asg = self.chart.assignment(q)
         jt, jx, kt, kx = self.jacobians_at(asg)
+        dpdt, dpdx = (v[0] for v in self.momentum_derivatives([asg]))
         dim = self.chart.total_dim
         F = np.zeros((dim, dim))
         F[:m, :m] = jt.T
         F[m:m + n, m:m + n] = jx.T
-        for i in range(n):
-            for a in range(m):
-                col = self._p_slot(i, a)
-                for b in range(m):
-                    F[b, col] = evaluate(self.momentum_forward_dt[i][a][b], asg)
-                for j in range(n):
-                    F[m + j, col] = evaluate(self.momentum_forward_dx[i][a][j], asg)
-                for j in range(n):
-                    for b in range(m):
-                        F[self._p_slot(j, b), col] = kx[j, i] * jt[a, b]
+        # column p_i^a: d ptilde_i^a / dt^b, d ptilde_i^a / dx^j, Kx[j, i] Jt[a, b]
+        F[:m, m + n:] = dpdt.reshape(n * m, m).T
+        F[m:m + n, m + n:] = dpdx.reshape(n * m, n).T
+        F[m + n:, m + n:] = np.multiply.outer(kx, jt).transpose(0, 3, 1, 2).reshape(n * m, n * m)
         return F
 
-    def coframe_matrix(self, q: JetPoint) -> np.ndarray:
+    def coframe_matrices(self, images, frames) -> list:
         """Rows: source coframe (dt^a, dx^i, dp_i^a) expressed on the target
-        coframe (columns).  Requires explicit inverse expressions because the
-        dp rows differentiate the inverse momentum map in target variables."""
+        coframe (columns), at each source point of a ``map_points`` batch
+        (its images and frames).  Requires explicit inverse expressions
+        because the dp rows differentiate the inverse momentum map in
+        target variables."""
         inv = self.inverted()
         m, n = self.m, self.n
-        asg = self.chart.assignment(q)
-        image = self.map_point(q)
-        img_asg = self.chart.assignment(image)
-        jt, jx, kt, kx = self.jacobians_at(asg)
-        dim = self.chart.total_dim
-        C = np.zeros((dim, dim))
-        C[:m, :m] = kt
-        C[m:m + n, m:m + n] = kx
-        for i in range(n):
-            for a in range(m):
-                row = self._p_slot(i, a)
-                for b in range(m):
-                    C[row, b] = evaluate(inv.momentum_forward_dt[i][a][b], img_asg)
-                for j in range(n):
-                    C[row, m + j] = evaluate(inv.momentum_forward_dx[i][a][j], img_asg)
-                for j in range(n):
-                    for b in range(m):
-                        C[row, self._p_slot(j, b)] = jx[j, i] * kt[a, b]
-        return C
+        chart = self.chart
+        dpdt, dpdx = inv.momentum_derivatives([chart.assignment(q) for q in images])
+        dim = chart.total_dim
+        out = []
+        for (jt, jx, kt, kx), dt, dx in zip(frames, dpdt, dpdx):
+            C = np.zeros((dim, dim))
+            C[:m, :m] = kt
+            C[m:m + n, m:m + n] = kx
+            # row p_i^a: inverse-map derivatives, then Jx[j, i] Kt[a, b]
+            C[m + n:, :m] = dt.reshape(n * m, m)
+            C[m + n:, m:m + n] = dx.reshape(n * m, n)
+            C[m + n:, m + n:] = np.multiply.outer(jx.T, kt).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+            out.append(C)
+        return out
+
+    def coframe_matrix(self, q: JetPoint) -> np.ndarray:
+        return self.coframe_matrices(*self.map_points([self.chart.assignment(q)]))[0]
 
     # -- validation -------------------------------------------------------------
 
@@ -391,8 +440,7 @@ class TransitionMap:
                 ft = substitute(self.x_forward[i], dict(zip(chart.x_names, self.x_inverse)))
                 if not equiv(ft, Var(x_name(i)), dom, tol):
                     raise ConfigError(f"spatial inverse is not a right inverse in x{i + 1}")
-        for pt in dom.points():
-            self.jacobians_at(pt)
+        self.frames(dom.points())
 
 
 def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:
@@ -455,8 +503,7 @@ def image_sample_domain(tm: TransitionMap, dom: SampleDomain) -> SampleDomain:
     chart = tm.chart
     los: dict[str, float] = {}
     his: dict[str, float] = {}
-    for pt in dom.points():
-        image = tm.map_point(chart.point(pt))
+    for image in tm.map_points(dom.points())[0]:
         for nm, v in chart.assignment(image).items():
             los[nm] = min(v, los.get(nm, v))
             his[nm] = max(v, his.get(nm, v))

@@ -200,6 +200,8 @@ def load_manifest(path: str) -> Manifest:
     if not isinstance(sample, dict):
         raise ConfigError("sample_domain must be an object")
     count = int(sample.get("count", 20))
+    if count < 1:
+        raise ConfigError("sample_domain.count must be at least 1")
     seed = int(sample.get("seed", 0))
     intervals = {}
     for nm, pair in sample.get("intervals", {}).items():

@@ -16,6 +16,7 @@ coefficients as the polymomenta themselves, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,19 +24,15 @@ from .charts import JetChart, TransitionMap, p_name
 from .errors import ConfigError
 from .metrics import Metric, christoffel
 from .report import ResidualTracker, VerificationReport
-from .semisprays import (
-    SpatialSemispray,
-    TemporalSemispray,
-    _momentum_dt_at,
-    _momentum_dx_at,
-)
+from .semisprays import SpatialSemispray, TemporalSemispray
 from .symbolic import (
     Const,
+    Program,
     SampleDomain,
     add,
     as_expr,
+    compile_block,
     differentiate,
-    evaluate,
     mul,
     variables,
 )
@@ -74,21 +71,23 @@ class NonlinearConnection:
         object.__setattr__(self, "n2", _coerce_block(
             self.m, self.n, self.n2, (self.m, self.n, self.n), "N2"))
 
+    @cached_property
+    def _program(self) -> Program:
+        return compile_block([e for block in (self.n1, self.n2) for sheet in block
+                              for row in sheet for e in row])
+
+    def at_points(self, points):
+        """N1 (P, m, n, m) and N2 (P, m, n, n) at each assignment."""
+        m, n = self.m, self.n
+        vals = self._program.run(points)
+        k = m * n * m
+        return vals[:, :k].reshape(-1, m, n, m), vals[:, k:].reshape(-1, m, n, n)
+
     def n1_at(self, assignment) -> np.ndarray:
-        out = np.zeros((self.m, self.n, self.m))
-        for a in range(self.m):
-            for i in range(self.n):
-                for b in range(self.m):
-                    out[a, i, b] = evaluate(self.n1[a][i][b], assignment)
-        return out
+        return self.at_points([assignment])[0][0]
 
     def n2_at(self, assignment) -> np.ndarray:
-        out = np.zeros((self.m, self.n, self.n))
-        for a in range(self.m):
-            for i in range(self.n):
-                for j in range(self.n):
-                    out[a, i, j] = evaluate(self.n2[a][i][j], assignment)
-        return out
+        return self.at_points([assignment])[1][0]
 
     def map_components(self, f) -> "NonlinearConnection":
         n1 = tuple(tuple(tuple(f(e) for e in row) for row in sheet) for sheet in self.n1)
@@ -117,18 +116,21 @@ def canonical_metric_connection(h: Metric, phi: Metric, n: int | None = None) ->
     return NonlinearConnection(m, nn, n1, n2)
 
 
+def _connection_image(n1, n2, frame, dpdt, dpdx):
+    jt, jx, kt, kx = frame
+    out1 = np.einsum("cka,bc,kj,ad->bjd", n1, jt, kx, kt)
+    out1 -= np.einsum("ad,jba->bjd", kt, dpdt)  # dpdt[j, b, a] = d ptilde_j^b / d t^a
+    out2 = np.einsum("cki,bc,kj,ir->bjr", n2, jt, kx, kx)
+    out2 -= np.einsum("ir,jbi->bjr", kx, dpdx)  # dpdx[j, b, i] = d ptilde_j^b / d x^i
+    return out1, out2
+
+
 def transform_connection(N: NonlinearConnection, tm: TransitionMap, q):
     """Numeric target-chart blocks (N1~, N2~) at the image of q."""
-    chart = tm.chart
-    asg = chart.assignment(q)
-    jt, jx, kt, kx = tm.jacobians_at(asg)
-    n1 = np.einsum("cka,bc,kj,ad->bjd", N.n1_at(asg), jt, kx, kt)
-    dpdt = _momentum_dt_at(tm, asg)  # dpdt[j, b, a] = d ptilde_j^b / d t^a
-    n1 -= np.einsum("ad,jba->bjd", kt, dpdt)
-    n2 = np.einsum("cki,bc,kj,ir->bjr", N.n2_at(asg), jt, kx, kx)
-    dpdx = _momentum_dx_at(tm, asg)  # dpdx[j, b, i] = d ptilde_j^b / d x^i
-    n2 -= np.einsum("ir,jbi->bjr", kx, dpdx)
-    return n1, n2
+    asg = tm.chart.assignment(q)
+    n1, n2 = N.at_points([asg])
+    dpdt, dpdx = tm.momentum_derivatives([asg])
+    return _connection_image(n1[0], n2[0], tm.jacobians_at(asg), dpdt[0], dpdx[0])
 
 
 def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
@@ -139,12 +141,14 @@ def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
     if dom is None:
         dom = chart.sample_domain()
     tracker = ResidualTracker(name or "connection-law", tol)
-    for asg in dom.points():
-        q = chart.point(asg)
-        image_asg = chart.assignment(tm.map_point(q))
-        lhs1, lhs2 = transform_connection(N_A, tm, q)
-        for label, lhs, rhs in (("N1", lhs1, N_B.n1_at(image_asg)),
-                                ("N2", lhs2, N_B.n2_at(image_asg))):
+    points = dom.points()
+    images, frames = tm.map_points(points)
+    dpdt, dpdx = tm.momentum_derivatives(points)
+    a1, a2 = N_A.at_points(points)
+    b1, b2 = N_B.at_points([chart.assignment(q) for q in images])
+    for k, asg in enumerate(points):
+        lhs1, lhs2 = _connection_image(a1[k], a2[k], frames[k], dpdt[k], dpdx[k])
+        for label, lhs, rhs in (("N1", lhs1, b1[k]), ("N2", lhs2, b2[k])):
             diff = np.abs(lhs - rhs)
             idx = np.unravel_index(np.argmax(diff), diff.shape)
             tracker.update(float(diff.max()), asg,
@@ -208,17 +212,8 @@ def semispray_from_connection(N: NonlinearConnection):
     return TemporalSemispray(m, n, g1), SpatialSemispray(m, n, g2)
 
 
-def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
-    """Rows of delta p_i^a in the chart's (dt, dx, dp) basis at q.
-
-    Row (i, a) sits at flat position i*m + a, matching the chart's
-    momentum ordering; columns are dt^b, dx^j, then dp in the same flat
-    order.
-    """
-    m, n = N.m, N.n
-    chart = JetChart(m, n)
-    asg = chart.assignment(q)
-    n1, n2 = N.n1_at(asg), N.n2_at(asg)
+def _coframe_rows(n1, n2) -> np.ndarray:
+    m, n = n1.shape[0], n1.shape[1]
     rows = np.zeros((m * n, m + n + m * n))
     for i in range(n):
         for a in range(m):
@@ -227,6 +222,17 @@ def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
             rows[r, m:m + n] = n2[a][i]
             rows[r, m + n + r] = 1.0
     return rows
+
+
+def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
+    """Rows of delta p_i^a in the chart's (dt, dx, dp) basis at q.
+
+    Row (i, a) sits at flat position i*m + a, matching the chart's
+    momentum ordering; columns are dt^b, dx^j, then dp in the same flat
+    order.
+    """
+    n1, n2 = N.at_points([JetChart(N.m, N.n).assignment(q)])
+    return _coframe_rows(n1[0], n2[0])
 
 
 def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
@@ -247,14 +253,17 @@ def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
         dom = chart.sample_domain()
     col_names = ["d" + nm for nm in chart.names]
     tracker = ResidualTracker(name or "adapted-coframe", tol)
-    for asg in dom.points():
-        q = chart.point(asg)
-        image = tm.map_point(q)
-        jt, jx, kt, kx = tm.jacobians_at(asg)
-        pushed = adapted_coframe(N_A, q) @ tm.coframe_matrix(q)
+    points = dom.points()
+    images, frames = tm.map_points(points)
+    coframes = tm.coframe_matrices(images, frames)
+    a1, a2 = N_A.at_points(points)
+    b1, b2 = N_B.at_points([chart.assignment(q) for q in images])
+    for k, asg in enumerate(points):
+        jt, jx, kt, kx = frames[k]
+        pushed = _coframe_rows(a1[k], a2[k]) @ coframes[k]
         pushed = pushed.reshape(n, m, -1)
         expected = np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)
-        got = adapted_coframe(N_B, image)
+        got = _coframe_rows(b1[k], b2[k])
         diff = np.abs(got - expected)
         r, c = np.unravel_index(np.argmax(diff), diff.shape)
         j, b = divmod(int(r), m)

@@ -18,6 +18,7 @@ way to build the comparison side of such a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,13 @@ from .errors import ConfigError
 from .metrics import Metric
 from .report import ResidualTracker, VerificationReport
 from .symbolic import (
+    Program,
     SampleDomain,
     ZERO,
     add,
     as_expr,
+    compile_block,
     differentiate,
-    evaluate,
     mul,
     substitute,
     variables,
@@ -114,11 +116,16 @@ class DTensorField:
                     "a doubled pair must join one temporal and one spatial slot "
                     "of opposite variance")
 
+    @cached_property
+    def _program(self) -> Program:
+        return compile_block(self.components.ravel())
+
+    def at_points(self, points) -> np.ndarray:
+        """Component arrays at each assignment, shape (P, *shape)."""
+        return self._program.run(points).reshape(-1, *self.shape)
+
     def at(self, assignment) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for idx in np.ndindex(self.shape):
-            out[idx] = evaluate(self.components[idx], assignment)
-        return out
+        return self.at_points([assignment])[0]
 
     def map_components(self, f) -> "DTensorField":
         comps = np.empty(self.shape, dtype=object)
@@ -141,16 +148,17 @@ def _slot_matrices(slots, jt, jx, kt, kx):
     return mats
 
 
+def _dtensor_image(arr: np.ndarray, slots, frame) -> np.ndarray:
+    for axis, mat in enumerate(_slot_matrices(slots, *frame)):
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+    return arr
+
+
 def transform_dtensor(T: DTensorField, tm: TransitionMap, q) -> np.ndarray:
     """Numeric target-chart components of T at the image of q, by the
     homogeneous d-tensor law (one Jacobian factor per slot)."""
-    chart = tm.chart
-    asg = chart.assignment(q)
-    jt, jx, kt, kx = tm.jacobians_at(asg)
-    arr = T.at(asg)
-    for axis, mat in enumerate(_slot_matrices(T.slots, jt, jx, kt, kx)):
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
-    return arr
+    asg = tm.chart.assignment(q)
+    return _dtensor_image(T.at(asg), T.slots, tm.jacobians_at(asg))
 
 
 def _entry_label(name: str, idx) -> str:
@@ -167,11 +175,12 @@ def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
     if dom is None:
         dom = chart.sample_domain()
     tracker = ResidualTracker(name or f"dtensor-law:{T_A.name}", tol)
-    for asg in dom.points():
-        q = chart.point(asg)
-        image = tm.map_point(q)
-        lhs = transform_dtensor(T_A, tm, q)
-        rhs = T_B.at(chart.assignment(image))
+    points = dom.points()
+    images, frames = tm.map_points(points)
+    values_a = T_A.at_points(points)
+    values_b = T_B.at_points([chart.assignment(image) for image in images])
+    for asg, frame, arr, rhs in zip(points, frames, values_a, values_b):
+        lhs = _dtensor_image(arr, T_A.slots, frame)
         diff = np.abs(lhs - rhs)
         idx = np.unravel_index(np.argmax(diff), diff.shape) if diff.size else ()
         tracker.update(float(diff.max()), asg, _entry_label(T_A.name, idx))

@@ -41,9 +41,9 @@ from .symbolic import (
     ZERO,
     add,
     as_expr,
+    compile_block,
     differentiate,
     equiv,
-    evaluate,
     is_zero,
     mul,
     substitute,
@@ -154,11 +154,11 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     max_residual = 0.0
     samples = 0
     singular_at = None
-    for asg in dom.points():
+    points = dom.points()
+    g_values = compile_block([e for row in cand for e in row]).run(points).reshape(-1, n, n)
+    for asg, gv, hv, big in zip(points, g_values, h.at_points(points),
+                                vertical.at_points(points)):
         samples += 1
-        gv = np.array([[evaluate(e, asg) for e in row] for row in cand])
-        hv = h.at(asg)
-        big = vertical.at(asg)
         residual = float(np.abs(big - np.einsum("ab,ij->iajb", hv, gv)).max())
         max_residual = max(max_residual, residual)
         if singular_at is None and abs(np.linalg.det(gv)) < DET_MIN:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symbolic import ONE, Expr, add, div, evaluate, mul, neg
+from .symbolic import ONE, Expr, add, div, mul, neg
 
 DET_MIN = 1e-8
 SYM_INVERSE_MAX_DIM = 4
@@ -48,20 +48,9 @@ def _cofactor(rows, r, c) -> Expr:
     return det if (r + c) % 2 == 0 else neg(det)
 
 
-def eval_matrix(rows, assignment) -> np.ndarray:
-    return np.array([[evaluate(e, assignment) for e in row] for row in rows], dtype=float)
-
-
 def checked_inverse(mat: np.ndarray, error_cls, label: str, point) -> np.ndarray:
     """Numeric inverse guarded by the |det| >= 1e-8 invertibility floor."""
     det = float(np.linalg.det(mat))
     if abs(det) < DET_MIN:
         raise error_cls(f"{label} is singular (|det| = {abs(det):.3e}) at {point}")
     return np.linalg.inv(mat)
-
-
-def check_det(mat: np.ndarray, error_cls, label: str, point) -> float:
-    det = float(np.linalg.det(mat))
-    if abs(det) < DET_MIN:
-        raise error_cls(f"{label} is singular (|det| = {abs(det):.3e}) at {point}")
-    return det

@@ -23,16 +23,17 @@ import numpy as np
 
 from .charts import JetChart, TransitionMap, p_name
 from .errors import ConfigError, SingularMetric
-from .linalg import SYM_INVERSE_MAX_DIM, checked_inverse, eval_matrix, sym_det, sym_inverse
+from .linalg import SYM_INVERSE_MAX_DIM, checked_inverse, sym_det, sym_inverse
 from .symbolic import (
     Const,
     Expr,
+    Program,
     SampleDomain,
     add,
     as_expr,
+    compile_block,
     differentiate,
     equiv,
-    evaluate,
     mul,
     neg,
     substitute,
@@ -120,12 +121,22 @@ class Metric:
 
     # -- numerics ----------------------------------------------------------------
 
+    @cached_property
+    def _program(self) -> Program:
+        return compile_block([e for row in self.components for e in row])
+
+    def at_points(self, points) -> np.ndarray:
+        """Component matrices at each assignment, shape (P, dim, dim)."""
+        return self._program.run(points).reshape(-1, self.dim, self.dim)
+
     def at(self, assignment) -> np.ndarray:
-        return eval_matrix(self.components, assignment)
+        return self.at_points([assignment])[0]
 
     def inverse_at(self, assignment) -> np.ndarray:
         """Numeric inverse with the |det| >= 1e-8 floor (SingularMetric)."""
-        mat = self.at(assignment)
+        return self._checked_inverse(self.at(assignment), assignment)
+
+    def _checked_inverse(self, mat, assignment) -> np.ndarray:
         return checked_inverse(mat, SingularMetric, f"{self.kind} metric", assignment)
 
     @cached_property
@@ -150,8 +161,9 @@ class Metric:
                 if not equiv(self.components[i][j], self.components[j][i], dom, tol):
                     raise ConfigError(
                         f"{self.kind} metric is not symmetric in entry ({i + 1},{j + 1})")
-        for pt in dom.points():
-            self.inverse_at(pt)
+        points = dom.points()
+        for pt, mat in zip(points, self.at_points(points)):
+            self._checked_inverse(mat, pt)
 
 
 @dataclass(frozen=True)
@@ -169,17 +181,21 @@ class ChristoffelField:
     metric: Metric = field(repr=False, compare=False, default=None)
     derivatives: tuple = field(repr=False, compare=False, default=None)
 
+    @cached_property
+    def _program(self) -> Program:
+        block = self.derivatives if self.components is None else self.components
+        return compile_block([e for plane in block for row in plane for e in row])
+
+    def _block_at(self, assignment) -> np.ndarray:
+        d = self.dim
+        return self._program.run([assignment]).reshape(d, d, d)
+
     def at(self, assignment) -> np.ndarray:
         if self.components is not None:
-            d = self.dim
-            return np.array(
-                [[[evaluate(self.components[k][i][j], assignment) for j in range(d)]
-                  for i in range(d)] for k in range(d)])
+            return self._block_at(assignment)
         inv = self.metric.inverse_at(assignment)
         d = self.dim
-        dg = np.array(
-            [[[evaluate(self.derivatives[i][j][k], assignment) for k in range(d)]
-              for j in range(d)] for i in range(d)])
+        dg = self._block_at(assignment)
         out = np.zeros((d, d, d))
         for k in range(d):
             for i in range(d):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -51,8 +52,10 @@ class ResidualTracker:
         self.samples = 0
 
     def update(self, residual: float, point: dict, entry: str | None = None):
+        """Keep the largest residual.  A non-finite one fails the check and,
+        the first time it appears, becomes the worst for good."""
         r = abs(float(residual))
-        if r > self.max_residual:
+        if math.isfinite(self.max_residual) and not r <= self.max_residual:
             self.max_residual = r
             self.worst_point = dict(point)
             self.worst_entry = entry

@@ -13,6 +13,7 @@ semispray into its metric-canonical part plus a d-tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from .dtensors import DTensorField, builtin_dtensors, lower_x, upper_t
 from .errors import ConfigError
 from .metrics import Metric, christoffel
 from .report import ResidualTracker, VerificationReport
-from .symbolic import Const, SampleDomain, add, as_expr, evaluate, mul, variables
+from .symbolic import (Const, Program, SampleDomain, add, as_expr, compile_block,
+                       mul, variables)
 
 
 def _coerce_block3(m: int, n: int, components, label: str):
@@ -41,18 +43,24 @@ def _coerce_block3(m: int, n: int, components, label: str):
     return rows
 
 
-def _eval_block3(components, assignment) -> np.ndarray:
-    m, n = len(components), len(components[0])
-    out = np.zeros((m, n, n))
-    for b in range(m):
-        for j in range(n):
-            for i in range(n):
-                out[b, j, i] = evaluate(components[b][j][i], assignment)
-    return out
+class _Block3:
+    """Evaluation shared by both semispray kinds: one cached program over
+    the (m, n, n) block."""
+
+    @cached_property
+    def _program(self) -> Program:
+        return compile_block([e for sheet in self.components for row in sheet for e in row])
+
+    def at_points(self, points) -> np.ndarray:
+        """Block values at each assignment, shape (P, m, n, n)."""
+        return self._program.run(points).reshape(-1, self.m, self.n, self.n)
+
+    def at(self, assignment) -> np.ndarray:
+        return self.at_points([assignment])[0]
 
 
 @dataclass(frozen=True)
-class TemporalSemispray:
+class TemporalSemispray(_Block3):
     """First-kind semispray block G1[b][j][i] (expressions in t, x, p)."""
 
     m: int
@@ -64,9 +72,6 @@ class TemporalSemispray:
                            _coerce_block3(self.m, self.n, self.components,
                                           "temporal semispray"))
 
-    def at(self, assignment) -> np.ndarray:
-        return _eval_block3(self.components, assignment)
-
     def map_components(self, f) -> "TemporalSemispray":
         return TemporalSemispray(self.m, self.n, tuple(
             tuple(tuple(f(e) for e in row) for row in sheet)
@@ -74,7 +79,7 @@ class TemporalSemispray:
 
 
 @dataclass(frozen=True)
-class SpatialSemispray:
+class SpatialSemispray(_Block3):
     """Second-kind semispray block G2[b][j][i] (expressions in t, x, p)."""
 
     m: int
@@ -85,9 +90,6 @@ class SpatialSemispray:
         object.__setattr__(self, "components",
                            _coerce_block3(self.m, self.n, self.components,
                                           "spatial semispray"))
-
-    def at(self, assignment) -> np.ndarray:
-        return _eval_block3(self.components, assignment)
 
     def map_components(self, f) -> "SpatialSemispray":
         return SpatialSemispray(self.m, self.n, tuple(
@@ -137,48 +139,36 @@ def canonical_spatial(phi: Metric, m: int) -> SpatialSemispray:
     return SpatialSemispray(m, n, comps)
 
 
-def _momentum_dt_at(tm: TransitionMap, assignment) -> np.ndarray:
-    m, n = tm.m, tm.n
-    out = np.zeros((n, m, m))
-    table = tm.momentum_forward_dt
-    for i in range(n):
-        for a in range(m):
-            for b in range(m):
-                out[i, a, b] = evaluate(table[i][a][b], assignment)
-    return out
+def _temporal_image(values, frame, dpdt, dpdx, p) -> np.ndarray:
+    jt, jx, kt, kx = frame
+    two_g = 2.0 * np.einsum("bji,cb,jk,ir->ckr", values, jt, kx, kx)
+    # dpdt[k, c, a] = d ptilde_k^c / d t^a
+    correction = np.einsum("ir,kca,ia->ckr", kx, dpdt, p)
+    return 0.5 * (two_g - correction)
 
 
-def _momentum_dx_at(tm: TransitionMap, assignment) -> np.ndarray:
-    m, n = tm.m, tm.n
-    out = np.zeros((n, m, n))
-    table = tm.momentum_forward_dx
-    for i in range(n):
-        for a in range(m):
-            for j in range(n):
-                out[i, a, j] = evaluate(table[i][a][j], assignment)
-    return out
+def _spatial_image(values, frame, dpdt, dpdx, p) -> np.ndarray:
+    jt, jx, kt, kx = frame
+    two_g = 2.0 * np.einsum("bji,db,js,ik->dsk", values, jt, kx, kx)
+    # dpdx[s, d, i] = d ptilde_s^d / d x^i
+    correction = np.einsum("ik,sdi->dsk", kx, dpdx)
+    return 0.5 * (two_g - correction)
+
+
+def _transform(image, S, tm: TransitionMap, q) -> np.ndarray:
+    asg = tm.chart.assignment(q)
+    dpdt, dpdx = tm.momentum_derivatives([asg])
+    return image(S.at(asg), tm.jacobians_at(asg), dpdt[0], dpdx[0], q.p)
 
 
 def transform_temporal_semispray(S: TemporalSemispray, tm: TransitionMap, q) -> np.ndarray:
     """Numeric target-chart block G1~[c][k][r] at the image of q."""
-    chart = tm.chart
-    asg = chart.assignment(q)
-    jt, jx, kt, kx = tm.jacobians_at(asg)
-    two_g = 2.0 * np.einsum("bji,cb,jk,ir->ckr", S.at(asg), jt, kx, kx)
-    dpdt = _momentum_dt_at(tm, asg)  # dpdt[k, c, a] = d ptilde_k^c / d t^a
-    correction = np.einsum("ir,kca,ia->ckr", kx, dpdt, q.p)
-    return 0.5 * (two_g - correction)
+    return _transform(_temporal_image, S, tm, q)
 
 
 def transform_spatial_semispray(S: SpatialSemispray, tm: TransitionMap, q) -> np.ndarray:
     """Numeric target-chart block G2~[d][s][k] at the image of q."""
-    chart = tm.chart
-    asg = chart.assignment(q)
-    jt, jx, kt, kx = tm.jacobians_at(asg)
-    two_g = 2.0 * np.einsum("bji,db,js,ik->dsk", S.at(asg), jt, kx, kx)
-    dpdx = _momentum_dx_at(tm, asg)  # dpdx[s, d, i] = d ptilde_s^d / d x^i
-    correction = np.einsum("ik,sdi->dsk", kx, dpdx)
-    return 0.5 * (two_g - correction)
+    return _transform(_spatial_image, S, tm, q)
 
 
 def verify_semispray_law(S_A, S_B, tm: TransitionMap,
@@ -188,9 +178,9 @@ def verify_semispray_law(S_A, S_B, tm: TransitionMap,
     if type(S_A) is not type(S_B):
         raise ConfigError("cannot compare semisprays of different kinds")
     if isinstance(S_A, TemporalSemispray):
-        kind, transform = "temporal", transform_temporal_semispray
+        kind, image = "temporal", _temporal_image
     elif isinstance(S_A, SpatialSemispray):
-        kind, transform = "spatial", transform_spatial_semispray
+        kind, image = "spatial", _spatial_image
     else:
         raise ConfigError(f"not a semispray: {type(S_A).__name__}")
     chart = tm.chart
@@ -198,11 +188,14 @@ def verify_semispray_law(S_A, S_B, tm: TransitionMap,
         dom = chart.sample_domain()
     tracker = ResidualTracker(name or f"semispray-law:{kind}", tol)
     label = "G1" if kind == "temporal" else "G2"
-    for asg in dom.points():
-        q = chart.point(asg)
-        lhs = transform(S_A, tm, q)
-        rhs = S_B.at(chart.assignment(tm.map_point(q)))
-        diff = np.abs(lhs - rhs)
+    points = dom.points()
+    images, frames = tm.map_points(points)
+    dpdt, dpdx = tm.momentum_derivatives(points)
+    values_a = S_A.at_points(points)
+    values_b = S_B.at_points([chart.assignment(q) for q in images])
+    for k, asg in enumerate(points):
+        lhs = image(values_a[k], frames[k], dpdt[k], dpdx[k], chart.point(asg).p)
+        diff = np.abs(lhs - values_b[k])
         idx = np.unravel_index(np.argmax(diff), diff.shape)
         tracker.update(float(diff.max()), asg,
                        f"{label}[{idx[0] + 1},{idx[1] + 1},{idx[2] + 1}]")
@@ -237,12 +230,15 @@ def check_characterization(block, kind: str, h: Metric,
     if dom is None:
         dom = chart.sample_domain()
     tracker = ResidualTracker(f"characterization:{kind}", tol)
-    for asg in dom.points():
-        jv = built["J"].at(asg)  # jv[i, a, b, j]
-        bv = np.array([[evaluate(e, asg) for e in r] for r in rows])
+    points = dom.points()
+    j_values = built["J"].at_points(points)  # [P, i, a, b, j]
+    l_values = built["L"].at_points(points)  # [P, c, j, a, b]
+    b_values = compile_block([e for r in rows for e in r]).run(points).reshape(
+        -1, len(rows), len(rows[0]))
+    for asg, jv, lv, bv in zip(points, j_values, l_values, b_values):
         if kind == "temporal":
             lhs = np.einsum("iabj,ci->cjab", jv, bv)
-            rhs = built["L"].at(asg)  # rhs[c, j, a, b]
+            rhs = lv
         else:
             lhs = np.einsum("iabj,ki->kjab", jv, bv)
             rhs = np.transpose(jv, (0, 3, 1, 2))  # J[k][a][b][j] -> [k, j, a, b]

@@ -29,7 +29,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownIdentifier
+from .errors import (
+    ConfigError,
+    DomainError,
+    ExprSyntaxError,
+    UnboundVariable,
+    UnknownIdentifier,
+)
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 
@@ -240,7 +246,7 @@ def power(base: Expr, exponent) -> Expr:
     if n < 0:
         return div(ONE, power(base, -n))
     if isinstance(base, Const):
-        return Const(base.value ** n)
+        return Const(_power_value(base.value, n))
     if isinstance(base, Power):
         return Power(base.base, base.exponent * n)
     return Power(base, n)
@@ -257,6 +263,20 @@ def div(numerator: Expr, denominator: Expr) -> Expr:
     if isinstance(numerator, Const) and numerator.value == 0.0:
         return ZERO
     return Quotient(numerator, denominator)
+
+
+def _power_value(base: float, exponent: int) -> float:
+    try:
+        return base ** exponent
+    except OverflowError as exc:
+        raise DomainError(f"power overflow at {base!r}^{exponent}") from exc
+
+
+def _sum_value(values) -> float:
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"{exc} during evaluation") from exc
 
 
 def _apply_function(name: str, value: float) -> float:
@@ -326,13 +346,13 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
             except KeyError:
                 raise UnboundVariable(node.name) from None
         elif isinstance(node, Sum):
-            val = math.fsum(ev(t) for t in node.terms)
+            val = _sum_value([ev(t) for t in node.terms])
         elif isinstance(node, Product):
             val = 1.0
             for f in node.factors:
                 val *= ev(f)
         elif isinstance(node, Power):
-            val = ev(node.base) ** node.exponent
+            val = _power_value(ev(node.base), node.exponent)
         elif isinstance(node, Neg):
             val = -ev(node.arg)
         elif isinstance(node, Quotient):
@@ -347,7 +367,10 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
         memo[key] = val
         return val
 
-    return ev(e)
+    try:
+        return ev(e)
+    finally:
+        del ev  # the closure refers to itself; drop that cycle with the memo
 
 
 def differentiate(e: Expr, name: str) -> Expr:
@@ -402,7 +425,10 @@ def differentiate(e: Expr, name: str) -> Expr:
         memo[key] = out
         return out
 
-    return d(e)
+    try:
+        return d(e)
+    finally:
+        del d  # the closure refers to itself; drop that cycle with the memo
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -436,7 +462,10 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         memo[key] = out
         return out
 
-    return sub(e)
+    try:
+        return sub(e)
+    finally:
+        del sub  # the closure refers to itself; drop that cycle with the memo
 
 
 def variables(e: Expr) -> frozenset:
@@ -465,6 +494,193 @@ def variables(e: Expr) -> frozenset:
         elif isinstance(node, Call):
             stack.append(node.arg)
     return frozenset(names)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+_CONST, _VAR, _SUM, _PRODUCT, _POWER, _NEG, _QUOTIENT, _CALL = range(8)
+
+_CALL_VALUE = {"exp": math.exp, "ln": math.log, "sin": math.sin,
+               "cos": math.cos, "sqrt": math.sqrt}
+
+# what the scalar operations above raise where ``evaluate`` would fail
+_FAULTS = (ArithmeticError, ValueError, KeyError)
+
+
+def _node_op(node):
+    """(opcode, payload, children) of one expression node."""
+    kind = type(node)
+    if kind is Sum:
+        return _SUM, None, node.terms
+    if kind is Product:
+        return _PRODUCT, None, node.factors
+    if kind is Power:
+        return _POWER, node.exponent, (node.base,)
+    if kind is Neg:
+        return _NEG, None, (node.arg,)
+    if kind is Quotient:
+        return _QUOTIENT, None, (node.numerator, node.denominator)
+    if kind is Call:
+        if node.func not in _CALL_VALUE:
+            raise UnknownIdentifier(node.func)
+        return _CALL, node.func, (node.arg,)
+    if kind is Var:
+        return _VAR, node.name, ()
+    if kind is Const:
+        return _CONST, node.value, ()
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def compile_block(exprs) -> "Program":
+    """Compile a block of expressions into one value-numbered program.
+
+    The union of the roots is walked once with one identity memo, to the
+    same depth as ``evaluate``.  Every node gets the slot of its structural
+    key (opcode, payload, child slots), so structurally equal subtrees
+    share a slot and no tree is ever hashed whole.  The program keeps no
+    reference to the expressions.
+    """
+    slot_of: dict[int, int] = {}
+    table: dict[tuple, int] = {}
+    ops: list[tuple] = []
+
+    def visit(node) -> int:
+        slot = slot_of.get(id(node))
+        if slot is not None:
+            return slot
+        code, arg, kids = _node_op(node)
+        slots = tuple([visit(c) for c in kids])
+        # hex keeps -0.0 and 0.0 apart
+        key = (code, arg.hex() if code == _CONST else arg, slots)
+        slot = table.setdefault(key, len(ops))
+        if slot == len(ops):
+            ops.append((code, arg, slots))
+        slot_of[id(node)] = slot
+        return slot
+
+    try:
+        roots = [visit(e) for e in map(as_expr, exprs)]
+    finally:
+        del visit  # the closure refers to itself; drop that cycle with the memo
+    return Program(ops, roots)
+
+
+def _guarded(fn, rows, failed: list) -> list:
+    """Apply fn to each argument tuple; a fault marks its sample in
+    ``failed`` and leaves NaN in its place."""
+    out = []
+    for index, row in enumerate(rows):
+        try:
+            out.append(fn(*row))
+        except _FAULTS:
+            failed.append(index)
+            out.append(math.nan)
+    return out
+
+
+class Program:
+    """A straight-line program over value-numbered slots.
+
+    ``run`` evaluates every op over all sample points at once, column by
+    column.  Each op applies the very scalar operation ``evaluate`` applies
+    (``math.fsum`` per point for sums, left-to-right products, Python
+    ``float ** int`` and the ``math`` functions), so results are
+    bit-identical to ``evaluate``.  A sample at which some op leaves the
+    domain is replayed alone in ``evaluate``'s visiting order, which raises
+    exactly the error ``evaluate`` raises there, for the lowest such sample.
+    """
+
+    __slots__ = ("ops", "roots")
+
+    def __init__(self, ops, roots):
+        self.ops = tuple(ops)
+        self.roots = tuple(roots)
+
+    def run(self, points) -> np.ndarray:
+        """Values at each point: an array of shape (len(points), len(roots))."""
+        points = list(points)
+        count = len(points)
+        failed: list[int] = []
+        vals: list[list] = []
+        for code, arg, kids in self.ops:
+            try:
+                if code == _PRODUCT:
+                    col = list(map(math.prod, zip(*[vals[k] for k in kids])))
+                elif code == _SUM:
+                    col = list(map(math.fsum, zip(*[vals[k] for k in kids])))
+                elif code == _POWER:
+                    col = [v ** arg for v in vals[kids[0]]]
+                elif code == _NEG:
+                    col = [-v for v in vals[kids[0]]]
+                elif code == _QUOTIENT:
+                    col = list(map(operator.truediv, vals[kids[0]], vals[kids[1]]))
+                elif code == _CALL:
+                    col = list(map(_CALL_VALUE[arg], vals[kids[0]]))
+                elif code == _VAR:
+                    col = [float(pt[arg]) for pt in points]
+                else:
+                    col = [arg] * count
+            except _FAULTS:
+                col = self._faulty_column(code, arg, kids, vals, points, failed)
+            vals.append(col)
+        out = np.array([vals[r] for r in self.roots], dtype=float)
+        out = np.ascontiguousarray(out.reshape(len(self.roots), count).T)
+        for index in sorted(set(failed)):
+            # raises at the first sample where evaluate raises
+            out[index] = self._replay(points[index])
+        return out
+
+    @staticmethod
+    def _faulty_column(code, arg, kids, vals, points, failed) -> list:
+        """The column of an op that raised somewhere, sample by sample.
+        Products, negations and constants never raise."""
+        if code == _VAR:
+            return _guarded(lambda pt: float(pt[arg]), zip(points), failed)
+        if code == _POWER:
+            return _guarded(lambda v: v ** arg, zip(vals[kids[0]]), failed)
+        if code == _QUOTIENT:
+            return _guarded(operator.truediv, zip(vals[kids[0]], vals[kids[1]]), failed)
+        if code == _CALL:
+            return _guarded(_CALL_VALUE[arg], zip(vals[kids[0]]), failed)
+        return _guarded(lambda *t: math.fsum(t), zip(*[vals[k] for k in kids]), failed)
+
+    def _replay(self, point) -> list:
+        memo: dict[int, float] = {}
+        return [_replay_slot(self.ops, r, point, memo) for r in self.roots]
+
+
+def _replay_slot(ops, slot: int, point, memo: dict) -> float:
+    """``evaluate`` over program slots: same order, same checks, same errors."""
+    if slot in memo:
+        return memo[slot]
+    code, arg, kids = ops[slot]
+    if code == _CONST:
+        val = arg
+    elif code == _VAR:
+        try:
+            val = float(point[arg])
+        except KeyError:
+            raise UnboundVariable(arg) from None
+    elif code == _SUM:
+        val = _sum_value([_replay_slot(ops, k, point, memo) for k in kids])
+    elif code == _PRODUCT:
+        val = 1.0
+        for k in kids:
+            val *= _replay_slot(ops, k, point, memo)
+    elif code == _POWER:
+        val = _power_value(_replay_slot(ops, kids[0], point, memo), arg)
+    elif code == _NEG:
+        val = -_replay_slot(ops, kids[0], point, memo)
+    elif code == _QUOTIENT:
+        den = _replay_slot(ops, kids[1], point, memo)
+        if den == 0.0:
+            raise DomainError("division by zero during evaluation")
+        val = _replay_slot(ops, kids[0], point, memo) / den
+    else:
+        val = _apply_function(arg, _replay_slot(ops, kids[0], point, memo))
+    memo[slot] = val
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -720,6 +936,11 @@ class SampleDomain:
     count: int = 20
     seed: int = 0
 
+    def __post_init__(self):
+        # an empty batch would let every check pass vacuously
+        if self.count < 1:
+            raise ConfigError(f"sample count must be at least 1, got {self.count}")
+
     @classmethod
     def default(cls, names: Iterable[str], count: int = 20, seed: int = 0) -> "SampleDomain":
         ivs = []
@@ -764,9 +985,7 @@ def equiv(e1: Expr, e2: Expr, dom: SampleDomain | None = None, tol: float = 1e-9
         dom = SampleDomain.default(sorted(variables(e1) | variables(e2)))
     else:
         dom = dom.extended(sorted(variables(e1) | variables(e2)))
-    for pt in dom.points():
-        v1 = evaluate(e1, pt)
-        v2 = evaluate(e2, pt)
+    for v1, v2 in compile_block((e1, e2)).run(dom.points()).tolist():
         if abs(v1 - v2) > tol * max(1.0, abs(v1), abs(v2)):
             return False
     return True

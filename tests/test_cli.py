@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -164,6 +165,26 @@ def test_verify_fault_injection_names_entries(tmp_path):
     # the poked slot is the dx1 column of the p2_1 coframe row
     assert cof["worst_entry"] == "coframe[p2_1, dx1]"
     assert rep["objects"]["fault_injection"]["index"] == [1, 2, 1]
+
+
+def test_verify_nan_fault_fails_closed(tmp_path):
+    path = rewrite(tmp_path, "curved.json",
+                   fault_injection={"block": "N2", "index": [1, 2, 1],
+                                    "delta": float("nan")})
+    code, rep = run(tmp_path, "verify", path)
+    assert code == EXIT_CONNECTION
+    by_name = {c["name"]: c for c in rep["checks"]}
+    conn, cof = by_name["connection-law"], by_name["adapted-coframe"]
+    assert not conn["passed"] and not cof["passed"]
+    assert conn["worst_entry"] == "N2[1,2,1]"
+    assert math.isnan(conn["max_residual"])
+    assert cof["worst_entry"] == "coframe[p2_1, dx1]"
+
+
+def test_empty_sample_domain_is_a_config_error(tmp_path):
+    path = rewrite(tmp_path, "curved.json", sample_domain={"count": 0, "seed": 7})
+    for command in ("verify", "connection", "regularity", "christoffel"):
+        assert main([command, path]) == EXIT_CONFIG
 
 
 def test_verify_reports_are_deterministic(tmp_path):

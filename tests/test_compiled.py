@@ -1,0 +1,352 @@
+"""The compiled block evaluator against the scalar reference ``evaluate``.
+
+``compile_block`` value-numbers a block of expressions into one program;
+``Program.run`` must give the very bits ``evaluate`` gives and raise the
+very error it raises, for the lowest failing sample.
+"""
+
+from __future__ import annotations
+
+import gc
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import polyjet.charts
+import polyjet.connections
+from polyjet.charts import pullback_scalar
+from polyjet.cli import load_manifest
+from polyjet.connections import (
+    canonical_metric_connection,
+    verify_connection_law,
+)
+from polyjet.dtensors import builtin_dtensors
+from polyjet.errors import DomainError, NotRegular, UnboundVariable
+from polyjet.hamilton import HamiltonSpace, canonical_nonlinear_connection
+from polyjet.metrics import pullback_metric
+from polyjet.semisprays import canonical_spatial, canonical_temporal
+from polyjet.symbolic import (
+    Call,
+    Const,
+    Neg,
+    Power,
+    Product,
+    Quotient,
+    Sum,
+    add,
+    compile_block,
+    cos,
+    differentiate,
+    div,
+    evaluate,
+    exp,
+    ln,
+    mul,
+    neg,
+    parse,
+    power,
+    sin,
+    sqrt,
+    substitute,
+    var,
+)
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+X1, T1, P11 = var("x1"), var("t1"), var("p1_1")
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def reference(exprs, points):
+    """Per point, per expression: evaluate's value, or the error it raises
+    first when the points are visited in order."""
+    rows = []
+    for pt in points:
+        row = []
+        for e in exprs:
+            try:
+                row.append(evaluate(e, pt))
+            except Exception as exc:  # any error, to compare with the program's
+                return rows, exc
+        rows.append(row)
+    return rows, None
+
+
+def assert_matches_evaluate(exprs, points):
+    rows, error = reference(exprs, points)
+    program = compile_block(exprs)
+    if error is not None:
+        with pytest.raises(type(error)) as got:
+            program.run(points)
+        assert str(got.value) == str(error)
+        return
+    got = program.run(points)
+    assert got.shape == (len(points), len(exprs))
+    assert np.array_equal(bits(got), bits(np.reshape(rows, got.shape)))
+
+
+# ---------------------------------------------------------------------------
+# every block of the shipped manifests, both charts
+
+def flat(block) -> list:
+    if isinstance(block, (tuple, list)):
+        return [e for item in block for e in flat(item)]
+    if isinstance(block, np.ndarray):
+        return list(block.ravel())
+    return [block]
+
+
+def _manifest_blocks(name: str) -> list:
+    """(label, expression block, batched values, points) for every block
+    the commands evaluate, in the source chart and, with a transition, the
+    target chart."""
+    man = load_manifest(str(MANIFESTS / name))
+    dom = man.domain(man.sample_seed)
+    points = dom.points()
+    h, phi, H, tm = (man.temporal_metric, man.spatial_metric, man.hamiltonian,
+                     man.transition)
+    blocks = []
+    sides = [("A", h, phi, H, points)]
+    if tm is not None:
+        images = [man.chart.assignment(q) for q in tm.map_points(points)[0]]
+        frames = tm.frames(points)
+        inv = tm.inverted()
+        blocks += [
+            ("Jt", tm.t_jacobian, [f[0] for f in frames], points),
+            ("Jx", tm.x_jacobian, [f[1] for f in frames], points),
+            ("dp/dt", tm.momentum_forward_dt, tm.momentum_derivatives(points)[0], points),
+            ("dp/dx", tm.momentum_forward_dx, tm.momentum_derivatives(points)[1], points),
+            ("inverse dp/dt", inv.momentum_forward_dt, inv.momentum_derivatives(images)[0],
+             images),
+            ("inverse dp/dx", inv.momentum_forward_dx, inv.momentum_derivatives(images)[1],
+             images),
+        ]
+        sides.append(("B", pullback_metric(h, tm), pullback_metric(phi, tm),
+                      pullback_scalar(H, tm), images))
+    for side, h_s, phi_s, H_s, pts in sides:
+        for key, T in builtin_dtensors(h_s, man.n).items():
+            blocks.append((f"{side} {key}", T.components, T.at_points(pts), pts))
+        for S in (canonical_temporal(h_s, man.n), canonical_spatial(phi_s, man.m)):
+            blocks.append((f"{side} {type(S).__name__}", S.components,
+                           S.at_points(pts), pts))
+        try:
+            N = canonical_nonlinear_connection(HamiltonSpace(h_s, man.n, H_s, dom=dom))
+        except NotRegular:
+            N = canonical_metric_connection(h_s, phi_s)
+        n1, n2 = N.at_points(pts)
+        blocks += [(f"{side} N1", N.n1, n1, pts), (f"{side} N2", N.n2, n2, pts),
+                   (f"{side} h", h_s.components, h_s.at_points(pts), pts)]
+    return blocks
+
+
+@pytest.mark.parametrize("name", ["flat.json", "curved.json", "nonregular.json"])
+def test_manifest_blocks_are_bit_identical_to_evaluate(name):
+    for label, block, values, points in _manifest_blocks(name):
+        entries = flat(block)
+        for pt, got in zip(points, values, strict=True):
+            want = [evaluate(e, pt) for e in entries]
+            assert np.array_equal(bits(np.ravel(got)), bits(want)), label
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: arbitrary expressions, including ones that leave the domain
+
+def _try(build, fallback):
+    """Build a node; constant folding may itself leave the domain."""
+    try:
+        return build()
+    except DomainError:
+        return fallback
+
+
+_leaf = st.one_of(
+    st.sampled_from([X1, T1, P11]),
+    st.integers(-3, 3).map(lambda k: Const(float(k))),
+    st.sampled_from([Const(0.5), Const(1e150), Const(-2.5)]),
+)
+
+
+def _node(children):
+    return st.one_of(
+        st.lists(children, min_size=2, max_size=4).map(lambda ts: add(*ts)),
+        st.lists(children, min_size=2, max_size=4).map(lambda fs: mul(*fs)),
+        st.tuples(children, st.integers(2, 5)).map(
+            lambda bk: _try(lambda: power(*bk), bk[0])),
+        children.map(neg),
+        st.tuples(children, children).map(lambda ab: _try(lambda: div(*ab), ab[0])),
+        st.tuples(st.sampled_from([exp, ln, sin, cos, sqrt]), children).map(
+            lambda fu: _try(lambda: fu[0](fu[1]), fu[1])),
+    )
+
+
+_any_expr = st.recursive(_leaf, _node, max_leaves=10)
+_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 2.0, 3.0, 1e150, -1e150,
+                          1e-200, 700.0])
+_point = st.fixed_dictionaries({"x1": _value, "t1": _value, "p1_1": _value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_expr, min_size=1, max_size=4),
+       st.lists(_point, min_size=1, max_size=5))
+def test_random_blocks_match_evaluate_bits_and_errors(exprs, points):
+    assert_matches_evaluate(exprs, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_any_expr, _point)
+def test_derivatives_share_the_block_with_their_source(e, point):
+    block = [e, differentiate(e, "x1"), differentiate(e, "t1"), e]
+    assert_matches_evaluate(block, [point])
+
+
+# ---------------------------------------------------------------------------
+# value numbering
+
+def _structural_nodes(e, seen: set) -> set:
+    seen.add(e)
+    if isinstance(e, (Sum, Product)):
+        for c in (e.terms if isinstance(e, Sum) else e.factors):
+            _structural_nodes(c, seen)
+    elif isinstance(e, Power):
+        _structural_nodes(e.base, seen)
+    elif isinstance(e, (Neg, Call)):
+        _structural_nodes(e.arg, seen)
+    elif isinstance(e, Quotient):
+        _structural_nodes(e.numerator, seen)
+        _structural_nodes(e.denominator, seen)
+    return seen
+
+
+def test_equal_trees_built_apart_share_one_root_slot():
+    source = "sin(x1)*x1^2 + ln(t1^2 + 1)/(x1^2 + 1) - 3*x1"
+    a, b = parse(source, ["x1", "t1"]), parse(source, ["x1", "t1"])
+    assert a is not b and a == b
+    program = compile_block([a, b])
+    assert program.roots[0] == program.roots[1]
+    assert len(program.ops) == len(_structural_nodes(a, set()))
+
+
+def test_op_count_is_the_structural_dag_size():
+    man = load_manifest(str(MANIFESTS / "curved.json"))
+    tm = man.transition
+    H_b = pullback_scalar(man.hamiltonian, tm)
+    entries = [differentiate(differentiate(H_b, "p1_1"), "x1"), H_b,
+               substitute(H_b, {"t1": Const(0.5)})]
+    seen: set = set()
+    for e in entries:
+        _structural_nodes(e, seen)
+    assert len(compile_block(entries).ops) == len(seen)
+
+
+def test_signed_zero_constants_keep_their_own_slots():
+    program = compile_block([Const(0.0), Const(-0.0)])
+    assert len(program.ops) == 2
+    got = program.run([{}])
+    assert math.copysign(1.0, got[0, 1]) == -1.0
+
+
+def test_program_holds_no_expressions():
+    e = parse("exp(x1)*sin(t1) + x1^3", ["x1", "t1"])
+    program = compile_block([e])
+    for code, payload, kids in program.ops:
+        assert isinstance(payload, (type(None), int, float, str))
+        assert all(isinstance(k, int) for k in kids)
+
+
+# ---------------------------------------------------------------------------
+# faults
+
+def test_domain_fault_names_the_first_bad_sample():
+    e = add(ln(X1), div(Const(1.0), T1))
+    points = [{"x1": 1.0, "t1": 1.0}, {"x1": 2.0, "t1": 3.0},
+              {"x1": -0.25, "t1": 1.0}, {"x1": -0.5, "t1": 0.0}]
+    with pytest.raises(DomainError, match=r"ln of non-positive value -0\.25$"):
+        compile_block([e]).run(points)
+    # the division fault at sample 1 comes before the ln fault at sample 2
+    points[1]["t1"] = 0.0
+    with pytest.raises(DomainError, match="division by zero during evaluation"):
+        compile_block([e]).run(points)
+
+
+def test_quotient_checks_its_denominator_before_its_numerator():
+    e = div(ln(X1), T1)
+    pt = {"x1": -1.0, "t1": 0.0}
+    with pytest.raises(DomainError) as want:
+        evaluate(e, pt)
+    assert "division by zero" in str(want.value)
+    assert_matches_evaluate([e], [pt])
+
+
+@pytest.mark.parametrize("source, point", [
+    ("(10*x1)^400", {"x1": 0.9}),
+    ("exp(x1^2)", {"x1": 30.0}),
+])
+def test_overflow_is_a_domain_error_on_both_paths(source, point):
+    e = parse(source, ["x1"])
+    with pytest.raises(DomainError) as scalar:
+        evaluate(e, point)
+    with pytest.raises(DomainError) as batched:
+        compile_block([e]).run([{"x1": 0.1}, point])
+    assert str(batched.value) == str(scalar.value)
+    assert "overflow" in str(scalar.value)
+
+
+def test_unbound_variable_matches_evaluate():
+    with pytest.raises(UnboundVariable) as err:
+        compile_block([X1 + T1]).run([{"x1": 1.0, "t1": 2.0}, {"x1": 1.0}])
+    assert err.value.name == "t1"
+
+
+def test_empty_batches_and_blocks():
+    assert compile_block([X1]).run([]).shape == (0, 1)
+    assert compile_block([]).run([{"x1": 1.0}]).shape == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# caching and reference cycles
+
+def test_a_second_evaluation_reuses_the_cached_programs(monkeypatch):
+    calls = []
+
+    def counting(exprs):
+        calls.append(1)
+        return compile_block(exprs)
+
+    monkeypatch.setattr(polyjet.connections, "compile_block", counting)
+    monkeypatch.setattr(polyjet.charts, "compile_block", counting)
+    man = load_manifest(str(MANIFESTS / "curved.json"))
+    tm = man.transition
+    N_a = canonical_metric_connection(man.temporal_metric, man.spatial_metric)
+    N_b = canonical_metric_connection(pullback_metric(man.temporal_metric, tm),
+                                      pullback_metric(man.spatial_metric, tm))
+    point = man.evaluation_point
+    first = N_a.n2_at(point)
+    assert len(calls) == 1
+    assert np.array_equal(N_a.n2_at(point), first)
+    assert len(calls) == 1
+    dom = man.domain(1).with_options(count=3)
+    verify_connection_law(N_a, N_b, tm, dom=dom)
+    compiled = len(calls)
+    assert verify_connection_law(N_a, N_b, tm, dom=dom.with_options(seed=2)).passed
+    assert len(calls) == compiled
+
+
+def test_walks_leave_no_reference_cycles():
+    e = parse("sin(x1)*x1^2 + ln(x1 + 3)/x1 + exp(t1)", ["x1", "t1"])
+    point = {"x1": 0.5, "t1": 0.25}
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (lambda: evaluate(e, point),
+                     lambda: differentiate(e, "x1"),
+                     lambda: substitute(e, {"x1": T1}),
+                     lambda: compile_block([e, e]).run([point, point])):
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

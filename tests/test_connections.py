@@ -19,6 +19,7 @@ from polyjet.connections import (
 )
 from polyjet.errors import ConfigError
 from polyjet.metrics import Metric, pullback_metric
+from polyjet.report import ResidualTracker
 from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import Const, Var, add, equiv, mul, parse
 
@@ -206,3 +207,14 @@ def test_shape_validation():
     with pytest.raises(ConfigError):
         NonlinearConnection(2, 2, [[[Var("nope")] * 2] * 2] * 2,
                             [[[Const(0.0)] * 2] * 2] * 2)
+
+
+def test_residual_tracker_fails_closed_on_nan():
+    tracker = ResidualTracker("connection-law", 1e-8)
+    tracker.update(1e-12, {"x1": 0.1}, "N2[1,1,1]")
+    tracker.update(float("nan"), {"x1": 0.2}, "N2[1,2,1]")
+    tracker.update(5.0, {"x1": 0.3}, "N2[2,2,2]")
+    rep = tracker.report()
+    assert not rep.passed
+    assert rep.worst_entry == "N2[1,2,1]"
+    assert rep.worst_point == {"x1": 0.2}

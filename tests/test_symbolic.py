@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyjet.errors import (
+    ConfigError,
     DomainError,
     ExprSyntaxError,
     UnboundVariable,
@@ -376,3 +377,10 @@ def test_sample_domain_extension_preserves_existing_draws():
     for p, q in zip(d.points(), e.points()):
         assert p["t1"] == q["t1"]
         assert "x1" in q
+
+
+def test_sample_domain_needs_at_least_one_point():
+    with pytest.raises(ConfigError):
+        SampleDomain.default(["t1"], count=0)
+    with pytest.raises(ConfigError):
+        SampleDomain.default(["t1"], count=3).with_options(count=0)
