@@ -54,14 +54,12 @@ from .dtensors import (
     verify_dtensor_law,
 )
 from .semisprays import (
-    SpatialSemispray,
-    TemporalSemispray,
+    Semispray,
     canonical_spatial,
     canonical_temporal,
     check_characterization,
     decompose,
-    transform_spatial_semispray,
-    transform_temporal_semispray,
+    transform_semispray,
     verify_semispray_law,
 )
 from .connections import (

@@ -105,6 +105,25 @@ class JetChart:
     def sample_domain(self, count: int = 20, seed: int = 0) -> SampleDomain:
         return SampleDomain.default(self.names, count=count, seed=seed)
 
+    def expr_block(self, components, shape, label: str) -> tuple:
+        """Nested tuples of expressions of the given 3-index shape, checked
+        to use only this chart's variables."""
+        allowed = set(self.names)
+        rows = tuple(tuple(tuple(as_expr(e) for e in row) for row in sheet)
+                     for sheet in components)
+        if len(rows) != shape[0] or any(
+                len(sheet) != shape[1] or any(len(row) != shape[2] for row in sheet)
+                for sheet in rows):
+            raise ConfigError(f"{label} must have shape {shape}")
+        for sheet in rows:
+            for row in sheet:
+                for e in row:
+                    extra = variables(e) - allowed
+                    if extra:
+                        raise ConfigError(
+                            f"{label} component uses foreign variables {sorted(extra)}")
+        return rows
+
     def assignment(self, point: "JetPoint") -> dict:
         out = {t_name(a): float(point.t[a]) for a in range(self.m)}
         out.update({x_name(i): float(point.x[i]) for i in range(self.n)})
@@ -460,26 +479,6 @@ def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:
         x_inv = tuple(substitute(g, dict(zip(chart.x_names, outer.x_inverse)))
                       for g in inner.x_inverse)
     return TransitionMap(inner.m, inner.n, t_fwd, x_fwd, t_inv, x_inv)
-
-
-# -- module-level transform API ------------------------------------------------
-
-def transform_velocity(tm: TransitionMap, vq: JetVelocityPoint) -> np.ndarray:
-    """Target-chart velocity components xtilde^i_a at the image point."""
-    return tm.map_velocity(vq).v
-
-
-def transform_polymomenta(tm: TransitionMap, q: JetPoint) -> np.ndarray:
-    """Target-chart polymomenta ptilde_i^a at the image point."""
-    return tm.map_point(q).p
-
-
-def frame_transform(tm: TransitionMap, q: JetPoint) -> np.ndarray:
-    return tm.frame_matrix(q)
-
-
-def coframe_transform(tm: TransitionMap, q: JetPoint) -> np.ndarray:
-    return tm.coframe_matrix(q)
 
 
 def pullback_scalar(e: Expr, tm: TransitionMap) -> Expr:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -113,9 +114,27 @@ class Manifest:
         return SampleDomain(intervals, count=self.sample_count, seed=seed)
 
 
+def _number(raw, where: str, convert=float):
+    """A manifest number; anything ``convert`` rejects is a config error."""
+    try:
+        return convert(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where} must be a number, got {raw!r}") from None
+
+
+def _tolerance(raw, where: str) -> float:
+    value = _number(raw, where)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{where} must be finite and positive, got {value!r}")
+    return value
+
+
 def _entry_expr(raw, allowed, where: str):
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        return Const(float(raw))
+        value = _number(raw, where)
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: entries must be finite, got {raw!r}")
+        return Const(value)
     if isinstance(raw, str):
         return parse(raw, allowed)
     raise ConfigError(f"{where}: expected an expression string or number, "
@@ -153,7 +172,8 @@ def load_manifest(path: str) -> Manifest:
     dims = data.get("dimensions")
     if not isinstance(dims, dict) or "m" not in dims or "n" not in dims:
         raise ConfigError("manifest needs dimensions.m and dimensions.n")
-    m, n = int(dims["m"]), int(dims["n"])
+    m = _number(dims["m"], "dimensions.m", int)
+    n = _number(dims["n"], "dimensions.n", int)
     if m < 1 or n < 1:
         raise ConfigError("dimensions must be positive")
     chart = JetChart(m, n)
@@ -173,7 +193,7 @@ def load_manifest(path: str) -> Manifest:
     constants = data.get("constants", {})
     if not isinstance(constants, dict):
         raise ConfigError("constants must be an object")
-    constants = {k: float(v) for k, v in constants.items()}
+    constants = {k: _number(v, f"constants.{k}") for k, v in constants.items()}
 
     transition = None
     if "transition" in data:
@@ -199,26 +219,27 @@ def load_manifest(path: str) -> Manifest:
     sample = data.get("sample_domain", {})
     if not isinstance(sample, dict):
         raise ConfigError("sample_domain must be an object")
-    count = int(sample.get("count", 20))
+    count = _number(sample.get("count", 20), "sample_domain.count", int)
     if count < 1:
         raise ConfigError("sample_domain.count must be at least 1")
-    seed = int(sample.get("seed", 0))
+    seed = _number(sample.get("seed", 0), "sample_domain.seed", int)
     intervals = {}
     for nm, pair in sample.get("intervals", {}).items():
         if nm not in chart.names:
             raise ConfigError(f"sample interval for unknown variable {nm!r}")
-        if not isinstance(pair, list) or len(pair) != 2 or pair[0] >= pair[1]:
-            raise ConfigError(f"sample interval for {nm!r} must be [lo, hi]")
-        intervals[nm] = (float(pair[0]), float(pair[1]))
+        where = f"sample interval for {nm!r}"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{where} must be [lo, hi]")
+        lo, hi = (_number(v, where) for v in pair)
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(f"{where} must be [lo, hi]")
+        intervals[nm] = (lo, hi)
 
     tol = {"equiv": 1e-9, "law": 1e-8, "regularity": 1e-9}
     for key, value in data.get("tolerances", {}).items():
         if key not in tol:
             raise ConfigError(f"unknown tolerance {key!r}")
-        value = float(value)
-        if value <= 0.0:
-            raise ConfigError(f"tolerance {key!r} must be positive")
-        tol[key] = value
+        tol[key] = _tolerance(value, f"tolerance {key!r}")
 
     point = data.get("evaluation_point")
     if point is not None:
@@ -228,7 +249,8 @@ def load_manifest(path: str) -> Manifest:
         if unknown:
             raise ConfigError(f"evaluation_point names unknown variables "
                               f"{sorted(unknown)}")
-        point = {nm: float(point.get(nm, 0.0)) for nm in chart.names}
+        point = {nm: _number(point.get(nm, 0.0), f"evaluation_point.{nm}")
+                 for nm in chart.names}
 
     fault = data.get("fault_injection")
     if fault is not None:
@@ -243,7 +265,7 @@ def load_manifest(path: str) -> Manifest:
             raise ConfigError(f"fault_injection.index out of range for "
                               f"{fault['block']} of shape {hi}")
         fault = {"block": fault["block"], "index": tuple(idx),
-                 "delta": float(fault.get("delta", 0.1))}
+                 "delta": _number(fault.get("delta", 0.1), "fault_injection.delta")}
 
     manifest = Manifest(m=m, n=n, digest=digest, temporal_metric=h,
                         spatial_metric=phi, hamiltonian=hamiltonian,
@@ -356,8 +378,11 @@ def _require(manifest: Manifest, command: str, **pieces):
             raise ConfigError(f"{command} needs {label} in the manifest")
 
 
-def _law_tol(args, manifest: Manifest) -> float:
-    return float(args.tol) if args.tol is not None else manifest.tolerances["law"]
+def _cli_tol(args, manifest: Manifest, key: str) -> float:
+    """``--tol`` when given, else the manifest's tolerance ``key``."""
+    if args.tol is None:
+        return manifest.tolerances[key]
+    return _tolerance(args.tol, "--tol")
 
 
 def _symbol_entry(metric: Metric, point: dict) -> dict:
@@ -398,7 +423,7 @@ def cmd_christoffel(args) -> int:
             space = HamiltonSpace(manifest.temporal_metric, manifest.n,
                                   manifest.hamiltonian,
                                   constants=manifest.constants,
-                                  tol=reg_tol, dom=dom)
+                                  tol=reg_tol, dom=dom, regularity=result)
             objects["extracted_spatial"] = _symbol_entry(space.g, point)
     return _finish("christoffel", manifest, seed, checks, objects, args, started)
 
@@ -410,8 +435,7 @@ def cmd_regularity(args) -> int:
     _require(manifest, "regularity", temporal_metric=manifest.temporal_metric,
              hamiltonian=manifest.hamiltonian)
     dom = manifest.domain(seed)
-    tol = (float(args.tol) if args.tol is not None
-           else manifest.tolerances["regularity"])
+    tol = _cli_tol(args, manifest, "regularity")
     result = check_kronecker_regularity(
         manifest.hamiltonian, manifest.temporal_metric, manifest.n,
         dom=dom, tol=tol)
@@ -456,7 +480,7 @@ def cmd_connection(args) -> int:
         space = HamiltonSpace(manifest.temporal_metric, manifest.n,
                               manifest.hamiltonian,
                               constants=manifest.constants,
-                              tol=reg_tol, dom=dom)
+                              tol=reg_tol, dom=dom, regularity=result)
         N = canonical_nonlinear_connection(space)
         objects["source"] = "hamiltonian"
     else:
@@ -497,7 +521,7 @@ def cmd_verify(args) -> int:
     if not tm.has_inverse:
         raise ConfigError("verify needs transition.t_inverse and x_inverse")
     dom = manifest.domain(seed)
-    law_tol = _law_tol(args, manifest)
+    law_tol = _cli_tol(args, manifest, "law")
     equiv_tol = manifest.tolerances["equiv"]
     h, phi = manifest.temporal_metric, manifest.spatial_metric
     h.validate(dom, tol=equiv_tol)
@@ -528,7 +552,8 @@ def cmd_verify(args) -> int:
             return _finish("verify", manifest, seed, checks, objects, args,
                            started)
         space = HamiltonSpace(h, manifest.n, manifest.hamiltonian,
-                              constants=manifest.constants, tol=reg_tol, dom=dom)
+                              constants=manifest.constants, tol=reg_tol, dom=dom,
+                              regularity=result)
 
     built_a = builtin_dtensors(h, manifest.n)
     built_b = builtin_dtensors(h_b, manifest.n)

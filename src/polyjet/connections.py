@@ -16,44 +16,24 @@ coefficients as the polymomenta themselves, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .charts import JetChart, TransitionMap, p_name
 from .errors import ConfigError
-from .metrics import Metric, christoffel
-from .report import ResidualTracker, VerificationReport
-from .semisprays import SpatialSemispray, TemporalSemispray
+from .metrics import Metric, christoffel_symbols
+from .report import VerificationReport, entry_label, sweep
+from .semisprays import Semispray
 from .symbolic import (
     Const,
     Program,
     SampleDomain,
     add,
-    as_expr,
     compile_block,
     differentiate,
     mul,
-    variables,
 )
-
-
-def _coerce_block(m: int, n: int, components, shape, label: str):
-    allowed = set(JetChart(m, n).names)
-    rows = tuple(tuple(tuple(as_expr(e) for e in row) for row in sheet)
-                 for sheet in components)
-    if len(rows) != shape[0] or any(
-            len(sheet) != shape[1] or any(len(row) != shape[2] for row in sheet)
-            for sheet in rows):
-        raise ConfigError(f"{label} must have shape {shape}")
-    for sheet in rows:
-        for row in sheet:
-            for e in row:
-                extra = variables(e) - allowed
-                if extra:
-                    raise ConfigError(
-                        f"{label} component uses foreign variables {sorted(extra)}")
-    return rows
 
 
 @dataclass(frozen=True)
@@ -66,10 +46,11 @@ class NonlinearConnection:
     n2: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "n1", _coerce_block(
-            self.m, self.n, self.n1, (self.m, self.n, self.m), "N1"))
-        object.__setattr__(self, "n2", _coerce_block(
-            self.m, self.n, self.n2, (self.m, self.n, self.n), "N2"))
+        chart = JetChart(self.m, self.n)
+        object.__setattr__(self, "n1", chart.expr_block(
+            self.n1, (self.m, self.n, self.m), "N1"))
+        object.__setattr__(self, "n2", chart.expr_block(
+            self.n2, (self.m, self.n, self.n), "N2"))
 
     @cached_property
     def _program(self) -> Program:
@@ -95,6 +76,25 @@ class NonlinearConnection:
         return NonlinearConnection(self.m, self.n, n1, n2)
 
 
+def metric_n1(kappa, n: int) -> list:
+    """N1[a][i][b] = kappa^a_cb p_i^c from the temporal Christoffel
+    symbols kappa[a][c][b]."""
+    m = len(kappa)
+    chart = JetChart(m, n)
+    return [[[add(*[mul(kappa[a][c][b], chart.p_var(i, c)) for c in range(m)])
+              for b in range(m)] for i in range(n)] for a in range(m)]
+
+
+def metric_n2(gamma, m: int) -> list:
+    """N2[a][i][j] = -gamma^k_ij p_k^a from the spatial Christoffel
+    symbols gamma[k][i][j]."""
+    n = len(gamma)
+    chart = JetChart(m, n)
+    return [[[mul(Const(-1.0), add(*[mul(gamma[k][i][j], chart.p_var(k, a))
+                                     for k in range(n)]))
+              for j in range(n)] for i in range(n)] for a in range(m)]
+
+
 def canonical_metric_connection(h: Metric, phi: Metric, n: int | None = None) -> NonlinearConnection:
     """The connection induced by a temporal metric h and spatial metric phi:
 
@@ -103,17 +103,8 @@ def canonical_metric_connection(h: Metric, phi: Metric, n: int | None = None) ->
     if h.kind != "temporal" or phi.kind != "spatial":
         raise ConfigError("canonical connection requires temporal h and spatial phi")
     m, nn = h.dim, phi.dim
-    chart = JetChart(m, nn)
-    kappa = christoffel(h).components
-    gamma = christoffel(phi).components
-    if kappa is None or gamma is None:
-        raise ConfigError("canonical connection needs symbolic Christoffel symbols")
-    n1 = [[[add(*[mul(kappa[a][c][b], chart.p_var(i, c)) for c in range(m)])
-            for b in range(m)] for i in range(nn)] for a in range(m)]
-    n2 = [[[mul(Const(-1.0), add(*[mul(gamma[k][i][j], chart.p_var(k, a))
-                                   for k in range(nn)]))
-            for j in range(nn)] for i in range(nn)] for a in range(m)]
-    return NonlinearConnection(m, nn, n1, n2)
+    return NonlinearConnection(m, nn, metric_n1(christoffel_symbols(h), nn),
+                               metric_n2(christoffel_symbols(phi), m))
 
 
 def _connection_image(n1, n2, frame, dpdt, dpdx):
@@ -140,24 +131,20 @@ def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
     chart = tm.chart
     if dom is None:
         dom = chart.sample_domain()
-    tracker = ResidualTracker(name or "connection-law", tol)
     points = dom.points()
     images, frames = tm.map_points(points)
     dpdt, dpdx = tm.momentum_derivatives(points)
     a1, a2 = N_A.at_points(points)
     b1, b2 = N_B.at_points([chart.assignment(q) for q in images])
-    for k, asg in enumerate(points):
-        lhs1, lhs2 = _connection_image(a1[k], a2[k], frames[k], dpdt[k], dpdx[k])
-        for label, lhs, rhs in (("N1", lhs1, b1[k]), ("N2", lhs2, b2[k])):
-            diff = np.abs(lhs - rhs)
-            idx = np.unravel_index(np.argmax(diff), diff.shape)
-            tracker.update(float(diff.max()), asg,
-                           f"{label}[{idx[0] + 1},{idx[1] + 1},{idx[2] + 1}]")
-        tracker.count_sample()
-    return tracker.report()
+    n1_label, n2_label = partial(entry_label, "N1"), partial(entry_label, "N2")
+    lhs = (_connection_image(a1[k], a2[k], frames[k], dpdt[k], dpdx[k])
+           for k in range(len(points)))
+    return sweep(name or "connection-law", tol, points,
+                 (((n1_label, lhs1, rhs1), (n2_label, lhs2, rhs2))
+                  for (lhs1, lhs2), rhs1, rhs2 in zip(lhs, b1, b2)))
 
 
-def connection_from_semispray(G1: TemporalSemispray, G2: SpatialSemispray,
+def connection_from_semispray(G1: Semispray, G2: Semispray,
                               phi: Metric) -> NonlinearConnection:
     """Connection associated to a semispray pair.
 
@@ -209,7 +196,7 @@ def semispray_from_connection(N: NonlinearConnection):
             for j in range(n)] for i in range(n)] for a in range(m)]
     g2 = [[[mul(Const(0.5), N.n2[b][j][k]) for k in range(n)]
            for j in range(n)] for b in range(m)]
-    return TemporalSemispray(m, n, g1), SpatialSemispray(m, n, g2)
+    return Semispray("temporal", m, n, g1), Semispray("spatial", m, n, g2)
 
 
 def _coframe_rows(n1, n2) -> np.ndarray:
@@ -252,22 +239,22 @@ def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
     if dom is None:
         dom = chart.sample_domain()
     col_names = ["d" + nm for nm in chart.names]
-    tracker = ResidualTracker(name or "adapted-coframe", tol)
     points = dom.points()
     images, frames = tm.map_points(points)
     coframes = tm.coframe_matrices(images, frames)
     a1, a2 = N_A.at_points(points)
     b1, b2 = N_B.at_points([chart.assignment(q) for q in images])
-    for k, asg in enumerate(points):
+
+    def label(idx):
+        j, b = divmod(int(idx[0]), m)
+        return f"coframe[{p_name(j, b)}, {col_names[int(idx[1])]}]"
+
+    def expected(k):
         jt, jx, kt, kx = frames[k]
         pushed = _coframe_rows(a1[k], a2[k]) @ coframes[k]
         pushed = pushed.reshape(n, m, -1)
-        expected = np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)
-        got = _coframe_rows(b1[k], b2[k])
-        diff = np.abs(got - expected)
-        r, c = np.unravel_index(np.argmax(diff), diff.shape)
-        j, b = divmod(int(r), m)
-        tracker.update(float(diff.max()), asg,
-                       f"coframe[{p_name(j, b)}, {col_names[int(c)]}]")
-        tracker.count_sample()
-    return tracker.report()
+        return np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)
+
+    return sweep(name or "adapted-coframe", tol, points,
+                 (((label, _coframe_rows(b1[k], b2[k]), expected(k)),)
+                  for k in range(len(points))))

@@ -18,14 +18,14 @@ way to build the comparison side of such a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .charts import JetChart, TransitionMap, p_name
 from .errors import ConfigError
 from .metrics import Metric
-from .report import ResidualTracker, VerificationReport
+from .report import VerificationReport, entry_label, sweep
 from .symbolic import (
     Program,
     SampleDomain,
@@ -161,10 +161,6 @@ def transform_dtensor(T: DTensorField, tm: TransitionMap, q) -> np.ndarray:
     return _dtensor_image(T.at(asg), T.slots, tm.jacobians_at(asg))
 
 
-def _entry_label(name: str, idx) -> str:
-    return f"{name}[{','.join(str(i + 1) for i in idx)}]"
-
-
 def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
                        dom: SampleDomain | None = None, tol: float = 1e-8,
                        name: str | None = None) -> VerificationReport:
@@ -174,18 +170,14 @@ def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
     chart = tm.chart
     if dom is None:
         dom = chart.sample_domain()
-    tracker = ResidualTracker(name or f"dtensor-law:{T_A.name}", tol)
     points = dom.points()
     images, frames = tm.map_points(points)
     values_a = T_A.at_points(points)
     values_b = T_B.at_points([chart.assignment(image) for image in images])
-    for asg, frame, arr, rhs in zip(points, frames, values_a, values_b):
-        lhs = _dtensor_image(arr, T_A.slots, frame)
-        diff = np.abs(lhs - rhs)
-        idx = np.unravel_index(np.argmax(diff), diff.shape) if diff.size else ()
-        tracker.update(float(diff.max()), asg, _entry_label(T_A.name, idx))
-        tracker.count_sample()
-    return tracker.report()
+    label = partial(entry_label, T_A.name)
+    return sweep(name or f"dtensor-law:{T_A.name}", tol, points,
+                 (((label, _dtensor_image(arr, T_A.slots, frame), rhs),)
+                  for frame, arr, rhs in zip(frames, values_a, values_b)))
 
 
 def builtin_dtensors(h: Metric, n: int) -> dict:
@@ -265,10 +257,12 @@ def pullback_dtensor(T: DTensorField, tm: TransitionMap) -> DTensorField:
     factors = [factor_matrix(s) for s in T.slots]
     shape = T.shape
     comps = np.empty(shape, dtype=object)
+    pulled = {old_idx: substitute(T.components[old_idx], point_map)
+              for old_idx in np.ndindex(shape)}
     for new_idx in np.ndindex(shape):
         terms = []
-        for old_idx in np.ndindex(shape):
+        for old_idx, value in pulled.items():
             fs = [factors[k][new_idx[k]][old_idx[k]] for k in range(len(shape))]
-            terms.append(mul(substitute(T.components[old_idx], point_map), *fs))
+            terms.append(mul(value, *fs))
         comps[new_idx] = add(*terms)
     return DTensorField(T.m, T.n, T.slots, comps, name=T.name)

@@ -24,16 +24,19 @@ All three agree; the redundancy is deliberate and checked by the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
 from .charts import JetChart, p_name, x_name
-from .connections import NonlinearConnection
+from .connections import NonlinearConnection, metric_n1, metric_n2
 from .dtensors import DTensorField, lower_t, lower_x, upper_t, upper_x
 from .errors import ConfigError, NotRegular, ResidualTooLarge
 from .linalg import DET_MIN, SYM_INVERSE_MAX_DIM, sym_inverse
-from .metrics import Metric, christoffel
+from .metrics import Metric, christoffel_symbols
+from .report import entry_label, sweep
 from .symbolic import (
     Const,
     Expr,
@@ -151,26 +154,27 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     if dom is None:
         dom = chart.sample_domain()
 
-    max_residual = 0.0
-    samples = 0
-    singular_at = None
     points = dom.points()
     g_values = compile_block([e for row in cand for e in row]).run(points).reshape(-1, n, n)
-    for asg, gv, hv, big in zip(points, g_values, h.at_points(points),
-                                vertical.at_points(points)):
-        samples += 1
-        residual = float(np.abs(big - np.einsum("ab,ij->iajb", hv, gv)).max())
-        max_residual = max(max_residual, residual)
-        if singular_at is None and abs(np.linalg.det(gv)) < DET_MIN:
-            singular_at = dict(asg)
+    label = partial(entry_label, "G")
+    rep = sweep("kronecker-regularity", tol, points,
+                (((label, big, np.einsum("ab,ij->iajb", hv, gv)),)
+                 for gv, hv, big in zip(g_values, h.at_points(points),
+                                        vertical.at_points(points))))
+    max_residual, samples = rep.max_residual, rep.samples
+    singular = any(abs(np.linalg.det(gv)) < DET_MIN for gv in g_values)
 
     p_dep = _really_p_dependent(cand, chart, tol)
 
-    if singular_at is not None:
+    if singular:
         return RegularityResult(False, max_residual, cand, p_dep, tol, samples,
                                 reason="candidate spatial block is singular on the "
                                        "sample domain")
-    if max_residual > tol:
+    if not math.isfinite(max_residual):
+        return RegularityResult(False, max_residual, cand, p_dep, tol, samples,
+                                reason=f"factorization residual is not finite "
+                                       f"({max_residual})")
+    if not max_residual <= tol:
         return RegularityResult(False, max_residual, cand, p_dep, tol, samples,
                                 reason=f"factorization residual {max_residual:.3e} "
                                        f"exceeds tolerance {tol:.1e}")
@@ -277,14 +281,16 @@ def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
 class HamiltonSpace:
     """A regular hamiltonian over a temporal metric, with derived data.
 
-    Construction runs the regularity test and raises NotRegular on
-    failure.  For m >= 2 the electrodynamic pieces (g, U, F) are
-    extracted eagerly; for m = 1 only the (possibly momentum-dependent)
+    Construction runs the regularity test, unless the result of one run
+    on the same hamiltonian, domain and tolerance is passed in, and raises
+    NotRegular on failure.  For m >= 2 the electrodynamic pieces (g, U, F)
+    are extracted eagerly; for m = 1 only the (possibly momentum-dependent)
     lowered metric g is kept and U, F stay None.
     """
 
     def __init__(self, h: Metric, n: int, hamiltonian, constants=None,
-                 tol: float = 1e-9, dom: SampleDomain | None = None):
+                 tol: float = 1e-9, dom: SampleDomain | None = None,
+                 regularity: RegularityResult | None = None):
         if h.kind != "temporal":
             raise ConfigError("a Hamilton space needs a temporal metric")
         self.h = h
@@ -297,9 +303,10 @@ class HamiltonSpace:
             raise ConfigError(f"hamiltonian uses foreign variables {sorted(extra)}")
         self.constants = dict(constants or {})
         self.tolerance = float(tol)
-        self.vertical = fundamental_vertical_dtensor(self.hamiltonian, self.m, self.n)
-        self.regularity = check_kronecker_regularity(
-            self.hamiltonian, h, self.n, dom=dom, tol=tol, vertical=self.vertical)
+        if regularity is None:
+            regularity = check_kronecker_regularity(
+                self.hamiltonian, h, self.n, dom=dom, tol=tol, vertical=self.vertical)
+        self.regularity = regularity
         if not self.regularity.regular:
             raise NotRegular(self.regularity.reason)
         if self.m >= 2:
@@ -319,6 +326,11 @@ class HamiltonSpace:
             self.U = None
             self.F = None
 
+    @cached_property
+    def vertical(self) -> DTensorField:
+        """The fundamental vertical d-tensor G of the hamiltonian."""
+        return fundamental_vertical_dtensor(self.hamiltonian, self.m, self.n)
+
     @property
     def g_lower(self):
         return self.g.components
@@ -337,16 +349,12 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
     momentum-dependent case works verbatim (the term vanishes otherwise).
     """
     m, n = space.m, space.n
-    chart = space.chart
-    kappa = christoffel(space.h).components
-    if kappa is None:
-        raise ConfigError("temporal Christoffel symbols are not symbolic")
+    kappa = christoffel_symbols(space.h)
     h_upper = space.h.inverse_components
     g = space.g_lower
     H = space.hamiltonian
 
-    n1 = [[[add(*[mul(kappa[a][c][b], chart.p_var(i, c)) for c in range(m)])
-            for b in range(m)] for i in range(n)] for a in range(m)]
+    n1 = metric_n1(kappa, n)
 
     dH_dp = [[differentiate(H, p_name(k, b)) for b in range(m)] for k in range(n)]
     dH_dx = [differentiate(H, x_name(k)) for k in range(n)]
@@ -406,19 +414,6 @@ def electrodynamic_t_block(g: Metric, U: DTensorField, h: Metric) -> DTensorFiel
     return DTensorField(m, n, (upper_t(1), lower_x(0), lower_x()), comps, name="T")
 
 
-def _metric_spatial_block(space: HamiltonSpace):
-    """-Gamma^k_ij(g) p_k^a, shared by the middle and closed forms."""
-    gamma = christoffel(space.g).components
-    if gamma is None:
-        raise ConfigError("spatial Christoffel symbols of g are not symbolic")
-    chart = space.chart
-    m, n = space.m, space.n
-    return gamma, [[[mul(Const(-1.0),
-                         add(*[mul(gamma[k][i][j], chart.p_var(k, a))
-                               for k in range(n)]))
-                    for j in range(n)] for i in range(n)] for a in range(m)]
-
-
 def _require_extraction(space: HamiltonSpace, what: str):
     if space.U is None:
         raise ConfigError(f"{what} needs the extracted potential term; "
@@ -428,22 +423,12 @@ def _require_extraction(space: HamiltonSpace, what: str):
 def canonical_connection_middle_form(space: HamiltonSpace) -> NonlinearConnection:
     """Spatial block as metric part plus the T deviation block."""
     _require_extraction(space, "the middle form")
-    _, metric_part = _metric_spatial_block(space)
-    T = electrodynamic_t_block(space.g, space.U, space.h)
     m, n = space.m, space.n
+    metric_part = metric_n2(christoffel_symbols(space.g), m)
+    T = electrodynamic_t_block(space.g, space.U, space.h)
     n2 = [[[add(metric_part[a][i][j], T.components[a, i, j])
             for j in range(n)] for i in range(n)] for a in range(m)]
-    return NonlinearConnection(m, n, _temporal_block(space), n2)
-
-
-def _temporal_block(space: HamiltonSpace):
-    kappa = christoffel(space.h).components
-    if kappa is None:
-        raise ConfigError("temporal Christoffel symbols are not symbolic")
-    chart = space.chart
-    m, n = space.m, space.n
-    return [[[add(*[mul(kappa[a][c][b], chart.p_var(i, c)) for c in range(m)])
-              for b in range(m)] for i in range(n)] for a in range(m)]
+    return NonlinearConnection(m, n, metric_n1(christoffel_symbols(space.h), n), n2)
 
 
 def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnection:
@@ -455,8 +440,9 @@ def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnectio
     with U_{ib} = g_ik U^{(k)}_{(b)} and ; the g-covariant x-derivative.
     """
     _require_extraction(space, "the closed form")
-    gamma, metric_part = _metric_spatial_block(space)
     m, n = space.m, space.n
+    gamma = christoffel_symbols(space.g)
+    metric_part = metric_n2(gamma, m)
     g = space.g_lower
     h_upper = space.h.inverse_components
 
@@ -471,7 +457,7 @@ def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnectio
                 add(*[mul(Const(0.25), h_upper[a][b],
                           add(cov[i][b][j], cov[j][b][i])) for b in range(m)]))
             for j in range(n)] for i in range(n)] for a in range(m)]
-    return NonlinearConnection(m, n, _temporal_block(space), n2)
+    return NonlinearConnection(m, n, metric_n1(christoffel_symbols(space.h), n), n2)
 
 
 def _check_positive(**consts):

@@ -236,6 +236,16 @@ def christoffel(g: Metric) -> ChristoffelField:
     return ChristoffelField(g.kind, d, tuple(comps), metric=g, derivatives=derivs)
 
 
+def christoffel_symbols(g: Metric) -> tuple:
+    """The exact components of ``christoffel(g)``, Gamma[k][i][j]."""
+    components = christoffel(g).components
+    if components is None:
+        raise ConfigError(
+            f"{g.kind} Christoffel symbols are not symbolic: metric dimension "
+            f"{g.dim} exceeds the symbolic-inverse limit")
+    return components
+
+
 def pullback_metric(g: Metric, tm: TransitionMap) -> Metric:
     """The same metric written in the target chart of a transition.
 

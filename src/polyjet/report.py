@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class VerificationReport:
@@ -74,3 +76,23 @@ class ResidualTracker:
             worst_entry=self.worst_entry,
             notes=notes or {},
         )
+
+
+def entry_label(name: str, idx) -> str:
+    """1-based component label, like N2[1,2,1]."""
+    return f"{name}[{','.join(str(i + 1) for i in idx)}]"
+
+
+def sweep(name: str, tolerance: float, points, blocks) -> VerificationReport:
+    """The one law-sweep loop: for each source point, ``blocks`` yields the
+    ``(labeler, lhs, rhs)`` arrays to compare there.  The largest entry of
+    ``|lhs - rhs|`` in each block is tracked; ``labeler`` names it from its
+    0-based index tuple."""
+    tracker = ResidualTracker(name, tolerance)
+    for point, triples in zip(points, blocks):
+        for labeler, lhs, rhs in triples:
+            diff = np.abs(lhs - rhs)
+            idx = np.unravel_index(np.argmax(diff), diff.shape)
+            tracker.update(float(diff.max()), point, labeler(idx))
+        tracker.count_sample()
+    return tracker.report()

@@ -13,39 +13,33 @@ semispray into its metric-canonical part plus a d-tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .charts import JetChart, TransitionMap
 from .dtensors import DTensorField, builtin_dtensors, lower_x, upper_t
 from .errors import ConfigError
-from .metrics import Metric, christoffel
-from .report import ResidualTracker, VerificationReport
-from .symbolic import (Const, Program, SampleDomain, add, as_expr, compile_block,
-                       mul, variables)
+from .metrics import Metric, christoffel_symbols
+from .report import VerificationReport, entry_label, sweep
+from .symbolic import Const, Program, SampleDomain, add, as_expr, compile_block, mul
 
 
-def _coerce_block3(m: int, n: int, components, label: str):
-    allowed = set(JetChart(m, n).names)
-    rows = tuple(tuple(tuple(as_expr(e) for e in row) for row in sheet)
-                 for sheet in components)
-    if len(rows) != m or any(len(sheet) != n or any(len(row) != n for row in sheet)
-                             for sheet in rows):
-        raise ConfigError(f"{label} components must form an (m, n, n) block")
-    for sheet in rows:
-        for row in sheet:
-            for e in row:
-                extra = variables(e) - allowed
-                if extra:
-                    raise ConfigError(
-                        f"{label} component uses foreign variables {sorted(extra)}")
-    return rows
+@dataclass(frozen=True)
+class Semispray:
+    """An (m, n, n) semispray block of expressions in (t, x, p): G1[b][j][i]
+    when ``kind`` is 'temporal', G2[b][j][i] when it is 'spatial'."""
 
+    kind: str
+    m: int
+    n: int
+    components: tuple
 
-class _Block3:
-    """Evaluation shared by both semispray kinds: one cached program over
-    the (m, n, n) block."""
+    def __post_init__(self):
+        if self.kind not in ("temporal", "spatial"):
+            raise ConfigError(f"unknown semispray kind {self.kind!r}")
+        object.__setattr__(self, "components", JetChart(self.m, self.n).expr_block(
+            self.components, (self.m, self.n, self.n), f"{self.kind} semispray"))
 
     @cached_property
     def _program(self) -> Program:
@@ -58,61 +52,19 @@ class _Block3:
     def at(self, assignment) -> np.ndarray:
         return self.at_points([assignment])[0]
 
-
-@dataclass(frozen=True)
-class TemporalSemispray(_Block3):
-    """First-kind semispray block G1[b][j][i] (expressions in t, x, p)."""
-
-    m: int
-    n: int
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           _coerce_block3(self.m, self.n, self.components,
-                                          "temporal semispray"))
-
-    def map_components(self, f) -> "TemporalSemispray":
-        return TemporalSemispray(self.m, self.n, tuple(
+    def map_components(self, f) -> "Semispray":
+        return Semispray(self.kind, self.m, self.n, tuple(
             tuple(tuple(f(e) for e in row) for row in sheet)
             for sheet in self.components))
 
 
-@dataclass(frozen=True)
-class SpatialSemispray(_Block3):
-    """Second-kind semispray block G2[b][j][i] (expressions in t, x, p)."""
-
-    m: int
-    n: int
-    components: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "components",
-                           _coerce_block3(self.m, self.n, self.components,
-                                          "spatial semispray"))
-
-    def map_components(self, f) -> "SpatialSemispray":
-        return SpatialSemispray(self.m, self.n, tuple(
-            tuple(tuple(f(e) for e in row) for row in sheet)
-            for sheet in self.components))
-
-
-def _symbolic_christoffel(g: Metric):
-    field = christoffel(g)
-    if field.components is None:
-        raise ConfigError(
-            "canonical semisprays need symbolic Christoffel symbols; "
-            f"metric dimension {g.dim} exceeds the symbolic-inverse limit")
-    return field.components
-
-
-def canonical_temporal(h: Metric, n: int) -> TemporalSemispray:
+def canonical_temporal(h: Metric, n: int) -> Semispray:
     """G1[a][j][k] = 1/2 kappa^a_bc(t) p_j^b p_k^c for a temporal metric h."""
     if h.kind != "temporal":
         raise ConfigError("canonical temporal semispray requires a temporal metric")
     m = h.dim
     chart = JetChart(m, n)
-    kappa = _symbolic_christoffel(h)
+    kappa = christoffel_symbols(h)
     comps = [[[None] * n for _ in range(n)] for _ in range(m)]
     for a in range(m):
         for j in range(n):
@@ -120,23 +72,23 @@ def canonical_temporal(h: Metric, n: int) -> TemporalSemispray:
                 terms = [mul(kappa[a][b][c], chart.p_var(j, b), chart.p_var(k, c))
                          for b in range(m) for c in range(m)]
                 comps[a][j][k] = mul(Const(0.5), add(*terms))
-    return TemporalSemispray(m, n, comps)
+    return Semispray("temporal", m, n, comps)
 
 
-def canonical_spatial(phi: Metric, m: int) -> SpatialSemispray:
+def canonical_spatial(phi: Metric, m: int) -> Semispray:
     """G2[b][j][k] = -1/2 gamma^i_jk(x) p_i^b for a spatial metric phi."""
     if phi.kind != "spatial":
         raise ConfigError("canonical spatial semispray requires a spatial metric")
     n = phi.dim
     chart = JetChart(m, n)
-    gamma = _symbolic_christoffel(phi)
+    gamma = christoffel_symbols(phi)
     comps = [[[None] * n for _ in range(n)] for _ in range(m)]
     for b in range(m):
         for j in range(n):
             for k in range(n):
                 terms = [mul(gamma[i][j][k], chart.p_var(i, b)) for i in range(n)]
                 comps[b][j][k] = mul(Const(-0.5), add(*terms))
-    return SpatialSemispray(m, n, comps)
+    return Semispray("spatial", m, n, comps)
 
 
 def _temporal_image(values, frame, dpdt, dpdx, p) -> np.ndarray:
@@ -155,52 +107,37 @@ def _spatial_image(values, frame, dpdt, dpdx, p) -> np.ndarray:
     return 0.5 * (two_g - correction)
 
 
-def _transform(image, S, tm: TransitionMap, q) -> np.ndarray:
+_IMAGES = {"temporal": _temporal_image, "spatial": _spatial_image}
+
+
+def transform_semispray(S: Semispray, tm: TransitionMap, q) -> np.ndarray:
+    """Numeric target-chart block (G1~[c][k][r] or G2~[d][s][k]) at the
+    image of q."""
     asg = tm.chart.assignment(q)
     dpdt, dpdx = tm.momentum_derivatives([asg])
-    return image(S.at(asg), tm.jacobians_at(asg), dpdt[0], dpdx[0], q.p)
+    return _IMAGES[S.kind](S.at(asg), tm.jacobians_at(asg), dpdt[0], dpdx[0], q.p)
 
 
-def transform_temporal_semispray(S: TemporalSemispray, tm: TransitionMap, q) -> np.ndarray:
-    """Numeric target-chart block G1~[c][k][r] at the image of q."""
-    return _transform(_temporal_image, S, tm, q)
-
-
-def transform_spatial_semispray(S: SpatialSemispray, tm: TransitionMap, q) -> np.ndarray:
-    """Numeric target-chart block G2~[d][s][k] at the image of q."""
-    return _transform(_spatial_image, S, tm, q)
-
-
-def verify_semispray_law(S_A, S_B, tm: TransitionMap,
+def verify_semispray_law(S_A: Semispray, S_B: Semispray, tm: TransitionMap,
                          dom: SampleDomain | None = None, tol: float = 1e-8,
                          name: str | None = None) -> VerificationReport:
     """Check the inhomogeneous chart-change law between two semisprays."""
-    if type(S_A) is not type(S_B):
+    if S_A.kind != S_B.kind:
         raise ConfigError("cannot compare semisprays of different kinds")
-    if isinstance(S_A, TemporalSemispray):
-        kind, image = "temporal", _temporal_image
-    elif isinstance(S_A, SpatialSemispray):
-        kind, image = "spatial", _spatial_image
-    else:
-        raise ConfigError(f"not a semispray: {type(S_A).__name__}")
+    image = _IMAGES[S_A.kind]
     chart = tm.chart
     if dom is None:
         dom = chart.sample_domain()
-    tracker = ResidualTracker(name or f"semispray-law:{kind}", tol)
-    label = "G1" if kind == "temporal" else "G2"
     points = dom.points()
     images, frames = tm.map_points(points)
     dpdt, dpdx = tm.momentum_derivatives(points)
     values_a = S_A.at_points(points)
     values_b = S_B.at_points([chart.assignment(q) for q in images])
-    for k, asg in enumerate(points):
-        lhs = image(values_a[k], frames[k], dpdt[k], dpdx[k], chart.point(asg).p)
-        diff = np.abs(lhs - values_b[k])
-        idx = np.unravel_index(np.argmax(diff), diff.shape)
-        tracker.update(float(diff.max()), asg,
-                       f"{label}[{idx[0] + 1},{idx[1] + 1},{idx[2] + 1}]")
-        tracker.count_sample()
-    return tracker.report()
+    label = partial(entry_label, "G1" if S_A.kind == "temporal" else "G2")
+    return sweep(name or f"semispray-law:{S_A.kind}", tol, points,
+                 (((label, image(values_a[k], frames[k], dpdt[k], dpdx[k],
+                                 chart.point(asg).p), values_b[k]),)
+                  for k, asg in enumerate(points)))
 
 
 def check_characterization(block, kind: str, h: Metric,
@@ -229,40 +166,34 @@ def check_characterization(block, kind: str, h: Metric,
     built = builtin_dtensors(h, n)
     if dom is None:
         dom = chart.sample_domain()
-    tracker = ResidualTracker(f"characterization:{kind}", tol)
     points = dom.points()
     j_values = built["J"].at_points(points)  # [P, i, a, b, j]
     l_values = built["L"].at_points(points)  # [P, c, j, a, b]
     b_values = compile_block([e for r in rows for e in r]).run(points).reshape(
         -1, len(rows), len(rows[0]))
-    for asg, jv, lv, bv in zip(points, j_values, l_values, b_values):
-        if kind == "temporal":
-            lhs = np.einsum("iabj,ci->cjab", jv, bv)
-            rhs = lv
-        else:
-            lhs = np.einsum("iabj,ki->kjab", jv, bv)
-            rhs = np.transpose(jv, (0, 3, 1, 2))  # J[k][a][b][j] -> [k, j, a, b]
-        diff = np.abs(lhs - rhs)
-        idx = np.unravel_index(np.argmax(diff), diff.shape)
-        tracker.update(float(diff.max()), asg,
-                       "[" + ",".join(str(i + 1) for i in idx) + "]")
-        tracker.count_sample()
-    return tracker.report()
+    if kind == "temporal":
+        pairs = ((np.einsum("iabj,ci->cjab", jv, bv), lv)
+                 for jv, lv, bv in zip(j_values, l_values, b_values))
+    else:
+        # J[k][a][b][j] -> [k, j, a, b]
+        pairs = ((np.einsum("iabj,ki->kjab", jv, bv), np.transpose(jv, (0, 3, 1, 2)))
+                 for jv, bv in zip(j_values, b_values))
+    label = partial(entry_label, "")
+    return sweep(f"characterization:{kind}", tol, points,
+                 (((label, lhs, rhs),) for lhs, rhs in pairs))
 
 
-def decompose(S, metric: Metric):
+def decompose(S: Semispray, metric: Metric):
     """Split S into (deviation d-tensor, metric-canonical semispray).
 
     The deviation T = S - S0 transforms homogeneously (the inhomogeneous
     corrections cancel), so it is returned as a DTensorField with slots
     (upper temporal doubled, lower spatial doubled, lower spatial).
     """
-    if isinstance(S, TemporalSemispray):
+    if S.kind == "temporal":
         canonical = canonical_temporal(metric, S.n)
-    elif isinstance(S, SpatialSemispray):
-        canonical = canonical_spatial(metric, S.m)
     else:
-        raise ConfigError(f"not a semispray: {type(S).__name__}")
+        canonical = canonical_spatial(metric, S.m)
     comps = np.empty((S.m, S.n, S.n), dtype=object)
     for a in range(S.m):
         for j in range(S.n):
@@ -270,5 +201,4 @@ def decompose(S, metric: Metric):
                 comps[a, j, k] = add(S.components[a][j][k],
                                      mul(Const(-1.0), canonical.components[a][j][k]))
     slots = (upper_t(1), lower_x(0), lower_x())
-    kind = "T1" if isinstance(S, TemporalSemispray) else "T2"
-    return DTensorField(S.m, S.n, slots, comps, name=kind), canonical
+    return DTensorField(S.m, S.n, slots, comps, name="T1" if S.kind == "temporal" else "T2"), canonical

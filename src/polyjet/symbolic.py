@@ -176,7 +176,7 @@ def add(*terms: Expr) -> Expr:
         else:
             out.append(t)
     if acc != 0.0:
-        out.append(Const(acc))
+        out.append(_folded(acc, flat))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -221,7 +221,7 @@ def mul(*factors: Expr) -> Expr:
         return ZERO
     out = _merge_adjacent_factors(out)
     if coeff != 1.0:
-        out.insert(0, Const(coeff))
+        out.insert(0, _folded(coeff, flat))
     if not out:
         return ONE
     if len(out) == 1:
@@ -257,12 +257,21 @@ def div(numerator: Expr, denominator: Expr) -> Expr:
         if denominator.value == 0.0:
             raise DomainError("division by constant zero")
         if isinstance(numerator, Const):
-            return Const(numerator.value / denominator.value)
+            return _folded(numerator.value / denominator.value, (numerator, denominator))
         # fold the reciprocal into a coefficient
-        return mul(Const(1.0 / denominator.value), numerator)
+        return mul(_folded(1.0 / denominator.value, (denominator,)), numerator)
     if isinstance(numerator, Const) and numerator.value == 0.0:
         return ZERO
     return Quotient(numerator, denominator)
+
+
+def _folded(value: float, operands) -> Const:
+    """The constant folded from ``operands``.  Folding may pass on an
+    infinity it was given, but must not make one out of finite constants."""
+    if math.isinf(value) and all(math.isfinite(e.value) for e in operands
+                                 if isinstance(e, Const)):
+        raise DomainError(f"constant folding overflows to {value!r}")
+    return Const(value)
 
 
 def _power_value(base: float, exponent: int) -> float:
@@ -289,10 +298,10 @@ def _apply_function(name: str, value: float) -> float:
         if value <= 0.0:
             raise DomainError(f"ln of non-positive value {value!r}")
         return math.log(value)
-    if name == "sin":
-        return math.sin(value)
-    if name == "cos":
-        return math.cos(value)
+    if name in ("sin", "cos"):
+        if math.isinf(value):
+            raise DomainError(f"{name} of infinite value {value!r}")
+        return math.sin(value) if name == "sin" else math.cos(value)
     if name == "sqrt":
         if value < 0.0:
             raise DomainError(f"sqrt of negative value {value!r}")
@@ -872,8 +881,11 @@ class _Parser:
             return neg(self._base())
         if c.isdigit():
             m = _NUMBER_RE.match(self.src, self.pos)
+            value = float(m.group())
+            if math.isinf(value):
+                raise DomainError(f"numeric literal {m.group()} overflows")
             self.pos = m.end()
-            return Const(float(m.group()))
+            return Const(value)
         if c.isalpha():
             return self._identifier()
         self._error(f"unexpected character {c!r}")

@@ -12,6 +12,7 @@ import pytest
 from polyjet.cli import (
     EXIT_CONFIG,
     EXIT_CONNECTION,
+    EXIT_METRIC,
     EXIT_OK,
     EXIT_REGULARITY,
     load_manifest,
@@ -185,6 +186,61 @@ def test_empty_sample_domain_is_a_config_error(tmp_path):
     path = rewrite(tmp_path, "curved.json", sample_domain={"count": 0, "seed": 7})
     for command in ("verify", "connection", "regularity", "christoffel"):
         assert main([command, path]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("changes", [
+    {"sample_domain": {"count": "many", "seed": 7}},
+    {"sample_domain": {"count": 20, "seed": [7]}},
+    {"dimensions": {"m": "two", "n": 2}},
+    {"tolerances": {"law": float("nan")}},
+    {"tolerances": {"regularity": float("inf")}},
+    {"constants": {"mass": "heavy"}},
+    {"sample_domain": {"count": 20, "intervals": {"t1": [0.0, "x"]}}},
+    {"fault_injection": {"block": "N2", "index": [1, 2, 1], "delta": "big"}},
+    {"temporal_metric": [[1, 0], [0, float("inf")]]},
+    {"hamiltonian": float("nan")},
+])
+def test_bad_manifest_numbers_are_config_errors(tmp_path, changes, capsys):
+    path = rewrite(tmp_path, "curved.json", **changes)
+    assert main(["verify", path]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_command_line_tolerance_must_be_finite_and_positive(tol):
+    manifest = str(MANIFESTS / "curved.json")
+    assert main(["verify", manifest, "--tol", tol]) == EXIT_CONFIG
+    assert main(["regularity", manifest, "--tol", tol]) == EXIT_CONFIG
+
+
+def test_constant_overflow_in_hamiltonian_is_a_domain_error(tmp_path, capsys):
+    data = json.loads((MANIFESTS / "curved.json").read_text())
+    path = rewrite(tmp_path, "curved.json",
+                   hamiltonian=data["hamiltonian"] + " + 1e200*1e200*x1*p1_1^2")
+    for command in ("regularity", "connection", "christoffel", "verify"):
+        assert main([command, path]) == EXIT_METRIC
+        assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, runs", [
+    ("christoffel", 1), ("connection", 1), ("regularity", 1),
+    # verify also tests the pulled-back hamiltonian of chart B
+    ("verify", 2),
+])
+def test_regularity_runs_once_per_hamilton_space(tmp_path, monkeypatch, command, runs):
+    from polyjet import cli, hamilton
+
+    calls = []
+    real = hamilton.check_kronecker_regularity
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_kronecker_regularity", counted)
+    monkeypatch.setattr(hamilton, "check_kronecker_regularity", counted)
+    assert main([command, str(MANIFESTS / "curved.json")]) == EXIT_OK
+    assert len(calls) == runs
 
 
 def test_verify_reports_are_deterministic(tmp_path):

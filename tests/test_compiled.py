@@ -173,8 +173,10 @@ _leaf = st.one_of(
 
 def _node(children):
     return st.one_of(
-        st.lists(children, min_size=2, max_size=4).map(lambda ts: add(*ts)),
-        st.lists(children, min_size=2, max_size=4).map(lambda fs: mul(*fs)),
+        st.lists(children, min_size=2, max_size=4).map(
+            lambda ts: _try(lambda: add(*ts), ts[0])),
+        st.lists(children, min_size=2, max_size=4).map(
+            lambda fs: _try(lambda: mul(*fs), fs[0])),
         st.tuples(children, st.integers(2, 5)).map(
             lambda bk: _try(lambda: power(*bk), bk[0])),
         children.map(neg),
@@ -197,10 +199,19 @@ def test_random_blocks_match_evaluate_bits_and_errors(exprs, points):
     assert_matches_evaluate(exprs, points)
 
 
+def _derivative(e, name):
+    """d e / d name, or e itself when the derivative's constants overflow."""
+    try:
+        return differentiate(e, name)
+    except DomainError as exc:
+        assert "overflows" in str(exc)
+        return e
+
+
 @settings(max_examples=60, deadline=None)
 @given(_any_expr, _point)
 def test_derivatives_share_the_block_with_their_source(e, point):
-    block = [e, differentiate(e, "x1"), differentiate(e, "t1"), e]
+    block = [e, _derivative(e, "x1"), _derivative(e, "t1"), e]
     assert_matches_evaluate(block, [point])
 
 
@@ -294,6 +305,18 @@ def test_overflow_is_a_domain_error_on_both_paths(source, point):
         compile_block([e]).run([{"x1": 0.1}, point])
     assert str(batched.value) == str(scalar.value)
     assert "overflow" in str(scalar.value)
+
+
+def test_sin_and_cos_of_infinity_are_domain_errors_on_both_paths():
+    for func in ("sin", "cos"):
+        e = parse(f"{func}(1e308*p1_1*p1_1*p1_1)", ["p1_1"])
+        point = {"p1_1": 2.0}
+        with pytest.raises(DomainError) as scalar:
+            evaluate(e, point)
+        with pytest.raises(DomainError) as batched:
+            compile_block([e]).run([{"p1_1": 1.0}, point])
+        assert str(batched.value) == str(scalar.value)
+        assert f"{func} of infinite value" in str(scalar.value)
 
 
 def test_unbound_variable_matches_evaluate():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geomgen import random_temporal_metric, random_transition
+from polyjet import dtensors
 from polyjet.charts import JetChart, TransitionMap, compose
 from polyjet.dtensors import (
     DTensorField,
@@ -113,6 +114,20 @@ def test_pullback_matches_pointwise_transform():
     T = _random_mixed_tensor(rng)
     T_b = pullback_dtensor(T, tm)
     rep = verify_dtensor_law(T, T_b, tm, tol=1e-9)
+    assert rep.passed, rep.max_residual
+
+
+def test_pullback_substitutes_each_component_once(monkeypatch):
+    # lower slots only, so every substitution is of a component
+    T = DTensorField(2, 2, (lower_x(), lower_t()),
+                     [[Var("x1"), Var("p1_1")], [Var("t1"), Var("x2")]], name="S")
+    seen = []
+    real = dtensors.substitute
+    monkeypatch.setattr(dtensors, "substitute",
+                        lambda e, mapping: seen.append(e) or real(e, mapping))
+    T_b = pullback_dtensor(T, shear_map_22())
+    assert len(seen) == T.components.size
+    rep = verify_dtensor_law(T, T_b, shear_map_22(), tol=1e-9)
     assert rep.passed, rep.max_residual
 
 

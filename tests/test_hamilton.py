@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from polyjet.hamilton import (
     gravitational_space,
 )
 from polyjet.metrics import Metric, pullback_metric
-from polyjet.symbolic import Const, Var, add, equiv, is_zero, mul, parse, power
+from polyjet.symbolic import Const, Var, add, as_expr, equiv, is_zero, mul, parse, power
 
 
 CHART = JetChart(2, 2)
@@ -137,6 +139,19 @@ def test_quartic_hamiltonian_rejected():
         HamiltonSpace(flat_h(), 2, H)
     with pytest.raises(NotRegular):
         extract_electrodynamic_form(H, flat_h(), 2)
+
+
+def test_nan_coefficient_fails_regularity():
+    H = add(*[power(Var(f"p{i + 1}_{a + 1}"), 2) for i in range(2) for a in range(2)])
+    res = check_kronecker_regularity(H, flat_h(), 2)
+    assert res.regular
+    poisoned = add(H, mul(as_expr(float("nan")), power(Var("p1_1"), 2)))
+    res = check_kronecker_regularity(poisoned, flat_h(), 2)
+    assert not res.regular
+    assert not math.isfinite(res.max_residual)
+    assert "not finite" in res.reason
+    with pytest.raises(NotRegular):
+        HamiltonSpace(flat_h(), 2, poisoned)
 
 
 def test_single_time_momentum_dependence_allowed():

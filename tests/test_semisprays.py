@@ -11,13 +11,12 @@ from polyjet.dtensors import DTensorField, lower_x, pullback_dtensor, upper_t, v
 from polyjet.errors import ConfigError
 from polyjet.metrics import Metric, pullback_metric
 from polyjet.semisprays import (
-    SpatialSemispray,
-    TemporalSemispray,
+    Semispray,
     canonical_spatial,
     canonical_temporal,
     check_characterization,
     decompose,
-    transform_temporal_semispray,
+    transform_semispray,
     verify_semispray_law,
 )
 from polyjet.symbolic import Const, Var, add, mul, parse, power
@@ -150,10 +149,10 @@ def test_decompose_roundtrip_and_tensor_law():
 
     base_a = canonical_temporal(h, 2)
     base_b = canonical_temporal(h_b, 2)
-    S_a = TemporalSemispray(2, 2, [
+    S_a = Semispray("temporal", 2, 2, [
         [[add(base_a.components[a][j][k], dev_a.components[a, j, k])
           for k in range(2)] for j in range(2)] for a in range(2)])
-    S_b = TemporalSemispray(2, 2, [
+    S_b = Semispray("temporal", 2, 2, [
         [[add(base_b.components[a][j][k], dev_b.components[a, j, k])
           for k in range(2)] for j in range(2)] for a in range(2)])
 
@@ -182,9 +181,9 @@ def test_spatial_decompose():
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        TemporalSemispray(2, 2, [[[Const(1.0)] * 2] * 2])  # wrong m
+        Semispray("temporal", 2, 2, [[[Const(1.0)] * 2] * 2])  # wrong m
     with pytest.raises(ConfigError):
-        SpatialSemispray(2, 2, [[[Var("q1")] * 2] * 2] * 2)  # foreign variable
+        Semispray("spatial", 2, 2, [[[Var("q1")] * 2] * 2] * 2)  # foreign variable
     with pytest.raises(ConfigError):
         verify_semispray_law(canonical_temporal(curved_h(), 2),
                              canonical_spatial(curved_phi(), 2), shear_map_22())
@@ -198,4 +197,4 @@ def test_transform_matches_intrinsic_values_pointwise():
     S = canonical_temporal(curved_h(), 2)
     asg = {nm: 0.4 for nm in CHART.names}
     q = CHART.point(asg)
-    assert np.allclose(transform_temporal_semispray(S, tm, q), S.at(asg), atol=1e-12)
+    assert np.allclose(transform_semispray(S, tm, q), S.at(asg), atol=1e-12)

@@ -76,6 +76,28 @@ def test_zero_and_one_absorption():
     assert div(Const(0), X1) == Const(0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: parse("1e400*x1", ["x1"]),
+    lambda: parse("1e308 + 1e308"),
+    lambda: parse("1e200*1e200*x1", ["x1"]),
+    lambda: add(Const(-1e308), Const(-1e308)),
+    lambda: mul(Const(1e200), X1, Const(1e200)),
+    lambda: div(Const(1e300), Const(1e-300)),
+    lambda: div(X1, Const(1e-320)),
+])
+def test_constant_overflow_is_a_domain_error(build):
+    with pytest.raises(DomainError, match="overflows"):
+        build()
+
+
+def test_non_finite_input_constants_still_fold():
+    nan, inf = float("nan"), float("inf")
+    assert math.isnan(add(Const(nan), Const(1.0)).value)
+    assert math.isnan(mul(Const(nan), Const(2.0), X1).factors[0].value)
+    assert add(Const(inf), Const(1.0)) == Const(inf)
+    assert mul(Const(inf), Const(2.0)) == Const(inf)
+
+
 def test_division_by_constant_zero_is_rejected():
     with pytest.raises(DomainError):
         div(X1, Const(0.0))
