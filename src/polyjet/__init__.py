@@ -27,6 +27,7 @@ from .symbolic import (
     differentiate,
     equiv,
     evaluate,
+    expr_array,
     parse,
     substitute,
     to_string,

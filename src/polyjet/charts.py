@@ -36,13 +36,12 @@ from .symbolic import (
     SampleDomain,
     Var,
     add,
-    as_expr,
     compile_block,
     differentiate,
     equiv,
+    expr_array,
     mul,
     substitute,
-    variables,
 )
 
 
@@ -105,25 +104,6 @@ class JetChart:
     def sample_domain(self, count: int = 20, seed: int = 0) -> SampleDomain:
         return SampleDomain.default(self.names, count=count, seed=seed)
 
-    def expr_block(self, components, shape, label: str) -> tuple:
-        """Nested tuples of expressions of the given 3-index shape, checked
-        to use only this chart's variables."""
-        allowed = set(self.names)
-        rows = tuple(tuple(tuple(as_expr(e) for e in row) for row in sheet)
-                     for sheet in components)
-        if len(rows) != shape[0] or any(
-                len(sheet) != shape[1] or any(len(row) != shape[2] for row in sheet)
-                for sheet in rows):
-            raise ConfigError(f"{label} must have shape {shape}")
-        for sheet in rows:
-            for row in sheet:
-                for e in row:
-                    extra = variables(e) - allowed
-                    if extra:
-                        raise ConfigError(
-                            f"{label} component uses foreign variables {sorted(extra)}")
-        return rows
-
     def assignment(self, point: "JetPoint") -> dict:
         out = {t_name(a): float(point.t[a]) for a in range(self.m)}
         out.update({x_name(i): float(point.x[i]) for i in range(self.n)})
@@ -178,48 +158,33 @@ class JetVelocityPoint:
         return f"JetVelocityPoint(t={self.t.tolist()}, x={self.x.tolist()}, v={self.v.tolist()})"
 
 
-def _as_expr_tuple(exprs):
-    return tuple(as_expr(e) for e in exprs)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMap:
     """A chart change t -> ttilde(t), x -> xtilde(x) with optional explicit
     inverses (expressions in the *target* chart's same-named variables).
 
     Forward expressions are enough for velocity/momentum/frame transforms
     and for all transformation-law checks; inverses are required by
-    ``inverted``, ``coframe_matrix`` and the pullback helpers.
+    ``inverted``, ``coframe_matrix`` and the pullback helpers.  All four
+    are ``expr_array`` blocks of shape (m,) or (n,).
     """
 
     m: int
     n: int
-    t_forward: tuple
-    x_forward: tuple
-    t_inverse: tuple | None = None
-    x_inverse: tuple | None = None
+    t_forward: np.ndarray
+    x_forward: np.ndarray
+    t_inverse: np.ndarray | None = None
+    x_inverse: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t_forward", _as_expr_tuple(self.t_forward))
-        object.__setattr__(self, "x_forward", _as_expr_tuple(self.x_forward))
-        if self.t_inverse is not None:
-            object.__setattr__(self, "t_inverse", _as_expr_tuple(self.t_inverse))
-        if self.x_inverse is not None:
-            object.__setattr__(self, "x_inverse", _as_expr_tuple(self.x_inverse))
         chart = JetChart(self.m, self.n)
-        if len(self.t_forward) != self.m or len(self.x_forward) != self.n:
-            raise ConfigError("transition map has wrong number of components")
-        for label, exprs, allowed in (
-            ("temporal", self.t_forward, set(chart.t_names)),
-            ("spatial", self.x_forward, set(chart.x_names)),
-            ("temporal inverse", self.t_inverse or (), set(chart.t_names)),
-            ("spatial inverse", self.x_inverse or (), set(chart.x_names)),
-        ):
-            for e in exprs:
-                extra = variables(e) - allowed
-                if extra:
-                    raise ConfigError(
-                        f"{label} transition component uses foreign variables {sorted(extra)}")
+        for attr, names, label in (("t_forward", chart.t_names, "temporal transition"),
+                                   ("x_forward", chart.x_names, "spatial transition"),
+                                   ("t_inverse", chart.t_names, "temporal inverse transition"),
+                                   ("x_inverse", chart.x_names, "spatial inverse transition")):
+            exprs = getattr(self, attr)
+            if exprs is not None:
+                object.__setattr__(self, attr, expr_array(exprs, (len(names),), names, label))
 
     # -- charts ------------------------------------------------------------
 

@@ -267,18 +267,27 @@ def load_manifest(path: str) -> Manifest:
         fault = {"block": fault["block"], "index": tuple(idx),
                  "delta": _number(fault.get("delta", 0.1), "fault_injection.delta")}
 
-    manifest = Manifest(m=m, n=n, digest=digest, temporal_metric=h,
-                        spatial_metric=phi, hamiltonian=hamiltonian,
-                        constants=constants, transition=transition,
-                        sample_count=count, sample_seed=seed,
-                        sample_intervals=intervals, tolerances=tol,
-                        evaluation_point=point, fault_injection=fault)
-    # symmetry is checked the moment the metrics come in, not assumed later
+    return Manifest(m=m, n=n, digest=digest, temporal_metric=h,
+                    spatial_metric=phi, hamiltonian=hamiltonian,
+                    constants=constants, transition=transition,
+                    sample_count=count, sample_seed=seed,
+                    sample_intervals=intervals, tolerances=tol,
+                    evaluation_point=point, fault_injection=fault)
+
+
+def _load(args):
+    """The manifest, the seed the command uses and its sample domain.
+
+    Symmetry and invertibility of the manifest's metrics are checked here,
+    once, on that domain, before any command relies on them.
+    """
+    manifest = load_manifest(args.manifest)
+    seed = _pick_seed(args, manifest)
     dom = manifest.domain(seed)
-    for metric in (h, phi):
+    for metric in (manifest.temporal_metric, manifest.spatial_metric):
         if metric is not None:
-            metric.validate(dom, tol=tol["equiv"])
-    return manifest
+            metric.validate(dom, tol=manifest.tolerances["equiv"])
+    return manifest, seed, dom
 
 
 def _pick_seed(args, manifest: Manifest) -> int:
@@ -385,6 +394,23 @@ def _cli_tol(args, manifest: Manifest, key: str) -> float:
     return _tolerance(args.tol, "--tol")
 
 
+def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks: list):
+    """Test the manifest's hamiltonian for Kronecker regularity once, record
+    the check, and build the Hamilton space on that result.  Returns the
+    result and the space, which is None when the hamiltonian is not
+    regular."""
+    _require(manifest, command, temporal_metric=manifest.temporal_metric)
+    tol = manifest.tolerances["regularity"]
+    result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
+                                        manifest.n, dom=dom, tol=tol)
+    checks.append(_regularity_check(result, tol))
+    if not result.regular:
+        return result, None
+    return result, HamiltonSpace(manifest.temporal_metric, manifest.n, manifest.hamiltonian,
+                                 constants=manifest.constants, tol=tol, dom=dom,
+                                 regularity=result)
+
+
 def _symbol_entry(metric: Metric, point: dict) -> dict:
     field = christoffel(metric)
     entry = {"metric": _matrix_strings(metric.components)}
@@ -396,9 +422,7 @@ def _symbol_entry(metric: Metric, point: dict) -> dict:
 
 def cmd_christoffel(args) -> int:
     started = time.perf_counter()
-    manifest = load_manifest(args.manifest)
-    seed = _pick_seed(args, manifest)
-    dom = manifest.domain(seed)
+    manifest, seed, dom = _load(args)
     if manifest.temporal_metric is None and manifest.spatial_metric is None:
         raise ConfigError("christoffel needs temporal_metric or spatial_metric")
     point = _eval_point(manifest, dom)
@@ -408,33 +432,21 @@ def cmd_christoffel(args) -> int:
                           ("spatial", manifest.spatial_metric)):
         if metric is None:
             continue
-        metric.validate(dom, tol=manifest.tolerances["equiv"])
         objects[label] = _symbol_entry(metric, point)
         checks.append(_trivial_check(f"metric:{label}", "metric",
                                      manifest.tolerances["equiv"], dom.count))
     if manifest.hamiltonian is not None:
-        _require(manifest, "christoffel", temporal_metric=manifest.temporal_metric)
-        reg_tol = manifest.tolerances["regularity"]
-        result = check_kronecker_regularity(
-            manifest.hamiltonian, manifest.temporal_metric, manifest.n,
-            dom=dom, tol=reg_tol)
-        checks.append(_regularity_check(result, reg_tol))
-        if result.regular:
-            space = HamiltonSpace(manifest.temporal_metric, manifest.n,
-                                  manifest.hamiltonian,
-                                  constants=manifest.constants,
-                                  tol=reg_tol, dom=dom, regularity=result)
+        _, space = _hamilton_space(manifest, "christoffel", dom, checks)
+        if space is not None:
             objects["extracted_spatial"] = _symbol_entry(space.g, point)
     return _finish("christoffel", manifest, seed, checks, objects, args, started)
 
 
 def cmd_regularity(args) -> int:
     started = time.perf_counter()
-    manifest = load_manifest(args.manifest)
-    seed = _pick_seed(args, manifest)
+    manifest, seed, dom = _load(args)
     _require(manifest, "regularity", temporal_metric=manifest.temporal_metric,
              hamiltonian=manifest.hamiltonian)
-    dom = manifest.domain(seed)
     tol = _cli_tol(args, manifest, "regularity")
     result = check_kronecker_regularity(
         manifest.hamiltonian, manifest.temporal_metric, manifest.n,
@@ -461,26 +473,15 @@ def cmd_regularity(args) -> int:
 
 def cmd_connection(args) -> int:
     started = time.perf_counter()
-    manifest = load_manifest(args.manifest)
-    seed = _pick_seed(args, manifest)
-    dom = manifest.domain(seed)
+    manifest, seed, dom = _load(args)
     checks = []
     objects = {}
     if manifest.hamiltonian is not None:
-        _require(manifest, "connection", temporal_metric=manifest.temporal_metric)
-        reg_tol = manifest.tolerances["regularity"]
-        result = check_kronecker_regularity(
-            manifest.hamiltonian, manifest.temporal_metric, manifest.n,
-            dom=dom, tol=reg_tol)
-        checks.append(_regularity_check(result, reg_tol))
-        if not result.regular:
+        result, space = _hamilton_space(manifest, "connection", dom, checks)
+        if space is None:
             objects["regularity"] = result.to_dict()
             return _finish("connection", manifest, seed, checks, objects,
                            args, started)
-        space = HamiltonSpace(manifest.temporal_metric, manifest.n,
-                              manifest.hamiltonian,
-                              constants=manifest.constants,
-                              tol=reg_tol, dom=dom, regularity=result)
         N = canonical_nonlinear_connection(space)
         objects["source"] = "hamiltonian"
     else:
@@ -502,31 +503,25 @@ def cmd_connection(args) -> int:
 
 
 def _inject_fault(N: NonlinearConnection, fault: dict) -> NonlinearConnection:
-    a, i, k = (v - 1 for v in fault["index"])
-    n1 = [list(map(list, sheet)) for sheet in N.n1]
-    n2 = [list(map(list, sheet)) for sheet in N.n2]
+    index = tuple(v - 1 for v in fault["index"])
+    n1, n2 = N.n1.copy(), N.n2.copy()
     block = n1 if fault["block"] == "N1" else n2
-    block[a][i][k] = add(block[a][i][k], Const(fault["delta"]))
+    block[index] = add(block[index], Const(fault["delta"]))
     return NonlinearConnection(N.m, N.n, n1, n2)
 
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    manifest = load_manifest(args.manifest)
-    seed = _pick_seed(args, manifest)
+    manifest, seed, dom = _load(args)
     _require(manifest, "verify", temporal_metric=manifest.temporal_metric,
              spatial_metric=manifest.spatial_metric,
              transition=manifest.transition)
     tm = manifest.transition
     if not tm.has_inverse:
         raise ConfigError("verify needs transition.t_inverse and x_inverse")
-    dom = manifest.domain(seed)
     law_tol = _cli_tol(args, manifest, "law")
-    equiv_tol = manifest.tolerances["equiv"]
     h, phi = manifest.temporal_metric, manifest.spatial_metric
-    h.validate(dom, tol=equiv_tol)
-    phi.validate(dom, tol=equiv_tol)
-    tm.validate(dom, tol=equiv_tol)
+    tm.validate(dom, tol=manifest.tolerances["equiv"])
 
     checks = []
     objects = {
@@ -544,16 +539,10 @@ def cmd_verify(args) -> int:
 
     space = None
     if manifest.hamiltonian is not None:
-        reg_tol = manifest.tolerances["regularity"]
-        result = check_kronecker_regularity(manifest.hamiltonian, h, manifest.n,
-                                            dom=dom, tol=reg_tol)
-        checks.append(_regularity_check(result, reg_tol))
-        if not result.regular:
+        _, space = _hamilton_space(manifest, "verify", dom, checks)
+        if space is None:
             return _finish("verify", manifest, seed, checks, objects, args,
                            started)
-        space = HamiltonSpace(h, manifest.n, manifest.hamiltonian,
-                              constants=manifest.constants, tol=reg_tol, dom=dom,
-                              regularity=result)
 
     built_a = builtin_dtensors(h, manifest.n)
     built_b = builtin_dtensors(h_b, manifest.n)

@@ -32,30 +32,29 @@ from .symbolic import (
     add,
     compile_block,
     differentiate,
+    expr_array,
     mul,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearConnection:
-    """Connection blocks N1 (m, n, m) and N2 (m, n, n)."""
+    """Connection blocks N1 (m, n, m) and N2 (m, n, n), both ``expr_array``
+    blocks."""
 
     m: int
     n: int
-    n1: tuple
-    n2: tuple
+    n1: np.ndarray
+    n2: np.ndarray
 
     def __post_init__(self):
-        chart = JetChart(self.m, self.n)
-        object.__setattr__(self, "n1", chart.expr_block(
-            self.n1, (self.m, self.n, self.m), "N1"))
-        object.__setattr__(self, "n2", chart.expr_block(
-            self.n2, (self.m, self.n, self.n), "N2"))
+        names = JetChart(self.m, self.n).names
+        object.__setattr__(self, "n1", expr_array(self.n1, (self.m, self.n, self.m), names, "N1"))
+        object.__setattr__(self, "n2", expr_array(self.n2, (self.m, self.n, self.n), names, "N2"))
 
     @cached_property
     def _program(self) -> Program:
-        return compile_block([e for block in (self.n1, self.n2) for sheet in block
-                              for row in sheet for e in row])
+        return compile_block([*self.n1.flat, *self.n2.flat])
 
     def at_points(self, points):
         """N1 (P, m, n, m) and N2 (P, m, n, n) at each assignment."""
@@ -69,11 +68,6 @@ class NonlinearConnection:
 
     def n2_at(self, assignment) -> np.ndarray:
         return self.at_points([assignment])[1][0]
-
-    def map_components(self, f) -> "NonlinearConnection":
-        n1 = tuple(tuple(tuple(f(e) for e in row) for row in sheet) for sheet in self.n1)
-        n2 = tuple(tuple(tuple(f(e) for e in row) for row in sheet) for sheet in self.n2)
-        return NonlinearConnection(self.m, self.n, n1, n2)
 
 
 def metric_n1(kappa, n: int) -> list:

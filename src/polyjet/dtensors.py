@@ -31,12 +31,11 @@ from .symbolic import (
     SampleDomain,
     ZERO,
     add,
-    as_expr,
     compile_block,
     differentiate,
+    expr_array,
     mul,
     substitute,
-    variables,
 )
 
 
@@ -73,28 +72,16 @@ def lower_x(doubled_with=None) -> IndexSlot:
 
 
 class DTensorField:
-    """Expression-valued tensor components plus their slot structure."""
+    """Expression-valued tensor components, an ``expr_array`` of the slot
+    shape, plus their slot structure."""
 
     def __init__(self, m: int, n: int, slots, components, name: str = "T"):
         self.m = int(m)
         self.n = int(n)
         self.slots = tuple(slots)
         self.name = name
-        comps = np.empty(self.shape, dtype=object)
-        arr = np.asarray(components, dtype=object)
-        if arr.shape != self.shape:
-            raise ConfigError(
-                f"components of {name!r} must have shape {self.shape}, got {arr.shape}")
-        chart = JetChart(self.m, self.n)
-        allowed = set(chart.names)
-        for idx in np.ndindex(self.shape):
-            e = as_expr(arr[idx])
-            extra = variables(e) - allowed
-            if extra:
-                raise ConfigError(
-                    f"component {idx} of {name!r} uses foreign variables {sorted(extra)}")
-            comps[idx] = e
-        self.components = comps
+        self.components = expr_array(components, self.shape, JetChart(self.m, self.n).names,
+                                     f"d-tensor {name!r}")
         self._validate_doubling()
 
     @property
@@ -118,11 +105,11 @@ class DTensorField:
 
     @cached_property
     def _program(self) -> Program:
-        return compile_block(self.components.ravel())
+        return compile_block(self.components)
 
     def at_points(self, points) -> np.ndarray:
         """Component arrays at each assignment, shape (P, *shape)."""
-        return self._program.run(points).reshape(-1, *self.shape)
+        return self._program.run(points)
 
     def at(self, assignment) -> np.ndarray:
         return self.at_points([assignment])[0]

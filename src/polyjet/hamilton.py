@@ -47,6 +47,7 @@ from .symbolic import (
     compile_block,
     differentiate,
     equiv,
+    expr_array,
     is_zero,
     mul,
     substitute,
@@ -144,10 +145,7 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
         raise ConfigError("regularity is defined against a temporal metric")
     m = h.dim
     chart = JetChart(m, n)
-    H = as_expr(H)
-    extra = variables(H) - set(chart.names)
-    if extra:
-        raise ConfigError(f"hamiltonian uses foreign variables {sorted(extra)}")
+    H = expr_array(H, (), chart.names, "hamiltonian").item()
     if vertical is None:
         vertical = fundamental_vertical_dtensor(H, m, n)
     cand = _candidate_block(vertical, h)
@@ -155,7 +153,7 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
         dom = chart.sample_domain()
 
     points = dom.points()
-    g_values = compile_block([e for row in cand for e in row]).run(points).reshape(-1, n, n)
+    g_values = compile_block(cand).run(points)
     label = partial(entry_label, "G")
     rep = sweep("kronecker-regularity", tol, points,
                 (((label, big, np.einsum("ab,ij->iajb", hv, gv)),)
@@ -297,10 +295,7 @@ class HamiltonSpace:
         self.m = h.dim
         self.n = int(n)
         self.chart = JetChart(self.m, self.n)
-        self.hamiltonian = as_expr(hamiltonian)
-        extra = variables(self.hamiltonian) - set(self.chart.names)
-        if extra:
-            raise ConfigError(f"hamiltonian uses foreign variables {sorted(extra)}")
+        self.hamiltonian = expr_array(hamiltonian, (), self.chart.names, "hamiltonian").item()
         self.constants = dict(constants or {})
         self.tolerance = float(tol)
         if regularity is None:
@@ -500,15 +495,7 @@ def autonomous_electrodynamic_space(h: Metric, phi: Metric, potential,
     _check_positive(mass=mass, light_speed=light_speed, charge=charge)
     m, n = h.dim, phi.dim
     chart = JetChart(m, n)
-    A = [[as_expr(potential[i][a]) for a in range(m)] for i in range(n)]
-    allowed = set(chart.x_names)
-    for i in range(n):
-        for a in range(m):
-            extra = variables(A[i][a]) - allowed
-            if extra:
-                raise ConfigError(
-                    f"autonomous potential may only use spatial variables; "
-                    f"entry ({i + 1},{a + 1}) uses {sorted(extra)}")
+    A = expr_array(potential, (n, m), chart.x_names, "autonomous potential")
     mass, light_speed, charge = float(mass), float(light_speed), float(charge)
     phi_upper = phi.inverse_components
     h_upper = h.inverse_components
@@ -542,17 +529,9 @@ def general_electrodynamic_space(h: Metric, g: Metric, potential,
     if g.m != m:
         raise ConfigError("temporal dimensions of h and g disagree")
     chart = JetChart(m, n)
-    allowed = set(chart.t_names) | set(chart.x_names)
-    U = [[as_expr(potential[i][a]) for a in range(m)] for i in range(n)]
-    F = as_expr(free_term)
-    for i in range(n):
-        for a in range(m):
-            extra = variables(U[i][a]) - allowed
-            if extra:
-                raise ConfigError(f"potential entry ({i + 1},{a + 1}) uses "
-                                  f"{sorted(extra)}")
-    if variables(F) - allowed:
-        raise ConfigError("free term may only use base variables")
+    allowed = chart.t_names + chart.x_names
+    U = expr_array(potential, (n, m), allowed, "potential")
+    F = expr_array(free_term, (), allowed, "free term").item()
     g_upper = g.inverse_components
     quad = [mul(h.components[a][b], g_upper[i][j],
                 chart.p_var(i, a), chart.p_var(j, b))

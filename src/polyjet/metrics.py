@@ -30,70 +30,56 @@ from .symbolic import (
     Program,
     SampleDomain,
     add,
-    as_expr,
     compile_block,
     differentiate,
     equiv,
+    expr_array,
     mul,
     neg,
     substitute,
-    variables,
 )
 
 KINDS = ("temporal", "spatial", "spatiotemporal")
 
 
-def _rows(components):
-    return tuple(tuple(as_expr(e) for e in row) for row in components)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """A symmetric second-order field with lower indices.
 
-    ``components[i][j]`` are expressions in the kind's base variables.
-    Symmetry is checked by ``validate`` (loaders call it), not assumed at
-    construction.
+    ``components`` is a (dim, dim) ``expr_array`` in the kind's base
+    variables.  Symmetry is checked by ``validate`` (each CLI command calls
+    it once), not assumed at construction.
     """
 
     kind: str
     m: int
     n: int
-    components: tuple
+    components: np.ndarray
     p_dependent: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "components", _rows(self.components))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown metric kind {self.kind!r}")
-        d = self.dim
-        if len(self.components) != d or any(len(r) != d for r in self.components):
-            raise ConfigError(f"{self.kind} metric must be {d}x{d}")
         if self.p_dependent and self.kind != "spatiotemporal":
             raise ConfigError("only spatiotemporal metrics may depend on p")
-        allowed = set(self.base_names)
-        for row in self.components:
-            for e in row:
-                extra = variables(e) - allowed
-                if extra:
-                    raise ConfigError(
-                        f"{self.kind} metric component uses foreign variables {sorted(extra)}")
+        object.__setattr__(self, "components", expr_array(
+            self.components, (self.dim, self.dim), self.base_names, f"{self.kind} metric"))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def temporal(cls, components, m: int | None = None) -> "Metric":
         m = len(components) if m is None else m
-        return cls("temporal", m, 1, _rows(components))
+        return cls("temporal", m, 1, components)
 
     @classmethod
     def spatial(cls, components, n: int | None = None) -> "Metric":
         n = len(components) if n is None else n
-        return cls("spatial", 1, n, _rows(components))
+        return cls("spatial", 1, n, components)
 
     @classmethod
     def spatiotemporal(cls, components, m: int, p_dependent: bool = False) -> "Metric":
-        return cls("spatiotemporal", m, len(components), _rows(components), p_dependent)
+        return cls("spatiotemporal", m, len(components), components, p_dependent)
 
     # -- structure -------------------------------------------------------------
 
@@ -123,11 +109,11 @@ class Metric:
 
     @cached_property
     def _program(self) -> Program:
-        return compile_block([e for row in self.components for e in row])
+        return compile_block(self.components)
 
     def at_points(self, points) -> np.ndarray:
         """Component matrices at each assignment, shape (P, dim, dim)."""
-        return self._program.run(points).reshape(-1, self.dim, self.dim)
+        return self._program.run(points)
 
     def at(self, assignment) -> np.ndarray:
         return self.at_points([assignment])[0]
@@ -166,36 +152,33 @@ class Metric:
             self._checked_inverse(mat, pt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChristoffelField:
     """Second-kind Christoffel symbols Gamma^k_ij of a metric.
 
     ``components[k][i][j]`` are exact expressions when the dimension allows
     a symbolic inverse; beyond that the field still evaluates numerically
     through ``at`` (sampled inverse times exact derivative expressions).
+    Both ``components`` and ``derivatives[i][j][k]`` (d g_ij / d v^k) are
+    (dim, dim, dim) ``expr_array`` blocks.
     """
 
     kind: str
     dim: int
-    components: tuple | None
-    metric: Metric = field(repr=False, compare=False, default=None)
-    derivatives: tuple = field(repr=False, compare=False, default=None)
+    components: np.ndarray | None
+    metric: Metric = field(repr=False, default=None)
+    derivatives: np.ndarray = field(repr=False, default=None)
 
     @cached_property
     def _program(self) -> Program:
-        block = self.derivatives if self.components is None else self.components
-        return compile_block([e for plane in block for row in plane for e in row])
-
-    def _block_at(self, assignment) -> np.ndarray:
-        d = self.dim
-        return self._program.run([assignment]).reshape(d, d, d)
+        return compile_block(self.derivatives if self.components is None else self.components)
 
     def at(self, assignment) -> np.ndarray:
         if self.components is not None:
-            return self._block_at(assignment)
+            return self._program.run([assignment])[0]
         inv = self.metric.inverse_at(assignment)
         d = self.dim
-        dg = self._block_at(assignment)
+        dg = self._program.run([assignment])[0]
         out = np.zeros((d, d, d))
         for k in range(d):
             for i in range(d):
@@ -212,31 +195,20 @@ def christoffel(g: Metric) -> ChristoffelField:
     x otherwise)."""
     d = g.dim
     names = g.christoffel_names
-    derivs = tuple(
-        tuple(tuple(differentiate(g.components[i][j], names[k]) for k in range(d))
-              for j in range(d))
-        for i in range(d))
+    derivs = expr_array([[[differentiate(g.components[i][j], names[k]) for k in range(d)]
+                          for j in range(d)] for i in range(d)], (d, d, d))
     if d > SYM_INVERSE_MAX_DIM:
         return ChristoffelField(g.kind, d, None, metric=g, derivatives=derivs)
     inv = g.inverse_components
-    comps = []
-    for k in range(d):
-        plane = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                terms = [
-                    mul(Const(0.5), inv[k][l],
-                        add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
-                    for l in range(d)
-                ]
-                row.append(add(*terms))
-            plane.append(tuple(row))
-        comps.append(tuple(plane))
-    return ChristoffelField(g.kind, d, tuple(comps), metric=g, derivatives=derivs)
+    comps = [[[add(*[mul(Const(0.5), inv[k][l],
+                         add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
+                     for l in range(d)])
+               for j in range(d)] for i in range(d)] for k in range(d)]
+    return ChristoffelField(g.kind, d, expr_array(comps, (d, d, d)), metric=g,
+                            derivatives=derivs)
 
 
-def christoffel_symbols(g: Metric) -> tuple:
+def christoffel_symbols(g: Metric) -> np.ndarray:
     """The exact components of ``christoffel(g)``, Gamma[k][i][j]."""
     components = christoffel(g).components
     if components is None:
@@ -277,14 +249,7 @@ def pullback_metric(g: Metric, tm: TransitionMap) -> Metric:
     jac = tuple(tuple(differentiate(inverse[r], names[c]) for c in range(len(names)))
                 for r in range(len(names)))
     d = g.dim
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            terms = [
-                mul(substitute(g.components[k][l], point_map), jac[k][i], jac[l][j])
-                for k in range(d) for l in range(d)
-            ]
-            row.append(add(*terms))
-        rows.append(tuple(row))
-    return Metric(g.kind, g.m, g.n, tuple(rows), g.p_dependent)
+    rows = [[add(*[mul(substitute(g.components[k][l], point_map), jac[k][i], jac[l][j])
+                   for k in range(d) for l in range(d)])
+             for j in range(d)] for i in range(d)]
+    return Metric(g.kind, g.m, g.n, rows, g.p_dependent)

@@ -22,40 +22,37 @@ from .dtensors import DTensorField, builtin_dtensors, lower_x, upper_t
 from .errors import ConfigError
 from .metrics import Metric, christoffel_symbols
 from .report import VerificationReport, entry_label, sweep
-from .symbolic import Const, Program, SampleDomain, add, as_expr, compile_block, mul
+from .symbolic import Const, Program, SampleDomain, add, compile_block, expr_array, mul
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Semispray:
-    """An (m, n, n) semispray block of expressions in (t, x, p): G1[b][j][i]
-    when ``kind`` is 'temporal', G2[b][j][i] when it is 'spatial'."""
+    """An (m, n, n) ``expr_array`` block of expressions in (t, x, p):
+    G1[b][j][i] when ``kind`` is 'temporal', G2[b][j][i] when it is
+    'spatial'."""
 
     kind: str
     m: int
     n: int
-    components: tuple
+    components: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("temporal", "spatial"):
             raise ConfigError(f"unknown semispray kind {self.kind!r}")
-        object.__setattr__(self, "components", JetChart(self.m, self.n).expr_block(
-            self.components, (self.m, self.n, self.n), f"{self.kind} semispray"))
+        object.__setattr__(self, "components", expr_array(
+            self.components, (self.m, self.n, self.n), JetChart(self.m, self.n).names,
+            f"{self.kind} semispray"))
 
     @cached_property
     def _program(self) -> Program:
-        return compile_block([e for sheet in self.components for row in sheet for e in row])
+        return compile_block(self.components)
 
     def at_points(self, points) -> np.ndarray:
         """Block values at each assignment, shape (P, m, n, n)."""
-        return self._program.run(points).reshape(-1, self.m, self.n, self.n)
+        return self._program.run(points)
 
     def at(self, assignment) -> np.ndarray:
         return self.at_points([assignment])[0]
-
-    def map_components(self, f) -> "Semispray":
-        return Semispray(self.kind, self.m, self.n, tuple(
-            tuple(tuple(f(e) for e in row) for row in sheet)
-            for sheet in self.components))
 
 
 def canonical_temporal(h: Metric, n: int) -> Semispray:
@@ -156,12 +153,9 @@ def check_characterization(block, kind: str, h: Metric,
     if h.kind != "temporal":
         raise ConfigError("characterization requires the temporal metric h")
     m = h.dim
-    rows = tuple(tuple(as_expr(e) for e in row) for row in block)
-    n = len(rows[0]) if kind == "temporal" else len(rows)
-    if kind == "temporal" and len(rows) != m:
-        raise ConfigError("temporal block must have shape (m, n)")
-    if kind == "spatial" and any(len(r) != n for r in rows):
-        raise ConfigError("spatial block must have shape (n, n)")
+    n = len(block[0]) if kind == "temporal" else len(block)
+    block = expr_array(block, (m, n) if kind == "temporal" else (n, n),
+                       label=f"{kind} block")
     chart = JetChart(m, n)
     built = builtin_dtensors(h, n)
     if dom is None:
@@ -169,8 +163,7 @@ def check_characterization(block, kind: str, h: Metric,
     points = dom.points()
     j_values = built["J"].at_points(points)  # [P, i, a, b, j]
     l_values = built["L"].at_points(points)  # [P, c, j, a, b]
-    b_values = compile_block([e for r in rows for e in r]).run(points).reshape(
-        -1, len(rows), len(rows[0]))
+    b_values = compile_block(block).run(points)
     if kind == "temporal":
         pairs = ((np.einsum("iabj,ci->cjab", jv, bv), lv)
                  for jv, lv, bv in zip(j_values, l_values, b_values))

@@ -22,6 +22,7 @@ coordinates ``t1..tm``, spatial coordinates ``x1..xn``, polymomenta
 from __future__ import annotations
 
 import math
+from itertools import chain
 import operator
 import re
 from dataclasses import dataclass, replace
@@ -42,6 +43,13 @@ FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _DIGITS_RE = re.compile(r"\d+")
+
+# Deepest nesting of parentheses, function calls and unary minus that the
+# parser accepts.  The parser and the recursive walks over a parsed tree
+# (evaluate, differentiate, substitute, equality, printing) take several
+# stack frames per level; at this depth every command still runs with
+# room to spare below Python's default recursion limit.
+MAX_NESTING = 64
 
 
 class Expr:
@@ -150,6 +158,33 @@ def as_expr(value) -> Expr:
     if isinstance(value, (int, float)):
         return Const(float(value))
     raise TypeError(f"cannot interpret {value!r} as an expression")
+
+
+def expr_array(components, shape, allowed=None, label: str = "expression block") -> np.ndarray:
+    """The one storage format of expression blocks: a read-only object
+    array of the given shape whose entries went through ``as_expr``.
+
+    With ``allowed`` given, every entry may use only those variable names.
+    A wrong shape or a foreign variable raises ConfigError naming ``label``.
+    """
+    shape = tuple(shape)
+    try:
+        source = np.asarray(components, dtype=object)
+    except ValueError:  # ragged nesting that numpy cannot lay out
+        raise ConfigError(f"{label} must have shape {shape}") from None
+    if source.shape != shape:
+        raise ConfigError(f"{label} must have shape {shape}, got {source.shape}")
+    block = np.fromiter(map(as_expr, source.flat), dtype=object,
+                        count=source.size).reshape(shape)
+    if allowed is not None:
+        allowed = frozenset(allowed)
+        for index, e in np.ndenumerate(block):
+            extra = variables(e) - allowed
+            if extra:
+                where = f"{label}[{','.join(str(i + 1) for i in index)}]" if index else label
+                raise ConfigError(f"{where} uses foreign variables {sorted(extra)}")
+    block.flags.writeable = False
+    return block
 
 
 def const(value) -> Const:
@@ -266,12 +301,18 @@ def div(numerator: Expr, denominator: Expr) -> Expr:
 
 
 def _folded(value: float, operands) -> Const:
-    """The constant folded from ``operands``.  Folding may pass on an
-    infinity it was given, but must not make one out of finite constants."""
-    if math.isinf(value) and all(math.isfinite(e.value) for e in operands
-                                 if isinstance(e, Const)):
-        raise DomainError(f"constant folding overflows to {value!r}")
-    return Const(value)
+    """The constant folded from ``operands``."""
+    return Const(_no_overflow(value, [e.value for e in operands if isinstance(e, Const)],
+                              "constant folding"))
+
+
+def _no_overflow(value: float, operands, what: str) -> float:
+    """``value``, computed by ``what`` from ``operands``.  It may pass on an
+    infinity or NaN it was given, but must not make one out of finite
+    operands."""
+    if not math.isfinite(value) and all(map(math.isfinite, operands)):
+        raise DomainError(f"{what} overflows to {value!r}")
+    return value
 
 
 def _power_value(base: float, exponent: int) -> float:
@@ -279,6 +320,14 @@ def _power_value(base: float, exponent: int) -> float:
         return base ** exponent
     except OverflowError as exc:
         raise DomainError(f"power overflow at {base!r}^{exponent}") from exc
+
+
+def _product_value(values) -> float:
+    return _no_overflow(math.prod(values), values, "product")
+
+
+def _quotient_value(numerator: float, denominator: float) -> float:
+    return _no_overflow(numerator / denominator, (numerator, denominator), "quotient")
 
 
 def _sum_value(values) -> float:
@@ -357,9 +406,7 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
         elif isinstance(node, Sum):
             val = _sum_value([ev(t) for t in node.terms])
         elif isinstance(node, Product):
-            val = 1.0
-            for f in node.factors:
-                val *= ev(f)
+            val = _product_value([ev(f) for f in node.factors])
         elif isinstance(node, Power):
             val = _power_value(ev(node.base), node.exponent)
         elif isinstance(node, Neg):
@@ -368,7 +415,7 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
             den = ev(node.denominator)
             if den == 0.0:
                 raise DomainError("division by zero during evaluation")
-            val = ev(node.numerator) / den
+            val = _quotient_value(ev(node.numerator), den)
         elif isinstance(node, Call):
             val = _apply_function(node.func, ev(node.arg))
         else:
@@ -513,7 +560,7 @@ _CONST, _VAR, _SUM, _PRODUCT, _POWER, _NEG, _QUOTIENT, _CALL = range(8)
 _CALL_VALUE = {"exp": math.exp, "ln": math.log, "sin": math.sin,
                "cos": math.cos, "sqrt": math.sqrt}
 
-# what the scalar operations above raise where ``evaluate`` would fail
+# what a column op raises where ``evaluate`` may fail at some sample
 _FAULTS = (ArithmeticError, ValueError, KeyError)
 
 
@@ -544,12 +591,14 @@ def _node_op(node):
 def compile_block(exprs) -> "Program":
     """Compile a block of expressions into one value-numbered program.
 
-    The union of the roots is walked once with one identity memo, to the
-    same depth as ``evaluate``.  Every node gets the slot of its structural
-    key (opcode, payload, child slots), so structurally equal subtrees
-    share a slot and no tree is ever hashed whole.  The program keeps no
-    reference to the expressions.
+    ``exprs`` is an array or a nested sequence of expressions, and the
+    program keeps its shape.  The union of the roots is walked once with
+    one identity memo, to the same depth as ``evaluate``.  Every node gets
+    the slot of its structural key (opcode, payload, child slots), so
+    structurally equal subtrees share a slot and no tree is ever hashed
+    whole.  The program keeps no reference to the expressions.
     """
+    block = np.asarray(exprs, dtype=object)
     slot_of: dict[int, int] = {}
     table: dict[tuple, int] = {}
     ops: list[tuple] = []
@@ -569,23 +618,10 @@ def compile_block(exprs) -> "Program":
         return slot
 
     try:
-        roots = [visit(e) for e in map(as_expr, exprs)]
+        roots = [visit(e) for e in map(as_expr, block.flat)]
     finally:
         del visit  # the closure refers to itself; drop that cycle with the memo
-    return Program(ops, roots)
-
-
-def _guarded(fn, rows, failed: list) -> list:
-    """Apply fn to each argument tuple; a fault marks its sample in
-    ``failed`` and leaves NaN in its place."""
-    out = []
-    for index, row in enumerate(rows):
-        try:
-            out.append(fn(*row))
-        except _FAULTS:
-            failed.append(index)
-            out.append(math.nan)
-    return out
+    return Program(ops, roots, block.shape)
 
 
 class Program:
@@ -595,64 +631,68 @@ class Program:
     column.  Each op applies the very scalar operation ``evaluate`` applies
     (``math.fsum`` per point for sums, left-to-right products, Python
     ``float ** int`` and the ``math`` functions), so results are
-    bit-identical to ``evaluate``.  A sample at which some op leaves the
-    domain is replayed alone in ``evaluate``'s visiting order, which raises
-    exactly the error ``evaluate`` raises there, for the lowest such sample.
+    bit-identical to ``evaluate``.  Where some op faults, or some value is
+    not finite (a product or quotient may have overflowed), every sample is
+    replayed in order in ``evaluate``'s visiting order instead: the first
+    sample at which ``evaluate`` raises raises exactly its error, and when
+    none does, the replayed values are the result.
     """
 
-    __slots__ = ("ops", "roots")
+    __slots__ = ("ops", "roots", "shape")
 
-    def __init__(self, ops, roots):
+    def __init__(self, ops, roots, shape):
         self.ops = tuple(ops)
         self.roots = tuple(roots)
+        self.shape = tuple(shape)
 
     def run(self, points) -> np.ndarray:
-        """Values at each point: an array of shape (len(points), len(roots))."""
+        """Values at each point: an array of shape (len(points), *shape)."""
         points = list(points)
         count = len(points)
-        failed: list[int] = []
-        vals: list[list] = []
-        for code, arg, kids in self.ops:
-            try:
-                if code == _PRODUCT:
-                    col = list(map(math.prod, zip(*[vals[k] for k in kids])))
-                elif code == _SUM:
-                    col = list(map(math.fsum, zip(*[vals[k] for k in kids])))
-                elif code == _POWER:
-                    col = [v ** arg for v in vals[kids[0]]]
-                elif code == _NEG:
-                    col = [-v for v in vals[kids[0]]]
-                elif code == _QUOTIENT:
-                    col = list(map(operator.truediv, vals[kids[0]], vals[kids[1]]))
-                elif code == _CALL:
-                    col = list(map(_CALL_VALUE[arg], vals[kids[0]]))
-                elif code == _VAR:
-                    col = [float(pt[arg]) for pt in points]
-                else:
-                    col = [arg] * count
-            except _FAULTS:
-                col = self._faulty_column(code, arg, kids, vals, points, failed)
-            vals.append(col)
-        out = np.array([vals[r] for r in self.roots], dtype=float)
-        out = np.ascontiguousarray(out.reshape(len(self.roots), count).T)
-        for index in sorted(set(failed)):
-            # raises at the first sample where evaluate raises
-            out[index] = self._replay(points[index])
-        return out
+        try:
+            vals = self._columns(points)
+        except _FAULTS:
+            out = np.array([self._replay(point) for point in points], dtype=float)
+        else:
+            out = np.array([vals[r] for r in self.roots], dtype=float).T
+        return np.ascontiguousarray(out).reshape(count, *self.shape)
 
-    @staticmethod
-    def _faulty_column(code, arg, kids, vals, points, failed) -> list:
-        """The column of an op that raised somewhere, sample by sample.
-        Products, negations and constants never raise."""
-        if code == _VAR:
-            return _guarded(lambda pt: float(pt[arg]), zip(points), failed)
-        if code == _POWER:
-            return _guarded(lambda v: v ** arg, zip(vals[kids[0]]), failed)
-        if code == _QUOTIENT:
-            return _guarded(operator.truediv, zip(vals[kids[0]], vals[kids[1]]), failed)
-        if code == _CALL:
-            return _guarded(_CALL_VALUE[arg], zip(vals[kids[0]]), failed)
-        return _guarded(lambda *t: math.fsum(t), zip(*[vals[k] for k in kids]), failed)
+    def _columns(self, points) -> list:
+        """Every slot's values over all points, or a fault where
+        ``evaluate`` may differ at some sample."""
+        vals: list[list] = []
+        # Every slot feeds some root, and a non-finite value either reaches
+        # it, raises on the way, or is masked as a denominator (x/inf = 0)
+        # or an exp argument (exp(-inf) = 0).  So when the watched columns
+        # are finite, every column is, and no product or quotient overflowed.
+        watched: list[list] = []
+        for code, arg, kids in self.ops:
+            if code == _PRODUCT:
+                col = list(map(math.prod, zip(*[vals[k] for k in kids])))
+            elif code == _SUM:
+                col = list(map(math.fsum, zip(*[vals[k] for k in kids])))
+            elif code == _POWER:
+                col = [v ** arg for v in vals[kids[0]]]
+            elif code == _NEG:
+                col = [-v for v in vals[kids[0]]]
+            elif code == _QUOTIENT:
+                col = list(map(operator.truediv, vals[kids[0]], vals[kids[1]]))
+                watched.append(vals[kids[1]])
+            elif code == _CALL:
+                col = list(map(_CALL_VALUE[arg], vals[kids[0]]))
+                if arg == "exp":
+                    watched.append(vals[kids[0]])
+            elif code == _VAR:
+                col = [float(pt[arg]) for pt in points]
+            else:
+                col = [arg] * len(points)
+            vals.append(col)
+        watched.extend(map(vals.__getitem__, self.roots))
+        if not math.isfinite(sum(chain.from_iterable(watched))):
+            # an overflow, or an infinity or NaN from the input: the replay
+            # tells them apart
+            raise OverflowError("non-finite value")
+        return vals
 
     def _replay(self, point) -> list:
         memo: dict[int, float] = {}
@@ -674,9 +714,7 @@ def _replay_slot(ops, slot: int, point, memo: dict) -> float:
     elif code == _SUM:
         val = _sum_value([_replay_slot(ops, k, point, memo) for k in kids])
     elif code == _PRODUCT:
-        val = 1.0
-        for k in kids:
-            val *= _replay_slot(ops, k, point, memo)
+        val = _product_value([_replay_slot(ops, k, point, memo) for k in kids])
     elif code == _POWER:
         val = _power_value(_replay_slot(ops, kids[0], point, memo), arg)
     elif code == _NEG:
@@ -685,7 +723,7 @@ def _replay_slot(ops, slot: int, point, memo: dict) -> float:
         den = _replay_slot(ops, kids[1], point, memo)
         if den == 0.0:
             raise DomainError("division by zero during evaluation")
-        val = _replay_slot(ops, kids[0], point, memo) / den
+        val = _quotient_value(_replay_slot(ops, kids[0], point, memo), den)
     else:
         val = _apply_function(arg, _replay_slot(ops, kids[0], point, memo))
     memo[slot] = val
@@ -696,20 +734,17 @@ def _replay_slot(ops, slot: int, point, memo: dict) -> float:
 # printing
 
 def _fmt_const(v: float) -> str:
-    if v == math.floor(v) and abs(v) < 1e16:
+    if abs(v) < 1e16 and v == math.floor(v):
         return str(int(v))
     return repr(v)
 
 
 def _print_expr(e) -> str:
     if isinstance(e, Sum):
-        parts = []
-        for i, t in enumerate(e.terms):
+        parts = [_print_term(e.terms[0])]
+        for t in e.terms[1:]:
             sign, body = _signed_term(t)
-            if i == 0:
-                parts.append(body if sign == "+" else "-" + body)
-            else:
-                parts.append(f" {sign} {body}")
+            parts.append(f" {sign} {body}")
         return "".join(parts)
     return _print_term(e)
 
@@ -784,6 +819,9 @@ class _Parser:
         factor := base ('^' integer)?
         base   := number | ident | func '(' expr ')' | '(' expr ')' | '-' base
 
+    Parentheses, function calls and unary minus nest at most MAX_NESTING
+    levels deep; deeper input is an ExprSyntaxError.
+
     Identifiers may themselves contain carets (e.g. a declared variable
     "p_1^1"), so identifier lexing munches maximally and then backs off to
     the longest allowed-variable prefix that ends at a caret boundary.
@@ -793,6 +831,7 @@ class _Parser:
         self.src = source
         self.pos = 0
         self.allowed = allowed
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self._expr()
@@ -803,6 +842,17 @@ class _Parser:
 
     def _error(self, message):
         raise ExprSyntaxError(message, self.pos)
+
+    def _nested(self, parse_inner) -> Expr:
+        """Consume the character that opens a nesting level, then
+        ``parse_inner()`` one level further in."""
+        if self.depth == MAX_NESTING:
+            self._error(f"expression nests deeper than {MAX_NESTING} levels")
+        self.pos += 1
+        self.depth += 1
+        e = parse_inner()
+        self.depth -= 1
+        return e
 
     def _skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -869,16 +919,14 @@ class _Parser:
         if not c:
             self._error("expected an expression")
         if c == "(":
-            self.pos += 1
-            e = self._expr()
+            e = self._nested(self._expr)
             self._skip_ws()
             if self._peek() != ")":
                 self._error("expected ')'")
             self.pos += 1
             return e
         if c == "-":
-            self.pos += 1
-            return neg(self._base())
+            return neg(self._nested(self._base))
         if c.isdigit():
             m = _NUMBER_RE.match(self.src, self.pos)
             value = float(m.group())
@@ -899,8 +947,7 @@ class _Parser:
             self._skip_ws()
             if self._peek() != "(":
                 self._error(f"expected '(' after function {s!r}")
-            self.pos += 1
-            arg = self._expr()
+            arg = self._nested(self._expr)
             self._skip_ws()
             if self._peek() != ")":
                 self._error("expected ')'")

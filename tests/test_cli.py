@@ -18,6 +18,8 @@ from polyjet.cli import (
     load_manifest,
     main,
 )
+from polyjet.metrics import Metric
+from polyjet.symbolic import MAX_NESTING
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -220,6 +222,55 @@ def test_constant_overflow_in_hamiltonian_is_a_domain_error(tmp_path, capsys):
     for command in ("regularity", "connection", "christoffel", "verify"):
         assert main([command, path]) == EXIT_METRIC
         assert "overflows" in capsys.readouterr().err
+
+
+def test_product_overflow_in_hamiltonian_is_a_domain_error(tmp_path, capsys):
+    data = json.loads((MANIFESTS / "curved.json").read_text())
+    path = rewrite(tmp_path, "curved.json",
+                   hamiltonian=data["hamiltonian"] + " + 1e300*p1_1*exp(x1 + 700)")
+    for command in ("regularity", "connection", "christoffel", "verify"):
+        assert main([command, path]) == EXIT_METRIC
+        assert "product overflows to" in capsys.readouterr().err
+
+
+def _nested(opening: str, depth: int, inner: str) -> str:
+    return opening * depth + inner + ")" * depth
+
+
+@pytest.mark.parametrize("opening", ["(", "sin("])
+def test_nesting_at_the_limit_runs_every_command(tmp_path, opening):
+    data = json.loads((MANIFESTS / "flat.json").read_text())
+    path = rewrite(tmp_path, "flat.json",
+                   hamiltonian=data["hamiltonian"] + " + " + _nested(opening, MAX_NESTING, "x1"),
+                   spatial_metric=[["1", "0"], ["0", "2 + " + _nested(opening, MAX_NESTING, "x2")]])
+    for command in ("christoffel", "regularity", "connection", "verify"):
+        assert main([command, path]) == EXIT_OK
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400])
+@pytest.mark.parametrize("opening", ["(", "sin("])
+def test_deeper_nesting_is_a_config_error(tmp_path, capsys, opening, depth):
+    path = rewrite(tmp_path, "flat.json",
+                   spatial_metric=[["1", "0"], ["0", "2 + " + _nested(opening, depth, "x2")]])
+    for command in ("christoffel", "regularity", "connection", "verify"):
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "nests deeper than" in err and "offset" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["christoffel", "connection", "regularity", "verify"])
+def test_each_metric_is_validated_once_on_the_command_domain(monkeypatch, command):
+    seeds = []
+    real = Metric.validate
+
+    def counted(self, dom=None, tol=1e-9):
+        seeds.append((self.kind, dom.seed))
+        return real(self, dom, tol)
+
+    monkeypatch.setattr(Metric, "validate", counted)
+    assert main([command, str(MANIFESTS / "curved.json"), "--seed", "3"]) == EXIT_OK
+    assert sorted(seeds) == [("spatial", 3), ("temporal", 3)]
 
 
 @pytest.mark.parametrize("command, runs", [

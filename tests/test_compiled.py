@@ -296,6 +296,12 @@ def test_quotient_checks_its_denominator_before_its_numerator():
 @pytest.mark.parametrize("source, point", [
     ("(10*x1)^400", {"x1": 0.9}),
     ("exp(x1^2)", {"x1": 30.0}),
+    ("1e300*x1*exp(x1 + 700)", {"x1": 2.0}),
+    ("1e300/x1", {"x1": 1e-300}),
+    ("sin(1e308*x1*x1*x1)", {"x1": 2.0}),
+    # overflows whose infinity a quotient or exp turns back into 0
+    ("1/(1e300*x1*x1)", {"x1": 1e10}),
+    ("exp(-1e300*x1*x1)", {"x1": 1e10}),
 ])
 def test_overflow_is_a_domain_error_on_both_paths(source, point):
     e = parse(source, ["x1"])
@@ -309,14 +315,27 @@ def test_overflow_is_a_domain_error_on_both_paths(source, point):
 
 def test_sin_and_cos_of_infinity_are_domain_errors_on_both_paths():
     for func in ("sin", "cos"):
-        e = parse(f"{func}(1e308*p1_1*p1_1*p1_1)", ["p1_1"])
-        point = {"p1_1": 2.0}
+        # a product of finite values that overflows raises first, so the
+        # infinity comes from the input
+        e = parse(f"{func}(2*p1_1)", ["p1_1"])
+        point = {"p1_1": math.inf}
         with pytest.raises(DomainError) as scalar:
             evaluate(e, point)
         with pytest.raises(DomainError) as batched:
             compile_block([e]).run([{"p1_1": 1.0}, point])
         assert str(batched.value) == str(scalar.value)
         assert f"{func} of infinite value" in str(scalar.value)
+
+
+@pytest.mark.parametrize("point", [
+    {"x1": math.inf, "t1": 2.0},
+    {"x1": 1.0, "t1": -math.inf},
+    {"x1": math.nan, "t1": 1e-300},
+])
+def test_infinities_and_nans_in_the_input_pass_through(point):
+    # like constant folding, evaluation may pass on what it was given
+    assert_matches_evaluate([mul(Const(2.0), X1, T1), div(X1, T1), div(T1, X1)],
+                            [{"x1": 1.0, "t1": 1.0}, point])
 
 
 def test_unbound_variable_matches_evaluate():
@@ -328,6 +347,16 @@ def test_unbound_variable_matches_evaluate():
 def test_empty_batches_and_blocks():
     assert compile_block([X1]).run([]).shape == (0, 1)
     assert compile_block([]).run([{"x1": 1.0}]).shape == (1, 0)
+
+
+def test_run_returns_the_shape_of_the_block():
+    block = [[[X1, T1, add(X1, T1)]], [[mul(X1, T1), neg(X1), Const(3.0)]]]
+    points = [{"x1": 0.5, "t1": 2.0}, {"x1": -1.0, "t1": 0.25}]
+    got = compile_block(block).run(points)
+    assert got.shape == (2, 2, 1, 3)
+    flat_values = compile_block(flat(block)).run(points)
+    assert np.array_equal(bits(got.reshape(2, -1)), bits(flat_values))
+    assert compile_block(np.array(block, dtype=object)).run(points[:1]).shape == (1, 2, 1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from polyjet.errors import (
     UnknownIdentifier,
 )
 from polyjet.symbolic import (
+    MAX_NESTING,
     Call,
     Const,
     Neg,
@@ -27,6 +28,7 @@ from polyjet.symbolic import (
     equiv,
     evaluate,
     exp,
+    expr_array,
     ln,
     mul,
     neg,
@@ -84,6 +86,7 @@ def test_zero_and_one_absorption():
     lambda: mul(Const(1e200), X1, Const(1e200)),
     lambda: div(Const(1e300), Const(1e-300)),
     lambda: div(X1, Const(1e-320)),
+    lambda: mul(Const(1e300), Const(1e300), Const(0.0), X1),  # folds to NaN
 ])
 def test_constant_overflow_is_a_domain_error(build):
     with pytest.raises(DomainError, match="overflows"):
@@ -194,6 +197,20 @@ def test_parse_rejects_trailing_input():
 def test_parse_scientific_notation_and_unary_minus():
     assert parse("-1e-2", []) == Const(-0.01)
     assert parse("--x1", ["x1"]) == X1
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("sin(", ")"), ("-", "")])
+def test_parse_bounds_the_nesting_depth(opening, closing):
+    def nested(depth):
+        return opening * depth + "x1" + closing * depth
+
+    assert variables(parse(nested(MAX_NESTING), ["x1"])) == {"x1"}
+    # depth is nesting, not a count: siblings at the limit parse too
+    assert variables(parse(nested(MAX_NESTING) + " + " + nested(MAX_NESTING), ["x1"])) == {"x1"}
+    with pytest.raises(ExprSyntaxError, match="nests deeper than") as err:
+        parse(nested(MAX_NESTING + 1), ["x1"])
+    # the offset of the character that opens the level too many
+    assert err.value.position == (MAX_NESTING + 1) * len(opening) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +365,10 @@ def test_print_parse_fixed_point_on_sources():
         "x1/t1/p1_1",
         "x1/(t1/p1_1)",
         "(x1 + 1)*(t1 - 2)",
+        # a negated power, product or quotient that leads a sum
+        "-(x1^2) + t1",
+        "-(x1*t1) + p1_1",
+        "-(t1/(t1^2 + 1)) + t1",
     ]
     vs = ["t1", "x1", "p1_1", "p1_2"]
     for src in sources:
@@ -357,10 +378,40 @@ def test_print_parse_fixed_point_on_sources():
         assert parse(once, vs) == parse(src, vs)
 
 
+def test_print_non_finite_constants():
+    assert to_string(add(Const(float("nan")), X1)) == "x1 + nan"
+    assert to_string(mul(Const(float("inf")), X1)) == "inf*x1"
+    assert to_string(Const(float("-inf"))) == "-inf"
+
+
 def test_print_keeps_caret_variables_whole():
     v = var("p_1^1")
     e = power(v, 2)
     assert to_string(e) == "(p_1^1)^2" or parse(to_string(e), ["p_1^1"]) == e
+
+
+# ---------------------------------------------------------------------------
+# expression arrays
+
+def test_expr_array_is_a_checked_read_only_block():
+    block = expr_array([[X1, 2], [0.5, T1]], (2, 2), ["x1", "t1"], "B")
+    assert block.shape == (2, 2) and block.dtype == object
+    assert block[0][1] == Const(2.0) and block[1, 0] == Const(0.5)
+    with pytest.raises(ValueError):
+        block[0, 0] = T1
+    scalar = expr_array(X1, (), ["x1"], "H")
+    assert scalar.shape == () and scalar.item() is X1
+
+
+@pytest.mark.parametrize("components, shape, message", [
+    ([[X1, X1]], (2, 2), r"B must have shape \(2, 2\), got \(1, 2\)"),
+    ([[X1], [X1, X1]], (2, 2), r"B must have shape \(2, 2\)"),
+    ([[X1, P11], [X1, X1]], (2, 2), r"B\[1,2\] uses foreign variables \['p1_1'\]"),
+    (P11, (), r"B uses foreign variables \['p1_1'\]"),
+])
+def test_expr_array_names_its_block_in_errors(components, shape, message):
+    with pytest.raises(ConfigError, match=message):
+        expr_array(components, shape, ["x1"], "B")
 
 
 # ---------------------------------------------------------------------------
