@@ -252,6 +252,17 @@ class TransitionMap:
         return tuple(out)
 
     @cached_property
+    def pullback_map(self) -> dict:
+        """The substitution of every pullback: each source coordinate t, x
+        and p as an expression in target variables.  Needs the inverses."""
+        chart = self.chart
+        inv_momenta = self.inverted().momentum_forward
+        mapping = dict(zip(chart.t_names, self.t_inverse))
+        mapping.update(zip(chart.x_names, self.x_inverse))
+        mapping.update(zip(chart.p_names, (e for row in inv_momenta for e in row)))
+        return mapping
+
+    @cached_property
     def momentum_forward_dt(self):
         """d ptilde[i][a] / d t^b, exact."""
         names = self.chart.t_names
@@ -451,14 +462,7 @@ def pullback_scalar(e: Expr, tm: TransitionMap) -> Expr:
     the result, read in target variables, equals e at the source preimage."""
     if not tm.has_inverse:
         raise ConfigError("pullback requires a transition map with explicit inverses")
-    inv = tm.inverted()
-    chart = tm.chart
-    mapping = dict(zip(chart.t_names, tm.t_inverse))
-    mapping.update(zip(chart.x_names, tm.x_inverse))
-    for i in range(tm.n):
-        for a in range(tm.m):
-            mapping[p_name(i, a)] = inv.momentum_forward[i][a]
-    return substitute(e, mapping)
+    return substitute(e, tm.pullback_map)
 
 
 def image_sample_domain(tm: TransitionMap, dom: SampleDomain) -> SampleDomain:

@@ -22,7 +22,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .charts import JetChart, TransitionMap, p_name
+from .charts import JetChart, TransitionMap
 from .errors import ConfigError
 from .metrics import Metric
 from .report import VerificationReport, entry_label, sweep
@@ -215,13 +215,6 @@ def pullback_dtensor(T: DTensorField, tm: TransitionMap) -> DTensorField:
     if not tm.has_inverse:
         raise ConfigError("d-tensor pullback requires explicit inverse expressions")
     chart = tm.chart
-    inv = tm.inverted()
-
-    point_map = dict(zip(chart.t_names, tm.t_inverse))
-    point_map.update(zip(chart.x_names, tm.x_inverse))
-    for i in range(tm.n):
-        for a in range(tm.m):
-            point_map[p_name(i, a)] = inv.momentum_forward[i][a]
 
     def factor_matrix(slot: IndexSlot):
         if slot.family == "temporal":
@@ -234,8 +227,7 @@ def pullback_dtensor(T: DTensorField, tm: TransitionMap) -> DTensorField:
                 if slot.variance == "upper":
                     # d (target coord new) / d (source coord old), at the preimage
                     out[new][old] = substitute(
-                        differentiate(fwd[new], names[old]),
-                        dict(zip(names, inverse)))
+                        differentiate(fwd[new], names[old]), tm.pullback_map)
                 else:
                     # d (source coord old) / d (target coord new)
                     out[new][old] = differentiate(inverse[old], names[new])
@@ -244,7 +236,7 @@ def pullback_dtensor(T: DTensorField, tm: TransitionMap) -> DTensorField:
     factors = [factor_matrix(s) for s in T.slots]
     shape = T.shape
     comps = np.empty(shape, dtype=object)
-    pulled = {old_idx: substitute(T.components[old_idx], point_map)
+    pulled = {old_idx: substitute(T.components[old_idx], tm.pullback_map)
               for old_idx in np.ndindex(shape)}
     for new_idx in np.ndindex(shape):
         terms = []

@@ -193,12 +193,18 @@ class ExtractionResult:
     F: Expr
 
 
-def _lower_candidate(cand, n: int):
+def _lowered_metric(cand, m: int, n: int):
+    """(g, g_upper): the candidate block g^ij inverted into a spatiotemporal
+    metric g_ij, momentum-dependent when some entry names a momentum, and
+    g^ij itself as nested tuples."""
     if n > SYM_INVERSE_MAX_DIM:
         raise ConfigError(
             f"lowering g^ij needs a symbolic inverse; dimension {n} exceeds "
             f"the limit {SYM_INVERSE_MAX_DIM}")
-    return sym_inverse([list(row) for row in cand])
+    g_lower = sym_inverse([list(row) for row in cand])
+    p_dep = bool(_syntactic_p_names(g_lower, JetChart(m, n)))
+    return (Metric.spatiotemporal(g_lower, m=m, p_dependent=p_dep),
+            tuple(tuple(row) for row in cand))
 
 
 def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
@@ -268,12 +274,9 @@ def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
     if not equiv(rebuilt, H, dom=dom, tol=max(tol, 1e-10)):
         raise ResidualTooLarge("extracted pieces do not reassemble the hamiltonian")
 
-    g_lower = _lower_candidate(cand, n)
-    p_dep = bool(_syntactic_p_names(g_lower, chart))
-    g = Metric.spatiotemporal(g_lower, m=m, p_dependent=p_dep)
+    g, g_upper = _lowered_metric(cand, m, n)
     U = DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U")
-    return ExtractionResult(g=g, g_upper=tuple(tuple(row) for row in cand),
-                            U=U, F=free)
+    return ExtractionResult(g=g, g_upper=g_upper, U=U, F=free)
 
 
 class HamiltonSpace:
@@ -313,11 +316,7 @@ class HamiltonSpace:
             self.U = ex.U
             self.F = ex.F
         else:
-            cand = self.regularity.candidate
-            g_lower = _lower_candidate(cand, self.n)
-            p_dep = bool(_syntactic_p_names(g_lower, self.chart))
-            self.g = Metric.spatiotemporal(g_lower, m=1, p_dependent=p_dep)
-            self.g_upper = tuple(tuple(row) for row in cand)
+            self.g, self.g_upper = _lowered_metric(self.regularity.candidate, 1, self.n)
             self.U = None
             self.F = None
 

@@ -21,12 +21,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import JetChart, TransitionMap, p_name
+from .charts import JetChart, TransitionMap
 from .errors import ConfigError, SingularMetric
-from .linalg import SYM_INVERSE_MAX_DIM, checked_inverse, sym_det, sym_inverse
+from .linalg import SYM_INVERSE_MAX_DIM, checked_inverse, sym_inverse
 from .symbolic import (
     Const,
-    Expr,
     Program,
     SampleDomain,
     add,
@@ -124,10 +123,6 @@ class Metric:
 
     def _checked_inverse(self, mat, assignment) -> np.ndarray:
         return checked_inverse(mat, SingularMetric, f"{self.kind} metric", assignment)
-
-    @cached_property
-    def det_expr(self) -> Expr:
-        return sym_det(self.components)
 
     @cached_property
     def inverse_components(self):
@@ -232,24 +227,13 @@ def pullback_metric(g: Metric, tm: TransitionMap) -> Metric:
         names, inverse = chart.t_names, tm.t_inverse
     else:
         names, inverse = chart.x_names, tm.x_inverse
-    point_map = {}
-    if g.kind == "temporal":
-        point_map.update(zip(chart.t_names, tm.t_inverse))
-    elif g.kind == "spatial":
-        point_map.update(zip(chart.x_names, tm.x_inverse))
-    else:
-        point_map.update(zip(chart.t_names, tm.t_inverse))
-        point_map.update(zip(chart.x_names, tm.x_inverse))
-        if g.p_dependent:
-            inv_momenta = tm.inverted().momentum_forward
-            for i in range(tm.n):
-                for a in range(tm.m):
-                    point_map[p_name(i, a)] = inv_momenta[i][a]
     # jacobian of the inverse map, expressions in target variables
     jac = tuple(tuple(differentiate(inverse[r], names[c]) for c in range(len(names)))
                 for r in range(len(names)))
     d = g.dim
-    rows = [[add(*[mul(substitute(g.components[k][l], point_map), jac[k][i], jac[l][j])
+    pulled = [[substitute(g.components[k][l], tm.pullback_map) for l in range(d)]
+              for k in range(d)]
+    rows = [[add(*[mul(pulled[k][l], jac[k][i], jac[l][j])
                    for k in range(d) for l in range(d)])
              for j in range(d)] for i in range(d)]
     return Metric(g.kind, g.m, g.n, rows, g.p_dependent)

@@ -2,11 +2,11 @@
 
 The expression language is deliberately small: sums, products, integer
 powers, quotients and negations of float constants, named variables, and
-the unary functions exp, ln, sin, cos, sqrt.  Trees are immutable and
-hashable; sums and products are kept flat; all-constant subtrees are
-folded at construction time.  Two expressions therefore compare equal
-with ``==`` exactly when they are structurally identical after this
-canonicalization.
+the unary functions exp, ln, sin, cos, sqrt.  Sums and products are kept
+flat and all-constant subtrees are folded at construction time.  Nodes are
+immutable and hash-consed: there is one live node per structure after
+this canonicalization, so two expressions are equal exactly when they are
+the same object, and ``==`` is ``is``.
 
 Differentiation and substitution are exact tree rewrites.  Semantic
 equality of expressions is decided by ``equiv``, which samples a seeded
@@ -25,6 +25,7 @@ import math
 from itertools import chain
 import operator
 import re
+import weakref
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -46,16 +47,49 @@ _DIGITS_RE = re.compile(r"\d+")
 
 # Deepest nesting of parentheses, function calls and unary minus that the
 # parser accepts.  The parser and the recursive walks over a parsed tree
-# (evaluate, differentiate, substitute, equality, printing) take several
-# stack frames per level; at this depth every command still runs with
-# room to spare below Python's default recursion limit.
+# (evaluate, differentiate, substitute, printing) take several stack
+# frames per level, while equality and hashing, being identity, take none;
+# at this depth every command still runs with room to spare below
+# Python's default recursion limit.
 MAX_NESTING = 64
 
 
-class Expr:
-    """Base class for expression nodes.  Immutable, hashable, comparable."""
+# The intern table: one live node per structure.  A node stays in it for
+# as long as something else refers to the node.
+_NODES = weakref.WeakValueDictionary()
 
-    __slots__ = ()
+
+class Expr:
+    """Base class for expression nodes.  Immutable and interned.
+
+    Building a node whose structure already exists returns the existing
+    object, so ``==`` and ``hash`` are those of identity: two expressions
+    are equal exactly when they are the same object.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        return cls._interned((cls, *fields), fields)
+
+    @classmethod
+    def _interned(cls, key, fields):
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copies and unpickled nodes go through the intern table too
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -97,54 +131,46 @@ class Expr:
         return f"Expr({text!r})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+    def __new__(cls, value):
+        value = float(value)
+        # keyed by its hex text, so -0.0 and 0.0 stay two nodes
+        return cls._interned((cls, value.hex()), (value,))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise ValueError(f"invalid variable name {self.name!r}")
+    def __new__(cls, name):
+        if not _IDENT_RE.fullmatch(name):
+            raise ValueError(f"invalid variable name {name!r}")
+        return cls._interned((cls, name), (name,))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Sum(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Product(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Power(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Quotient(Expr):
-    numerator: Expr
-    denominator: Expr
+    __slots__ = ("numerator", "denominator")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Call(Expr):
-    func: str
-    arg: Expr
+    __slots__ = ("func", "arg")
 
 
 ZERO = Const(0.0)
@@ -226,7 +252,7 @@ def _merge_adjacent_factors(factors):
         base, k = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
         if merged:
             pbase, pk = merged[-1]
-            if pbase == base:
+            if pbase is base:
                 merged[-1] = (pbase, pk + k)
                 continue
         merged.append((base, k))
@@ -390,12 +416,11 @@ def sqrt(e) -> Expr:
 def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
     """Evaluate an expression at a point.  The memo makes shared subtrees
     (ubiquitous after differentiation) cost one visit each."""
-    memo: dict[int, float] = {}
+    memo: dict[Expr, float] = {}
 
     def ev(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        if node in memo:
+            return memo[node]
         if isinstance(node, Const):
             val = node.value
         elif isinstance(node, Var):
@@ -420,7 +445,7 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
             val = _apply_function(node.func, ev(node.arg))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        memo[key] = val
+        memo[node] = val
         return val
 
     try:
@@ -431,12 +456,11 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to the named variable."""
-    memo: dict[int, Expr] = {}
+    memo: dict[Expr, Expr] = {}
 
     def d(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        if node in memo:
+            return memo[node]
         if isinstance(node, Const):
             out = ZERO
         elif isinstance(node, Var):
@@ -448,7 +472,7 @@ def differentiate(e: Expr, name: str) -> Expr:
             fs = node.factors
             for i, f in enumerate(fs):
                 df = d(f)
-                if df is ZERO or df == ZERO:
+                if df is ZERO:
                     continue
                 pieces.append(mul(*fs[:i], df, *fs[i + 1:]))
             out = add(*pieces)
@@ -478,7 +502,7 @@ def differentiate(e: Expr, name: str) -> Expr:
                 raise UnknownIdentifier(node.func)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        memo[key] = out
+        memo[node] = out
         return out
 
     try:
@@ -491,12 +515,11 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding through the smart
     constructors (so folding applies to the result)."""
     table = {k: as_expr(v) for k, v in mapping.items()}
-    memo: dict[int, Expr] = {}
+    memo: dict[Expr, Expr] = {}
 
     def sub(node):
-        key = id(node)
-        if key in memo:
-            return memo[key]
+        if node in memo:
+            return memo[node]
         if isinstance(node, Const):
             out = node
         elif isinstance(node, Var):
@@ -515,7 +538,7 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
             out = call(node.func, sub(node.arg))
         else:
             raise TypeError(f"not an expression node: {node!r}")
-        memo[key] = out
+        memo[node] = out
         return out
 
     try:
@@ -526,14 +549,14 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
 
 def variables(e: Expr) -> frozenset:
     """The set of variable names occurring in the expression."""
-    seen: set[int] = set()
+    seen: set[Expr] = set()
     names: set[str] = set()
     stack = [e]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         if isinstance(node, Var):
             names.add(node.name)
         elif isinstance(node, Sum):
@@ -589,32 +612,25 @@ def _node_op(node):
 
 
 def compile_block(exprs) -> "Program":
-    """Compile a block of expressions into one value-numbered program.
+    """Compile a block of expressions into one straight-line program.
 
     ``exprs`` is an array or a nested sequence of expressions, and the
     program keeps its shape.  The union of the roots is walked once with
-    one identity memo, to the same depth as ``evaluate``.  Every node gets
-    the slot of its structural key (opcode, payload, child slots), so
-    structurally equal subtrees share a slot and no tree is ever hashed
-    whole.  The program keeps no reference to the expressions.
+    one memo, to the same depth as ``evaluate``.  Nodes are interned, so
+    each distinct node is one structure and gets one slot: structurally
+    equal subtrees share it.  The program keeps no reference to the
+    expressions.
     """
     block = np.asarray(exprs, dtype=object)
-    slot_of: dict[int, int] = {}
-    table: dict[tuple, int] = {}
+    slot_of: dict[Expr, int] = {}
     ops: list[tuple] = []
 
     def visit(node) -> int:
-        slot = slot_of.get(id(node))
-        if slot is not None:
-            return slot
-        code, arg, kids = _node_op(node)
-        slots = tuple([visit(c) for c in kids])
-        # hex keeps -0.0 and 0.0 apart
-        key = (code, arg.hex() if code == _CONST else arg, slots)
-        slot = table.setdefault(key, len(ops))
-        if slot == len(ops):
-            ops.append((code, arg, slots))
-        slot_of[id(node)] = slot
+        slot = slot_of.get(node)
+        if slot is None:
+            code, arg, kids = _node_op(node)
+            ops.append((code, arg, tuple([visit(c) for c in kids])))
+            slot = slot_of[node] = len(ops) - 1
         return slot
 
     try:
@@ -625,7 +641,7 @@ def compile_block(exprs) -> "Program":
 
 
 class Program:
-    """A straight-line program over value-numbered slots.
+    """A straight-line program with one slot per distinct node of a block.
 
     ``run`` evaluates every op over all sample points at once, column by
     column.  Each op applies the very scalar operation ``evaluate`` applies
@@ -804,7 +820,8 @@ def _print_power_base(b) -> str:
 
 
 def to_string(e: Expr) -> str:
-    """Render to source text.  parse(to_string(e), variables(e)) == e."""
+    """Render to source text.  parse(to_string(e), variables(e)) is e,
+    except that the constant -0.0 prints as 0 and so reads back as 0.0."""
     return _print_expr(e)
 
 

@@ -236,7 +236,7 @@ def _structural_nodes(e, seen: set) -> set:
 def test_equal_trees_built_apart_share_one_root_slot():
     source = "sin(x1)*x1^2 + ln(t1^2 + 1)/(x1^2 + 1) - 3*x1"
     a, b = parse(source, ["x1", "t1"]), parse(source, ["x1", "t1"])
-    assert a is not b and a == b
+    assert a is b
     program = compile_block([a, b])
     assert program.roots[0] == program.roots[1]
     assert len(program.ops) == len(_structural_nodes(a, set()))
@@ -252,6 +252,10 @@ def test_op_count_is_the_structural_dag_size():
     for e in entries:
         _structural_nodes(e, seen)
     assert len(compile_block(entries).ops) == len(seen)
+
+
+def test_plain_numbers_in_a_block_keep_their_own_values():
+    assert compile_block([3.0, 5.0, 7.0]).run([{}]).tolist() == [[3.0, 5.0, 7.0]]
 
 
 def test_signed_zero_constants_keep_their_own_slots():
