@@ -233,7 +233,7 @@ class TransitionMap:
     def x_jacobian_inverse_source(self):
         """K[j][i] = d x^j / d xtilde^i as expressions in *source* x variables
         (adjugate of the forward Jacobian; no explicit inverse map needed)."""
-        return sym_inverse(self.x_jacobian)
+        return sym_inverse(self.x_jacobian, "inverting the x Jacobian")
 
     @cached_property
     def momentum_forward(self):

@@ -129,6 +129,15 @@ def _tolerance(raw, where: str) -> float:
     return value
 
 
+def _finite(raw, where: str) -> float:
+    """A manifest number that reaches the report, where JSON admits no NaN
+    or infinity."""
+    value = _number(raw, where)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return value
+
+
 def _entry_expr(raw, allowed, where: str):
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         value = _number(raw, where)
@@ -249,7 +258,7 @@ def load_manifest(path: str) -> Manifest:
         if unknown:
             raise ConfigError(f"evaluation_point names unknown variables "
                               f"{sorted(unknown)}")
-        point = {nm: _number(point.get(nm, 0.0), f"evaluation_point.{nm}")
+        point = {nm: _finite(point.get(nm, 0.0), f"evaluation_point.{nm}")
                  for nm in chart.names}
 
     fault = data.get("fault_injection")
@@ -265,7 +274,7 @@ def load_manifest(path: str) -> Manifest:
             raise ConfigError(f"fault_injection.index out of range for "
                               f"{fault['block']} of shape {hi}")
         fault = {"block": fault["block"], "index": tuple(idx),
-                 "delta": _number(fault.get("delta", 0.1), "fault_injection.delta")}
+                 "delta": _finite(fault.get("delta", 0.1), "fault_injection.delta")}
 
     return Manifest(m=m, n=n, digest=digest, temporal_metric=h,
                     spatial_metric=phi, hamiltonian=hamiltonian,
@@ -344,6 +353,15 @@ def _regularity_check(result, tol: float) -> dict:
     }
 
 
+def _finite_residual(entry: dict) -> dict:
+    """``entry`` as the JSON report holds it.  JSON has no NaN or infinity,
+    so a non-finite ``max_residual`` is written as null; the check or test
+    that measured it has failed."""
+    if math.isfinite(entry["max_residual"]):
+        return entry
+    return {**entry, "max_residual": None}
+
+
 def _print_checks(checks):
     width = max((len(c["name"]) for c in checks), default=0)
     for c in checks:
@@ -363,15 +381,16 @@ def _finish(command: str, manifest: Manifest, seed: int, checks, objects,
         "command": command,
         "manifest_digest": manifest.digest,
         "seed": seed,
-        "checks": checks,
+        "checks": [_finite_residual(c) for c in checks],
         "objects": objects,
         "passed": passed,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
     _print_checks(checks)
     if args.json:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
         with open(args.json, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            fh.write(text)
         print(f"report written to {args.json}")
     if passed:
         return EXIT_OK
@@ -451,7 +470,7 @@ def cmd_regularity(args) -> int:
     result = check_kronecker_regularity(
         manifest.hamiltonian, manifest.temporal_metric, manifest.n,
         dom=dom, tol=tol)
-    objects = {"regularity": result.to_dict()}
+    objects = {"regularity": _finite_residual(result.to_dict())}
     if result.candidate is not None:
         objects["g_upper"] = _matrix_strings(result.candidate)
     checks = [_regularity_check(result, tol)]
@@ -479,7 +498,7 @@ def cmd_connection(args) -> int:
     if manifest.hamiltonian is not None:
         result, space = _hamilton_space(manifest, "connection", dom, checks)
         if space is None:
-            objects["regularity"] = result.to_dict()
+            objects["regularity"] = _finite_residual(result.to_dict())
             return _finish("connection", manifest, seed, checks, objects,
                            args, started)
         N = canonical_nonlinear_connection(space)

@@ -34,7 +34,7 @@ from .charts import JetChart, p_name, x_name
 from .connections import NonlinearConnection, metric_n1, metric_n2
 from .dtensors import DTensorField, lower_t, lower_x, upper_t, upper_x
 from .errors import ConfigError, NotRegular, ResidualTooLarge
-from .linalg import DET_MIN, SYM_INVERSE_MAX_DIM, sym_inverse
+from .linalg import DET_MIN, sym_inverse
 from .metrics import Metric, christoffel_symbols
 from .report import entry_label, sweep
 from .symbolic import (
@@ -197,11 +197,7 @@ def _lowered_metric(cand, m: int, n: int):
     """(g, g_upper): the candidate block g^ij inverted into a spatiotemporal
     metric g_ij, momentum-dependent when some entry names a momentum, and
     g^ij itself as nested tuples."""
-    if n > SYM_INVERSE_MAX_DIM:
-        raise ConfigError(
-            f"lowering g^ij needs a symbolic inverse; dimension {n} exceeds "
-            f"the limit {SYM_INVERSE_MAX_DIM}")
-    g_lower = sym_inverse([list(row) for row in cand])
+    g_lower = sym_inverse([list(row) for row in cand], "lowering g^ij")
     p_dep = bool(_syntactic_p_names(g_lower, JetChart(m, n)))
     return (Metric.spatiotemporal(g_lower, m=m, p_dependent=p_dep),
             tuple(tuple(row) for row in cand))

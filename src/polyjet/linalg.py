@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .symbolic import ONE, Expr, add, div, mul, neg
 
 DET_MIN = 1e-8
@@ -29,11 +30,13 @@ def sym_det(rows) -> Expr:
     return add(*terms)
 
 
-def sym_inverse(rows):
-    """Exact inverse as adjugate/determinant; raises on dimensions past 4."""
+def sym_inverse(rows, what: str):
+    """Exact inverse as adjugate/determinant.  Past SYM_INVERSE_MAX_DIM it
+    raises ConfigError, saying ``what`` needed the inverse."""
     d = len(rows)
     if d > SYM_INVERSE_MAX_DIM:
-        raise ValueError(f"symbolic inverse supports dimension <= {SYM_INVERSE_MAX_DIM}, got {d}")
+        raise ConfigError(f"{what} needs a symbolic inverse; dimension {d} exceeds "
+                          f"the limit {SYM_INVERSE_MAX_DIM}")
     det = sym_det(rows)
     return tuple(
         tuple(div(_cofactor(rows, j, i), det) for j in range(d))

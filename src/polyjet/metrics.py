@@ -127,10 +127,7 @@ class Metric:
     @cached_property
     def inverse_components(self):
         """Exact inverse components (upper indices); dimension <= 4 only."""
-        if self.dim > SYM_INVERSE_MAX_DIM:
-            raise ConfigError(
-                f"symbolic metric inverse limited to dimension {SYM_INVERSE_MAX_DIM}")
-        return sym_inverse(self.components)
+        return sym_inverse(self.components, f"inverting the {self.kind} metric")
 
     def validate(self, dom: SampleDomain | None = None, tol: float = 1e-9):
         """Equiv-check symmetry and enforce invertibility over the domain."""

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 from pathlib import Path
 
 import pytest
 
+from polyjet import cli
 from polyjet.cli import (
     EXIT_CONFIG,
     EXIT_CONNECTION,
@@ -18,17 +18,25 @@ from polyjet.cli import (
     load_manifest,
     main,
 )
+from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import Metric
 from polyjet.symbolic import MAX_NESTING
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
+def strict_json(text: str):
+    """Parse JSON as RFC 8259 defines it: NaN and infinities are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run(tmp_path, *argv):
     """Run a command with --json capture; returns (exit_code, report dict)."""
     out = tmp_path / "report.json"
     code = main([*argv, "--json", str(out)])
-    report = json.loads(out.read_text()) if out.exists() else None
+    report = strict_json(out.read_text()) if out.exists() else None
     return code, report
 
 
@@ -170,18 +178,47 @@ def test_verify_fault_injection_names_entries(tmp_path):
     assert rep["objects"]["fault_injection"]["index"] == [1, 2, 1]
 
 
-def test_verify_nan_fault_fails_closed(tmp_path):
+def test_verify_nan_fault_fails_closed(tmp_path, monkeypatch):
+    # The manifest loader rejects a NaN delta (see the bad-number cases), so
+    # the fault turns NaN only where it is injected into the connection.
     path = rewrite(tmp_path, "curved.json",
                    fault_injection={"block": "N2", "index": [1, 2, 1],
-                                    "delta": float("nan")})
+                                    "delta": 0.1})
+    inject = cli._inject_fault
+    monkeypatch.setattr(cli, "_inject_fault",
+                        lambda N, fault: inject(N, {**fault, "delta": float("nan")}))
     code, rep = run(tmp_path, "verify", path)
     assert code == EXIT_CONNECTION
     by_name = {c["name"]: c for c in rep["checks"]}
     conn, cof = by_name["connection-law"], by_name["adapted-coframe"]
     assert not conn["passed"] and not cof["passed"]
     assert conn["worst_entry"] == "N2[1,2,1]"
-    assert math.isnan(conn["max_residual"])
+    # a non-finite residual is written as null, since JSON has no NaN
+    assert conn["max_residual"] is None and cof["max_residual"] is None
     assert cof["worst_entry"] == "coframe[p2_1, dx1]"
+
+
+def test_a_non_finite_number_is_never_written_to_a_report(tmp_path, monkeypatch):
+    # the loader admits no such evaluation point; force one past it
+    monkeypatch.setattr(cli, "_eval_point",
+                        lambda manifest, dom: dict.fromkeys(manifest.chart.names, float("nan")))
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match="JSON"):
+        main(["connection", str(MANIFESTS / "curved.json"), "--json", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "connection", "regularity", "christoffel"])
+@pytest.mark.parametrize("manifest", ["flat", "curved", "nonregular", "fault-injected"])
+def test_reports_are_strict_json(tmp_path, manifest, command):
+    if manifest == "fault-injected":
+        source = rewrite(tmp_path, "curved.json",
+                         fault_injection={"block": "N1", "index": [2, 1, 2],
+                                          "delta": -0.25})
+    else:
+        source = str(MANIFESTS / f"{manifest}.json")
+    code, rep = run(tmp_path, command, source)
+    assert rep is not None or code == EXIT_CONFIG
 
 
 def test_empty_sample_domain_is_a_config_error(tmp_path):
@@ -201,6 +238,9 @@ def test_empty_sample_domain_is_a_config_error(tmp_path):
     {"fault_injection": {"block": "N2", "index": [1, 2, 1], "delta": "big"}},
     {"temporal_metric": [[1, 0], [0, float("inf")]]},
     {"hamiltonian": float("nan")},
+    {"fault_injection": {"block": "N2", "index": [1, 2, 1], "delta": float("nan")}},
+    {"fault_injection": {"block": "N1", "index": [1, 1, 1], "delta": float("-inf")}},
+    {"evaluation_point": {"t1": float("nan")}},
 ])
 def test_bad_manifest_numbers_are_config_errors(tmp_path, changes, capsys):
     path = rewrite(tmp_path, "curved.json", **changes)
@@ -235,6 +275,31 @@ def test_product_overflow_in_hamiltonian_is_a_domain_error(tmp_path, capsys):
 
 def _nested(opening: str, depth: int, inner: str) -> str:
     return opening * depth + inner + ")" * depth
+
+
+def test_dimensions_past_the_inverse_limit_fail_closed(tmp_path, capsys):
+    n = SYM_INVERSE_MAX_DIM + 1
+    xs = [f"x{i + 1}" for i in range(n)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "schema": 1, "dimensions": {"m": 1, "n": n},
+        "temporal_metric": [["1"]],
+        "spatial_metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+        "hamiltonian": " + ".join(f"p{i + 1}_1^2" for i in range(n)),
+        "transition": {"t_forward": ["t1"], "t_inverse": ["t1"],
+                       "x_forward": xs, "x_inverse": xs},
+        "sample_domain": {"count": 3, "seed": 0}}))
+    codes = {}
+    for command in ("verify", "connection", "regularity", "christoffel"):
+        codes[command] = main([command, str(path)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if codes[command] != EXIT_OK:
+            assert codes[command] == EXIT_CONFIG
+            assert f"dimension {n} exceeds the limit {SYM_INVERSE_MAX_DIM}" in err
+    # only the regularity test, with a single time dimension, needs no inverse
+    assert codes == {"verify": EXIT_CONFIG, "connection": EXIT_CONFIG,
+                     "regularity": EXIT_OK, "christoffel": EXIT_CONFIG}
 
 
 @pytest.mark.parametrize("opening", ["(", "sin("])

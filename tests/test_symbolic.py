@@ -2,6 +2,9 @@ import copy
 import gc
 import math
 import pickle
+import timeit
+import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,7 +49,7 @@ from polyjet.symbolic import (
     variables,
 )
 
-from oracles import central_diff_partial
+from oracles import central_diff_partial, subexpressions, variables_walk
 
 X1 = var("x1")
 T1 = var("t1")
@@ -380,6 +383,108 @@ def test_mixed_partials_commute(e):
     dxt = differentiate(differentiate(e, "x1"), "t1")
     dtx = differentiate(differentiate(e, "t1"), "x1")
     assert equiv(dxt, dtx, SampleDomain.default(["t1", "x1", "p1_1"], count=6, seed=11))
+
+
+# ---------------------------------------------------------------------------
+# the derivative cache on the nodes
+
+_RICH = "exp(x7*t1)*ln(x7^2 + 1) + sqrt(x7^2 + t1^2 + 1)/sin(x7 + 2) - cos(exp(x7))*x7^3"
+
+
+def test_a_held_derivative_is_reused_without_building_a_node(monkeypatch):
+    e = parse(_RICH, ["x7", "t1"])
+    first = differentiate(e, "x7")
+    gc.collect()
+    size = len(symbolic._NODES)
+    built = []
+    intern = symbolic.Expr._interned.__func__
+    monkeypatch.setattr(symbolic.Expr, "_interned",
+                        classmethod(lambda cls, *a: built.append(cls) or intern(cls, *a)))
+    assert differentiate(e, "x7") is first
+    assert built == [] and len(symbolic._NODES) == size
+
+
+def test_a_shared_subtree_is_derived_once_per_call(monkeypatch):
+    # du is the constant 10.875, which each power rule folds into its own
+    # coefficient, so no result holds it: only the call itself keeps it alive
+    u = add(mul(Const(2.125), X1), mul(Const(3.25), X1), mul(Const(5.5), X1))
+    e = add(power(u, 2), power(u, 3))
+    stored = []  # counts only: holding the derivatives would keep them alive
+    monkeypatch.setattr(symbolic, "weakref", SimpleNamespace(
+        ref=lambda out: stored.append(1) or weakref.ref(out)))
+    differentiate(e, "x1")
+    compound = [n for n in subexpressions(e) if not isinstance(n, (Const, Var))]
+    assert len(stored) == len(compound) == 7
+
+
+def test_derivatives_leave_no_nodes_and_no_cycles_behind():
+    gc.collect()
+    before = len(symbolic._NODES)
+    gc.disable()
+    try:
+        e = parse(_RICH, ["x7", "t1"])
+        first = differentiate(e, "x7")
+        assert differentiate(e, "x7") is first  # the second one is a cache hit
+        second = differentiate(differentiate(e, "t1"), "x7")
+        assert len(symbolic._NODES) > before
+        del e, first, second
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(symbolic._NODES) == before
+
+
+def test_a_derivative_no_caller_holds_is_freed():
+    e = parse(_RICH, ["x7", "t1"])
+    ref = weakref.ref(differentiate(e, "x7"))
+    assert ref() is None  # freed by reference counting, no collection needed
+    again = differentiate(e, "x7")
+    assert again is not None and variables(again) == frozenset({"x7", "t1"})
+
+
+def test_variables_of_a_deep_shared_dag_is_a_read():
+    e = X1
+    for k in range(1000):
+        e = add(mul(e, var(f"x{k % 3 + 1}")), sin(e))
+    # every level doubles the tree (2^1000 tree nodes), while the DAG that
+    # a walk would visit has a few nodes per level
+    assert len(subexpressions(e)) < 5000
+    seconds = min(timeit.repeat(lambda: variables(e), number=1, repeat=5))
+    assert seconds < 1e-4  # walking those nodes takes about a millisecond
+    assert variables(e) == variables_walk(e) == frozenset({"x1", "x2", "x3"})
+
+
+# ---------------------------------------------------------------------------
+# free-variable sets recorded at intern time
+
+def test_every_node_class_records_its_variables():
+    u = add(X1, T1)
+    nodes = [Const(2.5), X1, u, mul(X1, P11), power(u, 3), neg(u),
+             div(P11, u), sin(u), mul(Const(2), Neg(X1))]
+    assert {type(n) for n in nodes} == {Const, Var, Sum, Product, Power, Neg,
+                                        Quotient, Call}
+    for node in nodes:
+        assert variables(node) == variables_walk(node)
+    # equal sets are one object
+    assert variables(u) is variables(mul(T1, X1)) is variables(sin(u))
+    assert variables(Const(2.5)) is variables(Const(-1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_safe_expr, st.sampled_from(["t1", "x1", "p1_1"]), _poly_expr)
+def test_recorded_variables_match_the_walk(e, name, replacement):
+    for root in (e, differentiate(e, name), substitute(e, {name: replacement})):
+        for node in subexpressions(root):
+            assert variables(node) == variables_walk(node)
+
+
+def test_substitute_and_differentiate_record_variables_of_new_nodes():
+    y9 = var("y9")
+    assert variables(substitute(sin(X1) * T1, {"x1": y9})) == frozenset({"y9", "t1"})
+    assert variables(substitute(sin(X1), {"x1": Const(2.0)})) == frozenset()
+    d = differentiate(sin(X1 * y9) * T1, "x1")  # builds cos(x1*y9)
+    assert variables(d) == frozenset({"x1", "y9", "t1"})
+    assert variables(differentiate(exp(T1), "x1")) == frozenset()
 
 
 # ---------------------------------------------------------------------------
