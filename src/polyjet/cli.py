@@ -202,7 +202,7 @@ def load_manifest(path: str) -> Manifest:
     constants = data.get("constants", {})
     if not isinstance(constants, dict):
         raise ConfigError("constants must be an object")
-    constants = {k: _number(v, f"constants.{k}") for k, v in constants.items()}
+    constants = {k: _finite(v, f"constants.{k}") for k, v in constants.items()}
 
     transition = None
     if "transition" in data:

@@ -48,7 +48,7 @@ from .symbolic import (
     differentiate,
     equiv,
     expr_array,
-    is_zero,
+    first_nonzero,
     mul,
     substitute,
     variables,
@@ -119,15 +119,9 @@ def _syntactic_p_names(exprs, chart: JetChart):
 def _really_p_dependent(exprs, chart: JetChart, tol: float) -> bool:
     """True when some entry's momentum derivative is nonzero in value, not
     merely in syntax."""
-    if not _syntactic_p_names(exprs, chart):
-        return False
     p_names = set(chart.p_names)
-    for row in exprs:
-        for e in row:
-            for nm in sorted(variables(e) & p_names):
-                if not is_zero(differentiate(e, nm), tol=tol):
-                    return True
-    return False
+    return first_nonzero((differentiate(e, nm) for row in exprs for e in row
+                          for nm in sorted(variables(e) & p_names)), tol) is not None
 
 
 def check_kronecker_regularity(H: Expr, h: Metric, n: int,
@@ -247,14 +241,13 @@ def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
     free = add(H, mul(Const(-1.0), add(*quad_terms)),
                mul(Const(-1.0), add(*linear_terms)))
 
-    for nm in chart.p_names:
-        for i in range(n):
-            for a in range(m):
-                if not is_zero(differentiate(u_comps[i, a], nm), tol=tol):
-                    raise ResidualTooLarge(
-                        f"extracted potential term depends on momentum {nm}")
-        if not is_zero(differentiate(free, nm), tol=tol):
-            raise ResidualTooLarge(f"extracted free term depends on momentum {nm}")
+    # per momentum, every potential entry and then the free term
+    pieces = (*u_comps.flat, free)
+    bad = first_nonzero((differentiate(e, nm) for nm in chart.p_names for e in pieces), tol)
+    if bad is not None:
+        k, piece = divmod(bad, len(pieces))
+        what = "free" if piece == len(pieces) - 1 else "potential"
+        raise ResidualTooLarge(f"extracted {what} term depends on momentum {chart.p_names[k]}")
 
     # momentum independence is established, so setting p = 0 is harmless and
     # strips the syntactic momentum terms that cancel only in value

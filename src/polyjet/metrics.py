@@ -125,6 +125,12 @@ class Metric:
         return checked_inverse(mat, SingularMetric, f"{self.kind} metric", assignment)
 
     @cached_property
+    def _christoffel_components(self):
+        # the components only: a ChristoffelField refers back to the metric,
+        # and keeping one here would make the metric part of a cycle
+        return christoffel(self).components
+
+    @cached_property
     def inverse_components(self):
         """Exact inverse components (upper indices); dimension <= 4 only."""
         return sym_inverse(self.components, f"inverting the {self.kind} metric")
@@ -201,8 +207,12 @@ def christoffel(g: Metric) -> ChristoffelField:
 
 
 def christoffel_symbols(g: Metric) -> np.ndarray:
-    """The exact components of ``christoffel(g)``, Gamma[k][i][j]."""
-    components = christoffel(g).components
+    """The exact components of ``christoffel(g)``, Gamma[k][i][j].
+
+    They are built on the first call and kept on the metric, so every
+    later call on the same metric returns the same array.
+    """
+    components = g._christoffel_components
     if components is None:
         raise ConfigError(
             f"{g.kind} Christoffel symbols are not symbolic: metric dimension "

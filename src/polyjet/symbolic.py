@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     DomainError,
     ExprSyntaxError,
+    PolyjetError,
     UnboundVariable,
     UnknownIdentifier,
 )
@@ -498,8 +499,12 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to the named variable.
 
-    A node's derivative is looked up on the node before it is computed and
-    stored there after, as a weak reference.  So a derivative that is still
+    A node whose recorded variable set lacks ``name`` has derivative
+    ``ZERO``, returned without a walk and without touching its cache.  So
+    the result is ``ZERO``, never the ``Const(-0.0)`` that the rules would
+    build for ``neg(y)`` or ``cos(y)`` by ``x``.  Any other node's
+    derivative is looked up on the node before it is computed and stored
+    there after, as a weak reference.  So a derivative that is still
     alive anywhere, from this call or an earlier one, is reused, and a
     result is the same node whether it came from the cache or not.  The
     call keeps its own results alive until it returns, so a subtree shared
@@ -508,14 +513,15 @@ def differentiate(e: Expr, name: str) -> Expr:
     held: list[Expr] = []
 
     def d(node):
-        if isinstance(node, Const):
-            return ZERO
-        if isinstance(node, Var):
-            return ONE if node.name == name else ZERO
         try:
-            cache = node._derivs
+            names = node._vars
         except AttributeError:
             raise TypeError(f"not an expression node: {node!r}") from None
+        if name not in names:
+            return ZERO
+        if isinstance(node, Var):
+            return ONE
+        cache = node._derivs
         if cache is None:
             cache = {}
             object.__setattr__(node, "_derivs", cache)
@@ -573,17 +579,22 @@ def differentiate(e: Expr, name: str) -> Expr:
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding through the smart
-    constructors (so folding applies to the result)."""
+    constructors (so folding applies to the result).  A subtree whose
+    recorded variable set names no mapped variable is returned as it is,
+    without a walk: rebuilding it would give the same node."""
     table = {k: as_expr(v) for k, v in mapping.items()}
     memo: dict[Expr, Expr] = {}
 
     def sub(node):
+        try:
+            if node._vars.isdisjoint(table):
+                return node
+        except AttributeError:
+            raise TypeError(f"not an expression node: {node!r}") from None
         if node in memo:
             return memo[node]
-        if isinstance(node, Const):
-            out = node
-        elif isinstance(node, Var):
-            out = table.get(node.name, node)
+        if isinstance(node, Var):
+            out = table[node.name]
         elif isinstance(node, Sum):
             out = add(*(sub(t) for t in node.terms))
         elif isinstance(node, Product):
@@ -1089,10 +1100,16 @@ class SampleDomain:
         return replace(self, intervals=self.intervals + more)
 
 
+def _close(v1: float, v2: float, tol: float) -> bool:
+    # a NaN on either side compares false, so it is never close
+    return abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2))
+
+
 def equiv(e1: Expr, e2: Expr, dom: SampleDomain | None = None, tol: float = 1e-9) -> bool:
     """Numeric equivalence on a sampled box.
 
-    True iff |e1 - e2| <= tol * max(1, |e1|, |e2|) at every sampled point.
+    True iff |e1 - e2| <= tol * max(1, |e1|, |e2|) at every sampled point;
+    a NaN at any point makes it False.
     """
     e1, e2 = as_expr(e1), as_expr(e2)
     if dom is None:
@@ -1100,10 +1117,53 @@ def equiv(e1: Expr, e2: Expr, dom: SampleDomain | None = None, tol: float = 1e-9
     else:
         dom = dom.extended(sorted(variables(e1) | variables(e2)))
     for v1, v2 in compile_block((e1, e2)).run(dom.points()).tolist():
-        if abs(v1 - v2) > tol * max(1.0, abs(v1), abs(v2)):
+        if not _close(v1, v2, tol):
             return False
     return True
 
 
 def is_zero(e: Expr, dom: SampleDomain | None = None, tol: float = 1e-9) -> bool:
     return equiv(as_expr(e), ZERO, dom, tol)
+
+
+def first_nonzero(exprs, tol: float = 1e-9) -> int | None:
+    """The index of the first expression that ``is_zero(e, tol=tol)``
+    rejects, or None when it accepts them all.
+
+    ``is_zero`` samples ``SampleDomain.default`` over an expression's own
+    sorted variable names, so entries with the same recorded variable set
+    see the same points: each such group is compiled into one program and
+    run once, and every entry gets exactly the values its own ``is_zero``
+    would.  The answer and any error are those of a loop that builds and
+    tests one entry at a time.  ``exprs`` may be a generator: an error
+    raised while producing an entry is raised only when no earlier entry
+    is nonzero.  When a group's run raises, the entries are tested one by
+    one with ``is_zero``, in order, so the first failing one raises.
+    """
+    done, pending = [], None
+    try:
+        for e in exprs:
+            done.append(as_expr(e))
+    except PolyjetError as exc:
+        pending = exc
+    groups: dict[frozenset, list[int]] = {}
+    for index, e in enumerate(done):
+        if e is not ZERO:
+            groups.setdefault(e._vars, []).append(index)
+    nonzero = []
+    try:
+        for names, members in groups.items():
+            values = compile_block([done[k] for k in members]).run(
+                SampleDomain.default(sorted(names)).points())
+            nonzero.extend(k for k, column in zip(members, values.T.tolist())
+                           if not all(_close(v, 0.0, tol) for v in column))
+    except PolyjetError as exc:
+        for index, e in enumerate(done):
+            if not is_zero(e, tol=tol):
+                return index
+        raise pending or exc
+    if nonzero:
+        return min(nonzero)
+    if pending is not None:
+        raise pending
+    return None

@@ -248,6 +248,14 @@ def test_bad_manifest_numbers_are_config_errors(tmp_path, changes, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_a_non_finite_constant_is_a_config_error_on_every_command(tmp_path, value, capsys):
+    path = rewrite(tmp_path, "curved.json", constants={"mass": 1.0, "light_speed": value})
+    for command in ("verify", "connection", "regularity", "christoffel"):
+        assert main([command, path]) == EXIT_CONFIG
+        assert "constants.light_speed must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_command_line_tolerance_must_be_finite_and_positive(tol):
     manifest = str(MANIFESTS / "curved.json")

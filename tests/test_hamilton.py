@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from polyjet.connections import (
     verify_connection_law,
 )
 from polyjet.dtensors import pullback_dtensor, verify_dtensor_law
-from polyjet.errors import ConfigError, NotRegular
+from polyjet import symbolic
+from polyjet.errors import ConfigError, NotRegular, ResidualTooLarge
 from polyjet.hamilton import (
     HamiltonSpace,
     autonomous_electrodynamic_space,
@@ -37,7 +39,18 @@ from polyjet.hamilton import (
     gravitational_space,
 )
 from polyjet.metrics import Metric, pullback_metric
-from polyjet.symbolic import Const, Var, add, as_expr, equiv, is_zero, mul, parse, power
+from polyjet.symbolic import (
+    Const,
+    Var,
+    add,
+    as_expr,
+    equiv,
+    is_zero,
+    mul,
+    parse,
+    power,
+    variables,
+)
 
 
 CHART = JetChart(2, 2)
@@ -128,6 +141,50 @@ def test_general_electrodynamic_roundtrip():
             for a in range(2):
                 assert equiv(space.U.components[i, a], U[i][a], tol=1e-10)
         assert equiv(space.F, F, tol=1e-10)
+
+
+def test_extraction_compiles_one_program_per_variable_set(monkeypatch):
+    rng = np.random.default_rng(23)
+    h, g = random_temporal_metric(2, rng), random_spatiotemporal_metric(2, 2, rng)
+    space = general_electrodynamic_space(h, g, random_potential(2, 2, rng),
+                                         random_base_scalar(2, 2, rng))
+    compiled = []
+    real = symbolic.compile_block
+
+    def counting(exprs):
+        compiled.append(list(np.asarray(exprs, dtype=object).flat))
+        return real(exprs)
+
+    monkeypatch.setattr(symbolic, "compile_block", counting)
+    extract_electrodynamic_form(space.hamiltonian, h, 2, regularity=space.regularity)
+    *checks, reassembly = compiled
+    assert len(reassembly) == 2  # the one equiv of the rebuilt hamiltonian
+    sets = [variables(block[0]) for block in checks]
+    assert all(variables(e) is names for block, names in zip(checks, sets) for e in block)
+    assert len(set(sets)) == len(sets) < sum(map(len, checks))
+
+
+def _scaled_candidate(result, factor: float):
+    return replace(result, candidate=tuple(tuple(mul(Const(factor), e) for e in row)
+                                           for row in result.candidate))
+
+
+def test_extraction_names_the_momentum_a_wrong_candidate_leaves_behind():
+    h = curved_h()
+    space = gravitational_space(h, curved_phi())
+    doubled = _scaled_candidate(space.regularity, 2.0)
+    with pytest.raises(ResidualTooLarge) as err:
+        extract_electrodynamic_form(space.hamiltonian, h, 2, regularity=doubled)
+    assert str(err.value) == "extracted potential term depends on momentum p1_1"
+    # scaled by 1.1, U loses 0.2 p and F gains 0.1 H: with tol 0.25 only the
+    # free term's derivative 0.2 p1_1 exceeds it, where |p1_1| > 1.25
+    H = add(*[power(Var(nm), 2) for nm in CHART.p_names])
+    flat = flat_h()
+    result = check_kronecker_regularity(H, flat, 2)
+    with pytest.raises(ResidualTooLarge) as err:
+        extract_electrodynamic_form(H, flat, 2, tol=0.25,
+                                    regularity=_scaled_candidate(result, 1.1))
+    assert str(err.value) == "extracted free term depends on momentum p1_1"
 
 
 def test_quartic_hamiltonian_rejected():

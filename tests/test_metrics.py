@@ -1,9 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from polyjet.charts import TransitionMap
 from polyjet.errors import ConfigError, SingularMetric
-from polyjet.metrics import ChristoffelField, Metric, christoffel, pullback_metric
+from polyjet.metrics import (
+    ChristoffelField,
+    Metric,
+    christoffel,
+    christoffel_symbols,
+    pullback_metric,
+)
 from polyjet.symbolic import SampleDomain, equiv, evaluate, parse, var
 
 from oracles import central_diff_partial
@@ -135,6 +144,21 @@ def test_spatiotemporal_christoffel_differentiates_in_x_only():
     assert equiv(Gamma.components[0][0][0], want)
 
 
+def test_christoffel_symbols_are_built_once_and_freed_with_the_metric():
+    gc.collect()
+    gc.disable()
+    try:
+        g = curved_phi()
+        first = christoffel_symbols(g)
+        assert christoffel_symbols(g) is first
+        assert first[0][0][0] is christoffel(g).components[0][0][0]
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None  # no cycle: reference counting frees it
+    finally:
+        gc.enable()
+
+
 def test_large_dimension_falls_back_to_numeric_closures():
     vs = [f"x{i}" for i in range(1, 6)]
     rows = [[parse("1" if i == j else "0", vs) for j in range(5)] for i in range(5)]
@@ -148,6 +172,9 @@ def test_large_dimension_falls_back_to_numeric_closures():
     assert vals[4, 4, 0] == pytest.approx(x1 / (1 + x1 ** 2), abs=1e-12)
     with pytest.raises(ConfigError):
         g.inverse_components
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="exceeds the symbolic-inverse limit"):
+            christoffel_symbols(g)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from polyjet.symbolic import (
     SampleDomain,
     Sum,
     Var,
+    ZERO,
     add,
     cos,
     differentiate,
@@ -36,6 +37,8 @@ from polyjet.symbolic import (
     evaluate,
     exp,
     expr_array,
+    first_nonzero,
+    is_zero,
     ln,
     mul,
     neg,
@@ -49,7 +52,13 @@ from polyjet.symbolic import (
     variables,
 )
 
-from oracles import central_diff_partial, subexpressions, variables_walk
+from oracles import (
+    central_diff_partial,
+    differentiate_walk,
+    subexpressions,
+    substitute_walk,
+    variables_walk,
+)
 
 X1 = var("x1")
 T1 = var("t1")
@@ -488,6 +497,47 @@ def test_substitute_and_differentiate_record_variables_of_new_nodes():
 
 
 # ---------------------------------------------------------------------------
+# walks pruned by the recorded variable sets
+
+@settings(max_examples=120, deadline=None)
+@given(_safe_expr, st.sampled_from(["t1", "x1", "p1_1", "y9"]), _poly_expr)
+def test_pruned_walks_return_the_nodes_of_the_full_walks(e, name, replacement):
+    got, want = differentiate(e, name), differentiate_walk(e, name)
+    # the one difference: the rules can sign the zero of a root without name
+    if want is Const(-0.0):
+        assert got is ZERO and name not in variables(e)
+    else:
+        assert got is want
+    assert substitute(e, {name: replacement}) is substitute_walk(e, {name: replacement})
+
+
+def test_a_root_without_the_variable_differentiates_to_zero():
+    for e in (neg(X1), cos(X1), neg(sin(X1) * T1)):
+        assert differentiate_walk(e, "y9") is Const(-0.0)
+        assert differentiate(e, "y9") is ZERO
+
+
+def test_differentiating_by_an_absent_name_touches_no_cache():
+    x8 = var("x8")
+    e = sin(x8) * exp(x8 + T1)
+    nodes = [n for n in subexpressions(e) if not isinstance(n, (Const, Var))]
+    assert all(n._derivs is None for n in nodes)
+    assert differentiate(e, "p1_1") is ZERO
+    assert all(n._derivs is None for n in nodes)
+
+
+def test_substituting_an_absent_name_returns_the_expression_itself(monkeypatch):
+    e = parse(_RICH, ["x7", "t1"])
+    mapping = {"p1_1": X1, "y9": Const(2.0)}
+    built = []
+    intern = symbolic.Expr._interned.__func__
+    monkeypatch.setattr(symbolic.Expr, "_interned",
+                        classmethod(lambda cls, *a: built.append(cls) or intern(cls, *a)))
+    assert substitute(e, mapping) is e
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
 # substitution
 
 def test_substitute_rebuilds_canonically():
@@ -590,6 +640,52 @@ def test_equiv_uses_relative_scale():
     big = mul(Const(1e12), X1)
     assert equiv(big, mul(Const(1e12), X1) + Const(1.0), tol=1e-9)
     assert not equiv(X1, X1 + Const(1e-6), tol=1e-9)
+
+
+@pytest.mark.parametrize("e1, e2", [
+    (Const(math.nan), Const(0.0)),
+    (Const(math.nan), Const(1.0)),
+    (mul(X1, Const(math.nan)), Const(2.0)),
+])
+def test_a_nan_is_never_equivalent(e1, e2):
+    assert not equiv(e1, e2)
+    assert not equiv(e2, e1)
+    assert not is_zero(add(e1, neg(e2)))
+
+
+def test_first_nonzero_agrees_with_is_zero_entry_by_entry():
+    entries = [ZERO, sin(X1) ** 2 + cos(X1) ** 2 - 1, X1 - X1, mul(Const(1e-12), T1),
+               Const(math.nan), (X1 + T1) ** 2 - X1 ** 2 - T1 ** 2, mul(Const(1e-3), P11)]
+    want = [k for k, e in enumerate(entries) if not is_zero(e)]
+    assert want == [4, 5, 6]
+    assert first_nonzero(entries) == 4
+    assert first_nonzero(entries[:4] + entries[7:]) is None
+    assert first_nonzero(entries[5:]) == 0
+    assert first_nonzero(entries, tol=1e-2) == 4
+    assert first_nonzero(entries[6:], tol=1e-2) is None  # 1e-3*p1_1 is within 1e-2
+    assert first_nonzero([]) is None
+
+
+def test_first_nonzero_fails_like_the_entry_by_entry_loop():
+    bad = ln(X1 - 5)  # ln of a negative value at every sample
+    with pytest.raises(DomainError, match="ln of non-positive value"):
+        first_nonzero([ZERO, sin(X1) - sin(X1), bad, P11])
+    # an earlier nonzero entry in another variable set answers first
+    assert first_nonzero([ZERO, T1, bad]) == 1
+    # ... also in the same variable set, whose program is the one that raises
+    assert first_nonzero([X1, bad]) == 0
+
+    def entries():
+        yield ZERO
+        yield T1
+        raise DomainError("not built")
+    assert first_nonzero(entries()) == 1
+
+    def zero_then_error():
+        yield ZERO
+        raise DomainError("not built")
+    with pytest.raises(DomainError, match="not built"):
+        first_nonzero(zero_then_error())
 
 
 def test_sample_domain_is_deterministic():
