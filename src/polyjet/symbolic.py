@@ -15,9 +15,11 @@ walk.  Every node that is differentiated keeps weak references to its
 derivatives, one per variable name, so a derivative that is still alive
 anywhere is never computed again, and one that nothing holds is freed.
 
-Differentiation and substitution are exact tree rewrites.  Semantic
-equality of expressions is decided by ``equiv``, which samples a seeded
-box, because symbolic normal forms are out of scope here.
+Differentiation and substitution are exact tree rewrites.  They and
+compiling walk the DAG with one explicit stack, and evaluation is a
+one-point run of a compiled program, so only the parser and the printer
+recurse.  Semantic equality of expressions is decided by ``equiv``, which
+samples a seeded box, because symbolic normal forms are out of scope here.
 
 Variable naming convention used by the geometry layers: temporal
 coordinates ``t1..tm``, spatial coordinates ``x1..xn``, polymomenta
@@ -54,12 +56,12 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _DIGITS_RE = re.compile(r"\d+")
 
 # Deepest nesting of parentheses, function calls and unary minus that the
-# parser accepts.  The parser and the recursive walks over a parsed tree
-# (evaluate, differentiate, substitute, compile_block, printing) take
-# several stack frames per level, while equality, hashing and variables,
-# being identity and a recorded set, take none; at this depth every
-# command still runs with room to spare below Python's default recursion
-# limit.
+# parser accepts.  The parser and the printer recurse, several stack frames
+# per level; at this depth both run with room to spare below Python's
+# default recursion limit.  The other walks (evaluate, differentiate,
+# substitute, compile_block) keep their own stack, and equality, hashing
+# and variables are identity and a recorded set, so none of them needs a
+# frame per level.
 MAX_NESTING = 64
 
 
@@ -119,6 +121,10 @@ class Expr:
     def __reduce__(self):
         # copies and unpickled nodes go through the intern table too
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def children(self) -> tuple:
+        """The child nodes, in the order every walk visits them."""
+        return ()
 
     def __add__(self, other):
         return add(self, as_expr(other))
@@ -181,25 +187,45 @@ class Var(Expr):
 class Sum(Expr):
     __slots__ = ("terms",)
 
+    def children(self):
+        return self.terms
+
 
 class Product(Expr):
     __slots__ = ("factors",)
+
+    def children(self):
+        return self.factors
 
 
 class Power(Expr):
     __slots__ = ("base", "exponent")
 
+    def children(self):
+        return (self.base,)
+
 
 class Neg(Expr):
     __slots__ = ("arg",)
+
+    def children(self):
+        return (self.arg,)
 
 
 class Quotient(Expr):
     __slots__ = ("numerator", "denominator")
 
+    def children(self):
+        # the denominator first: evaluation tests it for zero before it
+        # computes the numerator, and every walk shares this order
+        return (self.denominator, self.numerator)
+
 
 class Call(Expr):
     __slots__ = ("func", "arg")
+
+    def children(self):
+        return (self.arg,)
 
 
 def _free_vars(fields) -> frozenset:
@@ -455,104 +481,83 @@ def sqrt(e) -> Expr:
     return call("sqrt", as_expr(e))
 
 
-def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
-    """Evaluate an expression at a point.  The memo makes shared subtrees
-    (ubiquitous after differentiation) cost one visit each."""
-    memo: dict[Expr, float] = {}
+def _post_order(roots, memo: dict, settle):
+    """Yield ``(node, values of its children)`` for each node under
+    ``roots`` that ``memo`` lacks, once, children first, depth first from
+    the first root.  The walk keeps its own stack, so depth costs no Python
+    frames.  The loop must put each yielded node's value in ``memo``.
 
-    def ev(node):
-        if node in memo:
-            return memo[node]
-        if isinstance(node, Const):
-            val = node.value
-        elif isinstance(node, Var):
-            try:
-                val = float(assignment[node.name])
-            except KeyError:
-                raise UnboundVariable(node.name) from None
-        elif isinstance(node, Sum):
-            val = _sum_value([ev(t) for t in node.terms])
-        elif isinstance(node, Product):
-            val = _product_value([ev(f) for f in node.factors])
-        elif isinstance(node, Power):
-            val = _power_value(ev(node.base), node.exponent)
-        elif isinstance(node, Neg):
-            val = -ev(node.arg)
-        elif isinstance(node, Quotient):
-            den = ev(node.denominator)
-            if den == 0.0:
-                raise DomainError("division by zero during evaluation")
-            val = _quotient_value(ev(node.numerator), den)
-        elif isinstance(node, Call):
-            val = _apply_function(node.func, ev(node.arg))
+    ``settle(node)`` is called once per node reached that ``memo`` lacks,
+    before its children: a value it returns (never None) goes into
+    ``memo``, and the children are not walked; None walks the node.
+    """
+    stack = [(None, iter(roots), [])]
+    while stack:
+        node, kids, values = stack[-1]
+        for kid in kids:
+            value = memo.get(kid)
+            if value is None:
+                value = settle(kid)
+                if value is None:
+                    stack.append((kid, iter(kid.children()), []))
+                    break
+                memo[kid] = value
+            values.append(value)
         else:
-            raise TypeError(f"not an expression node: {node!r}")
-        memo[node] = val
-        return val
+            stack.pop()
+            if stack:
+                yield node, values
+                stack[-1][2].append(memo[node])
 
-    try:
-        return ev(e)
-    finally:
-        del ev  # the closure refers to itself; drop that cycle with the memo
+
+def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
+    """Evaluate an expression at a point: a one-point run of its compiled
+    program, so it raises exactly the errors ``Program.run`` raises."""
+    return float(compile_block([as_expr(e)]).run([assignment])[0, 0])
 
 
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to the named variable.
 
     A node whose recorded variable set lacks ``name`` has derivative
-    ``ZERO``, returned without a walk and without touching its cache.  So
+    ``ZERO``, settled without a walk and without touching its cache.  So
     the result is ``ZERO``, never the ``Const(-0.0)`` that the rules would
     build for ``neg(y)`` or ``cos(y)`` by ``x``.  Any other node's
     derivative is looked up on the node before it is computed and stored
     there after, as a weak reference.  So a derivative that is still
     alive anywhere, from this call or an earlier one, is reused, and a
     result is the same node whether it came from the cache or not.  The
-    call keeps its own results alive until it returns, so a subtree shared
-    within the expression is derived once.
+    call's memo keeps its own results alive until it returns, so a subtree
+    shared within the expression is derived once.
     """
-    held: list[Expr] = []
 
-    def d(node):
-        try:
-            names = node._vars
-        except AttributeError:
-            raise TypeError(f"not an expression node: {node!r}") from None
-        if name not in names:
+    def settle(node):
+        if name not in node._vars:
             return ZERO
-        if isinstance(node, Var):
+        if type(node) is Var:
             return ONE
         cache = node._derivs
-        if cache is None:
-            cache = {}
-            object.__setattr__(node, "_derivs", cache)
-        else:
-            ref = cache.get(name)
-            out = ref() if ref is not None else None
-            if out is not None:
-                return out
-        if isinstance(node, Sum):
-            out = add(*(d(t) for t in node.terms))
-        elif isinstance(node, Product):
-            pieces = []
+        ref = None if cache is None else cache.get(name)
+        return None if ref is None else ref()
+
+    e, memo = as_expr(e), {}
+    for node, ds in _post_order([e], memo, settle):
+        kind = type(node)
+        if kind is Sum:
+            out = add(*ds)
+        elif kind is Product:
             fs = node.factors
-            for i, f in enumerate(fs):
-                df = d(f)
-                if df is ZERO:
-                    continue
-                pieces.append(mul(*fs[:i], df, *fs[i + 1:]))
-            out = add(*pieces)
-        elif isinstance(node, Power):
-            out = mul(Const(node.exponent), power(node.base, node.exponent - 1),
-                      d(node.base))
-        elif isinstance(node, Neg):
-            out = neg(d(node.arg))
-        elif isinstance(node, Quotient):
-            u, v = node.numerator, node.denominator
-            du, dv = d(u), d(v)
+            out = add(*[mul(*fs[:i], df, *fs[i + 1:]) for i, df in enumerate(ds)
+                        if df is not ZERO])
+        elif kind is Power:
+            out = mul(Const(node.exponent), power(node.base, node.exponent - 1), ds[0])
+        elif kind is Neg:
+            out = neg(ds[0])
+        elif kind is Quotient:
+            (dv, du), u, v = ds, node.numerator, node.denominator
             out = div(add(mul(du, v), neg(mul(u, dv))), power(v, 2))
-        elif isinstance(node, Call):
-            u = node.arg
-            du = d(u)
+        else:
+            u, du = node.arg, ds[0]
             if node.func == "exp":
                 out = mul(node, du)
             elif node.func == "ln":
@@ -565,16 +570,11 @@ def differentiate(e: Expr, name: str) -> Expr:
                 out = div(du, mul(Const(2.0), node))
             else:
                 raise UnknownIdentifier(node.func)
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        cache[name] = weakref.ref(out)
-        held.append(out)
-        return out
-
-    try:
-        return d(e)
-    finally:
-        del d  # the closure refers to itself; drop that cycle with the results
+        memo[node] = out
+        if node._derivs is None:
+            object.__setattr__(node, "_derivs", {})
+        node._derivs[name] = weakref.ref(out)
+    return memo[e]
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -583,39 +583,33 @@ def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     recorded variable set names no mapped variable is returned as it is,
     without a walk: rebuilding it would give the same node."""
     table = {k: as_expr(v) for k, v in mapping.items()}
-    memo: dict[Expr, Expr] = {}
 
-    def sub(node):
-        try:
-            if node._vars.isdisjoint(table):
-                return node
-        except AttributeError:
-            raise TypeError(f"not an expression node: {node!r}") from None
-        if node in memo:
-            return memo[node]
-        if isinstance(node, Var):
-            out = table[node.name]
-        elif isinstance(node, Sum):
-            out = add(*(sub(t) for t in node.terms))
-        elif isinstance(node, Product):
-            out = mul(*(sub(f) for f in node.factors))
-        elif isinstance(node, Power):
-            out = power(sub(node.base), node.exponent)
-        elif isinstance(node, Neg):
-            out = neg(sub(node.arg))
-        elif isinstance(node, Quotient):
-            out = div(sub(node.numerator), sub(node.denominator))
-        elif isinstance(node, Call):
-            out = call(node.func, sub(node.arg))
-        else:
-            raise TypeError(f"not an expression node: {node!r}")
-        memo[node] = out
-        return out
+    def settle(node):
+        if node._vars.isdisjoint(table):
+            return node
+        return table[node.name] if type(node) is Var else None
 
-    try:
-        return sub(e)
-    finally:
-        del sub  # the closure refers to itself; drop that cycle with the memo
+    e, memo = as_expr(e), {}
+    for node, kids in _post_order([e], memo, settle):
+        memo[node] = _rebuild(node, kids)
+    return memo[e]
+
+
+def _rebuild(node: Expr, kids) -> Expr:
+    """A compound node's kind over new children, in ``children()`` order,
+    built through the smart constructors (so folding applies)."""
+    kind = type(node)
+    if kind is Sum:
+        return add(*kids)
+    if kind is Product:
+        return mul(*kids)
+    if kind is Power:
+        return power(kids[0], node.exponent)
+    if kind is Neg:
+        return neg(kids[0])
+    if kind is Quotient:
+        return div(kids[1], kids[0])
+    return call(node.func, kids[0])
 
 
 def variables(e: Expr) -> frozenset:
@@ -637,27 +631,25 @@ _FAULTS = (ArithmeticError, ValueError, KeyError)
 
 
 def _node_op(node):
-    """(opcode, payload, children) of one expression node."""
+    """(opcode, payload) of one expression node."""
     kind = type(node)
     if kind is Sum:
-        return _SUM, None, node.terms
+        return _SUM, None
     if kind is Product:
-        return _PRODUCT, None, node.factors
+        return _PRODUCT, None
     if kind is Power:
-        return _POWER, node.exponent, (node.base,)
+        return _POWER, node.exponent
     if kind is Neg:
-        return _NEG, None, (node.arg,)
+        return _NEG, None
     if kind is Quotient:
-        return _QUOTIENT, None, (node.numerator, node.denominator)
+        return _QUOTIENT, None
     if kind is Call:
         if node.func not in _CALL_VALUE:
             raise UnknownIdentifier(node.func)
-        return _CALL, node.func, (node.arg,)
+        return _CALL, node.func
     if kind is Var:
-        return _VAR, node.name, ()
-    if kind is Const:
-        return _CONST, node.value, ()
-    raise TypeError(f"not an expression node: {node!r}")
+        return _VAR, node.name
+    return _CONST, node.value
 
 
 def compile_block(exprs) -> "Program":
@@ -665,50 +657,59 @@ def compile_block(exprs) -> "Program":
 
     ``exprs`` is an array or a nested sequence of expressions, and the
     program keeps its shape.  The union of the roots is walked once with
-    one memo, to the same depth as ``evaluate``.  Nodes are interned, so
-    each distinct node is one structure and gets one slot: structurally
-    equal subtrees share it.  The program keeps no reference to the
-    expressions.
+    one memo.  Nodes are interned, so each distinct node is one structure
+    and gets one slot: structurally equal subtrees share it.  Slots are
+    numbered as the walk finishes nodes, a quotient's denominator before
+    its numerator, the order in which a replay computes and checks them.
+    The program keeps no reference to the expressions.
     """
     block = np.asarray(exprs, dtype=object)
+    roots = list(map(as_expr, block.flat))
     slot_of: dict[Expr, int] = {}
     ops: list[tuple] = []
+    # op index -> denominator slots tested for zero before that op, which
+    # is the first new slot of the quotient's numerator (or the quotient)
+    checks: dict[int, list] = {}
+    entered: dict[Expr, int] = {}
 
-    def visit(node) -> int:
-        slot = slot_of.get(node)
-        if slot is None:
-            code, arg, kids = _node_op(node)
-            ops.append((code, arg, tuple([visit(c) for c in kids])))
-            slot = slot_of[node] = len(ops) - 1
-        return slot
+    def settle(node):
+        if type(node) is Quotient:
+            entered[node] = len(ops)
 
-    try:
-        roots = [visit(e) for e in map(as_expr, block.flat)]
-    finally:
-        del visit  # the closure refers to itself; drop that cycle with the memo
-    return Program(ops, roots, block.shape)
+    for node, kids in _post_order(roots, slot_of, settle):
+        code, payload = _node_op(node)
+        kids = tuple(kids)
+        if code == _QUOTIENT:
+            # the numerator's new slots start right after a new denominator,
+            # or where the quotient's walk began when the denominator is older
+            den = kids[0]
+            checks.setdefault(max(den + 1, entered.pop(node)), []).append(den)
+        slot_of[node] = len(ops)
+        ops.append((code, payload, kids))
+    return Program(ops, [slot_of[r] for r in roots], block.shape, checks)
 
 
 class Program:
     """A straight-line program with one slot per distinct node of a block.
 
     ``run`` evaluates every op over all sample points at once, column by
-    column.  Each op applies the very scalar operation ``evaluate`` applies
+    column, with the very scalar operations of a one-point replay
     (``math.fsum`` per point for sums, left-to-right products, Python
     ``float ** int`` and the ``math`` functions), so results are
-    bit-identical to ``evaluate``.  Where some op faults, or some value is
-    not finite (a product or quotient may have overflowed), every sample is
-    replayed in order in ``evaluate``'s visiting order instead: the first
-    sample at which ``evaluate`` raises raises exactly its error, and when
-    none does, the replayed values are the result.
+    bit-identical to it.  Where some op faults, or some value is not
+    finite (a product or quotient may have overflowed), every sample is
+    replayed in order instead, with every domain check: the first sample
+    at which one fails raises its error, and when none does, the replayed
+    values are the result.
     """
 
-    __slots__ = ("ops", "roots", "shape")
+    __slots__ = ("ops", "roots", "shape", "checks")
 
-    def __init__(self, ops, roots, shape):
+    def __init__(self, ops, roots, shape, checks):
         self.ops = tuple(ops)
         self.roots = tuple(roots)
         self.shape = tuple(shape)
+        self.checks = dict(checks)
 
     def run(self, points) -> np.ndarray:
         """Values at each point: an array of shape (len(points), *shape)."""
@@ -723,8 +724,8 @@ class Program:
         return np.ascontiguousarray(out).reshape(count, *self.shape)
 
     def _columns(self, points) -> list:
-        """Every slot's values over all points, or a fault where
-        ``evaluate`` may differ at some sample."""
+        """Every slot's values over all points, or a fault where the
+        replay may differ at some sample."""
         vals: list[list] = []
         # Every slot feeds some root, and a non-finite value either reaches
         # it, raises on the way, or is masked as a denominator (x/inf = 0)
@@ -740,9 +741,9 @@ class Program:
                 col = [v ** arg for v in vals[kids[0]]]
             elif code == _NEG:
                 col = [-v for v in vals[kids[0]]]
-            elif code == _QUOTIENT:
-                col = list(map(operator.truediv, vals[kids[0]], vals[kids[1]]))
-                watched.append(vals[kids[1]])
+            elif code == _QUOTIENT:  # kids are (denominator, numerator)
+                col = list(map(operator.truediv, vals[kids[1]], vals[kids[0]]))
+                watched.append(vals[kids[0]])
             elif code == _CALL:
                 col = list(map(_CALL_VALUE[arg], vals[kids[0]]))
                 if arg == "exp":
@@ -760,39 +761,34 @@ class Program:
         return vals
 
     def _replay(self, point) -> list:
-        memo: dict[int, float] = {}
-        return [_replay_slot(self.ops, r, point, memo) for r in self.roots]
-
-
-def _replay_slot(ops, slot: int, point, memo: dict) -> float:
-    """``evaluate`` over program slots: same order, same checks, same errors."""
-    if slot in memo:
-        return memo[slot]
-    code, arg, kids = ops[slot]
-    if code == _CONST:
-        val = arg
-    elif code == _VAR:
-        try:
-            val = float(point[arg])
-        except KeyError:
-            raise UnboundVariable(arg) from None
-    elif code == _SUM:
-        val = _sum_value([_replay_slot(ops, k, point, memo) for k in kids])
-    elif code == _PRODUCT:
-        val = _product_value([_replay_slot(ops, k, point, memo) for k in kids])
-    elif code == _POWER:
-        val = _power_value(_replay_slot(ops, kids[0], point, memo), arg)
-    elif code == _NEG:
-        val = -_replay_slot(ops, kids[0], point, memo)
-    elif code == _QUOTIENT:
-        den = _replay_slot(ops, kids[1], point, memo)
-        if den == 0.0:
-            raise DomainError("division by zero during evaluation")
-        val = _quotient_value(_replay_slot(ops, kids[0], point, memo), den)
-    else:
-        val = _apply_function(arg, _replay_slot(ops, kids[0], point, memo))
-    memo[slot] = val
-    return val
+        """The roots' values at one point, op by op in slot order, with
+        every domain check; the first check that fails raises."""
+        vals: list[float] = []
+        for index, (code, arg, kids) in enumerate(self.ops):
+            for den in self.checks.get(index, ()):
+                if vals[den] == 0.0:
+                    raise DomainError("division by zero during evaluation")
+            if code == _CONST:
+                val = arg
+            elif code == _VAR:
+                try:
+                    val = float(point[arg])
+                except KeyError:
+                    raise UnboundVariable(arg) from None
+            elif code == _SUM:
+                val = _sum_value([vals[k] for k in kids])
+            elif code == _PRODUCT:
+                val = _product_value([vals[k] for k in kids])
+            elif code == _POWER:
+                val = _power_value(vals[kids[0]], arg)
+            elif code == _NEG:
+                val = -vals[kids[0]]
+            elif code == _QUOTIENT:
+                val = _quotient_value(vals[kids[1]], vals[kids[0]])
+            else:
+                val = _apply_function(arg, vals[kids[0]])
+            vals.append(val)
+        return [vals[r] for r in self.roots]
 
 
 # ---------------------------------------------------------------------------
@@ -1101,15 +1097,17 @@ class SampleDomain:
 
 
 def _close(v1: float, v2: float, tol: float) -> bool:
-    # a NaN on either side compares false, so it is never close
-    return abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2))
+    # a NaN or an infinity on either side is never close: a NaN compares
+    # false, and an infinity would make the scale infinite
+    return (math.isfinite(v1) and math.isfinite(v2)
+            and abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2)))
 
 
 def equiv(e1: Expr, e2: Expr, dom: SampleDomain | None = None, tol: float = 1e-9) -> bool:
     """Numeric equivalence on a sampled box.
 
     True iff |e1 - e2| <= tol * max(1, |e1|, |e2|) at every sampled point;
-    a NaN at any point makes it False.
+    a NaN or an infinity at any point makes it False.
     """
     e1, e2 = as_expr(e1), as_expr(e2)
     if dom is None:

@@ -5,11 +5,14 @@ symbolic derivatives; library code never differentiates numerically.  The
 walk over an expression's nodes checks the free-variable sets that nodes
 record when they are interned, and the full walks of ``differentiate_walk``
 and ``substitute_walk`` check the library's, which skip every subtree
-whose recorded set shows the result.
+whose recorded set shows the result.  ``evaluate_walk`` is the recursive
+scalar evaluator that compiled programs, and so ``evaluate``, must match
+bit for bit and error for error.
 """
 
 from __future__ import annotations
 
+from polyjet.errors import DomainError, UnboundVariable
 from polyjet.symbolic import (
     Call,
     Const,
@@ -28,6 +31,11 @@ from polyjet.symbolic import (
     mul,
     neg,
     power,
+    _apply_function,
+    _power_value,
+    _product_value,
+    _quotient_value,
+    _sum_value,
 )
 
 
@@ -77,6 +85,43 @@ def variables_walk(e) -> frozenset:
     """The variable names occurring in an expression, found by walking it:
     the reference for the sets that nodes record when they are interned."""
     return frozenset(node.name for node in subexpressions(e) if isinstance(node, Var))
+
+
+def evaluate_walk(e, assignment) -> float:
+    """The value of an expression at a point, by recursion over its nodes
+    with a per-call memo: a quotient's denominator is computed and tested
+    for zero before its numerator, children otherwise left to right."""
+    memo: dict = {}
+
+    def ev(node):
+        if node in memo:
+            return memo[node]
+        if isinstance(node, Const):
+            val = node.value
+        elif isinstance(node, Var):
+            try:
+                val = float(assignment[node.name])
+            except KeyError:
+                raise UnboundVariable(node.name) from None
+        elif isinstance(node, Sum):
+            val = _sum_value([ev(t) for t in node.terms])
+        elif isinstance(node, Product):
+            val = _product_value([ev(f) for f in node.factors])
+        elif isinstance(node, Power):
+            val = _power_value(ev(node.base), node.exponent)
+        elif isinstance(node, Neg):
+            val = -ev(node.arg)
+        elif isinstance(node, Quotient):
+            den = ev(node.denominator)
+            if den == 0.0:
+                raise DomainError("division by zero during evaluation")
+            val = _quotient_value(ev(node.numerator), den)
+        else:
+            val = _apply_function(node.func, ev(node.arg))
+        memo[node] = val
+        return val
+
+    return ev(e)
 
 
 def differentiate_walk(e, name: str):

@@ -1,8 +1,10 @@
-"""The compiled block evaluator against the scalar reference ``evaluate``.
+"""The compiled block evaluator against the recursive scalar reference.
 
-``compile_block`` value-numbers a block of expressions into one program;
-``Program.run`` must give the very bits ``evaluate`` gives and raise the
-very error it raises, for the lowest failing sample.
+``compile_block`` value-numbers a block of expressions into one program,
+walking it with an explicit stack; ``Program.run`` must give the very bits
+that ``oracles.evaluate_walk`` gives and raise the very error it raises,
+for the lowest failing sample.  The library's ``evaluate`` is a one-point
+run of a compiled program, so it is checked here through the program.
 """
 
 from __future__ import annotations
@@ -29,13 +31,7 @@ from polyjet.hamilton import HamiltonSpace, canonical_nonlinear_connection
 from polyjet.metrics import pullback_metric
 from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import (
-    Call,
     Const,
-    Neg,
-    Power,
-    Product,
-    Quotient,
-    Sum,
     add,
     compile_block,
     cos,
@@ -54,6 +50,8 @@ from polyjet.symbolic import (
     var,
 )
 
+from oracles import evaluate_walk, subexpressions
+
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 X1, T1, P11 = var("x1"), var("t1"), var("p1_1")
 
@@ -63,14 +61,14 @@ def bits(values) -> np.ndarray:
 
 
 def reference(exprs, points):
-    """Per point, per expression: evaluate's value, or the error it raises
-    first when the points are visited in order."""
+    """Per point, per expression: the reference value, or the error the
+    reference raises first when the points are visited in order."""
     rows = []
     for pt in points:
         row = []
         for e in exprs:
             try:
-                row.append(evaluate(e, pt))
+                row.append(evaluate_walk(e, pt))
             except Exception as exc:  # any error, to compare with the program's
                 return rows, exc
         rows.append(row)
@@ -149,7 +147,7 @@ def test_manifest_blocks_are_bit_identical_to_evaluate(name):
     for label, block, values, points in _manifest_blocks(name):
         entries = flat(block)
         for pt, got in zip(points, values, strict=True):
-            want = [evaluate(e, pt) for e in entries]
+            want = [evaluate_walk(e, pt) for e in entries]
             assert np.array_equal(bits(np.ravel(got)), bits(want)), label
 
 
@@ -218,28 +216,13 @@ def test_derivatives_share_the_block_with_their_source(e, point):
 # ---------------------------------------------------------------------------
 # value numbering
 
-def _structural_nodes(e, seen: set) -> set:
-    seen.add(e)
-    if isinstance(e, (Sum, Product)):
-        for c in (e.terms if isinstance(e, Sum) else e.factors):
-            _structural_nodes(c, seen)
-    elif isinstance(e, Power):
-        _structural_nodes(e.base, seen)
-    elif isinstance(e, (Neg, Call)):
-        _structural_nodes(e.arg, seen)
-    elif isinstance(e, Quotient):
-        _structural_nodes(e.numerator, seen)
-        _structural_nodes(e.denominator, seen)
-    return seen
-
-
 def test_equal_trees_built_apart_share_one_root_slot():
     source = "sin(x1)*x1^2 + ln(t1^2 + 1)/(x1^2 + 1) - 3*x1"
     a, b = parse(source, ["x1", "t1"]), parse(source, ["x1", "t1"])
     assert a is b
     program = compile_block([a, b])
     assert program.roots[0] == program.roots[1]
-    assert len(program.ops) == len(_structural_nodes(a, set()))
+    assert len(program.ops) == len(subexpressions(a))
 
 
 def test_op_count_is_the_structural_dag_size():
@@ -248,10 +231,8 @@ def test_op_count_is_the_structural_dag_size():
     H_b = pullback_scalar(man.hamiltonian, tm)
     entries = [differentiate(differentiate(H_b, "p1_1"), "x1"), H_b,
                substitute(H_b, {"t1": Const(0.5)})]
-    seen: set = set()
-    for e in entries:
-        _structural_nodes(e, seen)
-    assert len(compile_block(entries).ops) == len(seen)
+    nodes = set().union(*map(subexpressions, entries))
+    assert len(compile_block(entries).ops) == len(nodes)
 
 
 def test_plain_numbers_in_a_block_keep_their_own_values():
@@ -292,9 +273,19 @@ def test_quotient_checks_its_denominator_before_its_numerator():
     e = div(ln(X1), T1)
     pt = {"x1": -1.0, "t1": 0.0}
     with pytest.raises(DomainError) as want:
-        evaluate(e, pt)
+        evaluate_walk(e, pt)
     assert "division by zero" in str(want.value)
     assert_matches_evaluate([e], [pt])
+
+
+def test_an_earlier_denominator_is_tested_where_its_quotient_is_reached():
+    # t1 has a slot before sqrt(x1) faults, but evaluation reaches the
+    # quotient, and so tests t1 for zero, only after that fault
+    block = [T1, sqrt(X1), div(ln(X1), T1)]
+    pt = {"x1": -1.0, "t1": 0.0}
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        compile_block(block).run([pt])
+    assert_matches_evaluate(block, [pt])
 
 
 @pytest.mark.parametrize("source, point", [
@@ -310,7 +301,7 @@ def test_quotient_checks_its_denominator_before_its_numerator():
 def test_overflow_is_a_domain_error_on_both_paths(source, point):
     e = parse(source, ["x1"])
     with pytest.raises(DomainError) as scalar:
-        evaluate(e, point)
+        evaluate_walk(e, point)
     with pytest.raises(DomainError) as batched:
         compile_block([e]).run([{"x1": 0.1}, point])
     assert str(batched.value) == str(scalar.value)
@@ -324,7 +315,7 @@ def test_sin_and_cos_of_infinity_are_domain_errors_on_both_paths():
         e = parse(f"{func}(2*p1_1)", ["p1_1"])
         point = {"p1_1": math.inf}
         with pytest.raises(DomainError) as scalar:
-            evaluate(e, point)
+            evaluate_walk(e, point)
         with pytest.raises(DomainError) as batched:
             compile_block([e]).run([{"p1_1": 1.0}, point])
         assert str(batched.value) == str(scalar.value)

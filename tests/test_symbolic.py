@@ -30,6 +30,7 @@ from polyjet.symbolic import (
     Var,
     ZERO,
     add,
+    compile_block,
     cos,
     differentiate,
     div,
@@ -155,6 +156,39 @@ def test_deep_trees_compare_hash_and_multiply_without_recursion():
     assert a == b
     assert hash(a) == hash(b)
     assert mul(a, b) is power(a, 2)
+
+
+def _chain(levels):
+    """x1 under ``levels`` steps that alternate e -> sin(e) and
+    e -> e*e + 0.5, with its value and x1-derivative at x1 = 0.3 taken by
+    the same steps in floats (the derivative by the chain rule)."""
+    e, v, dv = X1, 0.3, 1.0
+    for k in range(levels):
+        if k % 2 == 0:
+            e, v, dv = sin(e), math.sin(v), math.cos(v) * dv
+        else:
+            e, v, dv = e * e + 0.5, v ** 2 + 0.5, 2 * v * dv
+    return e, v, dv
+
+
+@pytest.mark.parametrize("levels", [600, 1500, 10000])
+def test_deep_trees_evaluate_differentiate_substitute_and_compile(levels):
+    e, v, dv = _chain(levels)
+    point = {"x1": 0.3}
+    # the same float operations: a two-term fsum is the correctly rounded sum
+    assert evaluate(e, point) == v
+    assert compile_block([e, sin(e)]).run([point, point]).tolist() == [[v, math.sin(v)]] * 2
+    assert substitute(e, {"x1": Const(0.3)}) is Const(v)
+    assert evaluate(substitute(e, {"x1": T1}), {"t1": 0.3}) == v
+    # the derivative's constant coefficient is 2 ** (levels // 2)
+    if levels // 2 < 1024:
+        # each pair of levels scales it by about 0.16, so at 1,500 levels
+        # both values underflow to 0
+        got = evaluate(differentiate(e, "x1"), point)
+        assert abs(got - dv) <= 1e-12 * abs(dv)
+    else:
+        with pytest.raises(DomainError, match="constant folding overflows to inf"):
+            differentiate(e, "x1")
 
 
 def test_parsing_twice_gives_the_same_node():
@@ -553,6 +587,20 @@ def test_substitute_into_functions():
     assert equiv(got, ln((T1 + 1) ** 2 + 1))
 
 
+def test_every_walk_takes_a_quotients_denominator_first():
+    # with a fault on both sides, the denominator's is raised, as evaluation
+    # tests the denominator before it computes the numerator
+    e = div(ln(X1), ln(T1))
+    with pytest.raises(DomainError, match=r"ln of non-positive value -2\.0$"):
+        evaluate(e, {"x1": -1.0, "t1": -2.0})
+    with pytest.raises(DomainError, match=r"ln of non-positive value -2\.0$"):
+        substitute(e, {"x1": Const(-1.0), "t1": Const(-2.0)})
+    # both derivatives fold an overflowing coefficient, of opposite signs
+    q = div(mul(Const(-1e308), X1 ** 2), add(mul(Const(1e308), X1 ** 2), Const(1.0)))
+    with pytest.raises(DomainError, match="constant folding overflows to inf$"):
+        differentiate(q, "x1")
+
+
 def test_variables_listing():
     e = parse("2*x1^3 - sin(t1)*p1_2", ["t1", "x1", "p1_2"])
     assert variables(e) == frozenset({"x1", "t1", "p1_2"})
@@ -651,6 +699,20 @@ def test_a_nan_is_never_equivalent(e1, e2):
     assert not equiv(e1, e2)
     assert not equiv(e2, e1)
     assert not is_zero(add(e1, neg(e2)))
+
+
+@pytest.mark.parametrize("e1, e2", [
+    (Const(math.inf), Const(1.0)),
+    (Const(-math.inf), Const(0.0)),
+    (mul(X1, Const(math.inf)), Const(2.0)),
+])
+def test_an_infinity_is_never_equivalent(e1, e2):
+    # the relative scale max(1, |e1|, |e2|) would be infinite
+    assert not equiv(e1, e2)
+    assert not equiv(e2, e1)
+    assert not equiv(e1, e1)
+    assert not is_zero(add(e1, neg(e2)))
+    assert first_nonzero([e2 - e2, e1]) == 1
 
 
 def test_first_nonzero_agrees_with_is_zero_entry_by_entry():
