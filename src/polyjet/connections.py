@@ -21,7 +21,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .charts import JetChart, TransitionMap, p_name
-from .errors import ConfigError
+from .errors import ConfigError, PolyjetError
 from .metrics import Metric, christoffel_symbols
 from .report import VerificationReport, entry_label, sweep
 from .semisprays import Semispray
@@ -40,7 +40,12 @@ from .symbolic import (
 @dataclass(frozen=True, eq=False)
 class NonlinearConnection:
     """Connection blocks N1 (m, n, m) and N2 (m, n, n), both ``expr_array``
-    blocks."""
+    blocks.
+
+    Each block compiles its own program on first use and keeps it:
+    ``n1_at`` runs only the N1 program, ``n2_at`` only the N2 program, and
+    ``at_points`` runs both.
+    """
 
     m: int
     n: int
@@ -53,21 +58,31 @@ class NonlinearConnection:
         object.__setattr__(self, "n2", expr_array(self.n2, (self.m, self.n, self.n), names, "N2"))
 
     @cached_property
-    def _program(self) -> Program:
-        return compile_block([*self.n1.flat, *self.n2.flat])
+    def _n1_program(self) -> Program:
+        return compile_block(self.n1)
+
+    @cached_property
+    def _n2_program(self) -> Program:
+        return compile_block(self.n2)
 
     def at_points(self, points):
         """N1 (P, m, n, m) and N2 (P, m, n, n) at each assignment."""
-        m, n = self.m, self.n
-        vals = self._program.run(points)
-        k = m * n * m
-        return vals[:, :k].reshape(-1, m, n, m), vals[:, k:].reshape(-1, m, n, n)
+        points = list(points)
+        try:
+            return self._n1_program.run(points), self._n2_program.run(points)
+        except PolyjetError:
+            # raise the error of the first failing point, N1's before N2's
+            # there, as one program over both blocks would
+            for point in points:
+                self.n1_at(point)
+                self.n2_at(point)
+            raise
 
     def n1_at(self, assignment) -> np.ndarray:
-        return self.at_points([assignment])[0][0]
+        return self._n1_program.run([assignment])[0]
 
     def n2_at(self, assignment) -> np.ndarray:
-        return self.at_points([assignment])[1][0]
+        return self._n2_program.run([assignment])[0]
 
 
 def metric_n1(kappa, n: int) -> list:

@@ -192,6 +192,10 @@ class Sum(Expr):
 
 
 class Product(Expr):
+    """A product.  Products come only from ``mul``, so their factors are
+    canonical: flat, at most one constant (the leading coefficient, never
+    0 or 1), and no two adjacent factors with the same base."""
+
     __slots__ = ("factors",)
 
     def children(self):
@@ -351,6 +355,37 @@ def mul(*factors: Expr) -> Expr:
     out = _merge_adjacent_factors(out)
     if coeff != 1.0:
         out.insert(0, _folded(coeff, flat))
+    if not out:
+        return ONE
+    if len(out) == 1:
+        return out[0]
+    return Product(tuple(out))
+
+
+def _spliced(factors: tuple, i: int, df: Expr) -> Expr:
+    """``mul(*factors[:i], df, *factors[i + 1:])``, the same node, for the
+    canonical factors of a ``Product``: only the coefficient is folded
+    again, and only the factors where ``df`` meets its neighbours are
+    merged."""
+    head, tail = factors[:i], factors[i + 1:]
+    mids = df.factors if type(df) is Product else (df,)
+    consts = []
+    if head and type(head[0]) is Const:
+        consts.append(head[0].value)
+        head = head[1:]
+    if type(mids[0]) is Const:
+        consts.append(mids[0].value)
+        mids = mids[1:]
+    coeff = 1.0
+    for value in consts:
+        coeff *= value
+    if coeff == 0.0:
+        return ZERO
+    # a run of equal bases cannot reach past the factors next to df, or
+    # next to each other where df is a constant
+    out = [*head[:-1], *_merge_adjacent_factors(head[-1:] + mids + tail[:1]), *tail[1:]]
+    if coeff != 1.0:
+        out.insert(0, Const(_no_overflow(coeff, consts, "constant folding")))
     if not out:
         return ONE
     if len(out) == 1:
@@ -529,6 +564,11 @@ def differentiate(e: Expr, name: str) -> Expr:
     result is the same node whether it came from the cache or not.  The
     call's memo keeps its own results alive until it returns, so a subtree
     shared within the expression is derived once.
+
+    The product rule's term for factor i, ``mul(*fs[:i], df, *fs[i + 1:])``,
+    is built by splicing ``df`` into the factor tuple, which ``mul`` made
+    canonical, so the other factors are not flattened, folded and merged
+    again (``_spliced``).
     """
 
     def settle(node):
@@ -547,8 +587,7 @@ def differentiate(e: Expr, name: str) -> Expr:
             out = add(*ds)
         elif kind is Product:
             fs = node.factors
-            out = add(*[mul(*fs[:i], df, *fs[i + 1:]) for i, df in enumerate(ds)
-                        if df is not ZERO])
+            out = add(*[_spliced(fs, i, df) for i, df in enumerate(ds) if df is not ZERO])
         elif kind is Power:
             out = mul(Const(node.exponent), power(node.base, node.exponent - 1), ds[0])
         elif kind is Neg:
@@ -694,8 +733,8 @@ class Program:
 
     ``run`` evaluates every op over all sample points at once, column by
     column, with the very scalar operations of a one-point replay
-    (``math.fsum`` per point for sums, left-to-right products, Python
-    ``float ** int`` and the ``math`` functions), so results are
+    (``math.fsum`` per point for sums, products multiplied left to right,
+    Python ``float ** int`` and the ``math`` functions), so results are
     bit-identical to it.  Where some op faults, or some value is not
     finite (a product or quotient may have overflowed), every sample is
     replayed in order instead, with every domain check: the first sample
@@ -725,7 +764,9 @@ class Program:
 
     def _columns(self, points) -> list:
         """Every slot's values over all points, or a fault where the
-        replay may differ at some sample."""
+        replay may differ at some sample.  A product column is a chain of
+        elementwise multiplications, first factor to last; a sum column is
+        ``math.fsum`` per point."""
         vals: list[list] = []
         # Every slot feeds some root, and a non-finite value either reaches
         # it, raises on the way, or is masked as a denominator (x/inf = 0)
@@ -734,7 +775,13 @@ class Program:
         watched: list[list] = []
         for code, arg, kids in self.ops:
             if code == _PRODUCT:
-                col = list(map(math.prod, zip(*[vals[k] for k in kids])))
+                # left to right, as math.prod multiplies from 1.0, and 1.0*x
+                # is x (a NaN's sign bit may differ, but a NaN is never
+                # kept: it sends the run to the replay)
+                col = vals[kids[0]]
+                for k in kids[1:]:
+                    col = map(operator.mul, col, vals[k])
+                col = list(col)
             elif code == _SUM:
                 col = list(map(math.fsum, zip(*[vals[k] for k in kids])))
             elif code == _POWER:

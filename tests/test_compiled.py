@@ -32,6 +32,7 @@ from polyjet.metrics import pullback_metric
 from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import (
     Const,
+    Product,
     add,
     compile_block,
     cos,
@@ -331,6 +332,47 @@ def test_infinities_and_nans_in_the_input_pass_through(point):
     # like constant folding, evaluation may pass on what it was given
     assert_matches_evaluate([mul(Const(2.0), X1, T1), div(X1, T1), div(T1, X1)],
                             [{"x1": 1.0, "t1": 1.0}, point])
+
+
+# ---------------------------------------------------------------------------
+# product columns: multiplied left to right, as the replay's math.prod
+
+_FACTORS = [var(f"x{k}") for k in range(1, 9)]
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-200,
+                         -1e-160, 0.5, -3.0, 1e150, -1e200, 1e308, math.inf, -math.inf,
+                         math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 8), st.sampled_from([None, Const(-1.5), Const(1e300)]),
+       st.lists(st.lists(_EDGE, min_size=8, max_size=8), min_size=1, max_size=4))
+def test_product_columns_match_the_replay_on_edge_values(k, coefficient, rows):
+    factors = _FACTORS[:k] if coefficient is None else [coefficient, *_FACTORS[:k]]
+    block = [mul(*factors), mul(*_FACTORS[:k][::-1]), add(mul(*factors), X1)]
+    points = [{f"x{j + 1}": v for j, v in enumerate(row)} for row in rows]
+    assert_matches_evaluate(block, points)
+
+
+@pytest.mark.parametrize("values, message", [
+    ([1e200, -1e200, 1e200], "product overflows to -inf"),
+    ([1e200, 1e200, 1e-300, 1e200, 1e200], "product overflows to inf"),
+    ([-1e100] * 7, "product overflows to -inf"),
+    ([1e-300, 1e300, 1e10, 1e300, 2.0, 0.5, 1e-10, 1.0], "product overflows to inf"),
+])
+def test_an_overflowing_product_column_raises_the_replays_error(values, message):
+    e = mul(*_FACTORS[:len(values)])
+    point = {f"x{j + 1}": v for j, v in enumerate(values)}
+    ok = {f"x{j + 1}": 1.0 for j in range(len(values))}
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        evaluate_walk(e, point)
+    assert_matches_evaluate([e], [ok, point])
+
+
+def test_a_product_built_with_one_factor_is_that_factor():
+    e = Product((X1,))
+    points = [{"x1": v} for v in (0.5, -0.0, 5e-324, -math.inf, math.nan)]
+    assert_matches_evaluate([e, add(e, T1)], [{**pt, "t1": 2.0} for pt in points])
+    assert_matches_evaluate([e], points)
 
 
 def test_unbound_variable_matches_evaluate():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import polyjet.connections
+
 from geomgen import random_spatial_metric, random_temporal_metric, random_transition
 from polyjet.charts import JetChart, TransitionMap
 from polyjet.connections import (
@@ -17,11 +19,12 @@ from polyjet.connections import (
     verify_adapted_coframe,
     verify_connection_law,
 )
-from polyjet.errors import ConfigError
+from polyjet.errors import ConfigError, DomainError
+from polyjet.hamilton import canonical_nonlinear_connection, gravitational_space
 from polyjet.metrics import Metric, pullback_metric
 from polyjet.report import ResidualTracker
 from polyjet.semisprays import canonical_spatial, canonical_temporal
-from polyjet.symbolic import Const, Var, add, equiv, mul, parse
+from polyjet.symbolic import Const, Var, add, compile_block, equiv, ln, mul, parse, sqrt
 
 
 CHART = JetChart(2, 2)
@@ -218,3 +221,73 @@ def test_residual_tracker_fails_closed_on_nan():
     assert not rep.passed
     assert rep.worst_entry == "N2[1,2,1]"
     assert rep.worst_point == {"x1": 0.2}
+
+
+# ---------------------------------------------------------------------------
+# one program per block
+
+def _one_program_slices(N, points):
+    """N1 and N2 sliced from one program over both blocks."""
+    m, n = N.m, N.n
+    vals = compile_block([*N.n1.flat, *N.n2.flat]).run(points)
+    k = m * n * m
+    return vals[:, :k].reshape(-1, m, n, m), vals[:, k:].reshape(-1, m, n, n)
+
+
+def test_each_block_compiles_and_runs_only_its_own_program(monkeypatch):
+    blocks = []
+
+    def counting(exprs):
+        blocks.append(exprs)
+        return compile_block(exprs)
+
+    monkeypatch.setattr(polyjet.connections, "compile_block", counting)
+    N = canonical_pair()
+    asg = {nm: 0.5 for nm in CHART.names}
+    n1 = N.n1_at(asg)
+    assert len(blocks) == 1 and blocks[0] is N.n1
+    assert n1.shape == (2, 2, 2)
+    n2 = N.n2_at(asg)
+    assert len(blocks) == 2 and blocks[1] is N.n2
+    assert n2.shape == (2, 2, 2)
+    got1, got2 = N.at_points([asg, asg])
+    assert len(blocks) == 2
+    assert got1[1].tobytes() == n1.tobytes() and got2[1].tobytes() == n2.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    canonical_pair,
+    lambda: canonical_metric_connection(pullback_metric(curved_h(), shear_map_22()),
+                                        pullback_metric(curved_phi(), shear_map_22())),
+    lambda: canonical_metric_connection(random_temporal_metric(2, np.random.default_rng(5)),
+                                        random_spatial_metric(3, np.random.default_rng(6))),
+    lambda: canonical_nonlinear_connection(gravitational_space(curved_h(), curved_phi())),
+])
+def test_block_programs_give_the_bytes_of_one_program(build):
+    N = build()
+    points = JetChart(N.m, N.n).sample_domain(count=7, seed=3).points()
+    got, want = N.at_points(points), _one_program_slices(N, points)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert N.n1_at(points[4]).tobytes() == want[0][4].tobytes()
+    assert N.n2_at(points[4]).tobytes() == want[1][4].tobytes()
+
+
+_FAULTY = NonlinearConnection(1, 1, [[[ln(Var("x1"))]]], [[[sqrt(Var("t1"))]]])
+
+
+@pytest.mark.parametrize("rows, message", [
+    # N2 fails at an earlier point than N1
+    ([(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)], "sqrt of negative value -1.0"),
+    # N1 fails at an earlier point than N2
+    ([(1.0, 1.0), (-2.0, 1.0), (1.0, -2.0)], "ln of non-positive value -2.0"),
+    # both fail at the same point: N1's error comes first
+    ([(1.0, 1.0), (-3.0, -3.0)], "ln of non-positive value -3.0"),
+])
+def test_block_programs_raise_the_error_of_one_program(rows, message):
+    points = [{"t1": t, "x1": x, "p1_1": 0.0} for x, t in rows]
+    with pytest.raises(DomainError) as want:
+        _one_program_slices(_FAULTY, points)
+    with pytest.raises(DomainError) as got:
+        _FAULTY.at_points(points)
+    assert str(got.value) == str(want.value) == message

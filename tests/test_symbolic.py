@@ -374,10 +374,17 @@ _leaf = st.one_of(
 )
 
 
+_coefficient = st.sampled_from([Const(-2.0), Const(0.5), Const(3.0)])
+
+
 def _poly(children):
     return st.one_of(
         st.tuples(children, children).map(lambda ab: add(*ab)),
         st.tuples(children, children).map(lambda ab: mul(*ab)),
+        # a coefficient and a repeated factor (c*a*b*a), so derivatives
+        # spliced into the factors meet equal bases at their seams
+        st.tuples(_coefficient, children, children).map(
+            lambda cab: mul(cab[0], cab[1], cab[2], cab[1])),
         st.tuples(children, st.integers(2, 3)).map(lambda bk: power(*bk)),
         children.map(neg),
     )
@@ -543,6 +550,92 @@ def test_pruned_walks_return_the_nodes_of_the_full_walks(e, name, replacement):
     else:
         assert got is want
     assert substitute(e, {name: replacement}) is substitute_walk(e, {name: replacement})
+
+
+# ---------------------------------------------------------------------------
+# the product rule splices each factor's derivative into the factor tuple
+
+_NAUGHT = add(X1, neg(X1))  # x1 - x1: its derivative is add(1, -1), ZERO
+_SEAMS = [
+    # x1 and x1 meet where t1 was: x1^2
+    (mul(X1, T1, X1), "t1"),
+    # x1^2 and x1 meet: x1^3
+    (mul(power(X1, 2), T1, X1), "t1"),
+    (mul(X1, T1, power(X1, 2)), "t1"),
+    # df = 2*cos(x1^2)*x1 is a product with its own coefficient, and its
+    # last factor meets the x1 after it
+    (mul(sin(X1 ** 2), X1), "x1"),
+    (mul(Const(-3.0), T1, sin(X1 ** 2), X1), "x1"),
+    # df = x1 meets both neighbours: x1*x1*x1^2 is x1^4
+    (mul(X1, add(mul(T1, X1), P11), power(X1, 2)), "t1"),
+    # df = -(x1 - x1)' = Const(-0.0) annihilates its term
+    (mul(T1, neg(_NAUGHT)), "x1"),
+    (mul(Const(2.0), T1, neg(_NAUGHT), X1), "x1"),
+]
+
+
+@pytest.mark.parametrize("e, name", _SEAMS)
+def test_the_spliced_product_rule_gives_the_node_of_mul(e, name):
+    assert isinstance(e, Product)
+    assert differentiate(e, name) is differentiate_walk(e, name)
+
+
+def test_a_signed_zero_derivative_gives_zero_terms():
+    assert differentiate(neg(_NAUGHT), "x1") is Const(-0.0)
+    assert differentiate(mul(T1, neg(_NAUGHT)), "x1") is ZERO
+    # only the x1 factor's term is left
+    assert (differentiate(mul(Const(2.0), T1, neg(_NAUGHT), X1), "x1")
+            is mul(Const(2.0), T1, neg(_NAUGHT)))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_coefficient_overflow_in_the_product_rule_raises_as_mul_does(sign):
+    # 1e300 times the 1e10 that d sin(1e10*x1) brings overflows
+    e = mul(Const(sign * 1e300), T1, sin(mul(Const(1e10), X1)))
+    with pytest.raises(DomainError) as want:
+        differentiate_walk(e, "x1")
+    with pytest.raises(DomainError) as got:
+        differentiate(e, "x1")
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"constant folding overflows to {sign * math.inf!r}"
+
+
+_pool = st.sampled_from([X1, T1, P11, power(X1, 2), power(X1, 3), sin(X1), Const(-2.0),
+                         Const(0.5), Const(1e10), Const(-1e300)])
+
+
+def _try_mul(factors):
+    try:
+        return mul(*factors)
+    except DomainError:
+        return factors[-1]
+
+
+_spliced_in = st.one_of(
+    st.sampled_from([ZERO, Const(-0.0), symbolic.ONE, Const(4.0), Const(1e300),
+                     Const(-1e300), Const(math.nan), Const(math.inf)]),
+    st.lists(_pool, min_size=1, max_size=4).map(_try_mul),
+    _poly_expr,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_pool, _poly_expr), min_size=2, max_size=6), _spliced_in,
+       st.integers(0, 5))
+def test_splicing_any_factor_gives_the_node_of_mul(factors, df, i):
+    e = _try_mul(factors)
+    if not isinstance(e, Product):
+        return
+    fs = e.factors
+    i %= len(fs)
+    try:
+        want = mul(*fs[:i], df, *fs[i + 1:])
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            symbolic._spliced(fs, i, df)
+        assert str(got.value) == str(exc)
+    else:
+        assert symbolic._spliced(fs, i, df) is want
 
 
 def test_a_root_without_the_variable_differentiates_to_zero():
