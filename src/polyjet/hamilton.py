@@ -154,7 +154,9 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
                  for gv, hv, big in zip(g_values, h.at_points(points),
                                         vertical.at_points(points))))
     max_residual, samples = rep.max_residual, rep.samples
-    singular = any(abs(np.linalg.det(gv)) < DET_MIN for gv in g_values)
+    # a non-finite candidate fails on its residual below, with its own reason
+    with np.errstate(invalid="ignore"):
+        singular = any(abs(np.linalg.det(gv)) < DET_MIN for gv in g_values)
 
     p_dep = _really_p_dependent(cand, chart, tol)
 

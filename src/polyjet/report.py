@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,9 @@ class VerificationReport:
     worst_point: dict | None
     samples: int
     worst_entry: str | None = None
-    notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "passed": bool(self.passed),
             "tolerance": self.tolerance,
@@ -37,9 +36,6 @@ class VerificationReport:
             "samples": self.samples,
             "worst_entry": self.worst_entry,
         }
-        if self.notes:
-            out["notes"] = self.notes
-        return out
 
 
 class ResidualTracker:
@@ -65,7 +61,7 @@ class ResidualTracker:
     def count_sample(self):
         self.samples += 1
 
-    def report(self, notes: dict | None = None) -> VerificationReport:
+    def report(self) -> VerificationReport:
         return VerificationReport(
             name=self.name,
             passed=self.max_residual <= self.tolerance,
@@ -74,7 +70,6 @@ class ResidualTracker:
             worst_point=self.worst_point,
             samples=self.samples,
             worst_entry=self.worst_entry,
-            notes=notes or {},
         )
 
 

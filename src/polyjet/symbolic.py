@@ -15,10 +15,10 @@ walk.  Every node that is differentiated keeps weak references to its
 derivatives, one per variable name, so a derivative that is still alive
 anywhere is never computed again, and one that nothing holds is freed.
 
-Differentiation and substitution are exact tree rewrites.  They and
-compiling walk the DAG with one explicit stack, and evaluation is a
-one-point run of a compiled program, so only the parser and the printer
-recurse.  Semantic equality of expressions is decided by ``equiv``, which
+Differentiation and substitution are exact tree rewrites.  They,
+compiling and printing walk the DAG with one explicit stack, and
+evaluation is a one-point run of a compiled program, so only the parser
+recurses.  Semantic equality of expressions is decided by ``equiv``, which
 samples a seeded box, because symbolic normal forms are out of scope here.
 
 Variable naming convention used by the geometry layers: temporal
@@ -56,10 +56,10 @@ _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _DIGITS_RE = re.compile(r"\d+")
 
 # Deepest nesting of parentheses, function calls and unary minus that the
-# parser accepts.  The parser and the printer recurse, several stack frames
-# per level; at this depth both run with room to spare below Python's
-# default recursion limit.  The other walks (evaluate, differentiate,
-# substitute, compile_block) keep their own stack, and equality, hashing
+# parser accepts.  The parser recurses, several stack frames per level; at
+# this depth it runs with room to spare below Python's default recursion
+# limit.  The other walks (evaluate, differentiate, substitute,
+# compile_block, to_string) keep their own stack, and equality, hashing
 # and variables are identity and a recorded set, so none of them needs a
 # frame per level.
 MAX_NESTING = 64
@@ -285,10 +285,6 @@ def expr_array(components, shape, allowed=None, label: str = "expression block")
     return block
 
 
-def const(value) -> Const:
-    return Const(float(value))
-
-
 def var(name: str) -> Var:
     return Var(name)
 
@@ -402,18 +398,21 @@ def neg(e: Expr) -> Expr:
 
 
 def power(base: Expr, exponent) -> Expr:
+    """``base`` to an integer power; a negative one is the reciprocal of
+    the positive power."""
     n = operator.index(exponent)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return base
-    if n < 0:
-        return div(ONE, power(base, -n))
-    if isinstance(base, Const):
-        return Const(_power_value(base.value, n))
-    if isinstance(base, Power):
-        return Power(base.base, base.exponent * n)
-    return Power(base, n)
+    k = abs(n)
+    if k == 0:
+        out = ONE
+    elif k == 1:
+        out = base
+    elif isinstance(base, Const):
+        out = Const(_power_value(base.value, k))
+    elif isinstance(base, Power):
+        out = Power(base.base, base.exponent * k)
+    else:
+        out = Power(base, k)
+    return div(ONE, out) if n < 0 else out
 
 
 def div(numerator: Expr, denominator: Expr) -> Expr:
@@ -672,10 +671,11 @@ _FAULTS = (ArithmeticError, ValueError, KeyError)
 def _node_op(node):
     """(opcode, payload) of one expression node."""
     kind = type(node)
+    # built directly with no children, a sum is 0 and a product is 1
     if kind is Sum:
-        return _SUM, None
+        return (_SUM, None) if node.terms else (_CONST, 0.0)
     if kind is Product:
-        return _PRODUCT, None
+        return (_PRODUCT, None) if node.factors else (_CONST, 1.0)
     if kind is Power:
         return _POWER, node.exponent
     if kind is Neg:
@@ -847,74 +847,60 @@ def _fmt_const(v: float) -> str:
     return repr(v)
 
 
-def _print_expr(e) -> str:
-    if isinstance(e, Sum):
-        parts = [_print_term(e.terms[0])]
-        for t in e.terms[1:]:
-            sign, body = _signed_term(t)
-            parts.append(f" {sign} {body}")
-        return "".join(parts)
-    return _print_term(e)
-
-
-def _signed_term(t):
-    if isinstance(t, Neg):
-        return "-", _print_term(t.arg)
-    if isinstance(t, Const) and t.value < 0:
-        return "-", _fmt_const(-t.value)
-    return "+", _print_term(t)
-
-
-def _print_term(e) -> str:
-    if isinstance(e, Product):
-        parts = []
-        for i, f in enumerate(e.factors):
-            body = _print_factor(f)
-            # a '/' inside a later factor would re-associate; parenthesize
-            if i > 0 and isinstance(f, Quotient):
-                body = f"({_print_expr(f)})"
-            parts.append(body)
-        return "*".join(parts)
-    if isinstance(e, Quotient):
-        num = _print_term(e.numerator)
-        den = _print_factor(e.denominator)
-        if isinstance(e.denominator, (Product, Quotient)):
-            den = f"({_print_expr(e.denominator)})"
-        return f"{num}/{den}"
-    return _print_factor(e)
-
-
-def _print_factor(e) -> str:
-    if isinstance(e, Power):
-        return f"{_print_power_base(e.base)}^{e.exponent}"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        if e.value < 0:
-            return "-" + _fmt_const(-e.value)
-        return _fmt_const(e.value)
-    if isinstance(e, Call):
-        return f"{e.func}({_print_expr(e.arg)})"
-    if isinstance(e, Neg):
-        inner = e.arg
-        if isinstance(inner, (Var, Call)) or (isinstance(inner, Const) and inner.value >= 0):
-            return "-" + _print_factor(inner)
-        return f"-({_print_expr(inner)})"
-    return f"({_print_expr(e)})"
-
-
-def _print_power_base(b) -> str:
-    if isinstance(b, Var):
-        return b.name
-    if isinstance(b, Call):
-        return f"{b.func}({_print_expr(b.arg)})"
-    return f"({_print_expr(b)})"
+def _leaf_text(node):
+    """The text of a variable or constant; None for any other node."""
+    if type(node) is Var:
+        return node.name
+    if type(node) is Const:
+        return "-" + _fmt_const(-node.value) if node.value < 0 else _fmt_const(node.value)
+    return None
 
 
 def to_string(e: Expr) -> str:
     """Render to source text.  parse(to_string(e), variables(e)) is e,
-    except that the constant -0.0 prints as 0 and so reads back as 0.0."""
-    return _print_expr(e)
+    except that the constant -0.0 prints as 0 and so reads back as 0.0.
+
+    The walk prints each distinct node once, so the cost follows the DAG,
+    not the tree.  A parent parenthesizes a child's text by the child's
+    kind alone: a factor or a denominator when it is a sum, product or
+    quotient; a sum term or a numerator when it is a sum; a power base
+    unless it is a variable or call; a negated argument unless it is a
+    variable, a call or a non-negative constant.
+    """
+
+    def paren(text, wrap):
+        return f"({text})" if wrap else text
+
+    compound = (Sum, Product, Quotient)
+    e, memo = as_expr(e), {}
+    for node, texts in _post_order([e], memo, _leaf_text):
+        kind = type(node)
+        if kind is Sum:
+            parts = [paren(texts[0], type(node.terms[0]) is Sum)]
+            for t, text in zip(node.terms[1:], texts[1:]):
+                if type(t) is Neg:
+                    parts.append(" - " + paren(memo[t.arg], type(t.arg) is Sum))
+                elif type(t) is Const and t.value < 0:
+                    parts.append(" - " + _fmt_const(-t.value))
+                else:
+                    parts.append(" + " + paren(text, type(t) is Sum))
+            text = "".join(parts)
+        elif kind is Product:
+            text = "*".join(paren(s, type(f) in compound) for f, s in zip(node.factors, texts))
+        elif kind is Quotient:
+            den, num = texts
+            text = (paren(num, type(node.numerator) is Sum) + "/"
+                    + paren(den, type(node.denominator) in compound))
+        elif kind is Power:
+            text = paren(texts[0], type(node.base) not in (Var, Call)) + f"^{node.exponent}"
+        elif kind is Neg:
+            arg = node.arg
+            bare = type(arg) in (Var, Call) or (type(arg) is Const and arg.value >= 0)
+            text = "-" + paren(texts[0], not bare)
+        else:
+            text = f"{node.func}({texts[0]})"
+        memo[node] = text
+    return memo[e]
 
 
 # ---------------------------------------------------------------------------

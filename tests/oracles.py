@@ -7,7 +7,8 @@ record when they are interned, and the full walks of ``differentiate_walk``
 and ``substitute_walk`` check the library's, which skip every subtree
 whose recorded set shows the result.  ``evaluate_walk`` is the recursive
 scalar evaluator that compiled programs, and so ``evaluate``, must match
-bit for bit and error for error.
+bit for bit and error for error, and ``to_string_walk`` is the recursive
+printer whose text ``to_string`` must match byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from polyjet.symbolic import (
     neg,
     power,
     _apply_function,
+    _fmt_const,
     _power_value,
     _product_value,
     _quotient_value,
@@ -197,3 +199,73 @@ def substitute_walk(e, mapping):
         return out
 
     return sub(e)
+
+
+def to_string_walk(e) -> str:
+    """The text of an expression, by recursion over its tree with no memo:
+    the reference for ``to_string``."""
+    return _print_expr(e)
+
+
+def _print_expr(e) -> str:
+    if isinstance(e, Sum):
+        parts = [_print_term(e.terms[0])]
+        for t in e.terms[1:]:
+            sign, body = _signed_term(t)
+            parts.append(f" {sign} {body}")
+        return "".join(parts)
+    return _print_term(e)
+
+
+def _signed_term(t):
+    if isinstance(t, Neg):
+        return "-", _print_term(t.arg)
+    if isinstance(t, Const) and t.value < 0:
+        return "-", _fmt_const(-t.value)
+    return "+", _print_term(t)
+
+
+def _print_term(e) -> str:
+    if isinstance(e, Product):
+        parts = []
+        for i, f in enumerate(e.factors):
+            body = _print_factor(f)
+            # a '/' inside a later factor would re-associate; parenthesize
+            if i > 0 and isinstance(f, Quotient):
+                body = f"({_print_expr(f)})"
+            parts.append(body)
+        return "*".join(parts)
+    if isinstance(e, Quotient):
+        num = _print_term(e.numerator)
+        den = _print_factor(e.denominator)
+        if isinstance(e.denominator, (Product, Quotient)):
+            den = f"({_print_expr(e.denominator)})"
+        return f"{num}/{den}"
+    return _print_factor(e)
+
+
+def _print_factor(e) -> str:
+    if isinstance(e, Power):
+        return f"{_print_power_base(e.base)}^{e.exponent}"
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, Const):
+        if e.value < 0:
+            return "-" + _fmt_const(-e.value)
+        return _fmt_const(e.value)
+    if isinstance(e, Call):
+        return f"{e.func}({_print_expr(e.arg)})"
+    if isinstance(e, Neg):
+        inner = e.arg
+        if isinstance(inner, (Var, Call)) or (isinstance(inner, Const) and inner.value >= 0):
+            return "-" + _print_factor(inner)
+        return f"-({_print_expr(inner)})"
+    return f"({_print_expr(e)})"
+
+
+def _print_power_base(b) -> str:
+    if isinstance(b, Var):
+        return b.name
+    if isinstance(b, Call):
+        return f"{b.func}({_print_expr(b.arg)})"
+    return f"({_print_expr(b)})"

@@ -33,6 +33,7 @@ from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import (
     Const,
     Product,
+    Sum,
     add,
     compile_block,
     cos,
@@ -373,6 +374,11 @@ def test_a_product_built_with_one_factor_is_that_factor():
     points = [{"x1": v} for v in (0.5, -0.0, 5e-324, -math.inf, math.nan)]
     assert_matches_evaluate([e, add(e, T1)], [{**pt, "t1": 2.0} for pt in points])
     assert_matches_evaluate([e], points)
+    # built with no children, a product is 1 and a sum is 0
+    one, naught = Product(()), Sum(())
+    assert_matches_evaluate([one, naught, add(one, X1), mul(naught, X1)], points)
+    assert evaluate(one, {}) == evaluate_walk(one, {}) == 1.0
+    assert evaluate(naught, {}) == evaluate_walk(naught, {}) == 0.0
 
 
 def test_unbound_variable_matches_evaluate():

@@ -7,7 +7,7 @@ import weakref
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyjet.errors import (
     ConfigError,
@@ -58,6 +58,7 @@ from oracles import (
     differentiate_walk,
     subexpressions,
     substitute_walk,
+    to_string_walk,
     variables_walk,
 )
 
@@ -175,6 +176,12 @@ def _chain(levels):
 def test_deep_trees_evaluate_differentiate_substitute_and_compile(levels):
     e, v, dv = _chain(levels)
     point = {"x1": 0.3}
+    # printing walks the DAG too: str and repr of a deep node do not raise
+    text = "x1"
+    for k in range(levels):
+        text = f"sin({text})" if k % 2 == 0 else f"{text}^2 + 0.5"
+    assert to_string(e) == str(e) == text
+    assert repr(e) == f"Expr({text[:117] + '...'!r})"
     # the same float operations: a two-term fsum is the correctly rounded sum
     assert evaluate(e, point) == v
     assert compile_block([e, sin(e)]).run([point, point]).tolist() == [[v, math.sin(v)]] * 2
@@ -542,11 +549,13 @@ def test_substitute_and_differentiate_record_variables_of_new_nodes():
 
 @settings(max_examples=120, deadline=None)
 @given(_safe_expr, st.sampled_from(["t1", "x1", "p1_1", "y9"]), _poly_expr)
+# both walks give Const(-0.0) here, the rules' own zero: -(1 - 1)
+@example(neg(add(X1, neg(X1))), "x1", T1)
 def test_pruned_walks_return_the_nodes_of_the_full_walks(e, name, replacement):
     got, want = differentiate(e, name), differentiate_walk(e, name)
     # the one difference: the rules can sign the zero of a root without name
-    if want is Const(-0.0):
-        assert got is ZERO and name not in variables(e)
+    if want is Const(-0.0) and name not in variables(e):
+        assert got is ZERO
     else:
         assert got is want
     assert substitute(e, {name: replacement}) is substitute_walk(e, {name: replacement})
@@ -731,6 +740,57 @@ def test_print_parse_fixed_point_on_sources():
         twice = to_string(parse(once, vs))
         assert once == twice
         assert parse(once, vs) == parse(src, vs)
+
+
+_NAN, _INF = float("nan"), float("inf")
+_PRINTED = [
+    # a negated sum, product or power, or a negative constant, as a later term
+    add(X1, neg(add(T1, P11))),
+    add(X1, neg(mul(T1, P11))),
+    add(X1, neg(power(T1, 2))),
+    add(X1, Const(-2.0)),
+    Sum((X1, Neg(Const(-2.0)))),
+    Sum((Sum((X1, T1)), neg(X1), P11)),
+    add(neg(X1), T1),
+    # a quotient as the first and as a later factor
+    mul(div(X1, T1), P11),
+    mul(P11, div(X1, T1)),
+    mul(Const(3.0), div(X1, T1), div(T1, add(X1, P11))),
+    # a product or a quotient as a denominator, a sum as a numerator
+    div(X1, mul(T1, P11)),
+    div(X1, div(T1, P11)),
+    div(add(X1, T1), add(T1, P11)),
+    # negations
+    Neg(Const(_NAN)),
+    Neg(Const(-0.0)),
+    Neg(Const(_INF)),
+    Neg(Const(-_INF)),
+    neg(sin(X1)),
+    neg(power(X1, 2)),
+    neg(div(X1, T1)),
+    # powers of every kind of base
+    power(sin(X1), 2),
+    power(add(X1, T1), 3),
+    Power(Const(-2.0), 3),
+    Power(neg(X1), 2),
+    # non-finite constants
+    Const(_NAN),
+    Const(_INF),
+    Const(-_INF),
+    add(X1, Const(-_INF)),
+    mul(Const(_INF), X1),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_poly_expr, _safe_expr))
+def test_the_printer_matches_the_recursive_printer(e):
+    assert to_string(e) == to_string_walk(e)
+
+
+@pytest.mark.parametrize("e", _PRINTED, ids=to_string_walk)
+def test_the_printer_matches_the_recursive_printer_on_hand_picked_cases(e):
+    assert to_string(e) == to_string_walk(e)
 
 
 def test_print_non_finite_constants():
