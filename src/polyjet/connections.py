@@ -44,7 +44,10 @@ class NonlinearConnection:
 
     Each block compiles its own program on first use and keeps it:
     ``n1_at`` runs only the N1 program, ``n2_at`` only the N2 program, and
-    ``at_points`` runs both.
+    ``at_points`` runs both.  A program remembers its last successful
+    batch (``Program.run``), so a second check over the same sample points,
+    such as the adapted coframe after the connection law, gets copies of
+    the values without another pass.
     """
 
     m: int

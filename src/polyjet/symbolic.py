@@ -184,8 +184,18 @@ class Var(Expr):
         return cls._interned((cls, name), (name,), frozenset((name,)))
 
 
+def _nonempty(cls, children: tuple):
+    """The interned node of a sum or product kind, refused with no children,
+    which would have no text that parses back."""
+    if not children:
+        raise ValueError(f"a {cls.__name__} needs at least one child")
+    return cls._interned((cls, children), (children,))
+
+
 class Sum(Expr):
     __slots__ = ("terms",)
+
+    __new__ = _nonempty
 
     def children(self):
         return self.terms
@@ -197,6 +207,8 @@ class Product(Expr):
     0 or 1), and no two adjacent factors with the same base."""
 
     __slots__ = ("factors",)
+
+    __new__ = _nonempty
 
     def children(self):
         return self.factors
@@ -671,11 +683,10 @@ _FAULTS = (ArithmeticError, ValueError, KeyError)
 def _node_op(node):
     """(opcode, payload) of one expression node."""
     kind = type(node)
-    # built directly with no children, a sum is 0 and a product is 1
     if kind is Sum:
-        return (_SUM, None) if node.terms else (_CONST, 0.0)
+        return _SUM, None
     if kind is Product:
-        return (_PRODUCT, None) if node.factors else (_CONST, 1.0)
+        return _PRODUCT, None
     if kind is Power:
         return _POWER, node.exponent
     if kind is Neg:
@@ -740,27 +751,56 @@ class Program:
     replayed in order instead, with every domain check: the first sample
     at which one fails raises its error, and when none does, the replayed
     values are the result.
+
+    A program remembers its last successful batch, in one slot.  The key
+    is the point count and the exact bits of every value the program
+    reads (its variables, in op order, at each point in order), so
+    ``-0.0`` and ``0.0`` are two batches.  A batch with the slot's key
+    gets a copy of the stored result without a pass; any other batch is
+    run and, when the run succeeds, takes the slot.  A run that raises
+    stores nothing, and a batch whose key cannot be built (a missing
+    variable, a value ``float`` refuses) is run as any other, so every
+    error is the one the run raises.  Every caller gets an array of its
+    own: changing it changes no later result.
     """
 
-    __slots__ = ("ops", "roots", "shape", "checks")
+    __slots__ = ("ops", "roots", "shape", "checks", "reads", "_last")
 
     def __init__(self, ops, roots, shape, checks):
         self.ops = tuple(ops)
         self.roots = tuple(roots)
         self.shape = tuple(shape)
         self.checks = dict(checks)
+        self.reads = tuple(arg for code, arg, _ in self.ops if code == _VAR)
+        self._last = (None, None)  # (batch key, result) of the last successful run
 
     def run(self, points) -> np.ndarray:
         """Values at each point: an array of shape (len(points), *shape)."""
         points = list(points)
-        count = len(points)
+        key = self._batch_key(points)
+        if key is not None and key == self._last[0]:
+            return self._last[1].copy()
         try:
             vals = self._columns(points)
         except _FAULTS:
             out = np.array([self._replay(point) for point in points], dtype=float)
         else:
             out = np.array([vals[r] for r in self.roots], dtype=float).T
-        return np.ascontiguousarray(out).reshape(count, *self.shape)
+        out = np.ascontiguousarray(out).reshape(len(points), *self.shape)
+        if key is None:
+            return out
+        self._last = (key, out)
+        return out.copy()
+
+    def _batch_key(self, points):
+        """(count, exact bits of the values read, as the run reads them),
+        or None when some value is missing or ``float`` refuses it; the run
+        then raises its own error."""
+        try:
+            values = [float(pt[name]) for pt in points for name in self.reads]
+        except (LookupError, TypeError, ValueError, ArithmeticError):
+            return None
+        return len(points), np.array(values, dtype=float).tobytes()
 
     def _columns(self, points) -> list:
         """Every slot's values over all points, or a fault where the

@@ -5,11 +5,14 @@ walking it with an explicit stack; ``Program.run`` must give the very bits
 that ``oracles.evaluate_walk`` gives and raise the very error it raises,
 for the lowest failing sample.  The library's ``evaluate`` is a one-point
 run of a compiled program, so it is checked here through the program.
+A program's memo of its last batch must give, on every repeat, the bits
+and the errors of a fresh program.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import math
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from polyjet.charts import pullback_scalar
 from polyjet.cli import load_manifest
 from polyjet.connections import (
     canonical_metric_connection,
+    verify_adapted_coframe,
     verify_connection_law,
 )
 from polyjet.dtensors import builtin_dtensors
@@ -33,6 +37,7 @@ from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import (
     Const,
     Product,
+    Program,
     Sum,
     add,
     compile_block,
@@ -374,11 +379,10 @@ def test_a_product_built_with_one_factor_is_that_factor():
     points = [{"x1": v} for v in (0.5, -0.0, 5e-324, -math.inf, math.nan)]
     assert_matches_evaluate([e, add(e, T1)], [{**pt, "t1": 2.0} for pt in points])
     assert_matches_evaluate([e], points)
-    # built with no children, a product is 1 and a sum is 0
-    one, naught = Product(()), Sum(())
-    assert_matches_evaluate([one, naught, add(one, X1), mul(naught, X1)], points)
-    assert evaluate(one, {}) == evaluate_walk(one, {}) == 1.0
-    assert evaluate(naught, {}) == evaluate_walk(naught, {}) == 0.0
+    # a sum or a product built with no children is refused
+    for kind in (Product, Sum):
+        with pytest.raises(ValueError, match=f"a {kind.__name__} needs at least one child"):
+            kind(())
 
 
 def test_unbound_variable_matches_evaluate():
@@ -400,6 +404,120 @@ def test_run_returns_the_shape_of_the_block():
     flat_values = compile_block(flat(block)).run(points)
     assert np.array_equal(bits(got.reshape(2, -1)), bits(flat_values))
     assert compile_block(np.array(block, dtype=object)).run(points[:1]).shape == (1, 2, 1, 3)
+
+
+# ---------------------------------------------------------------------------
+# the last-batch memo
+
+def count_passes(monkeypatch) -> list:
+    """The programs of every column pass from here on, in order."""
+    passes = []
+    columns = Program._columns
+    monkeypatch.setattr(Program, "_columns",
+                        lambda self, points: passes.append(self) or columns(self, points))
+    return passes
+
+
+def outcome(program, batch):
+    """The shape and bits of a run, or the type and text of its error."""
+    try:
+        got = program.run(batch)
+    except Exception as exc:  # any error, to compare with a fresh program's
+        return type(exc), str(exc)
+    return got.shape, got.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_any_expr, min_size=1, max_size=3),
+       st.lists(st.lists(_point, max_size=3), min_size=1, max_size=3),
+       st.lists(st.integers(0, 2), min_size=2, max_size=8))
+def test_repeated_batches_give_the_bits_of_a_fresh_program(exprs, batches, order):
+    program = compile_block(exprs)
+    for i in order:
+        batch = batches[i % len(batches)]
+        assert outcome(program, batch) == outcome(compile_block(exprs), batch)
+
+
+def test_signed_zero_batches_keep_their_own_sign_bits():
+    program = compile_block([neg(X1), X1])
+    for v in (0.0, -0.0, -0.0, 0.0):
+        assert program.run([{"x1": v}]).tobytes() == np.array([[-v, v]]).tobytes()
+
+
+def test_changing_a_returned_array_changes_no_later_result():
+    program = compile_block([add(X1, T1), mul(X1, T1)])
+    batch = [{"x1": 0.5, "t1": 2.0}, {"x1": -1.0, "t1": 0.25}]
+    first = program.run(batch)
+    want = first.tobytes()
+    first[:] = 99.0
+    second = program.run(batch)
+    assert second.tobytes() == want
+    second[0, 0] = -5.0
+    assert program.run(batch).tobytes() == want
+
+
+def test_a_failing_batch_raises_every_time_and_keeps_the_stored_batch(monkeypatch):
+    program = compile_block([div(T1, X1)])
+    good = [{"x1": 2.0, "t1": 1.0}]
+    bad = [{"x1": 1.0, "t1": 1.0}, {"x1": 0.0, "t1": 1.0}]
+    want = program.run(good).tobytes()
+    passes = count_passes(monkeypatch)
+    errors = []
+    for _ in range(3):
+        with pytest.raises(DomainError) as err:
+            program.run(bad)
+        errors.append(str(err.value))
+    assert errors == ["division by zero during evaluation"] * 3
+    ran = len(passes)
+    assert program.run(good).tobytes() == want
+    assert len(passes) == ran
+
+
+def test_a_batch_missing_a_variable_raises_unbound_variable_every_time():
+    program = compile_block([X1 + T1])
+    program.run([{"x1": 1.0, "t1": 2.0}])
+    for _ in range(3):
+        with pytest.raises(UnboundVariable) as err:
+            program.run([{"x1": 1.0, "t1": 2.0}, {"x1": 1.0}])
+        assert err.value.name == "t1"
+
+
+def test_empty_batches_and_constant_programs_keep_their_shapes():
+    program = compile_block([X1, T1])
+    for batch in ([], [{"x1": 1.0, "t1": 2.0}], [], []):
+        assert program.run(batch).shape == (len(batch), 2)
+    constant = compile_block([Const(3.0), Const(-0.0)])
+    for count in (2, 0, 0, 2, 5, 5):
+        got = constant.run([{}] * count)
+        assert got.shape == (count, 2)
+        assert got.tobytes() == np.array([[3.0, -0.0]] * count).tobytes()
+
+
+def _curved_law_objects():
+    """Fresh chart-A and chart-B connections, transition map and domain of
+    curved.json, with no program compiled or run yet."""
+    man = load_manifest(str(MANIFESTS / "curved.json"))
+    h, phi, tm = man.temporal_metric, man.spatial_metric, man.transition
+    return (canonical_metric_connection(h, phi),
+            canonical_metric_connection(pullback_metric(h, tm), pullback_metric(phi, tm)),
+            tm, man.domain(man.sample_seed))
+
+
+def test_the_coframe_check_reruns_no_program_the_connection_law_ran(monkeypatch):
+    N_a, N_b, tm, dom = _curved_law_objects()
+    passes = count_passes(monkeypatch)
+    law = verify_connection_law(N_a, N_b, tm, dom=dom)
+    shared = [N_a._n1_program, N_a._n2_program, N_b._n1_program, N_b._n2_program,
+              tm._t_program, tm._x_program]
+    assert all(any(p is q for q in passes) for p in shared)
+    ran = len(passes)
+    coframe = verify_adapted_coframe(N_a, N_b, tm, dom=dom)
+    assert passes[ran:] == [tm.inverted()._momentum_program]
+    monkeypatch.undo()
+    for check, report in ((verify_connection_law, law), (verify_adapted_coframe, coframe)):
+        N_a, N_b, tm, dom = _curved_law_objects()
+        fresh = check(N_a, N_b, tm, dom=dom)
+        assert json.dumps(fresh.to_dict()) == json.dumps(report.to_dict())
 
 
 # ---------------------------------------------------------------------------
