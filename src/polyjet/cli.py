@@ -432,11 +432,9 @@ def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks:
 
 def _symbol_entry(metric: Metric, point: dict) -> dict:
     field = christoffel(metric)
-    entry = {"metric": _matrix_strings(metric.components)}
-    if field.components is not None:
-        entry["symbols"] = _block3_strings(field.components)
-    entry["at_point"] = _array_values(field.at(point))
-    return entry
+    return {"metric": _matrix_strings(metric.components),
+            "symbols": _block3_strings(field.components),
+            "at_point": _array_values(field.at(point))}
 
 
 def cmd_christoffel(args) -> int:

@@ -1,33 +1,24 @@
 """Small exact and numeric linear-algebra helpers.
 
-Symbolic inverses use the adjugate over the Laplace determinant, which is
-exact in the expression language but only sensible for the small matrix
-sizes this package works with (d <= 4).  Numeric inversion checks the
-determinant against an invertibility floor before trusting the result.
+Symbolic inverses are the adjugate over the determinant.  One memo of
+minors, each a division-free Laplace expansion along its first row, serves
+the determinant and every cofactor, so an inverse builds each distinct
+minor once; that keeps d <= SYM_INVERSE_MAX_DIM (8) cheap.  Numeric
+inversion checks the determinant against an invertibility floor before
+trusting the result.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
-from .symbolic import ONE, Expr, add, div, mul, neg
+from .symbolic import ONE, add, div, mul, neg
 
 DET_MIN = 1e-8
-SYM_INVERSE_MAX_DIM = 4
-
-
-def sym_det(rows) -> Expr:
-    """Determinant by Laplace expansion along the first row."""
-    d = len(rows)
-    if d == 1:
-        return rows[0][0]
-    terms = []
-    for j in range(d):
-        minor = [[rows[r][c] for c in range(d) if c != j] for r in range(1, d)]
-        cof = mul(rows[0][j], sym_det(minor))
-        terms.append(cof if j % 2 == 0 else neg(cof))
-    return add(*terms)
+SYM_INVERSE_MAX_DIM = 8
 
 
 def sym_inverse(rows, what: str):
@@ -37,23 +28,42 @@ def sym_inverse(rows, what: str):
     if d > SYM_INVERSE_MAX_DIM:
         raise ConfigError(f"{what} needs a symbolic inverse; dimension {d} exceeds "
                           f"the limit {SYM_INVERSE_MAX_DIM}")
-    det = sym_det(rows)
-    return tuple(
-        tuple(div(_cofactor(rows, j, i), det) for j in range(d))
-        for i in range(d)
-    )
+    memo = {}
+    every = tuple(range(d))
+
+    def cofactor(r, c):
+        value = _minor(rows, memo, every[:r] + every[r + 1:], every[:c] + every[c + 1:])
+        return value if (r + c) % 2 == 0 else neg(value)
+
+    det = _minor(rows, memo, every, every)
+    return tuple(tuple(div(cofactor(j, i), det) for j in range(d)) for i in range(d))
 
 
-def _cofactor(rows, r, c) -> Expr:
-    d = len(rows)
-    minor = [[rows[i][j] for j in range(d) if j != c] for i in range(d) if i != r]
-    det = sym_det(minor) if minor else ONE
-    return det if (r + c) % 2 == 0 else neg(det)
+def _minor(rows, memo: dict, rs: tuple, cs: tuple):
+    """Determinant of the rows ``rs`` and columns ``cs`` of ``rows``, by
+    Laplace expansion along rs[0]; ``memo`` keeps each one by (rs, cs)."""
+    value = memo.get((rs, cs))
+    if value is None:
+        if len(rs) <= 1:
+            value = rows[rs[0]][cs[0]] if rs else ONE
+        else:
+            terms = []
+            for j, c in enumerate(cs):
+                term = mul(rows[rs[0]][c], _minor(rows, memo, rs[1:], cs[:j] + cs[j + 1:]))
+                terms.append(term if j % 2 == 0 else neg(term))
+            value = add(*terms)
+        memo[rs, cs] = value
+    return value
 
 
 def checked_inverse(mat: np.ndarray, error_cls, label: str, point) -> np.ndarray:
-    """Numeric inverse guarded by the |det| >= 1e-8 invertibility floor."""
-    det = float(np.linalg.det(mat))
+    """Numeric inverse guarded by the |det| >= 1e-8 invertibility floor.  A
+    determinant that overflows to infinity proves nothing about rank, so it
+    is refused too."""
+    with np.errstate(over="ignore"):
+        det = float(np.linalg.det(mat))
+    if not math.isfinite(det):
+        raise error_cls(f"{label} determinant overflows to {det} at {point}")
     if abs(det) < DET_MIN:
         raise error_cls(f"{label} is singular (|det| = {abs(det):.3e}) at {point}")
     return np.linalg.inv(mat)

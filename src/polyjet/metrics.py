@@ -10,20 +10,21 @@ Three kinds are supported:
   also carry t (and, when the flag is set for one-time geometry, p);
   Christoffel symbols differentiate in x only.
 
-Symbolic inverses use the adjugate and are limited to dimension 4; larger
-metrics still produce Christoffel values through numeric closures.
+Christoffel symbols are exact expressions over the metric's symbolic
+inverse, so a metric past ``linalg.SYM_INVERSE_MAX_DIM`` has none: building
+them raises ConfigError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .charts import JetChart, TransitionMap
 from .errors import ConfigError, SingularMetric
-from .linalg import SYM_INVERSE_MAX_DIM, checked_inverse, sym_inverse
+from .linalg import checked_inverse, sym_inverse
 from .symbolic import (
     Const,
     Program,
@@ -126,13 +127,12 @@ class Metric:
 
     @cached_property
     def _christoffel_components(self):
-        # the components only: a ChristoffelField refers back to the metric,
-        # and keeping one here would make the metric part of a cycle
         return christoffel(self).components
 
     @cached_property
     def inverse_components(self):
-        """Exact inverse components (upper indices); dimension <= 4 only."""
+        """Exact inverse components (upper indices); past the dimension
+        ``linalg.SYM_INVERSE_MAX_DIM`` they raise ConfigError."""
         return sym_inverse(self.components, f"inverting the {self.kind} metric")
 
     def validate(self, dom: SampleDomain | None = None, tol: float = 1e-9):
@@ -154,56 +154,36 @@ class Metric:
 class ChristoffelField:
     """Second-kind Christoffel symbols Gamma^k_ij of a metric.
 
-    ``components[k][i][j]`` are exact expressions when the dimension allows
-    a symbolic inverse; beyond that the field still evaluates numerically
-    through ``at`` (sampled inverse times exact derivative expressions).
-    Both ``components`` and ``derivatives[i][j][k]`` (d g_ij / d v^k) are
-    (dim, dim, dim) ``expr_array`` blocks.
+    ``components[k][i][j]`` is a (dim, dim, dim) ``expr_array`` of exact
+    expressions; ``at`` evaluates them through one compiled program.
     """
 
     kind: str
     dim: int
-    components: np.ndarray | None
-    metric: Metric = field(repr=False, default=None)
-    derivatives: np.ndarray = field(repr=False, default=None)
+    components: np.ndarray
 
     @cached_property
     def _program(self) -> Program:
-        return compile_block(self.derivatives if self.components is None else self.components)
+        return compile_block(self.components)
 
     def at(self, assignment) -> np.ndarray:
-        if self.components is not None:
-            return self._program.run([assignment])[0]
-        inv = self.metric.inverse_at(assignment)
-        d = self.dim
-        dg = self._program.run([assignment])[0]
-        out = np.zeros((d, d, d))
-        for k in range(d):
-            for i in range(d):
-                for j in range(d):
-                    out[k, i, j] = 0.5 * sum(
-                        inv[k, l] * (dg[l][i][j] + dg[l][j][i] - dg[i][j][l])
-                        for l in range(d))
-        return out
+        return self._program.run([assignment])[0]
 
 
 def christoffel(g: Metric) -> ChristoffelField:
     """Gamma^k_ij = 1/2 g^kl (d g_li / d v^j + d g_lj / d v^i - d g_ij / d v^l)
     with v the metric's differentiation variables (t for temporal metrics,
-    x otherwise)."""
+    x otherwise).  Past the symbolic-inverse limit it raises ConfigError."""
     d = g.dim
-    names = g.christoffel_names
-    derivs = expr_array([[[differentiate(g.components[i][j], names[k]) for k in range(d)]
-                          for j in range(d)] for i in range(d)], (d, d, d))
-    if d > SYM_INVERSE_MAX_DIM:
-        return ChristoffelField(g.kind, d, None, metric=g, derivatives=derivs)
     inv = g.inverse_components
+    names = g.christoffel_names
+    derivs = [[[differentiate(g.components[i][j], names[k]) for k in range(d)]
+               for j in range(d)] for i in range(d)]
     comps = [[[add(*[mul(Const(0.5), inv[k][l],
                          add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
                      for l in range(d)])
                for j in range(d)] for i in range(d)] for k in range(d)]
-    return ChristoffelField(g.kind, d, expr_array(comps, (d, d, d)), metric=g,
-                            derivatives=derivs)
+    return ChristoffelField(g.kind, d, expr_array(comps, (d, d, d)))
 
 
 def christoffel_symbols(g: Metric) -> np.ndarray:
@@ -212,12 +192,7 @@ def christoffel_symbols(g: Metric) -> np.ndarray:
     They are built on the first call and kept on the metric, so every
     later call on the same metric returns the same array.
     """
-    components = g._christoffel_components
-    if components is None:
-        raise ConfigError(
-            f"{g.kind} Christoffel symbols are not symbolic: metric dimension "
-            f"{g.dim} exceeds the symbolic-inverse limit")
-    return components
+    return g._christoffel_components
 
 
 def pullback_metric(g: Metric, tm: TransitionMap) -> Metric:

@@ -9,6 +9,9 @@ whose recorded set shows the result.  ``evaluate_walk`` is the recursive
 scalar evaluator that compiled programs, and so ``evaluate``, must match
 bit for bit and error for error, and ``to_string_walk`` is the recursive
 printer whose text ``to_string`` must match byte for byte.
+``laplace_inverse`` is the adjugate over plain Laplace expansion, with
+every cofactor expanded afresh: ``linalg.sym_inverse`` must return its
+very nodes.
 """
 
 from __future__ import annotations
@@ -199,6 +202,35 @@ def substitute_walk(e, mapping):
         return out
 
     return sub(e)
+
+
+def laplace_det(rows):
+    """Determinant by Laplace expansion along the first row, with no memo."""
+    d = len(rows)
+    if d == 1:
+        return rows[0][0]
+    terms = []
+    for j in range(d):
+        minor = [[rows[r][c] for c in range(d) if c != j] for r in range(1, d)]
+        cof = mul(rows[0][j], laplace_det(minor))
+        terms.append(cof if j % 2 == 0 else neg(cof))
+    return add(*terms)
+
+
+def laplace_cofactor(rows, r, c):
+    d = len(rows)
+    minor = [[rows[i][j] for j in range(d) if j != c] for i in range(d) if i != r]
+    det = laplace_det(minor) if minor else ONE
+    return det if (r + c) % 2 == 0 else neg(det)
+
+
+def laplace_inverse(rows):
+    """The exact inverse as adjugate over ``laplace_det``: the reference
+    for ``linalg.sym_inverse``."""
+    d = len(rows)
+    det = laplace_det(rows)
+    return tuple(tuple(div(laplace_cofactor(rows, j, i), det) for j in range(d))
+                 for i in range(d))
 
 
 def to_string_walk(e) -> str:

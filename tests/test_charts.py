@@ -225,6 +225,14 @@ def test_singular_jacobian_is_reported():
         tm.map_point(JetPoint([0.1], [0.0], [[1.0]]))
 
 
+def test_jacobian_whose_determinant_overflows_is_singular():
+    xv = ["x1", "x2"]
+    image = parse("1e308*x1 + 1e308*x2", xv)
+    tm = TransitionMap(1, 2, t_forward=[var("t1")], x_forward=[image, image])
+    with pytest.raises(SingularJacobian, match="spatial jacobian determinant overflows"):
+        tm.jacobians_at({"t1": 0.1, "x1": 0.1, "x2": 0.2})
+
+
 def test_pullback_scalar_matches_source_values():
     tm = shear_map_22()
     chart = tm.chart

@@ -6,6 +6,7 @@ import pytest
 
 from polyjet.charts import TransitionMap
 from polyjet.errors import ConfigError, SingularMetric
+from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import (
     ChristoffelField,
     Metric,
@@ -13,7 +14,7 @@ from polyjet.metrics import (
     christoffel_symbols,
     pullback_metric,
 )
-from polyjet.symbolic import SampleDomain, equiv, evaluate, parse, var
+from polyjet.symbolic import Const, SampleDomain, equiv, evaluate, parse, var
 
 from oracles import central_diff_partial
 
@@ -123,6 +124,15 @@ def test_inverse_at_rejects_singular_point():
         h.inverse_at({"t1": 0.0})
 
 
+def test_metric_whose_determinant_overflows_is_singular():
+    # rank 1, but numpy's determinant overflows to inf instead of reading 0
+    g = Metric.temporal([[Const(1e308)] * 2] * 2)
+    with pytest.raises(SingularMetric, match="determinant overflows to inf"):
+        g.validate()
+    with pytest.raises(SingularMetric, match="determinant overflows to inf"):
+        g.inverse_at({"t1": 0.1, "t2": 0.2})
+
+
 def test_validate_rejects_asymmetric_metric():
     g = Metric.spatial([[1, var("x1")], [0, 1]])
     with pytest.raises(ConfigError):
@@ -159,22 +169,28 @@ def test_christoffel_symbols_are_built_once_and_freed_with_the_metric():
         gc.enable()
 
 
-def test_large_dimension_falls_back_to_numeric_closures():
+def test_dimension_five_christoffel_symbols_are_exact():
     vs = [f"x{i}" for i in range(1, 6)]
     rows = [[parse("1" if i == j else "0", vs) for j in range(5)] for i in range(5)]
     rows[4][4] = parse("1 + x1^2", vs)
     g = Metric.spatial(rows)
     field = christoffel(g)
-    assert field.components is None
+    assert christoffel_symbols(g)[4][4][0] is field.components[4][4][0]
     pt = {f"x{i}": 0.1 * i for i in range(1, 6)}
-    vals = field.at(pt)
     x1 = 0.1
-    assert vals[4, 4, 0] == pytest.approx(x1 / (1 + x1 ** 2), abs=1e-12)
-    with pytest.raises(ConfigError):
-        g.inverse_components
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="exceeds the symbolic-inverse limit"):
-            christoffel_symbols(g)
+    assert evaluate(field.components[4][4][0], pt) == pytest.approx(x1 / (1 + x1 ** 2), abs=1e-12)
+    assert field.at(pt)[4, 4, 0] == pytest.approx(x1 / (1 + x1 ** 2), abs=1e-12)
+
+
+def test_christoffel_past_the_inverse_limit_is_a_config_error():
+    d = SYM_INVERSE_MAX_DIM + 1
+    vs = [f"x{i}" for i in range(1, d + 1)]
+    rows = [[parse("1" if i == j else "0", vs) for j in range(d)] for i in range(d)]
+    rows[d - 1][d - 1] = parse("1 + x1^2", vs)
+    g = Metric.spatial(rows)
+    for build in (christoffel, christoffel_symbols, christoffel_symbols):
+        with pytest.raises(ConfigError, match=f"dimension {d} exceeds the limit"):
+            build(g)
 
 
 # ---------------------------------------------------------------------------

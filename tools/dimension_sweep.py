@@ -12,6 +12,10 @@ Run it from the repository root, for every row or for the rows named:
 
     python tools/dimension_sweep.py
     python tools/dimension_sweep.py 1x2 2x2 2x3 3x3
+    python tools/dimension_sweep.py 2x7 7x2 2x8
+
+Any m, n up to ``linalg.SYM_INVERSE_MAX_DIM`` may be named; the default
+rows stop at (5, 5) to keep the run short.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from polyjet.hamilton import (  # noqa: E402
 )
 from polyjet.metrics import pullback_metric  # noqa: E402
 
-ROWS = ((1, 2), (2, 2), (2, 3), (3, 3), (4, 4))
+ROWS = ((1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (2, 5), (5, 2), (5, 5))
 SEED = 3
 SHEARS = 2
 SAMPLES = 20
