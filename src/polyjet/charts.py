@@ -319,30 +319,18 @@ class TransitionMap:
         k = n * m * m
         return vals[:, :k].reshape(-1, n, m, m), vals[:, k:].reshape(-1, n, m, n)
 
-    @staticmethod
-    def _frame(jt, jx, assignment):
-        kt = checked_inverse(jt, SingularJacobian, "temporal jacobian", assignment)
-        kx = checked_inverse(jx, SingularJacobian, "spatial jacobian", assignment)
-        return jt, jx, kt, kx
-
-    def frames(self, points) -> list:
-        """(Jt, Jx, Kt, Kx) at each source assignment, with invertibility
-        enforced in point order."""
-        _, jt = self._t_values(points)
-        _, jx = self._x_values(points)
-        return [self._frame(jt[k], jx[k], asg) for k, asg in enumerate(points)]
-
     def map_points(self, points):
-        """Image JetPoints and frames (Jt, Jx, Kt, Kx) of source assignments."""
+        """Image JetPoints and frames (Jt, Jx, Kt, Kx) of source assignments,
+        with invertibility enforced in point order."""
         chart = self.chart
         t_img, jt = self._t_values(points)
         x_img, jx = self._x_values(points)
         images, frames = [], []
         for k, asg in enumerate(points):
-            frame = self._frame(jt[k], jx[k], asg)
-            p_img = frame[3].T @ chart.point(asg).p @ frame[0].T
-            images.append(JetPoint(t_img[k], x_img[k], p_img))
-            frames.append(frame)
+            kt = checked_inverse(jt[k], SingularJacobian, "temporal jacobian", asg)
+            kx = checked_inverse(jx[k], SingularJacobian, "spatial jacobian", asg)
+            frames.append((jt[k], jx[k], kt, kx))
+            images.append(JetPoint(t_img[k], x_img[k], kx.T @ chart.point(asg).p @ jt[k].T))
         return images, frames
 
     def t_jacobian_at(self, assignment) -> np.ndarray:
@@ -353,7 +341,7 @@ class TransitionMap:
 
     def jacobians_at(self, assignment):
         """(Jt, Jx, Kt, Kx) at a point, with invertibility enforced."""
-        return self.frames([assignment])[0]
+        return self.map_points([assignment])[1][0]
 
     def map_point(self, q: JetPoint) -> JetPoint:
         return self.map_points([self.chart.assignment(q)])[0][0]
@@ -435,7 +423,7 @@ class TransitionMap:
                 ft = substitute(self.x_forward[i], dict(zip(chart.x_names, self.x_inverse)))
                 if not equiv(ft, Var(x_name(i)), dom, tol):
                     raise ConfigError(f"spatial inverse is not a right inverse in x{i + 1}")
-        self.frames(dom.points())
+        self.map_points(dom.points())
 
 
 def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:

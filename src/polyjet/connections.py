@@ -21,9 +21,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .charts import JetChart, TransitionMap, p_name
-from .errors import ConfigError, PolyjetError
+from .errors import ConfigError
 from .metrics import Metric, christoffel_symbols
-from .report import VerificationReport, entry_label, sweep
+from .report import VerificationReport, chart_law, entry_label
 from .semisprays import Semispray
 from .symbolic import (
     Const,
@@ -42,12 +42,14 @@ class NonlinearConnection:
     """Connection blocks N1 (m, n, m) and N2 (m, n, n), both ``expr_array``
     blocks.
 
-    Each block compiles its own program on first use and keeps it:
-    ``n1_at`` runs only the N1 program, ``n2_at`` only the N2 program, and
-    ``at_points`` runs both.  A program remembers its last successful
-    batch (``Program.run``), so a second check over the same sample points,
-    such as the adapted coframe after the connection law, gets copies of
-    the values without another pass.
+    Both blocks compile into one program on first use, N1's entries
+    first, and every evaluation runs it and slices the two blocks out.
+    ``n1_at`` and ``n2_at`` run it at their one point, so either raises
+    when N1 or N2 cannot be evaluated there, N1's error first.  A program
+    remembers its last successful batch (``Program.run``), so ``n2_at``
+    right after ``n1_at`` at the same point, or a second check over the
+    same sample points, such as the adapted coframe after the connection
+    law, gets copies of the values without another pass.
     """
 
     m: int
@@ -61,31 +63,20 @@ class NonlinearConnection:
         object.__setattr__(self, "n2", expr_array(self.n2, (self.m, self.n, self.n), names, "N2"))
 
     @cached_property
-    def _n1_program(self) -> Program:
-        return compile_block(self.n1)
-
-    @cached_property
-    def _n2_program(self) -> Program:
-        return compile_block(self.n2)
+    def _program(self) -> Program:
+        return compile_block([*self.n1.flat, *self.n2.flat])
 
     def at_points(self, points):
         """N1 (P, m, n, m) and N2 (P, m, n, n) at each assignment."""
-        points = list(points)
-        try:
-            return self._n1_program.run(points), self._n2_program.run(points)
-        except PolyjetError:
-            # raise the error of the first failing point, N1's before N2's
-            # there, as one program over both blocks would
-            for point in points:
-                self.n1_at(point)
-                self.n2_at(point)
-            raise
+        vals = self._program.run(points)
+        k = self.n1.size
+        return vals[:, :k].reshape(-1, *self.n1.shape), vals[:, k:].reshape(-1, *self.n2.shape)
 
     def n1_at(self, assignment) -> np.ndarray:
-        return self._n1_program.run([assignment])[0]
+        return self.at_points([assignment])[0][0]
 
     def n2_at(self, assignment) -> np.ndarray:
-        return self._n2_program.run([assignment])[0]
+        return self.at_points([assignment])[1][0]
 
 
 def metric_n1(kappa, n: int) -> list:
@@ -138,22 +129,19 @@ def transform_connection(N: NonlinearConnection, tm: TransitionMap, q):
 
 def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
                           tm: TransitionMap, dom: SampleDomain | None = None,
-                          tol: float = 1e-8, name: str | None = None) -> VerificationReport:
+                          tol: float = 1e-8) -> VerificationReport:
     """Check the inhomogeneous chart-change law for both connection blocks."""
-    chart = tm.chart
-    if dom is None:
-        dom = chart.sample_domain()
-    points = dom.points()
-    images, frames = tm.map_points(points)
-    dpdt, dpdx = tm.momentum_derivatives(points)
-    a1, a2 = N_A.at_points(points)
-    b1, b2 = N_B.at_points([chart.assignment(q) for q in images])
-    n1_label, n2_label = partial(entry_label, "N1"), partial(entry_label, "N2")
-    lhs = (_connection_image(a1[k], a2[k], frames[k], dpdt[k], dpdx[k])
-           for k in range(len(points)))
-    return sweep(name or "connection-law", tol, points,
-                 (((n1_label, lhs1, rhs1), (n2_label, lhs2, rhs2))
-                  for (lhs1, lhs2), rhs1, rhs2 in zip(lhs, b1, b2)))
+
+    def compare(points, images, frames, values_a, values_b):
+        dpdt, dpdx = tm.momentum_derivatives(points)
+        (a1, a2), (b1, b2) = values_a, values_b
+        return (zip(_connection_image(a1[k], a2[k], frames[k], dpdt[k], dpdx[k]),
+                    (b1[k], b2[k]))
+                for k in range(len(points)))
+
+    return chart_law("connection-law", tol, tm, dom,
+                     (partial(entry_label, "N1"), partial(entry_label, "N2")),
+                     N_A, N_B, compare)
 
 
 def connection_from_semispray(G1: Semispray, G2: Semispray,
@@ -175,7 +163,6 @@ def connection_from_semispray(G1: Semispray, G2: Semispray,
     m, n = G1.m, G1.n
     if (G2.m, G2.n) != (m, n) or phi.dim != n:
         raise ConfigError("semispray pair and metric dimensions disagree")
-    chart = JetChart(m, n)
     phi_upper = phi.inverse_components
     n1 = [[[None] * m for _ in range(n)] for _ in range(m)]
     for a in range(m):
@@ -236,7 +223,7 @@ def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
 
 def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
                            tm: TransitionMap, dom: SampleDomain | None = None,
-                           tol: float = 1e-8, name: str | None = None) -> VerificationReport:
+                           tol: float = 1e-8) -> VerificationReport:
     """Check that the adapted coframe rows transform tensorially.
 
     Chart-A rows are rewritten in chart-B differentials through the full
@@ -246,27 +233,19 @@ def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
     """
     if not tm.has_inverse:
         raise ConfigError("coframe verification requires inverse expressions")
-    chart = tm.chart
     m, n = tm.m, tm.n
-    if dom is None:
-        dom = chart.sample_domain()
-    col_names = ["d" + nm for nm in chart.names]
-    points = dom.points()
-    images, frames = tm.map_points(points)
-    coframes = tm.coframe_matrices(images, frames)
-    a1, a2 = N_A.at_points(points)
-    b1, b2 = N_B.at_points([chart.assignment(q) for q in images])
+    col_names = ["d" + nm for nm in tm.chart.names]
 
     def label(idx):
         j, b = divmod(int(idx[0]), m)
         return f"coframe[{p_name(j, b)}, {col_names[int(idx[1])]}]"
 
-    def expected(k):
-        jt, jx, kt, kx = frames[k]
-        pushed = _coframe_rows(a1[k], a2[k]) @ coframes[k]
-        pushed = pushed.reshape(n, m, -1)
-        return np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)
+    def compare(points, images, frames, values_a, values_b):
+        coframes = tm.coframe_matrices(images, frames)
+        (a1, a2), (b1, b2) = values_a, values_b
+        for k, (jt, jx, kt, kx) in enumerate(frames):
+            pushed = (_coframe_rows(a1[k], a2[k]) @ coframes[k]).reshape(n, m, -1)
+            expected = np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)
+            yield ((_coframe_rows(b1[k], b2[k]), expected),)
 
-    return sweep(name or "adapted-coframe", tol, points,
-                 (((label, _coframe_rows(b1[k], b2[k]), expected(k)),)
-                  for k in range(len(points))))
+    return chart_law("adapted-coframe", tol, tm, dom, (label,), N_A, N_B, compare)

@@ -25,7 +25,7 @@ import numpy as np
 from .charts import JetChart, TransitionMap
 from .errors import ConfigError
 from .metrics import Metric
-from .report import VerificationReport, entry_label, sweep
+from .report import VerificationReport, chart_law, entry_label
 from .symbolic import (
     Program,
     SampleDomain,
@@ -149,22 +149,17 @@ def transform_dtensor(T: DTensorField, tm: TransitionMap, q) -> np.ndarray:
 
 
 def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
-                       dom: SampleDomain | None = None, tol: float = 1e-8,
-                       name: str | None = None) -> VerificationReport:
+                       dom: SampleDomain | None = None, tol: float = 1e-8) -> VerificationReport:
     """Check that T_B at image points equals the transformed T_A."""
     if T_A.slots != T_B.slots:
         raise ConfigError("cannot compare d-tensors with different slot structure")
-    chart = tm.chart
-    if dom is None:
-        dom = chart.sample_domain()
-    points = dom.points()
-    images, frames = tm.map_points(points)
-    values_a = T_A.at_points(points)
-    values_b = T_B.at_points([chart.assignment(image) for image in images])
-    label = partial(entry_label, T_A.name)
-    return sweep(name or f"dtensor-law:{T_A.name}", tol, points,
-                 (((label, _dtensor_image(arr, T_A.slots, frame), rhs),)
-                  for frame, arr, rhs in zip(frames, values_a, values_b)))
+
+    def compare(points, images, frames, values_a, values_b):
+        return (((_dtensor_image(arr, T_A.slots, frame), rhs),)
+                for frame, arr, rhs in zip(frames, values_a, values_b))
+
+    return chart_law(f"dtensor-law:{T_A.name}", tol, tm, dom,
+                     (partial(entry_label, T_A.name),), T_A, T_B, compare)
 
 
 def builtin_dtensors(h: Metric, n: int) -> dict:
@@ -214,6 +209,9 @@ def pullback_dtensor(T: DTensorField, tm: TransitionMap) -> DTensorField:
     """
     if not tm.has_inverse:
         raise ConfigError("d-tensor pullback requires explicit inverse expressions")
+    if (T.m, T.n) != (tm.m, tm.n):
+        raise ConfigError(f"cannot pull back the (m, n) = {(T.m, T.n)} d-tensor {T.name!r} "
+                          f"through a {(tm.m, tm.n)} transition")
     chart = tm.chart
 
     def factor_matrix(slot: IndexSlot):

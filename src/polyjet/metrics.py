@@ -13,6 +13,10 @@ Three kinds are supported:
 Christoffel symbols are exact expressions over the metric's symbolic
 inverse, so a metric past ``linalg.SYM_INVERSE_MAX_DIM`` has none: building
 them raises ConfigError.
+
+``pullback_metric`` writes a metric in a transition's target chart as the
+``dtensors.pullback_dtensor`` of a field with two lower slots, so metrics
+and d-tensors change charts through one construction.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .symbolic import (
     expr_array,
     mul,
     neg,
-    substitute,
 )
 
 KINDS = ("temporal", "spatial", "spatiotemporal")
@@ -196,26 +199,14 @@ def christoffel_symbols(g: Metric) -> np.ndarray:
 
 
 def pullback_metric(g: Metric, tm: TransitionMap) -> Metric:
-    """The same metric written in the target chart of a transition.
+    """The same metric written in the target chart of a transition: the
+    ``pullback_dtensor`` of its components as a field with two lower
+    slots, temporal for a temporal metric and spatial otherwise."""
+    from .dtensors import DTensorField, lower_t, lower_x, pullback_dtensor
 
-    Temporal metrics transform with two inverse temporal Jacobian factors,
-    spatial/spatiotemporal ones with two inverse spatial factors; base
-    points are pulled back through the explicit inverse maps.
-    """
-    if not tm.has_inverse:
-        raise ConfigError("metric pullback requires explicit inverse expressions")
-    chart = tm.chart
-    if g.kind == "temporal":
-        names, inverse = chart.t_names, tm.t_inverse
-    else:
-        names, inverse = chart.x_names, tm.x_inverse
-    # jacobian of the inverse map, expressions in target variables
-    jac = tuple(tuple(differentiate(inverse[r], names[c]) for c in range(len(names)))
-                for r in range(len(names)))
-    d = g.dim
-    pulled = [[substitute(g.components[k][l], tm.pullback_map) for l in range(d)]
-              for k in range(d)]
-    rows = [[add(*[mul(pulled[k][l], jac[k][i], jac[l][j])
-                   for k in range(d) for l in range(d)])
-             for j in range(d)] for i in range(d)]
-    return Metric(g.kind, g.m, g.n, rows, g.p_dependent)
+    slot = lower_t() if g.kind == "temporal" else lower_x()
+    # a temporal metric fixes no n and a spatial one no m: the transition's stand in
+    m = tm.m if g.kind == "spatial" else g.m
+    n = tm.n if g.kind == "temporal" else g.n
+    T = pullback_dtensor(DTensorField(m, n, (slot, slot), g.components, f"{g.kind} metric"), tm)
+    return Metric(g.kind, g.m, g.n, T.components, g.p_dependent)

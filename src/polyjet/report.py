@@ -1,4 +1,6 @@
-"""Verification report type shared by all law checkers."""
+"""Verification reports, the one law-sweep loop (``sweep``) and the one
+runner of the chart-change laws of d-tensors, semisprays, connections and
+the adapted coframe (``chart_law``)."""
 
 from __future__ import annotations
 
@@ -6,6 +8,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 @dataclass
@@ -38,41 +42,6 @@ class VerificationReport:
         }
 
 
-class ResidualTracker:
-    """Accumulates the worst residual over a sweep and builds the report."""
-
-    def __init__(self, name: str, tolerance: float):
-        self.name = name
-        self.tolerance = tolerance
-        self.max_residual = 0.0
-        self.worst_point = None
-        self.worst_entry = None
-        self.samples = 0
-
-    def update(self, residual: float, point: dict, entry: str | None = None):
-        """Keep the largest residual.  A non-finite one fails the check and,
-        the first time it appears, becomes the worst for good."""
-        r = abs(float(residual))
-        if math.isfinite(self.max_residual) and not r <= self.max_residual:
-            self.max_residual = r
-            self.worst_point = dict(point)
-            self.worst_entry = entry
-
-    def count_sample(self):
-        self.samples += 1
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(
-            name=self.name,
-            passed=self.max_residual <= self.tolerance,
-            tolerance=self.tolerance,
-            max_residual=self.max_residual,
-            worst_point=self.worst_point,
-            samples=self.samples,
-            worst_entry=self.worst_entry,
-        )
-
-
 def entry_label(name: str, idx) -> str:
     """1-based component label, like N2[1,2,1]."""
     return f"{name}[{','.join(str(i + 1) for i in idx)}]"
@@ -82,12 +51,38 @@ def sweep(name: str, tolerance: float, points, blocks) -> VerificationReport:
     """The one law-sweep loop: for each source point, ``blocks`` yields the
     ``(labeler, lhs, rhs)`` arrays to compare there.  The largest entry of
     ``|lhs - rhs|`` in each block is tracked; ``labeler`` names it from its
-    0-based index tuple."""
-    tracker = ResidualTracker(name, tolerance)
+    0-based index tuple.  A non-finite residual fails the check and, the
+    first time it appears, stays the worst for good."""
+    worst, worst_point, worst_entry, samples = 0.0, None, None, 0
     for point, triples in zip(points, blocks):
         for labeler, lhs, rhs in triples:
             diff = np.abs(lhs - rhs)
-            idx = np.unravel_index(np.argmax(diff), diff.shape)
-            tracker.update(float(diff.max()), point, labeler(idx))
-        tracker.count_sample()
-    return tracker.report()
+            residual = float(diff.max())
+            if math.isfinite(worst) and not residual <= worst:
+                worst, worst_point = residual, dict(point)
+                worst_entry = labeler(np.unravel_index(np.argmax(diff), diff.shape))
+        samples += 1
+    return VerificationReport(name, worst <= tolerance, tolerance, worst, worst_point,
+                              samples, worst_entry)
+
+
+def chart_law(name: str, tol: float, tm, dom, labelers, A, B, compare) -> VerificationReport:
+    """Check a chart-change law from ``A`` in the source chart of ``tm`` to
+    ``B`` in its target chart.  The samples of ``dom`` (the chart's default
+    box when None) are mapped once, ``A`` is evaluated at them and ``B`` at
+    their images; ``compare(points, images, frames, values_a, values_b)``
+    yields per point one ``(lhs, rhs)`` pair for each of ``labelers``."""
+    dims = [(X.m, X.n) for X in (A, B, tm)]
+    if len(set(dims)) > 1:
+        raise ConfigError(f"{name}: dimensions (m, n) disagree: {dims[0]} in chart A, "
+                          f"{dims[1]} in chart B, {dims[2]} for the transition")
+    chart = tm.chart
+    if dom is None:
+        dom = chart.sample_domain()
+    points = dom.points()
+    images, frames = tm.map_points(points)
+    values_a = A.at_points(points)
+    values_b = B.at_points([chart.assignment(q) for q in images])
+    return sweep(name, tol, points,
+                 (tuple((label, lhs, rhs) for label, (lhs, rhs) in zip(labelers, pairs))
+                  for pairs in compare(points, images, frames, values_a, values_b)))

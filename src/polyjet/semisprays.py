@@ -21,7 +21,7 @@ from .charts import JetChart, TransitionMap
 from .dtensors import DTensorField, builtin_dtensors, lower_x, upper_t
 from .errors import ConfigError
 from .metrics import Metric, christoffel_symbols
-from .report import VerificationReport, entry_label, sweep
+from .report import VerificationReport, chart_law, entry_label, sweep
 from .symbolic import Const, Program, SampleDomain, add, compile_block, expr_array, mul
 
 
@@ -116,25 +116,21 @@ def transform_semispray(S: Semispray, tm: TransitionMap, q) -> np.ndarray:
 
 
 def verify_semispray_law(S_A: Semispray, S_B: Semispray, tm: TransitionMap,
-                         dom: SampleDomain | None = None, tol: float = 1e-8,
-                         name: str | None = None) -> VerificationReport:
+                         dom: SampleDomain | None = None, tol: float = 1e-8) -> VerificationReport:
     """Check the inhomogeneous chart-change law between two semisprays."""
     if S_A.kind != S_B.kind:
         raise ConfigError("cannot compare semisprays of different kinds")
     image = _IMAGES[S_A.kind]
-    chart = tm.chart
-    if dom is None:
-        dom = chart.sample_domain()
-    points = dom.points()
-    images, frames = tm.map_points(points)
-    dpdt, dpdx = tm.momentum_derivatives(points)
-    values_a = S_A.at_points(points)
-    values_b = S_B.at_points([chart.assignment(q) for q in images])
-    label = partial(entry_label, "G1" if S_A.kind == "temporal" else "G2")
-    return sweep(name or f"semispray-law:{S_A.kind}", tol, points,
-                 (((label, image(values_a[k], frames[k], dpdt[k], dpdx[k],
-                                 chart.point(asg).p), values_b[k]),)
-                  for k, asg in enumerate(points)))
+
+    def compare(points, images, frames, values_a, values_b):
+        chart, (dpdt, dpdx) = tm.chart, tm.momentum_derivatives(points)
+        return (((image(values_a[k], frames[k], dpdt[k], dpdx[k], chart.point(asg).p),
+                  values_b[k]),)
+                for k, asg in enumerate(points))
+
+    return chart_law(f"semispray-law:{S_A.kind}", tol, tm, dom,
+                     (partial(entry_label, "G1" if S_A.kind == "temporal" else "G2"),),
+                     S_A, S_B, compare)
 
 
 def check_characterization(block, kind: str, h: Metric,

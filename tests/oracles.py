@@ -11,12 +11,15 @@ bit for bit and error for error, and ``to_string_walk`` is the recursive
 printer whose text ``to_string`` must match byte for byte.
 ``laplace_inverse`` is the adjugate over plain Laplace expansion, with
 every cofactor expanded afresh: ``linalg.sym_inverse`` must return its
-very nodes.
+very nodes.  ``pullback_metric_sandwich`` writes a metric in the target
+chart by the direct two-factor contraction, and ``metrics.pullback_metric``,
+a d-tensor pullback, must return its very nodes.
 """
 
 from __future__ import annotations
 
 from polyjet.errors import DomainError, UnboundVariable
+from polyjet.metrics import Metric
 from polyjet.symbolic import (
     Call,
     Const,
@@ -31,10 +34,12 @@ from polyjet.symbolic import (
     add,
     as_expr,
     call,
+    differentiate,
     div,
     mul,
     neg,
     power,
+    substitute,
     _apply_function,
     _fmt_const,
     _power_value,
@@ -231,6 +236,26 @@ def laplace_inverse(rows):
     det = laplace_det(rows)
     return tuple(tuple(div(laplace_cofactor(rows, j, i), det) for j in range(d))
                  for i in range(d))
+
+
+def pullback_metric_sandwich(g, tm):
+    """g_ij~ = g_kl(x(x~)) (dx^k/dx~^i) (dx^l/dx~^j), the inverse map's
+    Jacobian in target variables on both lower slots (t for a temporal
+    metric, x otherwise)."""
+    chart = tm.chart
+    if g.kind == "temporal":
+        names, inverse = chart.t_names, tm.t_inverse
+    else:
+        names, inverse = chart.x_names, tm.x_inverse
+    jac = [[differentiate(inverse[r], names[c]) for c in range(len(names))]
+           for r in range(len(names))]
+    d = g.dim
+    pulled = [[substitute(g.components[k][l], tm.pullback_map) for l in range(d)]
+              for k in range(d)]
+    rows = [[add(*[mul(pulled[k][l], jac[k][i], jac[l][j])
+                   for k in range(d) for l in range(d)])
+             for j in range(d)] for i in range(d)]
+    return Metric(g.kind, g.m, g.n, rows, g.p_dependent)
 
 
 def to_string_walk(e) -> str:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import polyjet.connections
-
 from geomgen import random_spatial_metric, random_temporal_metric, random_transition
 from polyjet.charts import JetChart, TransitionMap
 from polyjet.connections import (
@@ -22,7 +20,7 @@ from polyjet.connections import (
 from polyjet.errors import ConfigError, DomainError
 from polyjet.hamilton import canonical_nonlinear_connection, gravitational_space
 from polyjet.metrics import Metric, pullback_metric
-from polyjet.report import ResidualTracker
+from polyjet.report import sweep
 from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import Const, Var, add, compile_block, equiv, ln, mul, parse, sqrt
 
@@ -212,19 +210,20 @@ def test_shape_validation():
                             [[[Const(0.0)] * 2] * 2] * 2)
 
 
-def test_residual_tracker_fails_closed_on_nan():
-    tracker = ResidualTracker("connection-law", 1e-8)
-    tracker.update(1e-12, {"x1": 0.1}, "N2[1,1,1]")
-    tracker.update(float("nan"), {"x1": 0.2}, "N2[1,2,1]")
-    tracker.update(5.0, {"x1": 0.3}, "N2[2,2,2]")
-    rep = tracker.report()
+def test_sweep_fails_closed_on_nan():
+    rows = [(1e-12, {"x1": 0.1}, "N2[1,1,1]"),
+            (float("nan"), {"x1": 0.2}, "N2[1,2,1]"),
+            (5.0, {"x1": 0.3}, "N2[2,2,2]")]
+    rep = sweep("connection-law", 1e-8, [point for _, point, _ in rows],
+                [((lambda idx, entry=entry: entry, np.array([residual]), np.zeros(1)),)
+                 for residual, _, entry in rows])
     assert not rep.passed
     assert rep.worst_entry == "N2[1,2,1]"
     assert rep.worst_point == {"x1": 0.2}
 
 
 # ---------------------------------------------------------------------------
-# one program per block
+# one program over both blocks
 
 def _one_program_slices(N, points):
     """N1 and N2 sliced from one program over both blocks."""
@@ -232,27 +231,6 @@ def _one_program_slices(N, points):
     vals = compile_block([*N.n1.flat, *N.n2.flat]).run(points)
     k = m * n * m
     return vals[:, :k].reshape(-1, m, n, m), vals[:, k:].reshape(-1, m, n, n)
-
-
-def test_each_block_compiles_and_runs_only_its_own_program(monkeypatch):
-    blocks = []
-
-    def counting(exprs):
-        blocks.append(exprs)
-        return compile_block(exprs)
-
-    monkeypatch.setattr(polyjet.connections, "compile_block", counting)
-    N = canonical_pair()
-    asg = {nm: 0.5 for nm in CHART.names}
-    n1 = N.n1_at(asg)
-    assert len(blocks) == 1 and blocks[0] is N.n1
-    assert n1.shape == (2, 2, 2)
-    n2 = N.n2_at(asg)
-    assert len(blocks) == 2 and blocks[1] is N.n2
-    assert n2.shape == (2, 2, 2)
-    got1, got2 = N.at_points([asg, asg])
-    assert len(blocks) == 2
-    assert got1[1].tobytes() == n1.tobytes() and got2[1].tobytes() == n2.tobytes()
 
 
 @pytest.mark.parametrize("build", [

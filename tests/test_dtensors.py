@@ -8,6 +8,11 @@ import pytest
 from geomgen import random_temporal_metric, random_transition
 from polyjet import dtensors
 from polyjet.charts import JetChart, TransitionMap, compose
+from polyjet.connections import (
+    canonical_metric_connection,
+    verify_adapted_coframe,
+    verify_connection_law,
+)
 from polyjet.dtensors import (
     DTensorField,
     IndexSlot,
@@ -22,7 +27,8 @@ from polyjet.dtensors import (
 )
 from polyjet.errors import ConfigError
 from polyjet.metrics import Metric, pullback_metric
-from polyjet.symbolic import Const, Var, add, mul, parse, power
+from polyjet.semisprays import canonical_temporal, verify_semispray_law
+from polyjet.symbolic import Const, Var, add, mul, parse, power, var
 
 
 CHART = JetChart(2, 2)
@@ -200,3 +206,40 @@ def test_mismatched_slots_not_comparable():
     b = DTensorField(2, 2, (lower_x(),), [Const(1.0), Const(2.0)])
     with pytest.raises(ConfigError):
         verify_dtensor_law(a, b, tm)
+
+
+# ---------------------------------------------------------------------------
+# dimension mismatches
+
+def _flat_phi(n: int) -> Metric:
+    return Metric.spatial([[Const(float(i == j)) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("verify, build, name", [
+    (verify_dtensor_law, lambda: builtin_dtensors(curved_h(), n=2)["L"], "dtensor-law:L"),
+    (verify_semispray_law, lambda: canonical_temporal(curved_h(), 2), "semispray-law:temporal"),
+    (verify_connection_law, lambda: canonical_metric_connection(curved_h(), _flat_phi(2)),
+     "connection-law"),
+    (verify_adapted_coframe, lambda: canonical_metric_connection(curved_h(), _flat_phi(2)),
+     "adapted-coframe"),
+], ids=["dtensor", "semispray", "connection", "coframe"])
+def test_law_checks_refuse_objects_of_other_dimensions(verify, build, name):
+    X = build()
+    with pytest.raises(ConfigError) as err:
+        verify(X, X, TransitionMap.identity(2, 3))
+    assert str(err.value) == (f"{name}: dimensions (m, n) disagree: (2, 2) in chart A, "
+                              "(2, 2) in chart B, (2, 3) for the transition")
+
+
+def test_pullbacks_refuse_objects_of_other_dimensions():
+    xv = ("x1", "x2", "x3")
+    shear = TransitionMap(1, 3, [var("t1")],
+                          [parse("x1 + x3", xv), var("x2"), var("x3")],
+                          [var("t1")],
+                          [parse("x1 - x3", xv), var("x2"), var("x3")])
+    cstar = builtin_dtensors(Metric.temporal([[Const(1.0)]]), n=2)["C*"]
+    with pytest.raises(ConfigError, match=r"\(1, 2\) d-tensor 'C\*' through a \(1, 3\)"):
+        pullback_dtensor(cstar, shear)
+    for n in (2, 4):
+        with pytest.raises(ConfigError, match=rf"\(1, {n}\) d-tensor .* through a \(1, 3\)"):
+            pullback_metric(_flat_phi(n), shear)

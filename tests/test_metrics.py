@@ -1,10 +1,18 @@
 import gc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geomgen import (
+    random_spatial_metric,
+    random_spatiotemporal_metric,
+    random_temporal_metric,
+    random_transition,
+)
 from polyjet.charts import TransitionMap
+from polyjet.cli import load_manifest
 from polyjet.errors import ConfigError, SingularMetric
 from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import (
@@ -16,7 +24,7 @@ from polyjet.metrics import (
 )
 from polyjet.symbolic import Const, SampleDomain, equiv, evaluate, parse, var
 
-from oracles import central_diff_partial
+from oracles import central_diff_partial, pullback_metric_sandwich
 
 TV = ["t1", "t2"]
 XV = ["x1", "x2"]
@@ -231,3 +239,26 @@ def test_spatial_pullback_matches_jacobian_sandwich():
     want = kx.T @ phi.at(src) @ kx
     img = {"x1": evaluate(tm.x_forward[0], src), "x2": evaluate(tm.x_forward[1], src)}
     assert np.allclose(pulled.at(img), want, atol=1e-12)
+
+
+def _pullback_cases():
+    """(metric, transition): the shipped manifests' metrics, then seeded
+    random ones of every kind at (1, 2) to (3, 3)."""
+    cases = []
+    for name in ("curved.json", "flat.json"):
+        man = load_manifest(str(Path(__file__).resolve().parent.parent / "manifests" / name))
+        cases += [(man.temporal_metric, man.transition), (man.spatial_metric, man.transition)]
+    for m, n in ((1, 2), (2, 2), (2, 3), (3, 3)):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            tm = random_transition(m, n, rng)
+            cases += [(random_temporal_metric(m, rng), tm), (random_spatial_metric(n, rng), tm),
+                      (random_spatiotemporal_metric(m, n, rng), tm)]
+    return cases
+
+
+def test_pullback_metric_builds_the_nodes_of_the_direct_sandwich():
+    for g, tm in _pullback_cases():
+        got, want = pullback_metric(g, tm), pullback_metric_sandwich(g, tm)
+        assert (got.kind, got.m, got.n, got.p_dependent) == (g.kind, g.m, g.n, g.p_dependent)
+        assert all(a is b for a, b in zip(got.components.flat, want.components.flat))
