@@ -37,6 +37,7 @@ from .symbolic import (
     Var,
     add,
     compile_block,
+    cut,
     differentiate,
     equiv,
     expr_array,
@@ -301,23 +302,17 @@ class TransitionMap:
 
     def _t_values(self, points):
         """Images of t (P, m) and Jt (P, m, m)."""
-        m = self.m
-        vals = self._t_program.run(points)
-        return vals[:, :m], vals[:, m:].reshape(-1, m, m)
+        return cut(self._t_program.run(points), (self.m,), (self.m, self.m))
 
     def _x_values(self, points):
         """Images of x (P, n) and Jx (P, n, n)."""
-        n = self.n
-        vals = self._x_program.run(points)
-        return vals[:, :n], vals[:, n:].reshape(-1, n, n)
+        return cut(self._x_program.run(points), (self.n,), (self.n, self.n))
 
     def momentum_derivatives(self, points):
         """d ptilde_i^a / d t^b (P, n, m, m) and d ptilde_i^a / d x^j
         (P, n, m, n) at each source assignment, exact."""
         m, n = self.m, self.n
-        vals = self._momentum_program.run(points)
-        k = n * m * m
-        return vals[:, :k].reshape(-1, n, m, m), vals[:, k:].reshape(-1, n, m, n)
+        return cut(self._momentum_program.run(points), (n, m, m), (n, m, n))
 
     def map_points(self, points):
         """Image JetPoints and frames (Jt, Jx, Kt, Kx) of source assignments,

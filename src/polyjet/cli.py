@@ -14,6 +14,12 @@ Four commands share one JSON manifest format:
   built-in d-tensors, canonical semisprays, the connection law, and the
   adapted coframe.
 
+``main`` runs every command as ``_load`` (manifest, seed, validated
+metrics, sample domain), then ``cmd_*(args, manifest, dom)``, which returns
+``(checks, objects)``, then ``_finish`` (printout, report, exit code).
+Layer functions are looked up in this module's namespace at call time, so
+a wrapper put in place of one of those names sees every call.
+
 Reports are deterministic for a fixed manifest and seed (the only varying
 field is wall_time_s), so they can be diffed across runs and machines.
 """
@@ -285,18 +291,18 @@ def load_manifest(path: str) -> Manifest:
 
 
 def _load(args):
-    """The manifest, the seed the command uses and its sample domain.
+    """The manifest and the command's sample domain, seeded by
+    ``_pick_seed``.
 
     Symmetry and invertibility of the manifest's metrics are checked here,
     once, on that domain, before any command relies on them.
     """
     manifest = load_manifest(args.manifest)
-    seed = _pick_seed(args, manifest)
-    dom = manifest.domain(seed)
+    dom = manifest.domain(_pick_seed(args, manifest))
     for metric in (manifest.temporal_metric, manifest.spatial_metric):
         if metric is not None:
             metric.validate(dom, tol=manifest.tolerances["equiv"])
-    return manifest, seed, dom
+    return manifest, dom
 
 
 def _pick_seed(args, manifest: Manifest) -> int:
@@ -318,39 +324,28 @@ def _eval_point(manifest: Manifest, dom: SampleDomain) -> dict:
     return {nm: (lo + hi) / 2.0 for nm, lo, hi in dom.intervals}
 
 
-def _matrix_strings(rows):
-    return [[to_string(e) for e in row] for row in rows]
-
-
-def _block3_strings(block):
-    return [_matrix_strings(sheet) for sheet in block]
+def _texts(block) -> list:
+    """The text of every expression of a block, nested as the block is."""
+    return np.frompyfunc(to_string, 1, 1)(np.asarray(block, dtype=object)).tolist()
 
 
 def _array_values(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _check_dict(rep: VerificationReport, kind: str) -> dict:
-    out = rep.to_dict()
-    out["kind"] = kind
-    return out
+def _check_dict(rep: VerificationReport, kind: str, **extra) -> dict:
+    return {**rep.to_dict(), "kind": kind, **extra}
 
 
 def _trivial_check(name: str, kind: str, tolerance: float, samples: int) -> dict:
-    return {"name": name, "kind": kind, "passed": True, "tolerance": tolerance,
-            "max_residual": 0.0, "worst_point": None, "samples": samples,
-            "worst_entry": None}
+    return _check_dict(VerificationReport(name, True, tolerance, 0.0, None, samples), kind)
 
 
 def _regularity_check(result, tol: float) -> dict:
-    return {
-        "name": "kronecker-regularity", "kind": "regularity",
-        "passed": bool(result.regular), "tolerance": tol,
-        "max_residual": result.max_residual, "worst_point": None,
-        "samples": result.samples, "worst_entry": None,
-        "notes": {"reason": result.reason,
-                  "p_dependent": bool(result.p_dependent)},
-    }
+    rep = VerificationReport("kronecker-regularity", result.regular, tol,
+                             result.max_residual, None, result.samples)
+    return _check_dict(rep, "regularity", notes={"reason": result.reason,
+                                                 "p_dependent": bool(result.p_dependent)})
 
 
 def _finite_residual(entry: dict) -> dict:
@@ -373,14 +368,16 @@ def _print_checks(checks):
         print(line)
 
 
-def _finish(command: str, manifest: Manifest, seed: int, checks, objects,
-            args, started: float) -> int:
+def _finish(args, manifest: Manifest, dom: SampleDomain, checks, objects,
+            started: float) -> int:
+    """Print the checks, write the report when ``--json`` asks for it and
+    return the exit code of the first failing check."""
     passed = all(c["passed"] for c in checks)
     report = {
         "schema": 1,
-        "command": command,
+        "command": args.command,
         "manifest_digest": manifest.digest,
-        "seed": seed,
+        "seed": dom.seed,
         "checks": [_finite_residual(c) for c in checks],
         "objects": objects,
         "passed": passed,
@@ -389,8 +386,11 @@ def _finish(command: str, manifest: Manifest, seed: int, checks, objects,
     _print_checks(checks)
     if args.json:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        with open(args.json, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report: {exc}") from None
         print(f"report written to {args.json}")
     if passed:
         return EXIT_OK
@@ -432,14 +432,12 @@ def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks:
 
 def _symbol_entry(metric: Metric, point: dict) -> dict:
     field = christoffel(metric)
-    return {"metric": _matrix_strings(metric.components),
-            "symbols": _block3_strings(field.components),
+    return {"metric": _texts(metric.components),
+            "symbols": _texts(field.components),
             "at_point": _array_values(field.at(point))}
 
 
-def cmd_christoffel(args) -> int:
-    started = time.perf_counter()
-    manifest, seed, dom = _load(args)
+def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain):
     if manifest.temporal_metric is None and manifest.spatial_metric is None:
         raise ConfigError("christoffel needs temporal_metric or spatial_metric")
     point = _eval_point(manifest, dom)
@@ -456,67 +454,55 @@ def cmd_christoffel(args) -> int:
         _, space = _hamilton_space(manifest, "christoffel", dom, checks)
         if space is not None:
             objects["extracted_spatial"] = _symbol_entry(space.g, point)
-    return _finish("christoffel", manifest, seed, checks, objects, args, started)
+    return checks, objects
 
 
-def cmd_regularity(args) -> int:
-    started = time.perf_counter()
-    manifest, seed, dom = _load(args)
+def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
     _require(manifest, "regularity", temporal_metric=manifest.temporal_metric,
              hamiltonian=manifest.hamiltonian)
     tol = _cli_tol(args, manifest, "regularity")
-    result = check_kronecker_regularity(
-        manifest.hamiltonian, manifest.temporal_metric, manifest.n,
-        dom=dom, tol=tol)
+    result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
+                                        manifest.n, dom=dom, tol=tol)
     objects = {"regularity": _finite_residual(result.to_dict())}
     if result.candidate is not None:
-        objects["g_upper"] = _matrix_strings(result.candidate)
+        objects["g_upper"] = _texts(result.candidate)
     checks = [_regularity_check(result, tol)]
     if result.regular and manifest.m >= 2:
         # extraction verifies the reconstruction round trip internally;
         # reaching this point means the rebuilt hamiltonian matched
-        ex = extract_electrodynamic_form(
-            manifest.hamiltonian, manifest.temporal_metric, manifest.n,
-            dom=dom, tol=tol, regularity=result)
-        objects["g_lower"] = _matrix_strings(ex.g.components)
-        objects["potential"] = [[to_string(ex.U.components[i, a])
-                                 for a in range(manifest.m)]
-                                for i in range(manifest.n)]
+        ex = extract_electrodynamic_form(manifest.hamiltonian, manifest.temporal_metric,
+                                         manifest.n, dom=dom, tol=tol, regularity=result)
+        objects["g_lower"] = _texts(ex.g.components)
+        objects["potential"] = _texts(ex.U.components)
         objects["free_term"] = to_string(ex.F)
         checks.append(_trivial_check("reconstruction-round-trip", "regularity",
                                      tol, dom.count))
-    return _finish("regularity", manifest, seed, checks, objects, args, started)
+    return checks, objects
 
 
-def cmd_connection(args) -> int:
-    started = time.perf_counter()
-    manifest, seed, dom = _load(args)
+def cmd_connection(args, manifest: Manifest, dom: SampleDomain):
     checks = []
     objects = {}
     if manifest.hamiltonian is not None:
         result, space = _hamilton_space(manifest, "connection", dom, checks)
         if space is None:
             objects["regularity"] = _finite_residual(result.to_dict())
-            return _finish("connection", manifest, seed, checks, objects,
-                           args, started)
+            return checks, objects
         N = canonical_nonlinear_connection(space)
         objects["source"] = "hamiltonian"
     else:
-        _require(manifest, "connection",
-                 temporal_metric=manifest.temporal_metric,
+        _require(manifest, "connection", temporal_metric=manifest.temporal_metric,
                  spatial_metric=manifest.spatial_metric)
-        N = canonical_metric_connection(manifest.temporal_metric,
-                                        manifest.spatial_metric)
+        N = canonical_metric_connection(manifest.temporal_metric, manifest.spatial_metric)
         objects["source"] = "metric pair"
     point = _eval_point(manifest, dom)
-    objects["n1"] = _block3_strings(N.n1)
-    objects["n2"] = _block3_strings(N.n2)
-    objects["n1_at_point"] = _array_values(N.n1_at(point))
-    objects["n2_at_point"] = _array_values(N.n2_at(point))
+    objects["n1"] = _texts(N.n1)
+    objects["n2"] = _texts(N.n2)
+    objects["n1_at_point"], objects["n2_at_point"] = map(_array_values, N.at(point))
     objects["coframe_at_point"] = _array_values(
         adapted_coframe(N, manifest.chart.point(point)))
     objects["evaluation_point"] = point
-    return _finish("connection", manifest, seed, checks, objects, args, started)
+    return checks, objects
 
 
 def _inject_fault(N: NonlinearConnection, fault: dict) -> NonlinearConnection:
@@ -527,9 +513,7 @@ def _inject_fault(N: NonlinearConnection, fault: dict) -> NonlinearConnection:
     return NonlinearConnection(N.m, N.n, n1, n2)
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    manifest, seed, dom = _load(args)
+def cmd_verify(args, manifest: Manifest, dom: SampleDomain):
     _require(manifest, "verify", temporal_metric=manifest.temporal_metric,
              spatial_metric=manifest.spatial_metric,
              transition=manifest.transition)
@@ -543,12 +527,12 @@ def cmd_verify(args) -> int:
     checks = []
     objects = {
         "transition": {
-            "t_forward": [to_string(e) for e in tm.t_forward],
-            "x_forward": [to_string(e) for e in tm.x_forward],
+            "t_forward": _texts(tm.t_forward),
+            "x_forward": _texts(tm.x_forward),
         },
         # the spatial canonical semispray needs an auxiliary spatial metric;
         # the manifest's spatial_metric plays that role
-        "spatial_metric_used": _matrix_strings(phi.components),
+        "spatial_metric_used": _texts(phi.components),
     }
 
     h_b = pullback_metric(h, tm)
@@ -558,30 +542,24 @@ def cmd_verify(args) -> int:
     if manifest.hamiltonian is not None:
         _, space = _hamilton_space(manifest, "verify", dom, checks)
         if space is None:
-            return _finish("verify", manifest, seed, checks, objects, args,
-                           started)
+            return checks, objects
 
     built_a = builtin_dtensors(h, manifest.n)
     built_b = builtin_dtensors(h_b, manifest.n)
     for key in ("C*", "L", "J"):
-        rep = verify_dtensor_law(built_a[key], built_b[key], tm, dom=dom,
-                                 tol=law_tol)
+        rep = verify_dtensor_law(built_a[key], built_b[key], tm, dom=dom, tol=law_tol)
         checks.append(_check_dict(rep, "dtensor"))
-
-    rep = verify_semispray_law(canonical_temporal(h, manifest.n),
-                               canonical_temporal(h_b, manifest.n),
-                               tm, dom=dom, tol=law_tol)
-    checks.append(_check_dict(rep, "semispray"))
-    rep = verify_semispray_law(canonical_spatial(phi, manifest.m),
-                               canonical_spatial(phi_b, manifest.m),
-                               tm, dom=dom, tol=law_tol)
-    checks.append(_check_dict(rep, "semispray"))
+    for canonical, g, g_b, dim in ((canonical_temporal, h, h_b, manifest.n),
+                                   (canonical_spatial, phi, phi_b, manifest.m)):
+        rep = verify_semispray_law(canonical(g, dim), canonical(g_b, dim), tm,
+                                   dom=dom, tol=law_tol)
+        checks.append(_check_dict(rep, "semispray"))
 
     if space is not None:
         space_b = HamiltonSpace(h_b, manifest.n,
                                 pullback_scalar(manifest.hamiltonian, tm),
                                 tol=manifest.tolerances["regularity"],
-                                dom=dom.with_options(seed=seed + 1))
+                                dom=dom.with_options(seed=dom.seed + 1))
         N_a = canonical_nonlinear_connection(space)
         N_b = canonical_nonlinear_connection(space_b)
         objects["connection_source"] = "hamiltonian"
@@ -589,24 +567,19 @@ def cmd_verify(args) -> int:
         N_a = canonical_metric_connection(h, phi)
         N_b = canonical_metric_connection(h_b, phi_b)
         objects["connection_source"] = "metric pair"
-    if manifest.fault_injection is not None:
-        N_b = _inject_fault(N_b, manifest.fault_injection)
-        objects["fault_injection"] = {
-            "block": manifest.fault_injection["block"],
-            "index": list(manifest.fault_injection["index"]),
-            "delta": manifest.fault_injection["delta"],
-        }
+    fault = manifest.fault_injection
+    if fault is not None:
+        N_b = _inject_fault(N_b, fault)
+        objects["fault_injection"] = {**fault, "index": list(fault["index"])}
 
-    rep = verify_connection_law(N_a, N_b, tm, dom=dom, tol=law_tol)
-    checks.append(_check_dict(rep, "connection"))
-    rep = verify_adapted_coframe(N_a, N_b, tm, dom=dom, tol=law_tol)
-    checks.append(_check_dict(rep, "coframe"))
+    for kind, law in (("connection", verify_connection_law),
+                      ("coframe", verify_adapted_coframe)):
+        checks.append(_check_dict(law(N_a, N_b, tm, dom=dom, tol=law_tol), kind))
 
     point = _eval_point(manifest, dom)
-    objects["n1_at_point"] = _array_values(N_a.n1_at(point))
-    objects["n2_at_point"] = _array_values(N_a.n2_at(point))
+    objects["n1_at_point"], objects["n2_at_point"] = map(_array_values, N_a.at(point))
     objects["evaluation_point"] = point
-    return _finish("verify", manifest, seed, checks, objects, args, started)
+    return checks, objects
 
 
 _COMMANDS = {
@@ -648,7 +621,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        started = time.perf_counter()
+        manifest, dom = _load(args)
+        checks, objects = _COMMANDS[args.command](args, manifest, dom)
+        return _finish(args, manifest, dom, checks, objects, started)
     except (ConfigError, ExprSyntaxError, UnknownIdentifier) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

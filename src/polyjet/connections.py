@@ -16,7 +16,7 @@ coefficients as the polymomenta themselves, which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -26,11 +26,10 @@ from .metrics import Metric, christoffel_symbols
 from .report import VerificationReport, chart_law, entry_label
 from .semisprays import Semispray
 from .symbolic import (
+    Compiled,
     Const,
-    Program,
     SampleDomain,
     add,
-    compile_block,
     differentiate,
     expr_array,
     mul,
@@ -38,19 +37,19 @@ from .symbolic import (
 
 
 @dataclass(frozen=True, eq=False)
-class NonlinearConnection:
+class NonlinearConnection(Compiled):
     """Connection blocks N1 (m, n, m) and N2 (m, n, n), both ``expr_array``
     blocks.
 
-    Both blocks compile into one program on first use, N1's entries
-    first, and every evaluation runs it and slices the two blocks out.
-    ``n1_at`` and ``n2_at`` run it at their one point, so either raises
-    when N1 or N2 cannot be evaluated there, N1's error first.  A program
-    remembers its last successful batch (``Program.run``), so ``n2_at``
-    right after ``n1_at`` at the same point, or a second check over the
-    same sample points, such as the adapted coframe after the connection
-    law, gets copies of the values without another pass.
+    Both blocks compile into one ``Compiled`` program, N1's entries
+    first, so ``at_points`` gives the pair N1 (P, m, n, m), N2 (P, m, n, n)
+    and ``at`` the pair at one point.  ``n1_at`` and ``n2_at`` take their
+    block from ``at``, so either raises when N1 or N2 cannot be evaluated
+    there, N1's error first, and ``n2_at`` right after ``n1_at`` at the
+    same point gets copies of the remembered batch without another pass.
     """
+
+    BLOCKS = ("n1", "n2")
 
     m: int
     n: int
@@ -62,21 +61,11 @@ class NonlinearConnection:
         object.__setattr__(self, "n1", expr_array(self.n1, (self.m, self.n, self.m), names, "N1"))
         object.__setattr__(self, "n2", expr_array(self.n2, (self.m, self.n, self.n), names, "N2"))
 
-    @cached_property
-    def _program(self) -> Program:
-        return compile_block([*self.n1.flat, *self.n2.flat])
-
-    def at_points(self, points):
-        """N1 (P, m, n, m) and N2 (P, m, n, n) at each assignment."""
-        vals = self._program.run(points)
-        k = self.n1.size
-        return vals[:, :k].reshape(-1, *self.n1.shape), vals[:, k:].reshape(-1, *self.n2.shape)
-
     def n1_at(self, assignment) -> np.ndarray:
-        return self.at_points([assignment])[0][0]
+        return self.at(assignment)[0]
 
     def n2_at(self, assignment) -> np.ndarray:
-        return self.at_points([assignment])[1][0]
+        return self.at(assignment)[1]
 
 
 def metric_n1(kappa, n: int) -> list:

@@ -18,7 +18,7 @@ way to build the comparison side of such a check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -27,11 +27,10 @@ from .errors import ConfigError
 from .metrics import Metric
 from .report import VerificationReport, chart_law, entry_label
 from .symbolic import (
-    Program,
+    Compiled,
     SampleDomain,
     ZERO,
     add,
-    compile_block,
     differentiate,
     expr_array,
     mul,
@@ -71,9 +70,9 @@ def lower_x(doubled_with=None) -> IndexSlot:
     return IndexSlot("spatial", "lower", doubled_with)
 
 
-class DTensorField:
+class DTensorField(Compiled):
     """Expression-valued tensor components, an ``expr_array`` of the slot
-    shape, plus their slot structure."""
+    shape, plus their slot structure; ``at_points`` gives (P, *shape)."""
 
     def __init__(self, m: int, n: int, slots, components, name: str = "T"):
         self.m = int(m)
@@ -102,17 +101,6 @@ class DTensorField:
                 raise ConfigError(
                     "a doubled pair must join one temporal and one spatial slot "
                     "of opposite variance")
-
-    @cached_property
-    def _program(self) -> Program:
-        return compile_block(self.components)
-
-    def at_points(self, points) -> np.ndarray:
-        """Component arrays at each assignment, shape (P, *shape)."""
-        return self._program.run(points)
-
-    def at(self, assignment) -> np.ndarray:
-        return self.at_points([assignment])[0]
 
     def map_components(self, f) -> "DTensorField":
         comps = np.empty(self.shape, dtype=object)

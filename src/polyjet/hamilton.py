@@ -161,22 +161,16 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     p_dep = _really_p_dependent(cand, chart, tol)
 
     if singular:
-        return RegularityResult(False, max_residual, cand, p_dep, tol, samples,
-                                reason="candidate spatial block is singular on the "
-                                       "sample domain")
-    if not math.isfinite(max_residual):
-        return RegularityResult(False, max_residual, cand, p_dep, tol, samples,
-                                reason=f"factorization residual is not finite "
-                                       f"({max_residual})")
-    if not max_residual <= tol:
-        return RegularityResult(False, max_residual, cand, p_dep, tol, samples,
-                                reason=f"factorization residual {max_residual:.3e} "
-                                       f"exceeds tolerance {tol:.1e}")
-    if m >= 2 and p_dep:
-        return RegularityResult(False, max_residual, cand, p_dep, tol, samples,
-                                reason="candidate block depends on momenta, which "
-                                       "only a single time dimension admits")
-    return RegularityResult(True, max_residual, cand, p_dep, tol, samples)
+        reason = "candidate spatial block is singular on the sample domain"
+    elif not math.isfinite(max_residual):
+        reason = f"factorization residual is not finite ({max_residual})"
+    elif not max_residual <= tol:
+        reason = f"factorization residual {max_residual:.3e} exceeds tolerance {tol:.1e}"
+    elif m >= 2 and p_dep:
+        reason = "candidate block depends on momenta, which only a single time dimension admits"
+    else:
+        reason = ""
+    return RegularityResult(not reason, max_residual, cand, p_dep, tol, samples, reason)
 
 
 @dataclass

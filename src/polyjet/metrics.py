@@ -30,11 +30,10 @@ from .charts import JetChart, TransitionMap
 from .errors import ConfigError, SingularMetric
 from .linalg import checked_inverse, sym_inverse
 from .symbolic import (
+    Compiled,
     Const,
-    Program,
     SampleDomain,
     add,
-    compile_block,
     differentiate,
     equiv,
     expr_array,
@@ -46,12 +45,13 @@ KINDS = ("temporal", "spatial", "spatiotemporal")
 
 
 @dataclass(frozen=True, eq=False)
-class Metric:
+class Metric(Compiled):
     """A symmetric second-order field with lower indices.
 
     ``components`` is a (dim, dim) ``expr_array`` in the kind's base
-    variables.  Symmetry is checked by ``validate`` (each CLI command calls
-    it once), not assumed at construction.
+    variables, so ``at_points`` gives (P, dim, dim).  Symmetry is checked
+    by ``validate`` (each CLI command calls it once), not assumed at
+    construction.
     """
 
     kind: str
@@ -110,17 +110,6 @@ class Metric:
 
     # -- numerics ----------------------------------------------------------------
 
-    @cached_property
-    def _program(self) -> Program:
-        return compile_block(self.components)
-
-    def at_points(self, points) -> np.ndarray:
-        """Component matrices at each assignment, shape (P, dim, dim)."""
-        return self._program.run(points)
-
-    def at(self, assignment) -> np.ndarray:
-        return self.at_points([assignment])[0]
-
     def inverse_at(self, assignment) -> np.ndarray:
         """Numeric inverse with the |det| >= 1e-8 floor (SingularMetric)."""
         return self._checked_inverse(self.at(assignment), assignment)
@@ -154,23 +143,16 @@ class Metric:
 
 
 @dataclass(frozen=True, eq=False)
-class ChristoffelField:
+class ChristoffelField(Compiled):
     """Second-kind Christoffel symbols Gamma^k_ij of a metric.
 
     ``components[k][i][j]`` is a (dim, dim, dim) ``expr_array`` of exact
-    expressions; ``at`` evaluates them through one compiled program.
+    expressions.
     """
 
     kind: str
     dim: int
     components: np.ndarray
-
-    @cached_property
-    def _program(self) -> Program:
-        return compile_block(self.components)
-
-    def at(self, assignment) -> np.ndarray:
-        return self._program.run([assignment])[0]
 
 
 def christoffel(g: Metric) -> ChristoffelField:

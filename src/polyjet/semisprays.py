@@ -13,7 +13,7 @@ semispray into its metric-canonical part plus a d-tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -22,14 +22,14 @@ from .dtensors import DTensorField, builtin_dtensors, lower_x, upper_t
 from .errors import ConfigError
 from .metrics import Metric, christoffel_symbols
 from .report import VerificationReport, chart_law, entry_label, sweep
-from .symbolic import Const, Program, SampleDomain, add, compile_block, expr_array, mul
+from .symbolic import Compiled, Const, SampleDomain, add, compile_block, expr_array, mul
 
 
 @dataclass(frozen=True, eq=False)
-class Semispray:
+class Semispray(Compiled):
     """An (m, n, n) ``expr_array`` block of expressions in (t, x, p):
     G1[b][j][i] when ``kind`` is 'temporal', G2[b][j][i] when it is
-    'spatial'."""
+    'spatial'; ``at_points`` gives (P, m, n, n)."""
 
     kind: str
     m: int
@@ -42,17 +42,6 @@ class Semispray:
         object.__setattr__(self, "components", expr_array(
             self.components, (self.m, self.n, self.n), JetChart(self.m, self.n).names,
             f"{self.kind} semispray"))
-
-    @cached_property
-    def _program(self) -> Program:
-        return compile_block(self.components)
-
-    def at_points(self, points) -> np.ndarray:
-        """Block values at each assignment, shape (P, m, n, n)."""
-        return self._program.run(points)
-
-    def at(self, assignment) -> np.ndarray:
-        return self.at_points([assignment])[0]
 
 
 def canonical_temporal(h: Metric, n: int) -> Semispray:

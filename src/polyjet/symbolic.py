@@ -36,6 +36,7 @@ import operator
 import re
 import weakref
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -878,6 +879,46 @@ class Program:
         return [vals[r] for r in self.roots]
 
 
+def cut(values: np.ndarray, *shapes) -> tuple:
+    """Split the (P, k) values of a program compiled over several flat
+    blocks, one after another, into one (P, *shape) array per block."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(values[:, start:start + size].reshape(len(values), *shape))
+        start += size
+    return tuple(out)
+
+
+class Compiled:
+    """An object whose ``expr_array`` blocks, the attributes ``BLOCKS``
+    names, are evaluated at sample points.
+
+    The blocks compile into one program on first use, in ``BLOCKS`` order,
+    and every evaluation runs it and cuts the blocks out, so an evaluation
+    fails at the first failing point with the first failing block's error.
+    The program remembers its last batch (``Program.run``).
+    """
+
+    BLOCKS = ("components",)
+
+    @cached_property
+    def _program(self) -> Program:
+        return compile_block([e for name in self.BLOCKS for e in getattr(self, name).flat])
+
+    def at_points(self, points):
+        """One (P, *shape) array per block at each assignment: the array
+        itself for a single block, a tuple in ``BLOCKS`` order otherwise."""
+        values = cut(self._program.run(points),
+                     *(getattr(self, name).shape for name in self.BLOCKS))
+        return values[0] if len(values) == 1 else values
+
+    def at(self, assignment):
+        """The values of ``at_points`` at one assignment."""
+        values = self.at_points([assignment])
+        return values[0] if len(self.BLOCKS) == 1 else tuple(v[0] for v in values)
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -1134,6 +1175,8 @@ class SampleDomain:
         # an empty batch would let every check pass vacuously
         if self.count < 1:
             raise ConfigError(f"sample count must be at least 1, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"sample seed must be non-negative, got {self.seed}")
 
     @classmethod
     def default(cls, names: Iterable[str], count: int = 20, seed: int = 0) -> "SampleDomain":

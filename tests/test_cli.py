@@ -388,6 +388,32 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert rep["seed"] == 5
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "manifest"])
+def test_a_negative_seed_is_a_config_error(tmp_path, monkeypatch, capsys, source):
+    monkeypatch.delenv("POLYJET_SEED", raising=False)
+    path, argv = str(MANIFESTS / "curved.json"), []
+    if source == "flag":
+        argv = ["--seed", "-5"]
+    elif source == "env":
+        monkeypatch.setenv("POLYJET_SEED", "-5")
+    else:
+        path = rewrite(tmp_path, "curved.json", sample_domain={"count": 20, "seed": -5})
+    assert main(["verify", path, *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sample seed must be non-negative, got -5" in err
+    assert "Traceback" not in err
+
+
+def test_an_unwritable_report_path_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", str(MANIFESTS / "flat.json"), "--json", str(out)]) == EXIT_CONFIG
+    printed = capsys.readouterr()
+    assert printed.out.startswith("PASS")
+    assert printed.err.startswith("configuration error: cannot write the report: ")
+    assert str(out) in printed.err and "Traceback" not in printed.err
+    assert not out.exists()
+
+
 def test_verify_requires_transition(tmp_path):
     data = json.loads((MANIFESTS / "curved.json").read_text())
     del data["transition"]

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyjet.charts
-import polyjet.connections
+import polyjet.symbolic
 from polyjet.charts import pullback_scalar
 from polyjet.cli import load_manifest
 from polyjet.connections import (
@@ -529,7 +529,7 @@ def test_a_second_evaluation_reuses_the_cached_programs(monkeypatch):
         calls.append(1)
         return compile_block(exprs)
 
-    monkeypatch.setattr(polyjet.connections, "compile_block", counting)
+    monkeypatch.setattr(polyjet.symbolic, "compile_block", counting)
     monkeypatch.setattr(polyjet.charts, "compile_block", counting)
     man = load_manifest(str(MANIFESTS / "curved.json"))
     tm = man.transition

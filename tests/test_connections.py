@@ -17,12 +17,15 @@ from polyjet.connections import (
     verify_adapted_coframe,
     verify_connection_law,
 )
+from polyjet.dtensors import builtin_dtensors
 from polyjet.errors import ConfigError, DomainError
 from polyjet.hamilton import canonical_nonlinear_connection, gravitational_space
-from polyjet.metrics import Metric, pullback_metric
+from polyjet.metrics import Metric, christoffel, pullback_metric
 from polyjet.report import sweep
 from polyjet.semisprays import canonical_spatial, canonical_temporal
-from polyjet.symbolic import Const, Var, add, compile_block, equiv, ln, mul, parse, sqrt
+from polyjet.symbolic import Const, Var, add, equiv, ln, mul, parse, sqrt
+
+from oracles import evaluate_walk
 
 
 CHART = JetChart(2, 2)
@@ -223,14 +226,30 @@ def test_sweep_fails_closed_on_nan():
 
 
 # ---------------------------------------------------------------------------
-# one program over both blocks
+# compiled blocks against the reference walk: every class on
+# ``symbolic.Compiled`` gives, block by block, the bits and the first error
+# of ``evaluate_walk`` run entry by entry
 
-def _one_program_slices(N, points):
-    """N1 and N2 sliced from one program over both blocks."""
-    m, n = N.m, N.n
-    vals = compile_block([*N.n1.flat, *N.n2.flat]).run(points)
-    k = m * n * m
-    return vals[:, :k].reshape(-1, m, n, m), vals[:, k:].reshape(-1, m, n, n)
+def curved_christoffel():
+    return christoffel(curved_h())
+
+
+def curved_L():
+    return builtin_dtensors(curved_h(), 2)["L"]
+
+
+def curved_spatial_semispray():
+    return canonical_spatial(curved_phi(), 2)
+
+
+def _walk_blocks(blocks, points) -> list:
+    """Each block at each point, entry by entry through the reference walk,
+    point by point and within a point block by block, so the first error
+    raised is the first failing point's, the first block's before the
+    second's.  One (P, *shape) array per block."""
+    rows = [[[evaluate_walk(e, pt) for e in block.flat] for block in blocks] for pt in points]
+    return [np.array([row[k] for row in rows]).reshape(len(points), *block.shape)
+            for k, block in enumerate(blocks)]
 
 
 @pytest.mark.parametrize("build", [
@@ -240,15 +259,30 @@ def _one_program_slices(N, points):
     lambda: canonical_metric_connection(random_temporal_metric(2, np.random.default_rng(5)),
                                         random_spatial_metric(3, np.random.default_rng(6))),
     lambda: canonical_nonlinear_connection(gravitational_space(curved_h(), curved_phi())),
+    curved_h,
+    curved_phi,
+    curved_christoffel,
+    curved_L,
+    curved_spatial_semispray,
 ])
 def test_block_programs_give_the_bytes_of_one_program(build):
-    N = build()
-    points = JetChart(N.m, N.n).sample_domain(count=7, seed=3).points()
-    got, want = N.at_points(points), _one_program_slices(N, points)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert N.n1_at(points[4]).tobytes() == want[0][4].tobytes()
-    assert N.n2_at(points[4]).tobytes() == want[1][4].tobytes()
+    X = build()
+    points = JetChart(2, 3).sample_domain(count=7, seed=3).points()
+    pair = isinstance(X, NonlinearConnection)
+    blocks = [X.n1, X.n2] if pair else [X.components]
+    want = _walk_blocks(blocks, points)
+    got = X.at_points(points)
+    one = X.at_points([points[4]])
+    at = X.at(points[4])
+    if not pair:
+        got, one, at = (got,), (one,), (at,)
+    for block, g, w, o, a in zip(blocks, got, want, one, at, strict=True):
+        assert g.shape == w.shape == (len(points), *block.shape)
+        assert g.tobytes() == w.tobytes()
+        assert a.shape == block.shape and a.tobytes() == o[0].tobytes() == w[4].tobytes()
+    if pair:
+        assert X.n1_at(points[4]).tobytes() == want[0][4].tobytes()
+        assert X.n2_at(points[4]).tobytes() == want[1][4].tobytes()
 
 
 _FAULTY = NonlinearConnection(1, 1, [[[ln(Var("x1"))]]], [[[sqrt(Var("t1"))]]])
@@ -265,7 +299,7 @@ _FAULTY = NonlinearConnection(1, 1, [[[ln(Var("x1"))]]], [[[sqrt(Var("t1"))]]])
 def test_block_programs_raise_the_error_of_one_program(rows, message):
     points = [{"t1": t, "x1": x, "p1_1": 0.0} for x, t in rows]
     with pytest.raises(DomainError) as want:
-        _one_program_slices(_FAULTY, points)
+        _walk_blocks([_FAULTY.n1, _FAULTY.n2], points)
     with pytest.raises(DomainError) as got:
         _FAULTY.at_points(points)
     assert str(got.value) == str(want.value) == message

@@ -41,6 +41,7 @@ from polyjet.hamilton import (
 from polyjet.metrics import Metric, pullback_metric
 from polyjet.symbolic import (
     Const,
+    SampleDomain,
     Var,
     add,
     as_expr,
@@ -209,6 +210,31 @@ def test_nan_coefficient_fails_regularity():
     assert "not finite" in res.reason
     with pytest.raises(NotRegular):
         HamiltonSpace(flat_h(), 2, poisoned)
+
+
+def _chart_expr(text: str):
+    return parse(text, CHART.names)
+
+
+_SQUARES = _chart_expr("p1_1^2 + p2_1^2 + p1_2^2 + p2_2^2")
+
+
+@pytest.mark.parametrize("H, options, reason", [
+    (_chart_expr("p1_1^4"), {}, "candidate spatial block is singular on the sample domain"),
+    (add(_SQUARES, mul(as_expr(float("nan")), power(Var("p1_1"), 2))), {},
+     "factorization residual is not finite (nan)"),
+    (_chart_expr("p1_1^2 + p2_1^2 + 2*p1_2^2 + 2*p2_2^2"), {},
+     "factorization residual 5.000e-01 exceeds tolerance 1.0e-09"),
+    # on |p| <= 1/2 the cubic term's residual, at most 0.075, is within
+    # tolerance, but the candidate's momentum derivative 0.15 is not
+    (add(_SQUARES, _chart_expr("0.1*p1_1^3")),
+     {"tol": 0.1, "dom": SampleDomain(tuple((nm, -0.5, 0.5) for nm in CHART.names))},
+     "candidate block depends on momenta, which only a single time dimension admits"),
+])
+def test_each_irregularity_has_its_own_reason(H, options, reason):
+    res = check_kronecker_regularity(H, flat_h(), 2, **options)
+    assert not res.regular
+    assert res.reason == reason
 
 
 def test_single_time_momentum_dependence_allowed():
