@@ -19,6 +19,10 @@ and never require the explicit inverse map.
 
 Explicit inverse expressions, when supplied, are what pullbacks, coframe
 rows and inversion use; operations that need them say so.
+
+``_derivatives`` builds both Jacobians and the momentum map's derivatives,
+which the d-tensor pullback also reads; ``_through`` substitutes one map
+into another for ``compose`` and ``validate``.
 """
 
 from __future__ import annotations
@@ -101,6 +105,10 @@ class JetChart:
 
     def p_var(self, i: int, a: int) -> Var:
         return Var(p_name(i, a))
+
+    def p_vars(self):
+        """P[i][a] = p_i^a, one row per spatial index."""
+        return tuple(tuple(self.p_var(i, a) for a in range(self.m)) for i in range(self.n))
 
     def sample_domain(self, count: int = 20, seed: int = 0) -> SampleDomain:
         return SampleDomain.default(self.names, count=count, seed=seed)
@@ -221,14 +229,12 @@ class TransitionMap:
     @cached_property
     def t_jacobian(self):
         """J[a][b] = d ttilde^a / d t^b, expressions in source t variables."""
-        names = self.chart.t_names
-        return tuple(tuple(differentiate(f, nm) for nm in names) for f in self.t_forward)
+        return _derivatives(self.t_forward, self.chart.t_names)
 
     @cached_property
     def x_jacobian(self):
         """J[i][j] = d xtilde^i / d x^j, expressions in source x variables."""
-        names = self.chart.x_names
-        return tuple(tuple(differentiate(f, nm) for nm in names) for f in self.x_forward)
+        return _derivatives(self.x_forward, self.chart.x_names)
 
     @cached_property
     def x_jacobian_inverse_source(self):
@@ -266,20 +272,12 @@ class TransitionMap:
     @cached_property
     def momentum_forward_dt(self):
         """d ptilde[i][a] / d t^b, exact."""
-        names = self.chart.t_names
-        return tuple(tuple(tuple(differentiate(self.momentum_forward[i][a], nm)
-                                 for nm in names)
-                           for a in range(self.m))
-                     for i in range(self.n))
+        return _derivatives(self.momentum_forward, self.chart.t_names)
 
     @cached_property
     def momentum_forward_dx(self):
         """d ptilde[i][a] / d x^j, exact."""
-        names = self.chart.x_names
-        return tuple(tuple(tuple(differentiate(self.momentum_forward[i][a], nm)
-                                 for nm in names)
-                           for a in range(self.m))
-                     for i in range(self.n))
+        return _derivatives(self.momentum_forward, self.chart.x_names)
 
     # -- numeric maps ---------------------------------------------------------
 
@@ -404,21 +402,28 @@ class TransitionMap:
         if dom is None:
             dom = chart.sample_domain()
         if self.has_inverse:
-            for a in range(self.m):
-                rt = substitute(self.t_inverse[a], dict(zip(chart.t_names, self.t_forward)))
-                if not equiv(rt, Var(t_name(a)), dom, tol):
-                    raise ConfigError(f"temporal inverse is not a left inverse in t{a + 1}")
-                ft = substitute(self.t_forward[a], dict(zip(chart.t_names, self.t_inverse)))
-                if not equiv(ft, Var(t_name(a)), dom, tol):
-                    raise ConfigError(f"temporal inverse is not a right inverse in t{a + 1}")
-            for i in range(self.n):
-                rt = substitute(self.x_inverse[i], dict(zip(chart.x_names, self.x_forward)))
-                if not equiv(rt, Var(x_name(i)), dom, tol):
-                    raise ConfigError(f"spatial inverse is not a left inverse in x{i + 1}")
-                ft = substitute(self.x_forward[i], dict(zip(chart.x_names, self.x_inverse)))
-                if not equiv(ft, Var(x_name(i)), dom, tol):
-                    raise ConfigError(f"spatial inverse is not a right inverse in x{i + 1}")
+            for family, names, forward, inverse in (
+                    ("temporal", chart.t_names, self.t_forward, self.t_inverse),
+                    ("spatial", chart.x_names, self.x_forward, self.x_inverse)):
+                for k, name in enumerate(names):
+                    for side, outer, inner in (("left", inverse, forward),
+                                               ("right", forward, inverse)):
+                        if not equiv(_through(outer[k], names, inner), Var(name), dom, tol):
+                            raise ConfigError(f"{family} inverse is not a {side} inverse in {name}")
         self.map_points(dom.points())
+
+
+def _derivatives(exprs, names) -> tuple:
+    """d e / d name for every entry e of a nested block, one name per
+    entry of a new last axis, as nested tuples."""
+    if isinstance(exprs, Expr):
+        return tuple(differentiate(exprs, nm) for nm in names)
+    return tuple(_derivatives(e, names) for e in exprs)
+
+
+def _through(e: Expr, names, values) -> Expr:
+    """e with each variable of ``names`` replaced by its entry of ``values``."""
+    return substitute(e, dict(zip(names, values)))
 
 
 def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:
@@ -426,17 +431,13 @@ def compose(outer: TransitionMap, inner: TransitionMap) -> TransitionMap:
     outer: B -> C)."""
     if (outer.m, outer.n) != (inner.m, inner.n):
         raise ConfigError("cannot compose transitions of different dimensions")
-    chart = inner.chart
-    t_fwd = tuple(substitute(f, dict(zip(chart.t_names, inner.t_forward)))
-                  for f in outer.t_forward)
-    x_fwd = tuple(substitute(f, dict(zip(chart.x_names, inner.x_forward)))
-                  for f in outer.x_forward)
+    t, x = inner.chart.t_names, inner.chart.x_names
+    t_fwd = tuple(_through(f, t, inner.t_forward) for f in outer.t_forward)
+    x_fwd = tuple(_through(f, x, inner.x_forward) for f in outer.x_forward)
     t_inv = x_inv = None
     if outer.has_inverse and inner.has_inverse:
-        t_inv = tuple(substitute(g, dict(zip(chart.t_names, outer.t_inverse)))
-                      for g in inner.t_inverse)
-        x_inv = tuple(substitute(g, dict(zip(chart.x_names, outer.x_inverse)))
-                      for g in inner.x_inverse)
+        t_inv = tuple(_through(g, t, outer.t_inverse) for g in inner.t_inverse)
+        x_inv = tuple(_through(g, x, outer.x_inverse) for g in inner.x_inverse)
     return TransitionMap(inner.m, inner.n, t_fwd, x_fwd, t_inv, x_inv)
 
 

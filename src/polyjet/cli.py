@@ -406,10 +406,14 @@ def _require(manifest: Manifest, command: str, **pieces):
             raise ConfigError(f"{command} needs {label} in the manifest")
 
 
-def _cli_tol(args, manifest: Manifest, key: str) -> float:
-    """``--tol`` when given, else the manifest's tolerance ``key``."""
+# the manifest tolerance that --tol overrides, for the commands that take it
+_TOL_KEYS = {"regularity": "regularity", "verify": "law"}
+
+
+def _cli_tol(args, manifest: Manifest) -> float:
+    """``--tol`` when given, else the manifest's tolerance it overrides."""
     if args.tol is None:
-        return manifest.tolerances[key]
+        return manifest.tolerances[_TOL_KEYS[args.command]]
     return _tolerance(args.tol, "--tol")
 
 
@@ -460,7 +464,7 @@ def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain):
 def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
     _require(manifest, "regularity", temporal_metric=manifest.temporal_metric,
              hamiltonian=manifest.hamiltonian)
-    tol = _cli_tol(args, manifest, "regularity")
+    tol = _cli_tol(args, manifest)
     result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
                                         manifest.n, dom=dom, tol=tol)
     objects = {"regularity": _finite_residual(result.to_dict())}
@@ -520,7 +524,7 @@ def cmd_verify(args, manifest: Manifest, dom: SampleDomain):
     tm = manifest.transition
     if not tm.has_inverse:
         raise ConfigError("verify needs transition.t_inverse and x_inverse")
-    law_tol = _cli_tol(args, manifest, "law")
+    law_tol = _cli_tol(args, manifest)
     h, phi = manifest.temporal_metric, manifest.spatial_metric
     tm.validate(dom, tol=manifest.tolerances["equiv"])
 
@@ -612,9 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (overrides POLYJET_SEED and the "
                             "manifest)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the law tolerance (the regularity "
-                            "tolerance for the regularity command)")
+        if name in _TOL_KEYS:
+            p.add_argument("--tol", type=float, default=None,
+                           help=f"override the manifest's {_TOL_KEYS[name]} tolerance")
     return parser
 
 

@@ -31,7 +31,6 @@ from .symbolic import (
     SampleDomain,
     ZERO,
     add,
-    differentiate,
     expr_array,
     mul,
     substitute,
@@ -163,11 +162,7 @@ def builtin_dtensors(h: Metric, n: int) -> dict:
     m = h.dim
     chart = JetChart(m, n)
 
-    cstar = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for a in range(m):
-            cstar[i, a] = chart.p_var(i, a)
-    C = DTensorField(m, n, (lower_x(1), upper_t(0)), cstar, name="C*")
+    C = DTensorField(m, n, (lower_x(1), upper_t(0)), chart.p_vars(), name="C*")
 
     L = np.empty((m, n, m, m), dtype=object)
     for c in range(m):
@@ -200,24 +195,16 @@ def pullback_dtensor(T: DTensorField, tm: TransitionMap) -> DTensorField:
     if (T.m, T.n) != (tm.m, tm.n):
         raise ConfigError(f"cannot pull back the (m, n) = {(T.m, T.n)} d-tensor {T.name!r} "
                           f"through a {(tm.m, tm.n)} transition")
-    chart = tm.chart
 
     def factor_matrix(slot: IndexSlot):
-        if slot.family == "temporal":
-            size, names, fwd, inverse = tm.m, chart.t_names, tm.t_forward, tm.t_inverse
-        else:
-            size, names, fwd, inverse = tm.n, chart.x_names, tm.x_forward, tm.x_inverse
-        out = [[None] * size for _ in range(size)]
-        for new in range(size):
-            for old in range(size):
-                if slot.variance == "upper":
-                    # d (target coord new) / d (source coord old), at the preimage
-                    out[new][old] = substitute(
-                        differentiate(fwd[new], names[old]), tm.pullback_map)
-                else:
-                    # d (source coord old) / d (target coord new)
-                    out[new][old] = differentiate(inverse[old], names[new])
-        return out
+        """F[new][old]: for an upper slot d (target new) / d (source old) at
+        the preimage, for a lower one d (source old) / d (target new)."""
+        if slot.variance == "upper":
+            jac = tm.t_jacobian if slot.family == "temporal" else tm.x_jacobian
+            return [[substitute(e, tm.pullback_map) for e in row] for row in jac]
+        inv = tm.inverted()
+        jac = inv.t_jacobian if slot.family == "temporal" else inv.x_jacobian
+        return list(zip(*jac))
 
     factors = [factor_matrix(s) for s in T.slots]
     shape = T.shape

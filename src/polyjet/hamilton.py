@@ -20,6 +20,10 @@ canonical nonlinear connection is then available three ways: the direct
 second-derivative formula, a middle form through the deviation block T,
 and a closed form through covariant derivatives of the lowered potential.
 All three agree; the redundancy is deliberate and checked by the tests.
+
+``_quadratic`` and ``_linear`` build the normal form's terms for every
+hamiltonian builder and for the extraction; ``_spatial_block`` builds both
+the direct spatial block (from dH/dp) and T (from U).
 """
 
 from __future__ import annotations
@@ -107,15 +111,6 @@ def _candidate_block(vertical: DTensorField, h: Metric) -> list:
     return cand
 
 
-def _syntactic_p_names(exprs, chart: JetChart):
-    p_names = set(chart.p_names)
-    seen = set()
-    for row in exprs:
-        for e in row:
-            seen |= variables(e) & p_names
-    return seen
-
-
 def _really_p_dependent(exprs, chart: JetChart, tol: float) -> bool:
     """True when some entry's momentum derivative is nonzero in value, not
     merely in syntax."""
@@ -126,8 +121,7 @@ def _really_p_dependent(exprs, chart: JetChart, tol: float) -> bool:
 
 def check_kronecker_regularity(H: Expr, h: Metric, n: int,
                                dom: SampleDomain | None = None,
-                               tol: float = 1e-9,
-                               vertical: DTensorField | None = None) -> RegularityResult:
+                               tol: float = 1e-9) -> RegularityResult:
     """Test whether G factors as h_ab(t) g^{ij} with invertible g.
 
     Failure is reported, not raised: a singular candidate block or a
@@ -140,8 +134,7 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     m = h.dim
     chart = JetChart(m, n)
     H = expr_array(H, (), chart.names, "hamiltonian").item()
-    if vertical is None:
-        vertical = fundamental_vertical_dtensor(H, m, n)
+    vertical = fundamental_vertical_dtensor(H, m, n)
     cand = _candidate_block(vertical, h)
     if dom is None:
         dom = chart.sample_domain()
@@ -188,9 +181,24 @@ def _lowered_metric(cand, m: int, n: int):
     metric g_ij, momentum-dependent when some entry names a momentum, and
     g^ij itself as nested tuples."""
     g_lower = sym_inverse([list(row) for row in cand], "lowering g^ij")
-    p_dep = bool(_syntactic_p_names(g_lower, JetChart(m, n)))
+    p_names = set(JetChart(m, n).p_names)
+    p_dep = any(variables(e) & p_names for row in g_lower for e in row)
     return (Metric.spatiotemporal(g_lower, m=m, p_dependent=p_dep),
             tuple(tuple(row) for row in cand))
+
+
+def _quadratic(h, g, P, *coeff) -> list:
+    """The terms mul(*coeff, h[a][b], g[i][j], P[i][a], P[j][b]) of a
+    quadratic form, in (a, b, i, j) order."""
+    m, n = len(h), len(g)
+    return [mul(*coeff, h[a][b], g[i][j], P[i][a], P[j][b])
+            for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
+
+
+def _linear(U, P, *coeff) -> list:
+    """The terms mul(*coeff, U[i][a], P[i][a]), in (i, a) order."""
+    return [mul(*coeff, U[i][a], P[i][a])
+            for i in range(len(U)) for a in range(len(U[i]))]
 
 
 def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
@@ -228,14 +236,10 @@ def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
             u_comps[i, a] = add(differentiate(H, p_name(i, a)),
                                 mul(Const(-1.0), add(*quad)))
 
-    quad_terms = [mul(h.components[a][b], cand[i][j],
-                      chart.p_var(i, a), chart.p_var(j, b))
-                  for a in range(m) for b in range(m)
-                  for i in range(n) for j in range(n)]
-    linear_terms = [mul(u_comps[i, a], chart.p_var(i, a))
-                    for i in range(n) for a in range(m)]
+    P = chart.p_vars()
+    quad_terms = _quadratic(h.components, cand, P)
     free = add(H, mul(Const(-1.0), add(*quad_terms)),
-               mul(Const(-1.0), add(*linear_terms)))
+               mul(Const(-1.0), add(*_linear(u_comps, P))))
 
     # per momentum, every potential entry and then the free term
     pieces = (*u_comps.flat, free)
@@ -253,9 +257,7 @@ def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
             u_comps[i, a] = substitute(u_comps[i, a], wipe)
     free = substitute(free, wipe)
 
-    linear_terms = [mul(u_comps[i, a], chart.p_var(i, a))
-                    for i in range(n) for a in range(m)]
-    rebuilt = add(add(*quad_terms), add(*linear_terms), free)
+    rebuilt = add(add(*quad_terms), add(*_linear(u_comps, P)), free)
     if not equiv(rebuilt, H, dom=dom, tol=max(tol, 1e-10)):
         raise ResidualTooLarge("extracted pieces do not reassemble the hamiltonian")
 
@@ -287,8 +289,7 @@ class HamiltonSpace:
         self.constants = dict(constants or {})
         self.tolerance = float(tol)
         if regularity is None:
-            regularity = check_kronecker_regularity(
-                self.hamiltonian, h, self.n, dom=dom, tol=tol, vertical=self.vertical)
+            regularity = check_kronecker_regularity(self.hamiltonian, h, self.n, dom=dom, tol=tol)
         self.regularity = regularity
         if not self.regularity.regular:
             raise NotRegular(self.regularity.reason)
@@ -328,36 +329,35 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
     momentum-dependent case works verbatim (the term vanishes otherwise).
     """
     m, n = space.m, space.n
-    kappa = christoffel_symbols(space.h)
-    h_upper = space.h.inverse_components
-    g = space.g_lower
+    n1 = metric_n1(christoffel_symbols(space.h), n)
     H = space.hamiltonian
-
-    n1 = metric_n1(kappa, n)
-
     dH_dp = [[differentiate(H, p_name(k, b)) for b in range(m)] for k in range(n)]
     dH_dx = [differentiate(H, x_name(k)) for k in range(n)]
-
-    n2 = [[[None] * n for _ in range(n)] for _ in range(m)]
-    for a in range(m):
-        for i in range(n):
-            for j in range(n):
-                outer = []
-                for b in range(m):
-                    inner = []
-                    for k in range(n):
-                        inner.append(mul(differentiate(g[i][j], x_name(k)),
-                                         dH_dp[k][b]))
-                        dg_dp = differentiate(g[i][j], p_name(k, b))
-                        if dg_dp is not ZERO:
-                            inner.append(mul(Const(-1.0), dg_dp, dH_dx[k]))
-                        inner.append(mul(g[i][k],
-                                         differentiate(dH_dp[k][b], x_name(j))))
-                        inner.append(mul(g[j][k],
-                                         differentiate(dH_dp[k][b], x_name(i))))
-                    outer.append(mul(Const(0.25), h_upper[a][b], add(*inner)))
-                n2[a][i][j] = add(*outer)
+    n2 = _spatial_block(space.h.inverse_components, space.g_lower, dH_dp, dH_dx)
     return NonlinearConnection(m, n, n1, n2)
+
+
+def _spatial_block(h_upper, g, X, dH_dx=None) -> np.ndarray:
+    """The (m, n, n) block of ``canonical_nonlinear_connection`` (X[k][b] =
+    dH/dp_k^b) or of ``electrodynamic_t_block`` (X = U).  The dg/dp dH/dx
+    term is built only with ``dH_dx``, where dg_ij/dp_k^b is not ``ZERO``."""
+    m, n = len(h_upper), len(g)
+    out = np.empty((m, n, n), dtype=object)
+    for a, i, j in np.ndindex(m, n, n):
+        outer = []
+        for b in range(m):
+            inner = []
+            for k in range(n):
+                inner.append(mul(differentiate(g[i][j], x_name(k)), X[k][b]))
+                if dH_dx is not None:
+                    dg_dp = differentiate(g[i][j], p_name(k, b))
+                    if dg_dp is not ZERO:
+                        inner.append(mul(Const(-1.0), dg_dp, dH_dx[k]))
+                inner.append(mul(g[i][k], differentiate(X[k][b], x_name(j))))
+                inner.append(mul(g[j][k], differentiate(X[k][b], x_name(i))))
+            outer.append(mul(Const(0.25), h_upper[a][b], add(*inner)))
+        out[a, i, j] = add(*outer)
+    return out
 
 
 def electrodynamic_t_block(g: Metric, U: DTensorField, h: Metric) -> DTensorField:
@@ -372,24 +372,7 @@ def electrodynamic_t_block(g: Metric, U: DTensorField, h: Metric) -> DTensorFiel
     m, n = h.dim, g.dim
     if (U.m, U.n) != (m, n):
         raise ConfigError("potential term dimensions disagree with the metrics")
-    h_upper = h.inverse_components
-    comps = np.empty((m, n, n), dtype=object)
-    for a in range(m):
-        for i in range(n):
-            for j in range(n):
-                outer = []
-                for b in range(m):
-                    inner = []
-                    for k in range(n):
-                        u = U.components[k, b]
-                        inner.append(mul(differentiate(g.components[i][j],
-                                                       x_name(k)), u))
-                        inner.append(mul(g.components[i][k],
-                                         differentiate(u, x_name(j))))
-                        inner.append(mul(g.components[j][k],
-                                         differentiate(u, x_name(i))))
-                    outer.append(mul(Const(0.25), h_upper[a][b], add(*inner)))
-                comps[a, i, j] = add(*outer)
+    comps = _spatial_block(h.inverse_components, g.components, U.components)
     return DTensorField(m, n, (upper_t(1), lower_x(0), lower_x()), comps, name="T")
 
 
@@ -452,14 +435,10 @@ def gravitational_space(h: Metric, phi: Metric, mass: float = 1.0,
     if phi.kind != "spatial":
         raise ConfigError("gravitational spaces take a spatial metric phi")
     _check_positive(mass=mass, light_speed=light_speed)
-    m, n = h.dim, phi.dim
-    chart = JetChart(m, n)
-    phi_upper = phi.inverse_components
+    n = phi.dim
     coeff = Const(1.0 / (float(mass) * float(light_speed)))
-    H = add(*[mul(coeff, h.components[a][b], phi_upper[i][j],
-                  chart.p_var(i, a), chart.p_var(j, b))
-              for a in range(m) for b in range(m)
-              for i in range(n) for j in range(n)])
+    H = add(*_quadratic(h.components, phi.inverse_components,
+                        JetChart(h.dim, n).p_vars(), coeff))
     return HamiltonSpace(h, n, H, constants={
         "mass": float(mass), "light_speed": float(light_speed)})
 
@@ -481,20 +460,11 @@ def autonomous_electrodynamic_space(h: Metric, phi: Metric, potential,
     chart = JetChart(m, n)
     A = expr_array(potential, (n, m), chart.x_names, "autonomous potential")
     mass, light_speed, charge = float(mass), float(light_speed), float(charge)
-    phi_upper = phi.inverse_components
-    h_upper = h.inverse_components
-    quad_coeff = Const(1.0 / (mass * light_speed))
-    lin_coeff = Const(-2.0 * charge / (mass * light_speed ** 2))
-    free_coeff = Const(charge ** 2 / (mass * light_speed ** 3))
-    quad = [mul(quad_coeff, h.components[a][b], phi_upper[i][j],
-                chart.p_var(i, a), chart.p_var(j, b))
-            for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
-    linear = [mul(lin_coeff, A[i][a], chart.p_var(i, a))
-              for i in range(n) for a in range(m)]
-    free = mul(free_coeff, add(*[mul(h_upper[a][b], phi.components[i][j],
-                                     A[i][a], A[j][b])
-                                 for a in range(m) for b in range(m)
-                                 for i in range(n) for j in range(n)]))
+    phi_upper, h_upper, P = phi.inverse_components, h.inverse_components, chart.p_vars()
+    quad = _quadratic(h.components, phi_upper, P, Const(1.0 / (mass * light_speed)))
+    linear = _linear(A, P, Const(-2.0 * charge / (mass * light_speed ** 2)))
+    free = mul(Const(charge ** 2 / (mass * light_speed ** 3)),
+               add(*_quadratic(h_upper, phi.components, A)))
     H = add(add(*quad), add(*linear), free)
     return HamiltonSpace(h, n, H, constants={
         "mass": mass, "light_speed": light_speed, "charge": charge})
@@ -516,10 +486,7 @@ def general_electrodynamic_space(h: Metric, g: Metric, potential,
     allowed = chart.t_names + chart.x_names
     U = expr_array(potential, (n, m), allowed, "potential")
     F = expr_array(free_term, (), allowed, "free term").item()
-    g_upper = g.inverse_components
-    quad = [mul(h.components[a][b], g_upper[i][j],
-                chart.p_var(i, a), chart.p_var(j, b))
-            for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
-    linear = [mul(U[i][a], chart.p_var(i, a)) for i in range(n) for a in range(m)]
-    H = add(add(*quad), add(*linear), F)
+    P = chart.p_vars()
+    H = add(add(*_quadratic(h.components, g.inverse_components, P)),
+            add(*_linear(U, P)), F)
     return HamiltonSpace(h, n, H)

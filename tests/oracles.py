@@ -13,11 +13,20 @@ printer whose text ``to_string`` must match byte for byte.
 every cofactor expanded afresh: ``linalg.sym_inverse`` must return its
 very nodes.  ``pullback_metric_sandwich`` writes a metric in the target
 chart by the direct two-factor contraction, and ``metrics.pullback_metric``,
-a d-tensor pullback, must return its very nodes.
+a d-tensor pullback, must return its very nodes.  The formulas of the
+Hamilton layer are written out here one loop each, as they read in the
+paper: the gravitational and both electrodynamic hamiltonians, the
+direct spatial block of the canonical connection, the deviation block T,
+and a d-tensor pulled back with Jacobian factors differentiated afresh.
+The library, which builds each from shared pieces, must return their very
+nodes.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from polyjet.charts import JetChart, p_name, x_name
 from polyjet.errors import DomainError, UnboundVariable
 from polyjet.metrics import Metric
 from polyjet.symbolic import (
@@ -256,6 +265,144 @@ def pullback_metric_sandwich(g, tm):
                    for k in range(d) for l in range(d)])
              for j in range(d)] for i in range(d)]
     return Metric(g.kind, g.m, g.n, rows, g.p_dependent)
+
+
+def gravitational_hamiltonian(h, phi, mass=1.0, light_speed=1.0):
+    """H = (1 / (mass * light_speed)) h_ab phi^{ij} p_i^a p_j^b."""
+    m, n = h.dim, phi.dim
+    chart = JetChart(m, n)
+    phi_upper = phi.inverse_components
+    coeff = Const(1.0 / (float(mass) * float(light_speed)))
+    return add(*[mul(coeff, h.components[a][b], phi_upper[i][j],
+                     chart.p_var(i, a), chart.p_var(j, b))
+                 for a in range(m) for b in range(m)
+                 for i in range(n) for j in range(n)])
+
+
+def autonomous_electrodynamic_hamiltonian(h, phi, A, mass=1.0, light_speed=1.0,
+                                          charge=1.0):
+    """H = H_grav - (2 charge / (mass c^2)) A^{(i)}_{(a)} p_i^a
+    + (charge^2 / (mass c^3)) h^{ab} phi_{ij} A^{(i)}_{(a)} A^{(j)}_{(b)}."""
+    m, n = h.dim, phi.dim
+    chart = JetChart(m, n)
+    phi_upper = phi.inverse_components
+    h_upper = h.inverse_components
+    quad = [mul(Const(1.0 / (mass * light_speed)), h.components[a][b], phi_upper[i][j],
+                chart.p_var(i, a), chart.p_var(j, b))
+            for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
+    linear = [mul(Const(-2.0 * charge / (mass * light_speed ** 2)), A[i][a],
+                  chart.p_var(i, a))
+              for i in range(n) for a in range(m)]
+    free = mul(Const(charge ** 2 / (mass * light_speed ** 3)),
+               add(*[mul(h_upper[a][b], phi.components[i][j], A[i][a], A[j][b])
+                     for a in range(m) for b in range(m)
+                     for i in range(n) for j in range(n)]))
+    return add(add(*quad), add(*linear), free)
+
+
+def general_electrodynamic_hamiltonian(h, g, U, F):
+    """H = h_ab g^{ij} p_i^a p_j^b + U^{(i)}_{(a)} p_i^a + F."""
+    m, n = h.dim, g.dim
+    chart = JetChart(m, n)
+    g_upper = g.inverse_components
+    quad = [mul(h.components[a][b], g_upper[i][j],
+                chart.p_var(i, a), chart.p_var(j, b))
+            for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
+    linear = [mul(U[i][a], chart.p_var(i, a)) for i in range(n) for a in range(m)]
+    return add(add(*quad), add(*linear), F)
+
+
+def canonical_n2_direct(space):
+    """N2[a][i][j] = (h^{ab}/4) [ dg_ij/dx^k dH/dp_k^b - dg_ij/dp_k^b dH/dx^k
+    + g_ik d^2 H / dx^j dp_k^b + g_jk d^2 H / dx^i dp_k^b ], the momentum
+    term only where dg_ij/dp_k^b is not ``ZERO``."""
+    m, n = space.m, space.n
+    h_upper = space.h.inverse_components
+    g = space.g_lower
+    H = space.hamiltonian
+    dH_dp = [[differentiate(H, p_name(k, b)) for b in range(m)] for k in range(n)]
+    dH_dx = [differentiate(H, x_name(k)) for k in range(n)]
+    n2 = [[[None] * n for _ in range(n)] for _ in range(m)]
+    for a in range(m):
+        for i in range(n):
+            for j in range(n):
+                outer = []
+                for b in range(m):
+                    inner = []
+                    for k in range(n):
+                        inner.append(mul(differentiate(g[i][j], x_name(k)),
+                                         dH_dp[k][b]))
+                        dg_dp = differentiate(g[i][j], p_name(k, b))
+                        if dg_dp is not ZERO:
+                            inner.append(mul(Const(-1.0), dg_dp, dH_dx[k]))
+                        inner.append(mul(g[i][k],
+                                         differentiate(dH_dp[k][b], x_name(j))))
+                        inner.append(mul(g[j][k],
+                                         differentiate(dH_dp[k][b], x_name(i))))
+                    outer.append(mul(Const(0.25), h_upper[a][b], add(*inner)))
+                n2[a][i][j] = add(*outer)
+    return n2
+
+
+def t_block_direct(g, U, h):
+    """T[a][i][j] = (h^{ab}/4) [ dg_ij/dx^k U^{(k)}_{(b)}
+    + g_ik dU^{(k)}_{(b)}/dx^j + g_jk dU^{(k)}_{(b)}/dx^i ]."""
+    m, n = h.dim, g.dim
+    h_upper = h.inverse_components
+    comps = np.empty((m, n, n), dtype=object)
+    for a in range(m):
+        for i in range(n):
+            for j in range(n):
+                outer = []
+                for b in range(m):
+                    inner = []
+                    for k in range(n):
+                        u = U.components[k, b]
+                        inner.append(mul(differentiate(g.components[i][j],
+                                                       x_name(k)), u))
+                        inner.append(mul(g.components[i][k],
+                                         differentiate(u, x_name(j))))
+                        inner.append(mul(g.components[j][k],
+                                         differentiate(u, x_name(i))))
+                    outer.append(mul(Const(0.25), h_upper[a][b], add(*inner)))
+                comps[a, i, j] = add(*outer)
+    return comps
+
+
+def pullback_dtensor_direct(T, tm):
+    """Target-chart components of a d-tensor, one factor per slot: an upper
+    slot's d (target new) / d (source old) differentiated from the forward
+    map and moved to the preimage, a lower slot's d (source old) / d
+    (target new) differentiated from the inverse map."""
+    chart = tm.chart
+
+    def factor_matrix(slot):
+        if slot.family == "temporal":
+            size, names, fwd, inverse = tm.m, chart.t_names, tm.t_forward, tm.t_inverse
+        else:
+            size, names, fwd, inverse = tm.n, chart.x_names, tm.x_forward, tm.x_inverse
+        out = [[None] * size for _ in range(size)]
+        for new in range(size):
+            for old in range(size):
+                if slot.variance == "upper":
+                    out[new][old] = substitute(
+                        differentiate(fwd[new], names[old]), tm.pullback_map)
+                else:
+                    out[new][old] = differentiate(inverse[old], names[new])
+        return out
+
+    factors = [factor_matrix(s) for s in T.slots]
+    shape = T.shape
+    comps = np.empty(shape, dtype=object)
+    pulled = {old_idx: substitute(T.components[old_idx], tm.pullback_map)
+              for old_idx in np.ndindex(shape)}
+    for new_idx in np.ndindex(shape):
+        terms = []
+        for old_idx, value in pulled.items():
+            fs = [factors[k][new_idx[k]][old_idx[k]] for k in range(len(shape))]
+            terms.append(mul(value, *fs))
+        comps[new_idx] = add(*terms)
+    return comps
 
 
 def to_string_walk(e) -> str:

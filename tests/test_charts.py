@@ -218,6 +218,27 @@ def test_validate_rejects_wrong_inverse():
         tm.validate()
 
 
+@pytest.mark.parametrize("t_pair, x_pair, message", [
+    (("t1^2", "t1"), None, "temporal inverse is not a left inverse in t1"),
+    (("sqrt(t1 + 1)", "t1^2 - 1"), None, "temporal inverse is not a right inverse in t1"),
+    (None, ("x1", "x1^3"), "spatial inverse is not a left inverse in x1"),
+    (None, ("sqrt(x1 + 1)", "x1^2 - 1"), "spatial inverse is not a right inverse in x1"),
+    # a temporal fault is named before a spatial one
+    (("sqrt(t1 + 1)", "t1^2 - 1"), ("x1", "x1^3"),
+     "temporal inverse is not a right inverse in t1"),
+])
+def test_validate_names_the_first_failed_round_trip(t_pair, x_pair, message):
+    """Forward (left) before inverse (right), t before x: (forward, inverse)
+    pairs, the identity where None."""
+    t_fwd, t_inv = (parse(e, ["t1"]) for e in t_pair or ("t1", "t1"))
+    x_fwd, x_inv = (parse(e, ["x1"]) for e in x_pair or ("x1", "x1"))
+    tm = TransitionMap(1, 1, t_forward=[t_fwd], x_forward=[x_fwd],
+                       t_inverse=[t_inv], x_inverse=[x_inv])
+    with pytest.raises(ConfigError) as excinfo:
+        tm.validate()
+    assert str(excinfo.value) == message
+
+
 def test_singular_jacobian_is_reported():
     tm = TransitionMap(1, 1, t_forward=[var("t1")],
                        x_forward=[parse("x1^2", ["x1"])])

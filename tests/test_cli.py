@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -261,6 +260,14 @@ def test_command_line_tolerance_must_be_finite_and_positive(tol):
     manifest = str(MANIFESTS / "curved.json")
     assert main(["verify", manifest, "--tol", tol]) == EXIT_CONFIG
     assert main(["regularity", manifest, "--tol", tol]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["christoffel", "connection"])
+def test_commands_without_a_tolerance_refuse_tol(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(MANIFESTS / "flat.json"), "--tol", "nan"])
+    assert excinfo.value.code == EXIT_CONFIG == 2
+    assert "unrecognized arguments: --tol nan" in capsys.readouterr().err
 
 
 def test_constant_overflow_in_hamiltonian_is_a_domain_error(tmp_path, capsys):

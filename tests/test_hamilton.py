@@ -11,10 +11,8 @@ import pytest
 from geomgen import (
     random_base_scalar,
     random_potential,
-    random_spatial_metric,
     random_spatiotemporal_metric,
     random_temporal_metric,
-    random_transition,
 )
 from polyjet.charts import JetChart, TransitionMap, pullback_scalar
 from polyjet.connections import (

@@ -16,7 +16,6 @@ from polyjet.cli import load_manifest
 from polyjet.errors import ConfigError, SingularMetric
 from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import (
-    ChristoffelField,
     Metric,
     christoffel,
     christoffel_symbols,

@@ -1,11 +1,13 @@
-"""Report imports that a module of the library never uses.
+"""Report imports that a module of the library, its tests or its tools
+never uses.
 
     python tools/unused_imports.py
 
 Parses each ``src/polyjet/*.py`` except ``__init__.py``, which imports
-names to re-export them, and prints every name bound by an ``import`` or
-``from ... import`` (``from __future__`` aside) that the module never reads
-as a name.  Exits 1 when it finds one, 0 otherwise.
+names to re-export them, and each ``tests/*.py`` and ``tools/*.py``, and
+prints every name bound by an ``import`` or ``from ... import``
+(``from __future__`` aside) that the module never reads as a name.  Exits
+1 when it finds one, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polyjet"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(path: Path) -> list:
@@ -34,12 +36,13 @@ def unused_imports(path: Path) -> list:
 
 def main() -> int:
     found = 0
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for line, name in unused_imports(path):
-            print(f"{path.relative_to(SRC.parent.parent)}:{line}: unused import {name}")
-            found += 1
+    for folder in ("src/polyjet", "tests", "tools"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            if path == ROOT / "src" / "polyjet" / "__init__.py":
+                continue
+            for line, name in unused_imports(path):
+                print(f"{path.relative_to(ROOT)}:{line}: unused import {name}")
+                found += 1
     return 1 if found else 0
 
 
