@@ -20,6 +20,9 @@ and never require the explicit inverse map.
 Explicit inverse expressions, when supplied, are what pullbacks, coframe
 rows and inversion use; operations that need them say so.
 
+``TransitionMap.map_points`` gives the numeric chart change at a batch of
+points as one ``Frames`` record, which every law, transform and frame reads.
+
 ``_derivatives`` builds both Jacobians and the momentum map's derivatives,
 which the d-tensor pullback also reads; ``_through`` substitutes one map
 into another for ``compose`` and ``validate``.
@@ -29,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, SingularJacobian
-from .linalg import checked_inverse, sym_inverse
+from .linalg import checked_inverses, sym_inverse
 from .symbolic import (
     Expr,
     Program,
@@ -152,19 +156,27 @@ class JetPoint:
         return f"JetPoint(t={self.t.tolist()}, x={self.x.tolist()}, p={self.p.tolist()})"
 
 
-class JetVelocityPoint:
-    """A point of the velocity bundle: t, x, and v (n, m) with v[i][a] = x^i_a."""
+class Frames(NamedTuple):
+    """One chart change at a batch of source points, from
+    ``TransitionMap.map_points``.
 
-    def __init__(self, t, x, v):
-        self.t = np.asarray(t, dtype=float).reshape(-1)
-        self.x = np.asarray(x, dtype=float).reshape(-1)
-        self.v = np.asarray(v, dtype=float)
-        if self.v.shape != (self.x.size, self.t.size):
-            raise ValueError(f"v must have shape (n, m) = {(self.x.size, self.t.size)}, "
-                             f"got {self.v.shape}")
+    ``points`` are the source assignments and ``images`` their target
+    assignments, in chart-name order.  ``jt`` (P, m, m) and ``jx`` (P, n, n)
+    are the forward Jacobians d ttilde / d t and d xtilde / d x, ``kt`` and
+    ``kx`` their inverses, and ``p`` (P, n, m) the source momenta p[i][a].
+    """
 
-    def __repr__(self):
-        return f"JetVelocityPoint(t={self.t.tolist()}, x={self.x.tolist()}, v={self.v.tolist()})"
+    points: list
+    images: list
+    jt: np.ndarray
+    jx: np.ndarray
+    kt: np.ndarray
+    kx: np.ndarray
+    p: np.ndarray
+
+    def each(self):
+        """(Jt, Jx, Kt, Kx) at each point in turn."""
+        return zip(self.jt, self.jx, self.kt, self.kx)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +184,7 @@ class TransitionMap:
     """A chart change t -> ttilde(t), x -> xtilde(x) with optional explicit
     inverses (expressions in the *target* chart's same-named variables).
 
-    Forward expressions are enough for velocity/momentum/frame transforms
+    Forward expressions are enough for momentum and frame transforms
     and for all transformation-law checks; inverses are required by
     ``inverted``, ``coframe_matrix`` and the pullback helpers.  All four
     are ``expr_array`` blocks of shape (m,) or (n,).
@@ -298,54 +310,30 @@ class TransitionMap:
             [e for table in (self.momentum_forward_dt, self.momentum_forward_dx)
              for rows in table for row in rows for e in row])
 
-    def _t_values(self, points):
-        """Images of t (P, m) and Jt (P, m, m)."""
-        return cut(self._t_program.run(points), (self.m,), (self.m, self.m))
-
-    def _x_values(self, points):
-        """Images of x (P, n) and Jx (P, n, n)."""
-        return cut(self._x_program.run(points), (self.n,), (self.n, self.n))
-
     def momentum_derivatives(self, points):
         """d ptilde_i^a / d t^b (P, n, m, m) and d ptilde_i^a / d x^j
         (P, n, m, n) at each source assignment, exact."""
         m, n = self.m, self.n
         return cut(self._momentum_program.run(points), (n, m, m), (n, m, n))
 
-    def map_points(self, points):
-        """Image JetPoints and frames (Jt, Jx, Kt, Kx) of source assignments,
-        with invertibility enforced in point order."""
-        chart = self.chart
-        t_img, jt = self._t_values(points)
-        x_img, jx = self._x_values(points)
-        images, frames = [], []
-        for k, asg in enumerate(points):
-            kt = checked_inverse(jt[k], SingularJacobian, "temporal jacobian", asg)
-            kx = checked_inverse(jx[k], SingularJacobian, "spatial jacobian", asg)
-            frames.append((jt[k], jx[k], kt, kx))
-            images.append(JetPoint(t_img[k], x_img[k], kx.T @ chart.point(asg).p @ jt[k].T))
-        return images, frames
-
-    def t_jacobian_at(self, assignment) -> np.ndarray:
-        return self._t_values([assignment])[1][0]
-
-    def x_jacobian_at(self, assignment) -> np.ndarray:
-        return self._x_values([assignment])[1][0]
-
-    def jacobians_at(self, assignment):
-        """(Jt, Jx, Kt, Kx) at a point, with invertibility enforced."""
-        return self.map_points([assignment])[1][0]
+    def map_points(self, points) -> Frames:
+        """The chart change at a batch of source assignments: their images
+        and the Jacobians with their inverses, invertibility enforced in
+        point order, temporal before spatial."""
+        m, n, chart = self.m, self.n, self.chart
+        t_img, jt = cut(self._t_program.run(points), (m,), (m, m))
+        x_img, jx = cut(self._x_program.run(points), (n,), (n, n))
+        kt, kx = checked_inverses(points, SingularJacobian,
+                                  ("temporal jacobian", jt), ("spatial jacobian", jx))
+        p = np.array([[pt[nm] for nm in chart.p_names] for pt in points],
+                     dtype=float).reshape(len(points), n, m)
+        p_img = kx.transpose(0, 2, 1) @ p @ jt.transpose(0, 2, 1)
+        rows = np.concatenate((t_img, x_img, p_img.reshape(len(points), -1)), axis=1)
+        images = [dict(zip(chart.names, row)) for row in rows.tolist()]
+        return Frames(list(points), images, jt, jx, kt, kx, p)
 
     def map_point(self, q: JetPoint) -> JetPoint:
-        return self.map_points([self.chart.assignment(q)])[0][0]
-
-    def map_velocity(self, vq: JetVelocityPoint) -> JetVelocityPoint:
-        asg = {nm: float(v) for nm, v in zip(self.chart.t_names, vq.t)}
-        asg.update({nm: float(v) for nm, v in zip(self.chart.x_names, vq.x)})
-        (t_img,), (jt,) = self._t_values([asg])
-        (x_img,), (jx,) = self._x_values([asg])
-        kt = checked_inverse(jt, SingularJacobian, "temporal jacobian", asg)
-        return JetVelocityPoint(t_img, x_img, jx @ vq.v @ kt)
+        return self.chart.point(self.map_points([self.chart.assignment(q)]).images[0])
 
     # -- frame and coframe ----------------------------------------------------
 
@@ -353,9 +341,9 @@ class TransitionMap:
         """Rows: source frame (d/dt^a, d/dx^i, d/dp_i^a) expressed on the
         target frame (columns, same ordering)."""
         m, n = self.m, self.n
-        asg = self.chart.assignment(q)
-        jt, jx, kt, kx = self.jacobians_at(asg)
-        dpdt, dpdx = (v[0] for v in self.momentum_derivatives([asg]))
+        frames = self.map_points([self.chart.assignment(q)])
+        jt, jx, kt, kx = next(frames.each())
+        dpdt, dpdx = (v[0] for v in self.momentum_derivatives(frames.points))
         dim = self.chart.total_dim
         F = np.zeros((dim, dim))
         F[:m, :m] = jt.T
@@ -366,31 +354,27 @@ class TransitionMap:
         F[m + n:, m + n:] = np.multiply.outer(kx, jt).transpose(0, 3, 1, 2).reshape(n * m, n * m)
         return F
 
-    def coframe_matrices(self, images, frames) -> list:
+    def coframe_matrices(self, frames: Frames) -> np.ndarray:
         """Rows: source coframe (dt^a, dx^i, dp_i^a) expressed on the target
-        coframe (columns), at each source point of a ``map_points`` batch
-        (its images and frames).  Requires explicit inverse expressions
-        because the dp rows differentiate the inverse momentum map in
-        target variables."""
-        inv = self.inverted()
+        coframe (columns), (P, dim, dim) over a ``map_points`` batch.
+        Requires explicit inverse expressions because the dp rows
+        differentiate the inverse momentum map in target variables."""
         m, n = self.m, self.n
-        chart = self.chart
-        dpdt, dpdx = inv.momentum_derivatives([chart.assignment(q) for q in images])
-        dim = chart.total_dim
-        out = []
-        for (jt, jx, kt, kx), dt, dx in zip(frames, dpdt, dpdx):
-            C = np.zeros((dim, dim))
-            C[:m, :m] = kt
-            C[m:m + n, m:m + n] = kx
-            # row p_i^a: inverse-map derivatives, then Jx[j, i] Kt[a, b]
-            C[m + n:, :m] = dt.reshape(n * m, m)
-            C[m + n:, m:m + n] = dx.reshape(n * m, n)
-            C[m + n:, m + n:] = np.multiply.outer(jx.T, kt).transpose(0, 2, 1, 3).reshape(n * m, n * m)
-            out.append(C)
-        return out
+        dpdt, dpdx = self.inverted().momentum_derivatives(frames.images)
+        size = len(frames.points)
+        dim = self.chart.total_dim
+        C = np.zeros((size, dim, dim))
+        C[:, :m, :m] = frames.kt
+        C[:, m:m + n, m:m + n] = frames.kx
+        # row p_i^a: inverse-map derivatives, then Jx[j, i] Kt[a, b]
+        C[:, m + n:, :m] = dpdt.reshape(size, n * m, m)
+        C[:, m + n:, m:m + n] = dpdx.reshape(size, n * m, n)
+        C[:, m + n:, m + n:] = np.einsum("kji,kab->kiajb", frames.jx, frames.kt).reshape(
+            size, n * m, n * m)
+        return C
 
     def coframe_matrix(self, q: JetPoint) -> np.ndarray:
-        return self.coframe_matrices(*self.map_points([self.chart.assignment(q)]))[0]
+        return self.coframe_matrices(self.map_points([self.chart.assignment(q)]))[0]
 
     # -- validation -------------------------------------------------------------
 
@@ -452,12 +436,7 @@ def pullback_scalar(e: Expr, tm: TransitionMap) -> Expr:
 def image_sample_domain(tm: TransitionMap, dom: SampleDomain) -> SampleDomain:
     """A target-chart sample box: the bounding box of the images of the
     source samples (count and seed carried over)."""
-    chart = tm.chart
-    los: dict[str, float] = {}
-    his: dict[str, float] = {}
-    for image in tm.map_points(dom.points())[0]:
-        for nm, v in chart.assignment(image).items():
-            los[nm] = min(v, los.get(nm, v))
-            his[nm] = max(v, his.get(nm, v))
-    intervals = tuple((nm, los[nm], his[nm]) for nm in chart.names)
+    images = tm.map_points(dom.points()).images
+    intervals = tuple((nm, min(q[nm] for q in images), max(q[nm] for q in images))
+                      for nm in tm.chart.names)
     return SampleDomain(intervals, count=dom.count, seed=dom.seed)

@@ -77,6 +77,9 @@ EXIT_CONNECTION = 6
 EXIT_COFRAME = 7
 EXIT_REGULARITY = 8
 
+# the most sample points a manifest may ask for
+MAX_SAMPLE_COUNT = 100_000
+
 _CHECK_EXIT = {
     "metric": EXIT_METRIC,
     "dtensor": EXIT_DTENSOR,
@@ -120,12 +123,25 @@ class Manifest:
         return SampleDomain(intervals, count=self.sample_count, seed=seed)
 
 
-def _number(raw, where: str, convert=float):
-    """A manifest number; anything ``convert`` rejects is a config error."""
+def _number(raw, where: str) -> float:
+    """A manifest number; anything ``float`` rejects is a config error."""
     try:
-        return convert(raw)
+        return float(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {raw!r}") from None
+
+
+def _integer(raw, where: str) -> int:
+    """A manifest integer: a JSON integer, never a float, bool or string."""
+    if type(raw) is not int:
+        raise ConfigError(f"{where} must be an integer, got {raw!r}")
+    return raw
+
+
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    return raw
 
 
 def _tolerance(raw, where: str) -> float:
@@ -187,8 +203,8 @@ def load_manifest(path: str) -> Manifest:
     dims = data.get("dimensions")
     if not isinstance(dims, dict) or "m" not in dims or "n" not in dims:
         raise ConfigError("manifest needs dimensions.m and dimensions.n")
-    m = _number(dims["m"], "dimensions.m", int)
-    n = _number(dims["n"], "dimensions.n", int)
+    m = _integer(dims["m"], "dimensions.m")
+    n = _integer(dims["n"], "dimensions.n")
     if m < 1 or n < 1:
         raise ConfigError("dimensions must be positive")
     chart = JetChart(m, n)
@@ -205,16 +221,12 @@ def load_manifest(path: str) -> Manifest:
     if "hamiltonian" in data:
         hamiltonian = _entry_expr(data["hamiltonian"], chart.names, "hamiltonian")
 
-    constants = data.get("constants", {})
-    if not isinstance(constants, dict):
-        raise ConfigError("constants must be an object")
-    constants = {k: _finite(v, f"constants.{k}") for k, v in constants.items()}
+    constants = {k: _finite(v, f"constants.{k}")
+                 for k, v in _object(data.get("constants", {}), "constants").items()}
 
     transition = None
     if "transition" in data:
-        tr = data["transition"]
-        if not isinstance(tr, dict):
-            raise ConfigError("transition must be an object")
+        tr = _object(data["transition"], "transition")
         try:
             t_fwd = _expr_list(tr["t_forward"], m, chart.t_names,
                                "transition.t_forward")
@@ -231,15 +243,14 @@ def load_manifest(path: str) -> Manifest:
                                "transition.x_inverse")
         transition = TransitionMap(m, n, t_fwd, x_fwd, t_inv, x_inv)
 
-    sample = data.get("sample_domain", {})
-    if not isinstance(sample, dict):
-        raise ConfigError("sample_domain must be an object")
-    count = _number(sample.get("count", 20), "sample_domain.count", int)
-    if count < 1:
-        raise ConfigError("sample_domain.count must be at least 1")
-    seed = _number(sample.get("seed", 0), "sample_domain.seed", int)
+    sample = _object(data.get("sample_domain", {}), "sample_domain")
+    count = _integer(sample.get("count", 20), "sample_domain.count")
+    if not 1 <= count <= MAX_SAMPLE_COUNT:
+        raise ConfigError(f"sample_domain.count must be from 1 to {MAX_SAMPLE_COUNT}, "
+                          f"got {count}")
+    seed = _integer(sample.get("seed", 0), "sample_domain.seed")
     intervals = {}
-    for nm, pair in sample.get("intervals", {}).items():
+    for nm, pair in _object(sample.get("intervals", {}), "sample_domain.intervals").items():
         if nm not in chart.names:
             raise ConfigError(f"sample interval for unknown variable {nm!r}")
         where = f"sample interval for {nm!r}"
@@ -251,16 +262,14 @@ def load_manifest(path: str) -> Manifest:
         intervals[nm] = (lo, hi)
 
     tol = {"equiv": 1e-9, "law": 1e-8, "regularity": 1e-9}
-    for key, value in data.get("tolerances", {}).items():
+    for key, value in _object(data.get("tolerances", {}), "tolerances").items():
         if key not in tol:
             raise ConfigError(f"unknown tolerance {key!r}")
         tol[key] = _tolerance(value, f"tolerance {key!r}")
 
     point = data.get("evaluation_point")
     if point is not None:
-        if not isinstance(point, dict):
-            raise ConfigError("evaluation_point must be an object")
-        unknown = set(point) - set(chart.names)
+        unknown = set(_object(point, "evaluation_point")) - set(chart.names)
         if unknown:
             raise ConfigError(f"evaluation_point names unknown variables "
                               f"{sorted(unknown)}")
@@ -273,7 +282,7 @@ def load_manifest(path: str) -> Manifest:
             raise ConfigError("fault_injection.block must be 'N1' or 'N2'")
         idx = fault.get("index")
         if (not isinstance(idx, list) or len(idx) != 3
-                or any(not isinstance(i, int) or i < 1 for i in idx)):
+                or any(type(i) is not int or i < 1 for i in idx)):
             raise ConfigError("fault_injection.index must be three 1-based indices")
         hi = (m, n, m) if fault["block"] == "N1" else (m, n, n)
         if any(i > top for i, top in zip(idx, hi)):

@@ -99,21 +99,22 @@ def canonical_metric_connection(h: Metric, phi: Metric, n: int | None = None) ->
                                metric_n2(christoffel_symbols(phi), m))
 
 
-def _connection_image(n1, n2, frame, dpdt, dpdx):
-    jt, jx, kt, kx = frame
-    out1 = np.einsum("cka,bc,kj,ad->bjd", n1, jt, kx, kt)
-    out1 -= np.einsum("ad,jba->bjd", kt, dpdt)  # dpdt[j, b, a] = d ptilde_j^b / d t^a
-    out2 = np.einsum("cki,bc,kj,ir->bjr", n2, jt, kx, kx)
-    out2 -= np.einsum("ir,jbi->bjr", kx, dpdx)  # dpdx[j, b, i] = d ptilde_j^b / d x^i
-    return out1, out2
+def _connection_images(tm: TransitionMap, frames, values):
+    """Target-chart blocks (N1~, N2~) at each image of a ``map_points``
+    batch, from the source blocks N1 (P, m, n, m) and N2 (P, m, n, n)."""
+    dpdt, dpdx = tm.momentum_derivatives(frames.points)
+    for (jt, jx, kt, kx), n1, n2, dt, dx in zip(frames.each(), *values, dpdt, dpdx):
+        out1 = np.einsum("cka,bc,kj,ad->bjd", n1, jt, kx, kt)
+        out1 -= np.einsum("ad,jba->bjd", kt, dt)  # dt[j, b, a] = d ptilde_j^b / d t^a
+        out2 = np.einsum("cki,bc,kj,ir->bjr", n2, jt, kx, kx)
+        out2 -= np.einsum("ir,jbi->bjr", kx, dx)  # dx[j, b, i] = d ptilde_j^b / d x^i
+        yield out1, out2
 
 
 def transform_connection(N: NonlinearConnection, tm: TransitionMap, q):
     """Numeric target-chart blocks (N1~, N2~) at the image of q."""
-    asg = tm.chart.assignment(q)
-    n1, n2 = N.at_points([asg])
-    dpdt, dpdx = tm.momentum_derivatives([asg])
-    return _connection_image(n1[0], n2[0], tm.jacobians_at(asg), dpdt[0], dpdx[0])
+    frames = tm.map_points([tm.chart.assignment(q)])
+    return next(_connection_images(tm, frames, N.at_points(frames.points)))
 
 
 def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
@@ -121,12 +122,9 @@ def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
                           tol: float = 1e-8) -> VerificationReport:
     """Check the inhomogeneous chart-change law for both connection blocks."""
 
-    def compare(points, images, frames, values_a, values_b):
-        dpdt, dpdx = tm.momentum_derivatives(points)
-        (a1, a2), (b1, b2) = values_a, values_b
-        return (zip(_connection_image(a1[k], a2[k], frames[k], dpdt[k], dpdx[k]),
-                    (b1[k], b2[k]))
-                for k in range(len(points)))
+    def compare(frames, values_a, values_b):
+        return (zip(image, pair) for image, pair in
+                zip(_connection_images(tm, frames, values_a), zip(*values_b)))
 
     return chart_law("connection-law", tol, tm, dom,
                      (partial(entry_label, "N1"), partial(entry_label, "N2")),
@@ -206,8 +204,7 @@ def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
     momentum ordering; columns are dt^b, dx^j, then dp in the same flat
     order.
     """
-    n1, n2 = N.at_points([JetChart(N.m, N.n).assignment(q)])
-    return _coframe_rows(n1[0], n2[0])
+    return _coframe_rows(*N.at(JetChart(N.m, N.n).assignment(q)))
 
 
 def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
@@ -229,12 +226,12 @@ def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
         j, b = divmod(int(idx[0]), m)
         return f"coframe[{p_name(j, b)}, {col_names[int(idx[1])]}]"
 
-    def compare(points, images, frames, values_a, values_b):
-        coframes = tm.coframe_matrices(images, frames)
-        (a1, a2), (b1, b2) = values_a, values_b
-        for k, (jt, jx, kt, kx) in enumerate(frames):
-            pushed = (_coframe_rows(a1[k], a2[k]) @ coframes[k]).reshape(n, m, -1)
+    def compare(frames, values_a, values_b):
+        coframes = tm.coframe_matrices(frames)
+        for (jt, jx, kt, kx), a1, a2, b1, b2, C in zip(frames.each(), *values_a, *values_b,
+                                                        coframes):
+            pushed = (_coframe_rows(a1, a2) @ C).reshape(n, m, -1)
             expected = np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)
-            yield ((_coframe_rows(b1[k], b2[k]), expected),)
+            yield ((_coframe_rows(b1, b2), expected),)
 
     return chart_law("adapted-coframe", tol, tm, dom, (label,), N_A, N_B, compare)

@@ -122,17 +122,20 @@ def _slot_matrices(slots, jt, jx, kt, kx):
     return mats
 
 
-def _dtensor_image(arr: np.ndarray, slots, frame) -> np.ndarray:
-    for axis, mat in enumerate(_slot_matrices(slots, *frame)):
-        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
-    return arr
+def _dtensor_images(slots, frames, values):
+    """Target-chart components at each image of a ``map_points`` batch, by
+    the homogeneous d-tensor law (one Jacobian factor per slot), from the
+    source values (P, *shape)."""
+    for frame, arr in zip(frames.each(), values):
+        for axis, mat in enumerate(_slot_matrices(slots, *frame)):
+            arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+        yield arr
 
 
 def transform_dtensor(T: DTensorField, tm: TransitionMap, q) -> np.ndarray:
-    """Numeric target-chart components of T at the image of q, by the
-    homogeneous d-tensor law (one Jacobian factor per slot)."""
-    asg = tm.chart.assignment(q)
-    return _dtensor_image(T.at(asg), T.slots, tm.jacobians_at(asg))
+    """Numeric target-chart components of T at the image of q."""
+    frames = tm.map_points([tm.chart.assignment(q)])
+    return next(_dtensor_images(T.slots, frames, T.at_points(frames.points)))
 
 
 def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
@@ -141,9 +144,9 @@ def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
     if T_A.slots != T_B.slots:
         raise ConfigError("cannot compare d-tensors with different slot structure")
 
-    def compare(points, images, frames, values_a, values_b):
-        return (((_dtensor_image(arr, T_A.slots, frame), rhs),)
-                for frame, arr, rhs in zip(frames, values_a, values_b))
+    def compare(frames, values_a, values_b):
+        return (((lhs, rhs),)
+                for lhs, rhs in zip(_dtensor_images(T_A.slots, frames, values_a), values_b))
 
     return chart_law(f"dtensor-law:{T_A.name}", tol, tm, dom,
                      (partial(entry_label, T_A.name),), T_A, T_B, compare)

@@ -339,8 +339,9 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
 
 def _spatial_block(h_upper, g, X, dH_dx=None) -> np.ndarray:
     """The (m, n, n) block of ``canonical_nonlinear_connection`` (X[k][b] =
-    dH/dp_k^b) or of ``electrodynamic_t_block`` (X = U).  The dg/dp dH/dx
-    term is built only with ``dH_dx``, where dg_ij/dp_k^b is not ``ZERO``."""
+    dH/dp_k^b) or of ``electrodynamic_t_block`` (X = U).  dg_ij/dx^k is
+    derived only where X[k][b] is not ``ZERO``, and the dg/dp dH/dx term is
+    built only with ``dH_dx``, where dg_ij/dp_k^b is not ``ZERO``."""
     m, n = len(h_upper), len(g)
     out = np.empty((m, n, n), dtype=object)
     for a, i, j in np.ndindex(m, n, n):
@@ -348,7 +349,8 @@ def _spatial_block(h_upper, g, X, dH_dx=None) -> np.ndarray:
         for b in range(m):
             inner = []
             for k in range(n):
-                inner.append(mul(differentiate(g[i][j], x_name(k)), X[k][b]))
+                if X[k][b] is not ZERO:
+                    inner.append(mul(differentiate(g[i][j], x_name(k)), X[k][b]))
                 if dH_dx is not None:
                     dg_dp = differentiate(g[i][j], p_name(k, b))
                     if dg_dp is not ZERO:

@@ -56,14 +56,19 @@ def _minor(rows, memo: dict, rs: tuple, cs: tuple):
     return value
 
 
-def checked_inverse(mat: np.ndarray, error_cls, label: str, point) -> np.ndarray:
-    """Numeric inverse guarded by the |det| >= 1e-8 invertibility floor.  A
-    determinant that overflows to infinity proves nothing about rank, so it
-    is refused too."""
+def checked_inverses(points, error_cls, *families) -> tuple:
+    """Batched numeric inverses of each ``(label, mats)`` family, ``mats`` a
+    (P, d, d) stack over ``points``, guarded by the |det| >= 1e-8 floor: the
+    first failing point raises, families in the given order there.  A
+    determinant that overflows to infinity proves nothing about rank, so
+    it is refused too."""
     with np.errstate(over="ignore"):
-        det = float(np.linalg.det(mat))
-    if not math.isfinite(det):
-        raise error_cls(f"{label} determinant overflows to {det} at {point}")
-    if abs(det) < DET_MIN:
-        raise error_cls(f"{label} is singular (|det| = {abs(det):.3e}) at {point}")
-    return np.linalg.inv(mat)
+        dets = [np.linalg.det(mats) for _, mats in families]
+    for k, point in enumerate(points):
+        for (label, _), det in zip(families, dets):
+            det = float(det[k])
+            if not math.isfinite(det):
+                raise error_cls(f"{label} determinant overflows to {det} at {point}")
+            if abs(det) < DET_MIN:
+                raise error_cls(f"{label} is singular (|det| = {abs(det):.3e}) at {point}")
+    return tuple(np.linalg.inv(mats) for _, mats in families)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .charts import JetChart, TransitionMap
 from .errors import ConfigError, SingularMetric
-from .linalg import checked_inverse, sym_inverse
+from .linalg import checked_inverses, sym_inverse
 from .symbolic import (
     Compiled,
     Const,
@@ -112,10 +112,11 @@ class Metric(Compiled):
 
     def inverse_at(self, assignment) -> np.ndarray:
         """Numeric inverse with the |det| >= 1e-8 floor (SingularMetric)."""
-        return self._checked_inverse(self.at(assignment), assignment)
+        return self._checked_inverses([assignment])[0]
 
-    def _checked_inverse(self, mat, assignment) -> np.ndarray:
-        return checked_inverse(mat, SingularMetric, f"{self.kind} metric", assignment)
+    def _checked_inverses(self, points) -> np.ndarray:
+        return checked_inverses(points, SingularMetric,
+                                (f"{self.kind} metric", self.at_points(points)))[0]
 
     @cached_property
     def _christoffel_components(self):
@@ -137,9 +138,7 @@ class Metric(Compiled):
                 if not equiv(self.components[i][j], self.components[j][i], dom, tol):
                     raise ConfigError(
                         f"{self.kind} metric is not symmetric in entry ({i + 1},{j + 1})")
-        points = dom.points()
-        for pt, mat in zip(points, self.at_points(points)):
-            self._checked_inverse(mat, pt)
+        self._checked_inverses(dom.points())
 
 
 @dataclass(frozen=True, eq=False)

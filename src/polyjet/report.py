@@ -69,20 +69,18 @@ def sweep(name: str, tolerance: float, points, blocks) -> VerificationReport:
 def chart_law(name: str, tol: float, tm, dom, labelers, A, B, compare) -> VerificationReport:
     """Check a chart-change law from ``A`` in the source chart of ``tm`` to
     ``B`` in its target chart.  The samples of ``dom`` (the chart's default
-    box when None) are mapped once, ``A`` is evaluated at them and ``B`` at
-    their images; ``compare(points, images, frames, values_a, values_b)``
+    box when None) are mapped once into ``frames``, ``A`` is evaluated at
+    them and ``B`` at their images; ``compare(frames, values_a, values_b)``
     yields per point one ``(lhs, rhs)`` pair for each of ``labelers``."""
     dims = [(X.m, X.n) for X in (A, B, tm)]
     if len(set(dims)) > 1:
         raise ConfigError(f"{name}: dimensions (m, n) disagree: {dims[0]} in chart A, "
                           f"{dims[1]} in chart B, {dims[2]} for the transition")
-    chart = tm.chart
     if dom is None:
-        dom = chart.sample_domain()
-    points = dom.points()
-    images, frames = tm.map_points(points)
-    values_a = A.at_points(points)
-    values_b = B.at_points([chart.assignment(q) for q in images])
-    return sweep(name, tol, points,
+        dom = tm.chart.sample_domain()
+    frames = tm.map_points(dom.points())
+    values_a = A.at_points(frames.points)
+    values_b = B.at_points(frames.images)
+    return sweep(name, tol, frames.points,
                  (tuple((label, lhs, rhs) for label, (lhs, rhs) in zip(labelers, pairs))
-                  for pairs in compare(points, images, frames, values_a, values_b)))
+                  for pairs in compare(frames, values_a, values_b)))

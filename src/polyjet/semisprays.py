@@ -96,12 +96,19 @@ def _spatial_image(values, frame, dpdt, dpdx, p) -> np.ndarray:
 _IMAGES = {"temporal": _temporal_image, "spatial": _spatial_image}
 
 
+def _semispray_images(kind: str, tm: TransitionMap, frames, values):
+    """Target-chart blocks at each image of a ``map_points`` batch, from
+    the source blocks (P, m, n, n) of a semispray of ``kind``."""
+    dpdt, dpdx = tm.momentum_derivatives(frames.points)
+    for frame, v, dt, dx, p in zip(frames.each(), values, dpdt, dpdx, frames.p):
+        yield _IMAGES[kind](v, frame, dt, dx, p)
+
+
 def transform_semispray(S: Semispray, tm: TransitionMap, q) -> np.ndarray:
     """Numeric target-chart block (G1~[c][k][r] or G2~[d][s][k]) at the
     image of q."""
-    asg = tm.chart.assignment(q)
-    dpdt, dpdx = tm.momentum_derivatives([asg])
-    return _IMAGES[S.kind](S.at(asg), tm.jacobians_at(asg), dpdt[0], dpdx[0], q.p)
+    frames = tm.map_points([tm.chart.assignment(q)])
+    return next(_semispray_images(S.kind, tm, frames, S.at_points(frames.points)))
 
 
 def verify_semispray_law(S_A: Semispray, S_B: Semispray, tm: TransitionMap,
@@ -109,13 +116,10 @@ def verify_semispray_law(S_A: Semispray, S_B: Semispray, tm: TransitionMap,
     """Check the inhomogeneous chart-change law between two semisprays."""
     if S_A.kind != S_B.kind:
         raise ConfigError("cannot compare semisprays of different kinds")
-    image = _IMAGES[S_A.kind]
 
-    def compare(points, images, frames, values_a, values_b):
-        chart, (dpdt, dpdx) = tm.chart, tm.momentum_derivatives(points)
-        return (((image(values_a[k], frames[k], dpdt[k], dpdx[k], chart.point(asg).p),
-                  values_b[k]),)
-                for k, asg in enumerate(points))
+    def compare(frames, values_a, values_b):
+        return (((lhs, rhs),) for lhs, rhs in
+                zip(_semispray_images(S_A.kind, tm, frames, values_a), values_b))
 
     return chart_law(f"semispray-law:{S_A.kind}", tol, tm, dom,
                      (partial(entry_label, "G1" if S_A.kind == "temporal" else "G2"),),

@@ -4,14 +4,13 @@ import pytest
 from polyjet.charts import (
     JetChart,
     JetPoint,
-    JetVelocityPoint,
     TransitionMap,
     compose,
     image_sample_domain,
     pullback_scalar,
 )
 from polyjet.errors import ConfigError, SingularJacobian
-from polyjet.symbolic import evaluate, parse, var
+from polyjet.symbolic import compile_block, evaluate, parse, var
 
 from oracles import central_diff
 
@@ -94,11 +93,17 @@ def test_momentum_round_trip_through_inverse():
     assert np.allclose(back.p, q.p, atol=1e-12)
 
 
+def velocity_image(tm: TransitionMap, q: JetPoint, v) -> np.ndarray:
+    """xtilde^i_a = Jx[i, j] v[j, b] Kt[b, a], the velocity law at q."""
+    frames = tm.map_points([tm.chart.assignment(q)])
+    return frames.jx[0] @ v @ frames.kt[0]
+
+
 def test_velocity_transform_hand_value():
     tm = TransitionMap(1, 1,
                        t_forward=[2 * var("t1")], x_forward=[3 * var("x1")])
-    vq = JetVelocityPoint(t=[0.1], x=[0.2], v=[[1.0]])
-    assert tm.map_velocity(vq).v[0, 0] == pytest.approx(1.5, abs=1e-14)
+    q = JetPoint(t=[0.1], x=[0.2], p=[[0.0]])
+    assert velocity_image(tm, q, np.array([[1.0]]))[0, 0] == pytest.approx(1.5, abs=1e-14)
 
 
 def test_momentum_velocity_pairing_is_invariant():
@@ -110,9 +115,8 @@ def test_momentum_velocity_pairing_is_invariant():
         p = rng.uniform(-2, 2, (2, 2))
         v = rng.uniform(-2, 2, (2, 2))
         q = JetPoint(t, x, p)
-        vq = JetVelocityPoint(t, x, v)
         before = float(np.sum(p * v))
-        after = float(np.sum(tm.map_point(q).p * tm.map_velocity(vq).v))
+        after = float(np.sum(tm.map_point(q).p * velocity_image(tm, q, v)))
         assert after == pytest.approx(before, rel=1e-12)
 
 
@@ -156,10 +160,10 @@ def test_frame_momentum_time_block_matches_finite_difference():
 def test_frame_base_blocks_are_jacobian_transposes():
     tm = shear_map_22()
     q = sample_point_22()
-    asg = tm.chart.assignment(q)
+    frames = tm.map_points([tm.chart.assignment(q)])
     F = tm.frame_matrix(q)
-    assert np.allclose(F[:2, :2], tm.t_jacobian_at(asg).T)
-    assert np.allclose(F[2:4, 2:4], tm.x_jacobian_at(asg).T)
+    assert np.allclose(F[:2, :2], frames.jt[0].T)
+    assert np.allclose(F[2:4, 2:4], frames.jx[0].T)
     # d/dt and d/dx rows have no dxtilde / dttilde cross blocks
     assert np.allclose(F[:2, 2:4], 0)
     assert np.allclose(F[2:4, :2], 0)
@@ -251,7 +255,43 @@ def test_jacobian_whose_determinant_overflows_is_singular():
     image = parse("1e308*x1 + 1e308*x2", xv)
     tm = TransitionMap(1, 2, t_forward=[var("t1")], x_forward=[image, image])
     with pytest.raises(SingularJacobian, match="spatial jacobian determinant overflows"):
-        tm.jacobians_at({"t1": 0.1, "x1": 0.1, "x2": 0.2})
+        tm.map_points([{"t1": 0.1, "x1": 0.1, "x2": 0.2, "p1_1": 0.0, "p2_1": 0.0}])
+
+
+def test_the_first_singular_point_names_the_temporal_jacobian_first():
+    """Point order first, then temporal before spatial at that point."""
+    tm = TransitionMap(1, 1, t_forward=[parse("t1^2", ["t1"])],
+                       x_forward=[parse("x1^2", ["x1"])])
+    points = [{"t1": 0.5, "x1": 0.5, "p1_1": 1.0},
+              {"t1": 0.5, "x1": 0.0, "p1_1": 1.0},
+              {"t1": 0.0, "x1": 0.0, "p1_1": 1.0}]
+    with pytest.raises(SingularJacobian) as excinfo:
+        tm.map_points(points[::2])
+    assert str(excinfo.value) == f"temporal jacobian is singular (|det| = 0.000e+00) at {points[2]}"
+    with pytest.raises(SingularJacobian) as excinfo:
+        tm.map_points(points)
+    assert str(excinfo.value) == f"spatial jacobian is singular (|det| = 0.000e+00) at {points[1]}"
+
+
+def test_frames_are_the_bits_of_per_point_inverses_and_images():
+    tm = shear_map_22()
+    chart = tm.chart
+    points = chart.sample_domain(count=10, seed=5).points()
+    frames = tm.map_points(points)
+    assert frames.points == points
+    t_jac, x_jac = compile_block(tm.t_jacobian), compile_block(tm.x_jacobian)
+    for k, pt in enumerate(points):
+        jt, jx = t_jac.run([pt])[0], x_jac.run([pt])[0]
+        kt, kx = np.linalg.inv(jt), np.linalg.inv(jx)
+        for got, want in ((frames.jt[k], jt), (frames.jx[k], jx),
+                          (frames.kt[k], kt), (frames.kx[k], kx)):
+            assert got.tobytes() == want.tobytes()
+        q = chart.point(pt)
+        assert frames.p[k].tobytes() == q.p.tobytes()
+        image = [evaluate(e, pt) for e in (*tm.t_forward, *tm.x_forward)]
+        image += list((kx.T @ q.p @ jt.T).ravel())
+        assert list(frames.images[k].values()) == image
+        assert list(frames.images[k]) == list(chart.names)
 
 
 def test_pullback_scalar_matches_source_values():

@@ -220,6 +220,39 @@ def test_reports_are_strict_json(tmp_path, manifest, command):
     assert rep is not None or code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"dimensions": {"m": 2.7, "n": 2}}, "dimensions.m"),
+    ({"dimensions": {"m": True, "n": 2}}, "dimensions.m"),
+    ({"dimensions": {"m": 2, "n": "2"}}, "dimensions.n"),
+    ({"sample_domain": {"count": 12.0}}, "sample_domain.count"),
+    ({"sample_domain": {"count": True}}, "sample_domain.count"),
+    ({"sample_domain": {"count": "12"}}, "sample_domain.count"),
+    ({"sample_domain": {"count": 12, "seed": 1.9}}, "sample_domain.seed"),
+    ({"sample_domain": {"count": 12, "seed": False}}, "sample_domain.seed"),
+    ({"sample_domain": {"count": 12, "seed": "1"}}, "sample_domain.seed"),
+    ({"fault_injection": {"block": "N2", "index": [True, True, True]}},
+     "fault_injection.index"),
+    ({"fault_injection": {"block": "N2", "index": [1.0, 2, 1]}}, "fault_injection.index"),
+    ({"fault_injection": {"block": "N2", "index": [1, "2", 1]}}, "fault_injection.index"),
+    ({"sample_domain": {"intervals": [1, 2]}}, "sample_domain.intervals"),
+    ({"tolerances": [1]}, "tolerances"),
+    ({"sample_domain": {"count": 10**30}}, "sample_domain.count"),
+    ({"sample_domain": {"count": cli.MAX_SAMPLE_COUNT + 1}}, "sample_domain.count"),
+])
+def test_manifest_fields_of_the_wrong_kind_exit_2_naming_the_field(tmp_path, capsys, changes,
+                                                                   field):
+    """Integer fields take JSON integers only, object fields objects only,
+    and the sample count has a ceiling; each refusal names its field."""
+    assert main(["verify", rewrite(tmp_path, "flat.json", **changes)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and field in err
+
+
+def test_the_sample_count_ceiling_is_admitted(tmp_path):
+    path = rewrite(tmp_path, "flat.json", sample_domain={"count": cli.MAX_SAMPLE_COUNT})
+    assert load_manifest(path).sample_count == cli.MAX_SAMPLE_COUNT
+
+
 def test_empty_sample_domain_is_a_config_error(tmp_path):
     path = rewrite(tmp_path, "curved.json", sample_domain={"count": 0, "seed": 7})
     for command in ("verify", "connection", "regularity", "christoffel"):
@@ -372,6 +405,33 @@ def test_regularity_runs_once_per_hamilton_space(tmp_path, monkeypatch, command,
     monkeypatch.setattr(hamilton, "check_kronecker_regularity", counted)
     assert main([command, str(MANIFESTS / "curved.json")]) == EXIT_OK
     assert len(calls) == runs
+
+
+def test_verify_inverts_each_jacobian_family_once_per_frame_batch(monkeypatch, capsys):
+    """One batched inverse per Jacobian family in each ``map_points`` call,
+    plus one per validated metric, in a whole ``verify`` run."""
+    import numpy as np
+
+    from polyjet.charts import TransitionMap
+
+    inversions, per_batch = [], []
+    real_inv, real_map_points = np.linalg.inv, TransitionMap.map_points
+
+    def counted_inv(a):
+        inversions.append(np.shape(a))
+        return real_inv(a)
+
+    def counted_map_points(self, points):
+        before = len(inversions)
+        frames = real_map_points(self, points)
+        per_batch.append(len(inversions) - before)
+        return frames
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(TransitionMap, "map_points", counted_map_points)
+    assert main(["verify", str(MANIFESTS / "curved.json")]) == EXIT_OK
+    assert per_batch and all(calls <= 2 for calls in per_batch)
+    assert len(inversions) <= 2 * len(per_batch) + 2
 
 
 def test_verify_reports_are_deterministic(tmp_path):

@@ -118,12 +118,12 @@ def _manifest_blocks(name: str) -> list:
     blocks = []
     sides = [("A", h, phi, H, points)]
     if tm is not None:
-        images, frames = tm.map_points(points)
-        images = [man.chart.assignment(q) for q in images]
+        frames = tm.map_points(points)
+        images = frames.images
         inv = tm.inverted()
         blocks += [
-            ("Jt", tm.t_jacobian, [f[0] for f in frames], points),
-            ("Jx", tm.x_jacobian, [f[1] for f in frames], points),
+            ("Jt", tm.t_jacobian, frames.jt, points),
+            ("Jx", tm.x_jacobian, frames.jx, points),
             ("dp/dt", tm.momentum_forward_dt, tm.momentum_derivatives(points)[0], points),
             ("dp/dx", tm.momentum_forward_dx, tm.momentum_derivatives(points)[1], points),
             ("inverse dp/dt", inv.momentum_forward_dt, inv.momentum_derivatives(images)[0],

@@ -28,17 +28,20 @@ from oracles import (
     pullback_dtensor_direct,
     t_block_direct,
 )
+from polyjet.charts import pullback_scalar
+from polyjet.connections import metric_n2
 from polyjet.dtensors import builtin_dtensors, pullback_dtensor
 from polyjet.hamilton import (
     HamiltonSpace,
     autonomous_electrodynamic_space,
+    canonical_connection_middle_form,
     canonical_nonlinear_connection,
     electrodynamic_t_block,
     general_electrodynamic_space,
     gravitational_space,
 )
-from polyjet.metrics import Metric
-from polyjet.symbolic import parse
+from polyjet.metrics import Metric, christoffel_symbols, pullback_metric
+from polyjet.symbolic import ZERO, add, parse
 
 
 def _same_nodes(got, want) -> bool:
@@ -82,3 +85,22 @@ def test_shared_builders_return_the_nodes_of_the_written_out_formulas():
     space = HamiltonSpace(Metric.temporal([[1.0]]), 2, H)
     assert space.g.p_dependent
     assert _same_nodes(canonical_nonlinear_connection(space).n2, canonical_n2_direct(space))
+
+
+def test_a_zero_potential_leaves_t_and_the_middle_form_nodes_unchanged():
+    """A gravitational space's potential term is all ``ZERO``, so the spatial
+    block skips every dg_ij/dx^k U product; T and the middle form must still
+    be the very nodes of the formulas that build each of those products."""
+    m, n = 2, 3
+    rng = np.random.default_rng(3)
+    tm = random_transition(m, n, rng, shears=2)
+    h, phi = random_temporal_metric(m, rng), random_spatial_metric(n, rng)
+    space = HamiltonSpace(pullback_metric(h, tm), n,
+                          pullback_scalar(gravitational_space(h, phi).hamiltonian, tm))
+    assert all(u is ZERO for u in space.U.components.flat)
+    T = t_block_direct(space.g, space.U, space.h)
+    assert _same_nodes(electrodynamic_t_block(space.g, space.U, space.h).components, T)
+    metric_part = metric_n2(christoffel_symbols(space.g), m)
+    middle = [[[add(metric_part[a][i][j], T[a, i, j]) for j in range(n)] for i in range(n)]
+              for a in range(m)]
+    assert _same_nodes(canonical_connection_middle_form(space).n2, middle)

@@ -214,7 +214,7 @@ def test_temporal_pullback_matches_jacobian_sandwich():
     )
     pulled = pullback_metric(h, tm)
     src = {"t1": 0.4, "t2": -0.5}
-    jt = tm.t_jacobian_at(src)
+    jt = tm.map_points([{**src, "x1": 0.1, "p1_1": 0.2, "p1_2": -0.3}]).jt[0]
     kt = np.linalg.inv(jt)
     want = kt.T @ h.at(src) @ kt
     img = {"t1": evaluate(tm.t_forward[0], src), "t2": evaluate(tm.t_forward[1], src)}
@@ -233,7 +233,7 @@ def test_spatial_pullback_matches_jacobian_sandwich():
     )
     pulled = pullback_metric(phi, tm)
     src = {"x1": 0.6, "x2": -0.2}
-    jx = tm.x_jacobian_at(src)
+    jx = tm.map_points([{**src, "t1": 0.1, "p1_1": 0.2, "p2_1": -0.3}]).jx[0]
     kx = np.linalg.inv(jx)
     want = kx.T @ phi.at(src) @ kx
     img = {"x1": evaluate(tm.x_forward[0], src), "x2": evaluate(tm.x_forward[1], src)}

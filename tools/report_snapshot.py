@@ -12,6 +12,11 @@ seeds 0 and 7, in one process through ``polyjet.cli.main``.  A run named
   replaced by ``REPORT``;
 * ``.exit``: the exit code.
 
+``verify`` also runs, at both seeds, on a copy of ``curved.json`` written
+to a temporary file with ``fault_injection`` set to N2[1,2,1] (run name
+``verify-curved-fault-seed<seed>``), so the failing-law path (its
+``worst_entry``, ``worst_point`` and exit 6) is compared too.
+
 Run it from the repository root, then compare two snapshots:
 
     python tools/report_snapshot.py /tmp/snap-a
@@ -37,31 +42,39 @@ COMMANDS = ("christoffel", "regularity", "connection", "verify")
 SEEDS = (0, 7)
 
 
+FAULT = {"block": "N2", "index": [1, 2, 1]}
+
+
 def snapshot(out_dir: Path) -> int:
     """Write every run's files to ``out_dir``; returns the number of runs."""
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         report_path = str(Path(tmp) / "report.json")
-        for manifest in sorted((ROOT / "manifests").glob("*.json")):
-            for command in COMMANDS:
-                for seed in SEEDS:
-                    stem = out_dir / f"{command}-{manifest.stem}-seed{seed}"
-                    Path(report_path).unlink(missing_ok=True)
-                    stdout, stderr = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                        code = cli.main([command, str(manifest), "--seed", str(seed),
-                                         "--json", report_path])
-                    printed = (stdout.getvalue() + stderr.getvalue()).replace(report_path,
-                                                                              "REPORT")
-                    stem.with_suffix(".out").write_text(printed)
-                    stem.with_suffix(".exit").write_text(f"{code}\n")
-                    if Path(report_path).exists():
-                        report = json.loads(Path(report_path).read_text())
-                        report.pop("wall_time_s")
-                        stem.with_suffix(".json").write_text(
-                            json.dumps(report, sort_keys=True, indent=2) + "\n")
-                    runs += 1
+        faulty = Path(tmp) / "curved-fault.json"
+        curved = json.loads((ROOT / "manifests" / "curved.json").read_text())
+        faulty.write_text(json.dumps({**curved, "fault_injection": FAULT}, indent=2))
+        cases = [(f"{command}-{manifest.stem}", command, manifest)
+                 for manifest in sorted((ROOT / "manifests").glob("*.json"))
+                 for command in COMMANDS]
+        cases.append(("verify-curved-fault", "verify", faulty))
+        for name, command, manifest in cases:
+            for seed in SEEDS:
+                stem = out_dir / f"{name}-seed{seed}"
+                Path(report_path).unlink(missing_ok=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main([command, str(manifest), "--seed", str(seed),
+                                     "--json", report_path])
+                printed = (stdout.getvalue() + stderr.getvalue()).replace(report_path, "REPORT")
+                stem.with_suffix(".out").write_text(printed)
+                stem.with_suffix(".exit").write_text(f"{code}\n")
+                if Path(report_path).exists():
+                    report = json.loads(Path(report_path).read_text())
+                    report.pop("wall_time_s")
+                    stem.with_suffix(".json").write_text(
+                        json.dumps(report, sort_keys=True, indent=2) + "\n")
+                runs += 1
     return runs
 
 
