@@ -124,10 +124,12 @@ class Manifest:
 
 
 def _number(raw, where: str) -> float:
-    """A manifest number; anything ``float`` rejects is a config error."""
+    """A manifest number: a JSON integer or float, never a bool or string."""
+    if type(raw) not in (int, float):
+        raise ConfigError(f"{where} must be a number, got {raw!r}")
     try:
         return float(raw)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ConfigError(f"{where} must be a number, got {raw!r}") from None
 
 

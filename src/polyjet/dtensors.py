@@ -101,12 +101,6 @@ class DTensorField(Compiled):
                     "a doubled pair must join one temporal and one spatial slot "
                     "of opposite variance")
 
-    def map_components(self, f) -> "DTensorField":
-        comps = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(self.shape):
-            comps[idx] = f(self.components[idx])
-        return DTensorField(self.m, self.n, self.slots, comps, self.name)
-
     def __repr__(self):
         sig = ",".join(f"{s.variance[0]}{s.family[0]}" for s in self.slots)
         return f"DTensorField({self.name!r}, slots=[{sig}], shape={self.shape})"

@@ -740,18 +740,70 @@ def compile_block(exprs) -> "Program":
     return Program(ops, [slot_of[r] for r in roots], block.shape, checks)
 
 
+def _level_plan(ops, roots) -> tuple:
+    """The level plan of a program's ops: (variable names, constant values,
+    steps, root rows).
+
+    The plan gives every op a row of the value matrix: the variables
+    first, then the constants, then the ops of one level, kind, payload
+    and arity after another, in level order, so that each such group
+    fills one run of rows.  A step is (opcode, payload, first row, end
+    row, kid rows), the kid rows an (arity, group size) matrix.  Every
+    op's children are on lower levels, so a step reads only rows that the
+    steps before it, or the variables and constants, filled.
+    """
+    levels, names, constants, groups = [], [], [], {}
+    for slot, (code, arg, kids) in enumerate(ops):
+        if not kids:
+            levels.append(0)
+            (names if code == _VAR else constants).append((slot, arg))
+            continue
+        level = 1 + max(map(levels.__getitem__, kids))
+        levels.append(level)
+        groups.setdefault((level, code, arg, len(kids)), []).append(slot)
+    row = [0] * len(ops)
+    for index, (slot, _) in enumerate(names + constants):
+        row[slot] = index
+    end, steps = len(names) + len(constants), []
+    for (_, code, arg, _), slots in sorted(groups.items(), key=lambda group: group[0][0]):
+        start = end
+        for slot in slots:
+            row[slot] = end
+            end += 1
+        kids = [[row[k] for k in ops[slot][2]] for slot in slots]
+        steps.append((code, arg, start, end, np.array(kids, dtype=np.intp).T.copy()))
+    return ([name for _, name in names], np.array([v for _, v in constants], dtype=float),
+            tuple(steps), np.array([row[r] for r in roots], dtype=np.intp))
+
+
 class Program:
     """A straight-line program with one slot per distinct node of a block.
 
-    ``run`` evaluates every op over all sample points at once, column by
-    column, with the very scalar operations of a one-point replay
-    (``math.fsum`` per point for sums, products multiplied left to right,
-    Python ``float ** int`` and the ``math`` functions), so results are
-    bit-identical to it.  Where some op faults, or some value is not
-    finite (a product or quotient may have overflowed), every sample is
-    replayed in order instead, with every domain check: the first sample
-    at which one fails raises its error, and when none does, the replayed
-    values are the result.
+    ``run`` evaluates every op over all sample points at once, with the
+    very scalar operations of a one-point replay, so results are
+    bit-identical to it: ``math.fsum`` per point for sums, products
+    multiplied left to right, Python ``float ** int`` and the ``math``
+    functions.  Where some op faults, or some value is not finite (a
+    product or quotient may have overflowed), every sample is replayed in
+    order instead, with every domain check: the first sample at which one
+    fails raises its error, and when none does, the replayed values are
+    the result.
+
+    A program's first pass walks the ops in slot order, one list of
+    values per op.  A program that runs again was worth more than that
+    walk: its second pass builds a level plan, kept from then on, and
+    every later pass runs it.  An op's level is one more than its
+    children's highest (variables and constants are level 0), and the
+    plan groups the ops of one level by kind, payload and arity.  Each
+    pass then fills one float64 matrix of (op, point) values a group at a
+    time.  Products, quotients and negations are one numpy gather and
+    elementwise arithmetic per group; IEEE rounds each multiplication,
+    division and negation as Python does, and products chain their
+    factors first to last, as the walk does.  Sums, powers and calls stay
+    per value in Python, through ``math.fsum``, ``**`` and the ``math``
+    functions, because numpy's sums, powers and transcendental functions
+    may round differently.  The plan costs more to build than one walk,
+    so a program that runs once never builds it.
 
     A program remembers its last successful batch, in one slot.  The key
     is the point count and the exact bits of every value the program
@@ -765,7 +817,7 @@ class Program:
     own: changing it changes no later result.
     """
 
-    __slots__ = ("ops", "roots", "shape", "checks", "reads", "_last")
+    __slots__ = ("ops", "roots", "shape", "checks", "reads", "_last", "_plan")
 
     def __init__(self, ops, roots, shape, checks):
         self.ops = tuple(ops)
@@ -774,6 +826,7 @@ class Program:
         self.checks = dict(checks)
         self.reads = tuple(arg for code, arg, _ in self.ops if code == _VAR)
         self._last = (None, None)  # (batch key, result) of the last successful run
+        self._plan = None  # None before the first pass, False after it, then the plan
 
     def run(self, points) -> np.ndarray:
         """Values at each point: an array of shape (len(points), *shape)."""
@@ -782,11 +835,9 @@ class Program:
         if key is not None and key == self._last[0]:
             return self._last[1].copy()
         try:
-            vals = self._columns(points)
+            out = self._columns(points)
         except _FAULTS:
             out = np.array([self._replay(point) for point in points], dtype=float)
-        else:
-            out = np.array([vals[r] for r in self.roots], dtype=float).T
         out = np.ascontiguousarray(out).reshape(len(points), *self.shape)
         if key is None:
             return out
@@ -803,11 +854,21 @@ class Program:
             return None
         return len(points), np.array(values, dtype=float).tobytes()
 
-    def _columns(self, points) -> list:
-        """Every slot's values over all points, or a fault where the
-        replay may differ at some sample.  A product column is a chain of
-        elementwise multiplications, first factor to last; a sum column is
-        ``math.fsum`` per point."""
+    def _columns(self, points) -> np.ndarray:
+        """The roots' values at every point, shape (points, roots), or a
+        fault where the replay may differ at some sample: the slot-order
+        walk on the first pass, the level plan on every later one."""
+        if self._plan is None:
+            self._plan = False
+            return self._walk_columns(points)
+        if self._plan is False:
+            self._plan = _level_plan(self.ops, self.roots)
+        return self._level_columns(points)
+
+    def _walk_columns(self, points) -> np.ndarray:
+        """The roots' values, op by op in slot order.  A product column is
+        a chain of elementwise multiplications, first factor to last; a sum
+        column is ``math.fsum`` per point."""
         vals: list[list] = []
         # Every slot feeds some root, and a non-finite value either reaches
         # it, raises on the way, or is masked as a denominator (x/inf = 0)
@@ -846,7 +907,52 @@ class Program:
             # an overflow, or an infinity or NaN from the input: the replay
             # tells them apart
             raise OverflowError("non-finite value")
-        return vals
+        return np.array([vals[r] for r in self.roots], dtype=float).T
+
+    def _level_columns(self, points) -> np.ndarray:
+        """The roots' values, one group of one level's ops at a time, in a
+        matrix of one row per op and one column per point."""
+        names, constants, steps, roots = self._plan
+        values = np.empty((len(self.ops), len(points)))
+        try:
+            for row, name in enumerate(names):
+                values[row] = [float(pt[name]) for pt in points]
+        except (LookupError, TypeError, ValueError, ArithmeticError):
+            # a value is missing or unreadable: the walk meets it in slot
+            # order, after any op before it that faults, as a first pass does
+            return self._walk_columns(points)
+        values[len(names):len(names) + len(constants)] = constants[:, None]
+        # a zero denominator gives an infinity or NaN here instead of
+        # raising, and the test below sends it to the replay
+        with np.errstate(all="ignore"):
+            for code, arg, start, end, kids in steps:
+                operands = values.take(kids, axis=0)  # (arity, ops, points)
+                out = values[start:end]
+                if code == _PRODUCT:
+                    out[...] = operands[0]
+                    for factor in operands[1:]:
+                        out *= factor
+                elif code == _QUOTIENT:  # kids are (denominator, numerator)
+                    np.divide(operands[1], operands[0], out=out)
+                elif code == _NEG:
+                    np.negative(operands[0], out=out)
+                else:
+                    if code == _SUM:
+                        per_value = map(math.fsum, operands.transpose(1, 2, 0)
+                                        .reshape(-1, len(operands)).tolist())
+                    elif code == _POWER:
+                        per_value = [v ** arg for v in operands.ravel().tolist()]
+                    else:
+                        per_value = map(_CALL_VALUE[arg], operands.ravel().tolist())
+                    out[...] = np.fromiter(per_value, float, out.size).reshape(out.shape)
+        # The walk tests only the roots, denominators and exp arguments,
+        # because every non-finite value reaches one of them (see
+        # ``_walk_columns``); testing every value is the same test.  The
+        # one non-finite source the walk lacks, a zero denominator, puts
+        # an infinity or NaN in its quotient, which the test sees.
+        if not np.isfinite(values).all():
+            raise OverflowError("non-finite value")
+        return values.take(roots, axis=0).T
 
     def _replay(self, point) -> list:
         """The roots' values at one point, op by op in slot order, with

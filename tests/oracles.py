@@ -19,7 +19,8 @@ paper: the gravitational and both electrodynamic hamiltonians, the
 direct spatial block of the canonical connection, the deviation block T,
 and a d-tensor pulled back with Jacobian factors differentiated afresh.
 The library, which builds each from shared pieces, must return their very
-nodes.
+nodes.  ``map_components`` rebuilds a d-tensor field entry by entry, so a
+test can corrupt one component.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from polyjet.charts import JetChart, p_name, x_name
+from polyjet.dtensors import DTensorField
 from polyjet.errors import DomainError, UnboundVariable
 from polyjet.metrics import Metric
 from polyjet.symbolic import (
@@ -403,6 +405,15 @@ def pullback_dtensor_direct(T, tm):
             terms.append(mul(value, *fs))
         comps[new_idx] = add(*terms)
     return comps
+
+
+def map_components(T, f):
+    """The d-tensor field ``T`` with ``f`` applied to every component, in
+    index order."""
+    comps = np.empty(T.shape, dtype=object)
+    for idx in np.ndindex(T.shape):
+        comps[idx] = f(T.components[idx])
+    return DTensorField(T.m, T.n, T.slots, comps, T.name)
 
 
 def to_string_walk(e) -> str:

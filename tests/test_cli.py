@@ -248,6 +248,28 @@ def test_manifest_fields_of_the_wrong_kind_exit_2_naming_the_field(tmp_path, cap
     assert err.startswith("configuration error: ") and field in err
 
 
+@pytest.mark.parametrize("changes, field", [
+    ({"tolerances": {"law": True}}, "tolerance 'law'"),
+    ({"tolerances": {"law": "1e-2"}}, "tolerance 'law'"),
+    ({"constants": {"mass": False}}, "constants.mass"),
+    ({"constants": {"mass": "1.0"}}, "constants.mass"),
+    ({"sample_domain": {"intervals": {"t1": [True, 0.5]}}}, "sample interval for 't1'"),
+    ({"sample_domain": {"intervals": {"t1": [-0.5, "0.5"]}}}, "sample interval for 't1'"),
+    ({"evaluation_point": {"t1": True}}, "evaluation_point.t1"),
+    ({"evaluation_point": {"t1": "1.0"}}, "evaluation_point.t1"),
+    ({"fault_injection": {"block": "N2", "index": [1, 2, 1], "delta": True}},
+     "fault_injection.delta"),
+    ({"fault_injection": {"block": "N2", "index": [1, 2, 1], "delta": "0.1"}},
+     "fault_injection.delta"),
+])
+def test_number_fields_refuse_booleans_and_numeric_strings(tmp_path, capsys, changes, field):
+    """A bool or a string in a float field exits 2 naming the field, rather
+    than running with its ``float`` value (``true`` as a tolerance of 1.0)."""
+    assert main(["verify", rewrite(tmp_path, "curved.json", **changes)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and f"{field} must be a number" in err
+
+
 def test_the_sample_count_ceiling_is_admitted(tmp_path):
     path = rewrite(tmp_path, "flat.json", sample_domain={"count": cli.MAX_SAMPLE_COUNT})
     assert load_manifest(path).sample_count == cli.MAX_SAMPLE_COUNT

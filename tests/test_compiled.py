@@ -82,17 +82,24 @@ def reference(exprs, points):
     return rows, None
 
 
-def assert_matches_evaluate(exprs, points):
-    rows, error = reference(exprs, points)
+def assert_matches_evaluate(exprs, points, later=None):
+    """A fresh program run on ``points``, then on ``later`` followed by
+    ``points`` (``points`` twice over by default), gives the reference's
+    bits or raises its error both times.  The second batch is longer than
+    the first, so it is a pass of its own: the first pass walks the ops
+    and the second runs the level plan."""
     program = compile_block(exprs)
-    if error is not None:
-        with pytest.raises(type(error)) as got:
-            program.run(points)
-        assert str(got.value) == str(error)
-        return
-    got = program.run(points)
-    assert got.shape == (len(points), len(exprs))
-    assert np.array_equal(bits(got), bits(np.reshape(rows, got.shape)))
+    for batch in (points, [*(points if later is None else later), *points]):
+        rows, error = reference(exprs, batch)
+        if error is not None:
+            with pytest.raises(type(error)) as got:
+                program.run(batch)
+            assert str(got.value) == str(error)
+            continue
+        got = program.run(batch)
+        assert got.shape == (len(batch), len(exprs))
+        assert np.array_equal(bits(got), bits(np.reshape(rows, got.shape)))
+    assert program._plan, "the second batch ran no pass"
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +206,10 @@ _point = st.fixed_dictionaries({"x1": _value, "t1": _value, "p1_1": _value})
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_any_expr, min_size=1, max_size=4),
+       st.lists(_point, min_size=1, max_size=5),
        st.lists(_point, min_size=1, max_size=5))
-def test_random_blocks_match_evaluate_bits_and_errors(exprs, points):
-    assert_matches_evaluate(exprs, points)
+def test_random_blocks_match_evaluate_bits_and_errors(exprs, points, later):
+    assert_matches_evaluate(exprs, points, later)
 
 
 def _derivative(e, name):
@@ -214,10 +222,10 @@ def _derivative(e, name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_any_expr, _point)
-def test_derivatives_share_the_block_with_their_source(e, point):
+@given(_any_expr, _point, _point)
+def test_derivatives_share_the_block_with_their_source(e, point, later):
     block = [e, _derivative(e, "x1"), _derivative(e, "t1"), e]
-    assert_matches_evaluate(block, [point])
+    assert_matches_evaluate(block, [point], [later])
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +357,18 @@ _EDGE = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e
                          math.nan])
 
 
+_EDGE_ROWS = st.lists(st.lists(_EDGE, min_size=8, max_size=8), min_size=1, max_size=4)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(3, 8), st.sampled_from([None, Const(-1.5), Const(1e300)]),
-       st.lists(st.lists(_EDGE, min_size=8, max_size=8), min_size=1, max_size=4))
-def test_product_columns_match_the_replay_on_edge_values(k, coefficient, rows):
+       _EDGE_ROWS, _EDGE_ROWS)
+def test_product_columns_match_the_replay_on_edge_values(k, coefficient, rows, later):
     factors = _FACTORS[:k] if coefficient is None else [coefficient, *_FACTORS[:k]]
     block = [mul(*factors), mul(*_FACTORS[:k][::-1]), add(mul(*factors), X1)]
-    points = [{f"x{j + 1}": v for j, v in enumerate(row)} for row in rows]
-    assert_matches_evaluate(block, points)
+    points, later = ([{f"x{j + 1}": v for j, v in enumerate(row)} for row in batch]
+                     for batch in (rows, later))
+    assert_matches_evaluate(block, points, later)
 
 
 @pytest.mark.parametrize("values, message", [
@@ -425,6 +437,67 @@ def outcome(program, batch):
     except Exception as exc:  # any error, to compare with a fresh program's
         return type(exc), str(exc)
     return got.shape, got.tobytes()
+
+
+def count_paths(monkeypatch) -> list:
+    """The path of every column pass from here on, in order, and "plan"
+    for every level plan built."""
+    paths = []
+    for name, label in (("_walk_columns", "walk"), ("_level_columns", "level")):
+        monkeypatch.setattr(Program, name, lambda self, points, real=getattr(Program, name),
+                            label=label: paths.append(label) or real(self, points))
+    build = polyjet.symbolic._level_plan
+    monkeypatch.setattr(polyjet.symbolic, "_level_plan",
+                        lambda ops, roots: paths.append("plan") or build(ops, roots))
+    return paths
+
+
+def test_the_first_pass_walks_and_every_later_pass_runs_the_plan(monkeypatch):
+    paths = count_paths(monkeypatch)
+    program = compile_block([div(mul(X1, T1, X1), add(T1, Const(1.0))), neg(X1)])
+    a, b = [{"x1": 0.5, "t1": 2.0}], [{"x1": -1.0, "t1": 0.25}]
+    program.run(a)
+    assert paths == ["walk"]
+    program.run(a)  # the stored batch: no pass
+    program.run(b)
+    program.run(a)
+    program.run(b + a)
+    assert paths == ["walk", "plan", "level", "level", "level"]
+    # a first pass that faults is still the first pass
+    paths.clear()
+    program = compile_block([div(X1, T1)])
+    with pytest.raises(DomainError, match="division by zero"):
+        program.run([{"x1": 1.0, "t1": 0.0}])
+    with pytest.raises(DomainError, match="division by zero"):
+        program.run([{"x1": 1.0, "t1": 0.0}])
+    assert program.run(a).tolist() == [[0.25]]
+    assert paths == ["walk", "plan", "level", "level"]
+
+
+def test_an_unreadable_value_on_a_rerun_fails_as_the_walk_does():
+    """The plan reads every variable before any op, the walk in slot
+    order: a value ``float`` refuses behind an op that faults first gives
+    the fault's error on both passes."""
+    program = compile_block([ln(X1), T1])
+    assert program.run([{"x1": 1.0, "t1": 2.0}]).tolist() == [[0.0, 2.0]]
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^ln of non-positive value 0.0$"):
+            program.run([{"x1": 0.0, "t1": None}])
+    assert program._plan
+    with pytest.raises(TypeError):
+        program.run([{"x1": 1.0, "t1": None}])
+
+
+def test_a_product_that_overflows_on_a_rerun_raises_the_replays_error(monkeypatch):
+    e = mul(*_FACTORS[:3])
+    program = compile_block([add(e, Const(1.0)), e])
+    ok = {"x1": 2.0, "x2": 3.0, "x3": 4.0}
+    assert program.run([ok]).tolist() == [[25.0, 24.0]]
+    paths = count_paths(monkeypatch)
+    bad = {"x1": 1e200, "x2": -1e200, "x3": 1e200}
+    with pytest.raises(DomainError, match="^product overflows to -inf$"):
+        program.run([ok, bad])
+    assert paths == ["plan", "level"]
 
 
 @settings(max_examples=150, deadline=None)

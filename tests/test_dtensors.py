@@ -30,6 +30,8 @@ from polyjet.metrics import Metric, pullback_metric
 from polyjet.semisprays import canonical_temporal, verify_semispray_law
 from polyjet.symbolic import Const, Var, add, mul, parse, power, var
 
+from oracles import map_components
+
 
 CHART = JetChart(2, 2)
 
@@ -147,7 +149,7 @@ def test_law_failure_names_entry():
         idx_flag[0] += 1
         return add(e, Const(0.1)) if idx_flag[0] == 2 else e
 
-    broken = T_b.map_components(poke)
+    broken = map_components(T_b, poke)
     rep = verify_dtensor_law(T, broken, tm, tol=1e-8)
     assert not rep.passed
     assert rep.max_residual == pytest.approx(0.1, rel=1e-6)
