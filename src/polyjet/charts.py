@@ -174,10 +174,6 @@ class Frames(NamedTuple):
     kx: np.ndarray
     p: np.ndarray
 
-    def each(self):
-        """(Jt, Jx, Kt, Kx) at each point in turn."""
-        return zip(self.jt, self.jx, self.kt, self.kx)
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionMap:
@@ -342,7 +338,7 @@ class TransitionMap:
         target frame (columns, same ordering)."""
         m, n = self.m, self.n
         frames = self.map_points([self.chart.assignment(q)])
-        jt, jx, kt, kx = next(frames.each())
+        jt, jx, kx = frames.jt[0], frames.jx[0], frames.kx[0]
         dpdt, dpdx = (v[0] for v in self.momentum_derivatives(frames.points))
         dim = self.chart.total_dim
         F = np.zeros((dim, dim))

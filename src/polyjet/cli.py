@@ -196,11 +196,13 @@ def load_manifest(path: str) -> Manifest:
     digest = hashlib.sha256(blob).hexdigest()
     try:
         data = json.loads(blob)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are no Unicode text
         raise ConfigError(f"manifest is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError("manifest nests deeper than the JSON parser allows") from None
     if not isinstance(data, dict):
         raise ConfigError("manifest must be a JSON object")
-    if data.get("schema") != 1:
+    if type(data.get("schema")) is not int or data["schema"] != 1:
         raise ConfigError("manifest schema must be 1")
     dims = data.get("dimensions")
     if not isinstance(dims, dict) or "m" not in dims or "n" not in dims:

@@ -100,21 +100,22 @@ def canonical_metric_connection(h: Metric, phi: Metric, n: int | None = None) ->
 
 
 def _connection_images(tm: TransitionMap, frames, values):
-    """Target-chart blocks (N1~, N2~) at each image of a ``map_points``
-    batch, from the source blocks N1 (P, m, n, m) and N2 (P, m, n, n)."""
+    """Target-chart blocks N1~ (P, m, n, m) and N2~ (P, m, n, n) at the
+    images of a ``map_points`` batch, from the source blocks N1 and N2."""
     dpdt, dpdx = tm.momentum_derivatives(frames.points)
-    for (jt, jx, kt, kx), n1, n2, dt, dx in zip(frames.each(), *values, dpdt, dpdx):
-        out1 = np.einsum("cka,bc,kj,ad->bjd", n1, jt, kx, kt)
-        out1 -= np.einsum("ad,jba->bjd", kt, dt)  # dt[j, b, a] = d ptilde_j^b / d t^a
-        out2 = np.einsum("cki,bc,kj,ir->bjr", n2, jt, kx, kx)
-        out2 -= np.einsum("ir,jbi->bjr", kx, dx)  # dx[j, b, i] = d ptilde_j^b / d x^i
-        yield out1, out2
+    jt, kt, kx = frames.jt, frames.kt, frames.kx
+    n1, n2 = values
+    out1 = np.einsum("pcka,pbc,pkj,pad->pbjd", n1, jt, kx, kt)
+    out1 -= np.einsum("pad,pjba->pbjd", kt, dpdt)  # dpdt[p, j, b, a] = d ptilde_j^b / d t^a
+    out2 = np.einsum("pcki,pbc,pkj,pir->pbjr", n2, jt, kx, kx)
+    out2 -= np.einsum("pir,pjbi->pbjr", kx, dpdx)  # dpdx[p, j, b, i] = d ptilde_j^b / d x^i
+    return out1, out2
 
 
 def transform_connection(N: NonlinearConnection, tm: TransitionMap, q):
     """Numeric target-chart blocks (N1~, N2~) at the image of q."""
     frames = tm.map_points([tm.chart.assignment(q)])
-    return next(_connection_images(tm, frames, N.at_points(frames.points)))
+    return tuple(out[0] for out in _connection_images(tm, frames, N.at_points(frames.points)))
 
 
 def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
@@ -123,8 +124,7 @@ def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
     """Check the inhomogeneous chart-change law for both connection blocks."""
 
     def compare(frames, values_a, values_b):
-        return (zip(image, pair) for image, pair in
-                zip(_connection_images(tm, frames, values_a), zip(*values_b)))
+        return zip(_connection_images(tm, frames, values_a), values_b)
 
     return chart_law("connection-law", tol, tm, dom,
                      (partial(entry_label, "N1"), partial(entry_label, "N2")),
@@ -186,15 +186,24 @@ def semispray_from_connection(N: NonlinearConnection):
 
 
 def _coframe_rows(n1, n2) -> np.ndarray:
-    m, n = n1.shape[0], n1.shape[1]
-    rows = np.zeros((m * n, m + n + m * n))
-    for i in range(n):
-        for a in range(m):
-            r = i * m + a
-            rows[r, :m] = n1[a][i]
-            rows[r, m:m + n] = n2[a][i]
-            rows[r, m + n + r] = 1.0
+    """The rows of delta p_i^a, (P, m*n, m + n + m*n), from the blocks N1
+    (P, m, n, m) and N2 (P, m, n, n)."""
+    size, m, n = n1.shape[:3]
+    rows = np.zeros((size, n * m, m + n + m * n))
+    rows[:, :, :m] = n1.transpose(0, 2, 1, 3).reshape(size, n * m, m)
+    rows[:, :, m:m + n] = n2.transpose(0, 2, 1, 3).reshape(size, n * m, n)
+    rows[:, :, m + n:] = np.eye(n * m)
     return rows
+
+
+def _coframe_images(tm: TransitionMap, frames, values) -> np.ndarray:
+    """The source coframe rows of N1, N2 (``values``) at a ``map_points``
+    batch, rewritten in target differentials through the full coordinate
+    coframe and mixed like the polymomenta: (P, m*n, m + n + m*n)."""
+    size, m, n, dim = len(frames.points), tm.m, tm.n, tm.chart.total_dim
+    pushed = (_coframe_rows(*values) @ tm.coframe_matrices(frames)).reshape(size, n, m, dim)
+    mixed = np.einsum("pij,pba,piak->pjbk", frames.kx, frames.jt, pushed)
+    return mixed.reshape(size, n * m, dim)
 
 
 def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
@@ -204,7 +213,7 @@ def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
     momentum ordering; columns are dt^b, dx^j, then dp in the same flat
     order.
     """
-    return _coframe_rows(*N.at(JetChart(N.m, N.n).assignment(q)))
+    return _coframe_rows(*N.at_points([JetChart(N.m, N.n).assignment(q)]))[0]
 
 
 def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
@@ -219,7 +228,7 @@ def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
     """
     if not tm.has_inverse:
         raise ConfigError("coframe verification requires inverse expressions")
-    m, n = tm.m, tm.n
+    m = tm.m
     col_names = ["d" + nm for nm in tm.chart.names]
 
     def label(idx):
@@ -227,11 +236,6 @@ def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,
         return f"coframe[{p_name(j, b)}, {col_names[int(idx[1])]}]"
 
     def compare(frames, values_a, values_b):
-        coframes = tm.coframe_matrices(frames)
-        for (jt, jx, kt, kx), a1, a2, b1, b2, C in zip(frames.each(), *values_a, *values_b,
-                                                        coframes):
-            pushed = (_coframe_rows(a1, a2) @ C).reshape(n, m, -1)
-            expected = np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)
-            yield ((_coframe_rows(b1, b2), expected),)
+        return ((_coframe_rows(*values_b), _coframe_images(tm, frames, values_a)),)
 
     return chart_law("adapted-coframe", tol, tm, dom, (label,), N_A, N_B, compare)

@@ -106,30 +106,24 @@ class DTensorField(Compiled):
         return f"DTensorField({self.name!r}, slots=[{sig}], shape={self.shape})"
 
 
-def _slot_matrices(slots, jt, jx, kt, kx):
-    mats = []
-    for s in slots:
-        if s.family == "temporal":
-            mats.append(jt if s.variance == "upper" else kt.T)
-        else:
-            mats.append(jx if s.variance == "upper" else kx.T)
-    return mats
-
-
-def _dtensor_images(slots, frames, values):
-    """Target-chart components at each image of a ``map_points`` batch, by
-    the homogeneous d-tensor law (one Jacobian factor per slot), from the
-    source values (P, *shape)."""
-    for frame, arr in zip(frames.each(), values):
-        for axis, mat in enumerate(_slot_matrices(slots, *frame)):
-            arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
-        yield arr
+def _dtensor_images(slots, frames, values) -> np.ndarray:
+    """Target-chart components (P, *shape) at the images of a
+    ``map_points`` batch, by the homogeneous d-tensor law, from the source
+    values (P, *shape): per slot, one ``matmul`` of its Jacobian factor
+    (P, d, d) into the values laid out as (P, d, rest)."""
+    for axis, slot in enumerate(slots, start=1):
+        jac, inv = (frames.jt, frames.kt) if slot.family == "temporal" else (frames.jx, frames.kx)
+        factor = jac if slot.variance == "upper" else inv.transpose(0, 2, 1)
+        moved = np.moveaxis(values, axis, 1)
+        values = np.moveaxis((factor @ moved.reshape(*moved.shape[:2], -1))
+                             .reshape(moved.shape), 1, axis)
+    return values
 
 
 def transform_dtensor(T: DTensorField, tm: TransitionMap, q) -> np.ndarray:
     """Numeric target-chart components of T at the image of q."""
     frames = tm.map_points([tm.chart.assignment(q)])
-    return next(_dtensor_images(T.slots, frames, T.at_points(frames.points)))
+    return _dtensor_images(T.slots, frames, T.at_points(frames.points))[0]
 
 
 def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
@@ -139,8 +133,7 @@ def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
         raise ConfigError("cannot compare d-tensors with different slot structure")
 
     def compare(frames, values_a, values_b):
-        return (((lhs, rhs),)
-                for lhs, rhs in zip(_dtensor_images(T_A.slots, frames, values_a), values_b))
+        return ((_dtensor_images(T_A.slots, frames, values_a), values_b),)
 
     return chart_law(f"dtensor-law:{T_A.name}", tol, tm, dom,
                      (partial(entry_label, T_A.name),), T_A, T_B, compare)

@@ -140,16 +140,16 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
         dom = chart.sample_domain()
 
     points = dom.points()
+    # evaluated g, then h, then G: the first to fail raises
     g_values = compile_block(cand).run(points)
-    label = partial(entry_label, "G")
+    h_values = h.at_points(points)
     rep = sweep("kronecker-regularity", tol, points,
-                (((label, big, np.einsum("ab,ij->iajb", hv, gv)),)
-                 for gv, hv, big in zip(g_values, h.at_points(points),
-                                        vertical.at_points(points))))
+                [(partial(entry_label, "G"), vertical.at_points(points),
+                  np.einsum("pab,pij->piajb", h_values, g_values))])
     max_residual, samples = rep.max_residual, rep.samples
     # a non-finite candidate fails on its residual below, with its own reason
     with np.errstate(invalid="ignore"):
-        singular = any(abs(np.linalg.det(gv)) < DET_MIN for gv in g_values)
+        singular = bool((np.abs(np.linalg.det(g_values)) < DET_MIN).any())
 
     p_dep = _really_p_dependent(cand, chart, tol)
 

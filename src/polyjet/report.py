@@ -1,10 +1,9 @@
-"""Verification reports, the one law-sweep loop (``sweep``) and the one
+"""Verification reports, the one law sweep (``sweep``) and the one
 runner of the chart-change laws of d-tensors, semisprays, connections and
 the adapted coframe (``chart_law``)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,22 +47,28 @@ def entry_label(name: str, idx) -> str:
 
 
 def sweep(name: str, tolerance: float, points, blocks) -> VerificationReport:
-    """The one law-sweep loop: for each source point, ``blocks`` yields the
-    ``(labeler, lhs, rhs)`` arrays to compare there.  The largest entry of
-    ``|lhs - rhs|`` in each block is tracked; ``labeler`` names it from its
-    0-based index tuple.  A non-finite residual fails the check and, the
-    first time it appears, stays the worst for good."""
-    worst, worst_point, worst_entry, samples = 0.0, None, None, 0
-    for point, triples in zip(points, blocks):
-        for labeler, lhs, rhs in triples:
-            diff = np.abs(lhs - rhs)
-            residual = float(diff.max())
-            if math.isfinite(worst) and not residual <= worst:
-                worst, worst_point = residual, dict(point)
-                worst_entry = labeler(np.unravel_index(np.argmax(diff), diff.shape))
-        samples += 1
+    """The one law sweep.  ``blocks`` lists ``(labeler, lhs, rhs)``
+    triples, each side a (P, ...) stack over the P ``points``.  The residual
+    of a point in a block is the largest entry of ``|lhs - rhs|`` there.
+    The worst residual is the first non-finite one in (point, block) order,
+    which fails the check, and failing that the first largest one;
+    ``labeler`` names its entry from the 0-based index tuple.  When every
+    residual is 0 no point or entry is named."""
+    points = list(points)
+    worst, worst_point, worst_entry = 0.0, None, None
+    diffs = [(labeler, np.abs(lhs - rhs)) for labeler, lhs, rhs in blocks]
+    if diffs and points:
+        residuals = np.stack([diff.max(axis=tuple(range(1, diff.ndim)))
+                              for _, diff in diffs], axis=1).ravel()
+        bad = np.flatnonzero(~np.isfinite(residuals))
+        first = int(bad[0]) if bad.size else int(np.argmax(residuals))
+        if not residuals[first] <= 0.0:
+            point, block = divmod(first, len(diffs))
+            labeler, diff = diffs[block]
+            worst, worst_point = float(residuals[first]), dict(points[point])
+            worst_entry = labeler(np.unravel_index(np.argmax(diff[point]), diff.shape[1:]))
     return VerificationReport(name, worst <= tolerance, tolerance, worst, worst_point,
-                              samples, worst_entry)
+                              len(points), worst_entry)
 
 
 def chart_law(name: str, tol: float, tm, dom, labelers, A, B, compare) -> VerificationReport:
@@ -71,7 +76,8 @@ def chart_law(name: str, tol: float, tm, dom, labelers, A, B, compare) -> Verifi
     ``B`` in its target chart.  The samples of ``dom`` (the chart's default
     box when None) are mapped once into ``frames``, ``A`` is evaluated at
     them and ``B`` at their images; ``compare(frames, values_a, values_b)``
-    yields per point one ``(lhs, rhs)`` pair for each of ``labelers``."""
+    returns one batched ``(lhs, rhs)`` pair of (P, ...) stacks for each of
+    ``labelers``."""
     dims = [(X.m, X.n) for X in (A, B, tm)]
     if len(set(dims)) > 1:
         raise ConfigError(f"{name}: dimensions (m, n) disagree: {dims[0]} in chart A, "
@@ -82,5 +88,5 @@ def chart_law(name: str, tol: float, tm, dom, labelers, A, B, compare) -> Verifi
     values_a = A.at_points(frames.points)
     values_b = B.at_points(frames.images)
     return sweep(name, tol, frames.points,
-                 (tuple((label, lhs, rhs) for label, (lhs, rhs) in zip(labelers, pairs))
-                  for pairs in compare(frames, values_a, values_b)))
+                 [(label, lhs, rhs) for label, (lhs, rhs)
+                  in zip(labelers, compare(frames, values_a, values_b))])

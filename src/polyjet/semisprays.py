@@ -77,38 +77,28 @@ def canonical_spatial(phi: Metric, m: int) -> Semispray:
     return Semispray("spatial", m, n, comps)
 
 
-def _temporal_image(values, frame, dpdt, dpdx, p) -> np.ndarray:
-    jt, jx, kt, kx = frame
-    two_g = 2.0 * np.einsum("bji,cb,jk,ir->ckr", values, jt, kx, kx)
-    # dpdt[k, c, a] = d ptilde_k^c / d t^a
-    correction = np.einsum("ir,kca,ia->ckr", kx, dpdt, p)
-    return 0.5 * (two_g - correction)
-
-
-def _spatial_image(values, frame, dpdt, dpdx, p) -> np.ndarray:
-    jt, jx, kt, kx = frame
-    two_g = 2.0 * np.einsum("bji,db,js,ik->dsk", values, jt, kx, kx)
-    # dpdx[s, d, i] = d ptilde_s^d / d x^i
-    correction = np.einsum("ik,sdi->dsk", kx, dpdx)
-    return 0.5 * (two_g - correction)
-
-
-_IMAGES = {"temporal": _temporal_image, "spatial": _spatial_image}
-
-
-def _semispray_images(kind: str, tm: TransitionMap, frames, values):
-    """Target-chart blocks at each image of a ``map_points`` batch, from
-    the source blocks (P, m, n, n) of a semispray of ``kind``."""
+def _semispray_images(kind: str, tm: TransitionMap, frames, values) -> np.ndarray:
+    """Target-chart blocks (P, m, n, n) at the images of a ``map_points``
+    batch, from the source blocks (P, m, n, n) of a semispray of ``kind``:
+    the homogeneous part minus the momentum-map correction."""
     dpdt, dpdx = tm.momentum_derivatives(frames.points)
-    for frame, v, dt, dx, p in zip(frames.each(), values, dpdt, dpdx, frames.p):
-        yield _IMAGES[kind](v, frame, dt, dx, p)
+    jt, kx = frames.jt, frames.kx
+    if kind == "temporal":
+        two_g = 2.0 * np.einsum("pbji,pcb,pjk,pir->pckr", values, jt, kx, kx)
+        # dpdt[p, k, c, a] = d ptilde_k^c / d t^a
+        correction = np.einsum("pir,pkca,pia->pckr", kx, dpdt, frames.p)
+    else:
+        two_g = 2.0 * np.einsum("pbji,pdb,pjs,pik->pdsk", values, jt, kx, kx)
+        # dpdx[p, s, d, i] = d ptilde_s^d / d x^i
+        correction = np.einsum("pik,psdi->pdsk", kx, dpdx)
+    return 0.5 * (two_g - correction)
 
 
 def transform_semispray(S: Semispray, tm: TransitionMap, q) -> np.ndarray:
     """Numeric target-chart block (G1~[c][k][r] or G2~[d][s][k]) at the
     image of q."""
     frames = tm.map_points([tm.chart.assignment(q)])
-    return next(_semispray_images(S.kind, tm, frames, S.at_points(frames.points)))
+    return _semispray_images(S.kind, tm, frames, S.at_points(frames.points))[0]
 
 
 def verify_semispray_law(S_A: Semispray, S_B: Semispray, tm: TransitionMap,
@@ -118,8 +108,7 @@ def verify_semispray_law(S_A: Semispray, S_B: Semispray, tm: TransitionMap,
         raise ConfigError("cannot compare semisprays of different kinds")
 
     def compare(frames, values_a, values_b):
-        return (((lhs, rhs),) for lhs, rhs in
-                zip(_semispray_images(S_A.kind, tm, frames, values_a), values_b))
+        return ((_semispray_images(S_A.kind, tm, frames, values_a), values_b),)
 
     return chart_law(f"semispray-law:{S_A.kind}", tol, tm, dom,
                      (partial(entry_label, "G1" if S_A.kind == "temporal" else "G2"),),
@@ -154,15 +143,13 @@ def check_characterization(block, kind: str, h: Metric,
     l_values = built["L"].at_points(points)  # [P, c, j, a, b]
     b_values = compile_block(block).run(points)
     if kind == "temporal":
-        pairs = ((np.einsum("iabj,ci->cjab", jv, bv), lv)
-                 for jv, lv, bv in zip(j_values, l_values, b_values))
+        lhs, rhs = np.einsum("piabj,pci->pcjab", j_values, b_values), l_values
     else:
         # J[k][a][b][j] -> [k, j, a, b]
-        pairs = ((np.einsum("iabj,ki->kjab", jv, bv), np.transpose(jv, (0, 3, 1, 2)))
-                 for jv, bv in zip(j_values, b_values))
-    label = partial(entry_label, "")
+        lhs, rhs = (np.einsum("piabj,pki->pkjab", j_values, b_values),
+                    np.transpose(j_values, (0, 1, 4, 2, 3)))
     return sweep(f"characterization:{kind}", tol, points,
-                 (((label, lhs, rhs),) for lhs, rhs in pairs))
+                 [(partial(entry_label, ""), lhs, rhs)])
 
 
 def decompose(S: Semispray, metric: Metric):

@@ -677,8 +677,9 @@ _CONST, _VAR, _SUM, _PRODUCT, _POWER, _NEG, _QUOTIENT, _CALL = range(8)
 _CALL_VALUE = {"exp": math.exp, "ln": math.log, "sin": math.sin,
                "cos": math.cos, "sqrt": math.sqrt}
 
-# what a column op raises where ``evaluate`` may fail at some sample
-_FAULTS = (ArithmeticError, ValueError, KeyError)
+# what a column pass raises where ``evaluate`` may fail at some sample,
+# a missing or unreadable variable included
+_FAULTS = (ArithmeticError, ValueError, LookupError, TypeError)
 
 
 def _node_op(node):
@@ -783,11 +784,11 @@ class Program:
     very scalar operations of a one-point replay, so results are
     bit-identical to it: ``math.fsum`` per point for sums, products
     multiplied left to right, Python ``float ** int`` and the ``math``
-    functions.  Where some op faults, or some value is not finite (a
-    product or quotient may have overflowed), every sample is replayed in
-    order instead, with every domain check: the first sample at which one
-    fails raises its error, and when none does, the replayed values are
-    the result.
+    functions.  Where some op faults, some variable is missing or
+    unreadable, or some value is not finite (a product or quotient may
+    have overflowed), every sample is replayed in order instead, with
+    every domain check: the first sample at which one fails raises its
+    error, and when none does, the replayed values are the result.
 
     A program's first pass walks the ops in slot order, one list of
     values per op.  A program that runs again was worth more than that
@@ -914,13 +915,8 @@ class Program:
         matrix of one row per op and one column per point."""
         names, constants, steps, roots = self._plan
         values = np.empty((len(self.ops), len(points)))
-        try:
-            for row, name in enumerate(names):
-                values[row] = [float(pt[name]) for pt in points]
-        except (LookupError, TypeError, ValueError, ArithmeticError):
-            # a value is missing or unreadable: the walk meets it in slot
-            # order, after any op before it that faults, as a first pass does
-            return self._walk_columns(points)
+        for row, name in enumerate(names):
+            values[row] = [float(pt[name]) for pt in points]
         values[len(names):len(names) + len(constants)] = constants[:, None]
         # a zero denominator gives an infinity or NaN here instead of
         # raising, and the test below sends it to the replay

@@ -21,9 +21,17 @@ and a d-tensor pulled back with Jacobian factors differentiated afresh.
 The library, which builds each from shared pieces, must return their very
 nodes.  ``map_components`` rebuilds a d-tensor field entry by entry, so a
 test can corrupt one component.
+
+The law layer works on whole batches of sample points.  ``sweep_loop``
+is the per-point loop that ``report.sweep`` must match field for field,
+and ``dtensor_image``, ``semispray_image``, ``connection_image``,
+``coframe_rows`` and ``coframe_image`` are the per-point bodies of the
+chart-change images, which the batched images must match bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,6 +39,7 @@ from polyjet.charts import JetChart, p_name, x_name
 from polyjet.dtensors import DTensorField
 from polyjet.errors import DomainError, UnboundVariable
 from polyjet.metrics import Metric
+from polyjet.report import VerificationReport
 from polyjet.symbolic import (
     Call,
     Const,
@@ -484,3 +493,77 @@ def _print_power_base(b) -> str:
     if isinstance(b, Call):
         return f"{b.func}({_print_expr(b.arg)})"
     return f"({_print_expr(b)})"
+
+
+# ---------------------------------------------------------------------------
+# the law layer, one point at a time
+
+def sweep_loop(name: str, tolerance: float, points, blocks) -> VerificationReport:
+    """``report.sweep`` point by point and, within a point, block by block:
+    a residual replaces the worst when it is larger, or when it is not
+    finite, and once the worst is not finite it stays."""
+    worst, worst_point, worst_entry, samples = 0.0, None, None, 0
+    for k, point in enumerate(points):
+        for labeler, lhs, rhs in blocks:
+            diff = np.abs(lhs[k] - rhs[k])
+            residual = float(diff.max())
+            if math.isfinite(worst) and not residual <= worst:
+                worst, worst_point = residual, dict(point)
+                worst_entry = labeler(np.unravel_index(np.argmax(diff), diff.shape))
+        samples += 1
+    return VerificationReport(name, worst <= tolerance, tolerance, worst, worst_point,
+                              samples, worst_entry)
+
+
+def dtensor_image(slots, jt, jx, kt, kx, arr) -> np.ndarray:
+    """Target-chart d-tensor components at one point: per slot, a
+    ``tensordot`` with its Jacobian factor."""
+    for axis, slot in enumerate(slots):
+        if slot.family == "temporal":
+            mat = jt if slot.variance == "upper" else kt.T
+        else:
+            mat = jx if slot.variance == "upper" else kx.T
+        arr = np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
+    return arr
+
+
+def semispray_image(kind: str, values, jt, kx, dpdt, dpdx, p) -> np.ndarray:
+    """Target-chart semispray block at one point, from the source block,
+    the momentum-map derivatives and the source momenta p[i][a]."""
+    if kind == "temporal":
+        two_g = 2.0 * np.einsum("bji,cb,jk,ir->ckr", values, jt, kx, kx)
+        correction = np.einsum("ir,kca,ia->ckr", kx, dpdt, p)
+    else:
+        two_g = 2.0 * np.einsum("bji,db,js,ik->dsk", values, jt, kx, kx)
+        correction = np.einsum("ik,sdi->dsk", kx, dpdx)
+    return 0.5 * (two_g - correction)
+
+
+def connection_image(n1, n2, jt, kt, kx, dpdt, dpdx) -> tuple:
+    """Target-chart connection blocks (N1~, N2~) at one point."""
+    out1 = np.einsum("cka,bc,kj,ad->bjd", n1, jt, kx, kt)
+    out1 -= np.einsum("ad,jba->bjd", kt, dpdt)
+    out2 = np.einsum("cki,bc,kj,ir->bjr", n2, jt, kx, kx)
+    out2 -= np.einsum("ir,jbi->bjr", kx, dpdx)
+    return out1, out2
+
+
+def coframe_rows(n1, n2) -> np.ndarray:
+    """The rows of delta p_i^a at one point, row (i, a) at i*m + a."""
+    m, n = n1.shape[0], n1.shape[1]
+    rows = np.zeros((m * n, m + n + m * n))
+    for i in range(n):
+        for a in range(m):
+            r = i * m + a
+            rows[r, :m] = n1[a][i]
+            rows[r, m:m + n] = n2[a][i]
+            rows[r, m + n + r] = 1.0
+    return rows
+
+
+def coframe_image(n1, n2, coframe, jt, kx) -> np.ndarray:
+    """The source coframe rows at one point in target differentials,
+    mixed like the polymomenta."""
+    n, m = kx.shape[0], jt.shape[0]
+    pushed = (coframe_rows(n1, n2) @ coframe).reshape(n, m, -1)
+    return np.einsum("ij,ba,iak->jbk", kx, jt, pushed).reshape(n * m, -1)

@@ -248,6 +248,29 @@ def test_manifest_fields_of_the_wrong_kind_exit_2_naming_the_field(tmp_path, cap
     assert err.startswith("configuration error: ") and field in err
 
 
+def _flat_bytes(**changes) -> bytes:
+    return json.dumps({**json.loads((MANIFESTS / "flat.json").read_text()), **changes}).encode()
+
+
+@pytest.mark.parametrize("blob, cause", [
+    (_flat_bytes(schema=True), "manifest schema must be 1"),
+    (_flat_bytes(schema=1.0), "manifest schema must be 1"),
+    (_flat_bytes(constants={"mass": "@"}).replace(b'"@"', b"[" * 5000 + b"]" * 5000),
+     "manifest nests deeper than the JSON parser allows"),
+    (_flat_bytes().replace(b"schema", b"sch\xe9ma"), "manifest is not valid JSON"),
+    (b"\xff\xfe\x00", "manifest is not valid JSON"),
+], ids=["schema-true", "schema-float", "deep-json", "latin-1-byte", "truncated-utf-16"])
+def test_unreadable_manifests_exit_2_naming_the_cause(tmp_path, capsys, blob, cause):
+    """A schema that is not the integer 1, JSON nested past the parser's
+    recursion limit and bytes that are not Unicode text are refused, with
+    no traceback."""
+    path = tmp_path / "manifest.json"
+    path.write_bytes(blob)
+    assert main(["christoffel", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cause}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("changes, field", [
     ({"tolerances": {"law": True}}, "tolerance 'law'"),
     ({"tolerances": {"law": "1e-2"}}, "tolerance 'law'"),

@@ -475,9 +475,9 @@ def test_the_first_pass_walks_and_every_later_pass_runs_the_plan(monkeypatch):
 
 
 def test_an_unreadable_value_on_a_rerun_fails_as_the_walk_does():
-    """The plan reads every variable before any op, the walk in slot
-    order: a value ``float`` refuses behind an op that faults first gives
-    the fault's error on both passes."""
+    """A value ``float`` refuses sends either pass to the replay, which
+    reads the variables in slot order: behind an op that faults first it
+    gives the fault's error on both passes."""
     program = compile_block([ln(X1), T1])
     assert program.run([{"x1": 1.0, "t1": 2.0}]).tolist() == [[0.0, 2.0]]
     for _ in range(2):
@@ -486,6 +486,20 @@ def test_an_unreadable_value_on_a_rerun_fails_as_the_walk_does():
     assert program._plan
     with pytest.raises(TypeError):
         program.run([{"x1": 1.0, "t1": None}])
+
+
+def test_an_unreadable_value_at_a_later_point_fails_as_the_walk_does():
+    """Both passes read a whole column before the next op, so the
+    unreadable value at the second point is met before the fault at the
+    first; the replay goes point by point, as the walk does."""
+    program = compile_block([T1, ln(X1)])
+    batch = [{"x1": 0.0, "t1": 1.0}, {"x1": 1.0, "t1": None}]
+    with pytest.raises(DomainError, match="^ln of non-positive value 0.0$"):
+        evaluate_walk(ln(X1), batch[0])
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^ln of non-positive value 0.0$"):
+            program.run(batch)
+    assert program._plan
 
 
 def test_a_product_that_overflows_on_a_rerun_raises_the_replays_error(monkeypatch):

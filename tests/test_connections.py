@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from polyjet.dtensors import builtin_dtensors
 from polyjet.errors import ConfigError, DomainError
 from polyjet.hamilton import canonical_nonlinear_connection, gravitational_space
 from polyjet.metrics import Metric, christoffel, pullback_metric
-from polyjet.report import sweep
+from polyjet.report import entry_label, sweep
 from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import Const, Var, add, equiv, ln, mul, parse, sqrt
 
@@ -214,12 +216,13 @@ def test_shape_validation():
 
 
 def test_sweep_fails_closed_on_nan():
-    rows = [(1e-12, {"x1": 0.1}, "N2[1,1,1]"),
-            (float("nan"), {"x1": 0.2}, "N2[1,2,1]"),
-            (5.0, {"x1": 0.3}, "N2[2,2,2]")]
-    rep = sweep("connection-law", 1e-8, [point for _, point, _ in rows],
-                [((lambda idx, entry=entry: entry, np.array([residual]), np.zeros(1)),)
-                 for residual, _, entry in rows])
+    points = [{"x1": 0.1}, {"x1": 0.2}, {"x1": 0.3}]
+    lhs = np.zeros((3, 2, 2, 2))
+    lhs[0, 0, 0, 0] = 1e-12  # N2[1,1,1] at the first point
+    lhs[1, 0, 1, 0] = float("nan")  # N2[1,2,1] at the second
+    lhs[2, 1, 1, 1] = 5.0  # N2[2,2,2] at the third
+    rep = sweep("connection-law", 1e-8, points,
+                [(partial(entry_label, "N2"), lhs, np.zeros_like(lhs))])
     assert not rep.passed
     assert rep.worst_entry == "N2[1,2,1]"
     assert rep.worst_point == {"x1": 0.2}
