@@ -22,6 +22,9 @@ rows and inversion use; operations that need them say so.
 
 ``TransitionMap.map_points`` gives the numeric chart change at a batch of
 points as one ``Frames`` record, which every law, transform and frame reads.
+``TransitionMap.sample_frames`` gives it at the points of a sample domain
+and remembers the last domain's record, so the laws of one battery and
+``validate`` map their shared samples once.
 
 ``_derivatives`` builds both Jacobians and the momentum map's derivatives,
 which the d-tensor pullback also reads; ``_through`` substitutes one map
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -164,6 +168,9 @@ class Frames(NamedTuple):
     assignments, in chart-name order.  ``jt`` (P, m, m) and ``jx`` (P, n, n)
     are the forward Jacobians d ttilde / d t and d xtilde / d x, ``kt`` and
     ``kx`` their inverses, and ``p`` (P, n, m) the source momenta p[i][a].
+    A record from ``sample_frames`` is shared by every law that samples the
+    same domain, so it is read-only: its points and images are tuples of
+    read-only mappings and its arrays refuse writes.
     """
 
     points: list
@@ -202,6 +209,8 @@ class TransitionMap:
             exprs = getattr(self, attr)
             if exprs is not None:
                 object.__setattr__(self, attr, expr_array(exprs, (len(names),), names, label))
+        # (domain key, frames) of the last successful ``sample_frames``
+        object.__setattr__(self, "_frames_slot", (None, None))
 
     # -- charts ------------------------------------------------------------
 
@@ -328,6 +337,23 @@ class TransitionMap:
         images = [dict(zip(chart.names, row)) for row in rows.tolist()]
         return Frames(list(points), images, jt, jx, kt, kx, p)
 
+    def sample_frames(self, dom: SampleDomain) -> Frames:
+        """``map_points(dom.points())``, remembered in one slot per map.
+
+        The key is the domain's variable names, the exact bits of its
+        interval bounds (so ``-0.0`` and ``0.0`` are two domains), and its
+        count and seed with their types.  A domain with the slot's key gets
+        the stored record, read-only, without drawing or mapping its
+        points; any other domain is mapped and, when that succeeds, takes
+        the slot.  A mapping that raises stores nothing, so every call on
+        a domain with a singular Jacobian raises the same error."""
+        key = _domain_key(dom)
+        if key == self._frames_slot[0]:
+            return self._frames_slot[1]
+        frames = _read_only(self.map_points(dom.points()))
+        object.__setattr__(self, "_frames_slot", (key, frames))
+        return frames
+
     def map_point(self, q: JetPoint) -> JetPoint:
         return self.chart.point(self.map_points([self.chart.assignment(q)]).images[0])
 
@@ -390,7 +416,22 @@ class TransitionMap:
                                                ("right", forward, inverse)):
                         if not equiv(_through(outer[k], names, inner), Var(name), dom, tol):
                             raise ConfigError(f"{family} inverse is not a {side} inverse in {name}")
-        self.map_points(dom.points())
+        self.sample_frames(dom)
+
+
+def _domain_key(dom: SampleDomain) -> tuple:
+    """What ``dom.points()`` depends on: the names in order, the exact bits
+    of every bound, and the count and seed with their types."""
+    bounds = np.array([b for _, lo, hi in dom.intervals for b in (lo, hi)], dtype=float)
+    return (dom.names(), bounds.tobytes(),
+            type(dom.count), dom.count, type(dom.seed), dom.seed)
+
+
+def _read_only(frames: Frames) -> Frames:
+    for values in (frames.jt, frames.jx, frames.kt, frames.kx, frames.p):
+        values.flags.writeable = False
+    return frames._replace(points=tuple(map(MappingProxyType, frames.points)),
+                           images=tuple(map(MappingProxyType, frames.images)))
 
 
 def _derivatives(exprs, names) -> tuple:

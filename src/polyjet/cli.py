@@ -80,6 +80,12 @@ EXIT_REGULARITY = 8
 # the most sample points a manifest may ask for
 MAX_SAMPLE_COUNT = 100_000
 
+# The largest m or n a manifest may declare, checked before the chart's
+# m*n momentum names are built.  Twice linalg.SYM_INVERSE_MAX_DIM: past 8
+# no metric has an exact inverse, so only a single-time regularity test
+# can still run there.
+MAX_DIMENSION = 16
+
 _CHECK_EXIT = {
     "metric": EXIT_METRIC,
     "dtensor": EXIT_DTENSOR,
@@ -209,8 +215,9 @@ def load_manifest(path: str) -> Manifest:
         raise ConfigError("manifest needs dimensions.m and dimensions.n")
     m = _integer(dims["m"], "dimensions.m")
     n = _integer(dims["n"], "dimensions.n")
-    if m < 1 or n < 1:
-        raise ConfigError("dimensions must be positive")
+    for where, value in (("dimensions.m", m), ("dimensions.n", n)):
+        if not 1 <= value <= MAX_DIMENSION:
+            raise ConfigError(f"{where} must be from 1 to {MAX_DIMENSION}, got {value}")
     chart = JetChart(m, n)
 
     h = phi = None

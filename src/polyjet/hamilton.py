@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .symbolic import (
     equiv,
     expr_array,
     first_nonzero,
+    keeping,
     mul,
     substitute,
     variables,
@@ -274,6 +275,12 @@ class HamiltonSpace:
     NotRegular on failure.  For m >= 2 the electrodynamic pieces (g, U, F)
     are extracted eagerly; for m = 1 only the (possibly momentum-dependent)
     lowered metric g is kept and U, F stay None.
+
+    The space keeps the derivatives of its own build: construction,
+    ``vertical`` and the three canonical-connection builders run in a
+    ``symbolic.keeping`` block whose store belongs to the space.  So a
+    derivative one of them builds (dH/dp, dg_ij/dx^k and their subtrees)
+    is derived once for the life of the space and freed with it.
     """
 
     def __init__(self, h: Metric, n: int, hamiltonian, constants=None,
@@ -288,34 +295,50 @@ class HamiltonSpace:
         self.hamiltonian = expr_array(hamiltonian, (), self.chart.names, "hamiltonian").item()
         self.constants = dict(constants or {})
         self.tolerance = float(tol)
-        if regularity is None:
-            regularity = check_kronecker_regularity(self.hamiltonian, h, self.n, dom=dom, tol=tol)
-        self.regularity = regularity
-        if not self.regularity.regular:
-            raise NotRegular(self.regularity.reason)
-        if self.m >= 2:
-            ex = extract_electrodynamic_form(
-                self.hamiltonian, h, self.n, dom=dom, tol=tol,
-                regularity=self.regularity)
-            self.g = ex.g
-            self.g_upper = ex.g_upper
-            self.U = ex.U
-            self.F = ex.F
-        else:
-            self.g, self.g_upper = _lowered_metric(self.regularity.candidate, 1, self.n)
-            self.U = None
-            self.F = None
+        self._kept = []
+        with keeping(self._kept):
+            if regularity is None:
+                regularity = check_kronecker_regularity(self.hamiltonian, h, self.n,
+                                                        dom=dom, tol=tol)
+            self.regularity = regularity
+            if not self.regularity.regular:
+                raise NotRegular(self.regularity.reason)
+            if self.m >= 2:
+                ex = extract_electrodynamic_form(
+                    self.hamiltonian, h, self.n, dom=dom, tol=tol,
+                    regularity=self.regularity)
+                self.g = ex.g
+                self.g_upper = ex.g_upper
+                self.U = ex.U
+                self.F = ex.F
+            else:
+                self.g, self.g_upper = _lowered_metric(self.regularity.candidate, 1, self.n)
+                self.U = None
+                self.F = None
 
     @cached_property
     def vertical(self) -> DTensorField:
         """The fundamental vertical d-tensor G of the hamiltonian."""
-        return fundamental_vertical_dtensor(self.hamiltonian, self.m, self.n)
+        with keeping(self._kept):
+            return fundamental_vertical_dtensor(self.hamiltonian, self.m, self.n)
 
     @property
     def g_lower(self):
         return self.g.components
 
 
+def _kept_by_the_space(build):
+    """Run a canonical-connection builder in its space's ``keeping`` block."""
+
+    @wraps(build)
+    def run(space: HamiltonSpace) -> NonlinearConnection:
+        with keeping(space._kept):
+            return build(space)
+
+    return run
+
+
+@_kept_by_the_space
 def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
     """The connection canonically induced by (h, H): the temporal block is
     the metric one, the spatial block is the direct formula
@@ -384,6 +407,7 @@ def _require_extraction(space: HamiltonSpace, what: str):
                           "it exists only for m >= 2")
 
 
+@_kept_by_the_space
 def canonical_connection_middle_form(space: HamiltonSpace) -> NonlinearConnection:
     """Spatial block as metric part plus the T deviation block."""
     _require_extraction(space, "the middle form")
@@ -395,6 +419,7 @@ def canonical_connection_middle_form(space: HamiltonSpace) -> NonlinearConnectio
     return NonlinearConnection(m, n, metric_n1(christoffel_symbols(space.h), n), n2)
 
 
+@_kept_by_the_space
 def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnection:
     """Spatial block through covariant derivatives of the lowered potential:
 

@@ -74,17 +74,23 @@ def sweep(name: str, tolerance: float, points, blocks) -> VerificationReport:
 def chart_law(name: str, tol: float, tm, dom, labelers, A, B, compare) -> VerificationReport:
     """Check a chart-change law from ``A`` in the source chart of ``tm`` to
     ``B`` in its target chart.  The samples of ``dom`` (the chart's default
-    box when None) are mapped once into ``frames``, ``A`` is evaluated at
-    them and ``B`` at their images; ``compare(frames, values_a, values_b)``
-    returns one batched ``(lhs, rhs)`` pair of (P, ...) stacks for each of
-    ``labelers``."""
+    box when None) are mapped into ``frames`` by ``tm.sample_frames``, ``A``
+    is evaluated at them and ``B`` at their images;
+    ``compare(frames, values_a, values_b)`` returns one batched
+    ``(lhs, rhs)`` pair of (P, ...) stacks for each of ``labelers``.
+
+    The map remembers the frames of its last domain, so the laws of one
+    battery, which all sample one domain, draw and map its points once;
+    the record is read-only, so no ``compare`` can change what the next
+    law reads.  A mapping that raises is not remembered and raises again
+    in every law."""
     dims = [(X.m, X.n) for X in (A, B, tm)]
     if len(set(dims)) > 1:
         raise ConfigError(f"{name}: dimensions (m, n) disagree: {dims[0]} in chart A, "
                           f"{dims[1]} in chart B, {dims[2]} for the transition")
     if dom is None:
         dom = tm.chart.sample_domain()
-    frames = tm.map_points(dom.points())
+    frames = tm.sample_frames(dom)
     values_a = A.at_points(frames.points)
     values_b = B.at_points(frames.images)
     return sweep(name, tol, frames.points,

@@ -14,6 +14,9 @@ sets (equal sets are one shared object), so ``variables`` is a read, not a
 walk.  Every node that is differentiated keeps weak references to its
 derivatives, one per variable name, so a derivative that is still alive
 anywhere is never computed again, and one that nothing holds is freed.
+Inside a ``keeping(store)`` block, ``differentiate`` also appends each
+derivative it builds to ``store``, so an owner such as a Hamilton space
+keeps the derivatives of its build alive exactly as long as itself.
 
 Differentiation and substitution are exact tree rewrites.  They,
 compiling and printing walk the DAG with one explicit stack, and
@@ -31,6 +34,7 @@ coordinates ``t1..tm``, spatial coordinates ``x1..xn``, polymomenta
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from itertools import chain
 import operator
 import re
@@ -563,6 +567,24 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
     return float(compile_block([as_expr(e)]).run([assignment])[0, 0])
 
 
+# The stores of the active ``keeping`` blocks, innermost last.
+_KEEPERS: list[list] = []
+
+
+@contextmanager
+def keeping(store: list):
+    """Within the block, ``differentiate`` appends every derivative it
+    builds to ``store`` (the innermost block's, when blocks nest).  The
+    derivatives then live as long as ``store`` does, instead of only as
+    long as some caller holds them, and are freed with it by reference
+    counting: a node never refers to a store."""
+    _KEEPERS.append(store)
+    try:
+        yield store
+    finally:
+        _KEEPERS.pop()
+
+
 def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to the named variable.
 
@@ -575,7 +597,9 @@ def differentiate(e: Expr, name: str) -> Expr:
     alive anywhere, from this call or an earlier one, is reused, and a
     result is the same node whether it came from the cache or not.  The
     call's memo keeps its own results alive until it returns, so a subtree
-    shared within the expression is derived once.
+    shared within the expression is derived once.  Inside a ``keeping``
+    block each derivative built here is also appended to the block's
+    store, so it stays cached for as long as the store lives.
 
     The product rule's term for factor i, ``mul(*fs[:i], df, *fs[i + 1:])``,
     is built by splicing ``df`` into the factor tuple, which ``mul`` made
@@ -593,6 +617,7 @@ def differentiate(e: Expr, name: str) -> Expr:
         return None if ref is None else ref()
 
     e, memo = as_expr(e), {}
+    kept = _KEEPERS[-1] if _KEEPERS else None
     for node, ds in _post_order([e], memo, settle):
         kind = type(node)
         if kind is Sum:
@@ -625,6 +650,8 @@ def differentiate(e: Expr, name: str) -> Expr:
         if node._derivs is None:
             object.__setattr__(node, "_derivs", {})
         node._derivs[name] = weakref.ref(out)
+        if kept is not None:
+            kept.append(out)
     return memo[e]
 
 

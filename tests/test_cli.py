@@ -395,6 +395,34 @@ def test_dimensions_past_the_inverse_limit_fail_closed(tmp_path, capsys):
                      "regularity": EXIT_OK, "christoffel": EXIT_CONFIG}
 
 
+@pytest.mark.parametrize("command", ["christoffel", "regularity", "connection", "verify"])
+def test_dimensions_past_the_ceiling_exit_2_before_any_chart_is_built(tmp_path, capsys,
+                                                                      command):
+    """This manifest of under 80 bytes once had the CLI build 2000 * 2000
+    momentum names, for 8 s and 645 MB, before any block was checked."""
+    import time
+
+    path = tmp_path / "huge.json"
+    path.write_text('{"schema": 1, "dimensions": {"m": 2000, "n": 2000}, "hamiltonian": "p1_1^2"}')
+    start = time.perf_counter()
+    assert main([command, str(path)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 0.5
+    assert f"dimensions.m must be from 1 to {cli.MAX_DIMENSION}, got 2000" in capsys.readouterr().err
+    for m, n, field in ((cli.MAX_DIMENSION + 1, 1, "dimensions.m"),
+                        (1, cli.MAX_DIMENSION + 1, "dimensions.n"),
+                        (0, 2, "dimensions.m"), (2, -1, "dimensions.n")):
+        path.write_text(json.dumps({"schema": 1, "dimensions": {"m": m, "n": n}}))
+        assert main([command, str(path)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+
+def test_every_shipped_manifest_is_inside_the_dimension_ceiling():
+    assert cli.MAX_DIMENSION > SYM_INVERSE_MAX_DIM
+    for path in sorted(MANIFESTS.glob("*.json")):
+        manifest = load_manifest(str(path))
+        assert max(manifest.m, manifest.n) <= cli.MAX_DIMENSION
+
+
 @pytest.mark.parametrize("opening", ["(", "sin("])
 def test_nesting_at_the_limit_runs_every_command(tmp_path, opening):
     data = json.loads((MANIFESTS / "flat.json").read_text())

@@ -10,6 +10,8 @@ the written-out formula of ``oracles`` builds.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from geomgen import (
@@ -28,12 +30,14 @@ from oracles import (
     pullback_dtensor_direct,
     t_block_direct,
 )
+from polyjet import hamilton
 from polyjet.charts import pullback_scalar
 from polyjet.connections import metric_n2
 from polyjet.dtensors import builtin_dtensors, pullback_dtensor
 from polyjet.hamilton import (
     HamiltonSpace,
     autonomous_electrodynamic_space,
+    canonical_connection_closed_form,
     canonical_connection_middle_form,
     canonical_nonlinear_connection,
     electrodynamic_t_block,
@@ -104,3 +108,34 @@ def test_a_zero_potential_leaves_t_and_the_middle_form_nodes_unchanged():
     middle = [[[add(metric_part[a][i][j], T[a, i, j]) for j in range(n)] for i in range(n)]
               for a in range(m)]
     assert _same_nodes(canonical_connection_middle_form(space).n2, middle)
+
+
+def test_a_space_that_keeps_its_derivatives_builds_the_same_nodes(monkeypatch):
+    """The seeded (2, 3) chart-B electrodynamic space and its three canonical
+    connection forms, built with each derivative weakly cached only (the
+    space's ``keeping`` block switched off) and then kept by the space:
+    every entry is the very same node."""
+    forms = (canonical_nonlinear_connection, canonical_connection_middle_form,
+             canonical_connection_closed_form)
+
+    def chart_b_space():
+        m, n = 2, 3
+        rng = np.random.default_rng(3)
+        tm = random_transition(m, n, rng, shears=2)
+        h, g = random_temporal_metric(m, rng), random_spatiotemporal_metric(m, n, rng)
+        U, F = random_potential(m, n, rng), random_base_scalar(m, n, rng)
+        space = general_electrodynamic_space(h, g, U, F)
+        return HamiltonSpace(pullback_metric(h, tm), n, pullback_scalar(space.hamiltonian, tm))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(hamilton, "keeping", lambda store: contextlib.nullcontext())
+        plain = chart_b_space()
+        weak = [build(plain) for build in forms]
+    assert plain._kept == []
+    space = chart_b_space()
+    kept = [build(space) for build in forms]
+    assert space._kept
+    assert space.hamiltonian is plain.hamiltonian
+    for a, b in zip(kept, weak):
+        assert _same_nodes(a.n1, b.n1) and _same_nodes(a.n2, b.n2)
+    assert _same_nodes(space.vertical.components, plain.vertical.components)

@@ -40,6 +40,7 @@ from polyjet.symbolic import (
     expr_array,
     first_nonzero,
     is_zero,
+    keeping,
     ln,
     mul,
     neg,
@@ -497,6 +498,64 @@ def test_a_derivative_no_caller_holds_is_freed():
     assert ref() is None  # freed by reference counting, no collection needed
     again = differentiate(e, "x7")
     assert again is not None and variables(again) == frozenset({"x7", "t1"})
+
+
+def test_a_keeping_block_holds_what_differentiate_builds_for_as_long_as_its_store():
+    e = parse(_RICH, ["x7", "t1"])
+    outer, inner = [], []
+    with keeping(outer):
+        ref = weakref.ref(differentiate(e, "x7"))
+        assert ref() is not None and ref() in outer
+        with keeping(inner):
+            second = weakref.ref(differentiate(e, "t1"))
+        assert second() is not None and second() in inner
+        assert all(d not in outer for d in inner)  # the innermost store takes it
+        assert differentiate(e, "x7") is ref()  # a cache hit builds nothing
+    with pytest.raises(ZeroDivisionError):
+        with keeping([]):
+            1 / 0
+    assert symbolic._KEEPERS == []  # an error inside a block closes it
+    del outer
+    assert ref() is None  # freed with its store, by reference counting
+    del inner
+    assert second() is None
+
+
+def test_a_dropped_hamilton_space_frees_the_derivatives_it_kept():
+    """The derivatives a space keeps are held by its store alone: dropping
+    the space frees every one that did not exist before, by reference
+    counting, and leaves no cycle for the collector."""
+    from polyjet.hamilton import (
+        HamiltonSpace,
+        canonical_connection_closed_form,
+        canonical_connection_middle_form,
+        canonical_nonlinear_connection,
+    )
+    from polyjet.metrics import Metric
+
+    gc.collect()
+    existing = set(map(id, symbolic._NODES.values()))
+    held = list(symbolic._NODES.values())  # so no id above is reused
+    before = len(held)
+    gc.disable()
+    try:
+        names = ("t1", "t2", "x1", "x2", "p1_1", "p1_2", "p2_1", "p2_2")
+        h = Metric.temporal([[Const(1.0), Const(0.0)],
+                             [Const(0.0), parse("t1^2 + 1", ["t1"])]])
+        H = parse("exp(-2*x1)*(p1_1^2 + (t1^2 + 1)*p1_2^2) + (p2_1^2 + (t1^2 + 1)*p2_2^2)"
+                  " + x2*p1_1 + sin(x1)*p2_2 + x1*x2", names)
+        space = HamiltonSpace(h, 2, H)
+        forms = [build(space) for build in (canonical_nonlinear_connection,
+                                            canonical_connection_middle_form,
+                                            canonical_connection_closed_form)]
+        refs = [weakref.ref(d) for d in space._kept if id(d) not in existing]
+        assert refs and all(r() is not None for r in refs)
+        del space, forms, h, H
+        assert [r for r in refs if r() is not None] == []
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(symbolic._NODES) == before
 
 
 def test_variables_of_a_deep_shared_dag_is_a_read():
