@@ -87,15 +87,15 @@ def metric_n2(gamma, m: int) -> list:
               for j in range(n)] for i in range(n)] for a in range(m)]
 
 
-def canonical_metric_connection(h: Metric, phi: Metric, n: int | None = None) -> NonlinearConnection:
+def canonical_metric_connection(h: Metric, phi: Metric) -> NonlinearConnection:
     """The connection induced by a temporal metric h and spatial metric phi:
 
     N1[a][i][b] = kappa^a_cb(t) p_i^c,   N2[a][i][j] = -gamma^k_ij(x) p_k^a.
     """
     if h.kind != "temporal" or phi.kind != "spatial":
         raise ConfigError("canonical connection requires temporal h and spatial phi")
-    m, nn = h.dim, phi.dim
-    return NonlinearConnection(m, nn, metric_n1(christoffel_symbols(h), nn),
+    m, n = h.dim, phi.dim
+    return NonlinearConnection(m, n, metric_n1(christoffel_symbols(h), n),
                                metric_n2(christoffel_symbols(phi), m))
 
 

@@ -276,11 +276,12 @@ class HamiltonSpace:
     are extracted eagerly; for m = 1 only the (possibly momentum-dependent)
     lowered metric g is kept and U, F stay None.
 
-    The space keeps the derivatives of its own build: construction,
+    The space owns the derivative cache of its own build: construction,
     ``vertical`` and the three canonical-connection builders run in a
-    ``symbolic.keeping`` block whose store belongs to the space.  So a
-    derivative one of them builds (dH/dp, dg_ij/dx^k and their subtrees)
-    is derived once for the life of the space and freed with it.
+    ``symbolic.keeping`` block over the space's store, a dict keyed by
+    (node, variable name).  So a derivative one of them builds (dH/dp,
+    dg_ij/dx^k and their subtrees) is derived once for the life of the
+    space and freed with it.
     """
 
     def __init__(self, h: Metric, n: int, hamiltonian, constants=None,
@@ -294,8 +295,7 @@ class HamiltonSpace:
         self.chart = JetChart(self.m, self.n)
         self.hamiltonian = expr_array(hamiltonian, (), self.chart.names, "hamiltonian").item()
         self.constants = dict(constants or {})
-        self.tolerance = float(tol)
-        self._kept = []
+        self._kept = {}
         with keeping(self._kept):
             if regularity is None:
                 regularity = check_kronecker_regularity(self.hamiltonian, h, self.n,

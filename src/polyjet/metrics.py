@@ -71,14 +71,12 @@ class Metric(Compiled):
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def temporal(cls, components, m: int | None = None) -> "Metric":
-        m = len(components) if m is None else m
-        return cls("temporal", m, 1, components)
+    def temporal(cls, components) -> "Metric":
+        return cls("temporal", len(components), 1, components)
 
     @classmethod
-    def spatial(cls, components, n: int | None = None) -> "Metric":
-        n = len(components) if n is None else n
-        return cls("spatial", 1, n, components)
+    def spatial(cls, components) -> "Metric":
+        return cls("spatial", 1, len(components), components)
 
     @classmethod
     def spatiotemporal(cls, components, m: int, p_dependent: bool = False) -> "Metric":

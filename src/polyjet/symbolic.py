@@ -11,12 +11,11 @@ the same object, and ``==`` is ``is``.
 Interning also makes a node a sound cache key.  Every node records its
 set of free variable names when it is interned, built from its children's
 sets (equal sets are one shared object), so ``variables`` is a read, not a
-walk.  Every node that is differentiated keeps weak references to its
-derivatives, one per variable name, so a derivative that is still alive
-anywhere is never computed again, and one that nothing holds is freed.
-Inside a ``keeping(store)`` block, ``differentiate`` also appends each
-derivative it builds to ``store``, so an owner such as a Hamilton space
-keeps the derivatives of its build alive exactly as long as itself.
+walk.  Derivatives are cached in one place only: inside a
+``keeping(store)`` block, ``differentiate`` reads and records them in
+``store``, a dict keyed by (node, name).  So an owner such as a Hamilton
+space derives each derivative of its build once and keeps it exactly as
+long as itself.  Outside any block a call has only its own memo.
 
 Differentiation and substitution are exact tree rewrites.  They,
 compiling and printing walk the DAG with one explicit stack, and
@@ -92,15 +91,12 @@ class Expr:
     object, so ``==`` and ``hash`` are those of identity: two expressions
     are equal exactly when they are the same object.
 
-    Besides its fields, a node carries two facts that identity makes safe
-    to keep: ``_vars``, its free-variable set, fixed when it is interned,
-    and ``_derivs``, set on the node's first differentiation, which maps a
-    variable name to a weak reference to the derivative.  The references
-    are weak because a derivative may hold its source (d exp(u) =
-    exp(u)*du): a strong one would keep both alive for good.
+    Besides its fields, a node carries ``_vars``, its free-variable set,
+    fixed when it is interned.  A node refers to nothing else: no cache
+    hangs off it, so it is freed as soon as nothing holds it.
     """
 
-    __slots__ = ("__weakref__", "_vars", "_derivs")
+    __slots__ = ("__weakref__", "_vars")
 
     def __new__(cls, *fields):
         return cls._interned((cls, *fields), fields)
@@ -114,7 +110,6 @@ class Expr:
                 object.__setattr__(node, name, value)
             object.__setattr__(node, "_vars", _free_vars(fields) if names is None
                                else _shared_vars(names))
-            object.__setattr__(node, "_derivs", None)
             _NODES[key] = node
         return node
 
@@ -375,37 +370,6 @@ def mul(*factors: Expr) -> Expr:
     return Product(tuple(out))
 
 
-def _spliced(factors: tuple, i: int, df: Expr) -> Expr:
-    """``mul(*factors[:i], df, *factors[i + 1:])``, the same node, for the
-    canonical factors of a ``Product``: only the coefficient is folded
-    again, and only the factors where ``df`` meets its neighbours are
-    merged."""
-    head, tail = factors[:i], factors[i + 1:]
-    mids = df.factors if type(df) is Product else (df,)
-    consts = []
-    if head and type(head[0]) is Const:
-        consts.append(head[0].value)
-        head = head[1:]
-    if type(mids[0]) is Const:
-        consts.append(mids[0].value)
-        mids = mids[1:]
-    coeff = 1.0
-    for value in consts:
-        coeff *= value
-    if coeff == 0.0:
-        return ZERO
-    # a run of equal bases cannot reach past the factors next to df, or
-    # next to each other where df is a constant
-    out = [*head[:-1], *_merge_adjacent_factors(head[-1:] + mids + tail[:1]), *tail[1:]]
-    if coeff != 1.0:
-        out.insert(0, Const(_no_overflow(coeff, consts, "constant folding")))
-    if not out:
-        return ONE
-    if len(out) == 1:
-        return out[0]
-    return Product(tuple(out))
-
-
 def neg(e: Expr) -> Expr:
     if isinstance(e, Const):
         return Const(-e.value)
@@ -568,16 +532,17 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 
 
 # The stores of the active ``keeping`` blocks, innermost last.
-_KEEPERS: list[list] = []
+_KEEPERS: list[dict] = []
 
 
 @contextmanager
-def keeping(store: list):
-    """Within the block, ``differentiate`` appends every derivative it
-    builds to ``store`` (the innermost block's, when blocks nest).  The
-    derivatives then live as long as ``store`` does, instead of only as
-    long as some caller holds them, and are freed with it by reference
-    counting: a node never refers to a store."""
+def keeping(store: dict):
+    """Within the block, ``differentiate`` caches every derivative in
+    ``store`` (the innermost block's, when blocks nest), keyed by
+    (node, name): it reuses what the store holds and records what it
+    builds there.  The derivatives then live as long as ``store`` does and
+    are freed with it by reference counting: a node never refers to a
+    store."""
     _KEEPERS.append(store)
     try:
         yield store
@@ -589,42 +554,35 @@ def differentiate(e: Expr, name: str) -> Expr:
     """Exact partial derivative with respect to the named variable.
 
     A node whose recorded variable set lacks ``name`` has derivative
-    ``ZERO``, settled without a walk and without touching its cache.  So
-    the result is ``ZERO``, never the ``Const(-0.0)`` that the rules would
-    build for ``neg(y)`` or ``cos(y)`` by ``x``.  Any other node's
-    derivative is looked up on the node before it is computed and stored
-    there after, as a weak reference.  So a derivative that is still
-    alive anywhere, from this call or an earlier one, is reused, and a
-    result is the same node whether it came from the cache or not.  The
-    call's memo keeps its own results alive until it returns, so a subtree
-    shared within the expression is derived once.  Inside a ``keeping``
-    block each derivative built here is also appended to the block's
-    store, so it stays cached for as long as the store lives.
-
-    The product rule's term for factor i, ``mul(*fs[:i], df, *fs[i + 1:])``,
-    is built by splicing ``df`` into the factor tuple, which ``mul`` made
-    canonical, so the other factors are not flattened, folded and merged
-    again (``_spliced``).
+    ``ZERO``, settled without a walk and without touching a store.  So the
+    result is ``ZERO``, never the ``Const(-0.0)`` that the rules would
+    build for ``neg(y)`` or ``cos(y)`` by ``x``.  The call's memo keeps
+    its own results, so a subtree shared within the expression is derived
+    once.  Inside a ``keeping`` block any other node's derivative is also
+    looked up in the block's store before it is computed and recorded
+    there after, so it is derived once for as long as the store lives.
+    Outside any block nothing outlives the call, so the work a call does
+    never depends on which derivatives a caller holds.  Either way the
+    result is the same node.
     """
+    kept = _KEEPERS[-1] if _KEEPERS else {}  # outside a block, one that dies with the call
 
     def settle(node):
         if name not in node._vars:
             return ZERO
         if type(node) is Var:
             return ONE
-        cache = node._derivs
-        ref = None if cache is None else cache.get(name)
-        return None if ref is None else ref()
+        return kept.get((node, name))
 
     e, memo = as_expr(e), {}
-    kept = _KEEPERS[-1] if _KEEPERS else None
     for node, ds in _post_order([e], memo, settle):
         kind = type(node)
         if kind is Sum:
             out = add(*ds)
         elif kind is Product:
             fs = node.factors
-            out = add(*[_spliced(fs, i, df) for i, df in enumerate(ds) if df is not ZERO])
+            out = add(*[mul(*fs[:i], df, *fs[i + 1:]) for i, df in enumerate(ds)
+                        if df is not ZERO])
         elif kind is Power:
             out = mul(Const(node.exponent), power(node.base, node.exponent - 1), ds[0])
         elif kind is Neg:
@@ -646,12 +604,7 @@ def differentiate(e: Expr, name: str) -> Expr:
                 out = div(du, mul(Const(2.0), node))
             else:
                 raise UnknownIdentifier(node.func)
-        memo[node] = out
-        if node._derivs is None:
-            object.__setattr__(node, "_derivs", {})
-        node._derivs[name] = weakref.ref(out)
-        if kept is not None:
-            kept.append(out)
+        memo[node] = kept[node, name] = out
     return memo[e]
 
 

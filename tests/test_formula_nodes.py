@@ -112,9 +112,9 @@ def test_a_zero_potential_leaves_t_and_the_middle_form_nodes_unchanged():
 
 def test_a_space_that_keeps_its_derivatives_builds_the_same_nodes(monkeypatch):
     """The seeded (2, 3) chart-B electrodynamic space and its three canonical
-    connection forms, built with each derivative weakly cached only (the
-    space's ``keeping`` block switched off) and then kept by the space:
-    every entry is the very same node."""
+    connection forms, built with no derivative cache (the space's
+    ``keeping`` block switched off) and then with the space's store: every
+    entry is the very same node."""
     forms = (canonical_nonlinear_connection, canonical_connection_middle_form,
              canonical_connection_closed_form)
 
@@ -131,7 +131,7 @@ def test_a_space_that_keeps_its_derivatives_builds_the_same_nodes(monkeypatch):
         mp.setattr(hamilton, "keeping", lambda store: contextlib.nullcontext())
         plain = chart_b_space()
         weak = [build(plain) for build in forms]
-    assert plain._kept == []
+    assert plain._kept == {}
     space = chart_b_space()
     kept = [build(space) for build in forms]
     assert space._kept

@@ -4,7 +4,6 @@ import math
 import pickle
 import timeit
 import weakref
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -444,35 +443,91 @@ def test_mixed_partials_commute(e):
 
 
 # ---------------------------------------------------------------------------
-# the derivative cache on the nodes
+# the derivative store of a keeping block, and the memo of one call
 
 _RICH = "exp(x7*t1)*ln(x7^2 + 1) + sqrt(x7^2 + t1^2 + 1)/sin(x7 + 2) - cos(exp(x7))*x7^3"
 
 
-def test_a_held_derivative_is_reused_without_building_a_node(monkeypatch):
-    e = parse(_RICH, ["x7", "t1"])
-    first = differentiate(e, "x7")
-    gc.collect()
-    size = len(symbolic._NODES)
-    built = []
-    intern = symbolic.Expr._interned.__func__
+def _counted_walks(monkeypatch) -> list:
+    """Patch ``_post_order`` to append one entry per node it yields."""
+    steps, walk = [], symbolic._post_order
+
+    def counted(*args):
+        for step in walk(*args):
+            steps.append(None)
+            yield step
+
+    monkeypatch.setattr(symbolic, "_post_order", counted)
+    return steps
+
+
+def _counted_interning(monkeypatch) -> list:
+    """Patch ``Expr._interned`` to append the class of each node it is asked for."""
+    built, intern = [], symbolic.Expr._interned.__func__
     monkeypatch.setattr(symbolic.Expr, "_interned",
                         classmethod(lambda cls, *a: built.append(cls) or intern(cls, *a)))
-    assert differentiate(e, "x7") is first
+    return built
+
+
+class _CountingStore(dict):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        self.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_derivation_work_does_not_depend_on_what_a_caller_holds(monkeypatch):
+    e = parse(_RICH, ["x7", "t1"])
+    steps = _counted_walks(monkeypatch)
+
+    differentiate(e, "x7")
+    once = len(steps)
+    # outside a block a call has only its own memo: whether the first
+    # result is held or dropped, the second call takes the same walk
+    held = differentiate(e, "x7")
+    del steps[:]
+    assert differentiate(e, "x7") is held and len(steps) == once
+    del held
+    differentiate(e, "x7")
+    del steps[:]
+    differentiate(e, "x7")
+    assert len(steps) == once > 0
+    # inside a block the second call walks nothing and interns no node
+    with keeping({}):
+        first = differentiate(e, "x7")
+        del steps[:]
+        built = _counted_interning(monkeypatch)
+        assert differentiate(e, "x7") is first
+    assert steps == [] and built == []
+
+
+def test_a_held_derivative_is_reused_without_building_a_node(monkeypatch):
+    e = parse(_RICH, ["x7", "t1"])
+    store = {}
+    with keeping(store):
+        first = weakref.ref(differentiate(e, "x7"))  # held by the store alone
+        gc.collect()
+        size = len(symbolic._NODES)
+        built = _counted_interning(monkeypatch)
+        assert first() is not None and differentiate(e, "x7") is first()
     assert built == [] and len(symbolic._NODES) == size
 
 
 def test_a_shared_subtree_is_derived_once_per_call(monkeypatch):
     # du is the constant 10.875, which each power rule folds into its own
-    # coefficient, so no result holds it: only the call itself keeps it alive
+    # coefficient, so no result holds it: only the call itself keeps it
     u = add(mul(Const(2.125), X1), mul(Const(3.25), X1), mul(Const(5.5), X1))
     e = add(power(u, 2), power(u, 3))
-    stored = []  # counts only: holding the derivatives would keep them alive
-    monkeypatch.setattr(symbolic, "weakref", SimpleNamespace(
-        ref=lambda out: stored.append(1) or weakref.ref(out)))
-    differentiate(e, "x1")
     compound = [n for n in subexpressions(e) if not isinstance(n, (Const, Var))]
-    assert len(stored) == len(compound) == 7
+    steps = _counted_walks(monkeypatch)
+    differentiate(e, "x1")  # outside a block only the call's memo shares u
+    assert len(steps) == len(compound) == 7
+    store = _CountingStore()
+    with keeping(store):
+        differentiate(e, "x1")
+    assert store.writes == len(store) == 7
+    assert {node for node, _ in store} == set(compound)
 
 
 def test_derivatives_leave_no_nodes_and_no_cycles_behind():
@@ -482,7 +537,7 @@ def test_derivatives_leave_no_nodes_and_no_cycles_behind():
     try:
         e = parse(_RICH, ["x7", "t1"])
         first = differentiate(e, "x7")
-        assert differentiate(e, "x7") is first  # the second one is a cache hit
+        assert differentiate(e, "x7") is first  # derived again, the same node
         second = differentiate(differentiate(e, "t1"), "x7")
         assert len(symbolic._NODES) > before
         del e, first, second
@@ -502,17 +557,19 @@ def test_a_derivative_no_caller_holds_is_freed():
 
 def test_a_keeping_block_holds_what_differentiate_builds_for_as_long_as_its_store():
     e = parse(_RICH, ["x7", "t1"])
-    outer, inner = [], []
+    outer, inner = {}, {}
     with keeping(outer):
         ref = weakref.ref(differentiate(e, "x7"))
-        assert ref() is not None and ref() in outer
+        assert ref() is not None and outer[e, "x7"] is ref()
         with keeping(inner):
             second = weakref.ref(differentiate(e, "t1"))
-        assert second() is not None and second() in inner
-        assert all(d not in outer for d in inner)  # the innermost store takes it
+        assert second() is not None and inner[e, "t1"] is second()
+        # the innermost store takes it
+        assert {name for _, name in outer} == {"x7"} and {name for _, name in inner} == {"t1"}
+        assert all(d not in outer.values() for d in inner.values())
         assert differentiate(e, "x7") is ref()  # a cache hit builds nothing
     with pytest.raises(ZeroDivisionError):
-        with keeping([]):
+        with keeping({}):
             1 / 0
     assert symbolic._KEEPERS == []  # an error inside a block closes it
     del outer
@@ -548,7 +605,7 @@ def test_a_dropped_hamilton_space_frees_the_derivatives_it_kept():
         forms = [build(space) for build in (canonical_nonlinear_connection,
                                             canonical_connection_middle_form,
                                             canonical_connection_closed_form)]
-        refs = [weakref.ref(d) for d in space._kept if id(d) not in existing]
+        refs = [weakref.ref(d) for d in space._kept.values() if id(d) not in existing]
         assert refs and all(r() is not None for r in refs)
         del space, forms, h, H
         assert [r for r in refs if r() is not None] == []
@@ -621,7 +678,7 @@ def test_pruned_walks_return_the_nodes_of_the_full_walks(e, name, replacement):
 
 
 # ---------------------------------------------------------------------------
-# the product rule splices each factor's derivative into the factor tuple
+# the product rule builds each factor's term with mul
 
 _NAUGHT = add(X1, neg(X1))  # x1 - x1: its derivative is add(1, -1), ZERO
 _SEAMS = [
@@ -668,44 +725,6 @@ def test_a_coefficient_overflow_in_the_product_rule_raises_as_mul_does(sign):
     assert str(got.value) == f"constant folding overflows to {sign * math.inf!r}"
 
 
-_pool = st.sampled_from([X1, T1, P11, power(X1, 2), power(X1, 3), sin(X1), Const(-2.0),
-                         Const(0.5), Const(1e10), Const(-1e300)])
-
-
-def _try_mul(factors):
-    try:
-        return mul(*factors)
-    except DomainError:
-        return factors[-1]
-
-
-_spliced_in = st.one_of(
-    st.sampled_from([ZERO, Const(-0.0), symbolic.ONE, Const(4.0), Const(1e300),
-                     Const(-1e300), Const(math.nan), Const(math.inf)]),
-    st.lists(_pool, min_size=1, max_size=4).map(_try_mul),
-    _poly_expr,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(_pool, _poly_expr), min_size=2, max_size=6), _spliced_in,
-       st.integers(0, 5))
-def test_splicing_any_factor_gives_the_node_of_mul(factors, df, i):
-    e = _try_mul(factors)
-    if not isinstance(e, Product):
-        return
-    fs = e.factors
-    i %= len(fs)
-    try:
-        want = mul(*fs[:i], df, *fs[i + 1:])
-    except DomainError as exc:
-        with pytest.raises(DomainError) as got:
-            symbolic._spliced(fs, i, df)
-        assert str(got.value) == str(exc)
-    else:
-        assert symbolic._spliced(fs, i, df) is want
-
-
 def test_a_root_without_the_variable_differentiates_to_zero():
     for e in (neg(X1), cos(X1), neg(sin(X1) * T1)):
         assert differentiate_walk(e, "y9") is Const(-0.0)
@@ -715,10 +734,13 @@ def test_a_root_without_the_variable_differentiates_to_zero():
 def test_differentiating_by_an_absent_name_touches_no_cache():
     x8 = var("x8")
     e = sin(x8) * exp(x8 + T1)
+    store = {}
+    with keeping(store):
+        assert differentiate(e, "p1_1") is ZERO
+        assert store == {}
+        differentiate(e, "x8")  # a name it has does fill the store
     nodes = [n for n in subexpressions(e) if not isinstance(n, (Const, Var))]
-    assert all(n._derivs is None for n in nodes)
-    assert differentiate(e, "p1_1") is ZERO
-    assert all(n._derivs is None for n in nodes)
+    assert {node for node, _ in store} == set(nodes)
 
 
 def test_substituting_an_absent_name_returns_the_expression_itself(monkeypatch):

@@ -8,8 +8,11 @@ checks the connection law between them at 20 sample points to 1e-8
 ("law").  It then checks the law again at 20 points of a second seed
 ("law2"): a compiled program's first run walks its ops one at a time and
 every later run takes the level plan (``symbolic.Program``), so the two
-checks cover both evaluation paths.  It prints the seconds of each stage
-and the ``max_residual`` of both checks, and exits 1 when some law fails.
+checks cover both evaluation paths.  It prints the seconds of each stage,
+the ``max_residual`` of both checks and ``kept``, the number of
+derivatives the two spaces' stores hold after the build and the
+connections: a count of derivation work that does not depend on the
+machine.  It exits 1 when some law fails.
 
 Run it from the repository root, for every row or for the rows named:
 
@@ -59,8 +62,8 @@ GC_THRESHOLD = (100_000, 50, 50)
 
 
 def sweep_row(m: int, n: int):
-    """(build_s, conn_s, law_s, law report, second law report) for one
-    (m, n)."""
+    """(build_s, conn_s, law_s, kept, law report, second law report) for
+    one (m, n)."""
     rng = np.random.default_rng(SEED)
     tm = random_transition(m, n, rng, shears=SHEARS)
     h, phi = random_temporal_metric(m, rng), random_spatial_metric(n, rng)
@@ -73,13 +76,14 @@ def sweep_row(m: int, n: int):
     N_a = canonical_nonlinear_connection(space_a)
     N_b = canonical_nonlinear_connection(space_b)
     connected = time.perf_counter()
+    kept = len(space_a._kept) + len(space_b._kept)
     report = verify_connection_law(N_a, N_b, tm, dom=tm.chart.sample_domain(count=SAMPLES),
                                    tol=LAW_TOL)
     checked = time.perf_counter()
     again = verify_connection_law(N_a, N_b, tm,
                                   dom=tm.chart.sample_domain(count=SAMPLES, seed=SECOND_SEED),
                                   tol=LAW_TOL)
-    return built - start, connected - built, checked - connected, report, again
+    return built - start, connected - built, checked - connected, kept, report, again
 
 
 def parse_row(text: str) -> tuple[int, int]:
@@ -93,14 +97,14 @@ def parse_row(text: str) -> tuple[int, int]:
 def main(argv: list[str]) -> int:
     rows = [parse_row(arg) for arg in argv] or ROWS
     gc.set_threshold(*GC_THRESHOLD)
-    print(f"{'(m, n)':8} {'build_s':>8} {'conn_s':>8} {'law_s':>8} {'max_residual':>13} "
-          f"{'law2':>10}  law")
+    print(f"{'(m, n)':8} {'build_s':>8} {'conn_s':>8} {'law_s':>8} {'kept':>8} "
+          f"{'max_residual':>13} {'law2':>10}  law")
     failed = False
     for m, n in rows:
-        build_s, conn_s, law_s, report, again = sweep_row(m, n)
+        build_s, conn_s, law_s, kept, report, again = sweep_row(m, n)
         passed = report.passed and again.passed
         failed |= not passed
-        print(f"{f'({m}, {n})':8} {build_s:8.3f} {conn_s:8.3f} {law_s:8.3f} "
+        print(f"{f'({m}, {n})':8} {build_s:8.3f} {conn_s:8.3f} {law_s:8.3f} {kept:8d} "
               f"{report.max_residual:13.3e} {again.max_residual:10.3e}  "
               f"{'pass' if passed else 'FAIL'}", flush=True)
     return 1 if failed else 0
