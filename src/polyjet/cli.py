@@ -33,6 +33,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,76 +122,152 @@ class Manifest:
 
     def domain(self, seed: int) -> SampleDomain:
         dom = self.chart.sample_domain(count=self.sample_count, seed=seed)
-        if not self.sample_intervals:
-            return dom
         intervals = tuple(
             (nm, *self.sample_intervals.get(nm, (lo, hi)))
             for nm, lo, hi in dom.intervals)
         return SampleDomain(intervals, count=self.sample_count, seed=seed)
 
 
-def _number(raw, where: str) -> float:
-    """A manifest number: a JSON integer or float, never a bool or string."""
+REQUIRED = object()
+Key = namedtuple("Key", "kind default arg nullable", defaults=(None, None, False))
+
+# The manifest schema: for each JSON object of a manifest, by dotted path
+# ("" is the document), its keys in the order they are read; any other key
+# is refused.  A key gives its kind of value, the default it takes when
+# absent (REQUIRED when the manifest must give it), the kind's arg and
+# whether null reads as absent.  ``_walk`` defines each kind.  Of rows, list
+# and expression, arg "t" or "x" picks the chart's t or x names, all its
+# names when None; of integer it is the bounds (lo, hi) and of choice the
+# allowed strings.  "dimensions" comes before every key the chart sizes.
+SCHEMA = {
+    "": {
+        "schema": Key("schema", REQUIRED),
+        "dimensions": Key("object", REQUIRED),
+        "temporal_metric": Key("rows", arg="t"),
+        "spatial_metric": Key("rows", arg="x"),
+        "hamiltonian": Key("expression"),
+        "constants": Key("map", {}),
+        "transition": Key("object"),
+        "sample_domain": Key("object", {}),
+        "tolerances": Key("object", {}),
+        "evaluation_point": Key("point", nullable=True),
+        "fault_injection": Key("object", nullable=True),
+    },
+    "dimensions": {
+        "m": Key("integer", REQUIRED, (1, MAX_DIMENSION)),
+        "n": Key("integer", REQUIRED, (1, MAX_DIMENSION)),
+    },
+    "transition": {
+        "t_forward": Key("list", REQUIRED, "t"),
+        "x_forward": Key("list", REQUIRED, "x"),
+        "t_inverse": Key("list", arg="t"),
+        "x_inverse": Key("list", arg="x"),
+    },
+    "sample_domain": {
+        "count": Key("integer", 20, (1, MAX_SAMPLE_COUNT)),
+        # a negative seed is refused where every seed source is checked
+        "seed": Key("integer", 0),
+        "intervals": Key("intervals", {}),
+    },
+    "tolerances": {
+        "equiv": Key("tolerance", 1e-9),
+        "law": Key("tolerance", 1e-8),
+        "regularity": Key("tolerance", 1e-9),
+    },
+    "fault_injection": {
+        "block": Key("choice", REQUIRED, ("N1", "N2")),
+        "index": Key("index", REQUIRED),
+        "delta": Key("finite", 0.1),
+    },
+}
+
+
+def _walk(raw, where: str = "", kind: str = "object", arg=None, chart=None):
+    """``raw``, the value at ``where`` in a manifest, checked and converted
+    as a value of ``kind``.  An object is read by its ``SCHEMA`` entry: each
+    key walked, an absent one defaulted, an unknown one refused."""
+    if kind == "schema":
+        if type(raw) is not int or raw != 1:
+            raise ConfigError("manifest schema must be 1")
+        return raw
+    if kind == "integer":
+        if type(raw) is not int:
+            raise ConfigError(f"{where} must be an integer, got {raw!r}")
+        if arg is not None and not arg[0] <= raw <= arg[1]:
+            raise ConfigError(f"{where} must be from {arg[0]} to {arg[1]}, got {raw}")
+        return raw
+    if kind == "choice":
+        if raw not in arg:
+            raise ConfigError(f"{where} must be {' or '.join(map(repr, arg))}")
+        return raw
+    if kind == "index":
+        if (not isinstance(raw, list) or len(raw) != 3
+                or any(type(i) is not int or i < 1 for i in raw)):
+            raise ConfigError(f"{where} must be three 1-based indices")
+        return tuple(raw)
+    if kind in ("expression", "list", "rows"):
+        names = {"t": chart.t_names, "x": chart.x_names}.get(arg, chart.names)
+        d = len(names)
+        if kind != "expression":
+            if not isinstance(raw, list) or len(raw) != d:
+                shape = f"be a {d}x{d} array" if kind == "rows" else f"list {d} expressions"
+                raise ConfigError(f"{where} must {shape}")
+            inner = "list" if kind == "rows" else "expression"
+            return tuple(_walk(e, where, inner, arg, chart) for e in raw)
+        if isinstance(raw, str):
+            return parse(raw, names)
+        if type(raw) not in (int, float):
+            raise ConfigError(f"{where}: expected an expression string or number, "
+                              f"got {type(raw).__name__}")
+        return Const(_walk(raw, where, "finite"))
+    if kind in ("object", "map", "point", "intervals"):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{where or 'manifest'} must be a JSON object")
+        if kind == "object":
+            keys, prefix = SCHEMA[where], f"{where}." if where else ""
+            out = {}
+            for key, spec in keys.items():
+                if key not in raw and spec.default is REQUIRED:
+                    raise ConfigError(f"manifest needs {prefix}{key}")
+                value = raw.get(key, spec.default)
+                absent = value is None and (spec.nullable or key not in raw)
+                # tolerances keep the names their messages have always given them
+                name = f"tolerance {key!r}" if where == "tolerances" else prefix + key
+                out[key] = None if absent else _walk(value, name, spec.kind, spec.arg, chart)
+                if prefix + key == "dimensions":
+                    chart = JetChart(**out[key])
+            for key in raw:
+                if key not in keys:
+                    raise ConfigError(f"unknown manifest key {prefix}{key}")
+            return out
+        if kind == "map":
+            return {k: _walk(v, f"{where}.{k}", "finite") for k, v in raw.items()}
+        unknown = [nm for nm in raw if nm not in chart.names]
+        if kind == "point":
+            if unknown:
+                raise ConfigError(f"{where} names unknown variables {sorted(unknown)}")
+            return {nm: _walk(raw.get(nm, 0.0), f"{where}.{nm}", "finite")
+                    for nm in chart.names}
+        if unknown:
+            raise ConfigError(f"sample interval for unknown variable {unknown[0]!r}")
+        return {nm: _walk(pair, f"sample interval for {nm!r}", "pair")
+                for nm, pair in raw.items()}
+    if kind == "pair":
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise ConfigError(f"{where} must be [lo, hi]")
+        return tuple(_walk(v, where, "number") for v in raw)
+    # number, finite and tolerance
     if type(raw) not in (int, float):
         raise ConfigError(f"{where} must be a number, got {raw!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except OverflowError:
         raise ConfigError(f"{where} must be a number, got {raw!r}") from None
-
-
-def _integer(raw, where: str) -> int:
-    """A manifest integer: a JSON integer, never a float, bool or string."""
-    if type(raw) is not int:
-        raise ConfigError(f"{where} must be an integer, got {raw!r}")
-    return raw
-
-
-def _object(raw, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be an object")
-    return raw
-
-
-def _tolerance(raw, where: str) -> float:
-    value = _number(raw, where)
-    if not (math.isfinite(value) and value > 0.0):
+    if kind == "finite" and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    if kind == "tolerance" and not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{where} must be finite and positive, got {value!r}")
     return value
-
-
-def _finite(raw, where: str) -> float:
-    """A manifest number that reaches the report, where JSON admits no NaN
-    or infinity."""
-    value = _number(raw, where)
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return value
-
-
-def _entry_expr(raw, allowed, where: str):
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        value = _number(raw, where)
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}: entries must be finite, got {raw!r}")
-        return Const(value)
-    if isinstance(raw, str):
-        return parse(raw, allowed)
-    raise ConfigError(f"{where}: expected an expression string or number, "
-                      f"got {type(raw).__name__}")
-
-
-def _metric_rows(raw, dim: int, allowed, where: str):
-    if (not isinstance(raw, list) or len(raw) != dim
-            or any(not isinstance(r, list) or len(r) != dim for r in raw)):
-        raise ConfigError(f"{where} must be a {dim}x{dim} array")
-    return [[_entry_expr(e, allowed, where) for e in row] for row in raw]
-
-
-def _expr_list(raw, size: int, allowed, where: str):
-    if not isinstance(raw, list) or len(raw) != size:
-        raise ConfigError(f"{where} must list {size} expressions")
-    return tuple(_entry_expr(e, allowed, where) for e in raw)
 
 
 def load_manifest(path: str) -> Manifest:
@@ -199,115 +276,36 @@ def load_manifest(path: str) -> Manifest:
             blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read manifest: {exc}")
-    digest = hashlib.sha256(blob).hexdigest()
     try:
         data = json.loads(blob)
     except ValueError as exc:  # bad JSON, or bytes that are no Unicode text
         raise ConfigError(f"manifest is not valid JSON: {exc}")
     except RecursionError:
         raise ConfigError("manifest nests deeper than the JSON parser allows") from None
-    if not isinstance(data, dict):
-        raise ConfigError("manifest must be a JSON object")
-    if type(data.get("schema")) is not int or data["schema"] != 1:
-        raise ConfigError("manifest schema must be 1")
-    dims = data.get("dimensions")
-    if not isinstance(dims, dict) or "m" not in dims or "n" not in dims:
-        raise ConfigError("manifest needs dimensions.m and dimensions.n")
-    m = _integer(dims["m"], "dimensions.m")
-    n = _integer(dims["n"], "dimensions.n")
-    for where, value in (("dimensions.m", m), ("dimensions.n", n)):
-        if not 1 <= value <= MAX_DIMENSION:
-            raise ConfigError(f"{where} must be from 1 to {MAX_DIMENSION}, got {value}")
-    chart = JetChart(m, n)
+    data = _walk(data)
 
-    h = phi = None
-    if "temporal_metric" in data:
-        h = Metric.temporal(_metric_rows(data["temporal_metric"], m,
-                                         chart.t_names, "temporal_metric"))
-    if "spatial_metric" in data:
-        phi = Metric.spatial(_metric_rows(data["spatial_metric"], n,
-                                          chart.x_names, "spatial_metric"))
-
-    hamiltonian = None
-    if "hamiltonian" in data:
-        hamiltonian = _entry_expr(data["hamiltonian"], chart.names, "hamiltonian")
-
-    constants = {k: _finite(v, f"constants.{k}")
-                 for k, v in _object(data.get("constants", {}), "constants").items()}
-
-    transition = None
-    if "transition" in data:
-        tr = _object(data["transition"], "transition")
-        try:
-            t_fwd = _expr_list(tr["t_forward"], m, chart.t_names,
-                               "transition.t_forward")
-            x_fwd = _expr_list(tr["x_forward"], n, chart.x_names,
-                               "transition.x_forward")
-        except KeyError as exc:
-            raise ConfigError(f"transition needs {exc.args[0]}")
-        t_inv = x_inv = None
-        if "t_inverse" in tr:
-            t_inv = _expr_list(tr["t_inverse"], m, chart.t_names,
-                               "transition.t_inverse")
-        if "x_inverse" in tr:
-            x_inv = _expr_list(tr["x_inverse"], n, chart.x_names,
-                               "transition.x_inverse")
-        transition = TransitionMap(m, n, t_fwd, x_fwd, t_inv, x_inv)
-
-    sample = _object(data.get("sample_domain", {}), "sample_domain")
-    count = _integer(sample.get("count", 20), "sample_domain.count")
-    if not 1 <= count <= MAX_SAMPLE_COUNT:
-        raise ConfigError(f"sample_domain.count must be from 1 to {MAX_SAMPLE_COUNT}, "
-                          f"got {count}")
-    seed = _integer(sample.get("seed", 0), "sample_domain.seed")
-    intervals = {}
-    for nm, pair in _object(sample.get("intervals", {}), "sample_domain.intervals").items():
-        if nm not in chart.names:
-            raise ConfigError(f"sample interval for unknown variable {nm!r}")
-        where = f"sample interval for {nm!r}"
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{where} must be [lo, hi]")
-        lo, hi = (_number(v, where) for v in pair)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigError(f"{where} must be [lo, hi]")
-        intervals[nm] = (lo, hi)
-
-    tol = {"equiv": 1e-9, "law": 1e-8, "regularity": 1e-9}
-    for key, value in _object(data.get("tolerances", {}), "tolerances").items():
-        if key not in tol:
-            raise ConfigError(f"unknown tolerance {key!r}")
-        tol[key] = _tolerance(value, f"tolerance {key!r}")
-
-    point = data.get("evaluation_point")
-    if point is not None:
-        unknown = set(_object(point, "evaluation_point")) - set(chart.names)
-        if unknown:
-            raise ConfigError(f"evaluation_point names unknown variables "
-                              f"{sorted(unknown)}")
-        point = {nm: _finite(point.get(nm, 0.0), f"evaluation_point.{nm}")
-                 for nm in chart.names}
-
-    fault = data.get("fault_injection")
+    # the rules that tie one field to another
+    m, n = data["dimensions"]["m"], data["dimensions"]["n"]
+    sample, fault = data["sample_domain"], data["fault_injection"]
+    for nm, (lo, hi) in sample["intervals"].items():
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"sample interval for {nm!r} must be [lo, hi]")
     if fault is not None:
-        if not isinstance(fault, dict) or fault.get("block") not in ("N1", "N2"):
-            raise ConfigError("fault_injection.block must be 'N1' or 'N2'")
-        idx = fault.get("index")
-        if (not isinstance(idx, list) or len(idx) != 3
-                or any(type(i) is not int or i < 1 for i in idx)):
-            raise ConfigError("fault_injection.index must be three 1-based indices")
-        hi = (m, n, m) if fault["block"] == "N1" else (m, n, n)
-        if any(i > top for i, top in zip(idx, hi)):
+        shape = (m, n, m if fault["block"] == "N1" else n)
+        if any(i > top for i, top in zip(fault["index"], shape)):
             raise ConfigError(f"fault_injection.index out of range for "
-                              f"{fault['block']} of shape {hi}")
-        fault = {"block": fault["block"], "index": tuple(idx),
-                 "delta": _finite(fault.get("delta", 0.1), "fault_injection.delta")}
+                              f"{fault['block']} of shape {shape}")
 
-    return Manifest(m=m, n=n, digest=digest, temporal_metric=h,
-                    spatial_metric=phi, hamiltonian=hamiltonian,
-                    constants=constants, transition=transition,
-                    sample_count=count, sample_seed=seed,
-                    sample_intervals=intervals, tolerances=tol,
-                    evaluation_point=point, fault_injection=fault)
+    h, phi, tr = data["temporal_metric"], data["spatial_metric"], data["transition"]
+    return Manifest(
+        m=m, n=n, digest=hashlib.sha256(blob).hexdigest(),
+        temporal_metric=None if h is None else Metric.temporal(h),
+        spatial_metric=None if phi is None else Metric.spatial(phi),
+        hamiltonian=data["hamiltonian"], constants=data["constants"],
+        transition=None if tr is None else TransitionMap(m, n, **tr),
+        sample_count=sample["count"], sample_seed=sample["seed"],
+        sample_intervals=sample["intervals"], tolerances=data["tolerances"],
+        evaluation_point=data["evaluation_point"], fault_injection=fault)
 
 
 def _load(args):
@@ -434,7 +432,7 @@ def _cli_tol(args, manifest: Manifest) -> float:
     """``--tol`` when given, else the manifest's tolerance it overrides."""
     if args.tol is None:
         return manifest.tolerances[_TOL_KEYS[args.command]]
-    return _tolerance(args.tol, "--tol")
+    return _walk(args.tol, "--tol", "tolerance")
 
 
 def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks: list):

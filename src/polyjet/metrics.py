@@ -159,8 +159,9 @@ def christoffel(g: Metric) -> ChristoffelField:
     d = g.dim
     inv = g.inverse_components
     names = g.christoffel_names
-    derivs = [[[differentiate(g.components[i][j], names[k]) for k in range(d)]
-               for j in range(d)] for i in range(d)]
+    # each distinct entry once: a symmetric metric's g_ij and g_ji are one node
+    derived = {e: [differentiate(e, v) for v in names] for e in dict.fromkeys(g.components.flat)}
+    derivs = [[derived[e] for e in row] for row in g.components]
     comps = [[[add(*[mul(Const(0.5), inv[k][l],
                          add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
                      for l in range(d)])

@@ -11,9 +11,12 @@ bit for bit and error for error, and ``to_string_walk`` is the recursive
 printer whose text ``to_string`` must match byte for byte.
 ``laplace_inverse`` is the adjugate over plain Laplace expansion, with
 every cofactor expanded afresh: ``linalg.sym_inverse`` must return its
-very nodes.  ``pullback_metric_sandwich`` writes a metric in the target
-chart by the direct two-factor contraction, and ``metrics.pullback_metric``,
-a d-tensor pullback, must return its very nodes.  The formulas of the
+very nodes.  ``christoffel_direct`` differentiates both g_ij and g_ji,
+and ``metrics.christoffel``, which derives each distinct entry once, must
+return its very nodes.  ``pullback_metric_sandwich`` writes a metric in
+the target chart by the direct two-factor contraction, and
+``metrics.pullback_metric``, a d-tensor pullback, must return its very
+nodes.  The formulas of the
 Hamilton layer are written out here one loop each, as they read in the
 paper: the gravitational and both electrodynamic hamiltonians, the
 direct spatial block of the canonical connection, the deviation block T,
@@ -276,6 +279,21 @@ def pullback_metric_sandwich(g, tm):
                    for k in range(d) for l in range(d)])
              for j in range(d)] for i in range(d)]
     return Metric(g.kind, g.m, g.n, rows, g.p_dependent)
+
+
+def christoffel_direct(g):
+    """Gamma^k_ij = 1/2 g^kl (d g_li / d v^j + d g_lj / d v^i - d g_ij / d v^l),
+    every entry of g differentiated afresh in every variable, g_ij and g_ji
+    alike."""
+    d = g.dim
+    inv = g.inverse_components
+    names = g.christoffel_names
+    derivs = [[[differentiate(g.components[i][j], names[k]) for k in range(d)]
+               for j in range(d)] for i in range(d)]
+    return [[[add(*[mul(Const(0.5), inv[k][l],
+                        add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
+                    for l in range(d)])
+              for j in range(d)] for i in range(d)] for k in range(d)]
 
 
 def gravitational_hamiltonian(h, phi, mass=1.0, light_speed=1.0):

@@ -17,6 +17,7 @@ from polyjet.cli import (
     load_manifest,
     main,
 )
+from polyjet.errors import NotRegular, ResidualTooLarge
 from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import Metric
 from polyjet.symbolic import MAX_NESTING
@@ -175,6 +176,61 @@ def test_verify_fault_injection_names_entries(tmp_path):
     # the poked slot is the dx1 column of the p2_1 coframe row
     assert cof["worst_entry"] == "coframe[p2_1, dx1]"
     assert rep["objects"]["fault_injection"]["index"] == [1, 2, 1]
+
+
+def test_verify_without_a_hamiltonian_uses_the_metric_pair(tmp_path):
+    data = json.loads((MANIFESTS / "curved.json").read_text())
+    del data["hamiltonian"]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, rep = run(tmp_path, "verify", str(path))
+    assert code == EXIT_OK
+    assert rep["objects"]["connection_source"] == "metric pair"
+    assert "kronecker-regularity" not in {c["name"] for c in rep["checks"]}
+
+    data["fault_injection"] = {"block": "N1", "index": [2, 1, 2], "delta": 0.1}
+    path.write_text(json.dumps(data))
+    code, rep = run(tmp_path, "verify", str(path))
+    assert code == EXIT_CONNECTION
+    assert rep["objects"]["connection_source"] == "metric pair"
+    conn = {c["name"]: c for c in rep["checks"]}["connection-law"]
+    assert not conn["passed"] and conn["worst_entry"] == "N1[2,1,2]"
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (NotRegular, EXIT_REGULARITY, "regularity error: "),
+    (ResidualTooLarge, cli.EXIT_INTERNAL, "error: "),
+])
+def test_main_maps_layer_errors_to_their_exit_codes(monkeypatch, capsys, error, code, prefix):
+    """A layer function that raises is reported on one stderr line with the
+    exit code of the README's table, and no traceback."""
+    def raising(*args, **kwargs):
+        raise error("the layer gave up")
+
+    monkeypatch.setattr(cli, "check_kronecker_regularity", raising)
+    assert main(["regularity", str(MANIFESTS / "curved.json")]) == code
+    err = capsys.readouterr().err
+    assert err == f"{prefix}the layer gave up\n"
+
+
+@pytest.mark.parametrize("changes, path", [
+    ({"fault_injecton": {"block": "N2", "index": [1, 2, 1]}}, "fault_injecton"),
+    ({"fault_injection": {"block": "N2", "index": [1, 2, 1], "dleta": 5}},
+     "fault_injection.dleta"),
+    ({"sample_domain": {"cuont": 3}}, "sample_domain.cuont"),
+    ({"transition": {"t_forward": ["t1", "t2"], "x_forward": ["x1", "x2"],
+                     "t_inverse": ["t1", "t2"], "x_invers": ["x1", "x2"]}},
+     "transition.x_invers"),
+    ({"dimensions": {"m": 2, "n": 2, "k": 9}}, "dimensions.k"),
+    ({"tolerances": {"law": 1e-8, "lwa": 1.0}}, "tolerances.lwa"),
+])
+def test_an_unknown_manifest_key_exits_2_naming_its_dotted_path(tmp_path, capsys, changes,
+                                                                 path):
+    """Each of these manifests once ran every check, and passed."""
+    for command in ("verify", "christoffel"):
+        assert main([command, rewrite(tmp_path, "flat.json", **changes)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: unknown manifest key {path}\n"
 
 
 def test_verify_nan_fault_fails_closed(tmp_path, monkeypatch):

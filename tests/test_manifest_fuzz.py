@@ -1,14 +1,19 @@
 """A manifest fuzzer, run in process through ``cli.main``.
 
 Each example takes ``curved.json`` and breaks it one way: a value of the
-wrong type at some key, a missing key, a fault-injection index of the wrong
-length or an unknown block, a non-finite number, an expression nested at or
-past ``MAX_NESTING``, a JSON document nested past what its parser takes,
-dimensions whose blocks do not match, or dimensions past the exact-inverse
-limit.  Every run must exit with a code of the README's table and print no
-traceback, and a run that stops on a configuration, numeric or internal
-error must name the cause on stderr.  A broken value the manifest schema
-rules out must give exit 2.
+wrong type at some key, a missing key, an unknown key, a fault-injection
+index of the wrong length or an unknown block, a non-finite number, an
+expression nested at or past ``MAX_NESTING``, a JSON document nested past
+what its parser takes, dimensions whose blocks do not match, or dimensions
+past the exact-inverse limit.  Every run must exit with a code of the
+README's table and print no traceback, and a run that stops on a
+configuration, numeric or internal error must name the cause on stderr.  A
+broken value the manifest schema rules out must give exit 2.
+
+The wrong-type, missing-key, unknown-key and non-finite mutations are drawn
+from ``cli.SCHEMA``: every key of the table and every slot inside its
+values, with the wrong values of its kind from ``WRONG``.  A key added to
+the table is fuzzed with no list here to update.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from polyjet import cli
+from polyjet.charts import JetChart
 from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.symbolic import MAX_NESTING
 
@@ -33,77 +39,82 @@ COMMANDS = ("christoffel", "regularity", "connection", "verify")
 # the exit codes of the README's table
 DOCUMENTED = set(range(9))
 
-_INTEGER = [None, True, "2", 2.5, 2.0, [], {}]
 _NUMBER = [None, True, "1e-8", [], {}]
 _OBJECT = [None, True, 3, "x", []]
-_OPTIONAL_OBJECT = [True, 3, "x", []]
 _ARRAY = [None, True, 3, "x", {}]
-_EXPRESSION = [None, True, [], {}]
 
-# (path, values of a wrong type there, text the error must name)
-WRONG_TYPES = [
-    (("schema",), [None, True, 1.0, "1", 2, [], {}], "schema"),
-    (("dimensions",), _OBJECT, "dimensions"),
-    (("dimensions", "m"), _INTEGER, "dimensions.m"),
-    (("dimensions", "n"), _INTEGER, "dimensions.n"),
-    (("temporal_metric",), _ARRAY, "temporal_metric"),
-    (("temporal_metric", 1), _ARRAY, "temporal_metric"),
-    (("temporal_metric", 1, 1), _EXPRESSION, "temporal_metric"),
-    (("spatial_metric",), _ARRAY, "spatial_metric"),
-    (("spatial_metric", 0, 0), _EXPRESSION, "spatial_metric"),
-    (("hamiltonian",), _EXPRESSION, "hamiltonian"),
-    (("constants",), _OBJECT, "constants"),
-    (("constants", "mass"), _NUMBER, "constants.mass"),
-    (("transition",), _OBJECT, "transition"),
-    (("transition", "t_forward"), _ARRAY, "transition.t_forward"),
-    (("transition", "x_forward", 1), _EXPRESSION, "transition.x_forward"),
-    (("transition", "t_inverse"), _ARRAY, "transition.t_inverse"),
-    (("transition", "x_inverse", 0), _EXPRESSION, "transition.x_inverse"),
-    (("sample_domain",), _OBJECT, "sample_domain"),
-    (("sample_domain", "count"), _INTEGER, "sample_domain.count"),
-    (("sample_domain", "seed"), _INTEGER, "sample_domain.seed"),
-    (("sample_domain", "intervals"), _OBJECT, "sample_domain.intervals"),
-    (("sample_domain", "intervals", "t1"), _ARRAY, "'t1'"),
-    (("tolerances",), _OBJECT, "tolerances"),
-    (("tolerances", "law"), _NUMBER, "'law'"),
-    (("tolerances", "regularity"), _NUMBER, "'regularity'"),
-    (("evaluation_point",), _OPTIONAL_OBJECT, "evaluation_point"),
-    (("evaluation_point", "x1"), _NUMBER, "evaluation_point.x1"),
-    (("fault_injection",), _OPTIONAL_OBJECT, "fault_injection"),
-    (("fault_injection", "block"), [None, True, 1, "N3", "n1", []], "fault_injection.block"),
-    (("fault_injection", "index"),
-     [None, True, "1", 1, {}, [1, 2], [1, 2, 1, 1], [1, True, 1], [1, 2.0, 1], [0, 1, 1]],
-     "fault_injection.index"),
-    (("fault_injection", "delta"), _NUMBER, "fault_injection.delta"),
-]
+# values of the wrong type for each kind of value that ``cli._walk`` reads
+WRONG = {
+    "schema": [None, True, 1.0, "1", 2, [], {}],
+    "object": _OBJECT,
+    "integer": [None, True, "2", 2.5, 2.0, [], {}],
+    "number": _NUMBER,
+    "finite": _NUMBER,
+    "tolerance": _NUMBER,
+    "choice": [None, True, 1, "N3", "n1", []],
+    "index": [None, True, "1", 1, {}, [1, 2], [1, 2, 1, 1], [1, True, 1], [1, 2.0, 1],
+              [0, 1, 1]],
+    "expression": [None, True, [], {}],
+    "list": _ARRAY,
+    "rows": _ARRAY,
+    "pair": _ARRAY,
+    "map": _OBJECT,
+    "point": _OBJECT,
+    "intervals": _OBJECT,
+}
 
-# (path, text the error must name when the run stops on it, whether every
-# command refuses the manifest without it)
-MISSING = [
-    (("schema",), "schema", True),
-    (("dimensions",), "dimensions", True),
-    (("dimensions", "n"), "dimensions.n", True),
-    (("temporal_metric",), "temporal_metric", True),
-    (("spatial_metric",), "spatial_metric", False),
-    (("hamiltonian",), "hamiltonian", False),
-    (("transition",), "transition", False),
-    (("transition", "x_forward"), "x_forward", True),
-    (("transition", "t_inverse"), "t_inverse", False),
-    (("evaluation_point", "t2"), "evaluation_point", False),
-    (("fault_injection", "block"), "fault_injection.block", True),
-    (("fault_injection", "index"), "fault_injection.index", True),
-]
+# the slots inside a value of each kind that holds others, as the steps
+# into it that ``curved.json`` admits, and the kind of the value there
+NAMES = JetChart(BASE["dimensions"]["m"], BASE["dimensions"]["n"]).names
+INNER = {
+    "rows": ([0, 1], "list"),
+    "list": ([0, 1], "expression"),
+    "pair": ([0, 1], "number"),
+    "map": (["mass", "light_speed"], "finite"),
+    "point": (NAMES, "finite"),
+    "intervals": (NAMES, "pair"),
+}
+# kinds whose keys are the chart's names
+CHART_KEYED = ("point", "intervals")
+NUMERIC = ("number", "finite", "tolerance", "expression")
 
-# (path, text the error must name) of numbers that must be finite
-NUMBERS = [
-    (("tolerances", "equiv"), "'equiv'"),
-    (("constants", "light_speed"), "constants.light_speed"),
-    (("evaluation_point", "p2_2"), "evaluation_point.p2_2"),
-    (("sample_domain", "intervals", "x2", 1), "'x2'"),
-    (("fault_injection", "delta"), "fault_injection.delta"),
-    (("temporal_metric", 0, 0), "temporal_metric"),
-    (("hamiltonian",), "hamiltonian"),
-]
+
+def slots(path, kind, nullable=False, required=False):
+    """(path, kind, whether null is admitted, whether the manifest needs
+    it) of the value at ``path`` and of every slot inside it.  An entry of
+    an array is needed, since the array's length is fixed."""
+    yield path, kind, nullable, required
+    steps, inner = INNER.get(kind, ((), None))
+    for step in steps:
+        yield from slots(path + (step,), inner, required=isinstance(step, int))
+
+
+def schema_slots() -> list:
+    """The slots of every key of the schema table."""
+    found = []
+    for obj, keys in cli.SCHEMA.items():
+        parent = tuple(obj.split(".")) if obj else ()
+        for key, spec in keys.items():
+            found += slots(parent + (key,), spec.kind, spec.nullable,
+                           spec.default is cli.REQUIRED)
+    return found
+
+
+SLOTS = schema_slots()
+
+
+def dotted(path) -> str:
+    return ".".join(step for step in path if isinstance(step, str))
+
+
+def last_key(path) -> str:
+    return [step for step in path if isinstance(step, str)][-1]
+
+
+def misspelt(key: str, keys) -> list:
+    """Spellings of ``key`` one slip away that are not keys of its object."""
+    slips = {key + key[-1], key[:-1], key[1::-1] + key[2:]}
+    return sorted(slip for slip in slips if slip and slip not in keys)
 
 
 def base() -> dict:
@@ -144,19 +155,51 @@ def wide(m: int, n: int) -> dict:
             "sample_domain": {"count": 3, "seed": 0}}
 
 
+def present(data, path) -> bool:
+    try:
+        drop(copy.deepcopy(data), path)
+    except (KeyError, IndexError):
+        return False
+    return True
+
+
 # A case is (manifest text, texts one of which the error must name, and
-# whether the manifest must be refused with exit 2).
+# whether the manifest must be refused with exit 2).  An error about a slot
+# names its dotted path or its last key, quoted.
 
-wrong_types = st.sampled_from(WRONG_TYPES).flatmap(lambda case: st.builds(
-    lambda value: (json.dumps(put(base(), case[0], value)), (case[2],), True),
-    st.sampled_from(case[1])))
+wrong_types = st.sampled_from(SLOTS).flatmap(lambda slot: st.sampled_from(
+    [value for value in WRONG[slot[1]] if value is not None or not slot[2]]).map(
+    lambda value: (json.dumps(put(base(), slot[0], value)),
+                   (dotted(slot[0]), repr(last_key(slot[0]))), True)))
 
-missing = st.sampled_from(MISSING).map(
-    lambda case: (json.dumps(drop(base(), case[0])), (case[1],), case[2]))
+# each slot that the base manifest fills, dropped: refused when it is needed
+missing = st.sampled_from([slot for slot in SLOTS if present(base(), slot[0])]).map(
+    lambda slot: (json.dumps(drop(base(), slot[0])), (dotted(slot[0]), last_key(slot[0])),
+                  slot[3]))
 
-non_finite = st.tuples(st.sampled_from(NUMBERS), st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"])).map(
+non_finite = st.tuples(st.sampled_from([slot for slot in SLOTS if slot[1] in NUMERIC]),
+                       st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"])).map(
     lambda case: (json.dumps(put(base(), case[0][0], "@")).replace('"@"', case[1]),
-                  (case[0][1],), True))
+                  (dotted(case[0][0]), repr(last_key(case[0][0]))), True))
+
+
+@st.composite
+def unknown_keys(draw):
+    """A key of an object renamed by one slip, or a name that is no chart
+    name added to a map keyed by them."""
+    data = base()
+    if draw(st.booleans()):
+        obj = draw(st.sampled_from(sorted(cli.SCHEMA)))
+        key = draw(st.sampled_from(sorted(cli.SCHEMA[obj])))
+        slip = draw(st.sampled_from(misspelt(key, cli.SCHEMA[obj])))
+        parent = tuple(obj.split(".")) if obj else ()
+        node = data
+        for step in parent:
+            node = node[step]
+        node[slip] = node.pop(key, 0)
+        return json.dumps(data), (dotted(parent + (slip,)), dotted(parent + (key,))), True
+    path = draw(st.sampled_from([slot[0] for slot in SLOTS if slot[1] in CHART_KEYED]))
+    return json.dumps(put(data, path + ("q1",), 0.5)), ("'q1'",), True
 
 
 @st.composite
@@ -207,8 +250,9 @@ not_json = st.sampled_from([b"", b"[1, 2]", b'{"schema": 1,', b"\xff\xfe\x00",
                             json.dumps(base()).encode().replace(b"exp", b"\x80xp")]).map(
     lambda blob: (blob, ("manifest",), True))
 
-cases = st.one_of(wrong_types, missing, non_finite, expression_nesting(), json_nesting(),
-                  mismatched_dimensions(), large_dimensions(), fault_shapes, not_json)
+cases = st.one_of(wrong_types, missing, non_finite, unknown_keys(), expression_nesting(),
+                  json_nesting(), mismatched_dimensions(), large_dimensions(), fault_shapes,
+                  not_json)
 
 
 def run(command: str, text):
@@ -234,6 +278,18 @@ def test_a_broken_manifest_fails_closed_and_names_its_cause(case, command):
         assert code == cli.EXIT_CONFIG, (code, out, err)
     if code in (cli.EXIT_INTERNAL, cli.EXIT_CONFIG, cli.EXIT_METRIC):
         assert any(cause in err for cause in causes), (causes, err)
+
+
+def test_every_slot_refuses_every_wrong_value_of_its_kind():
+    """The wrong-type cases drawn above, every one of them, on one command:
+    the schema refuses them while the manifest loads."""
+    for path, kind, nullable, _ in SLOTS:
+        for value in WRONG[kind]:
+            if value is None and nullable:
+                continue
+            code, out, err = run("christoffel", json.dumps(put(base(), path, value)))
+            assert code == cli.EXIT_CONFIG, (path, value, out, err)
+            assert dotted(path) in err or repr(last_key(path)) in err, (path, value, err)
 
 
 def test_the_base_manifest_passes_but_for_its_injected_fault():

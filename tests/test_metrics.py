@@ -23,7 +23,7 @@ from polyjet.metrics import (
 )
 from polyjet.symbolic import Const, SampleDomain, equiv, evaluate, parse, var
 
-from oracles import central_diff_partial, pullback_metric_sandwich
+from oracles import central_diff_partial, christoffel_direct, pullback_metric_sandwich
 
 TV = ["t1", "t2"]
 XV = ["x1", "x2"]
@@ -187,6 +187,34 @@ def test_dimension_five_christoffel_symbols_are_exact():
     x1 = 0.1
     assert evaluate(field.components[4][4][0], pt) == pytest.approx(x1 / (1 + x1 ** 2), abs=1e-12)
     assert field.at(pt)[4, 4, 0] == pytest.approx(x1 / (1 + x1 ** 2), abs=1e-12)
+
+
+def test_christoffel_derives_each_distinct_entry_once(monkeypatch):
+    """A symmetric 3 x 3 metric of six distinct entries takes 3 * 6
+    derivatives, not 27, and gives the nodes of the formula that
+    differentiates g_ij and g_ji apart."""
+    from polyjet import metrics
+
+    vs = ["x1", "x2", "x3"]
+    texts = [["2 + x1^2", "x1*x2", "sin(x3)"],
+             ["x1*x2", "3 + x2^2", "x1*x3"],
+             ["sin(x3)", "x1*x3", "4 + x3^2"]]
+    g = Metric.spatial([[parse(t, vs) for t in row] for row in texts])
+    calls = []
+    real = metrics.differentiate
+
+    def counted(e, name):
+        calls.append((e, name))
+        return real(e, name)
+
+    monkeypatch.setattr(metrics, "differentiate", counted)
+    field = christoffel(g)
+    d = g.dim
+    assert len(calls) == d * d * (d + 1) // 2 == 18
+    assert len(set(calls)) == len(calls)
+    want = christoffel_direct(g)
+    for k, i, j in np.ndindex(d, d, d):
+        assert field.components[k][i][j] is want[k][i][j]
 
 
 def test_christoffel_past_the_inverse_limit_is_a_config_error():

@@ -263,6 +263,9 @@ def test_parse_variable_containing_caret():
 def test_parse_power_splits_off_exponent():
     got = parse("t1^2 + 1", ["t1"])
     assert got == Sum((Power(T1, 2), Const(1.0)))
+    # a negative exponent is a signed integer too
+    assert parse("x1^-2", ["x1"]) is power(X1, -2)
+    assert evaluate(parse("x1^-2", ["x1"]), {"x1": 2.0}) == 0.25
 
 
 def test_parse_longest_declared_prefix_wins():
@@ -291,11 +294,15 @@ def test_parse_unknown_caret_stem_is_reported():
 def test_parse_function_requires_parentheses():
     with pytest.raises(ExprSyntaxError):
         parse("sin t1", ["t1"])
+    for source in ("(x1+1", "sin(x1", "(x1 + sin(x1)"):
+        with pytest.raises(ExprSyntaxError, match="expected '\\)'"):
+            parse(source, ["x1"])
 
 
 def test_parse_rejects_fractional_exponents():
-    with pytest.raises(ExprSyntaxError):
-        parse("x1^2.5", ["x1"])
+    for source in ("x1^2.5", "x1^", "x1^-", "x1^x1"):
+        with pytest.raises(ExprSyntaxError, match="integer exponent expected after '\\^'"):
+            parse(source, ["x1"])
 
 
 def test_parse_rejects_trailing_input():
@@ -809,6 +816,7 @@ def test_print_parse_fixed_point_on_sources():
         "exp(x1)*ln(1 + t1^2) - sqrt(1 + p1_1^2)",
         "x1/t1/p1_1",
         "x1/(t1/p1_1)",
+        "x1^-2 + t1",
         "(x1 + 1)*(t1 - 2)",
         # a negated power, product or quotient that leads a sum
         "-(x1^2) + t1",
