@@ -122,6 +122,8 @@ class Manifest:
 
     def domain(self, seed: int) -> SampleDomain:
         dom = self.chart.sample_domain(count=self.sample_count, seed=seed)
+        if not self.sample_intervals:
+            return dom
         intervals = tuple(
             (nm, *self.sample_intervals.get(nm, (lo, hi)))
             for nm, lo, hi in dom.intervals)
@@ -129,23 +131,23 @@ class Manifest:
 
 
 REQUIRED = object()
-Key = namedtuple("Key", "kind default arg nullable", defaults=(None, None, False))
+Key = namedtuple("Key", "kind default arg label nullable", defaults=(None, None, None, False))
 
 # The manifest schema: for each JSON object of a manifest, by dotted path
 # ("" is the document), its keys in the order they are read; any other key
 # is refused.  A key gives its kind of value, the default it takes when
-# absent (REQUIRED when the manifest must give it), the kind's arg and
-# whether null reads as absent.  ``_walk`` defines each kind.  Of rows, list
-# and expression, arg "t" or "x" picks the chart's t or x names, all its
-# names when None; of integer it is the bounds (lo, hi) and of choice the
-# allowed strings.  "dimensions" comes before every key the chart sizes.
+# absent (REQUIRED when the manifest must give it), the kind's arg, the name
+# its errors give it when that is not its dotted path, and whether null
+# reads as absent.  ``_walk`` defines each kind.  The arg of integer and
+# choice is the values admitted; of rows, list and expression, the chart's
+# names that the expressions may use.
 SCHEMA = {
     "": {
-        "schema": Key("schema", REQUIRED),
+        "schema": Key("choice", REQUIRED, (1,), "manifest schema"),
         "dimensions": Key("object", REQUIRED),
-        "temporal_metric": Key("rows", arg="t"),
-        "spatial_metric": Key("rows", arg="x"),
-        "hamiltonian": Key("expression"),
+        "temporal_metric": Key("rows", arg="t_names"),
+        "spatial_metric": Key("rows", arg="x_names"),
+        "hamiltonian": Key("expression", arg="names"),
         "constants": Key("map", {}),
         "transition": Key("object"),
         "sample_domain": Key("object", {}),
@@ -154,25 +156,25 @@ SCHEMA = {
         "fault_injection": Key("object", nullable=True),
     },
     "dimensions": {
-        "m": Key("integer", REQUIRED, (1, MAX_DIMENSION)),
-        "n": Key("integer", REQUIRED, (1, MAX_DIMENSION)),
+        "m": Key("integer", REQUIRED, range(1, MAX_DIMENSION + 1)),
+        "n": Key("integer", REQUIRED, range(1, MAX_DIMENSION + 1)),
     },
     "transition": {
-        "t_forward": Key("list", REQUIRED, "t"),
-        "x_forward": Key("list", REQUIRED, "x"),
-        "t_inverse": Key("list", arg="t"),
-        "x_inverse": Key("list", arg="x"),
+        "t_forward": Key("list", REQUIRED, "t_names"),
+        "x_forward": Key("list", REQUIRED, "x_names"),
+        "t_inverse": Key("list", arg="t_names"),
+        "x_inverse": Key("list", arg="x_names"),
     },
     "sample_domain": {
-        "count": Key("integer", 20, (1, MAX_SAMPLE_COUNT)),
+        "count": Key("integer", 20, range(1, MAX_SAMPLE_COUNT + 1)),
         # a negative seed is refused where every seed source is checked
         "seed": Key("integer", 0),
         "intervals": Key("intervals", {}),
     },
     "tolerances": {
-        "equiv": Key("tolerance", 1e-9),
-        "law": Key("tolerance", 1e-8),
-        "regularity": Key("tolerance", 1e-9),
+        "equiv": Key("tolerance", 1e-9, label="tolerance 'equiv'"),
+        "law": Key("tolerance", 1e-8, label="tolerance 'law'"),
+        "regularity": Key("tolerance", 1e-9, label="tolerance 'regularity'"),
     },
     "fault_injection": {
         "block": Key("choice", REQUIRED, ("N1", "N2")),
@@ -182,22 +184,30 @@ SCHEMA = {
 }
 
 
-def _walk(raw, where: str = "", kind: str = "object", arg=None, chart=None):
+def _key(obj: dict, where: str, key: str, chart: JetChart | None = None):
+    """``obj[key]`` of the object at ``where``, walked by its ``SCHEMA``
+    entry: the default when absent, None when null reads as absent."""
+    spec, path = SCHEMA[where][key], f"{where}.{key}" if where else key
+    if key not in obj and spec.default is REQUIRED:
+        raise ConfigError(f"manifest needs {path}")
+    value = obj.get(key, spec.default)
+    if value is None and (spec.nullable or key not in obj):
+        return None
+    return _walk(value, spec.label or path, spec.kind, spec.arg, chart)
+
+
+def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
     """``raw``, the value at ``where`` in a manifest, checked and converted
-    as a value of ``kind``.  An object is read by its ``SCHEMA`` entry: each
-    key walked, an absent one defaulted, an unknown one refused."""
-    if kind == "schema":
-        if type(raw) is not int or raw != 1:
-            raise ConfigError("manifest schema must be 1")
-        return raw
+    as a value of ``kind``.  An object is read by its ``SCHEMA`` entry, and
+    a key the entry does not list is refused."""
     if kind == "integer":
         if type(raw) is not int:
             raise ConfigError(f"{where} must be an integer, got {raw!r}")
-        if arg is not None and not arg[0] <= raw <= arg[1]:
-            raise ConfigError(f"{where} must be from {arg[0]} to {arg[1]}, got {raw}")
+        if arg is not None and raw not in arg:
+            raise ConfigError(f"{where} must be from {arg[0]} to {arg[-1]}, got {raw}")
         return raw
     if kind == "choice":
-        if raw not in arg:
+        if type(raw) is not type(arg[0]) or raw not in arg:
             raise ConfigError(f"{where} must be {' or '.join(map(repr, arg))}")
         return raw
     if kind == "index":
@@ -205,49 +215,35 @@ def _walk(raw, where: str = "", kind: str = "object", arg=None, chart=None):
                 or any(type(i) is not int or i < 1 for i in raw)):
             raise ConfigError(f"{where} must be three 1-based indices")
         return tuple(raw)
-    if kind in ("expression", "list", "rows"):
-        names = {"t": chart.t_names, "x": chart.x_names}.get(arg, chart.names)
-        d = len(names)
-        if kind != "expression":
-            if not isinstance(raw, list) or len(raw) != d:
-                shape = f"be a {d}x{d} array" if kind == "rows" else f"list {d} expressions"
-                raise ConfigError(f"{where} must {shape}")
-            inner = "list" if kind == "rows" else "expression"
-            return tuple(_walk(e, where, inner, arg, chart) for e in raw)
+    if kind in ("list", "rows"):
+        d = len(getattr(chart, arg))
+        if not isinstance(raw, list) or len(raw) != d:
+            shape = f"be a {d}x{d} array" if kind == "rows" else f"list {d} expressions"
+            raise ConfigError(f"{where} must {shape}")
+        inner = "list" if kind == "rows" else "expression"
+        return tuple(_walk(e, where, inner, arg, chart) for e in raw)
+    if kind == "expression":
         if isinstance(raw, str):
-            return parse(raw, names)
+            return parse(raw, getattr(chart, arg))
         if type(raw) not in (int, float):
             raise ConfigError(f"{where}: expected an expression string or number, "
                               f"got {type(raw).__name__}")
         return Const(_walk(raw, where, "finite"))
     if kind in ("object", "map", "point", "intervals"):
         if not isinstance(raw, dict):
-            raise ConfigError(f"{where or 'manifest'} must be a JSON object")
-        if kind == "object":
-            keys, prefix = SCHEMA[where], f"{where}." if where else ""
-            out = {}
-            for key, spec in keys.items():
-                if key not in raw and spec.default is REQUIRED:
-                    raise ConfigError(f"manifest needs {prefix}{key}")
-                value = raw.get(key, spec.default)
-                absent = value is None and (spec.nullable or key not in raw)
-                # tolerances keep the names their messages have always given them
-                name = f"tolerance {key!r}" if where == "tolerances" else prefix + key
-                out[key] = None if absent else _walk(value, name, spec.kind, spec.arg, chart)
-                if prefix + key == "dimensions":
-                    chart = JetChart(**out[key])
-            for key in raw:
-                if key not in keys:
-                    raise ConfigError(f"unknown manifest key {prefix}{key}")
-            return out
+            raise ConfigError(f"{where} must be a JSON object")
         if kind == "map":
             return {k: _walk(v, f"{where}.{k}", "finite") for k, v in raw.items()}
-        unknown = [nm for nm in raw if nm not in chart.names]
+        known = SCHEMA[where] if kind == "object" else chart.names
+        unknown = [k for k in raw if k not in known]
+        if kind == "object":
+            if unknown:
+                raise ConfigError(f"unknown manifest key {where}{'.' if where else ''}{unknown[0]}")
+            return {key: _key(raw, where, key, chart) for key in known}
         if kind == "point":
             if unknown:
                 raise ConfigError(f"{where} names unknown variables {sorted(unknown)}")
-            return {nm: _walk(raw.get(nm, 0.0), f"{where}.{nm}", "finite")
-                    for nm in chart.names}
+            return _walk({**dict.fromkeys(chart.names, 0.0), **raw}, where, "map")
         if unknown:
             raise ConfigError(f"sample interval for unknown variable {unknown[0]!r}")
         return {nm: _walk(pair, f"sample interval for {nm!r}", "pair")
@@ -255,18 +251,18 @@ def _walk(raw, where: str = "", kind: str = "object", arg=None, chart=None):
     if kind == "pair":
         if not isinstance(raw, list) or len(raw) != 2:
             raise ConfigError(f"{where} must be [lo, hi]")
-        return tuple(_walk(v, where, "number") for v in raw)
-    # number, finite and tolerance
+        return tuple(_walk(v, where, "finite") for v in raw)
+    # finite and tolerance
     if type(raw) not in (int, float):
         raise ConfigError(f"{where} must be a number, got {raw!r}")
     try:
         value = float(raw)
     except OverflowError:
         raise ConfigError(f"{where} must be a number, got {raw!r}") from None
-    if kind == "finite" and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
     if kind == "tolerance" and not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{where} must be finite and positive, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 
@@ -282,13 +278,16 @@ def load_manifest(path: str) -> Manifest:
         raise ConfigError(f"manifest is not valid JSON: {exc}")
     except RecursionError:
         raise ConfigError("manifest nests deeper than the JSON parser allows") from None
-    data = _walk(data)
+    if not isinstance(data, dict):
+        raise ConfigError("manifest must be a JSON object")
+    _key(data, "", "schema")  # refused before any other key is read
+    data = _walk(data, "", "object", chart=JetChart(**_key(data, "", "dimensions")))
 
     # the rules that tie one field to another
     m, n = data["dimensions"]["m"], data["dimensions"]["n"]
     sample, fault = data["sample_domain"], data["fault_injection"]
     for nm, (lo, hi) in sample["intervals"].items():
-        if not -math.inf < lo < hi < math.inf:
+        if not lo < hi:
             raise ConfigError(f"sample interval for {nm!r} must be [lo, hi]")
     if fault is not None:
         shape = (m, n, m if fault["block"] == "N1" else n)
@@ -302,7 +301,8 @@ def load_manifest(path: str) -> Manifest:
         temporal_metric=None if h is None else Metric.temporal(h),
         spatial_metric=None if phi is None else Metric.spatial(phi),
         hamiltonian=data["hamiltonian"], constants=data["constants"],
-        transition=None if tr is None else TransitionMap(m, n, **tr),
+        transition=None if tr is None else TransitionMap(
+            m, n, tr["t_forward"], tr["x_forward"], tr["t_inverse"], tr["x_inverse"]),
         sample_count=sample["count"], sample_seed=sample["seed"],
         sample_intervals=sample["intervals"], tolerances=data["tolerances"],
         evaluation_point=data["evaluation_point"], fault_injection=fault)

@@ -25,6 +25,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyjet import cli
@@ -45,13 +46,11 @@ _ARRAY = [None, True, 3, "x", {}]
 
 # values of the wrong type for each kind of value that ``cli._walk`` reads
 WRONG = {
-    "schema": [None, True, 1.0, "1", 2, [], {}],
     "object": _OBJECT,
     "integer": [None, True, "2", 2.5, 2.0, [], {}],
-    "number": _NUMBER,
     "finite": _NUMBER,
     "tolerance": _NUMBER,
-    "choice": [None, True, 1, "N3", "n1", []],
+    "choice": [None, True, 0, 1, 1.0, 2, "1", "N3", "n1", [], {}],
     "index": [None, True, "1", 1, {}, [1, 2], [1, 2, 1, 1], [1, True, 1], [1, 2.0, 1],
               [0, 1, 1]],
     "expression": [None, True, [], {}],
@@ -69,21 +68,21 @@ NAMES = JetChart(BASE["dimensions"]["m"], BASE["dimensions"]["n"]).names
 INNER = {
     "rows": ([0, 1], "list"),
     "list": ([0, 1], "expression"),
-    "pair": ([0, 1], "number"),
+    "pair": ([0, 1], "finite"),
     "map": (["mass", "light_speed"], "finite"),
     "point": (NAMES, "finite"),
     "intervals": (NAMES, "pair"),
 }
 # kinds whose keys are the chart's names
 CHART_KEYED = ("point", "intervals")
-NUMERIC = ("number", "finite", "tolerance", "expression")
+NUMERIC = ("finite", "tolerance", "expression")
 
 
-def slots(path, kind, nullable=False, required=False):
-    """(path, kind, whether null is admitted, whether the manifest needs
-    it) of the value at ``path`` and of every slot inside it.  An entry of
-    an array is needed, since the array's length is fixed."""
-    yield path, kind, nullable, required
+def slots(path, kind, admitted=(), required=False):
+    """(path, kind, the values of ``WRONG[kind]`` that it admits, whether
+    the manifest needs it) of the value at ``path`` and of every slot inside
+    it.  An entry of an array is needed, since the array's length is fixed."""
+    yield path, kind, admitted, required
     steps, inner = INNER.get(kind, ((), None))
     for step in steps:
         yield from slots(path + (step,), inner, required=isinstance(step, int))
@@ -95,9 +94,15 @@ def schema_slots() -> list:
     for obj, keys in cli.SCHEMA.items():
         parent = tuple(obj.split(".")) if obj else ()
         for key, spec in keys.items():
-            found += slots(parent + (key,), spec.kind, spec.nullable,
-                           spec.default is cli.REQUIRED)
+            admitted = (None,) * spec.nullable + (spec.arg if spec.kind == "choice" else ())
+            found += slots(parent + (key,), spec.kind, admitted, spec.default is cli.REQUIRED)
     return found
+
+
+def wrong(slot) -> list:
+    """The values of the slot's kind that it must refuse."""
+    return [value for value in WRONG[slot[1]]
+            if not any(value == ok and type(value) is type(ok) for ok in slot[2])]
 
 
 SLOTS = schema_slots()
@@ -167,8 +172,7 @@ def present(data, path) -> bool:
 # whether the manifest must be refused with exit 2).  An error about a slot
 # names its dotted path or its last key, quoted.
 
-wrong_types = st.sampled_from(SLOTS).flatmap(lambda slot: st.sampled_from(
-    [value for value in WRONG[slot[1]] if value is not None or not slot[2]]).map(
+wrong_types = st.sampled_from(SLOTS).flatmap(lambda slot: st.sampled_from(wrong(slot)).map(
     lambda value: (json.dumps(put(base(), slot[0], value)),
                    (dotted(slot[0]), repr(last_key(slot[0]))), True)))
 
@@ -280,13 +284,20 @@ def test_a_broken_manifest_fails_closed_and_names_its_cause(case, command):
         assert any(cause in err for cause in causes), (causes, err)
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_refuses_the_manifest_without_its_temporal_metric(command):
+    """The schema lets a manifest leave out ``temporal_metric``, but every
+    command needs it; each refuses ``curved.json`` without it, naming it."""
+    code, out, err = run(command, json.dumps(drop(base(), ("temporal_metric",))))
+    assert code == cli.EXIT_CONFIG and "temporal_metric" in err, (code, out, err)
+
+
 def test_every_slot_refuses_every_wrong_value_of_its_kind():
     """The wrong-type cases drawn above, every one of them, on one command:
     the schema refuses them while the manifest loads."""
-    for path, kind, nullable, _ in SLOTS:
-        for value in WRONG[kind]:
-            if value is None and nullable:
-                continue
+    for slot in SLOTS:
+        path = slot[0]
+        for value in wrong(slot):
             code, out, err = run("christoffel", json.dumps(put(base(), path, value)))
             assert code == cli.EXIT_CONFIG, (path, value, out, err)
             assert dotted(path) in err or repr(last_key(path)) in err, (path, value, err)
