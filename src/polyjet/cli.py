@@ -131,16 +131,16 @@ class Manifest:
 
 
 REQUIRED = object()
-Key = namedtuple("Key", "kind default arg label nullable", defaults=(None, None, None, False))
+Key = namedtuple("Key", "kind default arg label", defaults=(None, None, None))
 
 # The manifest schema: for each JSON object of a manifest, by dotted path
 # ("" is the document), its keys in the order they are read; any other key
 # is refused.  A key gives its kind of value, the default it takes when
-# absent (REQUIRED when the manifest must give it), the kind's arg, the name
-# its errors give it when that is not its dotted path, and whether null
-# reads as absent.  ``_walk`` defines each kind.  The arg of integer and
-# choice is the values admitted; of rows, list and expression, the chart's
-# names that the expressions may use.
+# absent (REQUIRED when the manifest must give it), the kind's arg, and the
+# name its errors give it when that is not its dotted path.  A key may be
+# absent but never null.  ``_walk`` defines each kind.  The arg of integer
+# and choice is the values admitted; of rows, list and expression, the
+# chart's names that the expressions may use.
 SCHEMA = {
     "": {
         "schema": Key("choice", REQUIRED, (1,), "manifest schema"),
@@ -152,8 +152,8 @@ SCHEMA = {
         "transition": Key("object"),
         "sample_domain": Key("object", {}),
         "tolerances": Key("object", {}),
-        "evaluation_point": Key("point", nullable=True),
-        "fault_injection": Key("object", nullable=True),
+        "evaluation_point": Key("point"),
+        "fault_injection": Key("object"),
     },
     "dimensions": {
         "m": Key("integer", REQUIRED, range(1, MAX_DIMENSION + 1)),
@@ -186,12 +186,12 @@ SCHEMA = {
 
 def _key(obj: dict, where: str, key: str, chart: JetChart | None = None):
     """``obj[key]`` of the object at ``where``, walked by its ``SCHEMA``
-    entry: the default when absent, None when null reads as absent."""
+    entry: the default when absent."""
     spec, path = SCHEMA[where][key], f"{where}.{key}" if where else key
     if key not in obj and spec.default is REQUIRED:
         raise ConfigError(f"manifest needs {path}")
     value = obj.get(key, spec.default)
-    if value is None and (spec.nullable or key not in obj):
+    if value is None and key not in obj:
         return None
     return _walk(value, spec.label or path, spec.kind, spec.arg, chart)
 
@@ -418,7 +418,7 @@ def _finish(args, manifest: Manifest, dom: SampleDomain, checks, objects,
     return EXIT_INTERNAL
 
 
-def _require(manifest: Manifest, command: str, **pieces):
+def _require(command: str, **pieces):
     for label, value in pieces.items():
         if value is None:
             raise ConfigError(f"{command} needs {label} in the manifest")
@@ -440,7 +440,7 @@ def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks:
     the check, and build the Hamilton space on that result.  Returns the
     result and the space, which is None when the hamiltonian is not
     regular."""
-    _require(manifest, command, temporal_metric=manifest.temporal_metric)
+    _require(command, temporal_metric=manifest.temporal_metric)
     tol = manifest.tolerances["regularity"]
     result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
                                         manifest.n, dom=dom, tol=tol)
@@ -480,7 +480,7 @@ def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain):
 
 
 def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
-    _require(manifest, "regularity", temporal_metric=manifest.temporal_metric,
+    _require("regularity", temporal_metric=manifest.temporal_metric,
              hamiltonian=manifest.hamiltonian)
     tol = _cli_tol(args, manifest)
     result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
@@ -513,7 +513,7 @@ def cmd_connection(args, manifest: Manifest, dom: SampleDomain):
         N = canonical_nonlinear_connection(space)
         objects["source"] = "hamiltonian"
     else:
-        _require(manifest, "connection", temporal_metric=manifest.temporal_metric,
+        _require("connection", temporal_metric=manifest.temporal_metric,
                  spatial_metric=manifest.spatial_metric)
         N = canonical_metric_connection(manifest.temporal_metric, manifest.spatial_metric)
         objects["source"] = "metric pair"
@@ -536,7 +536,7 @@ def _inject_fault(N: NonlinearConnection, fault: dict) -> NonlinearConnection:
 
 
 def cmd_verify(args, manifest: Manifest, dom: SampleDomain):
-    _require(manifest, "verify", temporal_metric=manifest.temporal_metric,
+    _require("verify", temporal_metric=manifest.temporal_metric,
              spatial_metric=manifest.spatial_metric,
              transition=manifest.transition)
     tm = manifest.transition

@@ -22,7 +22,7 @@ import numpy as np
 
 from .charts import JetChart, TransitionMap, p_name
 from .errors import ConfigError
-from .metrics import Metric, christoffel_symbols
+from .metrics import Metric, christoffel
 from .report import VerificationReport, chart_law, entry_label
 from .semisprays import Semispray
 from .symbolic import (
@@ -95,8 +95,8 @@ def canonical_metric_connection(h: Metric, phi: Metric) -> NonlinearConnection:
     if h.kind != "temporal" or phi.kind != "spatial":
         raise ConfigError("canonical connection requires temporal h and spatial phi")
     m, n = h.dim, phi.dim
-    return NonlinearConnection(m, n, metric_n1(christoffel_symbols(h), n),
-                               metric_n2(christoffel_symbols(phi), m))
+    return NonlinearConnection(m, n, metric_n1(christoffel(h).components, n),
+                               metric_n2(christoffel(phi).components, m))
 
 
 def _connection_images(tm: TransitionMap, frames, values):

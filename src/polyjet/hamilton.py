@@ -21,6 +21,11 @@ second-derivative formula, a middle form through the deviation block T,
 and a closed form through covariant derivatives of the lowered potential.
 All three agree; the redundancy is deliberate and checked by the tests.
 
+Each metric fact has one home: g^{ij} is the regularity result's
+``candidate``, the lowered g_ij is the ``Metric`` g (momentum-dependent
+when an entry names a momentum), and the symbols of h and g are
+``metrics.christoffel``, kept on each metric.
+
 ``_quadratic`` and ``_linear`` build the normal form's terms for every
 hamiltonian builder and for the extraction; ``_spatial_block`` builds both
 the direct spatial block (from dH/dp) and T (from U).
@@ -39,7 +44,7 @@ from .connections import NonlinearConnection, metric_n1, metric_n2
 from .dtensors import DTensorField, lower_t, lower_x, upper_t, upper_x
 from .errors import ConfigError, NotRegular, ResidualTooLarge
 from .linalg import DET_MIN, sym_inverse
-from .metrics import Metric, christoffel_symbols
+from .metrics import Metric, christoffel
 from .report import entry_label, sweep
 from .symbolic import (
     Const,
@@ -172,20 +177,13 @@ class ExtractionResult:
     """Exact (g, U, F) pieces of a regular hamiltonian with m >= 2."""
 
     g: Metric  # lowered spatial block g_ij, spatiotemporal kind
-    g_upper: tuple
     U: DTensorField  # shape (n, m), slots (upper spatial, lower temporal) doubled
     F: Expr
 
 
-def _lowered_metric(cand, m: int, n: int):
-    """(g, g_upper): the candidate block g^ij inverted into a spatiotemporal
-    metric g_ij, momentum-dependent when some entry names a momentum, and
-    g^ij itself as nested tuples."""
-    g_lower = sym_inverse([list(row) for row in cand], "lowering g^ij")
-    p_names = set(JetChart(m, n).p_names)
-    p_dep = any(variables(e) & p_names for row in g_lower for e in row)
-    return (Metric.spatiotemporal(g_lower, m=m, p_dependent=p_dep),
-            tuple(tuple(row) for row in cand))
+def _lowered_metric(cand, m: int) -> Metric:
+    """The candidate block g^ij inverted into a spatiotemporal metric g_ij."""
+    return Metric.spatiotemporal(sym_inverse([list(row) for row in cand], "lowering g^ij"), m=m)
 
 
 def _quadratic(h, g, P, *coeff) -> list:
@@ -262,9 +260,9 @@ def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
     if not equiv(rebuilt, H, dom=dom, tol=max(tol, 1e-10)):
         raise ResidualTooLarge("extracted pieces do not reassemble the hamiltonian")
 
-    g, g_upper = _lowered_metric(cand, m, n)
+    g = _lowered_metric(cand, m)
     U = DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U")
-    return ExtractionResult(g=g, g_upper=g_upper, U=U, F=free)
+    return ExtractionResult(g=g, U=U, F=free)
 
 
 class HamiltonSpace:
@@ -274,7 +272,8 @@ class HamiltonSpace:
     on the same hamiltonian, domain and tolerance is passed in, and raises
     NotRegular on failure.  For m >= 2 the electrodynamic pieces (g, U, F)
     are extracted eagerly; for m = 1 only the (possibly momentum-dependent)
-    lowered metric g is kept and U, F stay None.
+    lowered metric g is kept and U, F stay None.  The block g^ij is
+    ``regularity.candidate`` and g_ij is ``g.components``.
 
     The space owns the derivative cache of its own build: construction,
     ``vertical`` and the three canonical-connection builders run in a
@@ -308,11 +307,10 @@ class HamiltonSpace:
                     self.hamiltonian, h, self.n, dom=dom, tol=tol,
                     regularity=self.regularity)
                 self.g = ex.g
-                self.g_upper = ex.g_upper
                 self.U = ex.U
                 self.F = ex.F
             else:
-                self.g, self.g_upper = _lowered_metric(self.regularity.candidate, 1, self.n)
+                self.g = _lowered_metric(self.regularity.candidate, 1)
                 self.U = None
                 self.F = None
 
@@ -321,10 +319,6 @@ class HamiltonSpace:
         """The fundamental vertical d-tensor G of the hamiltonian."""
         with keeping(self._kept):
             return fundamental_vertical_dtensor(self.hamiltonian, self.m, self.n)
-
-    @property
-    def g_lower(self):
-        return self.g.components
 
 
 def _kept_by_the_space(build):
@@ -352,11 +346,11 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
     momentum-dependent case works verbatim (the term vanishes otherwise).
     """
     m, n = space.m, space.n
-    n1 = metric_n1(christoffel_symbols(space.h), n)
+    n1 = metric_n1(christoffel(space.h).components, n)
     H = space.hamiltonian
     dH_dp = [[differentiate(H, p_name(k, b)) for b in range(m)] for k in range(n)]
     dH_dx = [differentiate(H, x_name(k)) for k in range(n)]
-    n2 = _spatial_block(space.h.inverse_components, space.g_lower, dH_dp, dH_dx)
+    n2 = _spatial_block(space.h.inverse_components, space.g.components, dH_dp, dH_dx)
     return NonlinearConnection(m, n, n1, n2)
 
 
@@ -412,11 +406,11 @@ def canonical_connection_middle_form(space: HamiltonSpace) -> NonlinearConnectio
     """Spatial block as metric part plus the T deviation block."""
     _require_extraction(space, "the middle form")
     m, n = space.m, space.n
-    metric_part = metric_n2(christoffel_symbols(space.g), m)
+    metric_part = metric_n2(christoffel(space.g).components, m)
     T = electrodynamic_t_block(space.g, space.U, space.h)
     n2 = [[[add(metric_part[a][i][j], T.components[a, i, j])
             for j in range(n)] for i in range(n)] for a in range(m)]
-    return NonlinearConnection(m, n, metric_n1(christoffel_symbols(space.h), n), n2)
+    return NonlinearConnection(m, n, metric_n1(christoffel(space.h).components, n), n2)
 
 
 @_kept_by_the_space
@@ -430,9 +424,9 @@ def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnectio
     """
     _require_extraction(space, "the closed form")
     m, n = space.m, space.n
-    gamma = christoffel_symbols(space.g)
+    gamma = christoffel(space.g).components
     metric_part = metric_n2(gamma, m)
-    g = space.g_lower
+    g = space.g.components
     h_upper = space.h.inverse_components
 
     lowered = [[add(*[mul(g[i][k], space.U.components[k, b]) for k in range(n)])
@@ -446,7 +440,7 @@ def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnectio
                 add(*[mul(Const(0.25), h_upper[a][b],
                           add(cov[i][b][j], cov[j][b][i])) for b in range(m)]))
             for j in range(n)] for i in range(n)] for a in range(m)]
-    return NonlinearConnection(m, n, metric_n1(christoffel_symbols(space.h), n), n2)
+    return NonlinearConnection(m, n, metric_n1(christoffel(space.h).components, n), n2)
 
 
 def _check_positive(**consts):

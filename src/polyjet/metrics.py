@@ -7,12 +7,13 @@ Three kinds are supported:
   symbols (differentiation in t) are the temporal symbols kappa^a_bc.
 * ``spatial``:   phi_ij(x1..xn); Christoffel symbols gamma^k_ij.
 * ``spatiotemporal``: g_ij(t, x) of spatial shape (n, n) whose entries may
-  also carry t (and, when the flag is set for one-time geometry, p);
-  Christoffel symbols differentiate in x only.
+  also carry t and, for one-time geometry, p (``p_dependent`` reads this
+  from the entries); Christoffel symbols differentiate in x only.
 
 Christoffel symbols are exact expressions over the metric's symbolic
 inverse, so a metric past ``linalg.SYM_INVERSE_MAX_DIM`` has none: building
-them raises ConfigError.
+them raises ConfigError.  ``christoffel`` builds them once per metric and
+keeps them on it.
 
 ``pullback_metric`` writes a metric in a transition's target chart as the
 ``dtensors.pullback_dtensor`` of a field with two lower slots, so metrics
@@ -39,6 +40,7 @@ from .symbolic import (
     expr_array,
     mul,
     neg,
+    variables,
 )
 
 KINDS = ("temporal", "spatial", "spatiotemporal")
@@ -58,13 +60,10 @@ class Metric(Compiled):
     m: int
     n: int
     components: np.ndarray
-    p_dependent: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown metric kind {self.kind!r}")
-        if self.p_dependent and self.kind != "spatiotemporal":
-            raise ConfigError("only spatiotemporal metrics may depend on p")
         object.__setattr__(self, "components", expr_array(
             self.components, (self.dim, self.dim), self.base_names, f"{self.kind} metric"))
 
@@ -79,8 +78,8 @@ class Metric(Compiled):
         return cls("spatial", 1, len(components), components)
 
     @classmethod
-    def spatiotemporal(cls, components, m: int, p_dependent: bool = False) -> "Metric":
-        return cls("spatiotemporal", m, len(components), components, p_dependent)
+    def spatiotemporal(cls, components, m: int) -> "Metric":
+        return cls("spatiotemporal", m, len(components), components)
 
     # -- structure -------------------------------------------------------------
 
@@ -95,10 +94,14 @@ class Metric(Compiled):
             return chart.t_names
         if self.kind == "spatial":
             return chart.x_names
-        names = chart.t_names + chart.x_names
-        if self.p_dependent:
-            names = names + chart.p_names
-        return names
+        return chart.t_names + chart.x_names + chart.p_names
+
+    @property
+    def p_dependent(self) -> bool:
+        """True when some entry names a momentum, which only a
+        spatiotemporal metric may."""
+        p_names = set(JetChart(self.m, self.n).p_names)
+        return any(variables(e) & p_names for e in self.components.flat)
 
     @cached_property
     def christoffel_names(self):
@@ -117,8 +120,19 @@ class Metric(Compiled):
                                 (f"{self.kind} metric", self.at_points(points)))[0]
 
     @cached_property
-    def _christoffel_components(self):
-        return christoffel(self).components
+    def _christoffel(self) -> "ChristoffelField":
+        """The field ``christoffel`` returns, built on its first call."""
+        d = self.dim
+        inv = self.inverse_components
+        # each distinct entry once: a symmetric metric's g_ij and g_ji are one node
+        derived = {e: [differentiate(e, v) for v in self.christoffel_names]
+                   for e in dict.fromkeys(self.components.flat)}
+        derivs = [[derived[e] for e in row] for row in self.components]
+        comps = [[[add(*[mul(Const(0.5), inv[k][l],
+                             add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
+                         for l in range(d)])
+                   for j in range(d)] for i in range(d)] for k in range(d)]
+        return ChristoffelField(self.kind, d, expr_array(comps, (d, d, d)))
 
     @cached_property
     def inverse_components(self):
@@ -155,27 +169,10 @@ class ChristoffelField(Compiled):
 def christoffel(g: Metric) -> ChristoffelField:
     """Gamma^k_ij = 1/2 g^kl (d g_li / d v^j + d g_lj / d v^i - d g_ij / d v^l)
     with v the metric's differentiation variables (t for temporal metrics,
-    x otherwise).  Past the symbolic-inverse limit it raises ConfigError."""
-    d = g.dim
-    inv = g.inverse_components
-    names = g.christoffel_names
-    # each distinct entry once: a symmetric metric's g_ij and g_ji are one node
-    derived = {e: [differentiate(e, v) for v in names] for e in dict.fromkeys(g.components.flat)}
-    derivs = [[derived[e] for e in row] for row in g.components]
-    comps = [[[add(*[mul(Const(0.5), inv[k][l],
-                         add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
-                     for l in range(d)])
-               for j in range(d)] for i in range(d)] for k in range(d)]
-    return ChristoffelField(g.kind, d, expr_array(comps, (d, d, d)))
-
-
-def christoffel_symbols(g: Metric) -> np.ndarray:
-    """The exact components of ``christoffel(g)``, Gamma[k][i][j].
-
-    They are built on the first call and kept on the metric, so every
-    later call on the same metric returns the same array.
-    """
-    return g._christoffel_components
+    x otherwise).  The field is built on the first call and kept on the
+    metric, so every later call returns the same field.  Past the
+    symbolic-inverse limit it raises ConfigError."""
+    return g._christoffel
 
 
 def pullback_metric(g: Metric, tm: TransitionMap) -> Metric:
@@ -189,4 +186,4 @@ def pullback_metric(g: Metric, tm: TransitionMap) -> Metric:
     m = tm.m if g.kind == "spatial" else g.m
     n = tm.n if g.kind == "temporal" else g.n
     T = pullback_dtensor(DTensorField(m, n, (slot, slot), g.components, f"{g.kind} metric"), tm)
-    return Metric(g.kind, g.m, g.n, T.components, g.p_dependent)
+    return Metric(g.kind, g.m, g.n, T.components)

@@ -20,7 +20,7 @@ import numpy as np
 from .charts import JetChart, TransitionMap
 from .dtensors import DTensorField, builtin_dtensors, lower_x, upper_t
 from .errors import ConfigError
-from .metrics import Metric, christoffel_symbols
+from .metrics import Metric, christoffel
 from .report import VerificationReport, chart_law, entry_label, sweep
 from .symbolic import Compiled, Const, SampleDomain, add, compile_block, expr_array, mul
 
@@ -50,7 +50,7 @@ def canonical_temporal(h: Metric, n: int) -> Semispray:
         raise ConfigError("canonical temporal semispray requires a temporal metric")
     m = h.dim
     chart = JetChart(m, n)
-    kappa = christoffel_symbols(h)
+    kappa = christoffel(h).components
     comps = [[[None] * n for _ in range(n)] for _ in range(m)]
     for a in range(m):
         for j in range(n):
@@ -67,7 +67,7 @@ def canonical_spatial(phi: Metric, m: int) -> Semispray:
         raise ConfigError("canonical spatial semispray requires a spatial metric")
     n = phi.dim
     chart = JetChart(m, n)
-    gamma = christoffel_symbols(phi)
+    gamma = christoffel(phi).components
     comps = [[[None] * n for _ in range(n)] for _ in range(m)]
     for b in range(m):
         for j in range(n):

@@ -278,7 +278,7 @@ def pullback_metric_sandwich(g, tm):
     rows = [[add(*[mul(pulled[k][l], jac[k][i], jac[l][j])
                    for k in range(d) for l in range(d)])
              for j in range(d)] for i in range(d)]
-    return Metric(g.kind, g.m, g.n, rows, g.p_dependent)
+    return Metric(g.kind, g.m, g.n, rows)
 
 
 def christoffel_direct(g):
@@ -347,7 +347,7 @@ def canonical_n2_direct(space):
     term only where dg_ij/dp_k^b is not ``ZERO``."""
     m, n = space.m, space.n
     h_upper = space.h.inverse_components
-    g = space.g_lower
+    g = space.g.components
     H = space.hamiltonian
     dH_dp = [[differentiate(H, p_name(k, b)) for b in range(m)] for k in range(n)]
     dH_dx = [differentiate(H, x_name(k)) for k in range(n)]

@@ -265,7 +265,8 @@ def test_acceptance_5_regularity():
     assert h3.regularity.max_residual <= 1e-10
 
     # round trip: extract from the assembled hamiltonian, rebuild, compare
-    ex = extract_electrodynamic_form(h3.hamiltonian, h, 2, tol=1e-10)
+    reg = check_kronecker_regularity(h3.hamiltonian, h, 2, tol=1e-10)
+    ex = extract_electrodynamic_form(h3.hamiltonian, h, 2, tol=1e-10, regularity=reg)
     rebuilt = ex.F
     for i in range(2):
         for a in range(2):
@@ -273,7 +274,7 @@ def test_acceptance_5_regularity():
             for j in range(2):
                 for b in range(2):
                     rebuilt = add(rebuilt, mul(
-                        h.components[a][b], ex.g_upper[i][j],
+                        h.components[a][b], reg.candidate[i][j],
                         chart.p_var(i, a), chart.p_var(j, b)))
     assert equiv(rebuilt, h3.hamiltonian, dom, tol=1e-10)
 

@@ -233,6 +233,15 @@ def test_an_unknown_manifest_key_exits_2_naming_its_dotted_path(tmp_path, capsys
         assert err == f"configuration error: unknown manifest key {path}\n"
 
 
+@pytest.mark.parametrize("key", ["evaluation_point", "fault_injection"])
+def test_a_null_optional_key_exits_2_naming_the_key(tmp_path, capsys, key):
+    """A key may be absent, never null; these two once read null as absent."""
+    for command in ("connection", "verify"):
+        assert main([command, rewrite(tmp_path, "curved.json", **{key: None})]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {key} must be a JSON object\n"
+
+
 def test_verify_nan_fault_fails_closed(tmp_path, monkeypatch):
     # The manifest loader rejects a NaN delta (see the bad-number cases), so
     # the fault turns NaN only where it is injected into the connection.

@@ -44,7 +44,7 @@ from polyjet.hamilton import (
     general_electrodynamic_space,
     gravitational_space,
 )
-from polyjet.metrics import Metric, christoffel_symbols, pullback_metric
+from polyjet.metrics import Metric, christoffel, pullback_metric
 from polyjet.symbolic import ZERO, add, parse
 
 
@@ -104,7 +104,7 @@ def test_a_zero_potential_leaves_t_and_the_middle_form_nodes_unchanged():
     assert all(u is ZERO for u in space.U.components.flat)
     T = t_block_direct(space.g, space.U, space.h)
     assert _same_nodes(electrodynamic_t_block(space.g, space.U, space.h).components, T)
-    metric_part = metric_n2(christoffel_symbols(space.g), m)
+    metric_part = metric_n2(christoffel(space.g).components, m)
     middle = [[[add(metric_part[a][i][j], T[a, i, j]) for j in range(n)] for i in range(n)]
               for a in range(m)]
     assert _same_nodes(canonical_connection_middle_form(space).n2, middle)

@@ -92,9 +92,9 @@ def test_gravitational_space_extraction():
     assert space.regularity.max_residual <= 1e-10
     # g^{ij} = phi^{ij} / (mass * c); phi is diagonal so check directly
     coeff = 1.0 / (2.0 * 1.5)
-    assert equiv(space.g_upper[0][0],
+    assert equiv(space.regularity.candidate[0][0],
                  mul(Const(coeff), parse("1/exp(2*x1)", ("x1",))), tol=1e-10)
-    assert equiv(space.g_upper[1][1], Const(coeff), tol=1e-10)
+    assert equiv(space.regularity.candidate[1][1], Const(coeff), tol=1e-10)
     # no linear or free part
     for i in range(2):
         for a in range(2):
@@ -353,7 +353,7 @@ def test_builder_validation():
         g = Metric.spatiotemporal([[add(Const(1.0), power(Var("p1_1"), 2)),
                                     Const(0.0)],
                                    [Const(0.0), Const(1.0)]],
-                                  m=2, p_dependent=True)
+                                  m=2)
         general_electrodynamic_space(curved_h(), g,
                                      [[Const(0.0)] * 2] * 2, Const(0.0))
     with pytest.raises(ConfigError):

@@ -94,7 +94,7 @@ def schema_slots() -> list:
     for obj, keys in cli.SCHEMA.items():
         parent = tuple(obj.split(".")) if obj else ()
         for key, spec in keys.items():
-            admitted = (None,) * spec.nullable + (spec.arg if spec.kind == "choice" else ())
+            admitted = spec.arg if spec.kind == "choice" else ()
             found += slots(parent + (key,), spec.kind, admitted, spec.default is cli.REQUIRED)
     return found
 

@@ -18,7 +18,6 @@ from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import (
     Metric,
     christoffel,
-    christoffel_symbols,
     pullback_metric,
 )
 from polyjet.symbolic import Const, SampleDomain, equiv, evaluate, parse, var
@@ -149,6 +148,22 @@ def test_validate_rejects_asymmetric_metric():
 def test_metric_rejects_foreign_variables():
     with pytest.raises(ConfigError):
         Metric.temporal([[var("x1")]])
+    # only a spatiotemporal metric may name a momentum
+    for kind in ("temporal", "spatial"):
+        with pytest.raises(ConfigError,
+                           match=fr"{kind} metric\[1,1\] uses foreign variables \['p1_1'\]"):
+            getattr(Metric, kind)([[var("p1_1")]])
+
+
+def test_momentum_dependence_is_read_from_the_entries():
+    names = ("t1", "x1", "x2", "p1_1", "p2_1")
+    rows = [[parse("1 + p1_1^2", names), parse("0", names)],
+            [parse("0", names), parse("1 + x1^2", names)]]
+    g = Metric.spatiotemporal(rows, m=1)
+    assert g.p_dependent
+    assert pullback_metric(g, random_transition(1, 2, np.random.default_rng(0))).p_dependent
+    rows[0][0] = parse("1 + t1^2", names)
+    assert not Metric.spatiotemporal(rows, m=1).p_dependent
 
 
 def test_spatiotemporal_christoffel_differentiates_in_x_only():
@@ -166,9 +181,8 @@ def test_christoffel_symbols_are_built_once_and_freed_with_the_metric():
     gc.disable()
     try:
         g = curved_phi()
-        first = christoffel_symbols(g)
-        assert christoffel_symbols(g) is first
-        assert first[0][0][0] is christoffel(g).components[0][0][0]
+        first = christoffel(g)
+        assert christoffel(g) is first
         ref = weakref.ref(g)
         del g
         assert ref() is None  # no cycle: reference counting frees it
@@ -182,7 +196,7 @@ def test_dimension_five_christoffel_symbols_are_exact():
     rows[4][4] = parse("1 + x1^2", vs)
     g = Metric.spatial(rows)
     field = christoffel(g)
-    assert christoffel_symbols(g)[4][4][0] is field.components[4][4][0]
+    assert christoffel(g).components[4][4][0] is field.components[4][4][0]
     pt = {f"x{i}": 0.1 * i for i in range(1, 6)}
     x1 = 0.1
     assert evaluate(field.components[4][4][0], pt) == pytest.approx(x1 / (1 + x1 ** 2), abs=1e-12)
@@ -192,7 +206,8 @@ def test_dimension_five_christoffel_symbols_are_exact():
 def test_christoffel_derives_each_distinct_entry_once(monkeypatch):
     """A symmetric 3 x 3 metric of six distinct entries takes 3 * 6
     derivatives, not 27, and gives the nodes of the formula that
-    differentiates g_ij and g_ji apart."""
+    differentiates g_ij and g_ji apart.  A second call returns the kept
+    field and derives nothing."""
     from polyjet import metrics
 
     vs = ["x1", "x2", "x3"]
@@ -215,6 +230,9 @@ def test_christoffel_derives_each_distinct_entry_once(monkeypatch):
     want = christoffel_direct(g)
     for k, i, j in np.ndindex(d, d, d):
         assert field.components[k][i][j] is want[k][i][j]
+    calls.clear()
+    assert christoffel(g) is field
+    assert calls == []
 
 
 def test_christoffel_past_the_inverse_limit_is_a_config_error():
@@ -223,9 +241,9 @@ def test_christoffel_past_the_inverse_limit_is_a_config_error():
     rows = [[parse("1" if i == j else "0", vs) for j in range(d)] for i in range(d)]
     rows[d - 1][d - 1] = parse("1 + x1^2", vs)
     g = Metric.spatial(rows)
-    for build in (christoffel, christoffel_symbols, christoffel_symbols):
+    for _ in range(3):  # a failed build is not kept: each call raises again
         with pytest.raises(ConfigError, match=f"dimension {d} exceeds the limit"):
-            build(g)
+            christoffel(g)
 
 
 # ---------------------------------------------------------------------------
