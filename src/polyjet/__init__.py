@@ -38,7 +38,6 @@ from .charts import (
     JetPoint,
     TransitionMap,
     compose,
-    image_sample_domain,
     pullback_scalar,
 )
 from .metrics import ChristoffelField, Metric, christoffel, pullback_metric
@@ -49,7 +48,6 @@ from .dtensors import (
     lower_t,
     lower_x,
     pullback_dtensor,
-    transform_dtensor,
     upper_t,
     upper_x,
     verify_dtensor_law,
@@ -60,7 +58,6 @@ from .semisprays import (
     canonical_temporal,
     check_characterization,
     decompose,
-    transform_semispray,
     verify_semispray_law,
 )
 from .connections import (
@@ -69,7 +66,6 @@ from .connections import (
     canonical_metric_connection,
     connection_from_semispray,
     semispray_from_connection,
-    transform_connection,
     verify_adapted_coframe,
     verify_connection_law,
 )

@@ -20,8 +20,11 @@ and never require the explicit inverse map.
 Explicit inverse expressions, when supplied, are what pullbacks, coframe
 rows and inversion use; operations that need them say so.
 
+A point is an assignment, a dict from coordinate name to value.
 ``TransitionMap.map_points`` gives the numeric chart change at a batch of
-points as one ``Frames`` record, which every law, transform and frame reads.
+them as one ``Frames`` record, which every law and frame reads; a
+``JetPoint`` of (t, x, p) arrays enters only through ``map_point`` and
+``frame_matrix``, which map a batch of one.
 ``TransitionMap.sample_frames`` gives it at the points of a sample domain
 and remembers the last domain's record, so the laws of one battery and
 ``validate`` map their shared samples once.
@@ -189,7 +192,7 @@ class TransitionMap:
 
     Forward expressions are enough for momentum and frame transforms
     and for all transformation-law checks; inverses are required by
-    ``inverted``, ``coframe_matrix`` and the pullback helpers.  All four
+    ``inverted``, ``coframe_matrices`` and the pullback helpers.  All four
     are ``expr_array`` blocks of shape (m,) or (n,).
     """
 
@@ -299,14 +302,11 @@ class TransitionMap:
     # -- numeric maps ---------------------------------------------------------
 
     @cached_property
-    def _t_program(self) -> Program:
-        """ttilde, then its Jacobian row by row; reads t only."""
-        return compile_block([*self.t_forward, *(e for row in self.t_jacobian for e in row)])
-
-    @cached_property
-    def _x_program(self) -> Program:
-        """xtilde, then its Jacobian row by row; reads x only."""
-        return compile_block([*self.x_forward, *(e for row in self.x_jacobian for e in row)])
+    def _base_program(self) -> Program:
+        """ttilde, its Jacobian row by row, then xtilde and its Jacobian, so
+        a point's temporal errors come before its spatial ones."""
+        return compile_block([*self.t_forward, *(e for row in self.t_jacobian for e in row),
+                              *self.x_forward, *(e for row in self.x_jacobian for e in row)])
 
     @cached_property
     def _momentum_program(self) -> Program:
@@ -326,8 +326,7 @@ class TransitionMap:
         and the Jacobians with their inverses, invertibility enforced in
         point order, temporal before spatial."""
         m, n, chart = self.m, self.n, self.chart
-        t_img, jt = cut(self._t_program.run(points), (m,), (m, m))
-        x_img, jx = cut(self._x_program.run(points), (n,), (n, n))
+        t_img, jt, x_img, jx = cut(self._base_program.run(points), (m,), (m, m), (n,), (n, n))
         kt, kx = checked_inverses(points, SingularJacobian,
                                   ("temporal jacobian", jt), ("spatial jacobian", jx))
         p = np.array([[pt[nm] for nm in chart.p_names] for pt in points],
@@ -394,9 +393,6 @@ class TransitionMap:
         C[:, m + n:, m + n:] = np.einsum("kji,kab->kiajb", frames.jx, frames.kt).reshape(
             size, n * m, n * m)
         return C
-
-    def coframe_matrix(self, q: JetPoint) -> np.ndarray:
-        return self.coframe_matrices(self.map_points([self.chart.assignment(q)]))[0]
 
     # -- validation -------------------------------------------------------------
 
@@ -469,11 +465,3 @@ def pullback_scalar(e: Expr, tm: TransitionMap) -> Expr:
         raise ConfigError("pullback requires a transition map with explicit inverses")
     return substitute(e, tm.pullback_map)
 
-
-def image_sample_domain(tm: TransitionMap, dom: SampleDomain) -> SampleDomain:
-    """A target-chart sample box: the bounding box of the images of the
-    source samples (count and seed carried over)."""
-    images = tm.map_points(dom.points()).images
-    intervals = tuple((nm, min(q[nm] for q in images), max(q[nm] for q in images))
-                      for nm in tm.chart.names)
-    return SampleDomain(intervals, count=dom.count, seed=dom.seed)

@@ -521,8 +521,7 @@ def cmd_connection(args, manifest: Manifest, dom: SampleDomain):
     objects["n1"] = _texts(N.n1)
     objects["n2"] = _texts(N.n2)
     objects["n1_at_point"], objects["n2_at_point"] = map(_array_values, N.at(point))
-    objects["coframe_at_point"] = _array_values(
-        adapted_coframe(N, manifest.chart.point(point)))
+    objects["coframe_at_point"] = _array_values(adapted_coframe(N, point))
     objects["evaluation_point"] = point
     return checks, objects
 

@@ -112,12 +112,6 @@ def _connection_images(tm: TransitionMap, frames, values):
     return out1, out2
 
 
-def transform_connection(N: NonlinearConnection, tm: TransitionMap, q):
-    """Numeric target-chart blocks (N1~, N2~) at the image of q."""
-    frames = tm.map_points([tm.chart.assignment(q)])
-    return tuple(out[0] for out in _connection_images(tm, frames, N.at_points(frames.points)))
-
-
 def verify_connection_law(N_A: NonlinearConnection, N_B: NonlinearConnection,
                           tm: TransitionMap, dom: SampleDomain | None = None,
                           tol: float = 1e-8) -> VerificationReport:
@@ -206,14 +200,15 @@ def _coframe_images(tm: TransitionMap, frames, values) -> np.ndarray:
     return mixed.reshape(size, n * m, dim)
 
 
-def adapted_coframe(N: NonlinearConnection, q) -> np.ndarray:
-    """Rows of delta p_i^a in the chart's (dt, dx, dp) basis at q.
+def adapted_coframe(N: NonlinearConnection, assignment) -> np.ndarray:
+    """Rows of delta p_i^a in the chart's (dt, dx, dp) basis at one
+    assignment, as ``N.at`` takes it.
 
     Row (i, a) sits at flat position i*m + a, matching the chart's
     momentum ordering; columns are dt^b, dx^j, then dp in the same flat
     order.
     """
-    return _coframe_rows(*N.at_points([JetChart(N.m, N.n).assignment(q)]))[0]
+    return _coframe_rows(*N.at_points([assignment]))[0]
 
 
 def verify_adapted_coframe(N_A: NonlinearConnection, N_B: NonlinearConnection,

@@ -120,12 +120,6 @@ def _dtensor_images(slots, frames, values) -> np.ndarray:
     return values
 
 
-def transform_dtensor(T: DTensorField, tm: TransitionMap, q) -> np.ndarray:
-    """Numeric target-chart components of T at the image of q."""
-    frames = tm.map_points([tm.chart.assignment(q)])
-    return _dtensor_images(T.slots, frames, T.at_points(frames.points))[0]
-
-
 def verify_dtensor_law(T_A: DTensorField, T_B: DTensorField, tm: TransitionMap,
                        dom: SampleDomain | None = None, tol: float = 1e-8) -> VerificationReport:
     """Check that T_B at image points equals the transformed T_A."""
@@ -177,8 +171,8 @@ def pullback_dtensor(T: DTensorField, tm: TransitionMap) -> DTensorField:
     """The symbolically transformed field in the target chart.
 
     Components are expressions in target variables; evaluating them at an
-    image point matches ``transform_dtensor`` at the source point, which is
-    exactly the comparison ``verify_dtensor_law`` performs.
+    image point matches the law's transform of T at the source point, which
+    is exactly the comparison ``verify_dtensor_law`` performs.
     """
     if not tm.has_inverse:
         raise ConfigError("d-tensor pullback requires explicit inverse expressions")

@@ -111,11 +111,9 @@ class Metric(Compiled):
 
     # -- numerics ----------------------------------------------------------------
 
-    def inverse_at(self, assignment) -> np.ndarray:
-        """Numeric inverse with the |det| >= 1e-8 floor (SingularMetric)."""
-        return self._checked_inverses([assignment])[0]
-
     def _checked_inverses(self, points) -> np.ndarray:
+        """Numeric inverses (P, dim, dim) with the |det| >= 1e-8 floor
+        (SingularMetric), in point order."""
         return checked_inverses(points, SingularMetric,
                                 (f"{self.kind} metric", self.at_points(points)))[0]
 

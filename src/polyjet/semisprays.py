@@ -94,13 +94,6 @@ def _semispray_images(kind: str, tm: TransitionMap, frames, values) -> np.ndarra
     return 0.5 * (two_g - correction)
 
 
-def transform_semispray(S: Semispray, tm: TransitionMap, q) -> np.ndarray:
-    """Numeric target-chart block (G1~[c][k][r] or G2~[d][s][k]) at the
-    image of q."""
-    frames = tm.map_points([tm.chart.assignment(q)])
-    return _semispray_images(S.kind, tm, frames, S.at_points(frames.points))[0]
-
-
 def verify_semispray_law(S_A: Semispray, S_B: Semispray, tm: TransitionMap,
                          dom: SampleDomain | None = None, tol: float = 1e-8) -> VerificationReport:
     """Check the inhomogeneous chart-change law between two semisprays."""

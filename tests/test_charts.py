@@ -6,10 +6,9 @@ from polyjet.charts import (
     JetPoint,
     TransitionMap,
     compose,
-    image_sample_domain,
     pullback_scalar,
 )
-from polyjet.errors import ConfigError, SingularJacobian
+from polyjet.errors import ConfigError, DomainError, SingularJacobian
 from polyjet.symbolic import compile_block, evaluate, parse, var
 
 from oracles import central_diff
@@ -176,15 +175,16 @@ def test_coframe_is_inverse_transpose_of_frame():
         q = JetPoint(rng.uniform(-0.7, 0.7, 2), rng.uniform(-0.7, 0.7, 2),
                      rng.uniform(-1.5, 1.5, (2, 2)))
         F = tm.frame_matrix(q)
-        C = tm.coframe_matrix(q)
+        C = tm.coframe_matrices(tm.map_points([tm.chart.assignment(q)]))[0]
         assert np.allclose(C @ F.T, np.eye(8), atol=1e-10)
 
 
 def test_coframe_requires_inverse():
     tm = TransitionMap(1, 1, t_forward=[var("t1")],
                        x_forward=[parse("x1 + x1^3", ["x1"])])
-    with pytest.raises(ConfigError):
-        tm.coframe_matrix(JetPoint([0.1], [0.2], [[0.3]]))
+    frames = tm.map_points([{"t1": 0.1, "x1": 0.2, "p1_1": 0.3}])
+    with pytest.raises(ConfigError, match="no inverse expressions"):
+        tm.coframe_matrices(frames)
 
 
 def test_frame_composition_is_functorial():
@@ -273,6 +273,18 @@ def test_the_first_singular_point_names_the_temporal_jacobian_first():
     assert str(excinfo.value) == f"spatial jacobian is singular (|det| = 0.000e+00) at {points[1]}"
 
 
+def test_the_first_failing_point_names_its_temporal_map_first():
+    """One program maps the base: point order first, then ttilde before
+    xtilde at that point, as for singular Jacobians."""
+    tm = TransitionMap(1, 1, t_forward=[parse("ln(t1)", ["t1"])],
+                       x_forward=[parse("sqrt(x1)", ["x1"])])
+    both = {"t1": -1.0, "x1": -1.0, "p1_1": 0.0}
+    with pytest.raises(DomainError, match="ln of non-positive value"):
+        tm.map_points([both])
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        tm.map_points([{**both, "t1": 1.0}, both])
+
+
 def test_frames_are_the_bits_of_per_point_inverses_and_images():
     tm = shear_map_22()
     chart = tm.chart
@@ -304,16 +316,3 @@ def test_pullback_scalar_matches_source_values():
     img = tm.map_point(q)
     assert evaluate(pulled, chart.assignment(img)) == pytest.approx(
         evaluate(e, chart.assignment(q)), rel=1e-12)
-
-
-def test_image_sample_domain_covers_images():
-    tm = shear_map_22()
-    chart = tm.chart
-    dom = chart.sample_domain(count=10, seed=2)
-    img_dom = image_sample_domain(tm, dom)
-    bounds = {nm: (lo, hi) for nm, lo, hi in img_dom.intervals}
-    for pt in dom.points():
-        img = chart.assignment(tm.map_point(chart.point(pt)))
-        for nm, v in img.items():
-            lo, hi = bounds[nm]
-            assert lo - 1e-12 <= v <= hi + 1e-12

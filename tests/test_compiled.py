@@ -594,7 +594,7 @@ def test_the_coframe_check_reruns_no_program_the_connection_law_ran(monkeypatch)
     N_a, N_b, tm, dom = _curved_law_objects()
     passes = count_passes(monkeypatch)
     law = verify_connection_law(N_a, N_b, tm, dom=dom)
-    shared = [N_a._program, N_b._program, tm._t_program, tm._x_program]
+    shared = [N_a._program, N_b._program, tm._base_program]
     assert all(any(p is q for q in passes) for p in shared)
     ran = len(passes)
     coframe = verify_adapted_coframe(N_a, N_b, tm, dom=dom)

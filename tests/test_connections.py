@@ -11,11 +11,11 @@ from geomgen import random_spatial_metric, random_temporal_metric, random_transi
 from polyjet.charts import JetChart, TransitionMap
 from polyjet.connections import (
     NonlinearConnection,
+    _connection_images,
     adapted_coframe,
     canonical_metric_connection,
     connection_from_semispray,
     semispray_from_connection,
-    transform_connection,
     verify_adapted_coframe,
     verify_connection_law,
 )
@@ -99,8 +99,8 @@ def test_identity_transform_fixes_connection():
     tm = TransitionMap.identity(2, 2)
     N = canonical_pair()
     asg = {nm: 0.35 for nm in CHART.names}
-    q = CHART.point(asg)
-    n1, n2 = transform_connection(N, tm, q)
+    frames = tm.map_points([asg])
+    n1, n2 = (out[0] for out in _connection_images(tm, frames, N.at_points(frames.points)))
     assert np.allclose(n1, N.n1_at(asg), atol=1e-12)
     assert np.allclose(n2, N.n2_at(asg), atol=1e-12)
 
@@ -167,8 +167,7 @@ def test_temporal_roundtrip_symmetrizes():
 def test_adapted_coframe_rows():
     N = canonical_pair()
     asg = {nm: 0.5 for nm in CHART.names}
-    q = CHART.point(asg)
-    rows = adapted_coframe(N, q)
+    rows = adapted_coframe(N, asg)
     assert rows.shape == (4, 8)
     n1, n2 = N.n1_at(asg), N.n2_at(asg)
     r = 0 * 2 + 1  # row for p1_2, i.e. i=1 (spatial 1), a=2 (temporal 2)

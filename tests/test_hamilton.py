@@ -186,6 +186,16 @@ def test_extraction_names_the_momentum_a_wrong_candidate_leaves_behind():
     assert str(err.value) == "extracted free term depends on momentum p1_1"
 
 
+def test_extraction_refuses_pieces_that_do_not_reassemble_the_hamiltonian():
+    # the cubic term is small enough that the extracted pieces pass their
+    # momentum-derivative checks at tol, yet setting p = 0 in them drops it,
+    # and the rebuilt hamiltonian misses it by more than tol
+    H = parse("0.01*(p1_1^2 + p1_2^2) + 2e-10*x1*p1_1^3", JetChart(2, 1).names)
+    with pytest.raises(ResidualTooLarge) as err:
+        extract_electrodynamic_form(H, flat_h(), 1, tol=1e-9)
+    assert str(err.value) == "extracted pieces do not reassemble the hamiltonian"
+
+
 def test_quartic_hamiltonian_rejected():
     H = power(Var("p1_1"), 4)
     res = check_kronecker_regularity(H, flat_h(), 2)
@@ -246,7 +256,7 @@ def test_single_time_momentum_dependence_allowed():
     assert space.g.p_dependent
     # g^{11} = 1 + (3/2) p^2
     asg = {"t1": 0.0, "x1": 0.0, "p1_1": 2.0}
-    assert space.g.inverse_at(asg)[0, 0] == pytest.approx(7.0)
+    assert space.g._checked_inverses([asg])[0, 0, 0] == pytest.approx(7.0)
     # the direct canonical connection formula still applies
     N = canonical_nonlinear_connection(space)
     N.n2_at(asg)
