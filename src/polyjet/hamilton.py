@@ -349,16 +349,17 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
     n1 = metric_n1(christoffel(space.h).components, n)
     H = space.hamiltonian
     dH_dp = [[differentiate(H, p_name(k, b)) for b in range(m)] for k in range(n)]
-    dH_dx = [differentiate(H, x_name(k)) for k in range(n)]
-    n2 = _spatial_block(space.h.inverse_components, space.g.components, dH_dp, dH_dx)
+    n2 = _spatial_block(space.h.inverse_components, space.g.components, dH_dp, H)
     return NonlinearConnection(m, n, n1, n2)
 
 
-def _spatial_block(h_upper, g, X, dH_dx=None) -> np.ndarray:
+def _spatial_block(h_upper, g, X, H=None) -> np.ndarray:
     """The (m, n, n) block of ``canonical_nonlinear_connection`` (X[k][b] =
     dH/dp_k^b) or of ``electrodynamic_t_block`` (X = U).  dg_ij/dx^k is
-    derived only where X[k][b] is not ``ZERO``, and the dg/dp dH/dx term is
-    built only with ``dH_dx``, where dg_ij/dp_k^b is not ``ZERO``."""
+    derived only where X[k][b] is not ``ZERO``.  The dg/dp dH/dx term is
+    built only with the hamiltonian ``H``, where dg_ij/dp_k^b is not
+    ``ZERO``, and dH/dx^k is derived only there: a g without momenta, as
+    every m >= 2 space has, never needs it."""
     m, n = len(h_upper), len(g)
     out = np.empty((m, n, n), dtype=object)
     for a, i, j in np.ndindex(m, n, n):
@@ -368,10 +369,10 @@ def _spatial_block(h_upper, g, X, dH_dx=None) -> np.ndarray:
             for k in range(n):
                 if X[k][b] is not ZERO:
                     inner.append(mul(differentiate(g[i][j], x_name(k)), X[k][b]))
-                if dH_dx is not None:
+                if H is not None:
                     dg_dp = differentiate(g[i][j], p_name(k, b))
                     if dg_dp is not ZERO:
-                        inner.append(mul(Const(-1.0), dg_dp, dH_dx[k]))
+                        inner.append(mul(Const(-1.0), dg_dp, differentiate(H, x_name(k))))
                 inner.append(mul(g[i][k], differentiate(X[k][b], x_name(j))))
                 inner.append(mul(g[j][k], differentiate(X[k][b], x_name(i))))
             outer.append(mul(Const(0.25), h_upper[a][b], add(*inner)))

@@ -3,10 +3,15 @@
 The expression language is deliberately small: sums, products, integer
 powers, quotients and negations of float constants, named variables, and
 the unary functions exp, ln, sin, cos, sqrt.  Sums and products are kept
-flat and all-constant subtrees are folded at construction time.  Nodes are
+flat and all-constant subtrees are folded at construction time; ``add``
+and ``mul`` flatten, fold and merge their operands in one pass.  Nodes are
 immutable and hash-consed: there is one live node per structure after
 this canonicalization, so two expressions are equal exactly when they are
-the same object, and ``==`` is ``is``.
+the same object, and ``==`` is ``is``.  Every node is built by
+``_intern``.  The intern table is a plain dict from a node's key to a weak
+reference to the node, so it keeps no node alive: a node is freed by
+reference counting as soon as nothing holds it, and the reference's
+callback drops its entry.
 
 Interning also makes a node a sound cache key.  Every node records its
 set of free variable names when it is interned, built from its children's
@@ -69,9 +74,26 @@ _DIGITS_RE = re.compile(r"\d+")
 MAX_NESTING = 64
 
 
-# The intern table: one live node per structure.  A node stays in it for
-# as long as something else refers to the node.
-_NODES = weakref.WeakValueDictionary()
+class _Entry(weakref.ref):
+    """A weak reference to a node that carries the node's intern key.
+    Unlike ``weakref.KeyedRef`` it is built without a Python-level call."""
+
+    __slots__ = ("key",)
+
+
+# The intern table: one live node per structure.  It maps a node's key to
+# an ``_Entry`` of the node, so it keeps no node alive: when a node dies,
+# the entry's callback drops it, unless a newer node has taken the key by
+# then.
+_NODES: dict[tuple, _Entry] = {}
+
+
+def _forget(entry, nodes=_NODES):
+    # the table is bound here, not looked up: interpreter shutdown may
+    # clear the module's globals while nodes still die
+    if nodes.get(entry.key) is entry:
+        del nodes[entry.key]
+
 
 # Every free-variable set a node has recorded, so that equal sets are one
 # object.  It holds sets of names only: a (3, 3) connection build records
@@ -99,19 +121,7 @@ class Expr:
     __slots__ = ("__weakref__", "_vars")
 
     def __new__(cls, *fields):
-        return cls._interned((cls, *fields), fields)
-
-    @classmethod
-    def _interned(cls, key, fields, names=None):
-        node = _NODES.get(key)
-        if node is None:
-            node = object.__new__(cls)
-            for name, value in zip(cls.__slots__, fields):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_vars", _free_vars(fields) if names is None
-                               else _shared_vars(names))
-            _NODES[key] = node
-        return node
+        return _intern(cls, (cls, *fields), fields)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -172,7 +182,7 @@ class Const(Expr):
     def __new__(cls, value):
         value = float(value)
         # keyed by its hex text, so -0.0 and 0.0 stay two nodes
-        return cls._interned((cls, value.hex()), (value,))
+        return _intern(cls, (cls, value.hex()), (value,))
 
 
 class Var(Expr):
@@ -181,7 +191,7 @@ class Var(Expr):
     def __new__(cls, name):
         if not _IDENT_RE.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
-        return cls._interned((cls, name), (name,), frozenset((name,)))
+        return _intern(cls, (cls, name), (name,), frozenset((name,)))
 
 
 def _nonempty(cls, children: tuple):
@@ -189,7 +199,7 @@ def _nonempty(cls, children: tuple):
     which would have no text that parses back."""
     if not children:
         raise ValueError(f"a {cls.__name__} needs at least one child")
-    return cls._interned((cls, children), (children,))
+    return _intern(cls, (cls, children), (children,))
 
 
 class Sum(Expr):
@@ -257,6 +267,26 @@ def _free_vars(fields) -> frozenset:
     return _shared_vars(out)
 
 
+def _intern(cls, key, fields, names=None):
+    """The live node of kind ``cls`` under ``key``, made from ``fields``
+    (with ``names`` as its free variables, or its children's union) when
+    there is none.  Every node is built here."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "_vars", _free_vars(fields) if names is None
+                       else _shared_vars(names))
+    entry = _Entry(node, _forget)
+    entry.key = key
+    _NODES[key] = entry
+    return node
+
+
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
@@ -303,71 +333,56 @@ def var(name: str) -> Var:
 
 def add(*terms: Expr) -> Expr:
     """Flattened, constant-folded sum.  Zero terms are absorbed."""
-    flat = []
-    for t in terms:
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
     acc = 0.0
     out = []
-    for t in flat:
-        if isinstance(t, Const):
-            acc += t.value
-        else:
-            out.append(t)
+    for t in terms:
+        for t in t.terms if type(t) is Sum else (t,):
+            if type(t) is Const:
+                acc += t.value
+            else:
+                out.append(t)
     if acc != 0.0:
-        out.append(_folded(acc, flat))
-    if not out:
-        return ZERO
-    if len(out) == 1:
-        return out[0]
-    return Sum(tuple(out))
-
-
-def _merge_adjacent_factors(factors):
-    """Collapse runs of the same base into integer powers (x*x -> x^2)."""
-    merged = []
-    for f in factors:
-        base, k = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
-        if merged:
-            pbase, pk = merged[-1]
-            if pbase is base:
-                merged[-1] = (pbase, pk + k)
-                continue
-        merged.append((base, k))
-    out = []
-    for base, k in merged:
-        out.append(base if k == 1 else Power(base, k))
-    return out
+        out.append(_folded(acc, terms, Sum))
+    if len(out) > 1:
+        out = tuple(out)
+        return _intern(Sum, (Sum, out), (out,))
+    return out[0] if out else ZERO
 
 
 def mul(*factors: Expr) -> Expr:
     """Flattened, constant-folded product.  A zero factor annihilates;
-    unit factors are absorbed; adjacent equal factors merge to powers."""
-    flat = []
-    for f in factors:
-        if isinstance(f, Product):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
+    unit factors are absorbed; adjacent equal factors merge to powers
+    (x*x -> x^2), in the one pass that flattens and folds.  A factor that
+    merges with nothing is kept as it is."""
     coeff = 1.0
     out = []
-    for f in flat:
-        if isinstance(f, Const):
-            coeff *= f.value
-        else:
-            out.append(f)
+    last, k_last, merged = None, 0, False  # the base and exponent of out[-1]
+    for f in factors:
+        for f in f.factors if type(f) is Product else (f,):
+            kind = type(f)
+            if kind is Const:
+                coeff *= f.value
+                continue
+            base, k = (f.base, f.exponent) if kind is Power else (f, 1)
+            if base is last:
+                k_last += k
+                merged = True
+                continue
+            if merged:
+                out[-1] = last if k_last == 1 else Power(last, k_last)
+                merged = False
+            out.append(base if k == 1 else f)
+            last, k_last = base, k
     if coeff == 0.0:
         return ZERO
-    out = _merge_adjacent_factors(out)
+    if merged:
+        out[-1] = last if k_last == 1 else Power(last, k_last)
     if coeff != 1.0:
-        out.insert(0, _folded(coeff, flat))
-    if not out:
-        return ONE
-    if len(out) == 1:
-        return out[0]
-    return Product(tuple(out))
+        out.insert(0, _folded(coeff, factors, Product))
+    if len(out) > 1:
+        out = tuple(out)
+        return _intern(Product, (Product, out), (out,))
+    return out[0] if out else ONE
 
 
 def neg(e: Expr) -> Expr:
@@ -409,10 +424,15 @@ def div(numerator: Expr, denominator: Expr) -> Expr:
     return Quotient(numerator, denominator)
 
 
-def _folded(value: float, operands) -> Const:
-    """The constant folded from ``operands``."""
-    return Const(_no_overflow(value, [e.value for e in operands if isinstance(e, Const)],
-                              "constant folding"))
+def _folded(value: float, operands, flat=None) -> Const:
+    """The constant folded from ``operands``, where an operand of kind
+    ``flat`` stands for its children.  The operands are read only when
+    ``value`` is not finite, to raise when finite constants overflowed."""
+    if not math.isfinite(value):
+        _no_overflow(value, [e.value for e in operands
+                             for e in (e.children() if type(e) is flat else (e,))
+                             if type(e) is Const], "constant folding")
+    return Const(value)
 
 
 def _no_overflow(value: float, operands, what: str) -> float:

@@ -9,6 +9,10 @@ whose recorded set shows the result.  ``evaluate_walk`` is the recursive
 scalar evaluator that compiled programs, and so ``evaluate``, must match
 bit for bit and error for error, and ``to_string_walk`` is the recursive
 printer whose text ``to_string`` must match byte for byte.
+``add_two_pass`` and ``mul_two_pass`` build sums and products as two
+passes, one to flatten and one to fold and merge, with every merged factor
+rebuilt as a power: the one-pass ``add`` and ``mul`` must return their
+very nodes and raise their very errors.
 ``laplace_inverse`` is the adjugate over plain Laplace expansion, with
 every cofactor expanded afresh: ``linalg.sym_inverse`` must return its
 very nodes.  ``christoffel_direct`` differentiates both g_ij and g_ji,
@@ -70,6 +74,69 @@ from polyjet.symbolic import (
     _quotient_value,
     _sum_value,
 )
+
+
+def _flattened(operands, kind) -> list:
+    flat = []
+    for e in operands:
+        if isinstance(e, kind):
+            flat.extend(e.children())
+        else:
+            flat.append(e)
+    return flat
+
+
+def _folded_two_pass(value: float, flat) -> Const:
+    consts = [e.value for e in flat if isinstance(e, Const)]
+    if not math.isfinite(value) and all(map(math.isfinite, consts)):
+        raise DomainError(f"constant folding overflows to {value!r}")
+    return Const(value)
+
+
+def add_two_pass(*terms):
+    """A sum flattened in one pass and folded in a second."""
+    flat = _flattened(terms, Sum)
+    acc = 0.0
+    out = []
+    for t in flat:
+        if isinstance(t, Const):
+            acc += t.value
+        else:
+            out.append(t)
+    if acc != 0.0:
+        out.append(_folded_two_pass(acc, flat))
+    if not out:
+        return ZERO
+    return out[0] if len(out) == 1 else Sum(tuple(out))
+
+
+def mul_two_pass(*factors):
+    """A product flattened in one pass, then folded, with runs of one base
+    merged into a list of (base, exponent) and every factor rebuilt from
+    it: ``x`` for exponent 1, ``Power(x, k)`` otherwise."""
+    flat = _flattened(factors, Product)
+    coeff = 1.0
+    rest = []
+    for f in flat:
+        if isinstance(f, Const):
+            coeff *= f.value
+        else:
+            rest.append(f)
+    if coeff == 0.0:
+        return ZERO
+    merged = []
+    for f in rest:
+        base, k = (f.base, f.exponent) if isinstance(f, Power) else (f, 1)
+        if merged and merged[-1][0] is base:
+            merged[-1] = (base, merged[-1][1] + k)
+        else:
+            merged.append((base, k))
+    out = [base if k == 1 else Power(base, k) for base, k in merged]
+    if coeff != 1.0:
+        out.insert(0, _folded_two_pass(coeff, flat))
+    if not out:
+        return ONE
+    return out[0] if len(out) == 1 else Product(tuple(out))
 
 
 def central_diff(f, x0: float, h: float = 1.0e-6) -> float:

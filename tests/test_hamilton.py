@@ -14,6 +14,7 @@ from geomgen import (
     random_spatiotemporal_metric,
     random_temporal_metric,
 )
+from oracles import canonical_n2_direct
 from polyjet.charts import JetChart, TransitionMap, pullback_scalar
 from polyjet.connections import (
     canonical_metric_connection,
@@ -262,6 +263,31 @@ def test_single_time_momentum_dependence_allowed():
     N.n2_at(asg)
     with pytest.raises(ConfigError):
         canonical_connection_middle_form(space)
+
+
+def _derived_by_x(space) -> set:
+    """The spatial names by which the space's store holds a derivative of H."""
+    return {name for node, name in space._kept
+            if node is space.hamiltonian and name.startswith("x")}
+
+
+def test_dh_dx_is_derived_only_where_a_dg_dp_needs_it():
+    # m >= 2: g has no momenta, so the direct spatial block never reads dH/dx
+    space = general_electrodynamic_space(curved_h(), Metric.spatiotemporal(
+        [[parse("exp(2*x1)", ("x1",)), Const(0.0)], [Const(0.0), Const(1.0)]], 2),
+        [[parse("x2", ("x2",)), Const(0.0)], [Const(0.0), parse("x1*t1", ("x1", "t1"))]],
+        parse("x1*x2", ("x1", "x2")))
+    canonical_nonlinear_connection(space)
+    assert _derived_by_x(space) == set()
+    # m = 1: g depends on p1_1 but not on p2_1, so only dH/dx^1 is derived,
+    # and N2 is still the very nodes of the formula that derives every dH/dx
+    names = ("t1", "x1", "x2", "p1_1", "p2_1")
+    H = parse("(1 + x1^2)*p1_1^2 + (1 + x1*x2)*p2_1^2 + 0.25*p1_1^4 + x2*p1_1", names)
+    space = HamiltonSpace(Metric.temporal([[1.0]]), 2, H)
+    N = canonical_nonlinear_connection(space)
+    assert _derived_by_x(space) == {"x1"}
+    want = canonical_n2_direct(space)
+    assert all(N.n2[a, i, j] is want[a][i][j] for a, i, j in np.ndindex(N.n2.shape))
 
 
 def test_two_time_momentum_dependence_rejected():

@@ -54,8 +54,10 @@ from polyjet.symbolic import (
 )
 
 from oracles import (
+    add_two_pass,
     central_diff_partial,
     differentiate_walk,
+    mul_two_pass,
     subexpressions,
     substitute_walk,
     to_string_walk,
@@ -231,6 +233,25 @@ def test_intern_table_frees_dropped_expressions():
     del e
     gc.collect()
     assert len(symbolic._NODES) == before
+
+
+def test_a_dead_nodes_entry_leaves_the_intern_table_by_reference_counting():
+    y = var("y6")
+    gc.disable()
+    try:
+        e = mul(y, sin(y))
+        key = (Product, e.factors)
+        entry = symbolic._NODES[key]
+        assert entry() is e
+        del e
+        assert entry() is None and key not in symbolic._NODES
+        again = mul(y, sin(y))
+        assert symbolic._NODES[key]() is again
+        # a late callback of the dead node's entry leaves the newer node's
+        symbolic._forget(entry)
+        assert symbolic._NODES[key]() is again and mul(y, sin(y)) is again
+    finally:
+        gc.enable()
 
 
 def test_operator_sugar_matches_constructors():
@@ -449,6 +470,41 @@ def test_mixed_partials_commute(e):
     assert equiv(dxt, dtx, SampleDomain.default(["t1", "x1", "p1_1"], count=6, seed=11))
 
 
+_SPECIAL = [Const(-0.0), Const(math.nan), Const(math.inf), Const(-math.inf), Const(1e200),
+            Const(-1e300), Const(0.0), Const(1.0), Const(-1.5)]
+# repeated bases, powers of them (a few not canonical: power() never
+# builds an exponent below 2) and products that hold them
+_FACTORS = _SPECIAL + [
+    X1, X1, T1, sin(X1), power(X1, 2), power(X1, 3), power(sin(X1), 2),
+    Power(X1, 1), Power(X1, -1), Power(T1, 0), mul(Const(2.0), X1, T1), mul(T1, power(X1, 2)),
+    mul(X1, sin(X1)), mul(Const(1e200), X1), Product((X1,)), add(X1, T1),
+]
+_TERMS = _SPECIAL + [
+    X1, T1, neg(X1), mul(Const(2.0), X1), add(X1, Const(3.0)), add(T1, X1, Const(1e308)),
+    Sum((X1, Const(2.0), T1)), Sum((Sum((X1, T1)), X1)),
+]
+
+
+def _built_or_error(build, operands):
+    try:
+        return build(*operands), None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FACTORS), max_size=7),
+       st.lists(st.sampled_from(_TERMS), max_size=7))
+@example([Const(1e200), Const(1e200), X1], [Const(1e308), Const(1e308)])
+@example([mul(Const(1e200), X1), Const(1e200)], [add(T1, X1, Const(1e308)), Const(1e308)])
+@example([power(X1, 2), mul(X1, T1), Power(T1, 0), X1], [Const(math.inf), Const(-math.inf)])
+def test_one_pass_sums_and_products_are_the_two_pass_nodes(factors, terms):
+    for build, oracle, operands in ((mul, mul_two_pass, factors), (add, add_two_pass, terms)):
+        node, error = _built_or_error(build, operands)
+        want, want_error = _built_or_error(oracle, operands)
+        assert node is want and error == want_error
+
+
 # ---------------------------------------------------------------------------
 # the derivative store of a keeping block, and the memo of one call
 
@@ -469,11 +525,23 @@ def _counted_walks(monkeypatch) -> list:
 
 
 def _counted_interning(monkeypatch) -> list:
-    """Patch ``Expr._interned`` to append the class of each node it is asked for."""
-    built, intern = [], symbolic.Expr._interned.__func__
-    monkeypatch.setattr(symbolic.Expr, "_interned",
-                        classmethod(lambda cls, *a: built.append(cls) or intern(cls, *a)))
+    """Patch ``symbolic._intern``, the one function every node is built
+    through, to append the class of each node it is asked for."""
+    built, intern = [], symbolic._intern
+    monkeypatch.setattr(symbolic, "_intern",
+                        lambda cls, *a: built.append(cls) or intern(cls, *a))
     return built
+
+
+def test_the_interning_count_sees_every_kind_of_node(monkeypatch):
+    # a positive control, so that ``built == []`` elsewhere cannot pass
+    # because the patch went blind to some constructor
+    y = var("y8")
+    built = _counted_interning(monkeypatch)
+    fresh = [add(y, X1), mul(y, X1), Const(0.8125), var("y8"), power(y, 3), neg(y),
+             div(X1, y), sin(y)]
+    assert built == [Sum, Product, Const, Var, Power, Neg, Quotient, Call]
+    assert [type(e) for e in fresh] == built
 
 
 class _CountingStore(dict):
@@ -598,8 +666,8 @@ def test_a_dropped_hamilton_space_frees_the_derivatives_it_kept():
     from polyjet.metrics import Metric
 
     gc.collect()
-    existing = set(map(id, symbolic._NODES.values()))
-    held = list(symbolic._NODES.values())  # so no id above is reused
+    held = [ref() for ref in list(symbolic._NODES.values())]  # so no id here is reused
+    existing = set(map(id, held))
     before = len(held)
     gc.disable()
     try:
@@ -753,10 +821,7 @@ def test_differentiating_by_an_absent_name_touches_no_cache():
 def test_substituting_an_absent_name_returns_the_expression_itself(monkeypatch):
     e = parse(_RICH, ["x7", "t1"])
     mapping = {"p1_1": X1, "y9": Const(2.0)}
-    built = []
-    intern = symbolic.Expr._interned.__func__
-    monkeypatch.setattr(symbolic.Expr, "_interned",
-                        classmethod(lambda cls, *a: built.append(cls) or intern(cls, *a)))
+    built = _counted_interning(monkeypatch)
     assert substitute(e, mapping) is e
     assert built == []
 
