@@ -4,14 +4,15 @@ The expression language is deliberately small: sums, products, integer
 powers, quotients and negations of float constants, named variables, and
 the unary functions exp, ln, sin, cos, sqrt.  Sums and products are kept
 flat and all-constant subtrees are folded at construction time; ``add``
-and ``mul`` flatten, fold and merge their operands in one pass.  Nodes are
-immutable and hash-consed: there is one live node per structure after
-this canonicalization, so two expressions are equal exactly when they are
-the same object, and ``==`` is ``is``.  Every node is built by
-``_intern``.  The intern table is a plain dict from a node's key to a weak
-reference to the node, so it keeps no node alive: a node is freed by
-reference counting as soon as nothing holds it, and the reference's
-callback drops its entry.
+and ``mul`` flatten, fold and merge their operands in one pass.  Only
+the constructor functions ``add``, ``mul``, ``power``, ``neg``, ``div``
+and ``call``, and the leaf classes ``Const`` and ``Var``, build nodes: a
+compound node class refuses a call.  Nodes are immutable and hash-consed
+by ``_intern``: there is one live node per structure, so two expressions
+are equal exactly when they are the same object, and ``==`` is ``is``.
+The intern table is a plain dict from a node's key to a weak reference to
+the node, so it keeps no node alive: a node is freed by reference counting
+as soon as nothing holds it, and the reference's callback drops its entry.
 
 Interning also makes a node a sound cache key.  Every node records its
 set of free variable names when it is interned, built from its children's
@@ -31,8 +32,9 @@ samples a seeded box, because symbolic normal forms are out of scope here.
 Variable naming convention used by the geometry layers: temporal
 coordinates ``t1..tm``, spatial coordinates ``x1..xn``, polymomenta
 ``p<i>_<a>`` (so ``p2_1`` has spatial index 2, temporal index 1).
-``SampleDomain.default`` gives ``t*``/``x*`` variables the interval
-[-0.9, 0.9] and ``p*`` variables [-2, 2].
+``SampleDomain.default`` gives ``p*`` variables ``MOMENTUM_RANGE``, [-2, 2],
+``x*`` variables ``SPATIAL_RANGE`` and any other ``TEMPORAL_RANGE``, both
+[-0.9, 0.9].
 """
 
 from __future__ import annotations
@@ -109,9 +111,10 @@ def _shared_vars(names: frozenset) -> frozenset:
 class Expr:
     """Base class for expression nodes.  Immutable and interned.
 
+    A compound node class refuses a call, whatever its arguments, with a
+    TypeError naming ``_BUILDER``, the function that builds its nodes.
     Building a node whose structure already exists returns the existing
-    object, so ``==`` and ``hash`` are those of identity: two expressions
-    are equal exactly when they are the same object.
+    object, so ``==`` and ``hash`` are those of identity.
 
     Besides its fields, a node carries ``_vars``, its free-variable set,
     fixed when it is interned.  A node refers to nothing else: no cache
@@ -119,9 +122,11 @@ class Expr:
     """
 
     __slots__ = ("__weakref__", "_vars")
+    _BUILDER = "the constructor functions"
 
-    def __new__(cls, *fields):
-        return _intern(cls, (cls, *fields), fields)
+    def __new__(cls, *args, **kwargs):
+        raise TypeError(f"build {cls.__name__} nodes with {cls._BUILDER}, "
+                        "not by calling the class")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -129,8 +134,12 @@ class Expr:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # copies and unpickled nodes go through the intern table too
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        # copies and unpickled nodes are interned again, compound ones
+        # without a class call
+        cls, fields = type(self), tuple(getattr(self, name) for name in self.__slots__)
+        if cls is Const or cls is Var:
+            return cls, fields
+        return _intern, (cls, (cls, *fields), fields)
 
     def children(self) -> tuple:
         """The child nodes, in the order every walk visits them."""
@@ -194,31 +203,21 @@ class Var(Expr):
         return _intern(cls, (cls, name), (name,), frozenset((name,)))
 
 
-def _nonempty(cls, children: tuple):
-    """The interned node of a sum or product kind, refused with no children,
-    which would have no text that parses back."""
-    if not children:
-        raise ValueError(f"a {cls.__name__} needs at least one child")
-    return _intern(cls, (cls, children), (children,))
-
-
 class Sum(Expr):
     __slots__ = ("terms",)
-
-    __new__ = _nonempty
+    _BUILDER = "add()"
 
     def children(self):
         return self.terms
 
 
 class Product(Expr):
-    """A product.  Products come only from ``mul``, so their factors are
-    canonical: flat, at most one constant (the leading coefficient, never
+    """A product.  Only ``mul`` builds one, so its factors are canonical: at
+    least two, flat, at most one constant (the leading coefficient, never
     0 or 1), and no two adjacent factors with the same base."""
 
     __slots__ = ("factors",)
-
-    __new__ = _nonempty
+    _BUILDER = "mul()"
 
     def children(self):
         return self.factors
@@ -226,6 +225,7 @@ class Product(Expr):
 
 class Power(Expr):
     __slots__ = ("base", "exponent")
+    _BUILDER = "power()"
 
     def children(self):
         return (self.base,)
@@ -233,6 +233,7 @@ class Power(Expr):
 
 class Neg(Expr):
     __slots__ = ("arg",)
+    _BUILDER = "neg()"
 
     def children(self):
         return (self.arg,)
@@ -240,6 +241,7 @@ class Neg(Expr):
 
 class Quotient(Expr):
     __slots__ = ("numerator", "denominator")
+    _BUILDER = "div()"
 
     def children(self):
         # the denominator first: evaluation tests it for zero before it
@@ -249,6 +251,7 @@ class Quotient(Expr):
 
 class Call(Expr):
     __slots__ = ("func", "arg")
+    _BUILDER = "call()"
 
     def children(self):
         return (self.arg,)
@@ -369,14 +372,14 @@ def mul(*factors: Expr) -> Expr:
                 merged = True
                 continue
             if merged:
-                out[-1] = last if k_last == 1 else Power(last, k_last)
+                out[-1] = _intern(Power, (Power, last, k_last), (last, k_last))
                 merged = False
-            out.append(base if k == 1 else f)
+            out.append(f)
             last, k_last = base, k
     if coeff == 0.0:
         return ZERO
     if merged:
-        out[-1] = last if k_last == 1 else Power(last, k_last)
+        out[-1] = _intern(Power, (Power, last, k_last), (last, k_last))
     if coeff != 1.0:
         out.insert(0, _folded(coeff, factors, Product))
     if len(out) > 1:
@@ -390,7 +393,7 @@ def neg(e: Expr) -> Expr:
         return Const(-e.value)
     if isinstance(e, Neg):
         return e.arg
-    return Neg(e)
+    return _intern(Neg, (Neg, e), (e,))
 
 
 def power(base: Expr, exponent) -> Expr:
@@ -404,10 +407,10 @@ def power(base: Expr, exponent) -> Expr:
         out = base
     elif isinstance(base, Const):
         out = Const(_power_value(base.value, k))
-    elif isinstance(base, Power):
-        out = Power(base.base, base.exponent * k)
     else:
-        out = Power(base, k)
+        if isinstance(base, Power):
+            base, k = base.base, base.exponent * k
+        out = _intern(Power, (Power, base, k), (base, k))
     return div(ONE, out) if n < 0 else out
 
 
@@ -421,7 +424,7 @@ def div(numerator: Expr, denominator: Expr) -> Expr:
         return mul(_folded(1.0 / denominator.value, (denominator,)), numerator)
     if isinstance(numerator, Const) and numerator.value == 0.0:
         return ZERO
-    return Quotient(numerator, denominator)
+    return _intern(Quotient, (Quotient, numerator, denominator), (numerator, denominator))
 
 
 def _folded(value: float, operands, flat=None) -> Const:
@@ -480,11 +483,9 @@ def _apply_function(name: str, value: float) -> float:
         if math.isinf(value):
             raise DomainError(f"{name} of infinite value {value!r}")
         return math.sin(value) if name == "sin" else math.cos(value)
-    if name == "sqrt":
-        if value < 0.0:
-            raise DomainError(f"sqrt of negative value {value!r}")
-        return math.sqrt(value)
-    raise UnknownIdentifier(name)
+    if value < 0.0:  # sqrt, the last of FUNCTIONS
+        raise DomainError(f"sqrt of negative value {value!r}")
+    return math.sqrt(value)
 
 
 def call(name: str, arg: Expr) -> Expr:
@@ -493,7 +494,7 @@ def call(name: str, arg: Expr) -> Expr:
     arg = as_expr(arg)
     if isinstance(arg, Const):
         return Const(_apply_function(name, arg.value))
-    return Call(name, arg)
+    return _intern(Call, (Call, name, arg), (name, arg))
 
 
 def exp(e) -> Expr:
@@ -620,10 +621,8 @@ def differentiate(e: Expr, name: str) -> Expr:
                 out = mul(call("cos", u), du)
             elif node.func == "cos":
                 out = neg(mul(call("sin", u), du))
-            elif node.func == "sqrt":
+            else:  # sqrt
                 out = div(du, mul(Const(2.0), node))
-            else:
-                raise UnknownIdentifier(node.func)
         memo[node] = kept[node, name] = out
     return memo[e]
 
@@ -696,8 +695,6 @@ def _node_op(node):
     if kind is Quotient:
         return _QUOTIENT, None
     if kind is Call:
-        if node.func not in _CALL_VALUE:
-            raise UnknownIdentifier(node.func)
         return _CALL, node.func
     if kind is Var:
         return _VAR, node.name
@@ -1041,14 +1038,15 @@ def _leaf_text(node):
 
 def to_string(e: Expr) -> str:
     """Render to source text.  parse(to_string(e), variables(e)) is e,
-    except that the constant -0.0 prints as 0 and so reads back as 0.0.
+    except that the constant -0.0 prints as 0 and so reads back as 0.0,
+    and NaN and infinite constants print as nan and inf, which parse
+    refuses with UnknownIdentifier.
 
     The walk prints each distinct node once, so the cost follows the DAG,
     not the tree.  A parent parenthesizes a child's text by the child's
     kind alone: a factor or a denominator when it is a sum, product or
-    quotient; a sum term or a numerator when it is a sum; a power base
-    unless it is a variable or call; a negated argument unless it is a
-    variable, a call or a non-negative constant.
+    quotient; a numerator or a negated term's argument when it is a sum;
+    a power base or a negated argument unless it is a variable or call.
     """
 
     def paren(text, wrap):
@@ -1059,14 +1057,14 @@ def to_string(e: Expr) -> str:
     for node, texts in _post_order([e], memo, _leaf_text):
         kind = type(node)
         if kind is Sum:
-            parts = [paren(texts[0], type(node.terms[0]) is Sum)]
+            parts = [texts[0]]
             for t, text in zip(node.terms[1:], texts[1:]):
                 if type(t) is Neg:
                     parts.append(" - " + paren(memo[t.arg], type(t.arg) is Sum))
                 elif type(t) is Const and t.value < 0:
                     parts.append(" - " + _fmt_const(-t.value))
                 else:
-                    parts.append(" + " + paren(text, type(t) is Sum))
+                    parts.append(" + " + text)
             text = "".join(parts)
         elif kind is Product:
             text = "*".join(paren(s, type(f) in compound) for f, s in zip(node.factors, texts))
@@ -1077,9 +1075,7 @@ def to_string(e: Expr) -> str:
         elif kind is Power:
             text = paren(texts[0], type(node.base) not in (Var, Call)) + f"^{node.exponent}"
         elif kind is Neg:
-            arg = node.arg
-            bare = type(arg) in (Var, Call) or (type(arg) is Const and arg.value >= 0)
-            text = "-" + paren(texts[0], not bare)
+            text = "-" + paren(texts[0], type(node.arg) not in (Var, Call))
         else:
             text = f"{node.func}({texts[0]})"
         memo[node] = text
@@ -1284,7 +1280,8 @@ class SampleDomain:
     def default(cls, names: Iterable[str], count: int = 20, seed: int = 0) -> "SampleDomain":
         ivs = []
         for nm in names:
-            lo, hi = MOMENTUM_RANGE if nm.startswith("p") else TEMPORAL_RANGE
+            lo, hi = (MOMENTUM_RANGE if nm.startswith("p")
+                      else SPATIAL_RANGE if nm.startswith("x") else TEMPORAL_RANGE)
             ivs.append((nm, lo, hi))
         return cls(tuple(ivs), count, seed)
 

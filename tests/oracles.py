@@ -69,6 +69,7 @@ from polyjet.symbolic import (
     substitute,
     _apply_function,
     _fmt_const,
+    _intern,
     _power_value,
     _product_value,
     _quotient_value,
@@ -93,6 +94,12 @@ def _folded_two_pass(value: float, flat) -> Const:
     return Const(value)
 
 
+def _node(kind, *fields):
+    """The node of ``kind`` with ``fields``, interned under the key the
+    constructor functions use, without their canonicalization."""
+    return _intern(kind, (kind, *fields), fields)
+
+
 def add_two_pass(*terms):
     """A sum flattened in one pass and folded in a second."""
     flat = _flattened(terms, Sum)
@@ -107,13 +114,13 @@ def add_two_pass(*terms):
         out.append(_folded_two_pass(acc, flat))
     if not out:
         return ZERO
-    return out[0] if len(out) == 1 else Sum(tuple(out))
+    return out[0] if len(out) == 1 else _node(Sum, tuple(out))
 
 
 def mul_two_pass(*factors):
     """A product flattened in one pass, then folded, with runs of one base
     merged into a list of (base, exponent) and every factor rebuilt from
-    it: ``x`` for exponent 1, ``Power(x, k)`` otherwise."""
+    it: ``x`` for exponent 1, a power of ``x`` otherwise."""
     flat = _flattened(factors, Product)
     coeff = 1.0
     rest = []
@@ -131,12 +138,12 @@ def mul_two_pass(*factors):
             merged[-1] = (base, merged[-1][1] + k)
         else:
             merged.append((base, k))
-    out = [base if k == 1 else Power(base, k) for base, k in merged]
+    out = [base if k == 1 else _node(Power, base, k) for base, k in merged]
     if coeff != 1.0:
         out.insert(0, _folded_two_pass(coeff, flat))
     if not out:
         return ONE
-    return out[0] if len(out) == 1 else Product(tuple(out))
+    return out[0] if len(out) == 1 else _node(Product, tuple(out))
 
 
 def central_diff(f, x0: float, h: float = 1.0e-6) -> float:

@@ -36,9 +36,11 @@ from polyjet.metrics import pullback_metric
 from polyjet.semisprays import canonical_spatial, canonical_temporal
 from polyjet.symbolic import (
     Const,
+    ONE,
     Product,
     Program,
     Sum,
+    ZERO,
     add,
     compile_block,
     cos,
@@ -387,13 +389,15 @@ def test_an_overflowing_product_column_raises_the_replays_error(values, message)
 
 
 def test_a_product_built_with_one_factor_is_that_factor():
-    e = Product((X1,))
+    # only mul and add build products and sums, and they return a lone
+    # operand as it is, so no product or sum has fewer than two children
+    e = mul(X1)
+    assert e is X1 and add(X1) is X1 and mul() is ONE and add() is ZERO
     points = [{"x1": v} for v in (0.5, -0.0, 5e-324, -math.inf, math.nan)]
     assert_matches_evaluate([e, add(e, T1)], [{**pt, "t1": 2.0} for pt in points])
     assert_matches_evaluate([e], points)
-    # a sum or a product built with no children is refused
-    for kind in (Product, Sum):
-        with pytest.raises(ValueError, match=f"a {kind.__name__} needs at least one child"):
+    for kind, builder in ((Product, "mul"), (Sum, "add")):
+        with pytest.raises(TypeError, match=rf"with {builder}\(\)"):
             kind(())
 
 

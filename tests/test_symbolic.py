@@ -73,16 +73,22 @@ P12 = var("p1_2")
 # ---------------------------------------------------------------------------
 # construction invariants
 
+def _parts(e) -> tuple:
+    """A node's kind and fields, read without building a node, for
+    structural asserts."""
+    return (type(e), *(getattr(e, name) for name in type(e).__slots__))
+
+
 def test_sums_and_products_stay_flat():
     e = add(add(X1, T1), add(P11, Const(0.0)))
-    assert e == Sum((X1, T1, P11))
+    assert _parts(e) == (Sum, (X1, T1, P11))
     f = mul(mul(X1, T1), mul(P11, Const(1.0)))
-    assert f == Product((X1, T1, P11))
+    assert _parts(f) == (Product, (X1, T1, P11))
 
 
 def test_constant_folding_collapses_constant_subtrees():
     assert add(Const(2), Const(3)) == Const(5.0)
-    assert mul(Const(2), Const(3), X1) == Product((Const(6.0), X1))
+    assert _parts(mul(Const(2), Const(3), X1)) == (Product, (Const(6.0), X1))
     assert power(Const(2), 10) == Const(1024.0)
     assert neg(Const(4)) == Const(-4.0)
     assert div(Const(3), Const(2)) == Const(1.5)
@@ -127,13 +133,39 @@ def test_division_by_constant_zero_is_rejected():
 
 
 def test_adjacent_equal_factors_merge_to_powers():
-    assert mul(X1, X1) == Power(X1, 2)
-    assert mul(X1, X1, X1) == Power(X1, 3)
-    assert mul(power(X1, 2), X1) == Power(X1, 3)
+    assert _parts(mul(X1, X1)) == (Power, X1, 2)
+    assert _parts(mul(X1, X1, X1)) == (Power, X1, 3)
+    assert _parts(mul(power(X1, 2), X1)) == (Power, X1, 3)
 
 
 def test_negative_power_becomes_reciprocal():
-    assert power(X1, -2) == Quotient(Const(1.0), Power(X1, 2))
+    q = power(X1, -2)
+    assert _parts(q) == (Quotient, Const(1.0), q.denominator)
+    assert _parts(q.denominator) == (Power, X1, 2)
+
+
+_COMPOUND = [  # each compound class, its function and a call that it refuses
+    (Sum, "add", ((X1, T1),)),
+    (Product, "mul", ((X1,),)),
+    (Power, "power", (X1, 1)),
+    (Neg, "neg", (Const(2.0),)),
+    (Quotient, "div", (X1, T1)),
+    (Call, "call", ("tan", X1)),
+]
+
+
+@pytest.mark.parametrize("kind, builder, fields", _COMPOUND,
+                         ids=[kind.__name__ for kind, _, _ in _COMPOUND])
+def test_a_compound_class_refuses_a_call_and_names_its_function(kind, builder, fields):
+    # only the constructor functions build compound nodes, so no node is
+    # left uncanonical: x1^1 or -2 as a negation would print text that
+    # parses back to another node
+    gc.collect()
+    before = dict(symbolic._NODES)
+    for args, kwargs in ((fields, {}), ((), {}), ((), {"arg": X1})):
+        with pytest.raises(TypeError, match=rf"^build {kind.__name__} nodes with {builder}\(\),"):
+            kind(*args, **kwargs)
+    assert symbolic._NODES == before
 
 
 def test_nodes_are_hashable_and_compare_structurally():
@@ -220,9 +252,16 @@ def test_nodes_are_immutable():
 
 
 def test_copies_and_pickles_are_the_same_node():
-    e = parse("exp(x1)*sin(t1)/(1 + x1^2)", ["x1", "t1"])
-    assert copy.deepcopy(e) is e
-    assert pickle.loads(pickle.dumps(e)) is e
+    # every kind of node, the constants -0.0 (equal to 0.0 as a float) and
+    # NaN (unequal to itself) among them, and one parsed expression
+    nodes = [Const(-0.0), Const(math.nan), Const(2.5), X1, add(X1, T1), mul(X1, T1),
+             power(X1, 3), neg(X1), div(X1, T1), sin(X1),
+             parse("exp(x1)*sin(t1)/(1 + x1^2) - t1", ["x1", "t1"])]
+    assert {type(e) for e in nodes} == {Const, Var, Sum, Product, Power, Neg, Quotient, Call}
+    for e in nodes:
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(nodes)), nodes))
 
 
 def test_intern_table_frees_dropped_expressions():
@@ -258,9 +297,9 @@ def test_operator_sugar_matches_constructors():
     assert X1 + 1 == add(X1, Const(1))
     assert 2 * X1 == mul(Const(2), X1)
     assert X1 - T1 == add(X1, neg(T1))
-    assert X1 / T1 == Quotient(X1, T1)
-    assert X1 ** 3 == Power(X1, 3)
-    assert -X1 == Neg(X1)
+    assert X1 / T1 is div(X1, T1)
+    assert X1 ** 3 is power(X1, 3)
+    assert -X1 is neg(X1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +317,12 @@ def test_parse_constant_quotient_folds_away():
 
 def test_parse_variable_containing_caret():
     v = var("p_1^1")
-    assert parse("p_1^1 * p_1^1", ["p_1^1"]) == Power(v, 2)
+    assert _parts(parse("p_1^1 * p_1^1", ["p_1^1"])) == (Power, v, 2)
 
 
 def test_parse_power_splits_off_exponent():
     got = parse("t1^2 + 1", ["t1"])
-    assert got == Sum((Power(T1, 2), Const(1.0)))
+    assert _parts(got) == (Sum, (power(T1, 2), Const(1.0)))
     # a negative exponent is a signed integer too
     assert parse("x1^-2", ["x1"]) is power(X1, -2)
     assert evaluate(parse("x1^-2", ["x1"]), {"x1": 2.0}) == 0.25
@@ -291,7 +330,7 @@ def test_parse_power_splits_off_exponent():
 
 def test_parse_longest_declared_prefix_wins():
     v = var("p_1^1")
-    assert parse("p_1^1^2", ["p_1^1"]) == Power(v, 2)
+    assert _parts(parse("p_1^1^2", ["p_1^1"])) == (Power, v, 2)
 
 
 def test_parse_syntax_error_carries_position():
@@ -472,16 +511,15 @@ def test_mixed_partials_commute(e):
 
 _SPECIAL = [Const(-0.0), Const(math.nan), Const(math.inf), Const(-math.inf), Const(1e200),
             Const(-1e300), Const(0.0), Const(1.0), Const(-1.5)]
-# repeated bases, powers of them (a few not canonical: power() never
-# builds an exponent below 2) and products that hold them
+# repeated bases, powers of them and products that hold them
 _FACTORS = _SPECIAL + [
-    X1, X1, T1, sin(X1), power(X1, 2), power(X1, 3), power(sin(X1), 2),
-    Power(X1, 1), Power(X1, -1), Power(T1, 0), mul(Const(2.0), X1, T1), mul(T1, power(X1, 2)),
-    mul(X1, sin(X1)), mul(Const(1e200), X1), Product((X1,)), add(X1, T1),
+    X1, X1, T1, sin(X1), power(X1, 2), power(X1, 3), power(sin(X1), 2), power(T1, 2),
+    mul(Const(2.0), X1, T1), mul(T1, power(X1, 2)), mul(X1, sin(X1)), mul(Const(1e200), X1),
+    add(X1, T1),
 ]
 _TERMS = _SPECIAL + [
     X1, T1, neg(X1), mul(Const(2.0), X1), add(X1, Const(3.0)), add(T1, X1, Const(1e308)),
-    Sum((X1, Const(2.0), T1)), Sum((Sum((X1, T1)), X1)),
+    add(X1, Const(2.0), T1),
 ]
 
 
@@ -497,7 +535,7 @@ def _built_or_error(build, operands):
        st.lists(st.sampled_from(_TERMS), max_size=7))
 @example([Const(1e200), Const(1e200), X1], [Const(1e308), Const(1e308)])
 @example([mul(Const(1e200), X1), Const(1e200)], [add(T1, X1, Const(1e308)), Const(1e308)])
-@example([power(X1, 2), mul(X1, T1), Power(T1, 0), X1], [Const(math.inf), Const(-math.inf)])
+@example([power(X1, 2), mul(X1, T1), power(T1, 2), X1], [Const(math.inf), Const(-math.inf)])
 def test_one_pass_sums_and_products_are_the_two_pass_nodes(factors, terms):
     for build, oracle, operands in ((mul, mul_two_pass, factors), (add, add_two_pass, terms)):
         node, error = _built_or_error(build, operands)
@@ -708,7 +746,7 @@ def test_variables_of_a_deep_shared_dag_is_a_read():
 def test_every_node_class_records_its_variables():
     u = add(X1, T1)
     nodes = [Const(2.5), X1, u, mul(X1, P11), power(u, 3), neg(u),
-             div(P11, u), sin(u), mul(Const(2), Neg(X1))]
+             div(P11, u), sin(u), mul(Const(2), neg(X1))]
     assert {type(n) for n in nodes} == {Const, Var, Sum, Product, Power, Neg,
                                         Quotient, Call}
     for node in nodes:
@@ -866,9 +904,18 @@ def test_variables_listing():
 
 @settings(max_examples=120, deadline=None)
 @given(_safe_expr)
+@example(Const(-0.0))
+@example(Const(math.nan))
+@example(mul(Const(-math.inf), X1))
 def test_print_parse_round_trip_is_identity(e):
+    # the stated exceptions: NaN and infinite constants print as nan and
+    # inf, which parse refuses, and the constant -0.0 prints as 0, so it
+    # reads back as the node 0.0
+    if not all(math.isfinite(n.value) for n in subexpressions(e) if type(n) is Const):
+        with pytest.raises(UnknownIdentifier):
+            parse(to_string(e), variables(e))
+        return
     got = parse(to_string(e), variables(e))
-    # the constant -0.0 prints as 0, so it reads back as the node 0.0
     assert got is e or (isinstance(got, Const) and isinstance(e, Const)
                         and got.value == e.value == 0.0)
 
@@ -903,8 +950,6 @@ _PRINTED = [
     add(X1, neg(mul(T1, P11))),
     add(X1, neg(power(T1, 2))),
     add(X1, Const(-2.0)),
-    Sum((X1, Neg(Const(-2.0)))),
-    Sum((Sum((X1, T1)), neg(X1), P11)),
     add(neg(X1), T1),
     # a quotient as the first and as a later factor
     mul(div(X1, T1), P11),
@@ -915,18 +960,13 @@ _PRINTED = [
     div(X1, div(T1, P11)),
     div(add(X1, T1), add(T1, P11)),
     # negations
-    Neg(Const(_NAN)),
-    Neg(Const(-0.0)),
-    Neg(Const(_INF)),
-    Neg(Const(-_INF)),
     neg(sin(X1)),
     neg(power(X1, 2)),
     neg(div(X1, T1)),
-    # powers of every kind of base
+    # powers of a call, a sum and a negation
     power(sin(X1), 2),
     power(add(X1, T1), 3),
-    Power(Const(-2.0), 3),
-    Power(neg(X1), 2),
+    power(neg(X1), 2),
     # non-finite constants
     Const(_NAN),
     Const(_INF),
@@ -1071,6 +1111,15 @@ def test_sample_domain_default_ranges_follow_naming():
         assert -0.9 <= pt["t1"] <= 0.9
         assert -0.9 <= pt["x2"] <= 0.9
         assert -2.0 <= pt["p3_1"] <= 2.0
+
+
+@pytest.mark.parametrize("constant", ["TEMPORAL_RANGE", "SPATIAL_RANGE", "MOMENTUM_RANGE"])
+def test_each_kind_of_name_reads_its_own_default_range(monkeypatch, constant):
+    monkeypatch.setattr(symbolic, constant, (-0.25, 0.5))
+    intervals = SampleDomain.default(["t1", "x2", "p3_1", "y1"]).intervals
+    want = {"t1": symbolic.TEMPORAL_RANGE, "x2": symbolic.SPATIAL_RANGE,
+            "p3_1": symbolic.MOMENTUM_RANGE, "y1": symbolic.TEMPORAL_RANGE}
+    assert intervals == tuple((name, *want[name]) for name in ("t1", "x2", "p3_1", "y1"))
 
 
 def test_sample_domain_extension_preserves_existing_draws():

@@ -1,5 +1,6 @@
 """Report imports that a module of the library, its tests or its tools
-never uses, and private names of the library that no module of it reads.
+never uses, private names of the library that no module of it reads, and
+public constants of the library that nothing in the repository reads.
 
     python tools/unused_imports.py
 
@@ -10,13 +11,17 @@ prints every name bound by an ``import`` or ``from ... import``
 also prints every module-level private function, class or constant of
 ``src/polyjet`` (a name with one leading underscore) that no statement of
 ``src/polyjet`` reads but the one that defines it, so a helper left behind
-when its last caller goes is caught.  Exits 1 when it finds either, 0
-otherwise.
+when its last caller goes is caught, and every module-level UPPER_CASE
+constant of ``src/polyjet`` that no statement under ``src/polyjet``,
+``tests``, ``tools`` or ``perfbench`` reads but the one that defines it,
+so a setting that nothing consults is caught.  Exits 1 when it finds any
+of these, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -47,22 +52,30 @@ def _bound(stmt) -> list:
             for node in ast.walk(target) if isinstance(node, ast.Name)]
 
 
-def unread_privates(paths) -> list:
-    """(path, line, name) of every module-level private function, class or
-    constant of ``paths`` that no other statement of ``paths`` reads, as a
-    name or as an attribute."""
+def unread_names(defining, reading, wanted) -> list:
+    """(path, line, name) of every module-level name of ``defining`` that
+    ``wanted(name)`` selects and that no other statement of ``reading`` (a
+    superset of ``defining``) reads, as a name or as an attribute."""
     defined, statements = [], []
-    for path in paths:
+    for path in reading:
         for stmt in ast.parse(path.read_text(), str(path)).body:
             read = {node.id if isinstance(node, ast.Name) else node.attr
                     for node in ast.walk(stmt)
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                     or isinstance(node, ast.Attribute)}
             statements.append((stmt, read))
-            defined += [(path, stmt, name) for name in _bound(stmt)
-                        if name.startswith("_") and not name.startswith("__")]
+            if path in defining:
+                defined += [(path, stmt, name) for name in _bound(stmt) if wanted(name)]
     return [(path, stmt.lineno, name) for path, stmt, name in defined
             if not any(name in read for other, read in statements if other is not stmt)]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _constant(name: str) -> bool:
+    return re.fullmatch(r"[A-Z][A-Z0-9_]*", name) is not None
 
 
 def main() -> int:
@@ -74,9 +87,15 @@ def main() -> int:
             for line, name in unused_imports(path):
                 print(f"{path.relative_to(ROOT)}:{line}: unused import {name}")
                 found += 1
-    for path, line, name in unread_privates(sorted((ROOT / "src" / "polyjet").glob("*.py"))):
-        print(f"{path.relative_to(ROOT)}:{line}: unread private name {name}")
-        found += 1
+    library = sorted((ROOT / "src" / "polyjet").glob("*.py"))
+    everything = library + [path for folder in ("tests", "tools", "perfbench")
+                            for path in sorted((ROOT / folder).glob("*.py"))]
+    for what, hits in (
+            ("private name", unread_names(library, library, _private)),
+            ("public constant", unread_names(library, everything, _constant))):
+        for path, line, name in hits:
+            print(f"{path.relative_to(ROOT)}:{line}: unread {what} {name}")
+            found += 1
     return 1 if found else 0
 
 
