@@ -196,6 +196,12 @@ def _key(obj: dict, where: str, key: str, chart: JetChart | None = None):
     return _walk(value, spec.label or path, spec.kind, spec.arg, chart)
 
 
+def _shown(number: int) -> str:
+    """An integer as an error echoes it: by its digit count past 20 digits."""
+    digits = len(repr(abs(number)))
+    return repr(number) if digits <= 20 else f"an integer of {digits} digits"
+
+
 def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
     """``raw``, the value at ``where`` in a manifest, checked and converted
     as a value of ``kind``.  An object is read by its ``SCHEMA`` entry, and
@@ -204,7 +210,7 @@ def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
         if type(raw) is not int:
             raise ConfigError(f"{where} must be an integer, got {raw!r}")
         if arg is not None and raw not in arg:
-            raise ConfigError(f"{where} must be from {arg[0]} to {arg[-1]}, got {raw}")
+            raise ConfigError(f"{where} must be from {arg[0]} to {arg[-1]}, got {_shown(raw)}")
         return raw
     if kind == "choice":
         if type(raw) is not type(arg[0]) or raw not in arg:
@@ -258,7 +264,7 @@ def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
     try:
         value = float(raw)
     except OverflowError:
-        raise ConfigError(f"{where} must be a number, got {raw!r}") from None
+        raise ConfigError(f"{where} must be a number, got {_shown(raw)}") from None
     if kind == "tolerance" and not (math.isfinite(value) and value > 0.0):
         raise ConfigError(f"{where} must be finite and positive, got {value!r}")
     if not math.isfinite(value):

@@ -676,8 +676,8 @@ _CONST, _VAR, _SUM, _PRODUCT, _POWER, _NEG, _QUOTIENT, _CALL = range(8)
 _CALL_VALUE = {"exp": math.exp, "ln": math.log, "sin": math.sin,
                "cos": math.cos, "sqrt": math.sqrt}
 
-# what a column pass raises where ``evaluate`` may fail at some sample,
-# a missing or unreadable variable included
+# what reading a batch raises for a missing or unreadable variable, and a
+# column pass where ``evaluate`` may fail at some sample
 _FAULTS = (ArithmeticError, ValueError, LookupError, TypeError)
 
 
@@ -739,16 +739,16 @@ def compile_block(exprs) -> "Program":
 
 
 def _level_plan(ops, roots) -> tuple:
-    """The level plan of a program's ops: (variable names, constant values,
-    steps, root rows).
+    """The level plan of a program's ops: (constant values, steps, root
+    rows).
 
     The plan gives every op a row of the value matrix: the variables
-    first, then the constants, then the ops of one level, kind, payload
-    and arity after another, in level order, so that each such group
-    fills one run of rows.  A step is (opcode, payload, first row, end
-    row, kid rows), the kid rows an (arity, group size) matrix.  Every
-    op's children are on lower levels, so a step reads only rows that the
-    steps before it, or the variables and constants, filled.
+    first, in slot order, then the constants, then the ops of one level,
+    kind, payload and arity after another, in level order, so that each
+    such group fills one run of rows.  A step is (opcode, payload, first
+    row, end row, kid rows), the kid rows an (arity, group size) matrix.
+    Every op's children are on lower levels, so a step reads only rows
+    that the steps before it, or the variables and constants, filled.
     """
     levels, names, constants, groups = [], [], [], {}
     for slot, (code, arg, kids) in enumerate(ops):
@@ -770,22 +770,25 @@ def _level_plan(ops, roots) -> tuple:
             end += 1
         kids = [[row[k] for k in ops[slot][2]] for slot in slots]
         steps.append((code, arg, start, end, np.array(kids, dtype=np.intp).T.copy()))
-    return ([name for _, name in names], np.array([v for _, v in constants], dtype=float),
-            tuple(steps), np.array([row[r] for r in roots], dtype=np.intp))
+    return (np.array([v for _, v in constants], dtype=float), tuple(steps),
+            np.array([row[r] for r in roots], dtype=np.intp))
 
 
 class Program:
     """A straight-line program with one slot per distinct node of a block.
 
-    ``run`` evaluates every op over all sample points at once, with the
-    very scalar operations of a one-point replay, so results are
+    ``run`` reads a batch once, into a float64 matrix of (point, ``reads``)
+    values, and evaluates every op over all sample points at once, with
+    the very scalar operations of a one-point replay, so results are
     bit-identical to it: ``math.fsum`` per point for sums, products
     multiplied left to right, Python ``float ** int`` and the ``math``
-    functions.  Where some op faults, some variable is missing or
-    unreadable, or some value is not finite (a product or quotient may
-    have overflowed), every sample is replayed in order instead, with
-    every domain check: the first sample at which one fails raises its
-    error, and when none does, the replayed values are the result.
+    functions.  Where some op faults, or any value of the pass is not
+    finite (from the input, or an overflow), every sample is replayed in
+    order instead, with every domain check: the first sample at which one
+    fails raises its error, and when none does, the replayed values are
+    the result.  A batch that cannot be read (a missing variable, a value
+    ``float`` refuses) goes to the replay without a pass, and the replay,
+    reading the points itself, raises the error evaluation raises.
 
     A program's first pass walks the ops in slot order, one list of
     values per op.  A program that runs again was worth more than that
@@ -801,18 +804,16 @@ class Program:
     per value in Python, through ``math.fsum``, ``**`` and the ``math``
     functions, because numpy's sums, powers and transcendental functions
     may round differently.  The plan costs more to build than one walk,
-    so a program that runs once never builds it.
+    so a program that runs once never builds it.  Both passes take their
+    variable values from the batch's matrix.
 
     A program remembers its last successful batch, in one slot.  The key
-    is the point count and the exact bits of every value the program
-    reads (its variables, in op order, at each point in order), so
-    ``-0.0`` and ``0.0`` are two batches.  A batch with the slot's key
-    gets a copy of the stored result without a pass; any other batch is
-    run and, when the run succeeds, takes the slot.  A run that raises
-    stores nothing, and a batch whose key cannot be built (a missing
-    variable, a value ``float`` refuses) is run as any other, so every
-    error is the one the run raises.  Every caller gets an array of its
-    own: changing it changes no later result.
+    is the point count and the bytes of the batch's matrix, so ``-0.0``
+    and ``0.0`` are two batches.  A batch with the slot's key gets a copy
+    of the stored result without a pass; any other batch is run and, when
+    the run succeeds, takes the slot.  A run that raises stores nothing.
+    Every caller gets an array of its own: changing it changes no later
+    result.
     """
 
     __slots__ = ("ops", "roots", "shape", "checks", "reads", "_last", "_plan")
@@ -829,50 +830,43 @@ class Program:
     def run(self, points) -> np.ndarray:
         """Values at each point: an array of shape (len(points), *shape)."""
         points = list(points)
-        key = self._batch_key(points)
-        if key is not None and key == self._last[0]:
+        try:
+            read = np.array([float(pt[name]) for pt in points for name in self.reads],
+                            dtype=float).reshape(len(points), len(self.reads))
+        except _FAULTS:
+            # the replay reads the points itself and raises evaluation's error
+            for point in points:
+                self._replay(point)
+            raise
+        key = (len(points), read.tobytes())
+        if key == self._last[0]:
             return self._last[1].copy()
         try:
-            out = self._columns(points)
+            out = self._columns(read)
         except _FAULTS:
             out = np.array([self._replay(point) for point in points], dtype=float)
         out = np.ascontiguousarray(out).reshape(len(points), *self.shape)
-        if key is None:
-            return out
         self._last = (key, out)
         return out.copy()
 
-    def _batch_key(self, points):
-        """(count, exact bits of the values read, as the run reads them),
-        or None when some value is missing or ``float`` refuses it; the run
-        then raises its own error."""
-        try:
-            values = [float(pt[name]) for pt in points for name in self.reads]
-        except (LookupError, TypeError, ValueError, ArithmeticError):
-            return None
-        return len(points), np.array(values, dtype=float).tobytes()
-
-    def _columns(self, points) -> np.ndarray:
-        """The roots' values at every point, shape (points, roots), or a
-        fault where the replay may differ at some sample: the slot-order
-        walk on the first pass, the level plan on every later one."""
+    def _columns(self, read) -> np.ndarray:
+        """The roots' values at every point of the (point, variable) matrix
+        ``read``, shape (points, roots), or a fault where the replay may
+        differ at some sample: the slot-order walk on the first pass, the
+        level plan on every later one."""
         if self._plan is None:
             self._plan = False
-            return self._walk_columns(points)
+            return self._walk_columns(read)
         if self._plan is False:
             self._plan = _level_plan(self.ops, self.roots)
-        return self._level_columns(points)
+        return self._level_columns(read)
 
-    def _walk_columns(self, points) -> np.ndarray:
+    def _walk_columns(self, read) -> np.ndarray:
         """The roots' values, op by op in slot order.  A product column is
         a chain of elementwise multiplications, first factor to last; a sum
         column is ``math.fsum`` per point."""
+        columns = iter(read.T.tolist())  # one per variable, in slot order
         vals: list[list] = []
-        # Every slot feeds some root, and a non-finite value either reaches
-        # it, raises on the way, or is masked as a denominator (x/inf = 0)
-        # or an exp argument (exp(-inf) = 0).  So when the watched columns
-        # are finite, every column is, and no product or quotient overflowed.
-        watched: list[list] = []
         for code, arg, kids in self.ops:
             if code == _PRODUCT:
                 # left to right, as math.prod multiplies from 1.0, and 1.0*x
@@ -890,31 +884,25 @@ class Program:
                 col = [-v for v in vals[kids[0]]]
             elif code == _QUOTIENT:  # kids are (denominator, numerator)
                 col = list(map(operator.truediv, vals[kids[1]], vals[kids[0]]))
-                watched.append(vals[kids[0]])
             elif code == _CALL:
                 col = list(map(_CALL_VALUE[arg], vals[kids[0]]))
-                if arg == "exp":
-                    watched.append(vals[kids[0]])
             elif code == _VAR:
-                col = [float(pt[arg]) for pt in points]
+                col = next(columns)
             else:
-                col = [arg] * len(points)
+                col = [arg] * len(read)
             vals.append(col)
-        watched.extend(map(vals.__getitem__, self.roots))
-        if not math.isfinite(sum(chain.from_iterable(watched))):
-            # an overflow, or an infinity or NaN from the input: the replay
-            # tells them apart
+        # any value that is not finite sends the batch to the replay
+        if not math.isfinite(sum(chain.from_iterable(vals))):
             raise OverflowError("non-finite value")
         return np.array([vals[r] for r in self.roots], dtype=float).T
 
-    def _level_columns(self, points) -> np.ndarray:
+    def _level_columns(self, read) -> np.ndarray:
         """The roots' values, one group of one level's ops at a time, in a
         matrix of one row per op and one column per point."""
-        names, constants, steps, roots = self._plan
-        values = np.empty((len(self.ops), len(points)))
-        for row, name in enumerate(names):
-            values[row] = [float(pt[name]) for pt in points]
-        values[len(names):len(names) + len(constants)] = constants[:, None]
+        constants, steps, roots = self._plan
+        values = np.empty((len(self.ops), len(read)))
+        values[:len(self.reads)] = read.T
+        values[len(self.reads):len(self.reads) + len(constants)] = constants[:, None]
         # a zero denominator gives an infinity or NaN here instead of
         # raising, and the test below sends it to the replay
         with np.errstate(all="ignore"):
@@ -938,11 +926,6 @@ class Program:
                     else:
                         per_value = map(_CALL_VALUE[arg], operands.ravel().tolist())
                     out[...] = np.fromiter(per_value, float, out.size).reshape(out.shape)
-        # The walk tests only the roots, denominators and exp arguments,
-        # because every non-finite value reaches one of them (see
-        # ``_walk_columns``); testing every value is the same test.  The
-        # one non-finite source the walk lacks, a zero denominator, puts
-        # an infinity or NaN in its quotient, which the test sees.
         if not np.isfinite(values).all():
             raise OverflowError("non-finite value")
         return values.take(roots, axis=0).T

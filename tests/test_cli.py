@@ -303,11 +303,13 @@ def test_reports_are_strict_json(tmp_path, manifest, command):
     ({"tolerances": [1]}, "tolerances"),
     ({"sample_domain": {"count": 10**30}}, "sample_domain.count"),
     ({"sample_domain": {"count": cli.MAX_SAMPLE_COUNT + 1}}, "sample_domain.count"),
+    ({"sample_domain": {"intervals": {"t1": [0.1]}}}, "sample interval for 't1' must be [lo, hi]"),
 ])
 def test_manifest_fields_of_the_wrong_kind_exit_2_naming_the_field(tmp_path, capsys, changes,
                                                                    field):
     """Integer fields take JSON integers only, object fields objects only,
-    and the sample count has a ceiling; each refusal names its field."""
+    the sample count has a ceiling and a sample interval two ends; each
+    refusal names its field."""
     assert main(["verify", rewrite(tmp_path, "flat.json", **changes)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and field in err
@@ -625,6 +627,46 @@ def test_verify_requires_transition(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
     assert main(["verify", str(path)]) == EXIT_CONFIG
+
+
+def test_verify_needs_both_inverse_maps(tmp_path, capsys):
+    transition = json.loads((MANIFESTS / "curved.json").read_text())["transition"]
+    for gone in (("t_inverse", "x_inverse"), ("t_inverse",), ("x_inverse",)):
+        kept = {k: v for k, v in transition.items() if k not in gone}
+        path = rewrite(tmp_path, "curved.json", transition=kept)
+        assert main(["verify", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: verify needs transition.t_inverse and x_inverse\n")
+
+
+def test_verify_on_a_non_regular_hamiltonian_reports_only_regularity(tmp_path):
+    code, report = run(tmp_path, "verify",
+                       rewrite(tmp_path, "curved.json", hamiltonian="p1_1^4"))
+    assert code == EXIT_REGULARITY and not report["passed"]
+    [check] = report["checks"]
+    assert check["kind"] == "regularity" and not check["passed"]
+    assert "singular" in check["notes"]["reason"]
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"fault_injection": {"block": "N2", "index": [1, 2, 1], "delta": 10**400}},
+     "fault_injection.delta must be a number, got an integer of 401 digits"),
+    ({"fault_injection": {"block": "N2", "index": [1, 2, 1], "delta": -10**400}},
+     "fault_injection.delta must be a number, got an integer of 401 digits"),
+    ({"dimensions": {"m": 10**400, "n": 2}},
+     f"dimensions.m must be from 1 to {cli.MAX_DIMENSION}, got an integer of 401 digits"),
+    ({"dimensions": {"m": 2, "n": -10**19}},
+     f"dimensions.n must be from 1 to {cli.MAX_DIMENSION}, got -10000000000000000000"),
+    ({"dimensions": {"m": 2, "n": -10**20}},
+     f"dimensions.n must be from 1 to {cli.MAX_DIMENSION}, got an integer of 21 digits"),
+], ids=["delta", "negative-delta", "m", "n-20-digits", "n-21-digits"])
+def test_a_huge_manifest_integer_is_echoed_by_its_digit_count(tmp_path, capsys, changes,
+                                                              message):
+    """A number too large for a float, or an integer outside its range,
+    exits 2 naming its dotted path; past 20 digits the message gives the
+    integer's digit count instead of every digit."""
+    assert main(["verify", rewrite(tmp_path, "curved.json", **changes)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 def test_asymmetric_metric_rejected_on_load(tmp_path):

@@ -478,32 +478,78 @@ def test_the_first_pass_walks_and_every_later_pass_runs_the_plan(monkeypatch):
     assert paths == ["walk", "plan", "level", "level"]
 
 
-def test_an_unreadable_value_on_a_rerun_fails_as_the_walk_does():
-    """A value ``float`` refuses sends either pass to the replay, which
-    reads the variables in slot order: behind an op that faults first it
-    gives the fault's error on both passes."""
+def unread(program, batch, passes):
+    """Run a batch that cannot be read, which must raise: it runs no column
+    pass (``passes`` is ``count_passes``'s list) and leaves the plan and
+    the stored batch as they were."""
+    plan, last, ran = program._plan, program._last, len(passes)
+    try:
+        program.run(batch)
+    finally:
+        assert len(passes) == ran, "an unreadable batch ran a column pass"
+        assert program._plan is plan and program._last is last
+
+
+def test_an_unreadable_value_on_a_rerun_fails_as_the_walk_does(monkeypatch):
+    """A value ``float`` refuses sends the batch to the replay, which reads
+    the variables in slot order: behind an op that faults first it gives
+    the fault's error, on every run."""
+    passes = count_passes(monkeypatch)
     program = compile_block([ln(X1), T1])
     assert program.run([{"x1": 1.0, "t1": 2.0}]).tolist() == [[0.0, 2.0]]
     for _ in range(2):
         with pytest.raises(DomainError, match="^ln of non-positive value 0.0$"):
-            program.run([{"x1": 0.0, "t1": None}])
-    assert program._plan
+            unread(program, [{"x1": 0.0, "t1": None}], passes)
     with pytest.raises(TypeError):
-        program.run([{"x1": 1.0, "t1": None}])
+        unread(program, [{"x1": 1.0, "t1": None}], passes)
+    assert program.run([{"x1": 1.0, "t1": 2.0}]).tolist() == [[0.0, 2.0]]
+    assert len(passes) == 1
 
 
-def test_an_unreadable_value_at_a_later_point_fails_as_the_walk_does():
-    """Both passes read a whole column before the next op, so the
-    unreadable value at the second point is met before the fault at the
-    first; the replay goes point by point, as the walk does."""
+def test_an_unreadable_value_at_a_later_point_fails_as_the_walk_does(monkeypatch):
+    """The batch is read whole before any op, so the unreadable value at
+    the second point is met before the fault at the first; the replay goes
+    point by point, and so raises the fault, on a first run and after the
+    plan is built."""
+    passes = count_passes(monkeypatch)
     program = compile_block([T1, ln(X1)])
     batch = [{"x1": 0.0, "t1": 1.0}, {"x1": 1.0, "t1": None}]
     with pytest.raises(DomainError, match="^ln of non-positive value 0.0$"):
         evaluate_walk(ln(X1), batch[0])
     for _ in range(2):
         with pytest.raises(DomainError, match="^ln of non-positive value 0.0$"):
-            program.run(batch)
+            unread(program, batch, passes)
+    assert program._plan is None
+    program.run([{"x1": 1.0, "t1": 1.0}])
+    program.run([{"x1": 2.0, "t1": 1.0}])
     assert program._plan
+    with pytest.raises(DomainError, match="^ln of non-positive value 0.0$"):
+        unread(program, batch, passes)
+
+
+@pytest.mark.parametrize("e, masked", [
+    (div(X1, T1), {"x1": 3.0, "t1": math.inf}),  # x1/inf is 0
+    (div(X1, T1), {"x1": -3.0, "t1": -math.inf}),  # -3/-inf is 0
+    (exp(T1), {"x1": 3.0, "t1": -math.inf}),  # exp(-inf) is 0
+])
+def test_a_masked_non_finite_value_sends_both_passes_to_the_replay(monkeypatch, e, masked):
+    """The only non-finite value is an input that a quotient or exp turns
+    into a finite root, and each pass still hands the batch to the
+    replay."""
+    block = [e, mul(X1, X1)]
+    ok = {"x1": 0.5, "t1": 2.0}
+    program = compile_block(block)
+    replays = []
+    replay = Program._replay
+    monkeypatch.setattr(Program, "_replay",
+                        lambda self, point: replays.append(point) or replay(self, point))
+    paths = count_paths(monkeypatch)
+    for batch in ([ok, masked], [masked], [masked, ok]):
+        want = [replay(program, pt) for pt in batch]
+        replays.clear()
+        assert bits(program.run(batch)).tolist() == bits(want).tolist()
+        assert replays == batch
+    assert paths == ["walk", "plan", "level", "level"]
 
 
 def test_a_product_that_overflows_on_a_rerun_raises_the_replays_error(monkeypatch):

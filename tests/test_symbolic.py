@@ -944,35 +944,38 @@ def test_print_parse_fixed_point_on_sources():
 
 
 _NAN, _INF = float("nan"), float("inf")
+# Each case's id is fixed, so adding or removing a case renames no other;
+# the ids are the text each case printed when the ids were fixed.
 _PRINTED = [
     # a negated sum, product or power, or a negative constant, as a later term
-    add(X1, neg(add(T1, P11))),
-    add(X1, neg(mul(T1, P11))),
-    add(X1, neg(power(T1, 2))),
-    add(X1, Const(-2.0)),
-    add(neg(X1), T1),
+    pytest.param(add(X1, neg(add(T1, P11))), id="x1 - (t1 + p1_1)"),
+    pytest.param(add(X1, neg(mul(T1, P11))), id="x1 - t1*p1_1"),
+    pytest.param(add(X1, neg(power(T1, 2))), id="x1 - t1^2"),
+    pytest.param(add(X1, Const(-2.0)), id="x1 - 2"),
+    pytest.param(add(neg(X1), T1), id="-x1 + t1"),
     # a quotient as the first and as a later factor
-    mul(div(X1, T1), P11),
-    mul(P11, div(X1, T1)),
-    mul(Const(3.0), div(X1, T1), div(T1, add(X1, P11))),
+    pytest.param(mul(div(X1, T1), P11), id="(x1/t1)*p1_1"),
+    pytest.param(mul(P11, div(X1, T1)), id="p1_1*(x1/t1)"),
+    pytest.param(mul(Const(3.0), div(X1, T1), div(T1, add(X1, P11))),
+                 id="3*(x1/t1)*(t1/(x1 + p1_1))"),
     # a product or a quotient as a denominator, a sum as a numerator
-    div(X1, mul(T1, P11)),
-    div(X1, div(T1, P11)),
-    div(add(X1, T1), add(T1, P11)),
+    pytest.param(div(X1, mul(T1, P11)), id="x1/(t1*p1_1)"),
+    pytest.param(div(X1, div(T1, P11)), id="x1/(t1/p1_1)"),
+    pytest.param(div(add(X1, T1), add(T1, P11)), id="(x1 + t1)/(t1 + p1_1)"),
     # negations
-    neg(sin(X1)),
-    neg(power(X1, 2)),
-    neg(div(X1, T1)),
+    pytest.param(neg(sin(X1)), id="-sin(x1)"),
+    pytest.param(neg(power(X1, 2)), id="-(x1^2)"),
+    pytest.param(neg(div(X1, T1)), id="-(x1/t1)"),
     # powers of a call, a sum and a negation
-    power(sin(X1), 2),
-    power(add(X1, T1), 3),
-    power(neg(X1), 2),
+    pytest.param(power(sin(X1), 2), id="sin(x1)^2"),
+    pytest.param(power(add(X1, T1), 3), id="(x1 + t1)^3"),
+    pytest.param(power(neg(X1), 2), id="(-x1)^2"),
     # non-finite constants
-    Const(_NAN),
-    Const(_INF),
-    Const(-_INF),
-    add(X1, Const(-_INF)),
-    mul(Const(_INF), X1),
+    pytest.param(Const(_NAN), id="nan"),
+    pytest.param(Const(_INF), id="inf"),
+    pytest.param(Const(-_INF), id="-inf"),
+    pytest.param(add(X1, Const(-_INF)), id="x1 - inf"),
+    pytest.param(mul(Const(_INF), X1), id="inf*x1"),
 ]
 
 
@@ -982,7 +985,7 @@ def test_the_printer_matches_the_recursive_printer(e):
     assert to_string(e) == to_string_walk(e)
 
 
-@pytest.mark.parametrize("e", _PRINTED, ids=to_string_walk)
+@pytest.mark.parametrize("e", _PRINTED)
 def test_the_printer_matches_the_recursive_printer_on_hand_picked_cases(e):
     assert to_string(e) == to_string_walk(e)
 

@@ -12,10 +12,20 @@ seeds 0 and 7, in one process through ``polyjet.cli.main``.  A run named
   replaced by ``REPORT``;
 * ``.exit``: the exit code.
 
-``verify`` also runs, at both seeds, on a copy of ``curved.json`` written
-to a temporary file with ``fault_injection`` set to N2[1,2,1] (run name
-``verify-curved-fault-seed<seed>``), so the failing-law path (its
-``worst_entry``, ``worst_point`` and exit 6) is compared too.
+Six more cases run at both seeds, each one command on a copy of a shipped
+manifest with some keys replaced, written to a temporary file (``VARIANTS``):
+
+* ``verify-curved-fault``: ``fault_injection`` at N2[1,2,1], the
+  failing-law path (its ``worst_entry``, ``worst_point`` and exit 6);
+* ``verify-curved-quartic``: H = p1_1^4, which is not regular, so the run
+  reports only the regularity check and exits 8;
+* ``verify-curved-no-inverse``: a transition without ``t_inverse`` and
+  ``x_inverse`` (exit 2);
+* ``christoffel-flat-one-point-interval``: a sample interval of one
+  element (exit 2);
+* ``verify-curved-huge-delta`` and ``christoffel-flat-huge-m``: an
+  integer of 401 digits as ``fault_injection.delta`` and as
+  ``dimensions.m`` (exit 2).
 
 Run it from the repository root, then compare two snapshots:
 
@@ -43,6 +53,20 @@ SEEDS = (0, 7)
 
 
 FAULT = {"block": "N2", "index": [1, 2, 1]}
+CURVED = json.loads((ROOT / "manifests" / "curved.json").read_text())
+FLAT = json.loads((ROOT / "manifests" / "flat.json").read_text())
+# run name: (command, manifest, the keys that replace the manifest's)
+VARIANTS = {
+    "verify-curved-fault": ("verify", CURVED, {"fault_injection": FAULT}),
+    "verify-curved-quartic": ("verify", CURVED, {"hamiltonian": "p1_1^4"}),
+    "verify-curved-no-inverse": ("verify", CURVED, {"transition": {
+        key: maps for key, maps in CURVED["transition"].items() if "inverse" not in key}}),
+    "christoffel-flat-one-point-interval": ("christoffel", FLAT, {"sample_domain": {
+        **FLAT["sample_domain"], "intervals": {"t1": [0.1]}}}),
+    "verify-curved-huge-delta": ("verify", CURVED, {
+        "fault_injection": {**FAULT, "delta": 10**400}}),
+    "christoffel-flat-huge-m": ("christoffel", FLAT, {"dimensions": {"m": 10**400, "n": 2}}),
+}
 
 
 def snapshot(out_dir: Path) -> int:
@@ -51,13 +75,13 @@ def snapshot(out_dir: Path) -> int:
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         report_path = str(Path(tmp) / "report.json")
-        faulty = Path(tmp) / "curved-fault.json"
-        curved = json.loads((ROOT / "manifests" / "curved.json").read_text())
-        faulty.write_text(json.dumps({**curved, "fault_injection": FAULT}, indent=2))
         cases = [(f"{command}-{manifest.stem}", command, manifest)
                  for manifest in sorted((ROOT / "manifests").glob("*.json"))
                  for command in COMMANDS]
-        cases.append(("verify-curved-fault", "verify", faulty))
+        for name, (command, base, changes) in VARIANTS.items():
+            manifest = Path(tmp) / f"{name}.json"
+            manifest.write_text(json.dumps({**base, **changes}, indent=2))
+            cases.append((name, command, manifest))
         for name, command, manifest in cases:
             for seed in SEEDS:
                 stem = out_dir / f"{name}-seed{seed}"
