@@ -35,7 +35,6 @@ from .symbolic import (
 )
 from .charts import (
     JetChart,
-    JetPoint,
     TransitionMap,
     compose,
     pullback_scalar,

@@ -20,14 +20,14 @@ and never require the explicit inverse map.
 Explicit inverse expressions, when supplied, are what pullbacks, coframe
 rows and inversion use; operations that need them say so.
 
-A point is an assignment, a dict from coordinate name to value.
-``TransitionMap.map_points`` gives the numeric chart change at a batch of
-them as one ``Frames`` record, which every law and frame reads; a
-``JetPoint`` of (t, x, p) arrays enters only through ``map_point`` and
-``frame_matrix``, which map a batch of one.
+A point is an assignment, a dict from coordinate name to value; it is
+the only point type.  ``TransitionMap.map_points`` gives the numeric chart
+change at a batch of them as one ``Frames`` record, which every law and
+frame reads; ``map_point`` and ``frame_matrix`` map a batch of one.
 ``TransitionMap.sample_frames`` gives it at the points of a sample domain
 and remembers the last domain's record, so the laws of one battery and
-``validate`` map their shared samples once.
+``validate`` map their shared samples once.  ``JetChart.assignment`` and
+``JetChart.point`` only copy an assignment; the benchmark still calls them.
 
 ``_derivatives`` builds both Jacobians and the momentum map's derivatives,
 which the d-tensor pullback also reads; ``_through`` substitutes one map
@@ -124,43 +124,14 @@ class JetChart:
     def sample_domain(self, count: int = 20, seed: int = 0) -> SampleDomain:
         return SampleDomain.default(self.names, count=count, seed=seed)
 
-    def assignment(self, point: "JetPoint") -> dict:
-        out = {t_name(a): float(point.t[a]) for a in range(self.m)}
-        out.update({x_name(i): float(point.x[i]) for i in range(self.n)})
-        for i in range(self.n):
-            for a in range(self.m):
-                out[p_name(i, a)] = float(point.p[i][a])
-        return out
+    # Copies of an assignment in chart-name order.  They remain only because
+    # the pullback workload of ``perfbench/workloads.py`` still calls
+    # ``chart.assignment(tm.map_point(chart.point(point_a)))``.
+    def assignment(self, point) -> dict:
+        return {nm: float(point[nm]) for nm in self.names}
 
-    def point(self, assignment) -> "JetPoint":
-        t = np.array([assignment[t_name(a)] for a in range(self.m)], dtype=float)
-        x = np.array([assignment[x_name(i)] for i in range(self.n)], dtype=float)
-        p = np.array([[assignment[p_name(i, a)] for a in range(self.m)]
-                      for i in range(self.n)], dtype=float)
-        return JetPoint(t, x, p)
-
-
-class JetPoint:
-    """A point of the total space: t (m,), x (n,), p (n, m) with p[i][a]."""
-
-    def __init__(self, t, x, p):
-        self.t = np.asarray(t, dtype=float).reshape(-1)
-        self.x = np.asarray(x, dtype=float).reshape(-1)
-        self.p = np.asarray(p, dtype=float)
-        if self.p.shape != (self.x.size, self.t.size):
-            raise ValueError(f"p must have shape (n, m) = {(self.x.size, self.t.size)}, "
-                             f"got {self.p.shape}")
-
-    @property
-    def m(self) -> int:
-        return self.t.size
-
-    @property
-    def n(self) -> int:
-        return self.x.size
-
-    def __repr__(self):
-        return f"JetPoint(t={self.t.tolist()}, x={self.x.tolist()}, p={self.p.tolist()})"
+    def point(self, assignment) -> dict:
+        return {nm: float(assignment[nm]) for nm in self.names}
 
 
 class Frames(NamedTuple):
@@ -353,16 +324,17 @@ class TransitionMap:
         object.__setattr__(self, "_frames_slot", (key, frames))
         return frames
 
-    def map_point(self, q: JetPoint) -> JetPoint:
-        return self.chart.point(self.map_points([self.chart.assignment(q)]).images[0])
+    def map_point(self, point) -> dict:
+        """The image assignment of one source assignment."""
+        return self.map_points([point]).images[0]
 
     # -- frame and coframe ----------------------------------------------------
 
-    def frame_matrix(self, q: JetPoint) -> np.ndarray:
+    def frame_matrix(self, point) -> np.ndarray:
         """Rows: source frame (d/dt^a, d/dx^i, d/dp_i^a) expressed on the
-        target frame (columns, same ordering)."""
+        target frame (columns, same ordering), at one source assignment."""
         m, n = self.m, self.n
-        frames = self.map_points([self.chart.assignment(q)])
+        frames = self.map_points([point])
         jt, jx, kx = frames.jt[0], frames.jx[0], frames.kx[0]
         dpdt, dpdx = (v[0] for v in self.momentum_derivatives(frames.points))
         dim = self.chart.total_dim

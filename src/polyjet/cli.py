@@ -196,10 +196,18 @@ def _key(obj: dict, where: str, key: str, chart: JetChart | None = None):
     return _walk(value, spec.label or path, spec.kind, spec.arg, chart)
 
 
-def _shown(number: int) -> str:
-    """An integer as an error echoes it: by its digit count past 20 digits."""
-    digits = len(repr(abs(number)))
-    return repr(number) if digits <= 20 else f"an integer of {digits} digits"
+def _shown(value) -> str:
+    """A manifest value as an error echoes it: an integer by its digit count
+    past 20 digits, any other value by its type and size past 80 characters
+    of its repr."""
+    if type(value) is int:
+        digits = len(repr(abs(value)))
+        return repr(value) if digits <= 20 else f"an integer of {digits} digits"
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    unit = "characters" if isinstance(value, str) else "elements"
+    return f"a {type(value).__name__} of {len(value)} {unit}"
 
 
 def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
@@ -208,7 +216,7 @@ def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
     a key the entry does not list is refused."""
     if kind == "integer":
         if type(raw) is not int:
-            raise ConfigError(f"{where} must be an integer, got {raw!r}")
+            raise ConfigError(f"{where} must be an integer, got {_shown(raw)}")
         if arg is not None and raw not in arg:
             raise ConfigError(f"{where} must be from {arg[0]} to {arg[-1]}, got {_shown(raw)}")
         return raw
@@ -260,7 +268,7 @@ def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
         return tuple(_walk(v, where, "finite") for v in raw)
     # finite and tolerance
     if type(raw) not in (int, float):
-        raise ConfigError(f"{where} must be a number, got {raw!r}")
+        raise ConfigError(f"{where} must be a number, got {_shown(raw)}")
     try:
         value = float(raw)
     except OverflowError:
@@ -416,12 +424,7 @@ def _finish(args, manifest: Manifest, dom: SampleDomain, checks, objects,
         except OSError as exc:
             raise ConfigError(f"cannot write the report: {exc}") from None
         print(f"report written to {args.json}")
-    if passed:
-        return EXIT_OK
-    for c in checks:
-        if not c["passed"]:
-            return _CHECK_EXIT[c["kind"]]
-    return EXIT_INTERNAL
+    return next((_CHECK_EXIT[c["kind"]] for c in checks if not c["passed"]), EXIT_OK)
 
 
 def _require(command: str, **pieces):

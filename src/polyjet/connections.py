@@ -148,17 +148,12 @@ def connection_from_semispray(G1: Semispray, G2: Semispray,
     n1 = [[[None] * m for _ in range(n)] for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            # d G1[a][j][k] / d p_i^b, then sandwich with phi
+            # d G1[a][j][k] / d p_i^b, once for every r, then sandwich with phi
+            dG = [[[differentiate(G1.components[a][j][k], p_name(i, b)) for k in range(n)]
+                   for j in range(n)] for i in range(n)]
             for r in range(n):
-                terms = []
-                for i in range(n):
-                    for j in range(n):
-                        for k in range(n):
-                            terms.append(mul(
-                                phi_upper[j][k],
-                                differentiate(G1.components[a][j][k], p_name(i, b)),
-                                phi.components[i][r]))
-                n1[a][r][b] = add(*terms)
+                n1[a][r][b] = add(*[mul(phi_upper[j][k], dG[i][j][k], phi.components[i][r])
+                                    for i in range(n) for j in range(n) for k in range(n)])
     n2 = [[[mul(Const(2.0), G2.components[b][j][k]) for k in range(n)]
            for j in range(n)] for b in range(m)]
     return NonlinearConnection(m, n, n1, n2)

@@ -20,7 +20,9 @@ and ``metrics.christoffel``, which derives each distinct entry once, must
 return its very nodes.  ``pullback_metric_sandwich`` writes a metric in
 the target chart by the direct two-factor contraction, and
 ``metrics.pullback_metric``, a d-tensor pullback, must return its very
-nodes.  The formulas of the
+nodes.  ``n1_from_semispray_direct`` re-derives d G1 / d p for every
+entry of N1, and ``connections.connection_from_semispray``, which derives
+each once, must return its very nodes.  The formulas of the
 Hamilton layer are written out here one loop each, as they read in the
 paper: the gravitational and both electrodynamic hamiltonians, the
 direct spatial block of the canonical connection, the deviation block T,
@@ -413,6 +415,17 @@ def general_electrodynamic_hamiltonian(h, g, U, F):
             for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
     linear = [mul(U[i][a], chart.p_var(i, a)) for i in range(n) for a in range(m)]
     return add(add(*quad), add(*linear), F)
+
+
+def n1_from_semispray_direct(G1, phi):
+    """N1[a][r][b] = phi^{jk} (d G1[a][j][k] / d p_i^b) phi_{ir}, every
+    derivative taken afresh inside the r loop."""
+    m, n = G1.m, G1.n
+    phi_upper = phi.inverse_components
+    return [[[add(*[mul(phi_upper[j][k], differentiate(G1.components[a][j][k], p_name(i, b)),
+                        phi.components[i][r])
+                    for i in range(n) for j in range(n) for k in range(n)])
+              for b in range(m)] for r in range(n)] for a in range(m)]
 
 
 def canonical_n2_direct(space):

@@ -3,10 +3,11 @@ import pytest
 
 from polyjet.charts import (
     JetChart,
-    JetPoint,
     TransitionMap,
     compose,
+    p_name,
     pullback_scalar,
+    t_name,
 )
 from polyjet.errors import ConfigError, DomainError, SingularJacobian
 from polyjet.symbolic import compile_block, evaluate, parse, var
@@ -27,8 +28,19 @@ def shear_map_22() -> TransitionMap:
     )
 
 
-def sample_point_22() -> JetPoint:
-    return JetPoint(t=[0.4, -0.3], x=[0.5, 0.2], p=[[1.0, -0.5], [0.25, 2.0]])
+def sample_point_22() -> dict:
+    return {"t1": 0.4, "t2": -0.3, "x1": 0.5, "x2": 0.2,
+            "p1_1": 1.0, "p1_2": -0.5, "p2_1": 0.25, "p2_2": 2.0}
+
+
+def point_from(chart: JetChart, t, x, p) -> dict:
+    """The assignment of arrays t (m,), x (n,) and p (n, m) with p[i][a]."""
+    return dict(zip(chart.names, map(float, [*t, *x, *np.ravel(p)])))
+
+
+def momenta(chart: JetChart, point) -> np.ndarray:
+    """p[i][a], (n, m), read from an assignment by name."""
+    return np.reshape([point[nm] for nm in chart.p_names], (chart.n, chart.m))
 
 
 # ---------------------------------------------------------------------------
@@ -43,12 +55,13 @@ def test_chart_names_follow_convention():
 
 
 def test_point_assignment_round_trip():
+    """Both converters copy an assignment into chart-name order, as floats."""
     chart = JetChart(2, 2)
-    q = sample_point_22()
-    asg = chart.assignment(q)
-    assert asg["p2_1"] == 0.25 and asg["t2"] == -0.3
-    q2 = chart.point(asg)
-    assert np.allclose(q2.p, q.p) and np.allclose(q2.t, q.t) and np.allclose(q2.x, q.x)
+    q = {**dict(reversed(sample_point_22().items())), "x1": 1}
+    for copy in (chart.assignment(q), chart.point(q), chart.point(chart.assignment(q))):
+        assert copy == q and copy is not q
+        assert list(copy) == list(chart.names)
+        assert type(copy["x1"]) is float
 
 
 def test_transition_rejects_foreign_variables():
@@ -64,8 +77,8 @@ def test_linear_momentum_transform_hand_value():
     tm = TransitionMap(1, 1,
                        t_forward=[2 * var("t1")], x_forward=[3 * var("x1")],
                        t_inverse=[var("t1") / 2], x_inverse=[var("x1") / 3])
-    q = JetPoint(t=[0.2], x=[0.1], p=[[0.9]])
-    assert tm.map_point(q).p[0, 0] == pytest.approx(0.6, abs=1e-14)
+    q = {"t1": 0.2, "x1": 0.1, "p1_1": 0.9}
+    assert tm.map_point(q)["p1_1"] == pytest.approx(0.6, abs=1e-14)
 
 
 def test_time_preserving_transform_uses_spatial_jacobian_only():
@@ -74,11 +87,11 @@ def test_time_preserving_transform_uses_spatial_jacobian_only():
     tm = TransitionMap(1, 2,
                        t_forward=[var("t1")],
                        x_forward=[parse("x1 + x2^3", xv), parse("x2", xv)])
-    q = JetPoint(t=[0.0], x=[0.3, 0.5], p=[[1.0], [2.0]])
+    q = {"t1": 0.0, "x1": 0.3, "x2": 0.5, "p1_1": 1.0, "p2_1": 2.0}
     # Jx = [[1, 3*x2^2], [0, 1]], inv = [[1, -3*x2^2], [0, 1]]
-    got = tm.map_point(q).p
+    got = momenta(tm.chart, tm.map_point(q))
     kx = np.array([[1.0, -3 * 0.5 ** 2], [0.0, 1.0]])
-    want = kx.T @ q.p
+    want = kx.T @ momenta(tm.chart, q)
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -86,22 +99,23 @@ def test_momentum_round_trip_through_inverse():
     tm = shear_map_22()
     q = sample_point_22()
     image = tm.map_point(q)
+    assert list(image) == list(tm.chart.names)
     back = tm.inverted().map_point(image)
-    assert np.allclose(back.t, q.t, atol=1e-12)
-    assert np.allclose(back.x, q.x, atol=1e-12)
-    assert np.allclose(back.p, q.p, atol=1e-12)
+    assert list(back) == list(tm.chart.names)
+    assert np.allclose(list(back.values()), list(q.values()), atol=1e-12)
+    assert not np.allclose(momenta(tm.chart, image), momenta(tm.chart, q), atol=1e-3)
 
 
-def velocity_image(tm: TransitionMap, q: JetPoint, v) -> np.ndarray:
+def velocity_image(tm: TransitionMap, q: dict, v) -> np.ndarray:
     """xtilde^i_a = Jx[i, j] v[j, b] Kt[b, a], the velocity law at q."""
-    frames = tm.map_points([tm.chart.assignment(q)])
+    frames = tm.map_points([q])
     return frames.jx[0] @ v @ frames.kt[0]
 
 
 def test_velocity_transform_hand_value():
     tm = TransitionMap(1, 1,
                        t_forward=[2 * var("t1")], x_forward=[3 * var("x1")])
-    q = JetPoint(t=[0.1], x=[0.2], p=[[0.0]])
+    q = {"t1": 0.1, "x1": 0.2, "p1_1": 0.0}
     assert velocity_image(tm, q, np.array([[1.0]]))[0, 0] == pytest.approx(1.5, abs=1e-14)
 
 
@@ -113,9 +127,9 @@ def test_momentum_velocity_pairing_is_invariant():
         x = rng.uniform(-0.8, 0.8, 2)
         p = rng.uniform(-2, 2, (2, 2))
         v = rng.uniform(-2, 2, (2, 2))
-        q = JetPoint(t, x, p)
+        q = point_from(tm.chart, t, x, p)
         before = float(np.sum(p * v))
-        after = float(np.sum(tm.map_point(q).p * velocity_image(tm, q, v)))
+        after = float(np.sum(momenta(tm.chart, tm.map_point(q)) * velocity_image(tm, q, v)))
         assert after == pytest.approx(before, rel=1e-12)
 
 
@@ -127,11 +141,11 @@ def test_frame_momentum_block_matches_finite_difference():
     tm = TransitionMap(1, 1,
                        t_forward=[var("t1")],
                        x_forward=[parse("x1 + x1^3", ["x1"])])
-    q = JetPoint(t=[0.2], x=[0.5], p=[[1.0]])
+    q = {"t1": 0.2, "x1": 0.5, "p1_1": 1.0}
     F = tm.frame_matrix(q)
     # row d/dx1, column d/dptilde: compare against FD of the numeric transform
     def ptilde_of_x(xv):
-        return tm.map_point(JetPoint(t=q.t, x=[xv], p=q.p)).p[0, 0]
+        return tm.map_point({**q, "x1": xv})["p1_1"]
     fd = central_diff(ptilde_of_x, 0.5)
     assert F[1, 2] == pytest.approx(fd, abs=1e-6)
 
@@ -140,26 +154,20 @@ def test_frame_momentum_time_block_matches_finite_difference():
     tm = shear_map_22()
     q = sample_point_22()
     F = tm.frame_matrix(q)
-    chart = tm.chart
-
-    def ptilde_entry(asg_t, i, a):
-        return tm.map_point(JetPoint(asg_t, q.x, q.p)).p[i, a]
 
     for b in range(2):
         for i in range(2):
             for a in range(2):
                 def f(tb):
-                    t = q.t.copy()
-                    t[b] = tb
-                    return ptilde_entry(t, i, a)
+                    return tm.map_point({**q, t_name(b): tb})[p_name(i, a)]
                 col = 2 + 2 + i * 2 + a
-                assert F[b, col] == pytest.approx(central_diff(f, q.t[b]), abs=1e-6)
+                assert F[b, col] == pytest.approx(central_diff(f, q[t_name(b)]), abs=1e-6)
 
 
 def test_frame_base_blocks_are_jacobian_transposes():
     tm = shear_map_22()
     q = sample_point_22()
-    frames = tm.map_points([tm.chart.assignment(q)])
+    frames = tm.map_points([q])
     F = tm.frame_matrix(q)
     assert np.allclose(F[:2, :2], frames.jt[0].T)
     assert np.allclose(F[2:4, 2:4], frames.jx[0].T)
@@ -172,10 +180,10 @@ def test_coframe_is_inverse_transpose_of_frame():
     tm = shear_map_22()
     rng = np.random.default_rng(11)
     for _ in range(4):
-        q = JetPoint(rng.uniform(-0.7, 0.7, 2), rng.uniform(-0.7, 0.7, 2),
-                     rng.uniform(-1.5, 1.5, (2, 2)))
+        q = point_from(tm.chart, rng.uniform(-0.7, 0.7, 2), rng.uniform(-0.7, 0.7, 2),
+                       rng.uniform(-1.5, 1.5, (2, 2)))
         F = tm.frame_matrix(q)
-        C = tm.coframe_matrices(tm.map_points([tm.chart.assignment(q)]))[0]
+        C = tm.coframe_matrices(tm.map_points([q]))[0]
         assert np.allclose(C @ F.T, np.eye(8), atol=1e-10)
 
 
@@ -202,8 +210,9 @@ def test_frame_composition_is_functorial():
     direct = both.frame_matrix(q)
     chained = tm1.frame_matrix(q) @ tm2.frame_matrix(tm1.map_point(q))
     assert np.allclose(direct, chained, atol=1e-10)
-    # and the composed point maps agree
-    assert np.allclose(both.map_point(q).p, tm2.map_point(tm1.map_point(q)).p, atol=1e-12)
+    # and the composed point maps agree, in every coordinate
+    assert np.allclose(list(both.map_point(q).values()),
+                       list(tm2.map_point(tm1.map_point(q)).values()), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +256,7 @@ def test_singular_jacobian_is_reported():
     tm = TransitionMap(1, 1, t_forward=[var("t1")],
                        x_forward=[parse("x1^2", ["x1"])])
     with pytest.raises(SingularJacobian):
-        tm.map_point(JetPoint([0.1], [0.0], [[1.0]]))
+        tm.map_point({"t1": 0.1, "x1": 0.0, "p1_1": 1.0})
 
 
 def test_jacobian_whose_determinant_overflows_is_singular():
@@ -298,10 +307,10 @@ def test_frames_are_the_bits_of_per_point_inverses_and_images():
         for got, want in ((frames.jt[k], jt), (frames.jx[k], jx),
                           (frames.kt[k], kt), (frames.kx[k], kx)):
             assert got.tobytes() == want.tobytes()
-        q = chart.point(pt)
-        assert frames.p[k].tobytes() == q.p.tobytes()
+        p = momenta(chart, pt)
+        assert frames.p[k].tobytes() == p.tobytes()
         image = [evaluate(e, pt) for e in (*tm.t_forward, *tm.x_forward)]
-        image += list((kx.T @ q.p @ jt.T).ravel())
+        image += list((kx.T @ p @ jt.T).ravel())
         assert list(frames.images[k].values()) == image
         assert list(frames.images[k]) == list(chart.names)
 
@@ -314,5 +323,4 @@ def test_pullback_scalar_matches_source_values():
     pulled = pullback_scalar(e, tm)
     q = sample_point_22()
     img = tm.map_point(q)
-    assert evaluate(pulled, chart.assignment(img)) == pytest.approx(
-        evaluate(e, chart.assignment(q)), rel=1e-12)
+    assert evaluate(pulled, img) == pytest.approx(evaluate(e, q), rel=1e-12)

@@ -304,12 +304,19 @@ def test_reports_are_strict_json(tmp_path, manifest, command):
     ({"sample_domain": {"count": 10**30}}, "sample_domain.count"),
     ({"sample_domain": {"count": cli.MAX_SAMPLE_COUNT + 1}}, "sample_domain.count"),
     ({"sample_domain": {"intervals": {"t1": [0.1]}}}, "sample interval for 't1' must be [lo, hi]"),
+    ({"sample_domain": {"intervals": {"t1": [0.5, 0.1]}}},
+     "sample interval for 't1' must be [lo, hi]"),
+    ({"sample_domain": {"intervals": {"t1": [0.5, 0.5]}}},
+     "sample interval for 't1' must be [lo, hi]"),
+    ({"fault_injection": {"block": "N2", "index": [3, 1, 1]}},
+     "fault_injection.index out of range for N2 of shape (2, 2, 2)"),
 ])
 def test_manifest_fields_of_the_wrong_kind_exit_2_naming_the_field(tmp_path, capsys, changes,
                                                                    field):
     """Integer fields take JSON integers only, object fields objects only,
-    the sample count has a ceiling and a sample interval two ends; each
-    refusal names its field."""
+    the sample count has a ceiling, a sample interval two ends with lo < hi,
+    and a fault index must lie inside its block; each refusal names its
+    field."""
     assert main(["verify", rewrite(tmp_path, "flat.json", **changes)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and field in err
@@ -659,14 +666,22 @@ def test_verify_on_a_non_regular_hamiltonian_reports_only_regularity(tmp_path):
      f"dimensions.n must be from 1 to {cli.MAX_DIMENSION}, got -10000000000000000000"),
     ({"dimensions": {"m": 2, "n": -10**20}},
      f"dimensions.n must be from 1 to {cli.MAX_DIMENSION}, got an integer of 21 digits"),
-], ids=["delta", "negative-delta", "m", "n-20-digits", "n-21-digits"])
+    ({"dimensions": {"m": "x" * 100_000, "n": 2}},
+     "dimensions.m must be an integer, got a str of 100000 characters"),
+    ({"sample_domain": {"count": 12, "seed": [0] * 50_000}},
+     "sample_domain.seed must be an integer, got a list of 50000 elements"),
+], ids=["delta", "negative-delta", "m", "n-20-digits", "n-21-digits", "m-long-string",
+        "seed-long-list"])
 def test_a_huge_manifest_integer_is_echoed_by_its_digit_count(tmp_path, capsys, changes,
                                                               message):
-    """A number too large for a float, or an integer outside its range,
-    exits 2 naming its dotted path; past 20 digits the message gives the
-    integer's digit count instead of every digit."""
+    """A number too large for a float, an integer outside its range, or a
+    value of the wrong kind exits 2 naming its dotted path; past 20 digits
+    the message gives the integer's digit count instead of every digit, and
+    past 80 characters of its repr any other value's type and size."""
     assert main(["verify", rewrite(tmp_path, "curved.json", **changes)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {message}\n"
+    assert len(err.encode()) < 200
 
 
 def test_asymmetric_metric_rejected_on_load(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geomgen import random_spatial_metric, random_temporal_metric, random_transition
+from polyjet import connections
 from polyjet.charts import JetChart, TransitionMap
 from polyjet.connections import (
     NonlinearConnection,
@@ -25,9 +26,9 @@ from polyjet.hamilton import canonical_nonlinear_connection, gravitational_space
 from polyjet.metrics import Metric, christoffel, pullback_metric
 from polyjet.report import entry_label, sweep
 from polyjet.semisprays import canonical_spatial, canonical_temporal
-from polyjet.symbolic import Const, Var, add, equiv, ln, mul, parse, sqrt
+from polyjet.symbolic import Const, Var, add, differentiate, equiv, ln, mul, parse, sqrt
 
-from oracles import evaluate_walk
+from oracles import evaluate_walk, n1_from_semispray_direct
 
 
 CHART = JetChart(2, 2)
@@ -128,6 +129,26 @@ def test_semispray_correspondence_roundtrip():
                 assert equiv(N_back.n2[a][i][j], N0.n2[a][i][j])
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
+def test_each_semispray_derivative_is_taken_once(monkeypatch, m, n):
+    """N1 derives each d G1[a][j][k] / d p_i^b once, m^2 n^3 calls, not
+    once per r, and still returns the nodes of the written-out formula."""
+    rng = np.random.default_rng(10 * m + n)
+    phi = random_spatial_metric(n, rng)
+    G1 = canonical_temporal(random_temporal_metric(m, rng), n)
+    calls = []
+
+    def counted(e, name):
+        calls.append(name)
+        return differentiate(e, name)
+
+    monkeypatch.setattr(connections, "differentiate", counted)
+    N = connection_from_semispray(G1, canonical_spatial(phi, m), phi)
+    assert len(calls) == m * m * n ** 3
+    want = n1_from_semispray_direct(G1, phi)
+    assert all(N.n1[a, r, b] is want[a][r][b] for a, r, b in np.ndindex(N.n1.shape))
+
+
 def test_spatial_roundtrip_exact_for_any_connection():
     # N2 -> G2 -> N2 is exact with no structural restriction
     rng = np.random.default_rng(3)
@@ -158,7 +179,7 @@ def test_temporal_roundtrip_symmetrizes():
     sym = 0.5 * (K + np.transpose(K, (0, 2, 1)))
     asg = {nm: 0.0 for nm in chart.names}
     asg.update({"p1_1": 1.0, "p1_2": 2.0, "p2_1": -1.0, "p2_2": 0.5})
-    p = chart.point(asg).p
+    p = np.reshape([asg[nm] for nm in chart.p_names], (2, 2))
     expected = np.einsum("acb,ic->aib", sym, p)
     assert np.allclose(N_back.n1_at(asg), expected, atol=1e-12)
     assert not np.allclose(N.n1_at(asg), expected, atol=1e-6)

@@ -73,7 +73,9 @@ def test_cstar_transform_is_momentum_law():
     frames = tm.map_points(points)
     got = dtensors._dtensor_images(cstar.slots, frames, cstar.at_points(points))
     for k, asg in enumerate(points):
-        assert np.allclose(got[k], tm.map_point(CHART.point(asg)).p, atol=1e-12)
+        image = tm.map_point(asg)
+        assert np.allclose(got[k], np.reshape([image[nm] for nm in CHART.p_names], (2, 2)),
+                           atol=1e-12)
 
 
 def test_builtin_laws_under_shear():

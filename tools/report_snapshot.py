@@ -12,7 +12,7 @@ seeds 0 and 7, in one process through ``polyjet.cli.main``.  A run named
   replaced by ``REPORT``;
 * ``.exit``: the exit code.
 
-Six more cases run at both seeds, each one command on a copy of a shipped
+Nine more cases run at both seeds, each one command on a copy of a shipped
 manifest with some keys replaced, written to a temporary file (``VARIANTS``):
 
 * ``verify-curved-fault``: ``fault_injection`` at N2[1,2,1], the
@@ -25,7 +25,13 @@ manifest with some keys replaced, written to a temporary file (``VARIANTS``):
   element (exit 2);
 * ``verify-curved-huge-delta`` and ``christoffel-flat-huge-m``: an
   integer of 401 digits as ``fault_injection.delta`` and as
-  ``dimensions.m`` (exit 2).
+  ``dimensions.m`` (exit 2);
+* ``christoffel-flat-reversed-interval``: the sample interval [0.5, 0.1]
+  (exit 2);
+* ``verify-curved-fault-index-out-of-range``: ``fault_injection.index``
+  [3, 1, 1] for an N2 of shape (2, 2, 2) (exit 2);
+* ``christoffel-flat-long-string-m``: a string of 100,000 characters as
+  ``dimensions.m``, echoed by its type and size (exit 2).
 
 Run it from the repository root, then compare two snapshots:
 
@@ -66,6 +72,12 @@ VARIANTS = {
     "verify-curved-huge-delta": ("verify", CURVED, {
         "fault_injection": {**FAULT, "delta": 10**400}}),
     "christoffel-flat-huge-m": ("christoffel", FLAT, {"dimensions": {"m": 10**400, "n": 2}}),
+    "christoffel-flat-reversed-interval": ("christoffel", FLAT, {"sample_domain": {
+        **FLAT["sample_domain"], "intervals": {"t1": [0.5, 0.1]}}}),
+    "verify-curved-fault-index-out-of-range": ("verify", CURVED, {
+        "fault_injection": {**FAULT, "index": [3, 1, 1]}}),
+    "christoffel-flat-long-string-m": ("christoffel", FLAT, {
+        "dimensions": {"m": "x" * 100_000, "n": 2}}),
 }
 
 
