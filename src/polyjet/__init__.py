@@ -69,7 +69,6 @@ from .connections import (
     verify_connection_law,
 )
 from .hamilton import (
-    ExtractionResult,
     HamiltonSpace,
     RegularityResult,
     autonomous_electrodynamic_space,
@@ -77,7 +76,6 @@ from .hamilton import (
     canonical_connection_middle_form,
     canonical_nonlinear_connection,
     check_kronecker_regularity,
-    extract_electrodynamic_form,
     fundamental_vertical_dtensor,
     general_electrodynamic_space,
     gravitational_space,

@@ -61,7 +61,6 @@ from .hamilton import (
     HamiltonSpace,
     canonical_nonlinear_connection,
     check_kronecker_regularity,
-    extract_electrodynamic_form,
 )
 from .metrics import Metric, christoffel, pullback_metric
 from .report import VerificationReport
@@ -210,6 +209,12 @@ def _shown(value) -> str:
     return f"a {type(value).__name__} of {len(value)} {unit}"
 
 
+def _named(name: str) -> str:
+    """A manifest key or variable name as an error echoes it: in full up to
+    80 characters, else by its first 20 and its length."""
+    return name if len(name) <= 80 else f"{name[:20]}... ({len(name)} characters)"
+
+
 def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
     """``raw``, the value at ``where`` in a manifest, checked and converted
     as a value of ``kind``.  An object is read by its ``SCHEMA`` entry, and
@@ -249,14 +254,15 @@ def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
         if kind == "map":
             return {k: _walk(v, f"{where}.{k}", "finite") for k, v in raw.items()}
         known = SCHEMA[where] if kind == "object" else chart.names
-        unknown = [k for k in raw if k not in known]
+        unknown = [_named(k) for k in raw if k not in known]
         if kind == "object":
             if unknown:
                 raise ConfigError(f"unknown manifest key {where}{'.' if where else ''}{unknown[0]}")
             return {key: _key(raw, where, key, chart) for key in known}
         if kind == "point":
             if unknown:
-                raise ConfigError(f"{where} names unknown variables {sorted(unknown)}")
+                more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
+                raise ConfigError(f"{where} names unknown variables {sorted(unknown)[:3]}{more}")
             return _walk({**dict.fromkeys(chart.names, 0.0), **raw}, where, "map")
         if unknown:
             raise ConfigError(f"sample interval for unknown variable {unknown[0]!r}")
@@ -494,18 +500,17 @@ def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
     tol = _cli_tol(args, manifest)
     result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
                                         manifest.n, dom=dom, tol=tol)
-    objects = {"regularity": _finite_residual(result.to_dict())}
-    if result.candidate is not None:
-        objects["g_upper"] = _texts(result.candidate)
+    objects = {"regularity": _finite_residual(result.to_dict()),
+               "g_upper": _texts(result.candidate)}
     checks = [_regularity_check(result, tol)]
     if result.regular and manifest.m >= 2:
-        # extraction verifies the reconstruction round trip internally;
+        # the space checks the reconstruction round trip as it is built;
         # reaching this point means the rebuilt hamiltonian matched
-        ex = extract_electrodynamic_form(manifest.hamiltonian, manifest.temporal_metric,
-                                         manifest.n, dom=dom, tol=tol, regularity=result)
-        objects["g_lower"] = _texts(ex.g.components)
-        objects["potential"] = _texts(ex.U.components)
-        objects["free_term"] = to_string(ex.F)
+        space = HamiltonSpace(manifest.temporal_metric, manifest.n, manifest.hamiltonian,
+                              tol=tol, dom=dom, regularity=result)
+        objects["g_lower"] = _texts(space.g.components)
+        objects["potential"] = _texts(space.U.components)
+        objects["free_term"] = to_string(space.F)
         checks.append(_trivial_check("reconstruction-round-trip", "regularity",
                                      tol, dom.count))
     return checks, objects

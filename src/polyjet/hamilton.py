@@ -15,7 +15,8 @@ the quadratic-plus-linear-plus-scalar shape
 
     H = h_ab g^{ij} p_i^a p_j^b + U^{(i)}_{(a)} p_i^a + F
 
-and ``extract_electrodynamic_form`` recovers (g, U, F) exactly.  The
+and ``HamiltonSpace``, the one place that builds these pieces, recovers
+(g, U, F) exactly; g is lowered there once, for every m.  The
 canonical nonlinear connection is then available three ways: the direct
 second-derivative formula, a middle form through the deviation block T,
 and a closed form through covariant derivatives of the lowered potential.
@@ -27,15 +28,15 @@ when an entry names a momentum), and the symbols of h and g are
 ``metrics.christoffel``, kept on each metric.
 
 ``_quadratic`` and ``_linear`` build the normal form's terms for every
-hamiltonian builder and for the extraction; ``_spatial_block`` builds both
-the direct spatial block (from dH/dp) and T (from U).
+hamiltonian builder and for ``_potential_and_free_term``; ``_spatial_block``
+builds both the direct spatial block (from dH/dp) and T (from U).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import partial, wraps
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class RegularityResult:
 
     regular: bool
     max_residual: float
-    candidate: tuple | None  # g^{ij} expressions, or None if untestable
+    candidate: list  # the n rows of g^{ij} expressions
     p_dependent: bool
     tolerance: float
     samples: int
@@ -172,15 +173,6 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     return RegularityResult(not reason, max_residual, cand, p_dep, tol, samples, reason)
 
 
-@dataclass
-class ExtractionResult:
-    """Exact (g, U, F) pieces of a regular hamiltonian with m >= 2."""
-
-    g: Metric  # lowered spatial block g_ij, spatiotemporal kind
-    U: DTensorField  # shape (n, m), slots (upper spatial, lower temporal) doubled
-    F: Expr
-
-
 def _lowered_metric(cand, m: int) -> Metric:
     """The candidate block g^ij inverted into a spatiotemporal metric g_ij."""
     return Metric.spatiotemporal(sym_inverse([list(row) for row in cand], "lowering g^ij"), m=m)
@@ -200,40 +192,23 @@ def _linear(U, P, *coeff) -> list:
             for i in range(len(U)) for a in range(len(U[i]))]
 
 
-def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
-                                dom: SampleDomain | None = None,
-                                tol: float = 1e-9,
-                                regularity: RegularityResult | None = None) -> ExtractionResult:
-    """Recover the exact quadratic/linear/scalar pieces of a regular H.
+def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
+                             tol: float) -> tuple:
+    """The exact (U, F) of a regular H with m >= 2, given its block g^ij:
 
         U^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b
         F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a
 
     Both must come out momentum-free and reassemble to H identically;
-    anything else raises ResidualTooLarge.  Needs m >= 2 (one time
-    dimension does not pin the decomposition down).
+    anything else raises ResidualTooLarge.
     """
-    m = h.dim
-    if m < 2:
-        raise ConfigError("extraction requires at least two time dimensions")
+    m, n = h.dim, len(cand)
     chart = JetChart(m, n)
-    H = as_expr(H)
-    if regularity is None:
-        regularity = check_kronecker_regularity(H, h, n, dom=dom, tol=tol)
-    if not regularity.regular:
-        raise NotRegular(f"cannot extract from a non-regular hamiltonian: "
-                         f"{regularity.reason}")
-    cand = regularity.candidate
-    if dom is None:
-        dom = chart.sample_domain()
-
     u_comps = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for a in range(m):
-            quad = [mul(Const(2.0), h.components[a][b], cand[i][j], chart.p_var(j, b))
-                    for b in range(m) for j in range(n)]
-            u_comps[i, a] = add(differentiate(H, p_name(i, a)),
-                                mul(Const(-1.0), add(*quad)))
+    for i, a in np.ndindex(n, m):
+        quad = [mul(Const(2.0), h.components[a][b], cand[i][j], chart.p_var(j, b))
+                for b in range(m) for j in range(n)]
+        u_comps[i, a] = add(differentiate(H, p_name(i, a)), mul(Const(-1.0), add(*quad)))
 
     P = chart.p_vars()
     quad_terms = _quadratic(h.components, cand, P)
@@ -251,18 +226,14 @@ def extract_electrodynamic_form(H: Expr, h: Metric, n: int,
     # momentum independence is established, so setting p = 0 is harmless and
     # strips the syntactic momentum terms that cancel only in value
     wipe = {nm: ZERO for nm in chart.p_names}
-    for i in range(n):
-        for a in range(m):
-            u_comps[i, a] = substitute(u_comps[i, a], wipe)
+    for i, a in np.ndindex(n, m):
+        u_comps[i, a] = substitute(u_comps[i, a], wipe)
     free = substitute(free, wipe)
 
     rebuilt = add(add(*quad_terms), add(*_linear(u_comps, P)), free)
     if not equiv(rebuilt, H, dom=dom, tol=max(tol, 1e-10)):
         raise ResidualTooLarge("extracted pieces do not reassemble the hamiltonian")
-
-    g = _lowered_metric(cand, m)
-    U = DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U")
-    return ExtractionResult(g=g, U=U, F=free)
+    return DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U"), free
 
 
 class HamiltonSpace:
@@ -270,17 +241,19 @@ class HamiltonSpace:
 
     Construction runs the regularity test, unless the result of one run
     on the same hamiltonian, domain and tolerance is passed in, and raises
-    NotRegular on failure.  For m >= 2 the electrodynamic pieces (g, U, F)
-    are extracted eagerly; for m = 1 only the (possibly momentum-dependent)
-    lowered metric g is kept and U, F stay None.  The block g^ij is
-    ``regularity.candidate`` and g_ij is ``g.components``.
+    NotRegular on failure.  It is the one place that builds the space's
+    pieces.  The lowered metric g is built for every m, and may depend on
+    the momenta only when m = 1.  For m >= 2 the potential U and the free
+    term F are extracted eagerly, and raise ResidualTooLarge when they do
+    not come out momentum-free or do not reassemble H; for m = 1 they stay
+    None.  The block g^ij is ``regularity.candidate`` and g_ij is
+    ``g.components``.
 
-    The space owns the derivative cache of its own build: construction,
-    ``vertical`` and the three canonical-connection builders run in a
-    ``symbolic.keeping`` block over the space's store, a dict keyed by
-    (node, variable name).  So a derivative one of them builds (dH/dp,
-    dg_ij/dx^k and their subtrees) is derived once for the life of the
-    space and freed with it.
+    The space owns the derivative cache of its own build: construction and
+    the three canonical-connection builders run in a ``symbolic.keeping``
+    block over the space's store, a dict keyed by (node, variable name).
+    So a derivative one of them builds (dH/dp, dg_ij/dx^k and their
+    subtrees) is derived once for the life of the space and freed with it.
     """
 
     def __init__(self, h: Metric, n: int, hamiltonian, constants=None,
@@ -294,31 +267,23 @@ class HamiltonSpace:
         self.chart = JetChart(self.m, self.n)
         self.hamiltonian = expr_array(hamiltonian, (), self.chart.names, "hamiltonian").item()
         self.constants = dict(constants or {})
+        if dom is None:
+            dom = self.chart.sample_domain()
         self._kept = {}
         with keeping(self._kept):
             if regularity is None:
                 regularity = check_kronecker_regularity(self.hamiltonian, h, self.n,
                                                         dom=dom, tol=tol)
             self.regularity = regularity
-            if not self.regularity.regular:
-                raise NotRegular(self.regularity.reason)
+            if not regularity.regular:
+                raise NotRegular(regularity.reason)
+            self.U = self.F = None
             if self.m >= 2:
-                ex = extract_electrodynamic_form(
-                    self.hamiltonian, h, self.n, dom=dom, tol=tol,
-                    regularity=self.regularity)
-                self.g = ex.g
-                self.U = ex.U
-                self.F = ex.F
-            else:
-                self.g = _lowered_metric(self.regularity.candidate, 1)
-                self.U = None
-                self.F = None
-
-    @cached_property
-    def vertical(self) -> DTensorField:
-        """The fundamental vertical d-tensor G of the hamiltonian."""
-        with keeping(self._kept):
-            return fundamental_vertical_dtensor(self.hamiltonian, self.m, self.n)
+                self.U, self.F = _potential_and_free_term(
+                    self.hamiltonian, h, regularity.candidate, dom, tol)
+            # after the extraction, so a ResidualTooLarge comes before the
+            # inverse's dimension limit
+            self.g = _lowered_metric(regularity.candidate, self.m)
 
 
 def _kept_by_the_space(build):

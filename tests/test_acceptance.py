@@ -49,7 +49,6 @@ from polyjet.hamilton import (
     canonical_nonlinear_connection,
     check_kronecker_regularity,
     electrodynamic_t_block,
-    extract_electrodynamic_form,
     general_electrodynamic_space,
     gravitational_space,
 )
@@ -266,7 +265,7 @@ def test_acceptance_5_regularity():
 
     # round trip: extract from the assembled hamiltonian, rebuild, compare
     reg = check_kronecker_regularity(h3.hamiltonian, h, 2, tol=1e-10)
-    ex = extract_electrodynamic_form(h3.hamiltonian, h, 2, tol=1e-10, regularity=reg)
+    ex = HamiltonSpace(h, 2, h3.hamiltonian, tol=1e-10, regularity=reg)
     rebuilt = ex.F
     for i in range(2):
         for a in range(2):

@@ -444,7 +444,9 @@ def _nested(opening: str, depth: int, inner: str) -> str:
     return opening * depth + inner + ")" * depth
 
 
-def test_dimensions_past_the_inverse_limit_fail_closed(tmp_path, capsys):
+def wide_manifest(tmp_path) -> Path:
+    """An (m, n) = (1, SYM_INVERSE_MAX_DIM + 1) manifest with a flat metric
+    and hamiltonian and the identity transition."""
     n = SYM_INVERSE_MAX_DIM + 1
     xs = [f"x{i + 1}" for i in range(n)]
     path = tmp_path / "wide.json"
@@ -456,6 +458,12 @@ def test_dimensions_past_the_inverse_limit_fail_closed(tmp_path, capsys):
         "transition": {"t_forward": ["t1"], "t_inverse": ["t1"],
                        "x_forward": xs, "x_inverse": xs},
         "sample_domain": {"count": 3, "seed": 0}}))
+    return path
+
+
+def test_dimensions_past_the_inverse_limit_fail_closed(tmp_path, capsys):
+    n = SYM_INVERSE_MAX_DIM + 1
+    path = wide_manifest(tmp_path)
     codes = {}
     for command in ("verify", "connection", "regularity", "christoffel"):
         codes[command] = main([command, str(path)])
@@ -467,6 +475,28 @@ def test_dimensions_past_the_inverse_limit_fail_closed(tmp_path, capsys):
     # only the regularity test, with a single time dimension, needs no inverse
     assert codes == {"verify": EXIT_CONFIG, "connection": EXIT_CONFIG,
                      "regularity": EXIT_OK, "christoffel": EXIT_CONFIG}
+
+
+def test_regularity_builds_one_hamilton_space_and_none_at_one_time_dimension(
+        tmp_path, monkeypatch):
+    """The regularity report's g, U and F are the space's: on a regular
+    m >= 2 manifest the command builds exactly one HamiltonSpace, and with a
+    single time dimension, where g may not be invertible, it builds none."""
+    built, real = [], cli.HamiltonSpace
+
+    def counting(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "HamiltonSpace", counting)
+    code, report = run(tmp_path, "regularity", str(MANIFESTS / "curved.json"))
+    assert code == EXIT_OK and len(built) == 1
+    [space] = built
+    assert report["objects"]["g_lower"] == cli._texts(space.g.components)
+    assert report["objects"]["free_term"] == cli.to_string(space.F)
+    built.clear()
+    assert main(["regularity", str(wide_manifest(tmp_path))]) == EXIT_OK
+    assert built == []
 
 
 @pytest.mark.parametrize("command", ["christoffel", "regularity", "connection", "verify"])
@@ -670,14 +700,26 @@ def test_verify_on_a_non_regular_hamiltonian_reports_only_regularity(tmp_path):
      "dimensions.m must be an integer, got a str of 100000 characters"),
     ({"sample_domain": {"count": 12, "seed": [0] * 50_000}},
      "sample_domain.seed must be an integer, got a list of 50000 elements"),
+    ({"sample_domain": {"count": 12, "k" * 80: 1}},
+     f"unknown manifest key sample_domain.{'k' * 80}"),
+    ({"sample_domain": {"count": 12, "k" * 100_000: 1}},
+     f"unknown manifest key sample_domain.{'k' * 20}... (100000 characters)"),
+    ({"sample_domain": {"count": 12, "intervals": {"y" * 100_000: [0.0, 1.0]}}},
+     f"sample interval for unknown variable '{'y' * 20}... (100000 characters)'"),
+    ({"evaluation_point": {f"y{k}": 0.0 for k in range(20_000)}},
+     "evaluation_point names unknown variables ['y0', 'y1', 'y10'] and 19997 more"),
 ], ids=["delta", "negative-delta", "m", "n-20-digits", "n-21-digits", "m-long-string",
-        "seed-long-list"])
+        "seed-long-list", "key-80-characters", "long-key", "long-interval-name",
+        "many-point-names"])
 def test_a_huge_manifest_integer_is_echoed_by_its_digit_count(tmp_path, capsys, changes,
                                                               message):
     """A number too large for a float, an integer outside its range, or a
     value of the wrong kind exits 2 naming its dotted path; past 20 digits
     the message gives the integer's digit count instead of every digit, and
-    past 80 characters of its repr any other value's type and size."""
+    past 80 characters of its repr any other value's type and size.  An
+    unknown key or variable name is echoed in full up to 80 characters,
+    else by its first 20 and its length, and a point's unknown names past
+    the first three by their count."""
     assert main(["verify", rewrite(tmp_path, "curved.json", **changes)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"configuration error: {message}\n"

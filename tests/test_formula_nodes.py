@@ -41,11 +41,12 @@ from polyjet.hamilton import (
     canonical_connection_middle_form,
     canonical_nonlinear_connection,
     electrodynamic_t_block,
+    fundamental_vertical_dtensor,
     general_electrodynamic_space,
     gravitational_space,
 )
 from polyjet.metrics import Metric, christoffel, pullback_metric
-from polyjet.symbolic import ZERO, add, parse
+from polyjet.symbolic import ZERO, add, keeping, parse
 
 
 def _same_nodes(got, want) -> bool:
@@ -138,4 +139,7 @@ def test_a_space_that_keeps_its_derivatives_builds_the_same_nodes(monkeypatch):
     assert space.hamiltonian is plain.hamiltonian
     for a, b in zip(kept, weak):
         assert _same_nodes(a.n1, b.n1) and _same_nodes(a.n2, b.n2)
-    assert _same_nodes(space.vertical.components, plain.vertical.components)
+    with keeping(space._kept):
+        vertical = fundamental_vertical_dtensor(space.hamiltonian, 2, 3)
+    assert _same_nodes(vertical.components,
+                       fundamental_vertical_dtensor(plain.hamiltonian, 2, 3).components)

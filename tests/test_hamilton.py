@@ -32,11 +32,11 @@ from polyjet.hamilton import (
     canonical_nonlinear_connection,
     check_kronecker_regularity,
     electrodynamic_t_block,
-    extract_electrodynamic_form,
     fundamental_vertical_dtensor,
     general_electrodynamic_space,
     gravitational_space,
 )
+from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import Metric, pullback_metric
 from polyjet.symbolic import (
     Const,
@@ -82,7 +82,7 @@ def test_vertical_hessian_of_flat_quadratic():
     flat_phi = Metric.spatial([[Const(1.0), Const(0.0)], [Const(0.0), Const(1.0)]])
     space = gravitational_space(flat_h(), flat_phi)
     asg = {nm: 0.3 for nm in CHART.names}
-    got = space.vertical.at(asg)
+    got = fundamental_vertical_dtensor(space.hamiltonian, 2, 2).at(asg)
     expected = 0.5 * (np.einsum("ij,ab->iajb", np.eye(2), np.eye(2)) * 2)
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -156,7 +156,7 @@ def test_extraction_compiles_one_program_per_variable_set(monkeypatch):
         return real(exprs)
 
     monkeypatch.setattr(symbolic, "compile_block", counting)
-    extract_electrodynamic_form(space.hamiltonian, h, 2, regularity=space.regularity)
+    HamiltonSpace(h, 2, space.hamiltonian, regularity=space.regularity)
     *checks, reassembly = compiled
     assert len(reassembly) == 2  # the one equiv of the rebuilt hamiltonian
     sets = [variables(block[0]) for block in checks]
@@ -174,7 +174,7 @@ def test_extraction_names_the_momentum_a_wrong_candidate_leaves_behind():
     space = gravitational_space(h, curved_phi())
     doubled = _scaled_candidate(space.regularity, 2.0)
     with pytest.raises(ResidualTooLarge) as err:
-        extract_electrodynamic_form(space.hamiltonian, h, 2, regularity=doubled)
+        HamiltonSpace(h, 2, space.hamiltonian, regularity=doubled)
     assert str(err.value) == "extracted potential term depends on momentum p1_1"
     # scaled by 1.1, U loses 0.2 p and F gains 0.1 H: with tol 0.25 only the
     # free term's derivative 0.2 p1_1 exceeds it, where |p1_1| > 1.25
@@ -182,9 +182,16 @@ def test_extraction_names_the_momentum_a_wrong_candidate_leaves_behind():
     flat = flat_h()
     result = check_kronecker_regularity(H, flat, 2)
     with pytest.raises(ResidualTooLarge) as err:
-        extract_electrodynamic_form(H, flat, 2, tol=0.25,
-                                    regularity=_scaled_candidate(result, 1.1))
+        HamiltonSpace(flat, 2, H, tol=0.25, regularity=_scaled_candidate(result, 1.1))
     assert str(err.value) == "extracted free term depends on momentum p1_1"
+    # past the exact inverse's dimension limit the extraction still fails
+    # first: g is lowered only after U and F are checked
+    n = SYM_INVERSE_MAX_DIM + 1
+    H = add(*[power(Var(nm), 2) for nm in JetChart(2, n).p_names])
+    result = check_kronecker_regularity(H, flat, n)
+    with pytest.raises(ResidualTooLarge) as err:
+        HamiltonSpace(flat, n, H, regularity=_scaled_candidate(result, 2.0))
+    assert str(err.value) == "extracted potential term depends on momentum p1_1"
 
 
 def test_extraction_refuses_pieces_that_do_not_reassemble_the_hamiltonian():
@@ -193,7 +200,7 @@ def test_extraction_refuses_pieces_that_do_not_reassemble_the_hamiltonian():
     # and the rebuilt hamiltonian misses it by more than tol
     H = parse("0.01*(p1_1^2 + p1_2^2) + 2e-10*x1*p1_1^3", JetChart(2, 1).names)
     with pytest.raises(ResidualTooLarge) as err:
-        extract_electrodynamic_form(H, flat_h(), 1, tol=1e-9)
+        HamiltonSpace(flat_h(), 1, H, tol=1e-9)
     assert str(err.value) == "extracted pieces do not reassemble the hamiltonian"
 
 
@@ -204,8 +211,6 @@ def test_quartic_hamiltonian_rejected():
     assert res.reason
     with pytest.raises(NotRegular):
         HamiltonSpace(flat_h(), 2, H)
-    with pytest.raises(NotRegular):
-        extract_electrodynamic_form(H, flat_h(), 2)
 
 
 def test_nan_coefficient_fails_regularity():

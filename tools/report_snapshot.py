@@ -12,7 +12,7 @@ seeds 0 and 7, in one process through ``polyjet.cli.main``.  A run named
   replaced by ``REPORT``;
 * ``.exit``: the exit code.
 
-Nine more cases run at both seeds, each one command on a copy of a shipped
+Eleven more cases run at both seeds, each one command on a copy of a shipped
 manifest with some keys replaced, written to a temporary file (``VARIANTS``):
 
 * ``verify-curved-fault``: ``fault_injection`` at N2[1,2,1], the
@@ -31,7 +31,12 @@ manifest with some keys replaced, written to a temporary file (``VARIANTS``):
 * ``verify-curved-fault-index-out-of-range``: ``fault_injection.index``
   [3, 1, 1] for an N2 of shape (2, 2, 2) (exit 2);
 * ``christoffel-flat-long-string-m``: a string of 100,000 characters as
-  ``dimensions.m``, echoed by its type and size (exit 2).
+  ``dimensions.m``, echoed by its type and size (exit 2);
+* ``christoffel-flat-long-key``: an unknown top-level key of 100,000
+  characters, echoed by its first 20 characters and its length (exit 2);
+* ``christoffel-flat-many-point-names``: an ``evaluation_point`` with
+  20,000 unknown names, echoed by the first three and the count of the
+  rest (exit 2).
 
 Run it from the repository root, then compare two snapshots:
 
@@ -78,6 +83,9 @@ VARIANTS = {
         "fault_injection": {**FAULT, "index": [3, 1, 1]}}),
     "christoffel-flat-long-string-m": ("christoffel", FLAT, {
         "dimensions": {"m": "x" * 100_000, "n": 2}}),
+    "christoffel-flat-long-key": ("christoffel", FLAT, {"k" * 100_000: 1}),
+    "christoffel-flat-many-point-names": ("christoffel", FLAT, {
+        "evaluation_point": {f"y{k}": 0.0 for k in range(20_000)}}),
 }
 
 
