@@ -13,7 +13,6 @@ from .errors import (
     ExprSyntaxError,
     NotRegular,
     PolyjetError,
-    ResidualTooLarge,
     SingularJacobian,
     SingularMetric,
     UnboundVariable,

@@ -56,6 +56,7 @@ from .errors import (
     SingularJacobian,
     SingularMetric,
     UnknownIdentifier,
+    _named,
 )
 from .hamilton import (
     HamiltonSpace,
@@ -209,12 +210,6 @@ def _shown(value) -> str:
     return f"a {type(value).__name__} of {len(value)} {unit}"
 
 
-def _named(name: str) -> str:
-    """A manifest key or variable name as an error echoes it: in full up to
-    80 characters, else by its first 20 and its length."""
-    return name if len(name) <= 80 else f"{name[:20]}... ({len(name)} characters)"
-
-
 def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
     """``raw``, the value at ``where`` in a manifest, checked and converted
     as a value of ``kind``.  An object is read by its ``SCHEMA`` entry, and
@@ -252,7 +247,7 @@ def _walk(raw, where: str, kind: str, arg=None, chart: JetChart | None = None):
         if not isinstance(raw, dict):
             raise ConfigError(f"{where} must be a JSON object")
         if kind == "map":
-            return {k: _walk(v, f"{where}.{k}", "finite") for k, v in raw.items()}
+            return {k: _walk(v, f"{where}.{_named(k)}", "finite") for k, v in raw.items()}
         known = SCHEMA[where] if kind == "object" else chart.names
         unknown = [_named(k) for k in raw if k not in known]
         if kind == "object":
@@ -450,21 +445,21 @@ def _cli_tol(args, manifest: Manifest) -> float:
     return _walk(args.tol, "--tol", "tolerance")
 
 
-def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks: list):
-    """Test the manifest's hamiltonian for Kronecker regularity once, record
-    the check, and build the Hamilton space on that result.  Returns the
-    result and the space, which is None when the hamiltonian is not
-    regular."""
+def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks: list,
+                    tol: float):
+    """Build the manifest's Hamilton space, which runs the Kronecker
+    regularity test, and record that check.  Returns the test's result and
+    the space, which is None when the hamiltonian is not regular."""
     _require(command, temporal_metric=manifest.temporal_metric)
-    tol = manifest.tolerances["regularity"]
-    result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
-                                        manifest.n, dom=dom, tol=tol)
+    try:
+        space = HamiltonSpace(manifest.temporal_metric, manifest.n, manifest.hamiltonian,
+                              constants=manifest.constants, tol=tol, dom=dom)
+    except NotRegular as exc:
+        result, space = exc.result, None
+    else:
+        result = space.regularity
     checks.append(_regularity_check(result, tol))
-    if not result.regular:
-        return result, None
-    return result, HamiltonSpace(manifest.temporal_metric, manifest.n, manifest.hamiltonian,
-                                 constants=manifest.constants, tol=tol, dom=dom,
-                                 regularity=result)
+    return result, space
 
 
 def _symbol_entry(metric: Metric, point: dict) -> dict:
@@ -488,7 +483,8 @@ def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain):
         checks.append(_trivial_check(f"metric:{label}", "metric",
                                      manifest.tolerances["equiv"], dom.count))
     if manifest.hamiltonian is not None:
-        _, space = _hamilton_space(manifest, "christoffel", dom, checks)
+        _, space = _hamilton_space(manifest, "christoffel", dom, checks,
+                                   manifest.tolerances["regularity"])
         if space is not None:
             objects["extracted_spatial"] = _symbol_entry(space.g, point)
     return checks, objects
@@ -498,16 +494,18 @@ def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
     _require("regularity", temporal_metric=manifest.temporal_metric,
              hamiltonian=manifest.hamiltonian)
     tol = _cli_tol(args, manifest)
-    result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
-                                        manifest.n, dom=dom, tol=tol)
+    checks, space = [], None
+    if manifest.m == 1:  # no space, so no inverse of g^ij and its dimension limit
+        result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
+                                            manifest.n, dom=dom, tol=tol)
+        checks.append(_regularity_check(result, tol))
+    else:
+        result, space = _hamilton_space(manifest, "regularity", dom, checks, tol)
     objects = {"regularity": _finite_residual(result.to_dict()),
                "g_upper": _texts(result.candidate)}
-    checks = [_regularity_check(result, tol)]
-    if result.regular and manifest.m >= 2:
-        # the space checks the reconstruction round trip as it is built;
-        # reaching this point means the rebuilt hamiltonian matched
-        space = HamiltonSpace(manifest.temporal_metric, manifest.n, manifest.hamiltonian,
-                              tol=tol, dom=dom, regularity=result)
+    if space is not None:
+        # the test checked the reconstruction round trip as it extracted U
+        # and F; reaching this point means the rebuilt hamiltonian matched
         objects["g_lower"] = _texts(space.g.components)
         objects["potential"] = _texts(space.U.components)
         objects["free_term"] = to_string(space.F)
@@ -520,7 +518,8 @@ def cmd_connection(args, manifest: Manifest, dom: SampleDomain):
     checks = []
     objects = {}
     if manifest.hamiltonian is not None:
-        result, space = _hamilton_space(manifest, "connection", dom, checks)
+        result, space = _hamilton_space(manifest, "connection", dom, checks,
+                                        manifest.tolerances["regularity"])
         if space is None:
             objects["regularity"] = _finite_residual(result.to_dict())
             return checks, objects
@@ -575,7 +574,8 @@ def cmd_verify(args, manifest: Manifest, dom: SampleDomain):
 
     space = None
     if manifest.hamiltonian is not None:
-        _, space = _hamilton_space(manifest, "verify", dom, checks)
+        _, space = _hamilton_space(manifest, "verify", dom, checks,
+                                   manifest.tolerances["regularity"])
         if space is None:
             return checks, objects
 
@@ -674,5 +674,5 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
-if __name__ == "__main__":  # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

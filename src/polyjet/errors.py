@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages echo a name."""
+
+
+def _named(name: str) -> str:
+    """A manifest key or variable name as an error echoes it: in full up to
+    80 characters, else by its first 20 and its length."""
+    return name if len(name) <= 80 else f"{name[:20]}... ({len(name)} characters)"
 
 
 class PolyjetError(Exception):
@@ -21,7 +27,7 @@ class UnknownIdentifier(PolyjetError):
 
     def __init__(self, name, position=None):
         where = "" if position is None else f" (at offset {position})"
-        super().__init__(f"unknown identifier {name!r}{where}")
+        super().__init__(f"unknown identifier {_named(name)!r}{where}")
         self.name = name
         self.position = position
 
@@ -48,12 +54,13 @@ class SingularMetric(PolyjetError):
 
 
 class NotRegular(PolyjetError):
-    """An operation requiring Kronecker regularity was applied to a
-    Hamiltonian that failed the regularity check."""
+    """A Hamilton space was built on a hamiltonian that failed the
+    regularity check; the failed result is ``result``, its reason the
+    message."""
 
-
-class ResidualTooLarge(PolyjetError):
-    """A reconstruction or independence residual exceeded its tolerance."""
+    def __init__(self, result):
+        super().__init__(result.reason)
+        self.result = result
 
 
 class ConfigError(PolyjetError):

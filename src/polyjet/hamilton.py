@@ -15,12 +15,14 @@ the quadratic-plus-linear-plus-scalar shape
 
     H = h_ab g^{ij} p_i^a p_j^b + U^{(i)}_{(a)} p_i^a + F
 
-and ``HamiltonSpace``, the one place that builds these pieces, recovers
-(g, U, F) exactly; g is lowered there once, for every m.  The
-canonical nonlinear connection is then available three ways: the direct
-second-derivative formula, a middle form through the deviation block T,
-and a closed form through covariant derivatives of the lowered potential.
-All three agree; the redundancy is deliberate and checked by the tests.
+and ``check_kronecker_regularity``, the one test of regularity, recovers
+(U, F) exactly: a hamiltonian whose pieces do not come out momentum-free
+or do not reassemble it is not regular.  ``HamiltonSpace`` runs that test
+and lowers g once, for every m.  The canonical nonlinear connection is
+then available three ways: the direct second-derivative formula, a middle
+form through the deviation block T, and a closed form through covariant
+derivatives of the lowered potential.  All three agree; the redundancy is
+deliberate and checked by the tests.
 
 Each metric fact has one home: g^{ij} is the regularity result's
 ``candidate``, the lowered g_ij is the ``Metric`` g (momentum-dependent
@@ -43,7 +45,7 @@ import numpy as np
 from .charts import JetChart, p_name, x_name
 from .connections import NonlinearConnection, metric_n1, metric_n2
 from .dtensors import DTensorField, lower_t, lower_x, upper_t, upper_x
-from .errors import ConfigError, NotRegular, ResidualTooLarge
+from .errors import ConfigError, NotRegular
 from .linalg import DET_MIN, sym_inverse
 from .metrics import Metric, christoffel
 from .report import entry_label, sweep
@@ -84,7 +86,8 @@ def fundamental_vertical_dtensor(H: Expr, m: int, n: int) -> DTensorField:
 
 @dataclass
 class RegularityResult:
-    """Outcome of the Kronecker factorization test."""
+    """Outcome of the Kronecker factorization test.  ``potential`` (U) and
+    ``free_term`` (F) are set only when the result is regular and m >= 2."""
 
     regular: bool
     max_residual: float
@@ -93,6 +96,8 @@ class RegularityResult:
     tolerance: float
     samples: int
     reason: str = ""
+    potential: DTensorField | None = None
+    free_term: Expr | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -133,8 +138,10 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
 
     Failure is reported, not raised: a singular candidate block or a
     residual above tolerance gives ``regular=False`` with a reason.  With
-    m >= 2 the candidate must additionally be momentum-independent; a
-    single time dimension factors trivially and may keep the dependence.
+    m >= 2 the candidate must additionally be momentum-independent, and
+    then the test extracts (U, F) with ``_potential_and_free_term``; pieces
+    that depend on a momentum or do not reassemble H fail it too.  A single
+    time dimension factors trivially and may keep the dependence.
     """
     if h.kind != "temporal":
         raise ConfigError("regularity is defined against a temporal metric")
@@ -170,7 +177,10 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
         reason = "candidate block depends on momenta, which only a single time dimension admits"
     else:
         reason = ""
-    return RegularityResult(not reason, max_residual, cand, p_dep, tol, samples, reason)
+    U = F = None
+    if m >= 2 and not reason:
+        U, F, reason = _potential_and_free_term(H, h, cand, dom, tol)
+    return RegularityResult(not reason, max_residual, cand, p_dep, tol, samples, reason, U, F)
 
 
 def _lowered_metric(cand, m: int) -> Metric:
@@ -199,8 +209,8 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
         U^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b
         F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a
 
-    Both must come out momentum-free and reassemble to H identically;
-    anything else raises ResidualTooLarge.
+    Returns (U, F, ""), or (None, None, reason) when they do not come out
+    momentum-free or do not reassemble to H identically.
     """
     m, n = h.dim, len(cand)
     chart = JetChart(m, n)
@@ -221,7 +231,7 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
     if bad is not None:
         k, piece = divmod(bad, len(pieces))
         what = "free" if piece == len(pieces) - 1 else "potential"
-        raise ResidualTooLarge(f"extracted {what} term depends on momentum {chart.p_names[k]}")
+        return None, None, f"extracted {what} term depends on momentum {chart.p_names[k]}"
 
     # momentum independence is established, so setting p = 0 is harmless and
     # strips the syntactic momentum terms that cancel only in value
@@ -232,21 +242,19 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
 
     rebuilt = add(add(*quad_terms), add(*_linear(u_comps, P)), free)
     if not equiv(rebuilt, H, dom=dom, tol=max(tol, 1e-10)):
-        raise ResidualTooLarge("extracted pieces do not reassemble the hamiltonian")
-    return DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U"), free
+        return None, None, "extracted pieces do not reassemble the hamiltonian"
+    return DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U"), free, ""
 
 
 class HamiltonSpace:
     """A regular hamiltonian over a temporal metric, with derived data.
 
-    Construction runs the regularity test, unless the result of one run
-    on the same hamiltonian, domain and tolerance is passed in, and raises
-    NotRegular on failure.  It is the one place that builds the space's
-    pieces.  The lowered metric g is built for every m, and may depend on
-    the momenta only when m = 1.  For m >= 2 the potential U and the free
-    term F are extracted eagerly, and raise ResidualTooLarge when they do
-    not come out momentum-free or do not reassemble H; for m = 1 they stay
-    None.  The block g^ij is ``regularity.candidate`` and g_ij is
+    Construction runs ``check_kronecker_regularity`` and raises NotRegular,
+    carrying the failed result as ``exc.result``, when it fails.  Otherwise
+    the result is ``regularity``, and the potential U and the free term F
+    are its extracted pieces (None for m = 1).  The lowered metric g is
+    built once, for every m, and may depend on the momenta only when
+    m = 1.  The block g^ij is ``regularity.candidate`` and g_ij is
     ``g.components``.
 
     The space owns the derivative cache of its own build: construction and
@@ -257,8 +265,7 @@ class HamiltonSpace:
     """
 
     def __init__(self, h: Metric, n: int, hamiltonian, constants=None,
-                 tol: float = 1e-9, dom: SampleDomain | None = None,
-                 regularity: RegularityResult | None = None):
+                 tol: float = 1e-9, dom: SampleDomain | None = None):
         if h.kind != "temporal":
             raise ConfigError("a Hamilton space needs a temporal metric")
         self.h = h
@@ -267,23 +274,16 @@ class HamiltonSpace:
         self.chart = JetChart(self.m, self.n)
         self.hamiltonian = expr_array(hamiltonian, (), self.chart.names, "hamiltonian").item()
         self.constants = dict(constants or {})
-        if dom is None:
-            dom = self.chart.sample_domain()
         self._kept = {}
         with keeping(self._kept):
-            if regularity is None:
-                regularity = check_kronecker_regularity(self.hamiltonian, h, self.n,
-                                                        dom=dom, tol=tol)
-            self.regularity = regularity
-            if not regularity.regular:
-                raise NotRegular(regularity.reason)
-            self.U = self.F = None
-            if self.m >= 2:
-                self.U, self.F = _potential_and_free_term(
-                    self.hamiltonian, h, regularity.candidate, dom, tol)
-            # after the extraction, so a ResidualTooLarge comes before the
-            # inverse's dimension limit
-            self.g = _lowered_metric(regularity.candidate, self.m)
+            self.regularity = check_kronecker_regularity(self.hamiltonian, h, self.n,
+                                                         dom=dom, tol=tol)
+            if not self.regularity.regular:
+                raise NotRegular(self.regularity)
+            self.U, self.F = self.regularity.potential, self.regularity.free_term
+            # after the test, so a NotRegular comes before the inverse's
+            # dimension limit
+            self.g = _lowered_metric(self.regularity.candidate, self.m)
 
 
 def _kept_by_the_space(build):

@@ -62,7 +62,7 @@ from .errors import (
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sqrt")
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_^]*")
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _DIGITS_RE = re.compile(r"\d+")
 
@@ -1077,11 +1077,9 @@ class _Parser:
         base   := number | ident | func '(' expr ')' | '(' expr ')' | '-' base
 
     Parentheses, function calls and unary minus nest at most MAX_NESTING
-    levels deep; deeper input is an ExprSyntaxError.
-
-    Identifiers may themselves contain carets (e.g. a declared variable
-    "p_1^1"), so identifier lexing munches maximally and then backs off to
-    the longest allowed-variable prefix that ends at a caret boundary.
+    levels deep; deeper input is an ExprSyntaxError.  An identifier is a
+    letter followed by letters, digits and underscores, so a caret always
+    starts an exponent.
     """
 
     def __init__(self, source: str, allowed: frozenset):
@@ -1196,8 +1194,7 @@ class _Parser:
         self._error(f"unexpected character {c!r}")
 
     def _identifier(self) -> Expr:
-        start = self.pos
-        m = _IDENT_RE.match(self.src, start)
+        m = _IDENT_RE.match(self.src, self.pos)
         s = m.group()
         if s in FUNCTIONS:
             self.pos = m.end()
@@ -1213,14 +1210,7 @@ class _Parser:
         if s in self.allowed:
             self.pos = m.end()
             return Var(s)
-        # back off to the longest allowed prefix ending before a caret
-        for k in (i for i in range(len(s) - 1, 0, -1) if s[i] == "^"):
-            prefix = s[:k]
-            if prefix in self.allowed:
-                self.pos = start + k
-                return Var(prefix)
-        stem = s.split("^", 1)[0]
-        raise UnknownIdentifier(stem, position=start)
+        raise UnknownIdentifier(s, position=self.pos)
 
 
 def parse(source: str, allowed_vars: Iterable[str] = ()) -> Expr:

@@ -264,8 +264,8 @@ def test_acceptance_5_regularity():
     assert h3.regularity.max_residual <= 1e-10
 
     # round trip: extract from the assembled hamiltonian, rebuild, compare
-    reg = check_kronecker_regularity(h3.hamiltonian, h, 2, tol=1e-10)
-    ex = HamiltonSpace(h, 2, h3.hamiltonian, tol=1e-10, regularity=reg)
+    ex = HamiltonSpace(h, 2, h3.hamiltonian, tol=1e-10)
+    reg = ex.regularity
     rebuilt = ex.F
     for i in range(2):
         for a in range(2):

@@ -6,13 +6,19 @@ from __future__ import annotations
 
 import pytest
 
-from polyjet.charts import TransitionMap
+from polyjet.charts import TransitionMap, compose, pullback_scalar
 from polyjet.connections import (
     canonical_metric_connection,
     connection_from_semispray,
     verify_adapted_coframe,
 )
-from polyjet.dtensors import DTensorField, lower_t, upper_x
+from polyjet.dtensors import (
+    DTensorField,
+    builtin_dtensors,
+    lower_t,
+    pullback_dtensor,
+    upper_x,
+)
 from polyjet.errors import ConfigError
 from polyjet.hamilton import (
     HamiltonSpace,
@@ -47,10 +53,14 @@ def zero_semispray(kind: str) -> Semispray:
     return Semispray(kind, 2, 2, [ZEROS, ZEROS])
 
 
+def identity(m: int) -> TransitionMap:
+    """The identity transition of a (m, 2) chart, without inverses."""
+    return TransitionMap(m, 2, tuple(Var(f"t{a + 1}") for a in range(m)), (Var("x1"), Var("x2")))
+
+
 def coframe_without_inverses():
     N = canonical_metric_connection(H, PHI)
-    identity = TransitionMap(2, 2, (Var("t1"), Var("t2")), (Var("x1"), Var("x2")))
-    return verify_adapted_coframe(N, N, identity)
+    return verify_adapted_coframe(N, N, identity(2))
 
 
 GUARDS = {
@@ -92,6 +102,16 @@ GUARDS = {
                               "canonical spatial semispray requires a spatial metric"),
     "characterization-h": (lambda: check_characterization(ZEROS, "temporal", PHI),
                            "characterization requires the temporal metric h"),
+    # charts.py
+    "compose-dimensions": (lambda: compose(identity(2), identity(1)),
+                           "cannot compose transitions of different dimensions"),
+    "pullback-scalar-inverses": (lambda: pullback_scalar(Var("x1"), identity(2)),
+                                 "pullback requires a transition map with explicit inverses"),
+    # dtensors.py
+    "builtin-dtensors-h": (lambda: builtin_dtensors(PHI, 2),
+                           "builtin d-tensors require a temporal metric"),
+    "pullback-dtensor-inverses": (lambda: pullback_dtensor(potential(2), identity(2)),
+                                  "d-tensor pullback requires explicit inverse expressions"),
     # metrics.py
     "metric-kind": (lambda: Metric("vertical", 2, 2, EYE), "unknown metric kind 'vertical'"),
 }

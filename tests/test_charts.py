@@ -52,6 +52,10 @@ def test_chart_names_follow_convention():
     assert chart.x_names == ("x1", "x2", "x3")
     assert chart.p_names[:4] == ("p1_1", "p1_2", "p2_1", "p2_2")
     assert chart.total_dim == 2 + 3 + 6
+    for m, n in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError) as err:
+            JetChart(m, n)
+        assert str(err.value) == "chart dimensions must be positive"
 
 
 def test_point_assignment_round_trip():

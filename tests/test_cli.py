@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,8 @@ from polyjet.cli import (
     load_manifest,
     main,
 )
-from polyjet.errors import NotRegular, ResidualTooLarge
+from polyjet.errors import NotRegular, PolyjetError
+from polyjet.hamilton import RegularityResult
 from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import Metric
 from polyjet.symbolic import MAX_NESTING
@@ -133,6 +136,28 @@ def test_regularity_extraction_round_trip(tmp_path):
     assert rep["objects"]["free_term"] == "0"
 
 
+def cubic_manifest(tmp_path) -> str:
+    """flat.json plus a harmonic cubic 1e-7 (p1_1^3 - 3 p1_1 p1_2^2), sampled
+    with |p1_1|, |p1_2| <= 0.001: G factors within tolerance there, but the
+    extracted potential term depends on p1_1 on the default box."""
+    data = json.loads((MANIFESTS / "flat.json").read_text())
+    return rewrite(tmp_path, "flat.json",
+                   hamiltonian=data["hamiltonian"] + " + 1e-7*(p1_1^3 - 3*p1_1*p1_2^2)",
+                   sample_domain={**data["sample_domain"], "intervals": {
+                       "p1_1": [-0.001, 0.001], "p1_2": [-0.001, 0.001]}})
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_a_hamiltonian_whose_extraction_fails_is_not_regular(tmp_path, capsys, command):
+    code, rep = run(tmp_path, command, cubic_manifest(tmp_path))
+    assert code == EXIT_REGULARITY and not rep["passed"]
+    out, err = capsys.readouterr()
+    assert "FAIL  kronecker-regularity" in out and err == ""
+    [check] = [c for c in rep["checks"] if c["kind"] == "regularity"]
+    assert not check["passed"] and check["max_residual"] <= check["tolerance"]
+    assert check["notes"]["reason"] == "extracted potential term depends on momentum p1_1"
+
+
 def test_regularity_rejects_quartic(tmp_path):
     code, rep = run(tmp_path, "regularity", str(MANIFESTS / "nonregular.json"))
     assert code == EXIT_REGULARITY
@@ -197,20 +222,36 @@ def test_verify_without_a_hamiltonian_uses_the_metric_pair(tmp_path):
     assert not conn["passed"] and conn["worst_entry"] == "N1[2,1,2]"
 
 
+def test_the_module_runs_as_a_script(monkeypatch, capsys):
+    """``python -m polyjet.cli`` exits with ``main``'s code."""
+    monkeypatch.setattr(sys, "argv", ["polyjet", "regularity", str(MANIFESTS / "curved.json")])
+    # run afresh, as a script is, rather than as the imported module
+    monkeypatch.delitem(sys.modules, "polyjet.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("polyjet.cli", run_name="__main__")
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("PASS  kronecker-regularity")
+
+
+def _not_regular(reason):
+    return NotRegular(RegularityResult(False, 0.0, [], False, 1e-9, 0, reason))
+
+
 @pytest.mark.parametrize("error, code, prefix", [
-    (NotRegular, EXIT_REGULARITY, "regularity error: "),
-    (ResidualTooLarge, cli.EXIT_INTERNAL, "error: "),
-])
+    (_not_regular, EXIT_REGULARITY, "regularity error: "),
+    (PolyjetError, cli.EXIT_INTERNAL, "error: "),
+], ids=["NotRegular-8-regularity error: ", "PolyjetError-1-error: "])
 def test_main_maps_layer_errors_to_their_exit_codes(monkeypatch, capsys, error, code, prefix):
     """A layer function that raises is reported on one stderr line with the
     exit code of the README's table, and no traceback."""
     def raising(*args, **kwargs):
         raise error("the layer gave up")
 
-    monkeypatch.setattr(cli, "check_kronecker_regularity", raising)
-    assert main(["regularity", str(MANIFESTS / "curved.json")]) == code
-    err = capsys.readouterr().err
+    monkeypatch.setattr(cli, "canonical_nonlinear_connection", raising)
+    assert main(["connection", str(MANIFESTS / "curved.json")]) == code
+    out, err = capsys.readouterr()
     assert err == f"{prefix}the layer gave up\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize("changes, path", [
@@ -708,18 +749,22 @@ def test_verify_on_a_non_regular_hamiltonian_reports_only_regularity(tmp_path):
      f"sample interval for unknown variable '{'y' * 20}... (100000 characters)'"),
     ({"evaluation_point": {f"y{k}": 0.0 for k in range(20_000)}},
      "evaluation_point names unknown variables ['y0', 'y1', 'y10'] and 19997 more"),
+    ({"constants": {"k" * 100_000: "x"}},
+     f"constants.{'k' * 20}... (100000 characters) must be a number, got 'x'"),
+    ({"hamiltonian": "p1_1^2 + " + "y" * 100_000},
+     f"unknown identifier '{'y' * 20}... (100000 characters)' (at offset 9)"),
 ], ids=["delta", "negative-delta", "m", "n-20-digits", "n-21-digits", "m-long-string",
         "seed-long-list", "key-80-characters", "long-key", "long-interval-name",
-        "many-point-names"])
+        "many-point-names", "long-constant-key", "long-identifier"])
 def test_a_huge_manifest_integer_is_echoed_by_its_digit_count(tmp_path, capsys, changes,
                                                               message):
     """A number too large for a float, an integer outside its range, or a
     value of the wrong kind exits 2 naming its dotted path; past 20 digits
     the message gives the integer's digit count instead of every digit, and
-    past 80 characters of its repr any other value's type and size.  An
-    unknown key or variable name is echoed in full up to 80 characters,
-    else by its first 20 and its length, and a point's unknown names past
-    the first three by their count."""
+    past 80 characters of its repr any other value's type and size.  A key,
+    a variable name or an unknown identifier of an expression is echoed in
+    full up to 80 characters, else by its first 20 and its length, and a
+    point's unknown names past the first three by their count."""
     assert main(["verify", rewrite(tmp_path, "curved.json", **changes)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"configuration error: {message}\n"
@@ -733,11 +778,18 @@ def test_asymmetric_metric_rejected_on_load(tmp_path):
     assert main(["verify", path]) == EXIT_CONFIG
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "missing.json")]) == EXIT_CONFIG
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad)]) == EXIT_CONFIG
+    capsys.readouterr()
+    bad.write_text("[1, 2]")
+    assert main(["verify", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: manifest must be a JSON object\n"
+    bad.write_text(json.dumps({"schema": 1}))
+    assert main(["verify", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "configuration error: manifest needs dimensions\n"
     assert main(["verify", rewrite(tmp_path, "flat.json", schema=2)]) == EXIT_CONFIG
     assert main(["verify", rewrite(tmp_path, "flat.json",
                                    hamiltonian="p1_1^2 +")]) == EXIT_CONFIG

@@ -53,6 +53,7 @@ def test_builtin_shapes():
     assert built["C*"].shape == (2, 2)
     assert built["L"].shape == (2, 2, 2, 2)
     assert built["J"].shape == (2, 2, 2, 2)
+    assert repr(built["L"]) == "DTensorField('L', slots=[ut,ls,lt,lt], shape=(2, 2, 2, 2))"
 
 
 def test_L_spot_value():

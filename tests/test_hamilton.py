@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +21,8 @@ from polyjet.connections import (
     verify_connection_law,
 )
 from polyjet.dtensors import pullback_dtensor, verify_dtensor_law
-from polyjet import symbolic
-from polyjet.errors import ConfigError, NotRegular, ResidualTooLarge
+from polyjet import hamilton, symbolic
+from polyjet.errors import ConfigError, NotRegular
 from polyjet.hamilton import (
     HamiltonSpace,
     autonomous_electrodynamic_space,
@@ -148,15 +147,24 @@ def test_extraction_compiles_one_program_per_variable_set(monkeypatch):
     h, g = random_temporal_metric(2, rng), random_spatiotemporal_metric(2, 2, rng)
     space = general_electrodynamic_space(h, g, random_potential(2, 2, rng),
                                          random_base_scalar(2, 2, rng))
-    compiled = []
-    real = symbolic.compile_block
+    compiled, extracting = [], []
+    real_compile, real_extract = symbolic.compile_block, hamilton._potential_and_free_term
 
     def counting(exprs):
-        compiled.append(list(np.asarray(exprs, dtype=object).flat))
-        return real(exprs)
+        if extracting:
+            compiled.append(list(np.asarray(exprs, dtype=object).flat))
+        return real_compile(exprs)
+
+    def extract(*args):
+        extracting.append(True)
+        try:
+            return real_extract(*args)
+        finally:
+            extracting.clear()
 
     monkeypatch.setattr(symbolic, "compile_block", counting)
-    HamiltonSpace(h, 2, space.hamiltonian, regularity=space.regularity)
+    monkeypatch.setattr(hamilton, "_potential_and_free_term", extract)
+    HamiltonSpace(h, 2, space.hamiltonian)
     *checks, reassembly = compiled
     assert len(reassembly) == 2  # the one equiv of the rebuilt hamiltonian
     sets = [variables(block[0]) for block in checks]
@@ -164,33 +172,41 @@ def test_extraction_compiles_one_program_per_variable_set(monkeypatch):
     assert len(set(sets)) == len(sets) < sum(map(len, checks))
 
 
-def _scaled_candidate(result, factor: float):
-    return replace(result, candidate=tuple(tuple(mul(Const(factor), e) for e in row)
-                                           for row in result.candidate))
+# A harmonic cubic in (p1_1, p1_2) with c = 1e-7: h^ab G[i][a][j][b] cancels
+# it, so the candidate g^ij does not see it, and on |p| <= 0.001 its part of
+# G stays below the default tolerance.  Momentum independence is tested on
+# the default box |p| <= 2, where dU/dp reaches 12c and dF/dp 24c.
+CUBIC = " + 1e-7*(p1_1^3 - 3*p1_1*p1_2^2)"
+
+
+def _squares_and_cubic(n: int):
+    chart = JetChart(2, n)
+    H = parse(" + ".join(f"{nm}^2" for nm in chart.p_names) + CUBIC, chart.names)
+    small = SampleDomain(tuple((nm, *((-1e-3, 1e-3) if nm in ("p1_1", "p1_2") else (lo, hi)))
+                               for nm, lo, hi in chart.sample_domain().intervals))
+    return H, small
 
 
 def test_extraction_names_the_momentum_a_wrong_candidate_leaves_behind():
-    h = curved_h()
-    space = gravitational_space(h, curved_phi())
-    doubled = _scaled_candidate(space.regularity, 2.0)
-    with pytest.raises(ResidualTooLarge) as err:
-        HamiltonSpace(h, 2, space.hamiltonian, regularity=doubled)
-    assert str(err.value) == "extracted potential term depends on momentum p1_1"
-    # scaled by 1.1, U loses 0.2 p and F gains 0.1 H: with tol 0.25 only the
-    # free term's derivative 0.2 p1_1 exceeds it, where |p1_1| > 1.25
-    H = add(*[power(Var(nm), 2) for nm in CHART.p_names])
     flat = flat_h()
-    result = check_kronecker_regularity(H, flat, 2)
-    with pytest.raises(ResidualTooLarge) as err:
-        HamiltonSpace(flat, 2, H, tol=0.25, regularity=_scaled_candidate(result, 1.1))
+    H, small = _squares_and_cubic(2)
+    with pytest.raises(NotRegular) as err:
+        HamiltonSpace(flat, 2, H, dom=small)
+    assert str(err.value) == "extracted potential term depends on momentum p1_1"
+    result = err.value.result
+    assert not result.regular and result.reason == str(err.value)
+    assert result.potential is None and result.free_term is None
+    assert result.max_residual <= 1e-9 and not result.p_dependent
+    # a tolerance of 18c lets U through on the default box, but not F
+    with pytest.raises(NotRegular) as err:
+        HamiltonSpace(flat, 2, H, tol=1.8e-6)
     assert str(err.value) == "extracted free term depends on momentum p1_1"
-    # past the exact inverse's dimension limit the extraction still fails
-    # first: g is lowered only after U and F are checked
+    # past the exact inverse's dimension limit the test still fails first:
+    # g is lowered only after the test has extracted U and F
     n = SYM_INVERSE_MAX_DIM + 1
-    H = add(*[power(Var(nm), 2) for nm in JetChart(2, n).p_names])
-    result = check_kronecker_regularity(H, flat, n)
-    with pytest.raises(ResidualTooLarge) as err:
-        HamiltonSpace(flat, n, H, regularity=_scaled_candidate(result, 2.0))
+    H, small = _squares_and_cubic(n)
+    with pytest.raises(NotRegular) as err:
+        HamiltonSpace(flat, n, H, dom=small)
     assert str(err.value) == "extracted potential term depends on momentum p1_1"
 
 
@@ -199,9 +215,10 @@ def test_extraction_refuses_pieces_that_do_not_reassemble_the_hamiltonian():
     # momentum-derivative checks at tol, yet setting p = 0 in them drops it,
     # and the rebuilt hamiltonian misses it by more than tol
     H = parse("0.01*(p1_1^2 + p1_2^2) + 2e-10*x1*p1_1^3", JetChart(2, 1).names)
-    with pytest.raises(ResidualTooLarge) as err:
+    with pytest.raises(NotRegular) as err:
         HamiltonSpace(flat_h(), 1, H, tol=1e-9)
     assert str(err.value) == "extracted pieces do not reassemble the hamiltonian"
+    assert err.value.result.reason == str(err.value)
 
 
 def test_quartic_hamiltonian_rejected():

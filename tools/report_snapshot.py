@@ -12,7 +12,7 @@ seeds 0 and 7, in one process through ``polyjet.cli.main``.  A run named
   replaced by ``REPORT``;
 * ``.exit``: the exit code.
 
-Eleven more cases run at both seeds, each one command on a copy of a shipped
+Fourteen more cases run at both seeds, each one command on a copy of a shipped
 manifest with some keys replaced, written to a temporary file (``VARIANTS``):
 
 * ``verify-curved-fault``: ``fault_injection`` at N2[1,2,1], the
@@ -36,7 +36,15 @@ manifest with some keys replaced, written to a temporary file (``VARIANTS``):
   characters, echoed by its first 20 characters and its length (exit 2);
 * ``christoffel-flat-many-point-names``: an ``evaluation_point`` with
   20,000 unknown names, echoed by the first three and the count of the
-  rest (exit 2).
+  rest (exit 2);
+* ``regularity-flat-cubic-momentum``: the hamiltonian plus the harmonic
+  cubic 1e-7 (p1_1^3 - 3 p1_1 p1_2^2), with p1_1 and p1_2 sampled in
+  [-0.001, 0.001]: G factors within tolerance, but the extracted potential
+  term depends on p1_1, so the regularity check fails (exit 8);
+* ``christoffel-curved-long-constant-key`` and
+  ``christoffel-curved-long-identifier``: a ``constants`` key and an
+  unknown identifier in the hamiltonian of 100,000 characters each,
+  echoed by the first 20 characters and the length (exit 2).
 
 Run it from the repository root, then compare two snapshots:
 
@@ -86,6 +94,14 @@ VARIANTS = {
     "christoffel-flat-long-key": ("christoffel", FLAT, {"k" * 100_000: 1}),
     "christoffel-flat-many-point-names": ("christoffel", FLAT, {
         "evaluation_point": {f"y{k}": 0.0 for k in range(20_000)}}),
+    "regularity-flat-cubic-momentum": ("regularity", FLAT, {
+        "hamiltonian": FLAT["hamiltonian"] + " + 1e-7*(p1_1^3 - 3*p1_1*p1_2^2)",
+        "sample_domain": {**FLAT["sample_domain"], "intervals": {
+            "p1_1": [-0.001, 0.001], "p1_2": [-0.001, 0.001]}}}),
+    "christoffel-curved-long-constant-key": ("christoffel", CURVED, {
+        "constants": {"k" * 100_000: "x"}}),
+    "christoffel-curved-long-identifier": ("christoffel", CURVED, {
+        "hamiltonian": "y" * 100_000}),
 }
 
 
