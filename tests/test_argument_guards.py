@@ -54,7 +54,7 @@ def zero_semispray(kind: str) -> Semispray:
 
 
 def identity(m: int) -> TransitionMap:
-    """The identity transition of a (m, 2) chart, without inverses."""
+    """The identity transition of an (m, 2) chart, without inverses."""
     return TransitionMap(m, 2, tuple(Var(f"t{a + 1}") for a in range(m)), (Var("x1"), Var("x2")))
 
 

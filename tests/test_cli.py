@@ -225,7 +225,7 @@ def test_verify_without_a_hamiltonian_uses_the_metric_pair(tmp_path):
 def test_the_module_runs_as_a_script(monkeypatch, capsys):
     """``python -m polyjet.cli`` exits with ``main``'s code."""
     monkeypatch.setattr(sys, "argv", ["polyjet", "regularity", str(MANIFESTS / "curved.json")])
-    # run afresh, as a script is, rather than as the imported module
+    # runpy warns, and so fails the test, when the module is already imported
     monkeypatch.delitem(sys.modules, "polyjet.cli")
     with pytest.raises(SystemExit) as exc:
         runpy.run_module("polyjet.cli", run_name="__main__")

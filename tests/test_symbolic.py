@@ -1027,10 +1027,10 @@ def test_expr_array_is_a_checked_read_only_block():
 @pytest.mark.parametrize("components, shape, message", [
     ([[X1, X1]], (2, 2), r"B must have shape \(2, 2\), got \(1, 2\)"),
     ([[X1], [X1, X1]], (2, 2), r"B must have shape \(2, 2\)"),
-    # blocks numpy cannot lay out side by side
-    ([np.full((2, 2), X1), np.full((2, 3), X1)], (2, 2, 2), r"B must have shape \(2, 2, 2\)$"),
     ([[X1, P11], [X1, X1]], (2, 2), r"B\[1,2\] uses foreign variables \['p1_1'\]"),
     (P11, (), r"B uses foreign variables \['p1_1'\]"),
+    # blocks numpy cannot lay out side by side
+    ([np.full((2, 2), X1), np.full((2, 3), X1)], (2, 2, 2), r"B must have shape \(2, 2, 2\)$"),
 ])
 def test_expr_array_names_its_block_in_errors(components, shape, message):
     with pytest.raises(ConfigError, match=message):
