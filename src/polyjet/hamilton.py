@@ -320,12 +320,24 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
 
 def _spatial_block(h_upper, g, X, H=None) -> np.ndarray:
     """The (m, n, n) block of ``canonical_nonlinear_connection`` (X[k][b] =
-    dH/dp_k^b) or of ``electrodynamic_t_block`` (X = U).  dg_ij/dx^k is
-    derived only where X[k][b] is not ``ZERO``.  The dg/dp dH/dx term is
-    built only with the hamiltonian ``H``, where dg_ij/dp_k^b is not
-    ``ZERO``, and dH/dx^k is derived only there: a g without momenta, as
-    every m >= 2 space has, never needs it."""
+    dH/dp_k^b) or of ``electrodynamic_t_block`` (X = U).  Each derivative
+    is taken once per index, into a table, before the (a, b) loops.
+    dg_ij/dx^k is derived only where some X[k][b] is not ``ZERO``.  The
+    dg/dp dH/dx term is built only with the hamiltonian ``H``, where
+    dg_ij/dp_k^b is not ``ZERO``, and dH/dx^k is derived only there: a g
+    without momenta, as every m >= 2 space has, never needs it."""
     m, n = len(h_upper), len(g)
+    pairs = list(np.ndindex(n, n))
+    dg_dx = {(i, j, k): differentiate(g[i][j], x_name(k)) for k in range(n)
+             if any(X[k][b] is not ZERO for b in range(m)) for i, j in pairs}
+    dX_dx = [[[differentiate(X[k][b], x_name(j)) for j in range(n)] for b in range(m)]
+             for k in range(n)]
+    dg_dp, dH_dx = {}, {}
+    if H is not None:
+        dg_dp = {(i, j, k, b): differentiate(g[i][j], p_name(k, b))
+                 for i, j in pairs for k in range(n) for b in range(m)}
+        dH_dx = {k: differentiate(H, x_name(k)) for k in range(n)
+                 if any(dg_dp[i, j, k, b] is not ZERO for i, j in pairs for b in range(m))}
     out = np.empty((m, n, n), dtype=object)
     for a, i, j in np.ndindex(m, n, n):
         outer = []
@@ -333,13 +345,11 @@ def _spatial_block(h_upper, g, X, H=None) -> np.ndarray:
             inner = []
             for k in range(n):
                 if X[k][b] is not ZERO:
-                    inner.append(mul(differentiate(g[i][j], x_name(k)), X[k][b]))
-                if H is not None:
-                    dg_dp = differentiate(g[i][j], p_name(k, b))
-                    if dg_dp is not ZERO:
-                        inner.append(mul(Const(-1.0), dg_dp, differentiate(H, x_name(k))))
-                inner.append(mul(g[i][k], differentiate(X[k][b], x_name(j))))
-                inner.append(mul(g[j][k], differentiate(X[k][b], x_name(i))))
+                    inner.append(mul(dg_dx[i, j, k], X[k][b]))
+                if dg_dp.get((i, j, k, b), ZERO) is not ZERO:
+                    inner.append(mul(Const(-1.0), dg_dp[i, j, k, b], dH_dx[k]))
+                inner.append(mul(g[i][k], dX_dx[k][b][j]))
+                inner.append(mul(g[j][k], dX_dx[k][b][i]))
             outer.append(mul(Const(0.25), h_upper[a][b], add(*inner)))
         out[a, i, j] = add(*outer)
     return out

@@ -24,10 +24,11 @@ space derives each derivative of its build once and keeps it exactly as
 long as itself.  Outside any block a call has only its own memo.
 
 Differentiation and substitution are exact tree rewrites.  They,
-compiling and printing walk the DAG with one explicit stack, and
-evaluation is a one-point run of a compiled program, so only the parser
-recurses.  Semantic equality of expressions is decided by ``equiv``, which
-samples a seeded box, because symbolic normal forms are out of scope here.
+compiling, one-point evaluation and printing walk the DAG with one
+explicit stack, and evaluation is a one-point run of a program, so only
+the parser recurses.  Semantic equality of expressions is decided by
+``equiv``, which samples a seeded box, because symbolic normal forms are
+out of scope here.
 
 Variable naming convention used by the geometry layers: temporal
 coordinates ``t1..tm``, spatial coordinates ``x1..xn``, polymomenta
@@ -547,8 +548,10 @@ def _post_order(roots, memo: dict, settle):
 
 
 def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
-    """Evaluate an expression at a point: a one-point run of its compiled
-    program, so it raises exactly the errors ``Program.run`` raises."""
+    """Evaluate an expression at a point: a one-point run of a fresh
+    program, which walks the expression once and compiles it only to
+    replay a fault, so it raises exactly the errors ``Program.run``
+    raises."""
     return float(compile_block([as_expr(e)]).run([assignment])[0, 0])
 
 
@@ -702,18 +705,27 @@ def _node_op(node):
 
 
 def compile_block(exprs) -> "Program":
-    """Compile a block of expressions into one straight-line program.
+    """A block of expressions as one straight-line program.
 
     ``exprs`` is an array or a nested sequence of expressions, and the
-    program keeps its shape.  The union of the roots is walked once with
-    one memo.  Nodes are interned, so each distinct node is one structure
-    and gets one slot: structurally equal subtrees share it.  Slots are
-    numbered as the walk finishes nodes, a quotient's denominator before
-    its numerator, the order in which a replay computes and checks them.
-    The program keeps no reference to the expressions.
+    program keeps its shape.  Compiling records the roots, the shape and
+    the variables the roots read; the ops are built only when a run first
+    needs them (``Program``), so a block evaluated once at one point is
+    walked, never compiled.
     """
     block = np.asarray(exprs, dtype=object)
-    roots = list(map(as_expr, block.flat))
+    return Program(list(map(as_expr, block.flat)), block.shape)
+
+
+def _build_ops(roots) -> tuple:
+    """The ops of a program over ``roots``: (ops, root slots, checks).
+
+    The union of the roots is walked once with one memo.  Nodes are
+    interned, so each distinct node is one structure and gets one slot:
+    structurally equal subtrees share it.  Slots are numbered as the walk
+    finishes nodes, a quotient's denominator before its numerator, the
+    order in which a replay computes and checks them.
+    """
     slot_of: dict[Expr, int] = {}
     ops: list[tuple] = []
     # op index -> denominator slots tested for zero before that op, which
@@ -735,7 +747,7 @@ def compile_block(exprs) -> "Program":
             checks.setdefault(max(den + 1, entered.pop(node)), []).append(den)
         slot_of[node] = len(ops)
         ops.append((code, payload, kids))
-    return Program(ops, [slot_of[r] for r in roots], block.shape, checks)
+    return tuple(ops), tuple(slot_of[r] for r in roots), checks
 
 
 def _level_plan(ops, roots) -> tuple:
@@ -743,9 +755,10 @@ def _level_plan(ops, roots) -> tuple:
     rows).
 
     The plan gives every op a row of the value matrix: the variables
-    first, in slot order, then the constants, then the ops of one level,
-    kind, payload and arity after another, in level order, so that each
-    such group fills one run of rows.  A step is (opcode, payload, first
+    first, in name order (the order of ``Program.reads``), then the
+    constants, then the ops of one level, kind, payload and arity after
+    another, in level order, so that each such group fills one run of
+    rows.  A step is (opcode, payload, first
     row, end row, kid rows), the kid rows an (arity, group size) matrix.
     Every op's children are on lower levels, so a step reads only rows
     that the steps before it, or the variables and constants, filled.
@@ -760,7 +773,7 @@ def _level_plan(ops, roots) -> tuple:
         levels.append(level)
         groups.setdefault((level, code, arg, len(kids)), []).append(slot)
     row = [0] * len(ops)
-    for index, (slot, _) in enumerate(names + constants):
+    for index, (slot, _) in enumerate(sorted(names, key=lambda item: item[1]) + constants):
         row[slot] = index
     end, steps = len(names) + len(constants), []
     for (_, code, arg, _), slots in sorted(groups.items(), key=lambda group: group[0][0]):
@@ -777,21 +790,36 @@ def _level_plan(ops, roots) -> tuple:
 class Program:
     """A straight-line program with one slot per distinct node of a block.
 
-    ``run`` reads a batch once, into a float64 matrix of (point, ``reads``)
-    values, and evaluates every op over all sample points at once, with
-    the very scalar operations of a one-point replay, so results are
-    bit-identical to it: ``math.fsum`` per point for sums, products
-    multiplied left to right, Python ``float ** int`` and the ``math``
-    functions.  Where some op faults, or any value of the pass is not
-    finite (from the input, or an overflow), every sample is replayed in
-    order instead, with every domain check: the first sample at which one
-    fails raises its error, and when none does, the replayed values are
-    the result.  A batch that cannot be read (a missing variable, a value
-    ``float`` refuses) goes to the replay without a pass, and the replay,
-    reading the points itself, raises the error evaluation raises.
+    ``reads`` is the sorted union of the roots' recorded variable sets,
+    known without a walk.  ``run`` reads a batch once, into a float64
+    matrix of (point, ``reads``) values, and evaluates every op over all
+    sample points at once, with the very scalar operations of a one-point
+    replay, so results are bit-identical to it: ``math.fsum`` per point
+    for sums, products multiplied left to right, Python ``float ** int``
+    and the ``math`` functions.  Where some op faults, or any value of the
+    pass is not finite (from the input, or an overflow), every sample is
+    replayed in order instead, with every domain check: the first sample
+    at which one fails raises its error, and when none does, the replayed
+    values are the result.  A batch that cannot be read (a missing
+    variable, a value ``float`` refuses) goes to the replay without a
+    pass, and the replay, reading the points itself, raises the error
+    evaluation raises.  The replay is the only code that raises an
+    evaluation error.
 
-    A program's first pass walks the ops in slot order, one list of
-    values per op.  A program that runs again was worth more than that
+    The ops (``ops`` and the root slots ``roots``, with the replay's zero
+    tests) are built from the root expressions the first time they are
+    needed, and from then on the program keeps no reference to the
+    expressions.  A program that has never run and is given one point
+    does not need them: it walks the roots' DAG once with ``_post_order``
+    and computes each node as a Python float, with the operations of the
+    passes below.  If the point cannot be read, an op faults or some value
+    is not finite, the ops are built and the batch takes the path of any
+    first run, so every error stays the replay's.  A walked point takes
+    the stored-batch slot, and only a later, different batch builds the
+    ops.
+
+    A program's first column pass walks the ops in slot order, one list
+    of values per op.  A program that runs again was worth more than that
     walk: its second pass builds a level plan, kept from then on, and
     every later pass runs it.  An op's level is one more than its
     children's highest (variables and constants are level 0), and the
@@ -816,16 +844,31 @@ class Program:
     result.
     """
 
-    __slots__ = ("ops", "roots", "shape", "checks", "reads", "_last", "_plan")
+    __slots__ = ("shape", "reads", "_exprs", "_code", "_last", "_plan")
 
-    def __init__(self, ops, roots, shape, checks):
-        self.ops = tuple(ops)
-        self.roots = tuple(roots)
+    def __init__(self, roots, shape):
         self.shape = tuple(shape)
-        self.checks = dict(checks)
-        self.reads = tuple(arg for code, arg, _ in self.ops if code == _VAR)
+        self.reads = tuple(sorted(_NO_VARS.union(*(e._vars for e in roots))))
+        self._exprs = tuple(roots)  # the root expressions, until the ops are built
+        self._code = None  # (ops, root slots, checks), once built
         self._last = (None, None)  # (batch key, result) of the last successful run
-        self._plan = None  # None before the first pass, False after it, then the plan
+        self._plan = None  # None before the first column pass, False after it, then the plan
+
+    def _built(self) -> tuple:
+        if self._code is None:
+            self._code = _build_ops(self._exprs)
+            self._exprs = None
+        return self._code
+
+    @property
+    def ops(self) -> tuple:
+        """(opcode, payload, child slots) per distinct node, in slot order."""
+        return self._built()[0]
+
+    @property
+    def roots(self) -> tuple:
+        """The slot of each root, in the block's flat order."""
+        return self._built()[1]
 
     def run(self, points) -> np.ndarray:
         """Values at each point: an array of shape (len(points), *shape)."""
@@ -841,13 +884,54 @@ class Program:
         key = (len(points), read.tobytes())
         if key == self._last[0]:
             return self._last[1].copy()
-        try:
-            out = self._columns(read)
-        except _FAULTS:
-            out = np.array([self._replay(point) for point in points], dtype=float)
+        out = None
+        if len(points) == 1 and self._code is None and self._last[0] is None:
+            out = self._walk_point(dict(zip(self.reads, read[0].tolist())))
+        if out is None:
+            try:
+                out = self._columns(read)
+            except _FAULTS:
+                out = np.array([self._replay(point) for point in points], dtype=float)
         out = np.ascontiguousarray(out).reshape(len(points), *self.shape)
         self._last = (key, out)
         return out.copy()
+
+    def _walk_point(self, point) -> list | None:
+        """The roots' values at one point, a dict from each name of
+        ``reads`` to its value, by one walk of the expressions; or None
+        where the replay may differ: some op faults or some value is not
+        finite."""
+        def settle(node):
+            kind = type(node)
+            if kind is Const:
+                return node.value
+            if kind is Var:
+                return point[node.name]
+            return None
+
+        memo: dict[Expr, float] = {}
+        try:
+            for node, kids in _post_order(self._exprs, memo, settle):
+                kind = type(node)
+                if kind is Product:
+                    value = math.prod(kids)  # 1*x is x for the finite values kept
+                elif kind is Sum:
+                    value = math.fsum(kids)
+                elif kind is Power:
+                    value = kids[0] ** node.exponent
+                elif kind is Neg:
+                    value = -kids[0]
+                elif kind is Quotient:  # kids are (denominator, numerator)
+                    value = kids[1] / kids[0]
+                else:
+                    value = _CALL_VALUE[node.func](kids[0])
+                memo[node] = value
+        except _FAULTS:
+            return None
+        # any value that is not finite sends the point to the column pass
+        if not math.isfinite(sum(memo.values())):
+            return None
+        return [memo[e] for e in self._exprs]
 
     def _columns(self, read) -> np.ndarray:
         """The roots' values at every point of the (point, variable) matrix
@@ -865,7 +949,7 @@ class Program:
         """The roots' values, op by op in slot order.  A product column is
         a chain of elementwise multiplications, first factor to last; a sum
         column is ``math.fsum`` per point."""
-        columns = iter(read.T.tolist())  # one per variable, in slot order
+        columns = dict(zip(self.reads, read.T.tolist()))  # one per variable
         vals: list[list] = []
         for code, arg, kids in self.ops:
             if code == _PRODUCT:
@@ -887,7 +971,7 @@ class Program:
             elif code == _CALL:
                 col = list(map(_CALL_VALUE[arg], vals[kids[0]]))
             elif code == _VAR:
-                col = next(columns)
+                col = columns[arg]
             else:
                 col = [arg] * len(read)
             vals.append(col)
@@ -933,9 +1017,10 @@ class Program:
     def _replay(self, point) -> list:
         """The roots' values at one point, op by op in slot order, with
         every domain check; the first check that fails raises."""
+        ops, roots, checks = self._built()
         vals: list[float] = []
-        for index, (code, arg, kids) in enumerate(self.ops):
-            for den in self.checks.get(index, ()):
+        for index, (code, arg, kids) in enumerate(ops):
+            for den in checks.get(index, ()):
                 if vals[den] == 0.0:
                     raise DomainError("division by zero during evaluation")
             if code == _CONST:
@@ -958,7 +1043,7 @@ class Program:
             else:
                 val = _apply_function(arg, vals[kids[0]])
             vals.append(val)
-        return [vals[r] for r in self.roots]
+        return [vals[r] for r in roots]
 
 
 def cut(values: np.ndarray, *shapes) -> tuple:
@@ -979,7 +1064,9 @@ class Compiled:
     The blocks compile into one program on first use, in ``BLOCKS`` order,
     and every evaluation runs it and cuts the blocks out, so an evaluation
     fails at the first failing point with the first failing block's error.
-    The program remembers its last batch (``Program.run``).
+    The program remembers its last batch, and builds its ops only when a
+    run needs them (``Program``): an object evaluated once, at one point,
+    is walked and never compiled.
     """
 
     BLOCKS = ("components",)
@@ -1262,8 +1349,11 @@ class SampleDomain:
         return tuple(nm for nm, _, _ in self.intervals)
 
     def points(self) -> list:
-        # one draw stream per variable, so extending the domain with new
-        # variables never disturbs the values drawn for existing ones
+        # one generator draws every interval's column in turn, in interval
+        # order: appending names (``extended``) keeps the values drawn for
+        # the earlier ones, but a name at another position, or after other
+        # names, gets other values, so domains over different name lists
+        # sample different points
         rng = np.random.default_rng(self.seed)
         columns = {nm: rng.uniform(lo, hi, self.count) for nm, lo, hi in self.intervals}
         return [{nm: float(col[i]) for nm, col in columns.items()}

@@ -85,13 +85,17 @@ def reference(exprs, points):
 
 
 def assert_matches_evaluate(exprs, points, later=None):
-    """A fresh program run on ``points``, then on ``later`` followed by
-    ``points`` (``points`` twice over by default), gives the reference's
-    bits or raises its error both times.  The second batch is longer than
-    the first, so it is a pass of its own: the first pass walks the ops
-    and the second runs the level plan."""
+    """A fresh program run on the first point alone, then on ``points``,
+    then on ``later`` followed by ``points`` (``points`` twice over by
+    default), then on ``points``, ``later`` and ``points`` again, gives
+    the reference's bits or raises its error every time.  The first run
+    walks the expressions at one point, the first of the others that is a
+    new batch walks the ops, and the next one runs the level plan: the
+    last two batches are longer than any before them, so each is a pass
+    of its own."""
     program = compile_block(exprs)
-    for batch in (points, [*(points if later is None else later), *points]):
+    later = points if later is None else later
+    for batch in (points[:1], points, [*later, *points], [*points, *later, *points]):
         rows, error = reference(exprs, batch)
         if error is not None:
             with pytest.raises(type(error)) as got:
@@ -101,7 +105,7 @@ def assert_matches_evaluate(exprs, points, later=None):
         got = program.run(batch)
         assert got.shape == (len(batch), len(exprs))
         assert np.array_equal(bits(got), bits(np.reshape(rows, got.shape)))
-    assert program._plan, "the second batch ran no pass"
+    assert program._plan, "no batch ran the level plan"
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +448,12 @@ def outcome(program, batch):
 
 
 def count_paths(monkeypatch) -> list:
-    """The path of every column pass from here on, in order, and "plan"
-    for every level plan built."""
+    """The path of every pass from here on, in order: "point" for a walk of
+    the expressions at one point, "walk" and "level" for the column passes,
+    and "plan" for every level plan built."""
     paths = []
-    for name, label in (("_walk_columns", "walk"), ("_level_columns", "level")):
+    for name, label in (("_walk_point", "point"), ("_walk_columns", "walk"),
+                        ("_level_columns", "level")):
         monkeypatch.setattr(Program, name, lambda self, points, real=getattr(Program, name),
                             label=label: paths.append(label) or real(self, points))
     build = polyjet.symbolic._level_plan
@@ -461,12 +467,13 @@ def test_the_first_pass_walks_and_every_later_pass_runs_the_plan(monkeypatch):
     program = compile_block([div(mul(X1, T1, X1), add(T1, Const(1.0))), neg(X1)])
     a, b = [{"x1": 0.5, "t1": 2.0}], [{"x1": -1.0, "t1": 0.25}]
     program.run(a)
-    assert paths == ["walk"]
+    assert paths == ["point"]
     program.run(a)  # the stored batch: no pass
-    program.run(b)
+    program.run(b)  # the first run of the ops is the first column pass
     program.run(a)
     program.run(b + a)
-    assert paths == ["walk", "plan", "level", "level", "level"]
+    assert paths == ["point", "walk", "plan", "level", "level"]
+    # a one-point walk that faults hands the point to the first pass, and
     # a first pass that faults is still the first pass
     paths.clear()
     program = compile_block([div(X1, T1)])
@@ -475,7 +482,13 @@ def test_the_first_pass_walks_and_every_later_pass_runs_the_plan(monkeypatch):
     with pytest.raises(DomainError, match="division by zero"):
         program.run([{"x1": 1.0, "t1": 0.0}])
     assert program.run(a).tolist() == [[0.25]]
-    assert paths == ["walk", "plan", "level", "level"]
+    assert paths == ["point", "walk", "plan", "level", "level"]
+    # a batch of two points or more runs the column passes from the first
+    paths.clear()
+    program = compile_block([neg(X1)])
+    program.run(b + a)
+    program.run(a)
+    assert paths == ["walk", "plan", "level"]
 
 
 def unread(program, batch, passes):
@@ -503,7 +516,9 @@ def test_an_unreadable_value_on_a_rerun_fails_as_the_walk_does(monkeypatch):
     with pytest.raises(TypeError):
         unread(program, [{"x1": 1.0, "t1": None}], passes)
     assert program.run([{"x1": 1.0, "t1": 2.0}]).tolist() == [[0.0, 2.0]]
-    assert len(passes) == 1
+    # the first run, at one point, walked the expressions, which is no
+    # column pass, and its batch again gets the stored result
+    assert len(passes) == 0
 
 
 def test_an_unreadable_value_at_a_later_point_fails_as_the_walk_does(monkeypatch):
@@ -556,7 +571,8 @@ def test_a_product_that_overflows_on_a_rerun_raises_the_replays_error(monkeypatc
     e = mul(*_FACTORS[:3])
     program = compile_block([add(e, Const(1.0)), e])
     ok = {"x1": 2.0, "x2": 3.0, "x3": 4.0}
-    assert program.run([ok]).tolist() == [[25.0, 24.0]]
+    # two points, so the first run is the first column pass
+    assert program.run([ok, ok]).tolist() == [[25.0, 24.0]] * 2
     paths = count_paths(monkeypatch)
     bad = {"x1": 1e200, "x2": -1e200, "x3": 1e200}
     with pytest.raises(DomainError, match="^product overflows to -inf$"):
@@ -659,6 +675,15 @@ def test_the_coframe_check_reruns_no_program_the_connection_law_ran(monkeypatch)
 # ---------------------------------------------------------------------------
 # caching and reference cycles
 
+def count_builds(monkeypatch) -> list:
+    """The root count of every program whose ops are built from here on."""
+    builds = []
+    build = polyjet.symbolic._build_ops
+    monkeypatch.setattr(polyjet.symbolic, "_build_ops",
+                        lambda roots: builds.append(len(roots)) or build(roots))
+    return builds
+
+
 def test_a_second_evaluation_reuses_the_cached_programs(monkeypatch):
     calls = []
 
@@ -668,6 +693,7 @@ def test_a_second_evaluation_reuses_the_cached_programs(monkeypatch):
 
     monkeypatch.setattr(polyjet.symbolic, "compile_block", counting)
     monkeypatch.setattr(polyjet.charts, "compile_block", counting)
+    builds = count_builds(monkeypatch)
     man = load_manifest(str(MANIFESTS / "curved.json"))
     tm = man.transition
     N_a = canonical_metric_connection(man.temporal_metric, man.spatial_metric)
@@ -675,14 +701,74 @@ def test_a_second_evaluation_reuses_the_cached_programs(monkeypatch):
                                       pullback_metric(man.spatial_metric, tm))
     point = man.evaluation_point
     first = N_a.n2_at(point)
-    assert len(calls) == 1
+    # the connection's program, walked at the point without its ops
+    assert (len(calls), builds) == (1, [])
     assert np.array_equal(N_a.n2_at(point), first)
-    assert len(calls) == 1
+    assert (len(calls), builds) == (1, [])
     dom = man.domain(1).with_options(count=3)
     verify_connection_law(N_a, N_b, tm, dom=dom)
-    compiled = len(calls)
+    # a second batch builds the connection's ops
+    assert N_a._program._exprs is None
+    compiled, built = len(calls), len(builds)
     assert verify_connection_law(N_a, N_b, tm, dom=dom.with_options(seed=2)).passed
-    assert len(calls) == compiled
+    assert (len(calls), len(builds)) == (compiled, built)
+
+
+def test_a_one_point_first_run_builds_no_ops(monkeypatch):
+    builds = count_builds(monkeypatch)
+    paths = count_paths(monkeypatch)
+    e = add(mul(X1, sin(T1)), div(X1, add(T1, Const(2.0))))
+    program = compile_block([e, neg(e), Const(-0.0)])
+    a = [{"x1": 0.5, "t1": -0.75}]
+    first = program.run(a)
+    assert (builds, paths) == ([], ["point"])
+    assert bits(first).tolist() == bits([[v, -v, -0.0] for v in [evaluate_walk(e, a[0])]]).tolist()
+    want = first.tobytes()
+    first[:] = 7.0
+    again = program.run(a)
+    assert (builds, paths) == ([], ["point"])
+    assert again.tobytes() == want
+    # a later batch, even of one point, builds the ops once
+    assert program.run([{"x1": 0.5, "t1": 0.75}]).shape == (1, 3)
+    assert program.run(a).tobytes() == want
+    assert (builds, paths) == ([3], ["point", "walk", "plan", "level"])
+    assert program._exprs is None
+
+
+@pytest.mark.parametrize("e, point, error, paths", [
+    # a point that cannot be read goes to the replay without a walk
+    (add(X1, T1), {"x1": 1.0}, "no value bound for variable 't1'", []),
+    (add(X1, T1), {"x1": 1.0, "t1": "one"}, "could not convert", []),
+    # an op that faults
+    (div(X1, T1), {"x1": 1.0, "t1": -0.0}, "division by zero during evaluation",
+     ["point", "walk"]),
+    (ln(add(X1, T1)), {"x1": 1.0, "t1": -1.0}, "ln of non-positive value 0.0",
+     ["point", "walk"]),
+    (exp(mul(X1, T1)), {"x1": 30.0, "t1": 30.0}, "exp overflow at 900.0", ["point", "walk"]),
+    # a value that is not finite, overflowed or given
+    (mul(Const(1e300), X1, T1), {"x1": 1e10, "t1": 2.0}, "product overflows to inf",
+     ["point", "walk"]),
+    (div(X1, T1), {"x1": 3.0, "t1": math.inf}, None, ["point", "walk"]),
+    (add(X1, T1), {"x1": math.nan, "t1": 1.0}, None, ["point", "walk"]),
+])
+def test_a_one_point_walk_that_may_differ_builds_the_ops_and_takes_the_first_pass(
+        monkeypatch, e, point, error, paths):
+    """The one-point walk hands a point it cannot vouch for to the path of
+    any first run, which gives the replay's values or raises its error."""
+    builds = count_builds(monkeypatch)
+    taken = count_paths(monkeypatch)
+    program = compile_block([e, X1])
+    if error is None:
+        got = program.run([point])
+        assert bits(got).tolist() == bits([[evaluate_walk(e, point), point["x1"]]]).tolist()
+    else:
+        with pytest.raises(Exception) as got:
+            program.run([point])
+        with pytest.raises(type(got.value)) as want:
+            evaluate_walk(e, point)
+        assert str(got.value) == str(want.value) and error in str(got.value)
+    assert (builds, taken) == ([2], paths)
+    assert program._exprs is None
 
 
 def test_walks_leave_no_reference_cycles():

@@ -6,7 +6,7 @@ Each row builds a seeded gravitational space from ``tests/geomgen.py``
 ("build"), the canonical nonlinear connection in both charts ("conn"), and
 checks the connection law between them at 20 sample points to 1e-8
 ("law").  It then checks the law again at 20 points of a second seed
-("law2"): a compiled program's first run walks its ops one at a time and
+("law2"): the first run of a program's ops walks them one at a time and
 every later run takes the level plan (``symbolic.Program``), so the two
 checks cover both evaluation paths.  It prints the seconds of each stage,
 the ``max_residual`` of both checks and ``kept``, the number of
