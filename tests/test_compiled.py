@@ -4,7 +4,8 @@
 walking it with an explicit stack; ``Program.run`` must give the very bits
 that ``oracles.evaluate_walk`` gives and raise the very error it raises,
 for the lowest failing sample.  The library's ``evaluate`` is a one-point
-run of a compiled program, so it is checked here through the program.
+run of a fresh program, which walks the expressions without building the
+ops, so it is checked here through the program's first one-point run.
 A program's memo of its last batch must give, on every repeat, the bits
 and the errors of a fresh program.
 """
