@@ -900,7 +900,9 @@ class Program:
         """The roots' values at one point, a dict from each name of
         ``reads`` to its value, by one walk of the expressions; or None
         where the replay may differ: some op faults or some value is not
-        finite."""
+        finite.  Each node's arithmetic is that of ``_walk_columns``, kept
+        inline in both: at one point a function call per node costs about
+        as much as the arithmetic it would share."""
         def settle(node):
             kind = type(node)
             if kind is Const:
