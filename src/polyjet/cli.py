@@ -398,6 +398,8 @@ def _print_checks(checks):
                 f"max={c['max_residual']:.3e}  tol={c['tolerance']:.1e}")
         if not c["passed"] and c.get("worst_entry"):
             line += f"  at {c['worst_entry']}"
+        if not c["passed"] and c.get("notes", {}).get("reason"):
+            line += f"  ({c['notes']['reason']})"
         print(line)
 
 

@@ -17,7 +17,11 @@ the quadratic-plus-linear-plus-scalar shape
 
 and ``check_kronecker_regularity``, the one test of regularity, recovers
 (U, F) exactly: a hamiltonian whose pieces do not come out momentum-free
-or do not reassemble it is not regular.  ``HamiltonSpace`` runs that test
+or do not reassemble it is not regular.  Every part of the test samples
+one box, the caller's.  The pieces' momentum derivatives are not taken:
+with E = G - h (x) g, the deviation the factorization sweep already
+evaluated, they are dU^{(i)}_{(a)}/dp_k^c = 2 E[i][a][k][c] and
+dF/dp_k^c = -2 E[i][a][k][c] p_i^a.  ``HamiltonSpace`` runs that test
 and lowers g once, for every m.  The canonical nonlinear connection is
 then available three ways: the direct second-derivative formula, a middle
 form through the deviation block T, and a closed form through covariant
@@ -54,6 +58,7 @@ from .symbolic import (
     Expr,
     SampleDomain,
     ZERO,
+    _close,
     add,
     as_expr,
     compile_block,
@@ -123,12 +128,12 @@ def _candidate_block(vertical: DTensorField, h: Metric) -> list:
     return cand
 
 
-def _really_p_dependent(exprs, chart: JetChart, tol: float) -> bool:
-    """True when some entry's momentum derivative is nonzero in value, not
-    merely in syntax."""
+def _really_p_dependent(exprs, chart: JetChart, dom: SampleDomain, tol: float) -> bool:
+    """True when some entry's momentum derivative is nonzero in value on
+    ``dom``, not merely in syntax."""
     p_names = set(chart.p_names)
     return first_nonzero((differentiate(e, nm) for row in exprs for e in row
-                          for nm in sorted(variables(e) & p_names)), tol) is not None
+                          for nm in sorted(variables(e) & p_names)), tol, dom) is not None
 
 
 def check_kronecker_regularity(H: Expr, h: Metric, n: int,
@@ -142,6 +147,12 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     then the test extracts (U, F) with ``_potential_and_free_term``; pieces
     that depend on a momentum or do not reassemble H fail it too.  A single
     time dimension factors trivially and may keep the dependence.
+
+    One box decides every part of the test: ``dom`` (the chart's default
+    box when None), with default intervals for any chart name it lacks.
+    The factorization sweep evaluates G and h (x) g on its points, and the
+    deviation E = G - h (x) g it measures there is also what the
+    extraction's momentum tests read.
     """
     if h.kind != "temporal":
         raise ConfigError("regularity is defined against a temporal metric")
@@ -150,22 +161,22 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     H = expr_array(H, (), chart.names, "hamiltonian").item()
     vertical = fundamental_vertical_dtensor(H, m, n)
     cand = _candidate_block(vertical, h)
-    if dom is None:
-        dom = chart.sample_domain()
+    dom = chart.sample_domain() if dom is None else dom.extended(chart.names)
 
     points = dom.points()
     # evaluated g, then h, then G: the first to fail raises
     g_values = compile_block(cand).run(points)
     h_values = h.at_points(points)
+    G_values = vertical.at_points(points)
+    hg_values = np.einsum("pab,pij->piajb", h_values, g_values)
     rep = sweep("kronecker-regularity", tol, points,
-                [(partial(entry_label, "G"), vertical.at_points(points),
-                  np.einsum("pab,pij->piajb", h_values, g_values))])
+                [(partial(entry_label, "G"), G_values, hg_values)])
     max_residual, samples = rep.max_residual, rep.samples
     # a non-finite candidate fails on its residual below, with its own reason
     with np.errstate(invalid="ignore"):
         singular = bool((np.abs(np.linalg.det(g_values)) < DET_MIN).any())
 
-    p_dep = _really_p_dependent(cand, chart, tol)
+    p_dep = _really_p_dependent(cand, chart, dom, tol)
 
     if singular:
         reason = "candidate spatial block is singular on the sample domain"
@@ -179,7 +190,9 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
         reason = ""
     U = F = None
     if m >= 2 and not reason:
-        U, F, reason = _potential_and_free_term(H, h, cand, dom, tol)
+        momenta = np.array([[pt[nm] for nm in chart.p_names] for pt in points])
+        U, F, reason = _potential_and_free_term(H, h, cand, dom, G_values - hg_values,
+                                                momenta, tol)
     return RegularityResult(not reason, max_residual, cand, p_dep, tol, samples, reason, U, F)
 
 
@@ -203,6 +216,7 @@ def _linear(U, P, *coeff) -> list:
 
 
 def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
+                             deviation: np.ndarray, momenta: np.ndarray,
                              tol: float) -> tuple:
     """The exact (U, F) of a regular H with m >= 2, given its block g^ij:
 
@@ -210,10 +224,39 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
         F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a
 
     Returns (U, F, ""), or (None, None, reason) when they do not come out
-    momentum-free or do not reassemble to H identically.
+    momentum-free or do not reassemble to H identically on ``dom``.
+
+    The momentum tests differentiate neither piece.  ``deviation`` is
+    E = G - h (x) g at the P points of ``dom``, shape (P, n, m, n, m), and
+    ``momenta`` their (P, n m) momentum values in ``JetChart.p_names``
+    order.  Since d^2 H / dp_i^a dp_k^c = 2 G[i][a][k][c], a g^ij free of
+    momenta gives, identically,
+
+        dU^{(i)}_{(a)} / dp_k^c = 2 E[i][a][k][c]
+        dF / dp_k^c = -2 E[i][a][k][c] p_i^a   (sum over i, a)
+
+    and each test reads these values.  Per momentum, every potential entry
+    and then the free term must be within ``tol`` of 0 at every point; the
+    first that is not names the reason.  The caller reaches this only
+    after its candidate passed the momentum test on the same box, so a
+    g^ij that names a momentum in syntax has momentum derivatives within
+    ``tol`` there.  The terms they would add, -2 h_ab (dg^{ij}/dp_k^c)
+    p_j^b to dU and their p-weighted sum to dF, are left out: they vanish
+    where the derivatives vanish in value, and stay of order ``tol`` |p|
+    where they are merely small.
     """
     m, n = h.dim, len(cand)
     chart = JetChart(m, n)
+    E = deviation.reshape(len(deviation), n * m, n * m)  # rows (i, a), columns (k, c)
+    d_potential = 2.0 * E
+    d_free = -2.0 * np.einsum("pik,pi->pk", E, momenta)
+    for k, name in enumerate(chart.p_names):
+        # every potential entry and then the free term
+        for what, values in [*(("potential", d_potential[:, i, k]) for i in range(n * m)),
+                             ("free", d_free[:, k])]:
+            if not all(_close(v, 0.0, tol) for v in values.tolist()):
+                return None, None, f"extracted {what} term depends on momentum {name}"
+
     u_comps = np.empty((n, m), dtype=object)
     for i, a in np.ndindex(n, m):
         quad = [mul(Const(2.0), h.components[a][b], cand[i][j], chart.p_var(j, b))
@@ -224,14 +267,6 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
     quad_terms = _quadratic(h.components, cand, P)
     free = add(H, mul(Const(-1.0), add(*quad_terms)),
                mul(Const(-1.0), add(*_linear(u_comps, P))))
-
-    # per momentum, every potential entry and then the free term
-    pieces = (*u_comps.flat, free)
-    bad = first_nonzero((differentiate(e, nm) for nm in chart.p_names for e in pieces), tol)
-    if bad is not None:
-        k, piece = divmod(bad, len(pieces))
-        what = "free" if piece == len(pieces) - 1 else "potential"
-        return None, None, f"extracted {what} term depends on momentum {chart.p_names[k]}"
 
     # momentum independence is established, so setting p = 0 is harmless and
     # strips the syntactic momentum terms that cancel only in value

@@ -1404,19 +1404,25 @@ def is_zero(e: Expr, dom: SampleDomain | None = None, tol: float = 1e-9) -> bool
     return equiv(as_expr(e), ZERO, dom, tol)
 
 
-def first_nonzero(exprs, tol: float = 1e-9) -> int | None:
-    """The index of the first expression that ``is_zero(e, tol=tol)``
-    rejects, or None when it accepts them all.
+def first_nonzero(exprs, tol: float = 1e-9, dom: SampleDomain | None = None) -> int | None:
+    """The index of the first expression that ``is_zero`` rejects at
+    tolerance ``tol``, or None when it accepts them all.
 
-    ``is_zero`` samples ``SampleDomain.default`` over an expression's own
-    sorted variable names, so entries with the same recorded variable set
-    see the same points: each such group is compiled into one program and
-    run once, and every entry gets exactly the values its own ``is_zero``
-    would.  The answer and any error are those of a loop that builds and
-    tests one entry at a time.  ``exprs`` may be a generator: an error
-    raised while producing an entry is raised only when no earlier entry
-    is nonzero.  When a group's run raises, the entries are tested one by
-    one with ``is_zero``, in order, so the first failing one raises.
+    Given a box ``dom``, every entry is tested on its points, with default
+    intervals for any name of the entries that it lacks (``dom.extended``
+    by the sorted names of all of them): the entries share one set of
+    points, so they are compiled into one program and run once.  Without a
+    box, ``is_zero`` samples ``SampleDomain.default`` over an expression's
+    own sorted variable names, so entries with the same recorded variable
+    set see the same points: each such group is compiled into one program
+    and run once.  Either way every entry gets exactly the values that
+    ``is_zero`` gives it on the box it is tested on, and the answer and
+    any error are those of a loop that builds and tests one entry at a
+    time.
+    ``exprs`` may be a generator: an error raised while producing an entry
+    is raised only when no earlier entry is nonzero.  When a run raises,
+    the entries are tested one by one with ``is_zero``, in order, so the
+    first failing one raises.
     """
     done, pending = [], None
     try:
@@ -1424,20 +1430,24 @@ def first_nonzero(exprs, tol: float = 1e-9) -> int | None:
             done.append(as_expr(e))
     except PolyjetError as exc:
         pending = exc
-    groups: dict[frozenset, list[int]] = {}
-    for index, e in enumerate(done):
-        if e is not ZERO:
-            groups.setdefault(e._vars, []).append(index)
+    members = [index for index, e in enumerate(done) if e is not ZERO]
+    if dom is None:
+        groups: dict[frozenset, list[int]] = {}
+        for index in members:
+            groups.setdefault(done[index]._vars, []).append(index)
+        runs = [(SampleDomain.default(sorted(names)), group) for names, group in groups.items()]
+    else:
+        dom = dom.extended(sorted(set().union(*(done[index]._vars for index in members))))
+        runs = [(dom, members)] if members else []
     nonzero = []
     try:
-        for names, members in groups.items():
-            values = compile_block([done[k] for k in members]).run(
-                SampleDomain.default(sorted(names)).points())
-            nonzero.extend(k for k, column in zip(members, values.T.tolist())
+        for box, group in runs:
+            values = compile_block([done[k] for k in group]).run(box.points())
+            nonzero.extend(k for k, column in zip(group, values.T.tolist())
                            if not all(_close(v, 0.0, tol) for v in column))
     except PolyjetError as exc:
         for index, e in enumerate(done):
-            if not is_zero(e, tol=tol):
+            if not is_zero(e, dom, tol):
                 return index
         raise pending or exc
     if nonzero:

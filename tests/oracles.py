@@ -28,8 +28,11 @@ paper: the gravitational and both electrodynamic hamiltonians, the
 direct spatial block of the canonical connection, the deviation block T,
 and a d-tensor pulled back with Jacobian factors differentiated afresh.
 The library, which builds each from shared pieces, must return their very
-nodes.  ``map_components`` rebuilds a d-tensor field entry by entry, so a
-test can corrupt one component.
+nodes.  ``piece_momentum_derivatives`` writes out the extracted potential
+and free term and differentiates both by every momentum, as the
+extraction's momentum tests once did; the deviation identities that the
+library reads instead must match it in value.  ``map_components`` rebuilds
+a d-tensor field entry by entry, so a test can corrupt one component.
 
 The law layer works on whole batches of sample points.  ``sweep_loop``
 is the per-point loop that ``report.sweep`` must match field for field,
@@ -415,6 +418,30 @@ def general_electrodynamic_hamiltonian(h, g, U, F):
             for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
     linear = [mul(U[i][a], chart.p_var(i, a)) for i in range(n) for a in range(m)]
     return add(add(*quad), add(*linear), F)
+
+
+def piece_momentum_derivatives(H, h, cand) -> list:
+    """The extraction's momentum tests as they read when they differentiate:
+    U^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b and
+    F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a, written out here
+    with g^{ij} = ``cand``, then differentiated symbolically.  One
+    (momentum name, derivatives) pair per momentum, in ``p_names`` order;
+    the derivatives are those of every U entry, in (i, a) order, and then
+    of F.  ``hamilton._potential_and_free_term`` reads them from the
+    deviation block instead, and must give them in value."""
+    m, n = h.dim, len(cand)
+    chart = JetChart(m, n)
+    P = chart.p_vars()
+    U = [[add(differentiate(H, p_name(i, a)),
+              mul(Const(-2.0), add(*[mul(h.components[a][b], cand[i][j], P[j][b])
+                                      for b in range(m) for j in range(n)])))
+          for a in range(m)] for i in range(n)]
+    quad = [mul(h.components[a][b], cand[i][j], P[i][a], P[j][b])
+            for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
+    F = add(H, neg(add(*quad)), neg(add(*[mul(U[i][a], P[i][a])
+                                          for i in range(n) for a in range(m)])))
+    pieces = [e for row in U for e in row] + [F]
+    return [(name, [differentiate(e, name) for e in pieces]) for name in chart.p_names]
 
 
 def n1_from_semispray_direct(G1, phi):

@@ -20,10 +20,10 @@ from polyjet.cli import (
     main,
 )
 from polyjet.errors import NotRegular, PolyjetError
-from polyjet.hamilton import RegularityResult
+from polyjet.hamilton import HamiltonSpace, RegularityResult
 from polyjet.linalg import SYM_INVERSE_MAX_DIM
 from polyjet.metrics import Metric
-from polyjet.symbolic import MAX_NESTING
+from polyjet.symbolic import MAX_NESTING, SampleDomain
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -136,13 +136,14 @@ def test_regularity_extraction_round_trip(tmp_path):
     assert rep["objects"]["free_term"] == "0"
 
 
-def cubic_manifest(tmp_path) -> str:
-    """flat.json plus a harmonic cubic 1e-7 (p1_1^3 - 3 p1_1 p1_2^2), sampled
-    with |p1_1|, |p1_2| <= 0.001: G factors within tolerance there, but the
-    extracted potential term depends on p1_1 on the default box."""
+def cubic_manifest(tmp_path, c: str = "3e-7") -> str:
+    """flat.json plus a harmonic cubic c (p1_1^3 - 3 p1_1 p1_2^2), sampled
+    with |p1_1|, |p1_2| <= 0.001.  At c = 3e-7 the deviation E = G - h g
+    peaks at 8.06e-10 there: G factors within tolerance, but the extracted
+    potential term's momentum derivative, 2E, does not stay within it."""
     data = json.loads((MANIFESTS / "flat.json").read_text())
     return rewrite(tmp_path, "flat.json",
-                   hamiltonian=data["hamiltonian"] + " + 1e-7*(p1_1^3 - 3*p1_1*p1_2^2)",
+                   hamiltonian=data["hamiltonian"] + f" + {c}*(p1_1^3 - 3*p1_1*p1_2^2)",
                    sample_domain={**data["sample_domain"], "intervals": {
                        "p1_1": [-0.001, 0.001], "p1_2": [-0.001, 0.001]}})
 
@@ -156,6 +157,38 @@ def test_a_hamiltonian_whose_extraction_fails_is_not_regular(tmp_path, capsys, c
     [check] = [c for c in rep["checks"] if c["kind"] == "regularity"]
     assert not check["passed"] and check["max_residual"] <= check["tolerance"]
     assert check["notes"]["reason"] == "extracted potential term depends on momentum p1_1"
+    assert f"({check['notes']['reason']})" in out
+
+
+@pytest.mark.parametrize("name, cubic, reason", [
+    ("flat.json", None, ""),
+    ("curved.json", None, ""),
+    ("nonregular.json", None, "candidate spatial block is singular on the sample domain"),
+    ("flat.json", "1e-7", ""),
+    ("flat.json", "3e-7", "extracted potential term depends on momentum p1_1"),
+], ids=["flat", "curved", "nonregular", "flat-cubic-1e-7", "flat-cubic-3e-7"])
+def test_the_regularity_test_samples_only_the_commands_box(tmp_path, monkeypatch,
+                                                           name, cubic, reason):
+    path = cubic_manifest(tmp_path, cubic) if cubic else str(MANIFESTS / name)
+
+    def outcome(manifest, dom):
+        try:
+            space = HamiltonSpace(manifest.temporal_metric, manifest.n, manifest.hamiltonian,
+                                  tol=manifest.tolerances["regularity"], dom=dom)
+        except NotRegular as exc:
+            return exc.result.to_dict()
+        return space.regularity.to_dict()
+
+    loads = [load_manifest(path) for _ in range(2)]
+    boxes = [manifest.domain(manifest.sample_seed) for manifest in loads]
+    before = outcome(loads[0], boxes[0])
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("the default box was sampled")
+
+    monkeypatch.setattr(SampleDomain, "default", classmethod(refuse))
+    assert outcome(loads[1], boxes[1]) == before
+    assert before["reason"] == reason
 
 
 def test_regularity_rejects_quartic(tmp_path):

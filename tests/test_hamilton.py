@@ -13,7 +13,7 @@ from geomgen import (
     random_spatiotemporal_metric,
     random_temporal_metric,
 )
-from oracles import canonical_n2_direct
+from oracles import canonical_n2_direct, piece_momentum_derivatives
 from polyjet.charts import JetChart, TransitionMap, pullback_scalar
 from polyjet.connections import (
     canonical_metric_connection,
@@ -44,11 +44,12 @@ from polyjet.symbolic import (
     add,
     as_expr,
     equiv,
+    first_nonzero,
     is_zero,
     mul,
+    neg,
     parse,
     power,
-    variables,
 )
 
 
@@ -142,18 +143,24 @@ def test_general_electrodynamic_roundtrip():
         assert equiv(space.F, F, tol=1e-10)
 
 
-def test_extraction_compiles_one_program_per_variable_set(monkeypatch):
+def test_extraction_compiles_only_the_reassembly_program(monkeypatch):
     rng = np.random.default_rng(23)
     h, g = random_temporal_metric(2, rng), random_spatiotemporal_metric(2, 2, rng)
     space = general_electrodynamic_space(h, g, random_potential(2, 2, rng),
                                          random_base_scalar(2, 2, rng))
-    compiled, extracting = [], []
-    real_compile, real_extract = symbolic.compile_block, hamilton._potential_and_free_term
+    compiled, derived, extracting = [], [], []
+    real_compile, real_derive = symbolic.compile_block, hamilton.differentiate
+    real_extract = hamilton._potential_and_free_term
 
     def counting(exprs):
         if extracting:
             compiled.append(list(np.asarray(exprs, dtype=object).flat))
         return real_compile(exprs)
+
+    def deriving(e, name):
+        if extracting:
+            derived.append(name)
+        return real_derive(e, name)
 
     def extract(*args):
         extracting.append(True)
@@ -163,62 +170,177 @@ def test_extraction_compiles_one_program_per_variable_set(monkeypatch):
             extracting.clear()
 
     monkeypatch.setattr(symbolic, "compile_block", counting)
+    monkeypatch.setattr(hamilton, "differentiate", deriving)
     monkeypatch.setattr(hamilton, "_potential_and_free_term", extract)
     HamiltonSpace(h, 2, space.hamiltonian)
-    *checks, reassembly = compiled
+    [reassembly] = compiled
     assert len(reassembly) == 2  # the one equiv of the rebuilt hamiltonian
-    sets = [variables(block[0]) for block in checks]
-    assert all(variables(e) is names for block, names in zip(checks, sets) for e in block)
-    assert len(set(sets)) == len(sets) < sum(map(len, checks))
+    # dH/dp for U, and no piece differentiated by a momentum
+    assert derived == list(CHART.p_names)
 
 
-# A harmonic cubic in (p1_1, p1_2) with c = 1e-7: h^ab G[i][a][j][b] cancels
-# it, so the candidate g^ij does not see it, and on |p| <= 0.001 its part of
-# G stays below the default tolerance.  Momentum independence is tested on
-# the default box |p| <= 2, where dU/dp reaches 12c and dF/dp 24c.
-CUBIC = " + 1e-7*(p1_1^3 - 3*p1_1*p1_2^2)"
+# A harmonic cubic c (p1_1^3 - 3 p1_1 p1_2^2): h^ab G[i][a][j][b] cancels it,
+# so the candidate g^ij does not see it, and its part of G is the deviation
+# E = G - h g, of size 3c |p|.  The momentum tests read dU/dp = 2E and
+# dF/dp = -2 E p on the box that decides.
+SMALL_CUBIC_BOX = {"p1_1": (-1e-3, 1e-3), "p1_2": (-1e-3, 1e-3)}
 
 
-def _squares_and_cubic(n: int):
+def _box(chart: JetChart, intervals: dict) -> SampleDomain:
+    """The chart's default box with the given intervals replaced."""
+    return SampleDomain(tuple((nm, *intervals.get(nm, (lo, hi)))
+                              for nm, lo, hi in chart.sample_domain().intervals))
+
+
+def _squares_and_cubic(n: int, c: float, intervals: dict):
     chart = JetChart(2, n)
-    H = parse(" + ".join(f"{nm}^2" for nm in chart.p_names) + CUBIC, chart.names)
-    small = SampleDomain(tuple((nm, *((-1e-3, 1e-3) if nm in ("p1_1", "p1_2") else (lo, hi)))
-                               for nm, lo, hi in chart.sample_domain().intervals))
-    return H, small
+    H = parse(" + ".join(f"{nm}^2" for nm in chart.p_names)
+              + f" + {c!r}*(p1_1^3 - 3*p1_1*p1_2^2)", chart.names)
+    return H, _box(chart, intervals)
 
 
 def test_extraction_names_the_momentum_a_wrong_candidate_leaves_behind():
     flat = flat_h()
-    H, small = _squares_and_cubic(2)
+    # c = 3e-7 keeps E within tolerance on |p1_1|, |p1_2| <= 0.001, but not 2E
+    H, small = _squares_and_cubic(2, 3e-7, SMALL_CUBIC_BOX)
     with pytest.raises(NotRegular) as err:
         HamiltonSpace(flat, 2, H, dom=small)
     assert str(err.value) == "extracted potential term depends on momentum p1_1"
     result = err.value.result
     assert not result.regular and result.reason == str(err.value)
     assert result.potential is None and result.free_term is None
-    assert result.max_residual <= 1e-9 and not result.p_dependent
-    # a tolerance of 18c lets U through on the default box, but not F
+    assert 0.5e-9 < result.max_residual <= 1e-9 and not result.p_dependent
+    # c = 1e-7 keeps 2E within tolerance as well, and the same box decides
+    H, small = _squares_and_cubic(2, 1e-7, SMALL_CUBIC_BOX)
+    assert HamiltonSpace(flat, 2, H, dom=small).regularity.regular
+    # on |p| <= 10, c = 1e-11 keeps 2E within tolerance, but not -2 E p
+    H, wide = _squares_and_cubic(2, 1e-11, {nm: (-10.0, 10.0) for nm in CHART.p_names})
+    with pytest.raises(NotRegular) as err:
+        HamiltonSpace(flat, 2, H, dom=wide)
+    assert str(err.value) == "extracted free term depends on momentum p1_1"
+    # on the default box |p| <= 2, a tolerance of 18c lets U through, but not F
+    H, _ = _squares_and_cubic(2, 1e-7, {})
     with pytest.raises(NotRegular) as err:
         HamiltonSpace(flat, 2, H, tol=1.8e-6)
     assert str(err.value) == "extracted free term depends on momentum p1_1"
     # past the exact inverse's dimension limit the test still fails first:
     # g is lowered only after the test has extracted U and F
     n = SYM_INVERSE_MAX_DIM + 1
-    H, small = _squares_and_cubic(n)
+    H, small = _squares_and_cubic(n, 3e-7, SMALL_CUBIC_BOX)
     with pytest.raises(NotRegular) as err:
         HamiltonSpace(flat, n, H, dom=small)
     assert str(err.value) == "extracted potential term depends on momentum p1_1"
 
 
+# |H| < 1 on p1_1 in [28, 30].  The harmonic cubic c x1 f(p) gives 2E of size
+# 6c|p| and -2 E p = -2c x1 df/dp of size 6c p^2, both within tolerance, yet
+# setting p = 0 in the pieces drops c x1 f itself, of size c p^3, and the
+# rebuilt hamiltonian misses it by more than tolerance.
+REASSEMBLY_CASE = ("0.001*(p1_1^2 + p1_2^2) + 1e-13*x1*(p1_1^3 - 3*p1_1*p1_2^2)",
+                   {"p1_1": (28.0, 30.0), "p1_2": (-1.0, 1.0)})
+
+
 def test_extraction_refuses_pieces_that_do_not_reassemble_the_hamiltonian():
-    # the cubic term is small enough that the extracted pieces pass their
-    # momentum-derivative checks at tol, yet setting p = 0 in them drops it,
-    # and the rebuilt hamiltonian misses it by more than tol
-    H = parse("0.01*(p1_1^2 + p1_2^2) + 2e-10*x1*p1_1^3", JetChart(2, 1).names)
+    chart = JetChart(2, 1)
+    text, intervals = REASSEMBLY_CASE
     with pytest.raises(NotRegular) as err:
-        HamiltonSpace(flat_h(), 1, H, tol=1e-9)
+        HamiltonSpace(flat_h(), 1, parse(text, chart.names), tol=1e-9,
+                      dom=_box(chart, intervals))
     assert str(err.value) == "extracted pieces do not reassemble the hamiltonian"
     assert err.value.result.reason == str(err.value)
+
+
+def _deviated(H, h: Metric):
+    """H plus x1 (h^22 p1_1^2 - h^11 p1_2^2), a momentum quadratic that
+    h^ab traces to zero, so the candidate g^ij keeps its value and
+    E = G - h g does not vanish."""
+    hu, p11, p12 = h.inverse_components, Var("p1_1"), Var("p1_2")
+    return add(H, mul(Var("x1"), add(mul(hu[1][1], p11, p11), neg(mul(hu[0][0], p12, p12)))))
+
+
+def _electrodynamic_curved():
+    """curved.json's hamiltonian plus a potential and a free term."""
+    return parse("exp(-2*x1)*(p1_1^2 + (t1^2 + 1)*p1_2^2) + p2_1^2 + (t1^2 + 1)*p2_2^2"
+                 " + x2*p1_1 - 0.5*sin(x1)*t2*p2_2 + 0.3*x1^2*t1", CHART.names)
+
+
+def _identity_cases():
+    rng = np.random.default_rng(5)
+    h3, g3 = random_temporal_metric(2, rng), random_spatiotemporal_metric(2, 3, rng)
+    geomgen_23 = general_electrodynamic_space(h3, g3, random_potential(2, 3, rng),
+                                              random_base_scalar(2, 3, rng))
+    for name, h, n, H in [("curved", curved_h(), 2, gravitational_space(
+                              curved_h(), curved_phi()).hamiltonian),
+                          ("geomgen-2x3", h3, 3, geomgen_23.hamiltonian),
+                          ("electrodynamic", curved_h(), 2, _electrodynamic_curved())]:
+        yield pytest.param(h, n, H, id=name)
+        yield pytest.param(h, n, _deviated(H, h), id=f"{name}-deviated")
+    # E of size 3c |p|, which depends on the momenta
+    yield pytest.param(flat_h(), 2, _squares_and_cubic(2, 0.5, {})[0], id="flat-cubic")
+
+
+@pytest.mark.parametrize("h, n, H", _identity_cases())
+def test_momentum_derivatives_of_the_pieces_are_read_from_the_deviation(h, n, H):
+    # the identities hold for any H whose candidate is free of momenta; the
+    # deviated and cubic cases give E, and so both sides, a nonzero value
+    m = h.dim
+    chart = JetChart(m, n)
+    vertical = fundamental_vertical_dtensor(H, m, n)
+    cand = hamilton._candidate_block(vertical, h)
+    E = [[add(vertical.components[i, a, k, c], neg(mul(h.components[a][c], cand[i][k])))
+          for k in range(n) for c in range(m)] for i in range(n) for a in range(m)]
+    P = [var for row in chart.p_vars() for var in row]
+    for kc, (name, (*d_potential, d_free)) in enumerate(
+            piece_momentum_derivatives(H, h, cand)):
+        assert name == P[kc].name
+        for ia, d in enumerate(d_potential):
+            assert equiv(d, mul(Const(2.0), E[ia][kc])), (name, ia)
+        assert equiv(d_free, mul(Const(-2.0), add(*[mul(E[ia][kc], P[ia])
+                                                    for ia in range(n * m)]))), name
+
+
+def _agreement_cases():
+    flat, wide = flat_h(), {nm: (-10.0, 10.0) for nm in CHART.p_names}
+    for name, c, intervals, tol in [("potential", 3e-7, SMALL_CUBIC_BOX, 1e-9),
+                                    ("regular", 1e-7, SMALL_CUBIC_BOX, 1e-9),
+                                    ("free-wide-box", 1e-11, wide, 1e-9),
+                                    ("free-wide-tolerance", 1e-7, {}, 1.8e-6)]:
+        yield pytest.param(flat, 2, *_squares_and_cubic(2, c, intervals), tol, id=name)
+    text, intervals = REASSEMBLY_CASE
+    chart = JetChart(2, 1)
+    yield pytest.param(flat, 1, parse(text, chart.names), _box(chart, intervals), 1e-9,
+                       id="reassembly")
+    yield pytest.param(curved_h(), 2, _electrodynamic_curved(), CHART.sample_domain(), 1e-9,
+                       id="electrodynamic")
+
+
+@pytest.mark.parametrize("h, n, H, box, tol", _agreement_cases())
+def test_the_momentum_tests_give_the_reason_the_derivatives_give(h, n, H, box, tol):
+    """On one box, the extraction's reason is the one that testing every
+    piece's momentum derivative in turn would give."""
+    result = check_kronecker_regularity(H, h, n, dom=box, tol=tol)
+    assert result.max_residual <= tol and not result.p_dependent
+    derivatives = piece_momentum_derivatives(H, h, result.candidate)
+    pieces = len(derivatives[0][1])
+    first = first_nonzero((d for _, row in derivatives for d in row), tol, box)
+    if first is None:
+        assert result.reason in ("", "extracted pieces do not reassemble the hamiltonian")
+    else:
+        k, piece = divmod(first, pieces)
+        what = "free" if piece == pieces - 1 else "potential"
+        assert result.reason == f"extracted {what} term depends on momentum {derivatives[k][0]}"
+
+
+def test_a_box_without_some_names_gives_them_default_intervals():
+    # G of this hamiltonian reads no momentum, yet the free-term test reads
+    # the momenta's values: the test takes them from the extended box
+    H, h = _electrodynamic_curved(), curved_h()
+    partial = SampleDomain(tuple(iv for iv in CHART.sample_domain().intervals
+                                 if iv[0] not in CHART.p_names))
+    got = check_kronecker_regularity(H, h, 2, dom=partial)
+    want = check_kronecker_regularity(H, h, 2, dom=partial.extended(CHART.names))
+    assert got.regular and got.to_dict() == want.to_dict()
+    assert got.free_term is want.free_term and not is_zero(got.free_term)
 
 
 def test_quartic_hamiltonian_rejected():

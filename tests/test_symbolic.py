@@ -1111,6 +1111,32 @@ def test_first_nonzero_fails_like_the_entry_by_entry_loop():
         first_nonzero(zero_then_error())
 
 
+def test_first_nonzero_on_a_box_runs_one_program_on_its_points(monkeypatch):
+    box = SampleDomain((("x1", 0.5, 0.9), ("p1_1", -1e-3, 1e-3)), count=7, seed=3)
+    # 1e-4*p1_1 is within 1e-6 on the box, but not on the default |p| <= 2;
+    # t1, which the box lacks, gets its default interval
+    entries = [ZERO, X1 - X1, mul(Const(1e-4), P11), mul(Const(1e-9), T1), ln(X1), T1]
+    want = [k for k, e in enumerate(entries) if not is_zero(e, box, 1e-6)]
+    assert want == [4, 5]
+    assert first_nonzero(entries, 1e-6) == 2
+    programs = []
+    real_compile = symbolic.compile_block
+
+    def counting(exprs):
+        programs.append(exprs)
+        return real_compile(exprs)
+
+    monkeypatch.setattr(symbolic, "compile_block", counting)
+    assert first_nonzero(entries, 1e-6, box) == 4
+    assert len(programs) == 1 and len(programs[0]) == 5  # every entry but ZERO
+    assert first_nonzero(entries[:4], 1e-6, box) is None
+    assert first_nonzero([ZERO], 1e-6, box) is None
+    # a run that raises tests the entries one by one on the box
+    with pytest.raises(DomainError, match="ln of non-positive value"):
+        first_nonzero([X1 - X1, ln(X1 - 5), T1], 1e-6, box)
+    assert first_nonzero([T1, ln(X1 - 5)], 1e-6, box) == 0
+
+
 def test_sample_domain_is_deterministic():
     d1 = SampleDomain.default(["t1", "x1", "p1_1"], count=5, seed=42)
     d2 = SampleDomain.default(["t1", "x1", "p1_1"], count=5, seed=42)
