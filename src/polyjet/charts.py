@@ -53,8 +53,8 @@ from .symbolic import (
     add,
     compile_block,
     cut,
+    deviation,
     differentiate,
-    equiv,
     expr_array,
     mul,
     substitute,
@@ -371,19 +371,25 @@ class TransitionMap:
     def validate(self, dom: SampleDomain | None = None, tol: float = 1e-9):
         """Check round trips of the explicit inverses and Jacobian
         invertibility over a sample domain.  Raises ConfigError /
-        SingularJacobian on failure."""
+        SingularJacobian on failure.  Every round trip is compared with the
+        identity in one ``symbolic.deviation``; the first failed one is
+        named, left before right, t before x."""
         chart = self.chart
         if dom is None:
             dom = chart.sample_domain()
         if self.has_inverse:
-            for family, names, forward, inverse in (
-                    ("temporal", chart.t_names, self.t_forward, self.t_inverse),
-                    ("spatial", chart.x_names, self.x_forward, self.x_inverse)):
-                for k, name in enumerate(names):
-                    for side, outer, inner in (("left", inverse, forward),
-                                               ("right", forward, inverse)):
-                        if not equiv(_through(outer[k], names, inner), Var(name), dom, tol):
-                            raise ConfigError(f"{family} inverse is not a {side} inverse in {name}")
+            trips = [(f"{family} inverse is not a {side} inverse in {name}",
+                      _through(outer[k], names, inner), Var(name))
+                     for family, names, forward, inverse in (
+                         ("temporal", chart.t_names, self.t_forward, self.t_inverse),
+                         ("spatial", chart.x_names, self.x_forward, self.x_inverse))
+                     for k, name in enumerate(names)
+                     for side, outer, inner in (("left", inverse, forward),
+                                                ("right", forward, inverse))]
+            messages, images, identities = zip(*trips)
+            failed = np.flatnonzero(~(deviation(images, identities, dom)[1] <= tol).all(axis=0))
+            if failed.size:
+                raise ConfigError(messages[failed[0]])
         self.sample_frames(dom)
 
 

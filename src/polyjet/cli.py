@@ -15,8 +15,9 @@ Four commands share one JSON manifest format:
   adapted coframe.
 
 ``main`` runs every command as ``_load`` (manifest, seed, validated
-metrics, sample domain), then ``cmd_*(args, manifest, dom)``, which returns
-``(checks, objects)``, then ``_finish`` (printout, report, exit code).
+metrics, sample domain), then ``cmd_*(args, manifest, dom, symmetry)``,
+which returns ``(checks, objects)``, then ``_finish`` (printout, report,
+exit code).
 Layer functions are looked up in this module's namespace at call time, so
 a wrapper put in place of one of those names sees every call.
 
@@ -328,14 +329,16 @@ def _load(args):
     ``_pick_seed``.
 
     Symmetry and invertibility of the manifest's metrics are checked here,
-    once, on that domain, before any command relies on them.
+    once, on that domain, before any command relies on them; ``symmetry``
+    maps ``temporal`` and ``spatial`` to the report of each such check.
     """
     manifest = load_manifest(args.manifest)
     dom = manifest.domain(_pick_seed(args, manifest))
-    for metric in (manifest.temporal_metric, manifest.spatial_metric):
-        if metric is not None:
-            metric.validate(dom, tol=manifest.tolerances["equiv"])
-    return manifest, dom
+    symmetry = {label: metric.validate(dom, tol=manifest.tolerances["equiv"])
+                for label, metric in (("temporal", manifest.temporal_metric),
+                                      ("spatial", manifest.spatial_metric))
+                if metric is not None}
+    return manifest, dom, symmetry
 
 
 def _pick_seed(args, manifest: Manifest) -> int:
@@ -370,13 +373,9 @@ def _check_dict(rep: VerificationReport, kind: str, **extra) -> dict:
     return {**rep.to_dict(), "kind": kind, **extra}
 
 
-def _trivial_check(name: str, kind: str, tolerance: float, samples: int) -> dict:
-    return _check_dict(VerificationReport(name, True, tolerance, 0.0, None, samples), kind)
-
-
-def _regularity_check(result, tol: float) -> dict:
-    rep = VerificationReport("kronecker-regularity", result.regular, tol,
-                             result.max_residual, None, result.samples)
+def _regularity_check(name: str, result, tol: float) -> dict:
+    rep = VerificationReport(name, result.regular, tol, result.max_residual, None,
+                             result.samples)
     return _check_dict(rep, "regularity", notes={"reason": result.reason,
                                                  "p_dependent": bool(result.p_dependent)})
 
@@ -449,18 +448,27 @@ def _cli_tol(args, manifest: Manifest) -> float:
 
 def _hamilton_space(manifest: Manifest, command: str, dom: SampleDomain, checks: list,
                     tol: float):
-    """Build the manifest's Hamilton space, which runs the Kronecker
-    regularity test, and record that check.  Returns the test's result and
-    the space, which is None when the hamiltonian is not regular."""
+    """The manifest's Hamilton space and its regularity result, recorded
+    as the check ``kronecker-regularity`` (``_space_check``)."""
     _require(command, temporal_metric=manifest.temporal_metric)
+    return _space_check("kronecker-regularity", manifest, manifest.temporal_metric,
+                        manifest.hamiltonian, dom, checks, tol)
+
+
+def _space_check(name: str, manifest: Manifest, h: Metric, H, dom: SampleDomain,
+                 checks: list, tol: float):
+    """Build the Hamilton space of ``h`` and ``H`` in the manifest's
+    dimensions, which runs the Kronecker regularity test, and record that
+    check as ``name``.  Returns the test's result and the space, which is
+    None when the hamiltonian is not regular."""
     try:
-        space = HamiltonSpace(manifest.temporal_metric, manifest.n, manifest.hamiltonian,
-                              constants=manifest.constants, tol=tol, dom=dom)
+        space = HamiltonSpace(h, manifest.n, H, constants=manifest.constants, tol=tol,
+                              dom=dom)
     except NotRegular as exc:
         result, space = exc.result, None
     else:
         result = space.regularity
-    checks.append(_regularity_check(result, tol))
+    checks.append(_regularity_check(name, result, tol))
     return result, space
 
 
@@ -471,7 +479,7 @@ def _symbol_entry(metric: Metric, point: dict) -> dict:
             "at_point": _array_values(field.at(point))}
 
 
-def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain):
+def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain, symmetry: dict):
     if manifest.temporal_metric is None and manifest.spatial_metric is None:
         raise ConfigError("christoffel needs temporal_metric or spatial_metric")
     point = _eval_point(manifest, dom)
@@ -482,8 +490,7 @@ def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain):
         if metric is None:
             continue
         objects[label] = _symbol_entry(metric, point)
-        checks.append(_trivial_check(f"metric:{label}", "metric",
-                                     manifest.tolerances["equiv"], dom.count))
+        checks.append(_check_dict(symmetry[label], "metric"))
     if manifest.hamiltonian is not None:
         _, space = _hamilton_space(manifest, "christoffel", dom, checks,
                                    manifest.tolerances["regularity"])
@@ -492,7 +499,7 @@ def cmd_christoffel(args, manifest: Manifest, dom: SampleDomain):
     return checks, objects
 
 
-def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
+def cmd_regularity(args, manifest: Manifest, dom: SampleDomain, symmetry: dict):
     _require("regularity", temporal_metric=manifest.temporal_metric,
              hamiltonian=manifest.hamiltonian)
     tol = _cli_tol(args, manifest)
@@ -500,7 +507,7 @@ def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
     if manifest.m == 1:  # no space, so no inverse of g^ij and its dimension limit
         result = check_kronecker_regularity(manifest.hamiltonian, manifest.temporal_metric,
                                             manifest.n, dom=dom, tol=tol)
-        checks.append(_regularity_check(result, tol))
+        checks.append(_regularity_check("kronecker-regularity", result, tol))
     else:
         result, space = _hamilton_space(manifest, "regularity", dom, checks, tol)
     objects = {"regularity": _finite_residual(result.to_dict()),
@@ -511,12 +518,11 @@ def cmd_regularity(args, manifest: Manifest, dom: SampleDomain):
         objects["g_lower"] = _texts(space.g.components)
         objects["potential"] = _texts(space.U.components)
         objects["free_term"] = to_string(space.F)
-        checks.append(_trivial_check("reconstruction-round-trip", "regularity",
-                                     tol, dom.count))
+        checks.append(_check_dict(result.round_trip, "regularity"))
     return checks, objects
 
 
-def cmd_connection(args, manifest: Manifest, dom: SampleDomain):
+def cmd_connection(args, manifest: Manifest, dom: SampleDomain, symmetry: dict):
     checks = []
     objects = {}
     if manifest.hamiltonian is not None:
@@ -549,7 +555,7 @@ def _inject_fault(N: NonlinearConnection, fault: dict) -> NonlinearConnection:
     return NonlinearConnection(N.m, N.n, n1, n2)
 
 
-def cmd_verify(args, manifest: Manifest, dom: SampleDomain):
+def cmd_verify(args, manifest: Manifest, dom: SampleDomain, symmetry: dict):
     _require("verify", temporal_metric=manifest.temporal_metric,
              spatial_metric=manifest.spatial_metric,
              transition=manifest.transition)
@@ -576,9 +582,15 @@ def cmd_verify(args, manifest: Manifest, dom: SampleDomain):
 
     space = None
     if manifest.hamiltonian is not None:
-        _, space = _hamilton_space(manifest, "verify", dom, checks,
-                                   manifest.tolerances["regularity"])
+        tol = manifest.tolerances["regularity"]
+        _, space = _hamilton_space(manifest, "verify", dom, checks, tol)
         if space is None:
+            return checks, objects
+        # the same hamiltonian in chart B, sampled at the next seed
+        _, space_b = _space_check("kronecker-regularity:chart-B", manifest, h_b,
+                                  pullback_scalar(manifest.hamiltonian, tm),
+                                  dom.with_options(seed=dom.seed + 1), checks, tol)
+        if space_b is None:
             return checks, objects
 
     built_a = builtin_dtensors(h, manifest.n)
@@ -593,10 +605,6 @@ def cmd_verify(args, manifest: Manifest, dom: SampleDomain):
         checks.append(_check_dict(rep, "semispray"))
 
     if space is not None:
-        space_b = HamiltonSpace(h_b, manifest.n,
-                                pullback_scalar(manifest.hamiltonian, tm),
-                                tol=manifest.tolerances["regularity"],
-                                dom=dom.with_options(seed=dom.seed + 1))
         N_a = canonical_nonlinear_connection(space)
         N_b = canonical_nonlinear_connection(space_b)
         objects["connection_source"] = "hamiltonian"
@@ -659,8 +667,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         started = time.perf_counter()
-        manifest, dom = _load(args)
-        checks, objects = _COMMANDS[args.command](args, manifest, dom)
+        manifest, dom, symmetry = _load(args)
+        checks, objects = _COMMANDS[args.command](args, manifest, dom, symmetry)
         return _finish(args, manifest, dom, checks, objects, started)
     except (ConfigError, ExprSyntaxError, UnknownIdentifier) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

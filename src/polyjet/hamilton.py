@@ -30,8 +30,8 @@ deliberate and checked by the tests.
 
 Each metric fact has one home: g^{ij} is the regularity result's
 ``candidate``, the lowered g_ij is the ``Metric`` g (momentum-dependent
-when an entry names a momentum), and the symbols of h and g are
-``metrics.christoffel``, kept on each metric.
+only when m = 1 and an entry names a momentum), and the symbols of h and
+g are ``metrics.christoffel``, kept on each metric.
 
 ``_quadratic`` and ``_linear`` build the normal form's terms for every
 hamiltonian builder and for ``_potential_and_free_term``; ``_spatial_block``
@@ -52,22 +52,21 @@ from .dtensors import DTensorField, lower_t, lower_x, upper_t, upper_x
 from .errors import ConfigError, NotRegular
 from .linalg import DET_MIN, sym_inverse
 from .metrics import Metric, christoffel
-from .report import entry_label, sweep
+from .report import VerificationReport, entry_label, sweep
 from .symbolic import (
     Const,
     Expr,
     SampleDomain,
     ZERO,
-    _close,
     add,
     as_expr,
     compile_block,
+    deviation,
     differentiate,
-    equiv,
     expr_array,
-    first_nonzero,
     keeping,
     mul,
+    scaled_residual,
     substitute,
     variables,
 )
@@ -91,8 +90,9 @@ def fundamental_vertical_dtensor(H: Expr, m: int, n: int) -> DTensorField:
 
 @dataclass
 class RegularityResult:
-    """Outcome of the Kronecker factorization test.  ``potential`` (U) and
-    ``free_term`` (F) are set only when the result is regular and m >= 2."""
+    """Outcome of the Kronecker factorization test.  ``potential`` (U),
+    ``free_term`` (F) and ``round_trip``, the report of their reassembly,
+    are set only when the result is regular and m >= 2."""
 
     regular: bool
     max_residual: float
@@ -103,6 +103,7 @@ class RegularityResult:
     reason: str = ""
     potential: DTensorField | None = None
     free_term: Expr | None = None
+    round_trip: VerificationReport | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -132,8 +133,9 @@ def _really_p_dependent(exprs, chart: JetChart, dom: SampleDomain, tol: float) -
     """True when some entry's momentum derivative is nonzero in value on
     ``dom``, not merely in syntax."""
     p_names = set(chart.p_names)
-    return first_nonzero((differentiate(e, nm) for row in exprs for e in row
-                          for nm in sorted(variables(e) & p_names)), tol, dom) is not None
+    derivatives = [differentiate(e, nm) for row in exprs for e in row
+                   for nm in sorted(variables(e) & p_names)]
+    return not (deviation(derivatives, [ZERO] * len(derivatives), dom)[1] <= tol).all()
 
 
 def check_kronecker_regularity(H: Expr, h: Metric, n: int,
@@ -152,7 +154,8 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
     box when None), with default intervals for any chart name it lacks.
     The factorization sweep evaluates G and h (x) g on its points, and the
     deviation E = G - h (x) g it measures there is also what the
-    extraction's momentum tests read.
+    extraction's momentum tests read.  Every part but that sweep, whose
+    residual is absolute, decides by ``symbolic.deviation``'s scaled one.
     """
     if h.kind != "temporal":
         raise ConfigError("regularity is defined against a temporal metric")
@@ -188,12 +191,13 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
         reason = "candidate block depends on momenta, which only a single time dimension admits"
     else:
         reason = ""
-    U = F = None
+    U = F = round_trip = None
     if m >= 2 and not reason:
         momenta = np.array([[pt[nm] for nm in chart.p_names] for pt in points])
-        U, F, reason = _potential_and_free_term(H, h, cand, dom, G_values - hg_values,
-                                                momenta, tol)
-    return RegularityResult(not reason, max_residual, cand, p_dep, tol, samples, reason, U, F)
+        U, F, round_trip, reason = _potential_and_free_term(
+            H, h, cand, dom, G_values - hg_values, momenta, tol)
+    return RegularityResult(not reason, max_residual, cand, p_dep, tol, samples, reason,
+                            U, F, round_trip)
 
 
 def _lowered_metric(cand, m: int) -> Metric:
@@ -216,17 +220,18 @@ def _linear(U, P, *coeff) -> list:
 
 
 def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
-                             deviation: np.ndarray, momenta: np.ndarray,
-                             tol: float) -> tuple:
+                             E: np.ndarray, momenta: np.ndarray, tol: float) -> tuple:
     """The exact (U, F) of a regular H with m >= 2, given its block g^ij:
 
         U^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b
         F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a
 
-    Returns (U, F, ""), or (None, None, reason) when they do not come out
-    momentum-free or do not reassemble to H identically on ``dom``.
+    Returns (U, F, round trip, ""), the round trip being the sweep of the
+    reassembly's ``deviation`` from H at tolerance max(tol, 1e-10), or
+    (None, None, None, reason) when the pieces do not come out
+    momentum-free or do not reassemble to H on ``dom``.
 
-    The momentum tests differentiate neither piece.  ``deviation`` is
+    The momentum tests differentiate neither piece.  ``E`` is
     E = G - h (x) g at the P points of ``dom``, shape (P, n, m, n, m), and
     ``momenta`` their (P, n m) momentum values in ``JetChart.p_names``
     order.  Since d^2 H / dp_i^a dp_k^c = 2 G[i][a][k][c], a g^ij free of
@@ -236,26 +241,26 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
         dF / dp_k^c = -2 E[i][a][k][c] p_i^a   (sum over i, a)
 
     and each test reads these values.  Per momentum, every potential entry
-    and then the free term must be within ``tol`` of 0 at every point; the
-    first that is not names the reason.  The caller reaches this only
-    after its candidate passed the momentum test on the same box, so a
-    g^ij that names a momentum in syntax has momentum derivatives within
-    ``tol`` there.  The terms they would add, -2 h_ab (dg^{ij}/dp_k^c)
-    p_j^b to dU and their p-weighted sum to dF, are left out: they vanish
-    where the derivatives vanish in value, and stay of order ``tol`` |p|
-    where they are merely small.
+    and then the free term must have a ``scaled_residual`` from 0 within
+    ``tol`` at every point; the first that has not names the reason.  The
+    caller reaches this only after its candidate passed the momentum test
+    on the same box, so a g^ij that names a momentum in syntax has
+    momentum derivatives within ``tol`` there.  The terms they would add,
+    -2 h_ab (dg^{ij}/dp_k^c) p_j^b to dU and their p-weighted sum to dF,
+    are left out: they vanish where the derivatives vanish in value, and
+    stay of order ``tol`` |p| where they are merely small.
     """
     m, n = h.dim, len(cand)
     chart = JetChart(m, n)
-    E = deviation.reshape(len(deviation), n * m, n * m)  # rows (i, a), columns (k, c)
-    d_potential = 2.0 * E
-    d_free = -2.0 * np.einsum("pik,pi->pk", E, momenta)
+    E = E.reshape(len(E), n * m, n * m)  # rows (i, a), columns (k, c)
+    # per piece and momentum: is the derivative above tolerance at some point
+    d_potential = ~(scaled_residual(2.0 * E, 0.0) <= tol).all(axis=0)
+    d_free = ~(scaled_residual(-2.0 * np.einsum("pik,pi->pk", E, momenta), 0.0) <= tol).all(axis=0)
     for k, name in enumerate(chart.p_names):
         # every potential entry and then the free term
-        for what, values in [*(("potential", d_potential[:, i, k]) for i in range(n * m)),
-                             ("free", d_free[:, k])]:
-            if not all(_close(v, 0.0, tol) for v in values.tolist()):
-                return None, None, f"extracted {what} term depends on momentum {name}"
+        for what, failed in (("potential", d_potential[:, k].any()), ("free", d_free[k])):
+            if failed:
+                return None, None, None, f"extracted {what} term depends on momentum {name}"
 
     u_comps = np.empty((n, m), dtype=object)
     for i, a in np.ndindex(n, m):
@@ -276,9 +281,12 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
     free = substitute(free, wipe)
 
     rebuilt = add(add(*quad_terms), add(*_linear(u_comps, P)), free)
-    if not equiv(rebuilt, H, dom=dom, tol=max(tol, 1e-10)):
-        return None, None, "extracted pieces do not reassemble the hamiltonian"
-    return DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U"), free, ""
+    points, residual = deviation([rebuilt], [H], dom)
+    round_trip = sweep("reconstruction-round-trip", max(tol, 1e-10), points,
+                       [(lambda _: "H", residual, 0.0)])
+    if not round_trip.passed:
+        return None, None, None, "extracted pieces do not reassemble the hamiltonian"
+    return DTensorField(m, n, (upper_x(1), lower_t(0)), u_comps, name="U"), free, round_trip, ""
 
 
 class HamiltonSpace:
@@ -289,7 +297,8 @@ class HamiltonSpace:
     the result is ``regularity``, and the potential U and the free term F
     are its extracted pieces (None for m = 1).  The lowered metric g is
     built once, for every m, and may depend on the momenta only when
-    m = 1.  The block g^ij is ``regularity.candidate`` and g_ij is
+    m = 1: with m >= 2 it inverts the candidate at p = 0.  The block g^ij
+    is ``regularity.candidate``, as the test found it, and g_ij is
     ``g.components``.
 
     The space owns the derivative cache of its own build: construction and
@@ -316,9 +325,15 @@ class HamiltonSpace:
             if not self.regularity.regular:
                 raise NotRegular(self.regularity)
             self.U, self.F = self.regularity.potential, self.regularity.free_term
+            cand = self.regularity.candidate
+            if self.m >= 2:
+                # the test found g^ij free of momenta in value, so p = 0
+                # drops the terms that name one only in syntax
+                wipe = {nm: ZERO for nm in self.chart.p_names}
+                cand = [[substitute(e, wipe) for e in row] for row in cand]
             # after the test, so a NotRegular comes before the inverse's
             # dimension limit
-            self.g = _lowered_metric(self.regularity.candidate, self.m)
+            self.g = _lowered_metric(cand, self.m)
 
 
 def _kept_by_the_space(build):

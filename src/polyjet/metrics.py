@@ -30,13 +30,14 @@ import numpy as np
 from .charts import JetChart, TransitionMap
 from .errors import ConfigError, SingularMetric
 from .linalg import checked_inverses, sym_inverse
+from .report import VerificationReport, entry_label, sweep
 from .symbolic import (
     Compiled,
     Const,
     SampleDomain,
     add,
+    deviation,
     differentiate,
-    equiv,
     expr_array,
     mul,
     neg,
@@ -138,17 +139,24 @@ class Metric(Compiled):
         ``linalg.SYM_INVERSE_MAX_DIM`` they raise ConfigError."""
         return sym_inverse(self.components, f"inverting the {self.kind} metric")
 
-    def validate(self, dom: SampleDomain | None = None, tol: float = 1e-9):
-        """Equiv-check symmetry and enforce invertibility over the domain."""
+    def validate(self, dom: SampleDomain | None = None, tol: float = 1e-9) -> VerificationReport:
+        """Check symmetry, (i, j) against (j, i) in one ``symbolic.deviation``,
+        and enforce invertibility (SingularMetric) over the domain.  The first
+        pair above ``tol``, in row order, raises ConfigError; otherwise the
+        sweep of the scaled residual, ``metric:<kind>``, is returned."""
         if dom is None:
             dom = SampleDomain.default(self.base_names)
-        d = self.dim
-        for i in range(d):
-            for j in range(i + 1, d):
-                if not equiv(self.components[i][j], self.components[j][i], dom, tol):
-                    raise ConfigError(
-                        f"{self.kind} metric is not symmetric in entry ({i + 1},{j + 1})")
+        pairs = [(i, j) for i in range(self.dim) for j in range(i + 1, self.dim)]
+        points, residual = deviation([self.components[i][j] for i, j in pairs],
+                                     [self.components[j][i] for i, j in pairs], dom)
+        failed = np.flatnonzero(~(residual <= tol).all(axis=0))
+        if failed.size:
+            i, j = pairs[failed[0]]
+            raise ConfigError(f"{self.kind} metric is not symmetric in entry ({i + 1},{j + 1})")
         self._checked_inverses(dom.points())
+        label = lambda idx: entry_label(self.kind, pairs[idx[0]])
+        return sweep(f"metric:{self.kind}", tol, points,
+                     [(label, residual, 0.0)] if pairs else [])
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,8 +27,9 @@ Differentiation and substitution are exact tree rewrites.  They,
 compiling, one-point evaluation and printing walk the DAG with one
 explicit stack, and evaluation is a one-point run of a program, so only
 the parser recurses.  Semantic equality of expressions is decided by
-``equiv``, which samples a seeded box, because symbolic normal forms are
-out of scope here.
+sampling a seeded box, because symbolic normal forms are out of scope
+here: ``equiv`` and every sampled check of the geometry layers compare
+the scaled residual that ``deviation`` gives with their tolerance.
 
 Variable naming convention used by the geometry layers: temporal
 coordinates ``t1..tm``, spatial coordinates ``x1..xn``, polymomenta
@@ -56,7 +57,6 @@ from .errors import (
     ConfigError,
     DomainError,
     ExprSyntaxError,
-    PolyjetError,
     UnboundVariable,
     UnknownIdentifier,
 )
@@ -1376,82 +1376,32 @@ class SampleDomain:
         return replace(self, intervals=self.intervals + more)
 
 
-def _close(v1: float, v2: float, tol: float) -> bool:
-    # a NaN or an infinity on either side is never close: a NaN compares
-    # false, and an infinity would make the scale infinite
-    return (math.isfinite(v1) and math.isfinite(v2)
-            and abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2)))
+def scaled_residual(a, b) -> np.ndarray:
+    """|a - b| / max(1, |a|, |b|) elementwise: not finite, so above every
+    tolerance, where either side is a NaN or an infinity."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def deviation(lhs, rhs, dom: SampleDomain | None = None) -> tuple:
+    """The points of ``dom`` and the (P, k) ``scaled_residual`` of k pairs
+    of expressions, ``lhs[j]`` against ``rhs[j]``, there.  Both blocks run
+    as one program on ``dom`` extended by the names they read, or on
+    ``SampleDomain.default`` of those names when no box is given.  A pair
+    holds at tolerance ``tol`` where its column is ``<= tol`` everywhere.
+    """
+    program = compile_block([*lhs, *rhs])
+    dom = SampleDomain.default(program.reads) if dom is None else dom.extended(program.reads)
+    points = dom.points()
+    values = program.run(points)
+    return points, scaled_residual(values[:, :len(lhs)], values[:, len(lhs):])
 
 
 def equiv(e1: Expr, e2: Expr, dom: SampleDomain | None = None, tol: float = 1e-9) -> bool:
-    """Numeric equivalence on a sampled box.
-
-    True iff |e1 - e2| <= tol * max(1, |e1|, |e2|) at every sampled point;
-    a NaN or an infinity at any point makes it False.
-    """
-    e1, e2 = as_expr(e1), as_expr(e2)
-    if dom is None:
-        dom = SampleDomain.default(sorted(variables(e1) | variables(e2)))
-    else:
-        dom = dom.extended(sorted(variables(e1) | variables(e2)))
-    for v1, v2 in compile_block((e1, e2)).run(dom.points()).tolist():
-        if not _close(v1, v2, tol):
-            return False
-    return True
+    """The ``deviation`` of e1 from e2 is within ``tol`` at every point, so
+    a NaN or an infinity at any point makes it False."""
+    return bool((deviation([e1], [e2], dom)[1] <= tol).all())
 
 
 def is_zero(e: Expr, dom: SampleDomain | None = None, tol: float = 1e-9) -> bool:
-    return equiv(as_expr(e), ZERO, dom, tol)
-
-
-def first_nonzero(exprs, tol: float = 1e-9, dom: SampleDomain | None = None) -> int | None:
-    """The index of the first expression that ``is_zero`` rejects at
-    tolerance ``tol``, or None when it accepts them all.
-
-    Given a box ``dom``, every entry is tested on its points, with default
-    intervals for any name of the entries that it lacks (``dom.extended``
-    by the sorted names of all of them): the entries share one set of
-    points, so they are compiled into one program and run once.  Without a
-    box, ``is_zero`` samples ``SampleDomain.default`` over an expression's
-    own sorted variable names, so entries with the same recorded variable
-    set see the same points: each such group is compiled into one program
-    and run once.  Either way every entry gets exactly the values that
-    ``is_zero`` gives it on the box it is tested on, and the answer and
-    any error are those of a loop that builds and tests one entry at a
-    time.
-    ``exprs`` may be a generator: an error raised while producing an entry
-    is raised only when no earlier entry is nonzero.  When a run raises,
-    the entries are tested one by one with ``is_zero``, in order, so the
-    first failing one raises.
-    """
-    done, pending = [], None
-    try:
-        for e in exprs:
-            done.append(as_expr(e))
-    except PolyjetError as exc:
-        pending = exc
-    members = [index for index, e in enumerate(done) if e is not ZERO]
-    if dom is None:
-        groups: dict[frozenset, list[int]] = {}
-        for index in members:
-            groups.setdefault(done[index]._vars, []).append(index)
-        runs = [(SampleDomain.default(sorted(names)), group) for names, group in groups.items()]
-    else:
-        dom = dom.extended(sorted(set().union(*(done[index]._vars for index in members))))
-        runs = [(dom, members)] if members else []
-    nonzero = []
-    try:
-        for box, group in runs:
-            values = compile_block([done[k] for k in group]).run(box.points())
-            nonzero.extend(k for k, column in zip(group, values.T.tolist())
-                           if not all(_close(v, 0.0, tol) for v in column))
-    except PolyjetError as exc:
-        for index, e in enumerate(done):
-            if not is_zero(e, dom, tol):
-                return index
-        raise pending or exc
-    if nonzero:
-        return min(nonzero)
-    if pending is not None:
-        raise pending
-    return None
+    return equiv(e, ZERO, dom, tol)

@@ -33,6 +33,9 @@ and free term and differentiates both by every momentum, as the
 extraction's momentum tests once did; the deviation identities that the
 library reads instead must match it in value.  ``map_components`` rebuilds
 a d-tensor field entry by entry, so a test can corrupt one component.
+``close`` is the scalar rule of a sampled comparison, one pair of values
+at a time, whose verdict ``symbolic.deviation`` must give, and
+``first_nonzero`` tests entries one by one with ``is_zero``, in order.
 
 The law layer works on whole batches of sample points.  ``sweep_loop``
 is the per-point loop that ``report.sweep`` must match field for field,
@@ -68,6 +71,7 @@ from polyjet.symbolic import (
     call,
     differentiate,
     div,
+    is_zero,
     mul,
     neg,
     power,
@@ -442,6 +446,19 @@ def piece_momentum_derivatives(H, h, cand) -> list:
                                           for i in range(n) for a in range(m)])))
     pieces = [e for row in U for e in row] + [F]
     return [(name, [differentiate(e, name) for e in pieces]) for name in chart.p_names]
+
+
+def close(v1: float, v2: float, tol: float) -> bool:
+    """|v1 - v2| <= tol * max(1, |v1|, |v2|) with both values finite: a NaN
+    compares false, and an infinity would make the scale infinite."""
+    return (math.isfinite(v1) and math.isfinite(v2)
+            and abs(v1 - v2) <= tol * max(1.0, abs(v1), abs(v2)))
+
+
+def first_nonzero(exprs, tol: float, dom) -> int | None:
+    """The index of the first of ``exprs`` that ``is_zero`` rejects on
+    ``dom``, or None."""
+    return next((k for k, e in enumerate(exprs) if not is_zero(e, dom, tol)), None)
 
 
 def n1_from_semispray_direct(G1, phi):

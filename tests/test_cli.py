@@ -148,6 +148,22 @@ def cubic_manifest(tmp_path, c: str = "3e-7") -> str:
                        "p1_1": [-0.001, 0.001], "p1_2": [-0.001, 0.001]}})
 
 
+def test_verify_reports_a_chart_b_hamiltonian_that_is_not_regular(tmp_path, capsys):
+    """At c = 1.7e-7 and seed 0, E peaks at 4.57e-10 on chart A's points but
+    at 5.03e-10 on chart B's (the identity transition, sampled at seed 1):
+    there 2E exceeds the tolerance, so chart B's extraction fails."""
+    code, rep = run(tmp_path, "verify", cubic_manifest(tmp_path, "1.7e-7"), "--seed", "0")
+    assert code == EXIT_REGULARITY and not rep["passed"]
+    chart_a, chart_b = rep["checks"]
+    assert chart_a["name"] == "kronecker-regularity" and chart_a["passed"]
+    assert chart_b["name"] == "kronecker-regularity:chart-B" and not chart_b["passed"]
+    assert chart_a["max_residual"] < chart_b["max_residual"] <= chart_b["tolerance"]
+    assert chart_b["notes"]["reason"] == "extracted potential term depends on momentum p1_1"
+    out = capsys.readouterr().out
+    assert "FAIL  kronecker-regularity:chart-B" in out and "(extracted potential" in out
+    assert "n1_at_point" not in rep["objects"]
+
+
 @pytest.mark.parametrize("command", cli._COMMANDS)
 def test_a_hamiltonian_whose_extraction_fails_is_not_regular(tmp_path, capsys, command):
     code, rep = run(tmp_path, command, cubic_manifest(tmp_path))
@@ -205,7 +221,7 @@ def test_verify_curved_all_pass(tmp_path):
     assert {"dtensor-law:C*", "dtensor-law:L", "dtensor-law:J",
             "semispray-law:temporal", "semispray-law:spatial",
             "connection-law", "adapted-coframe",
-            "kronecker-regularity"} == names
+            "kronecker-regularity", "kronecker-regularity:chart-B"} == names
     assert all(c["passed"] for c in rep["checks"])
     assert rep["objects"]["connection_source"] == "hamiltonian"
     # the auxiliary spatial metric used for the spatial semispray is reported

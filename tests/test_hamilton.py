@@ -13,7 +13,7 @@ from geomgen import (
     random_spatiotemporal_metric,
     random_temporal_metric,
 )
-from oracles import canonical_n2_direct, piece_momentum_derivatives
+from oracles import canonical_n2_direct, first_nonzero, piece_momentum_derivatives
 from polyjet.charts import JetChart, TransitionMap, pullback_scalar
 from polyjet.connections import (
     canonical_metric_connection,
@@ -44,12 +44,13 @@ from polyjet.symbolic import (
     add,
     as_expr,
     equiv,
-    first_nonzero,
     is_zero,
     mul,
     neg,
     parse,
     power,
+    to_string,
+    variables,
 )
 
 
@@ -199,6 +200,16 @@ def _squares_and_cubic(n: int, c: float, intervals: dict):
     return H, _box(chart, intervals)
 
 
+def test_a_candidate_naming_a_momentum_only_in_syntax_gives_a_momentum_free_g():
+    # m = 2: the cubic 1e-7 is regular on the small box, and its g^ij names
+    # p1_1 with derivatives within tolerance there
+    H, small = _squares_and_cubic(2, 1e-7, SMALL_CUBIC_BOX)
+    space = HamiltonSpace(flat_h(), 2, H, dom=small)
+    assert "p1_1" in variables(space.regularity.candidate[0][0])
+    assert not space.regularity.p_dependent and not space.g.p_dependent
+    assert [[to_string(e) for e in row] for row in space.g.components] == [["1", "0"], ["0", "1"]]
+
+
 def test_extraction_names_the_momentum_a_wrong_candidate_leaves_behind():
     flat = flat_h()
     # c = 3e-7 keeps E within tolerance on |p1_1|, |p1_2| <= 0.001, but not 2E
@@ -322,7 +333,7 @@ def test_the_momentum_tests_give_the_reason_the_derivatives_give(h, n, H, box, t
     assert result.max_residual <= tol and not result.p_dependent
     derivatives = piece_momentum_derivatives(H, h, result.candidate)
     pieces = len(derivatives[0][1])
-    first = first_nonzero((d for _, row in derivatives for d in row), tol, box)
+    first = first_nonzero([d for _, row in derivatives for d in row], tol, box)
     if first is None:
         assert result.reason in ("", "extracted pieces do not reassemble the hamiltonian")
     else:

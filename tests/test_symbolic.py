@@ -39,8 +39,8 @@ from polyjet.symbolic import (
     equiv,
     evaluate,
     exp,
+    deviation,
     expr_array,
-    first_nonzero,
     is_zero,
     keeping,
     ln,
@@ -59,6 +59,7 @@ from polyjet.symbolic import (
 from oracles import (
     add_two_pass,
     central_diff_partial,
+    close,
     differentiate_walk,
     mul_two_pass,
     subexpressions,
@@ -1073,68 +1074,50 @@ def test_an_infinity_is_never_equivalent(e1, e2):
     assert not equiv(e2, e1)
     assert not equiv(e1, e1)
     assert not is_zero(add(e1, neg(e2)))
-    assert first_nonzero([e2 - e2, e1]) == 1
 
 
-def test_first_nonzero_agrees_with_is_zero_entry_by_entry():
-    entries = [ZERO, sin(X1) ** 2 + cos(X1) ** 2 - 1, X1 - X1, mul(Const(1e-12), T1),
-               Const(math.nan), (X1 + T1) ** 2 - X1 ** 2 - T1 ** 2, mul(Const(1e-3), P11)]
-    want = [k for k, e in enumerate(entries) if not is_zero(e)]
-    assert want == [4, 5, 6]
-    assert first_nonzero(entries) == 4
-    assert first_nonzero(entries[:4] + entries[7:]) is None
-    assert first_nonzero(entries[5:]) == 0
-    assert first_nonzero(entries, tol=1e-2) == 4
-    assert first_nonzero(entries[6:], tol=1e-2) is None  # 1e-3*p1_1 is within 1e-2
-    assert first_nonzero([]) is None
+_SPECIAL_VALUES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, -1.0,
+                   1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
 
 
-def test_first_nonzero_fails_like_the_entry_by_entry_loop():
-    bad = ln(X1 - 5)  # ln of a negative value at every sample
-    with pytest.raises(DomainError, match="ln of non-positive value"):
-        first_nonzero([ZERO, sin(X1) - sin(X1), bad, P11])
-    # an earlier nonzero entry in another variable set answers first
-    assert first_nonzero([ZERO, T1, bad]) == 1
-    # ... also in the same variable set, whose program is the one that raises
-    assert first_nonzero([X1, bad]) == 0
-
-    def entries():
-        yield ZERO
-        yield T1
-        raise DomainError("not built")
-    assert first_nonzero(entries()) == 1
-
-    def zero_then_error():
-        yield ZERO
-        raise DomainError("not built")
-    with pytest.raises(DomainError, match="not built"):
-        first_nonzero(zero_then_error())
+@st.composite
+def _value_pairs(draw):
+    """A tolerance and pairs of values: special values, any floats, and
+    pairs whose scaled difference lies within a few parts in 10^12 of
+    the tolerance."""
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.1]))
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats())
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        v1 = draw(value)
+        if draw(st.booleans()) and math.isfinite(v1):
+            step = tol * max(1.0, abs(v1)) * draw(st.floats(1 - 1e-12, 1 + 1e-12))
+            v2 = v1 + draw(st.sampled_from([-1.0, 1.0])) * step
+        else:
+            v2 = draw(value)
+        pairs.append((v1, v2))
+    return tol, pairs
 
 
-def test_first_nonzero_on_a_box_runs_one_program_on_its_points(monkeypatch):
-    box = SampleDomain((("x1", 0.5, 0.9), ("p1_1", -1e-3, 1e-3)), count=7, seed=3)
-    # 1e-4*p1_1 is within 1e-6 on the box, but not on the default |p| <= 2;
-    # t1, which the box lacks, gets its default interval
-    entries = [ZERO, X1 - X1, mul(Const(1e-4), P11), mul(Const(1e-9), T1), ln(X1), T1]
-    want = [k for k, e in enumerate(entries) if not is_zero(e, box, 1e-6)]
-    assert want == [4, 5]
-    assert first_nonzero(entries, 1e-6) == 2
-    programs = []
-    real_compile = symbolic.compile_block
-
-    def counting(exprs):
-        programs.append(exprs)
-        return real_compile(exprs)
-
-    monkeypatch.setattr(symbolic, "compile_block", counting)
-    assert first_nonzero(entries, 1e-6, box) == 4
-    assert len(programs) == 1 and len(programs[0]) == 5  # every entry but ZERO
-    assert first_nonzero(entries[:4], 1e-6, box) is None
-    assert first_nonzero([ZERO], 1e-6, box) is None
-    # a run that raises tests the entries one by one on the box
-    with pytest.raises(DomainError, match="ln of non-positive value"):
-        first_nonzero([X1 - X1, ln(X1 - 5), T1], 1e-6, box)
-    assert first_nonzero([T1, ln(X1 - 5)], 1e-6, box) == 0
+@settings(max_examples=300, deadline=None)
+@given(_value_pairs())
+@example((1e-9, [(math.nan, math.nan), (math.inf, math.inf), (-math.inf, 1.0),
+                 (-0.0, 0.0), (1e300, -1e300), (1.7976931348623157e308, -1e308),
+                 (1.0, 1.0 + 1e-9), (1e300, 1e300 * (1 + 1e-9))]))
+def test_deviation_decides_as_the_scalar_rule(case):
+    """Each pair's column of ``deviation`` is within ``tol`` at every point
+    exactly when ``oracles.close`` accepts the pair.  The two round apart:
+    close compares |a - b| with tol * scale, deviation |a - b| / scale with
+    tol, so they may disagree only where that quotient is within one ulp
+    of tol."""
+    tol, pairs = case
+    points, residual = deviation([Const(a) for a, _ in pairs], [Const(b) for _, b in pairs],
+                                 SampleDomain((), count=2))
+    assert residual.shape == (len(points), len(pairs)) == (2, len(pairs))
+    for (a, b), column in zip(pairs, residual.T):
+        held = bool((column <= tol).all())
+        if held != close(a, b, tol):
+            assert abs(column[0] - tol) <= math.ulp(tol), (a, b, column[0])
 
 
 def test_sample_domain_is_deterministic():

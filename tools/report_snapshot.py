@@ -12,7 +12,7 @@ seeds 0 and 7, in one process through ``polyjet.cli.main``.  A run named
   replaced by ``REPORT``;
 * ``.exit``: the exit code.
 
-Fifteen more cases run at both seeds, each one command on a copy of a shipped
+Seventeen more cases run at both seeds, each one command on a copy of a shipped
 manifest with some keys replaced, written to a temporary file (``VARIANTS``):
 
 * ``verify-curved-fault``: ``fault_injection`` at N2[1,2,1], the
@@ -47,10 +47,19 @@ manifest with some keys replaced, written to a temporary file (``VARIANTS``):
   where E peaks at 8.064e-10 (8.617e-10): G factors within tolerance, but
   2E does not, so the extracted potential term depends on p1_1 and the
   regularity check fails (exit 8);
+* ``verify-flat-cubic-momentum-chart-b``: ``verify`` with the cubic
+  1.7e-7 on the same box.  Chart B, reached by the identity transition,
+  is sampled at the next seed.  At seed 0, E peaks at 4.569e-10 on chart
+  A's points, so A is regular, but at 5.028e-10 on chart B's, where 2E
+  exceeds the tolerance: the ``kronecker-regularity:chart-B`` check fails
+  and the run stops there (exit 8).  At seed 7 both charts pass (E peaks
+  at 4.883e-10 and 4.438e-10) and the battery runs (exit 0);
 * ``christoffel-curved-long-constant-key`` and
   ``christoffel-curved-long-identifier``: a ``constants`` key and an
   unknown identifier in the hamiltonian of 100,000 characters each,
-  echoed by the first 20 characters and the length (exit 2).
+  echoed by the first 20 characters and the length (exit 2);
+* ``christoffel-curved-asymmetric-metric``: a spatial metric with x1 at
+  (1, 2) and 0 at (2, 1), which the symmetry check names (exit 2).
 
 Run it from the repository root, then compare two snapshots:
 
@@ -82,10 +91,10 @@ CURVED = json.loads((ROOT / "manifests" / "curved.json").read_text())
 FLAT = json.loads((ROOT / "manifests" / "flat.json").read_text())
 
 
-def _flat_cubic(c: str) -> tuple:
-    """``regularity`` on flat.json plus the harmonic cubic c (p1_1^3 -
+def _flat_cubic(command: str, c: str) -> tuple:
+    """``command`` on flat.json plus the harmonic cubic c (p1_1^3 -
     3 p1_1 p1_2^2), with p1_1 and p1_2 sampled in [-0.001, 0.001]."""
-    return ("regularity", FLAT, {
+    return (command, FLAT, {
         "hamiltonian": FLAT["hamiltonian"] + f" + {c}*(p1_1^3 - 3*p1_1*p1_2^2)",
         "sample_domain": {**FLAT["sample_domain"], "intervals": {
             "p1_1": [-0.001, 0.001], "p1_2": [-0.001, 0.001]}}})
@@ -111,12 +120,15 @@ VARIANTS = {
     "christoffel-flat-long-key": ("christoffel", FLAT, {"k" * 100_000: 1}),
     "christoffel-flat-many-point-names": ("christoffel", FLAT, {
         "evaluation_point": {f"y{k}": 0.0 for k in range(20_000)}}),
-    "regularity-flat-cubic-momentum": _flat_cubic("1e-7"),
-    "regularity-flat-cubic-momentum-3e-7": _flat_cubic("3e-7"),
+    "regularity-flat-cubic-momentum": _flat_cubic("regularity", "1e-7"),
+    "regularity-flat-cubic-momentum-3e-7": _flat_cubic("regularity", "3e-7"),
+    "verify-flat-cubic-momentum-chart-b": _flat_cubic("verify", "1.7e-7"),
     "christoffel-curved-long-constant-key": ("christoffel", CURVED, {
         "constants": {"k" * 100_000: "x"}}),
     "christoffel-curved-long-identifier": ("christoffel", CURVED, {
         "hamiltonian": "y" * 100_000}),
+    "christoffel-curved-asymmetric-metric": ("christoffel", CURVED, {
+        "spatial_metric": [["exp(2*x1)", "x1"], ["0", "1"]]}),
 }
 
 
