@@ -12,7 +12,8 @@ Four commands share one JSON manifest format:
   coframe at the evaluation point.
 * ``verify``: run the full law battery against the manifest's transition:
   built-in d-tensors, canonical semisprays, the connection law, and the
-  adapted coframe.
+  adapted coframe, after the regularity test of a hamiltonian in both
+  charts.
 
 ``main`` runs every command as ``_load`` (manifest, seed, validated
 metrics, sample domain), then ``cmd_*(args, manifest, dom, symmetry)``,

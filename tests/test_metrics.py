@@ -145,6 +145,24 @@ def test_validate_rejects_asymmetric_metric():
         g.validate()
 
 
+def test_validate_reports_the_scaled_symmetry_residual_and_names_the_first_failed_pair():
+    xv = ["x1", "x2", "x3"]
+    # (1,2) and (2,1) differ by a rounding error: 0.1*3 folds to 0.30000000000000004
+    g = Metric.spatial([[parse(e, xv) for e in row] for row in [
+        ["2", "0.1*3*x2", "0"], ["0.3*x2", "2", "0"], ["0", "0", "2"]]])
+    dom = SampleDomain.default(xv, count=9, seed=4)
+    rep = g.validate(dom)
+    assert rep.name == "metric:spatial" and rep.passed and rep.samples == 9
+    assert 0.0 < rep.max_residual <= 1e-15 and rep.tolerance == 1e-9
+    assert rep.worst_entry == "spatial[1,2]" and rep.worst_point in dom.points()
+    assert Metric.spatial([[Const(2.0)]]).validate().max_residual == 0.0
+    # (2,3) fails by more than (1,3), but (1,3) comes first in row order
+    bad = Metric.spatial([[parse(e, xv) for e in row] for row in [
+        ["2", "0", "1e-6"], ["0", "2", "x1"], ["0", "0", "2"]]])
+    with pytest.raises(ConfigError, match=r"not symmetric in entry \(1,3\)$"):
+        bad.validate(dom)
+
+
 def test_metric_rejects_foreign_variables():
     with pytest.raises(ConfigError):
         Metric.temporal([[var("x1")]])
