@@ -45,6 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, SingularJacobian
 from .linalg import checked_inverses, sym_inverse
+from .report import VerificationReport, sweep
 from .symbolic import (
     Expr,
     Program,
@@ -368,29 +369,33 @@ class TransitionMap:
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self, dom: SampleDomain | None = None, tol: float = 1e-9):
+    def validate(self, dom: SampleDomain | None = None, tol: float = 1e-9) -> VerificationReport:
         """Check round trips of the explicit inverses and Jacobian
         invertibility over a sample domain.  Raises ConfigError /
         SingularJacobian on failure.  Every round trip is compared with the
         identity in one ``symbolic.deviation``; the first failed one is
-        named, left before right, t before x."""
+        named, left before right, t before x.  Otherwise the sweep of the
+        scaled residual, ``transition:round-trip``, is returned; a map
+        without inverses gives one of no pairs."""
         chart = self.chart
         if dom is None:
             dom = chart.sample_domain()
-        if self.has_inverse:
-            trips = [(f"{family} inverse is not a {side} inverse in {name}",
-                      _through(outer[k], names, inner), Var(name))
-                     for family, names, forward, inverse in (
-                         ("temporal", chart.t_names, self.t_forward, self.t_inverse),
-                         ("spatial", chart.x_names, self.x_forward, self.x_inverse))
-                     for k, name in enumerate(names)
-                     for side, outer, inner in (("left", inverse, forward),
-                                                ("right", forward, inverse))]
-            messages, images, identities = zip(*trips)
-            failed = np.flatnonzero(~(deviation(images, identities, dom)[1] <= tol).all(axis=0))
-            if failed.size:
-                raise ConfigError(messages[failed[0]])
+        trips = [((family, side, name), _through(outer[k], names, inner), Var(name))
+                 for family, names, forward, inverse in (
+                     ("temporal", chart.t_names, self.t_forward, self.t_inverse),
+                     ("spatial", chart.x_names, self.x_forward, self.x_inverse))
+                 if self.has_inverse
+                 for k, name in enumerate(names)
+                 for side, outer, inner in (("left", inverse, forward),
+                                            ("right", forward, inverse))]
+        points, residual = deviation([t[1] for t in trips], [t[2] for t in trips], dom)
+        failed = np.flatnonzero(~(residual <= tol).all(axis=0))
+        if failed.size:
+            raise ConfigError("{} inverse is not a {} inverse in {}".format(*trips[failed[0]][0]))
         self.sample_frames(dom)
+        label = lambda idx: "{} {} inverse in {}".format(*trips[idx[0]][0])
+        return sweep("transition:round-trip", tol, points,
+                     [(label, residual, 0.0)] if trips else [])
 
 
 def _domain_key(dom: SampleDomain) -> tuple:

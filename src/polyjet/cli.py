@@ -90,6 +90,7 @@ MAX_SAMPLE_COUNT = 100_000
 MAX_DIMENSION = 16
 
 _CHECK_EXIT = {
+    "transition": EXIT_CONFIG,
     "metric": EXIT_METRIC,
     "dtensor": EXIT_DTENSOR,
     "semispray": EXIT_SEMISPRAY,
@@ -565,9 +566,7 @@ def cmd_verify(args, manifest: Manifest, dom: SampleDomain, symmetry: dict):
         raise ConfigError("verify needs transition.t_inverse and x_inverse")
     law_tol = _cli_tol(args, manifest)
     h, phi = manifest.temporal_metric, manifest.spatial_metric
-    tm.validate(dom, tol=manifest.tolerances["equiv"])
-
-    checks = []
+    checks = [_check_dict(tm.validate(dom, tol=manifest.tolerances["equiv"]), "transition")]
     objects = {
         "transition": {
             "t_forward": _texts(tm.t_forward),

@@ -15,18 +15,23 @@ the quadratic-plus-linear-plus-scalar shape
 
     H = h_ab g^{ij} p_i^a p_j^b + U^{(i)}_{(a)} p_i^a + F
 
-and ``check_kronecker_regularity``, the one test of regularity, recovers
-(U, F) exactly: a hamiltonian whose pieces do not come out momentum-free
-or do not reassemble it is not regular.  Every part of the test samples
-one box, the caller's.  The pieces' momentum derivatives are not taken:
+so its pieces are its Taylor coefficients at p = 0, each taken there:
+
+    g^{ij} = (1/2m) h^{ab} d^2 H / dp_i^a dp_j^b,  U^{(i)}_{(a)} = dH/dp_i^a,  F = H
+
+``check_kronecker_regularity``, the one test of regularity, extracts them
+so, and a hamiltonian that is not of that form in its momenta, or whose
+pieces do not reassemble it, is not regular.  Every part of the test
+samples one box, the caller's.  The form is tested without a derivative:
 with E = G - h (x) g, the deviation the factorization sweep already
-evaluated, they are dU^{(i)}_{(a)}/dp_k^c = 2 E[i][a][k][c] and
-dF/dp_k^c = -2 E[i][a][k][c] p_i^a.  ``HamiltonSpace`` runs that test
-and lowers g once, for every m.  The canonical nonlinear connection is
-then available three ways: the direct second-derivative formula, a middle
-form through the deviation block T, and a closed form through covariant
-derivatives of the lowered potential.  All three agree; the redundancy is
-deliberate and checked by the tests.
+evaluated, the remainders dH/dp_i^a - 2 h_ab g^{ij} p_j^b and H minus the
+quadratic part minus that remainder times p_i^a have the momentum
+derivatives 2 E[i][a][k][c] and -2 E[i][a][k][c] p_i^a.  ``HamiltonSpace``
+runs that test and lowers g once, for every m.  The canonical nonlinear
+connection is then available three ways: the direct second-derivative
+formula, a middle form through the deviation block T, and a closed form
+through covariant derivatives of the lowered potential.  All three agree;
+the redundancy is deliberate and checked by the tests.
 
 Each metric fact has one home: g^{ij} is the regularity result's
 ``candidate``, the lowered g_ij is the ``Metric`` g (momentum-dependent
@@ -132,10 +137,10 @@ def _candidate_block(vertical: DTensorField, h: Metric) -> list:
 def _really_p_dependent(exprs, chart: JetChart, dom: SampleDomain, tol: float) -> bool:
     """True when some entry's momentum derivative is nonzero in value on
     ``dom``, not merely in syntax."""
-    p_names = set(chart.p_names)
     derivatives = [differentiate(e, nm) for row in exprs for e in row
-                   for nm in sorted(variables(e) & p_names)]
-    return not (deviation(derivatives, [ZERO] * len(derivatives), dom)[1] <= tol).all()
+                   for nm in sorted(variables(e).intersection(chart.p_names))]
+    return bool(derivatives) and not (
+        deviation(derivatives, [ZERO] * len(derivatives), dom)[1] <= tol).all()
 
 
 def check_kronecker_regularity(H: Expr, h: Metric, n: int,
@@ -200,11 +205,6 @@ def check_kronecker_regularity(H: Expr, h: Metric, n: int,
                             U, F, round_trip)
 
 
-def _lowered_metric(cand, m: int) -> Metric:
-    """The candidate block g^ij inverted into a spatiotemporal metric g_ij."""
-    return Metric.spatiotemporal(sym_inverse([list(row) for row in cand], "lowering g^ij"), m=m)
-
-
 def _quadratic(h, g, P, *coeff) -> list:
     """The terms mul(*coeff, h[a][b], g[i][j], P[i][a], P[j][b]) of a
     quadratic form, in (a, b, i, j) order."""
@@ -222,23 +222,25 @@ def _linear(U, P, *coeff) -> list:
 def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
                              E: np.ndarray, momenta: np.ndarray, tol: float) -> tuple:
     """The exact (U, F) of a regular H with m >= 2, given its block g^ij:
-
-        U^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b
-        F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a
+    U^{(i)}_{(a)} = dH/dp_i^a and F = H, both at p = 0, where they are H's
+    Taylor coefficients as g^ij is.
 
     Returns (U, F, round trip, ""), the round trip being the sweep of the
     reassembly's ``deviation`` from H at tolerance max(tol, 1e-10), or
-    (None, None, None, reason) when the pieces do not come out
-    momentum-free or do not reassemble to H on ``dom``.
+    (None, None, None, reason) when H is not of the normal form in its
+    momenta or the pieces do not reassemble to H on ``dom``.
 
-    The momentum tests differentiate neither piece.  ``E`` is
-    E = G - h (x) g at the P points of ``dom``, shape (P, n, m, n, m), and
-    ``momenta`` their (P, n m) momentum values in ``JetChart.p_names``
-    order.  Since d^2 H / dp_i^a dp_k^c = 2 G[i][a][k][c], a g^ij free of
-    momenta gives, identically,
+    H has the normal form when the remainders
+    R^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b and
+    H - h_ab g^{ij} p_i^a p_j^b - R^{(i)}_{(a)} p_i^a are free of momenta;
+    then they are U and F.  The momentum tests differentiate neither.
+    ``E`` is E = G - h (x) g at the P points of ``dom``, shape
+    (P, n, m, n, m), and ``momenta`` their (P, n m) momentum values in
+    ``JetChart.p_names`` order.  Since d^2 H / dp_i^a dp_k^c =
+    2 G[i][a][k][c], a g^ij free of momenta gives their derivatives by
+    p_k^c identically as
 
-        dU^{(i)}_{(a)} / dp_k^c = 2 E[i][a][k][c]
-        dF / dp_k^c = -2 E[i][a][k][c] p_i^a   (sum over i, a)
+        2 E[i][a][k][c]   and   -2 E[i][a][k][c] p_i^a   (sum over i, a)
 
     and each test reads these values.  Per momentum, every potential entry
     and then the free term must have a ``scaled_residual`` from 0 within
@@ -246,9 +248,10 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
     caller reaches this only after its candidate passed the momentum test
     on the same box, so a g^ij that names a momentum in syntax has
     momentum derivatives within ``tol`` there.  The terms they would add,
-    -2 h_ab (dg^{ij}/dp_k^c) p_j^b to dU and their p-weighted sum to dF,
-    are left out: they vanish where the derivatives vanish in value, and
-    stay of order ``tol`` |p| where they are merely small.
+    -2 h_ab (dg^{ij}/dp_k^c) p_j^b to dR/dp_k^c and their p-weighted sum to
+    the other remainder's, are left out: they vanish where the derivatives
+    vanish in value, and stay of order ``tol`` |p| where they are merely
+    small.
     """
     m, n = h.dim, len(cand)
     chart = JetChart(m, n)
@@ -262,25 +265,14 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
             if failed:
                 return None, None, None, f"extracted {what} term depends on momentum {name}"
 
+    wipe = {nm: ZERO for nm in chart.p_names}
     u_comps = np.empty((n, m), dtype=object)
     for i, a in np.ndindex(n, m):
-        quad = [mul(Const(2.0), h.components[a][b], cand[i][j], chart.p_var(j, b))
-                for b in range(m) for j in range(n)]
-        u_comps[i, a] = add(differentiate(H, p_name(i, a)), mul(Const(-1.0), add(*quad)))
+        u_comps[i, a] = substitute(differentiate(H, p_name(i, a)), wipe)
+    free = substitute(H, wipe)
 
     P = chart.p_vars()
-    quad_terms = _quadratic(h.components, cand, P)
-    free = add(H, mul(Const(-1.0), add(*quad_terms)),
-               mul(Const(-1.0), add(*_linear(u_comps, P))))
-
-    # momentum independence is established, so setting p = 0 is harmless and
-    # strips the syntactic momentum terms that cancel only in value
-    wipe = {nm: ZERO for nm in chart.p_names}
-    for i, a in np.ndindex(n, m):
-        u_comps[i, a] = substitute(u_comps[i, a], wipe)
-    free = substitute(free, wipe)
-
-    rebuilt = add(add(*quad_terms), add(*_linear(u_comps, P)), free)
+    rebuilt = add(add(*_quadratic(h.components, cand, P)), add(*_linear(u_comps, P)), free)
     points, residual = deviation([rebuilt], [H], dom)
     round_trip = sweep("reconstruction-round-trip", max(tol, 1e-10), points,
                        [(lambda _: "H", residual, 0.0)])
@@ -333,7 +325,7 @@ class HamiltonSpace:
                 cand = [[substitute(e, wipe) for e in row] for row in cand]
             # after the test, so a NotRegular comes before the inverse's
             # dimension limit
-            self.g = _lowered_metric(cand, self.m)
+            self.g = Metric.spatiotemporal(sym_inverse(cand, "lowering g^ij"), m=self.m)
 
 
 def _kept_by_the_space(build):

@@ -28,11 +28,14 @@ paper: the gravitational and both electrodynamic hamiltonians, the
 direct spatial block of the canonical connection, the deviation block T,
 and a d-tensor pulled back with Jacobian factors differentiated afresh.
 The library, which builds each from shared pieces, must return their very
-nodes.  ``piece_momentum_derivatives`` writes out the extracted potential
-and free term and differentiates both by every momentum, as the
-extraction's momentum tests once did; the deviation identities that the
-library reads instead must match it in value.  ``map_components`` rebuilds
-a d-tensor field entry by entry, so a test can corrupt one component.
+nodes.  ``written_out_pieces`` writes out the potential and free term as
+H minus the other terms of its normal form: at p = 0 they must be the
+very nodes the library extracts as dH/dp and H there.
+``piece_momentum_derivatives`` differentiates both by every momentum, as
+the extraction's momentum tests once did; the deviation identities that
+the library reads instead must match it in value.  ``map_components``
+rebuilds a d-tensor field entry by entry, so a test can corrupt one
+component.
 ``close`` is the scalar rule of a sampled comparison, one pair of values
 at a time, whose verdict ``symbolic.deviation`` must give, and
 ``first_nonzero`` tests entries one by one with ``is_zero``, in order.
@@ -424,18 +427,15 @@ def general_electrodynamic_hamiltonian(h, g, U, F):
     return add(add(*quad), add(*linear), F)
 
 
-def piece_momentum_derivatives(H, h, cand) -> list:
-    """The extraction's momentum tests as they read when they differentiate:
-    U^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b and
-    F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a, written out here
-    with g^{ij} = ``cand``, then differentiated symbolically.  One
-    (momentum name, derivatives) pair per momentum, in ``p_names`` order;
-    the derivatives are those of every U entry, in (i, a) order, and then
-    of F.  ``hamilton._potential_and_free_term`` reads them from the
-    deviation block instead, and must give them in value."""
+def written_out_pieces(H, h, cand) -> tuple:
+    """The potential U^{(i)}_{(a)} = dH/dp_i^a - 2 h_ab g^{ij} p_j^b, as
+    (n, m) nested lists, and the free term
+    F = H - h_ab g^{ij} p_i^a p_j^b - U^{(i)}_{(a)} p_i^a, written out with
+    g^{ij} = ``cand``.  ``hamilton._potential_and_free_term`` builds U and
+    F as dH/dp and H at p = 0, which for a regular H must be the very
+    nodes of these at p = 0."""
     m, n = h.dim, len(cand)
-    chart = JetChart(m, n)
-    P = chart.p_vars()
+    P = JetChart(m, n).p_vars()
     U = [[add(differentiate(H, p_name(i, a)),
               mul(Const(-2.0), add(*[mul(h.components[a][b], cand[i][j], P[j][b])
                                       for b in range(m) for j in range(n)])))
@@ -444,8 +444,20 @@ def piece_momentum_derivatives(H, h, cand) -> list:
             for a in range(m) for b in range(m) for i in range(n) for j in range(n)]
     F = add(H, neg(add(*quad)), neg(add(*[mul(U[i][a], P[i][a])
                                           for i in range(n) for a in range(m)])))
+    return U, F
+
+
+def piece_momentum_derivatives(H, h, cand) -> list:
+    """The extraction's momentum tests as they read when they differentiate
+    the ``written_out_pieces``.  One (momentum name, derivatives) pair per
+    momentum, in ``p_names`` order; the derivatives are those of every U
+    entry, in (i, a) order, and then of F.
+    ``hamilton._potential_and_free_term`` reads them from the deviation
+    block instead, and must give them in value."""
+    U, F = written_out_pieces(H, h, cand)
     pieces = [e for row in U for e in row] + [F]
-    return [(name, [differentiate(e, name) for e in pieces]) for name in chart.p_names]
+    return [(name, [differentiate(e, name) for e in pieces])
+            for name in JetChart(h.dim, len(cand)).p_names]
 
 
 def close(v1: float, v2: float, tol: float) -> bool:

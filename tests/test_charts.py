@@ -256,6 +256,23 @@ def test_validate_names_the_first_failed_round_trip(t_pair, x_pair, message):
     assert str(excinfo.value) == message
 
 
+def test_validate_reports_the_scaled_round_trip_residual_and_names_its_worst_entry():
+    # t1 rounds (0.1*3 against 1/0.3), but x2's inverse is off by 1e-12*x1
+    tv, xv = ["t1"], ["x1", "x2"]
+    tm = TransitionMap(1, 2, t_forward=[parse("0.1*3*t1", tv)],
+                       x_forward=[var("x1"), parse("x2 + 0.3*x1^2", xv)],
+                       t_inverse=[parse("t1/0.3", tv)],
+                       x_inverse=[var("x1"), parse("x2 - 0.3*x1^2 + 1e-12*x1", xv)])
+    dom = tm.chart.sample_domain(count=9, seed=4)
+    rep = tm.validate(dom)
+    assert rep.name == "transition:round-trip" and rep.passed and rep.samples == 9
+    assert 1e-14 < rep.max_residual <= 1e-12 and rep.tolerance == 1e-9
+    assert rep.worst_entry == "spatial left inverse in x2" and rep.worst_point in dom.points()
+    # a map without inverses has no round trip to measure
+    rep = TransitionMap(1, 2, t_forward=[var("t1")], x_forward=[var("x1"), var("x2")]).validate(dom)
+    assert rep.passed and rep.samples == 9 and rep.max_residual == 0.0 and rep.worst_entry is None
+
+
 def test_singular_jacobian_is_reported():
     tm = TransitionMap(1, 1, t_forward=[var("t1")],
                        x_forward=[parse("x1^2", ["x1"])])

@@ -154,7 +154,8 @@ def test_verify_reports_a_chart_b_hamiltonian_that_is_not_regular(tmp_path, caps
     there 2E exceeds the tolerance, so chart B's extraction fails."""
     code, rep = run(tmp_path, "verify", cubic_manifest(tmp_path, "1.7e-7"), "--seed", "0")
     assert code == EXIT_REGULARITY and not rep["passed"]
-    chart_a, chart_b = rep["checks"]
+    transition, chart_a, chart_b = rep["checks"]
+    assert transition["name"] == "transition:round-trip" and transition["passed"]
     assert chart_a["name"] == "kronecker-regularity" and chart_a["passed"]
     assert chart_b["name"] == "kronecker-regularity:chart-B" and not chart_b["passed"]
     assert chart_a["max_residual"] < chart_b["max_residual"] <= chart_b["tolerance"]
@@ -221,7 +222,8 @@ def test_verify_curved_all_pass(tmp_path):
     assert {"dtensor-law:C*", "dtensor-law:L", "dtensor-law:J",
             "semispray-law:temporal", "semispray-law:spatial",
             "connection-law", "adapted-coframe",
-            "kronecker-regularity", "kronecker-regularity:chart-B"} == names
+            "kronecker-regularity", "kronecker-regularity:chart-B",
+            "transition:round-trip"} == names
     assert all(c["passed"] for c in rep["checks"])
     assert rep["objects"]["connection_source"] == "hamiltonian"
     # the auxiliary spatial metric used for the spatial semispray is reported
@@ -770,7 +772,8 @@ def test_verify_on_a_non_regular_hamiltonian_reports_only_regularity(tmp_path):
     code, report = run(tmp_path, "verify",
                        rewrite(tmp_path, "curved.json", hamiltonian="p1_1^4"))
     assert code == EXIT_REGULARITY and not report["passed"]
-    [check] = report["checks"]
+    transition, check = report["checks"]
+    assert transition["kind"] == "transition" and transition["passed"]
     assert check["kind"] == "regularity" and not check["passed"]
     assert "singular" in check["notes"]["reason"]
 

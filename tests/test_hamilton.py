@@ -12,8 +12,15 @@ from geomgen import (
     random_potential,
     random_spatiotemporal_metric,
     random_temporal_metric,
+    random_transition,
 )
-from oracles import canonical_n2_direct, first_nonzero, piece_momentum_derivatives
+from oracles import (
+    canonical_n2_direct,
+    first_nonzero,
+    general_electrodynamic_hamiltonian,
+    piece_momentum_derivatives,
+    written_out_pieces,
+)
 from polyjet.charts import JetChart, TransitionMap, pullback_scalar
 from polyjet.connections import (
     canonical_metric_connection,
@@ -41,6 +48,7 @@ from polyjet.symbolic import (
     Const,
     SampleDomain,
     Var,
+    ZERO,
     add,
     as_expr,
     equiv,
@@ -49,6 +57,7 @@ from polyjet.symbolic import (
     neg,
     parse,
     power,
+    substitute,
     to_string,
     variables,
 )
@@ -269,10 +278,12 @@ def _deviated(H, h: Metric):
     return add(H, mul(Var("x1"), add(mul(hu[1][1], p11, p11), neg(mul(hu[0][0], p12, p12)))))
 
 
+CURVED_H = "exp(-2*x1)*(p1_1^2 + (t1^2 + 1)*p1_2^2) + p2_1^2 + (t1^2 + 1)*p2_2^2"
+
+
 def _electrodynamic_curved():
     """curved.json's hamiltonian plus a potential and a free term."""
-    return parse("exp(-2*x1)*(p1_1^2 + (t1^2 + 1)*p1_2^2) + p2_1^2 + (t1^2 + 1)*p2_2^2"
-                 " + x2*p1_1 - 0.5*sin(x1)*t2*p2_2 + 0.3*x1^2*t1", CHART.names)
+    return parse(CURVED_H + " + x2*p1_1 - 0.5*sin(x1)*t2*p2_2 + 0.3*x1^2*t1", CHART.names)
 
 
 def _identity_cases():
@@ -308,6 +319,36 @@ def test_momentum_derivatives_of_the_pieces_are_read_from_the_deviation(h, n, H)
             assert equiv(d, mul(Const(2.0), E[ia][kc])), (name, ia)
         assert equiv(d_free, mul(Const(-2.0), add(*[mul(E[ia][kc], P[ia])
                                                     for ia in range(n * m)]))), name
+
+
+def _written_out_cases():
+    """curved.json's space with and without the electrodynamic terms, and
+    geomgen (2, 3) and (3, 2) electrodynamic spaces, each in both charts."""
+    rng = np.random.default_rng(41)
+    cases = [("curved", curved_h(), 2, parse(CURVED_H, CHART.names), shear_map_22()),
+             ("electrodynamic", curved_h(), 2, _electrodynamic_curved(), shear_map_22())]
+    for m, n in ((2, 3), (3, 2)):
+        h = random_temporal_metric(m, rng)
+        H = general_electrodynamic_hamiltonian(h, random_spatiotemporal_metric(m, n, rng),
+                                               random_potential(m, n, rng),
+                                               random_base_scalar(m, n, rng))
+        cases.append((f"geomgen-{m}x{n}", h, n, H, random_transition(m, n, rng)))
+    for name, h, n, H, tm in cases:
+        yield pytest.param(h, n, H, id=f"{name}-chart-A")
+        yield pytest.param(pullback_metric(h, tm), n, pullback_scalar(H, tm),
+                           id=f"{name}-chart-B")
+
+
+@pytest.mark.parametrize("h, n, H", _written_out_cases())
+def test_the_pieces_are_the_written_out_ones_at_zero_momenta(h, n, H):
+    """U and F, extracted as dH/dp and H at p = 0, are the very nodes of
+    dH/dp - 2 h g p and H - h g p p - U p at p = 0."""
+    space = HamiltonSpace(h, n, H)
+    U, F = written_out_pieces(H, h, space.regularity.candidate)
+    wipe = {nm: ZERO for nm in space.chart.p_names}
+    for i, a in np.ndindex(n, h.dim):
+        assert space.U.components[i, a] is substitute(U[i][a], wipe), (i, a)
+    assert space.F is substitute(F, wipe)
 
 
 def _agreement_cases():

@@ -12,13 +12,17 @@ seeds 0 and 7, in one process through ``polyjet.cli.main``.  A run named
   replaced by ``REPORT``;
 * ``.exit``: the exit code.
 
+A name may hold dots.  The tool refuses to start when two runs would
+write the same files.
+
 Seventeen more cases run at both seeds, each one command on a copy of a shipped
 manifest with some keys replaced, written to a temporary file (``VARIANTS``):
 
 * ``verify-curved-fault``: ``fault_injection`` at N2[1,2,1], the
   failing-law path (its ``worst_entry``, ``worst_point`` and exit 6);
 * ``verify-curved-quartic``: H = p1_1^4, which is not regular, so the run
-  reports only the regularity check and exits 8;
+  reports only the transition's round trip and the regularity check and
+  exits 8;
 * ``verify-curved-no-inverse``: a transition without ``t_inverse`` and
   ``x_inverse`` (exit 2);
 * ``christoffel-flat-one-point-interval``: a sample interval of one
@@ -145,21 +149,24 @@ def snapshot(out_dir: Path) -> int:
             manifest = Path(tmp) / f"{name}.json"
             manifest.write_text(json.dumps({**base, **changes}, indent=2))
             cases.append((name, command, manifest))
+        stems = [f"{name}-seed{seed}" for name, _, _ in cases for seed in SEEDS]
+        if len(set(stems)) < len(stems):
+            raise ValueError("two runs would write the same files")
         for name, command, manifest in cases:
             for seed in SEEDS:
-                stem = out_dir / f"{name}-seed{seed}"
+                stem = f"{name}-seed{seed}"
                 Path(report_path).unlink(missing_ok=True)
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     code = cli.main([command, str(manifest), "--seed", str(seed),
                                      "--json", report_path])
                 printed = (stdout.getvalue() + stderr.getvalue()).replace(report_path, "REPORT")
-                stem.with_suffix(".out").write_text(printed)
-                stem.with_suffix(".exit").write_text(f"{code}\n")
+                (out_dir / f"{stem}.out").write_text(printed)
+                (out_dir / f"{stem}.exit").write_text(f"{code}\n")
                 if Path(report_path).exists():
                     report = json.loads(Path(report_path).read_text())
                     report.pop("wall_time_s")
-                    stem.with_suffix(".json").write_text(
+                    (out_dir / f"{stem}.json").write_text(
                         json.dumps(report, sort_keys=True, indent=2) + "\n")
                 runs += 1
     return runs
