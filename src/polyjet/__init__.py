@@ -27,6 +27,7 @@ from .symbolic import (
     equiv,
     evaluate,
     expr_array,
+    jacobian,
     parse,
     substitute,
     to_string,

@@ -29,9 +29,9 @@ and remembers the last domain's record, so the laws of one battery and
 ``validate`` map their shared samples once.  ``JetChart.assignment`` and
 ``JetChart.point`` only copy an assignment; the benchmark still calls them.
 
-``_derivatives`` builds both Jacobians and the momentum map's derivatives,
-which the d-tensor pullback also reads; ``_through`` substitutes one map
-into another for ``compose`` and ``validate``.
+``symbolic.jacobian`` builds both Jacobians and the momentum map's
+derivatives, which the d-tensor pullback also reads; ``_through``
+substitutes one map into another for ``compose`` and ``validate``.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .symbolic import (
     compile_block,
     cut,
     deviation,
-    differentiate,
     expr_array,
+    jacobian,
     mul,
     substitute,
 )
@@ -221,12 +221,12 @@ class TransitionMap:
     @cached_property
     def t_jacobian(self):
         """J[a][b] = d ttilde^a / d t^b, expressions in source t variables."""
-        return _derivatives(self.t_forward, self.chart.t_names)
+        return jacobian(self.t_forward, self.chart.t_names)
 
     @cached_property
     def x_jacobian(self):
         """J[i][j] = d xtilde^i / d x^j, expressions in source x variables."""
-        return _derivatives(self.x_forward, self.chart.x_names)
+        return jacobian(self.x_forward, self.chart.x_names)
 
     @cached_property
     def x_jacobian_inverse_source(self):
@@ -263,13 +263,13 @@ class TransitionMap:
 
     @cached_property
     def momentum_forward_dt(self):
-        """d ptilde[i][a] / d t^b, exact."""
-        return _derivatives(self.momentum_forward, self.chart.t_names)
+        """d ptilde[i][a] / d t^b, exact, (n, m, m)."""
+        return jacobian(self.momentum_forward, self.chart.t_names)
 
     @cached_property
     def momentum_forward_dx(self):
-        """d ptilde[i][a] / d x^j, exact."""
-        return _derivatives(self.momentum_forward, self.chart.x_names)
+        """d ptilde[i][a] / d x^j, exact, (n, m, n)."""
+        return jacobian(self.momentum_forward, self.chart.x_names)
 
     # -- numeric maps ---------------------------------------------------------
 
@@ -277,15 +277,13 @@ class TransitionMap:
     def _base_program(self) -> Program:
         """ttilde, its Jacobian row by row, then xtilde and its Jacobian, so
         a point's temporal errors come before its spatial ones."""
-        return compile_block([*self.t_forward, *(e for row in self.t_jacobian for e in row),
-                              *self.x_forward, *(e for row in self.x_jacobian for e in row)])
+        return compile_block([*self.t_forward, *self.t_jacobian.flat,
+                              *self.x_forward, *self.x_jacobian.flat])
 
     @cached_property
     def _momentum_program(self) -> Program:
         """d ptilde / dt, then d ptilde / dx, in index order."""
-        return compile_block(
-            [e for table in (self.momentum_forward_dt, self.momentum_forward_dx)
-             for rows in table for row in rows for e in row])
+        return compile_block([*self.momentum_forward_dt.flat, *self.momentum_forward_dx.flat])
 
     def momentum_derivatives(self, points):
         """d ptilde_i^a / d t^b (P, n, m, m) and d ptilde_i^a / d x^j
@@ -411,14 +409,6 @@ def _read_only(frames: Frames) -> Frames:
         values.flags.writeable = False
     return frames._replace(points=tuple(map(MappingProxyType, frames.points)),
                            images=tuple(map(MappingProxyType, frames.images)))
-
-
-def _derivatives(exprs, names) -> tuple:
-    """d e / d name for every entry e of a nested block, one name per
-    entry of a new last axis, as nested tuples."""
-    if isinstance(exprs, Expr):
-        return tuple(differentiate(exprs, nm) for nm in names)
-    return tuple(_derivatives(e, names) for e in exprs)
 
 
 def _through(e: Expr, names, values) -> Expr:

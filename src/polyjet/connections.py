@@ -30,8 +30,8 @@ from .symbolic import (
     Const,
     SampleDomain,
     add,
-    differentiate,
     expr_array,
+    jacobian,
     mul,
 )
 
@@ -145,15 +145,11 @@ def connection_from_semispray(G1: Semispray, G2: Semispray,
     if (G2.m, G2.n) != (m, n) or phi.dim != n:
         raise ConfigError("semispray pair and metric dimensions disagree")
     phi_upper = phi.inverse_components
-    n1 = [[[None] * m for _ in range(n)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            # d G1[a][j][k] / d p_i^b, once for every r, then sandwich with phi
-            dG = [[[differentiate(G1.components[a][j][k], p_name(i, b)) for k in range(n)]
-                   for j in range(n)] for i in range(n)]
-            for r in range(n):
-                n1[a][r][b] = add(*[mul(phi_upper[j][k], dG[i][j][k], phi.components[i][r])
-                                    for i in range(n) for j in range(n) for k in range(n)])
+    # dG[a, j, k, i, b] = d G1[a][j][k] / d p_i^b, once for every r
+    dG = jacobian(G1.components, JetChart(m, n).p_names).reshape(m, n, n, n, m)
+    n1 = [[[add(*[mul(phi_upper[j][k], dG[a, j, k, i, b], phi.components[i][r])
+                  for i in range(n) for j in range(n) for k in range(n)])
+            for b in range(m)] for r in range(n)] for a in range(m)]
     n2 = [[[mul(Const(2.0), G2.components[b][j][k]) for k in range(n)]
            for j in range(n)] for b in range(m)]
     return NonlinearConnection(m, n, n1, n2)

@@ -40,7 +40,9 @@ g are ``metrics.christoffel``, kept on each metric.
 
 ``_quadratic`` and ``_linear`` build the normal form's terms for every
 hamiltonian builder and for ``_potential_and_free_term``; ``_spatial_block``
-builds both the direct spatial block (from dH/dp) and T (from U).
+builds both the direct spatial block (from dH/dp) and T (from U).  Every
+derivative table is a ``symbolic.jacobian`` except that block's dg/dx and
+dH/dx, taken only where a term reads them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from functools import partial, wraps
 
 import numpy as np
 
-from .charts import JetChart, p_name, x_name
+from .charts import JetChart, x_name
 from .connections import NonlinearConnection, metric_n1, metric_n2
 from .dtensors import DTensorField, lower_t, lower_x, upper_t, upper_x
 from .errors import ConfigError, NotRegular
@@ -64,31 +66,24 @@ from .symbolic import (
     SampleDomain,
     ZERO,
     add,
-    as_expr,
     compile_block,
     deviation,
     differentiate,
     expr_array,
+    jacobian,
     keeping,
     mul,
     scaled_residual,
     substitute,
-    variables,
 )
 
 
 def fundamental_vertical_dtensor(H: Expr, m: int, n: int) -> DTensorField:
     """G[i][a][j][b] = 1/2 d^2 H / dp_i^a dp_j^b, with both (i, a) and
     (j, b) as doubled pairs."""
-    H = as_expr(H)
-    comps = np.empty((n, m, n, m), dtype=object)
-    first = [[differentiate(H, p_name(i, a)) for a in range(m)] for i in range(n)]
-    for i in range(n):
-        for a in range(m):
-            for j in range(n):
-                for b in range(m):
-                    comps[i, a, j, b] = mul(
-                        Const(0.5), differentiate(first[i][a], p_name(j, b)))
+    p_names = JetChart(m, n).p_names
+    second = jacobian(jacobian(H, p_names), p_names)
+    comps = np.reshape([mul(Const(0.5), e) for e in second.flat], (n, m, n, m))
     slots = (upper_x(1), lower_t(0), upper_x(3), lower_t(2))
     return DTensorField(m, n, slots, comps, name="G")
 
@@ -137,8 +132,7 @@ def _candidate_block(vertical: DTensorField, h: Metric) -> list:
 def _really_p_dependent(exprs, chart: JetChart, dom: SampleDomain, tol: float) -> bool:
     """True when some entry's momentum derivative is nonzero in value on
     ``dom``, not merely in syntax."""
-    derivatives = [differentiate(e, nm) for row in exprs for e in row
-                   for nm in sorted(variables(e).intersection(chart.p_names))]
+    derivatives = [d for d in jacobian(exprs, chart.p_names).flat if d is not ZERO]
     return bool(derivatives) and not (
         deviation(derivatives, [ZERO] * len(derivatives), dom)[1] <= tol).all()
 
@@ -266,9 +260,7 @@ def _potential_and_free_term(H: Expr, h: Metric, cand, dom: SampleDomain,
                 return None, None, None, f"extracted {what} term depends on momentum {name}"
 
     wipe = {nm: ZERO for nm in chart.p_names}
-    u_comps = np.empty((n, m), dtype=object)
-    for i, a in np.ndindex(n, m):
-        u_comps[i, a] = substitute(differentiate(H, p_name(i, a)), wipe)
+    u_comps = np.reshape([substitute(e, wipe) for e in jacobian(H, chart.p_names)], (n, m))
     free = substitute(H, wipe)
 
     P = chart.p_vars()
@@ -355,7 +347,7 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
     m, n = space.m, space.n
     n1 = metric_n1(christoffel(space.h).components, n)
     H = space.hamiltonian
-    dH_dp = [[differentiate(H, p_name(k, b)) for b in range(m)] for k in range(n)]
+    dH_dp = jacobian(H, space.chart.p_names).reshape(n, m)
     n2 = _spatial_block(space.h.inverse_components, space.g.components, dH_dp, H)
     return NonlinearConnection(m, n, n1, n2)
 
@@ -363,23 +355,22 @@ def canonical_nonlinear_connection(space: HamiltonSpace) -> NonlinearConnection:
 def _spatial_block(h_upper, g, X, H=None) -> np.ndarray:
     """The (m, n, n) block of ``canonical_nonlinear_connection`` (X[k][b] =
     dH/dp_k^b) or of ``electrodynamic_t_block`` (X = U).  Each derivative
-    is taken once per index, into a table, before the (a, b) loops.
-    dg_ij/dx^k is derived only where some X[k][b] is not ``ZERO``.  The
-    dg/dp dH/dx term is built only with the hamiltonian ``H``, where
-    dg_ij/dp_k^b is not ``ZERO``, and dH/dx^k is derived only there: a g
-    without momenta, as every m >= 2 space has, never needs it."""
+    is taken once per index before the (a, b) loops: dX/dx and dg/dp are
+    ``jacobian`` tables, and dg_ij/dx^k is derived only where some X[k][b]
+    is not ``ZERO``.  The dg/dp dH/dx term is built only with the
+    hamiltonian ``H``, where dg_ij/dp_k^b is not ``ZERO``, and dH/dx^k is
+    derived only there: a g without momenta, as every m >= 2 space has,
+    never needs it."""
     m, n = len(h_upper), len(g)
-    pairs = list(np.ndindex(n, n))
+    chart = JetChart(m, n)
     dg_dx = {(i, j, k): differentiate(g[i][j], x_name(k)) for k in range(n)
-             if any(X[k][b] is not ZERO for b in range(m)) for i, j in pairs}
-    dX_dx = [[[differentiate(X[k][b], x_name(j)) for j in range(n)] for b in range(m)]
-             for k in range(n)]
-    dg_dp, dH_dx = {}, {}
+             if any(X[k][b] is not ZERO for b in range(m)) for i, j in np.ndindex(n, n)}
+    dX_dx = jacobian(X, chart.x_names)
+    dg_dp, dH_dx = np.full((n, n, n, m), ZERO, dtype=object), {}
     if H is not None:
-        dg_dp = {(i, j, k, b): differentiate(g[i][j], p_name(k, b))
-                 for i, j in pairs for k in range(n) for b in range(m)}
+        dg_dp = jacobian(g, chart.p_names).reshape(n, n, n, m)
         dH_dx = {k: differentiate(H, x_name(k)) for k in range(n)
-                 if any(dg_dp[i, j, k, b] is not ZERO for i, j in pairs for b in range(m))}
+                 if any(e is not ZERO for e in dg_dp[:, :, k].flat)}
     out = np.empty((m, n, n), dtype=object)
     for a, i, j in np.ndindex(m, n, n):
         outer = []
@@ -388,7 +379,7 @@ def _spatial_block(h_upper, g, X, H=None) -> np.ndarray:
             for k in range(n):
                 if X[k][b] is not ZERO:
                     inner.append(mul(dg_dx[i, j, k], X[k][b]))
-                if dg_dp.get((i, j, k, b), ZERO) is not ZERO:
+                if dg_dp[i, j, k, b] is not ZERO:
                     inner.append(mul(Const(-1.0), dg_dp[i, j, k, b], dH_dx[k]))
                 inner.append(mul(g[i][k], dX_dx[k][b][j]))
                 inner.append(mul(g[j][k], dX_dx[k][b][i]))
@@ -449,7 +440,8 @@ def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnectio
 
     lowered = [[add(*[mul(g[i][k], space.U.components[k, b]) for k in range(n)])
                 for b in range(m)] for i in range(n)]
-    cov = [[[add(differentiate(lowered[k][b], x_name(r)),
+    d_lowered = jacobian(lowered, space.chart.x_names)
+    cov = [[[add(d_lowered[k, b, r],
                  mul(Const(-1.0), add(*[mul(lowered[s][b], gamma[s][k][r])
                                         for s in range(n)])))
              for r in range(n)] for b in range(m)] for k in range(n)]
@@ -462,10 +454,14 @@ def canonical_connection_closed_form(space: HamiltonSpace) -> NonlinearConnectio
 
 
 def _check_positive(**consts):
+    """Refuse, naming it, a constant that is not a finite positive number."""
     for key, value in consts.items():
-        v = float(value)
-        if not v > 0:
-            raise ConfigError(f"constant {key} must be positive, got {value}")
+        try:
+            ok = 0 < float(value) < math.inf
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"constant {key} must be a finite positive number, got {value!r}")
 
 
 def gravitational_space(h: Metric, phi: Metric, mass: float = 1.0,

@@ -12,8 +12,8 @@ Three kinds are supported:
 
 Christoffel symbols are exact expressions over the metric's symbolic
 inverse, so a metric past ``linalg.SYM_INVERSE_MAX_DIM`` has none: building
-them raises ConfigError.  ``christoffel`` builds them once per metric and
-keeps them on it.
+them raises ConfigError.  They read one ``symbolic.jacobian`` table of the
+metric's derivatives; ``christoffel`` builds them once and keeps them on it.
 
 ``pullback_metric`` writes a metric in a transition's target chart as the
 ``dtensors.pullback_dtensor`` of a field with two lower slots, so metrics
@@ -37,8 +37,8 @@ from .symbolic import (
     SampleDomain,
     add,
     deviation,
-    differentiate,
     expr_array,
+    jacobian,
     mul,
     neg,
     variables,
@@ -123,10 +123,8 @@ class Metric(Compiled):
         """The field ``christoffel`` returns, built on its first call."""
         d = self.dim
         inv = self.inverse_components
-        # each distinct entry once: a symmetric metric's g_ij and g_ji are one node
-        derived = {e: [differentiate(e, v) for v in self.christoffel_names]
-                   for e in dict.fromkeys(self.components.flat)}
-        derivs = [[derived[e] for e in row] for row in self.components]
+        # a symmetric metric's g_ij and g_ji are one node, derived once
+        derivs = jacobian(self.components, self.christoffel_names)
         comps = [[[add(*[mul(Const(0.5), inv[k][l],
                              add(derivs[l][i][j], derivs[l][j][i], neg(derivs[i][j][l])))
                          for l in range(d)])

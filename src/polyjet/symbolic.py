@@ -630,6 +630,20 @@ def differentiate(e: Expr, name: str) -> Expr:
     return memo[e]
 
 
+def jacobian(block, names) -> np.ndarray:
+    """The derivative table of a block: a read-only ``expr_array`` of shape
+    (*block's shape, len(names)) whose entry [..., k] is
+    ``differentiate(entry, names[k])``.  ``block`` is an expression, an
+    array or a nested sequence of expressions.  Each distinct entry node is
+    derived once per name, so a symmetric block's (i, j) and (j, i) share
+    one derivation."""
+    entries = np.asarray(block, dtype=object)
+    derived = {e: [differentiate(e, nm) for nm in names] for e in dict.fromkeys(entries.flat)}
+    shape = (*entries.shape, len(names))
+    table = np.array([derived[e] for e in entries.flat], dtype=object).reshape(shape)
+    return expr_array(table, shape)
+
+
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Replace variables by expressions, rebuilding through the smart
     constructors (so folding applies to the result).  A subtree whose

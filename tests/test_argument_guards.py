@@ -1,8 +1,11 @@
 """The argument guards of the public builders: each refuses a metric of the
-wrong kind, mismatched dimensions or a transition without inverses with a
-ConfigError that names the problem."""
+wrong kind, mismatched dimensions, a transition without inverses or a
+constant that is not a finite positive number with a ConfigError that names
+the problem."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -77,6 +80,14 @@ GUARDS = {
                           "gravitational spaces take a spatial metric phi"),
     "autonomous-phi": (lambda: autonomous_electrodynamic_space(H, G, ZEROS),
                        "electrodynamic spaces take a spatial metric phi"),
+    "gravitational-infinite-mass": (lambda: gravitational_space(H, PHI, mass=math.inf),
+                                    "constant mass must be a finite positive number, got inf"),
+    "gravitational-mass-not-a-number": (lambda: gravitational_space(H, PHI, mass="abc"),
+                                        "constant mass must be a finite positive number, "
+                                        "got 'abc'"),
+    "autonomous-infinite-charge": (lambda: autonomous_electrodynamic_space(
+        H, PHI, ZEROS, charge=math.inf),
+        "constant charge must be a finite positive number, got inf"),
     "general-g-kind": (lambda: general_electrodynamic_space(H, PHI, ZEROS),
                        "the lowered spatial block must be spatiotemporal"),
     "general-g-m": (lambda: general_electrodynamic_space(

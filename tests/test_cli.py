@@ -768,7 +768,7 @@ def test_verify_needs_both_inverse_maps(tmp_path, capsys):
             "configuration error: verify needs transition.t_inverse and x_inverse\n")
 
 
-def test_verify_on_a_non_regular_hamiltonian_reports_only_regularity(tmp_path):
+def test_verify_on_a_non_regular_hamiltonian_stops_after_its_regularity_check(tmp_path):
     code, report = run(tmp_path, "verify",
                        rewrite(tmp_path, "curved.json", hamiltonian="p1_1^4"))
     assert code == EXIT_REGULARITY and not report["passed"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from geomgen import random_spatial_metric, random_temporal_metric, random_transition
-from polyjet import connections
+from polyjet import symbolic
 from polyjet.charts import JetChart, TransitionMap
 from polyjet.connections import (
     NonlinearConnection,
@@ -132,18 +132,22 @@ def test_semispray_correspondence_roundtrip():
 @pytest.mark.parametrize("m, n", [(2, 3), (3, 3)])
 def test_each_semispray_derivative_is_taken_once(monkeypatch, m, n):
     """N1 derives each d G1[a][j][k] / d p_i^b once, m^2 n^3 calls, not
-    once per r, and still returns the nodes of the written-out formula."""
+    once per r, and still returns the nodes of the written-out formula.
+    ``symbolic.jacobian`` builds the table, so its ``differentiate`` is the
+    one counted; G2 is built before the count, since ``canonical_spatial``
+    derives phi's Christoffel symbols through the same function."""
     rng = np.random.default_rng(10 * m + n)
     phi = random_spatial_metric(n, rng)
     G1 = canonical_temporal(random_temporal_metric(m, rng), n)
+    G2 = canonical_spatial(phi, m)
     calls = []
 
     def counted(e, name):
         calls.append(name)
         return differentiate(e, name)
 
-    monkeypatch.setattr(connections, "differentiate", counted)
-    N = connection_from_semispray(G1, canonical_spatial(phi, m), phi)
+    monkeypatch.setattr(symbolic, "differentiate", counted)
+    N = connection_from_semispray(G1, G2, phi)
     assert len(calls) == m * m * n ** 3
     want = n1_from_semispray_direct(G1, phi)
     assert all(N.n1[a, r, b] is want[a][r][b] for a, r, b in np.ndindex(N.n1.shape))

@@ -42,6 +42,7 @@ from polyjet.symbolic import (
     deviation,
     expr_array,
     is_zero,
+    jacobian,
     keeping,
     ln,
     mul,
@@ -523,6 +524,37 @@ def test_mixed_partials_commute(e):
     dxt = differentiate(differentiate(e, "x1"), "t1")
     dtx = differentiate(differentiate(e, "t1"), "x1")
     assert equiv(dxt, dtx, SampleDomain.default(["t1", "x1", "p1_1"], count=6, seed=11))
+
+
+def test_jacobian_appends_an_axis_of_names_whose_entries_are_the_derivatives():
+    names = ("x1", "t1", "p1_1")
+    e = parse("x1^2*t1 + sin(p1_1)", names)
+    for block, shape in ((e, ()), ([e, X1, P11], (3,)),
+                         ([[e, X1], [P11, mul(X1, T1)]], (2, 2))):
+        table = jacobian(block, names)
+        assert table.shape == (*shape, len(names))
+        entries = np.asarray(block, dtype=object)
+        for index in np.ndindex(*shape):
+            for k, name in enumerate(names):
+                assert table[(*index, k)] is differentiate(entries[index], name)
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = ZERO
+
+
+def test_jacobian_derives_a_repeated_entry_once_per_name(monkeypatch):
+    e = parse("x1*t1 + x1^3", ["x1", "t1"])
+    calls = []
+    real = symbolic.differentiate
+
+    def counted(node, name):
+        calls.append((node, name))
+        return real(node, name)
+
+    monkeypatch.setattr(symbolic, "differentiate", counted)
+    table = jacobian([[e, X1], [X1, e]], ["x1", "t1"])
+    assert calls == [(e, "x1"), (e, "t1"), (X1, "x1"), (X1, "t1")]
+    assert all(table[1, 1, k] is table[0, 0, k] and table[1, 0, k] is table[0, 1, k]
+               for k in range(2))
 
 
 _SPECIAL = [Const(-0.0), Const(math.nan), Const(math.inf), Const(-math.inf), Const(1e200),
