@@ -770,12 +770,15 @@ def _level_plan(ops, roots) -> tuple:
 
     The plan gives every op a row of the value matrix: the variables
     first, in name order (the order of ``Program.reads``), then the
-    constants, then the ops of one level, kind, payload and arity after
-    another, in level order, so that each such group fills one run of
-    rows.  A step is (opcode, payload, first
-    row, end row, kid rows), the kid rows an (arity, group size) matrix.
-    Every op's children are on lower levels, so a step reads only rows
-    that the steps before it, or the variables and constants, filled.
+    constants, then one more constant row holding 1.0, then the ops of one
+    level, kind, payload and arity after another, in level order, so that
+    each such group fills one run of rows.  The products of a level are
+    one group whatever their arity: a shorter product's kid rows are
+    padded to the group's widest arity with the 1.0 row, after its own
+    factors.  A step is (opcode, payload, first row, end row, kid rows),
+    the kid rows an (arity, group size) matrix.  Every op's children are
+    on lower levels, so a step reads only rows that the steps before it,
+    or the variables and constants, filled.
     """
     levels, names, constants, groups = [], [], [], {}
     for slot, (code, arg, kids) in enumerate(ops):
@@ -785,19 +788,23 @@ def _level_plan(ops, roots) -> tuple:
             continue
         level = 1 + max(map(levels.__getitem__, kids))
         levels.append(level)
-        groups.setdefault((level, code, arg, len(kids)), []).append(slot)
+        arity = 0 if code == _PRODUCT else len(kids)
+        groups.setdefault((level, code, arg, arity), []).append(slot)
     row = [0] * len(ops)
     for index, (slot, _) in enumerate(sorted(names, key=lambda item: item[1]) + constants):
         row[slot] = index
-    end, steps = len(names) + len(constants), []
+    one = len(names) + len(constants)
+    end, steps = one + 1, []
     for (_, code, arg, _), slots in sorted(groups.items(), key=lambda group: group[0][0]):
         start = end
         for slot in slots:
             row[slot] = end
             end += 1
         kids = [[row[k] for k in ops[slot][2]] for slot in slots]
+        width = max(map(len, kids))
+        kids = [rows + [one] * (width - len(rows)) for rows in kids]
         steps.append((code, arg, start, end, np.array(kids, dtype=np.intp).T.copy()))
-    return (np.array([v for _, v in constants], dtype=float), tuple(steps),
+    return (np.array([v for _, v in constants] + [1.0], dtype=float), tuple(steps),
             np.array([row[r] for r in roots], dtype=np.intp))
 
 
@@ -839,15 +846,21 @@ class Program:
     children's highest (variables and constants are level 0), and the
     plan groups the ops of one level by kind, payload and arity.  Each
     pass then fills one float64 matrix of (op, point) values a group at a
-    time.  Products, quotients and negations are one numpy gather and
-    elementwise arithmetic per group; IEEE rounds each multiplication,
-    division and negation as Python does, and products chain their
-    factors first to last, as the walk does.  Sums, powers and calls stay
-    per value in Python, through ``math.fsum``, ``**`` and the ``math``
-    functions, because numpy's sums, powers and transcendental functions
-    may round differently.  The plan costs more to build than one walk,
-    so a program that runs once never builds it.  Both passes take their
-    variable values from the batch's matrix.
+    time.  Products, two-term sums, quotients and negations are one numpy
+    gather and one numpy call per group; IEEE rounds each multiplication,
+    division, negation and addition as Python does.  The products of a
+    level are one group whatever their arity, each padded with a row of
+    1.0 to the widest, and one ``np.multiply.reduce`` chains every
+    product's factors first to last, as the walk does; x * 1.0 is x for
+    every float.  One IEEE addition of two finite values is their
+    correctly rounded exact sum, as ``math.fsum`` returns, but for the
+    sign of a zero sum: fsum gives +0.0, so the group adds +0.0 after it.
+    Longer sums, powers and calls stay per value in Python, through
+    ``math.fsum``, ``**`` and the ``math`` functions, because numpy's
+    sums, powers and transcendental functions may round differently.  The
+    plan costs more to build than one walk, so a program that runs once
+    never builds it.  Both passes take their variable values from the
+    batch's matrix.
 
     A program remembers its last successful batch, in one slot.  The key
     is the point count and the bytes of the batch's matrix, so ``-0.0``
@@ -1000,7 +1013,7 @@ class Program:
         """The roots' values, one group of one level's ops at a time, in a
         matrix of one row per op and one column per point."""
         constants, steps, roots = self._plan
-        values = np.empty((len(self.ops), len(read)))
+        values = np.empty((len(self.ops) + 1, len(read)))  # and the 1.0 row
         values[:len(self.reads)] = read.T
         values[len(self.reads):len(self.reads) + len(constants)] = constants[:, None]
         # a zero denominator gives an infinity or NaN here instead of
@@ -1010,9 +1023,15 @@ class Program:
                 operands = values.take(kids, axis=0)  # (arity, ops, points)
                 out = values[start:end]
                 if code == _PRODUCT:
-                    out[...] = operands[0]
-                    for factor in operands[1:]:
-                        out *= factor
+                    # first factor to last, as the walk's chain; the 1.0
+                    # padding leaves every value as it is, -0.0 included
+                    np.multiply.reduce(operands, axis=0, out=out)
+                elif code == _SUM and len(operands) == 2:
+                    # one IEEE addition is the correctly rounded exact sum,
+                    # as math.fsum's, but for the sign of a zero sum: fsum
+                    # gives +0.0, and adding +0.0 turns -0.0 into it
+                    np.add(operands[0], operands[1], out=out)
+                    out += 0.0
                 elif code == _QUOTIENT:  # kids are (denominator, numerator)
                     np.divide(operands[1], operands[0], out=out)
                 elif code == _NEG:

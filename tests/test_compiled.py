@@ -406,6 +406,42 @@ def test_a_product_built_with_one_factor_is_that_factor():
             kind(())
 
 
+def test_products_of_three_arities_on_one_level_multiply_first_factor_to_last():
+    # the order of the factors changes these bits, so each product of the
+    # level's one padded step must chain its own factors as the reference
+    # and the walk do
+    assert 0.1 * 0.2 * 0.3 == 0.006000000000000001 and 0.3 * 0.2 * 0.1 == 0.006
+    x2, t2 = var("x2"), var("t2")
+    block = [mul(X1, T1), mul(X1, T1, P11), mul(X1, T1, P11, x2, t2)]
+    point = {"x1": 0.1, "t1": 0.2, "p1_1": 0.3, "x2": 0.5, "t2": -2.0}
+    other = {**point, "t2": 4.0}
+    assert_matches_evaluate(block, [point], [other])
+
+
+@pytest.mark.parametrize("point", [
+    {"x1": 3.0, "t1": -0.0, "p1_1": 2.0},
+    {"x1": -0.0, "t1": -0.0, "p1_1": -0.0},
+    {"x1": math.inf, "t1": 2.0, "p1_1": 0.5},
+    {"x1": -2.0, "t1": -math.inf, "p1_1": 0.5},
+])
+def test_a_padded_product_keeps_its_signed_zeros_and_infinities(point):
+    # mul(x1, t1) is padded with the 1.0 row to the arity of its neighbour
+    block = [mul(X1, T1), mul(X1, T1, P11), add(mul(X1, T1), P11)]
+    assert_matches_evaluate(block, [{"x1": 1.5, "t1": 2.0, "p1_1": 0.5}, point])
+
+
+# ---------------------------------------------------------------------------
+# two-term sums: one IEEE addition, with math.fsum's +0.0 for a zero sum
+
+@pytest.mark.parametrize("x1, t1", [(-0.0, -0.0), (0.1, -0.1), (-1e308, 1e308),
+                                    (5e-324, -5e-324)])
+def test_a_two_term_zero_sum_is_positive_zero_as_fsum_gives(x1, t1):
+    assert bits(math.fsum([x1, t1])) == bits(0.0)
+    block = [add(X1, T1), add(X1, T1, P11), neg(add(X1, T1))]
+    point = {"x1": x1, "t1": t1, "p1_1": -0.0}
+    assert_matches_evaluate(block, [{"x1": 1.0, "t1": 2.0, "p1_1": 3.0}, point])
+
+
 def test_unbound_variable_matches_evaluate():
     with pytest.raises(UnboundVariable) as err:
         compile_block([X1 + T1]).run([{"x1": 1.0, "t1": 2.0}, {"x1": 1.0}])
@@ -581,6 +617,34 @@ def test_a_product_that_overflows_on_a_rerun_raises_the_replays_error(monkeypatc
     with pytest.raises(DomainError, match="^product overflows to -inf$"):
         program.run([ok, bad])
     assert paths == ["plan", "level"]
+
+
+def test_a_two_term_sum_that_overflows_on_a_rerun_raises_the_replays_error(monkeypatch):
+    program = compile_block([add(X1, T1)])
+    ok = {"x1": 1.0, "t1": 2.0}
+    assert program.run([ok, ok]).tolist() == [[3.0]] * 2
+    paths = count_paths(monkeypatch)
+    bad = {"x1": 1e308, "t1": 1e308}
+    with pytest.raises(DomainError, match="^intermediate overflow in fsum during evaluation$"):
+        program.run([ok, bad])
+    assert paths == ["plan", "level"]
+
+
+def test_a_level_plan_has_one_product_step_and_one_sum_step_per_arity():
+    block = [mul(X1, T1), mul(X1, T1, P11), add(X1, T1), add(X1, T1, P11)]
+    program = compile_block(block)
+    program.run([{"x1": 1.0, "t1": 2.0, "p1_1": 3.0}] * 2)
+    program.run([{"x1": 0.5, "t1": 2.0, "p1_1": 3.0}] * 2)
+    constants, steps, roots = program._plan
+    assert constants.tolist() == [1.0]  # no constant op: only the 1.0 row
+    one = len(program.reads)
+    assert [(code, kids.shape) for code, _, _, _, kids in steps] == [
+        (polyjet.symbolic._PRODUCT, (3, 2)),
+        (polyjet.symbolic._SUM, (2, 1)),
+        (polyjet.symbolic._SUM, (3, 1)),
+    ]
+    # reads are (p1_1, t1, x1): the shorter product ends on the 1.0 row
+    assert steps[0][4].T.tolist() == [[2, 1, one], [2, 1, 0]]
 
 
 @settings(max_examples=150, deadline=None)

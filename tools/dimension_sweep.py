@@ -12,7 +12,9 @@ checks cover both evaluation paths.  It prints the seconds of each stage,
 the ``max_residual`` of both checks and ``kept``, the number of
 derivatives the two spaces' stores hold after the build and the
 connections: a count of derivation work that does not depend on the
-machine.  It exits 1 when some law fails.
+machine.  The last column, ``law2_s``, after the verdict, is the seconds
+of the second check, the level plan's pass.  It exits 1 when some law
+fails.
 
 Run it from the repository root, for every row or for the rows named:
 
@@ -62,8 +64,8 @@ GC_THRESHOLD = (100_000, 50, 50)
 
 
 def sweep_row(m: int, n: int):
-    """(build_s, conn_s, law_s, kept, law report, second law report) for
-    one (m, n)."""
+    """(build_s, conn_s, law_s, law2_s, kept, law report, second law
+    report) for one (m, n)."""
     rng = np.random.default_rng(SEED)
     tm = random_transition(m, n, rng, shears=SHEARS)
     h, phi = random_temporal_metric(m, rng), random_spatial_metric(n, rng)
@@ -83,7 +85,9 @@ def sweep_row(m: int, n: int):
     again = verify_connection_law(N_a, N_b, tm,
                                   dom=tm.chart.sample_domain(count=SAMPLES, seed=SECOND_SEED),
                                   tol=LAW_TOL)
-    return built - start, connected - built, checked - connected, kept, report, again
+    rechecked = time.perf_counter()
+    return (built - start, connected - built, checked - connected, rechecked - checked, kept,
+            report, again)
 
 
 def parse_row(text: str) -> tuple[int, int]:
@@ -98,15 +102,15 @@ def main(argv: list[str]) -> int:
     rows = [parse_row(arg) for arg in argv] or ROWS
     gc.set_threshold(*GC_THRESHOLD)
     print(f"{'(m, n)':8} {'build_s':>8} {'conn_s':>8} {'law_s':>8} {'kept':>8} "
-          f"{'max_residual':>13} {'law2':>10}  law")
+          f"{'max_residual':>13} {'law2':>10}  law  {'law2_s':>8}")
     failed = False
     for m, n in rows:
-        build_s, conn_s, law_s, kept, report, again = sweep_row(m, n)
+        build_s, conn_s, law_s, law2_s, kept, report, again = sweep_row(m, n)
         passed = report.passed and again.passed
         failed |= not passed
         print(f"{f'({m}, {n})':8} {build_s:8.3f} {conn_s:8.3f} {law_s:8.3f} {kept:8d} "
               f"{report.max_residual:13.3e} {again.max_residual:10.3e}  "
-              f"{'pass' if passed else 'FAIL'}", flush=True)
+              f"{'pass' if passed else 'FAIL'} {law2_s:8.3f}", flush=True)
     return 1 if failed else 0
 
 
